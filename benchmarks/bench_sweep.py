@@ -17,15 +17,18 @@ state, and the number the protocol-v2 batching work targets).  The
 headline ``socket`` entry is the warm one; ``socket_cold`` is recorded
 alongside.
 
+The full run times two grids: ``short`` (n=24 trials of a few ms,
+where per-dispatch overhead shows) and ``long`` (n=256 with 16 pairs,
+~0.2 s trials, where a pool's speedup should approach its core count).
+
 Run ``PYTHONPATH=src python benchmarks/bench_sweep.py`` to regenerate
-``benchmarks/BENCH_sweep.json``; ``--quick`` is the CI smoke mode (tiny
-grid, no JSON unless ``--json`` is given).  As with
-``BENCH_montecarlo.json``, ``os.cpu_count()`` is recorded and the
-floors are enforced only when the machine has at least ``--workers``
-cores: the procs backend must beat ``--min-speedup``, the warm socket
-backend must match the procs backend (``--min-socket-vs-procs``) and
-must beat the protocol-v1 baseline of 0.13x serial by at least
-``--min-socket-improvement`` (default 3x).
+``benchmarks/BENCH_sweep.json``; ``--quick`` is the CI smoke mode (one
+tiny grid, no JSON unless ``--json`` is given).  ``os.cpu_count()`` is
+recorded and the floors are enforced, on every grid, only when the
+machine has at least ``--workers`` cores: the procs backend must beat
+``--min-speedup``, the warm socket backend must match the procs backend
+(``--min-socket-vs-procs``) and must beat the protocol-v1 baseline of
+0.13x serial by at least ``--min-socket-improvement`` (default 3x).
 """
 
 from __future__ import annotations
@@ -124,6 +127,65 @@ def assert_equivalent(reports: dict[str, dict]) -> None:
             )
 
 
+def bench_grid(spec: SweepSpec, workers: int, batch_size) -> dict[str, float]:
+    """Every backend on ``spec``; reports asserted identical, then timed.
+
+    Returns trials/sec per backend.
+    """
+    reports: dict[str, dict] = {}
+    throughput: dict[str, float] = {}
+    reports["serial"], throughput["serial"] = run_sweep(spec, SerialBackend())
+    reports["procs"], throughput["procs"] = run_sweep(
+        spec, MultiprocessBackend(workers)
+    )
+    # Cold socket: one-shot pool, spawn + import + handshake on the clock.
+    reports["socket_cold"], throughput["socket_cold"] = run_sweep(
+        spec, SocketBackend(workers=workers, batch_size=batch_size)
+    )
+    # Warm socket: pool pre-warmed off the clock, dispatch alone timed.
+    warm = SocketBackend(workers=workers, batch_size=batch_size, keep_alive=True)
+    try:
+        warm.warm_up(timeout=60.0)
+        reports["socket"], throughput["socket"] = run_sweep(spec, warm)
+    finally:
+        warm.close()
+    # Fault injection: kill one worker + stop halfway + journal resume
+    # must still reproduce the serial report byte-for-byte.
+    reports["socket_kill_resume"] = run_kill_and_resume(
+        spec, workers, batch_size
+    )
+    assert_equivalent(reports)
+    return throughput
+
+
+def floor_failures(
+    label: str, throughput: dict[str, float], args: argparse.Namespace
+) -> list[str]:
+    """The floors one grid's throughput misses."""
+    speedup = throughput["procs"] / throughput["serial"]
+    socket_speedup = throughput["socket"] / throughput["serial"]
+    socket_vs_procs = throughput["socket"] / throughput["procs"]
+    improvement = socket_speedup / SOCKET_V1_BASELINE
+    failures = []
+    if speedup < args.min_speedup:
+        failures.append(
+            f"{label}: procs-backend speedup is {speedup:.2f}x "
+            f"(< {args.min_speedup}x floor)"
+        )
+    if socket_vs_procs < args.min_socket_vs_procs:
+        failures.append(
+            f"{label}: warm socket is {socket_vs_procs:.2f}x the procs "
+            f"backend (< {args.min_socket_vs_procs}x floor)"
+        )
+    if improvement < args.min_socket_improvement:
+        failures.append(
+            f"{label}: warm socket speedup {socket_speedup:.2f}x is only "
+            f"{improvement:.1f}x the {SOCKET_V1_BASELINE}x v1 baseline "
+            f"(< {args.min_socket_improvement}x floor)"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="sweep dispatcher throughput benchmark"
@@ -177,59 +239,35 @@ def main(argv: list[str] | None = None) -> int:
     cpu_count = os.cpu_count() or 1
 
     if args.quick:
-        spec = SweepSpec(ns=(18,), trials=8, seed=7, pairs=4)
+        grids = {"quick": SweepSpec(ns=(18,), trials=8, seed=7, pairs=4)}
     else:
-        spec = SweepSpec(
-            ns=(24,), adversaries=("schedule", "random"), trials=16,
-            seed=7, pairs=5,
-        )
+        grids = {
+            "short": SweepSpec(
+                ns=(24,), adversaries=("schedule", "random"), trials=16,
+                seed=7, pairs=5,
+            ),
+            "long": SweepSpec(ns=(256,), trials=32, seed=7, pairs=16),
+        }
 
-    reports: dict[str, dict] = {}
-    throughput: dict[str, float] = {}
-
-    reports["serial"], throughput["serial"] = run_sweep(spec, SerialBackend())
-    reports["procs"], throughput["procs"] = run_sweep(
-        spec, MultiprocessBackend(workers)
-    )
-    # Cold socket: one-shot pool, spawn + import + handshake on the clock.
-    reports["socket_cold"], throughput["socket_cold"] = run_sweep(
-        spec, SocketBackend(workers=workers, batch_size=args.batch_size)
-    )
-    # Warm socket: pool pre-warmed off the clock, dispatch alone timed.
-    warm = SocketBackend(
-        workers=workers, batch_size=args.batch_size, keep_alive=True
-    )
-    try:
-        warm.warm_up(timeout=60.0)
-        reports["socket"], throughput["socket"] = run_sweep(spec, warm)
-    finally:
-        warm.close()
-    # Fault injection: kill one worker + stop halfway + journal resume
-    # must still reproduce the serial report byte-for-byte.
-    reports["socket_kill_resume"] = run_kill_and_resume(
-        spec, workers, args.batch_size
-    )
-    assert_equivalent(reports)
-
-    speedup = {
-        name: rate / throughput["serial"]
-        for name, rate in throughput.items()
-    }
-    for name, rate in throughput.items():
+    throughputs: dict[str, dict[str, float]] = {}
+    for label, spec in grids.items():
+        throughput = bench_grid(spec, workers, args.batch_size)
+        throughputs[label] = throughput
+        for name, rate in throughput.items():
+            print(
+                f"{label:>5} {name:>12}: {rate:8.2f} trials/s  "
+                f"({rate / throughput['serial']:.2f}x vs serial)"
+            )
         print(
-            f"{name:>12}: {rate:8.2f} trials/s  "
-            f"({speedup[name]:.2f}x vs serial)  (equivalence OK)"
+            f"{label:>5} {'equivalence':>12}: serial == procs == "
+            "socket_cold == socket == socket_kill_resume (byte-identical "
+            "reports)"
         )
-    print(
-        f"{'equivalence':>12}: serial == procs == socket_cold == socket "
-        "== socket_kill_resume (byte-identical reports)"
-    )
 
     enforceable = cpu_count >= workers
     if write_json:
         payload = {
             "generated_by": "benchmarks/bench_sweep.py",
-            "sweep": spec.as_dict(),
             "equivalence": "serial/procs/socket(cold+warm) SweepReport."
             "as_dict asserted byte-identical (sort_keys dumps) before "
             "timing, including a kill-one-worker + --resume socket run",
@@ -239,12 +277,20 @@ def main(argv: list[str] | None = None) -> int:
             "batch_size": args.batch_size or "adaptive",
             "socket_v1_baseline_speedup": SOCKET_V1_BASELINE,
             "speedup_floor_enforced": enforceable,
-            "results": {
-                name: {
-                    "trials_per_sec": round(rate, 2),
-                    "speedup_vs_serial": round(speedup[name], 2),
+            "grids": {
+                label: {
+                    "sweep": spec.as_dict(),
+                    "results": {
+                        name: {
+                            "trials_per_sec": round(rate, 2),
+                            "speedup_vs_serial": round(
+                                rate / throughputs[label]["serial"], 2
+                            ),
+                        }
+                        for name, rate in throughputs[label].items()
+                    },
                 }
-                for name, rate in throughput.items()
+                for label, spec in grids.items()
             },
         }
         json_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -253,31 +299,15 @@ def main(argv: list[str] | None = None) -> int:
     if not enforceable:
         print(
             f"NOTE: {cpu_count} CPU(s) < {workers} workers — parallel "
-            f"backends cannot beat serial here; floors not enforced "
-            f"(procs {speedup['procs']:.2f}x, warm socket "
-            f"{speedup['socket']:.2f}x vs the {SOCKET_V1_BASELINE}x v1 "
-            "baseline, equivalence still asserted)"
+            "backends cannot beat serial here; floors not enforced "
+            "(equivalence still asserted)"
         )
         return 0
-    failures = []
-    if speedup["procs"] < args.min_speedup:
-        failures.append(
-            f"procs-backend speedup is {speedup['procs']:.2f}x "
-            f"(< {args.min_speedup}x floor)"
-        )
-    socket_vs_procs = throughput["socket"] / throughput["procs"]
-    if socket_vs_procs < args.min_socket_vs_procs:
-        failures.append(
-            f"warm socket is {socket_vs_procs:.2f}x the procs backend "
-            f"(< {args.min_socket_vs_procs}x floor)"
-        )
-    improvement = speedup["socket"] / SOCKET_V1_BASELINE
-    if improvement < args.min_socket_improvement:
-        failures.append(
-            f"warm socket speedup {speedup['socket']:.2f}x is only "
-            f"{improvement:.1f}x the {SOCKET_V1_BASELINE}x v1 baseline "
-            f"(< {args.min_socket_improvement}x floor)"
-        )
+    failures = [
+        failure
+        for label, throughput in throughputs.items()
+        for failure in floor_failures(label, throughput, args)
+    ]
     if failures:
         for failure in failures:
             print(
@@ -286,11 +316,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 1
-    print(
-        f"\nOK: procs {speedup['procs']:.2f}x, warm socket "
-        f"{socket_vs_procs:.2f}x procs and {improvement:.1f}x the v1 "
-        "socket baseline"
-    )
+    print(f"\nOK: every floor met on {', '.join(grids)}")
     return 0
 
 

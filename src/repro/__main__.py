@@ -6,13 +6,13 @@ Commands
 ``groupkey``    run the Section 6 group-key establishment
 ``service``     run the full pipeline and exchange a few chat messages
 ``gauntlet``    run f-AME against every adversary in the gallery
-``montecarlo``  fan many independent seeded trials over a process pool and
-                print a JSON sweep report (Wilson intervals, disruptability
-                histogram, merged radio metrics)
 ``sweep``       expand a parameter grid (workload × n × C × t × adversary)
-                into deterministically seeded trials and dispatch them over
+                into deterministically seeded trials, dispatch them over
                 a pluggable backend (``--backend serial|procs|socket``),
-                with a durable ``--journal`` and ``--resume``
+                with a durable ``--journal`` and ``--resume``, and print
+                a JSON report (Wilson intervals, disruptability
+                histograms, merged radio metrics)
+``montecarlo``  alias of ``sweep``: a Monte Carlo run is a one-point sweep
 ``worker``      join a socket-backend sweep as a worker process (connects
                 to the coordinator, pulls batches of trials until shutdown;
                 ``--batch-size`` on the sweep side pins the batch size)
@@ -26,17 +26,17 @@ Commands
                 ``src tests benchmarks`` with a zero-tolerance baseline
 
 Common options: ``--nodes``, ``--channels``, ``--strength`` (t), ``--seed``,
-``--adversary``.  Every run is deterministic given the seed — for
-``montecarlo`` the *report* is deterministic regardless of ``--workers``::
+``--adversary``.  Every run is deterministic given the seed, and a sweep's
+*report* is byte-identical across backends, worker counts, kills, and
+resumes::
 
     python -m repro montecarlo --trials 100 --workers 4 --seed 7
 
-produces merged metrics byte-identical to the same sweep at ``--workers 1``
-(100 trials is also enough for an informative 1/n verdict at the default
-``n=20``; see ``repro.analysis.stats.min_informative_trials``), and for
-``sweep`` the report is byte-identical across backends, worker counts,
-kills, and resumes.  ``--json-out PATH`` (montecarlo and sweep) writes the
-report to a file (trailing newline) and prints only a one-line summary.
+runs on a 4-process pool and writes the same report as ``--workers 1``
+(100 trials, the default, is also enough for an informative 1/n verdict
+at the default ``n=20``; see ``repro.analysis.stats.min_informative_trials``).
+``--json-out PATH`` writes the report to a file (trailing newline) and
+prints only a one-line summary.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .crypto.dh import TEST_GROUP_128
 from .dispatch import SweepRunner, SweepSpec, make_backend, worker_main
 from .dispatch.socket_pool import SocketBackend, parse_endpoint
 from .errors import ConfigurationError, SweepInterrupted
-from .experiments import MonteCarloRunner, WORKLOADS, default_pairs
+from .experiments import WORKLOADS, default_pairs
 from .experiments.workloads import (
     ADVERSARY_FACTORIES as ADVERSARIES,
     make_network as _make_network,
@@ -158,43 +158,11 @@ def _emit_report(
     print(f"{summary} -> {json_out}")
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    try:
-        runner = MonteCarloRunner(
-            args.workload,
-            args.trials,
-            seed=args.seed,
-            workers=args.workers,
-            chunksize=args.chunksize,
-            n=args.nodes,
-            channels=args.channels,
-            t=args.strength,
-            pairs=args.pairs,
-            adversary=args.adversary,
-        )
-    except ConfigurationError as exc:
-        # --workload is an open set now (scenario:NAME registers lazily),
-        # so bad names surface here instead of in argparse choices.
-        print(f"repro montecarlo: {exc}", file=sys.stderr)
-        return 2
-    report = runner.run()
-    whp = {True: "ok", False: "FAILED", None: "uninformative"}[
-        report.whp_claim
-    ]
-    _emit_report(
-        report.as_dict(),
-        args.json_out,
-        f"montecarlo: workload={report.workload} trials={report.trials} "
-        f"success={report.success.successes}/{report.success.trials} "
-        f"whp={whp}",
-    )
-    # Exit non-zero only when the w.h.p. claim was checkable and failed;
-    # an uninformative trial count reports claim_holds=null and exits 0.
-    return 1 if report.whp_claim is False else 0
-
-
 def _sweep_backend(args: argparse.Namespace):
-    if args.backend == "socket":
+    # An unset --backend follows --workers: in-process at one worker, a
+    # local process pool above (a count below one is rejected there).
+    name = args.backend or ("serial" if args.workers == 1 else "procs")
+    if name == "socket":
         host, port = parse_endpoint(args.bind)
         return SocketBackend(
             workers=args.workers,
@@ -203,9 +171,7 @@ def _sweep_backend(args: argparse.Namespace):
             spawn_workers=not args.no_spawn_workers,
             batch_size=args.batch_size,
         )
-    return make_backend(
-        args.backend, workers=args.workers, chunksize=args.chunksize
-    )
+    return make_backend(name, workers=args.workers, chunksize=args.chunksize)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -222,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         backend = _sweep_backend(args)
     except ConfigurationError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 
     total_points = len(spec.points())
@@ -232,8 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return
         rate = section["success_rate"]
         print(
-            f"repro sweep: point {point.point_index + 1}/{total_points} "
-            f"[{point.label()}] success "
+            f"repro {args.command}: point {point.point_index + 1}/"
+            f"{total_points} [{point.label()}] success "
             f"{rate['successes']}/{rate['trials']} "
             f"max-cover {section['disruptability']['max']}",
             file=sys.stderr,
@@ -250,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         report = runner.run()
     except ConfigurationError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
     except SweepInterrupted:
         partial = runner.state.partial_report()
@@ -263,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "--journal to make stops resumable"
             )
         print(
-            f"repro sweep: stopped early with {done} trials {hint}",
+            f"repro {args.command}: stopped early with {done} trials {hint}",
             file=sys.stderr,
         )
         return 3
@@ -488,76 +454,53 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         _add_common_options(p)
         p.set_defaults(handler=handler)
-    mc = sub.add_parser(
-        "montecarlo",
-        help="multiprocess Monte Carlo trial sweep (JSON report)",
-        description="Fan independent seeded trials over a process pool and "
-        "print a JSON sweep report: Wilson success intervals, a "
-        "disruptability histogram, and merged radio metrics.  The report "
-        "is deterministic given --seed: any --workers count produces "
-        "byte-identical merged metrics.",
-        epilog="example: python -m repro montecarlo --trials 100 --workers 4 "
-        "--seed 7",
-    )
-    _add_common_options(mc)
-    # Default chosen so the bare invocation is informative for the 1/n
-    # claim at the default n=20 (min_informative_trials(20) == 73).
-    mc.add_argument("--trials", type=int, default=100)
-    mc.add_argument("--workers", "-j", type=int, default=1)
-    mc.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="trials per worker dispatch (default: trials // (workers * 4))",
-    )
-    mc.add_argument(
-        "--workload",
-        default="fame",
-        help=f"one of {sorted(WORKLOADS)}, or scenario:NAME to sweep a "
-        "registered attack scenario over trial seeds",
-    )
-    mc.add_argument(
-        "--json-out",
-        type=Path,
-        default=None,
-        help="write the JSON report to this file (trailing newline) and "
-        "print only a one-line summary to stdout",
-    )
-    mc.set_defaults(handler=cmd_montecarlo)
-
     sw = sub.add_parser(
         "sweep",
-        help="parameter-grid sweep over pluggable dispatch backends",
+        aliases=["montecarlo"],
+        help="seeded Monte Carlo trials over a parameter grid (JSON "
+        "report); montecarlo is an alias",
         description="Expand a parameter grid (workload × n × channels × t "
         "× adversary) into deterministically seeded trials "
         "(RngRegistry.spawn('sweep', point, trial)) and dispatch them over "
-        "--backend serial|procs|socket.  With --journal every completed "
-        "trial is durably appended; --resume replays the journal, skips "
-        "completed trials, and produces a report byte-identical to an "
-        "uninterrupted run.  The report never depends on the backend, "
-        "worker count, completion order, retries, kills, or resumes.",
+        "--backend serial|procs|socket.  Each grid point reports Wilson "
+        "success intervals, its 1/n w.h.p. verdict, a disruptability "
+        "histogram, and merged radio metrics; a Monte Carlo run is a "
+        "one-point sweep.  With --journal every completed trial is "
+        "durably appended; --resume replays the journal, skips completed "
+        "trials, and produces a report byte-identical to an uninterrupted "
+        "run.  The report never depends on the backend, worker count, "
+        "completion order, retries, kills, or resumes.  Exit codes: 0 "
+        "done, 1 a checkable w.h.p. claim failed, 2 usage or "
+        "configuration error, 3 stopped early.",
         epilog="example: python -m repro sweep --nodes 18,24 "
         "--adversaries schedule,random --trials 20 --backend socket "
         "--workers 4 --journal sweep.jsonl --json-out sweep.json",
     )
-    sw.add_argument("--workloads", type=_str_list, default=["fame"],
-                    help="comma-separated workload axis")
+    sw.add_argument("--workloads", "--workload", type=_str_list,
+                    default=["fame"],
+                    help=f"comma-separated workload axis: {sorted(WORKLOADS)}"
+                    " or scenario:NAME (a registered attack scenario)")
     sw.add_argument("--nodes", "-n", type=_int_list, default=[20],
                     help="comma-separated n axis")
     sw.add_argument("--channels", "-c", type=_int_list, default=[2],
                     help="comma-separated channel-count axis")
-    sw.add_argument("--strengths", "-t", type=_int_list, default=[1],
+    sw.add_argument("--strengths", "--strength", "-t", type=_int_list,
+                    default=[1],
                     help="comma-separated adversary-strength (t) axis")
-    sw.add_argument("--adversaries", type=_str_list, default=["schedule"],
+    sw.add_argument("--adversaries", "--adversary", type=_str_list,
+                    default=["schedule"],
                     help="comma-separated adversary axis")
-    sw.add_argument("--trials", type=int, default=20,
+    # Default chosen so the bare invocation is informative for the 1/n
+    # claim at the default n=20 (min_informative_trials(20) == 73).
+    sw.add_argument("--trials", type=int, default=100,
                     help="trials per grid point")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--pairs", type=int, default=5)
     sw.add_argument(
-        "--backend", choices=("serial", "procs", "socket"), default="serial"
+        "--backend", choices=("serial", "procs", "socket"), default=None,
+        help="default: serial at --workers 1, procs above",
     )
-    sw.add_argument("--workers", "-j", type=int, default=2,
+    sw.add_argument("--workers", "-j", type=int, default=1,
                     help="pool size for the procs/socket backends")
     sw.add_argument(
         "--chunksize", type=int, default=None,
@@ -612,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and `gauntlet` exit 0 iff every observed outcome equals its "
         "registered expectation; every run is deterministic in --seed.  "
         "Scenarios also sweep as `--workload scenario:NAME` under "
-        "montecarlo/sweep.",
+        "sweep (alias montecarlo).",
         epilog="example: python -m repro scenario gauntlet --json-out "
         "gauntlet.json",
     )

@@ -48,7 +48,7 @@ def disruptability_histogram(covers: Iterable[int]) -> dict[int, int]:
     covers:
         One cover size per execution (each run's :func:`disruptability` of
         its failed pairs).  Takes precomputed values rather than the raw
-        failed-pair sets because callers — e.g. the Monte Carlo runner —
+        failed-pair sets because callers — e.g. the sweep aggregator —
         typically need the per-run covers anyway (min vertex cover is
         exact and worst-case exponential, so it should run once per run,
         ideally inside the worker that produced the run).

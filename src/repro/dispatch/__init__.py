@@ -37,9 +37,8 @@ differently.  This package makes that literal:
   SweepRunner` with streaming per-point aggregation, and the
   backend-independent :class:`~repro.dispatch.sweep.SweepReport`.
 
-``python -m repro sweep`` / ``python -m repro worker`` are the CLI
-front-ends; ``MonteCarloRunner.run`` now delegates here, making its old
-serial fallback one more backend.
+``python -m repro sweep`` (alias ``montecarlo``: a Monte Carlo run is a
+one-point sweep) and ``python -m repro worker`` are the CLI front-ends.
 """
 
 from .backend import (
@@ -48,7 +47,6 @@ from .backend import (
     MultiprocessBackend,
     ResultAssembler,
     SerialBackend,
-    default_backend,
     make_backend,
 )
 from .journal import SweepJournal
@@ -77,7 +75,6 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "SweepState",
-    "default_backend",
     "loads_restricted",
     "make_backend",
     "worker_main",

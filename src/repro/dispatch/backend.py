@@ -3,8 +3,8 @@
 A backend's only job is: given a batch of :class:`~repro.experiments.trial.
 TrialSpec`s, execute each one exactly once (logically) and hand back the
 :class:`~repro.experiments.trial.TrialResult`s in **trial-index order**.
-Everything that makes the Monte Carlo reports deterministic lives outside
-the backend — per-trial seeds are a pure function of the trial index
+Everything that makes the sweep reports deterministic lives outside the
+backend — per-trial seeds are a pure function of the trial index
 (:meth:`~repro.rng.RngRegistry.spawn`), and aggregation sorts by index —
 so any backend that honours the contract produces byte-identical reports.
 ``SerialBackend`` really is the degenerate case of the design, exactly as
@@ -29,8 +29,8 @@ releases it, backends are context managers, and the base implementations
 are no-ops so stateless backends need not care.
 
 Backends: :class:`SerialBackend` (in-process loop), :class:`
-MultiprocessBackend` (the historical ``multiprocessing`` pool path, now
-streaming via ``imap`` with batch-derived chunk sizes), and
+MultiprocessBackend` (a local ``multiprocessing`` pool streaming via
+``imap`` with batch-derived chunk sizes), and
 :class:`~repro.dispatch.socket_pool.SocketBackend` (stdlib socket
 coordinator + ``python -m repro worker`` processes, possibly on other
 machines, shipping batched spec frames over a pipelined window).
@@ -209,10 +209,8 @@ class SerialBackend(DispatchBackend):
 class MultiprocessBackend(DispatchBackend):
     """Fan trials over a local ``multiprocessing`` pool.
 
-    The historical ``MonteCarloRunner`` pool path, generalised: ``imap``
-    (same chunking semantics as the old ``Pool.map``, identical results)
-    streams results back in submission order so journalling and partial
-    reports work mid-batch.
+    ``imap`` streams results back in submission order, so journalling
+    and partial reports work mid-batch.
 
     Parameters
     ----------
@@ -256,15 +254,6 @@ class MultiprocessBackend(DispatchBackend):
                 self._check_stop(assembler, should_stop)
 
 
-def default_backend(
-    workers: int, chunksize: int | None = None
-) -> DispatchBackend:
-    """The backend a plain ``workers=N`` request means: serial below 2."""
-    if workers <= 1:
-        return SerialBackend()
-    return MultiprocessBackend(workers, chunksize)
-
-
 BACKEND_NAMES = ("serial", "procs", "socket")
 """CLI names accepted by :func:`make_backend` (and ``--backend``)."""
 
@@ -279,16 +268,18 @@ def make_backend(
     """Instantiate a backend by CLI name.
 
     ``chunksize`` applies to ``procs``; ``batch_size`` pins the socket
-    backend's per-assignment batch (``None`` keeps it adaptive).
+    backend's per-assignment batch (``None`` keeps it adaptive).  A worker
+    count the backend cannot run raises :class:`~repro.errors.
+    ConfigurationError`; it is never silently coerced.
     """
     if name == "serial":
         return SerialBackend()
     if name == "procs":
-        return MultiprocessBackend(max(2, workers), chunksize)
+        return MultiprocessBackend(workers, chunksize)
     if name == "socket":
         from .socket_pool import SocketBackend
 
-        return SocketBackend(workers=max(1, workers), batch_size=batch_size)
+        return SocketBackend(workers=workers, batch_size=batch_size)
     raise ConfigurationError(
         f"unknown dispatch backend {name!r}; pick from {BACKEND_NAMES}"
     )

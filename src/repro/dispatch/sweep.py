@@ -1,4 +1,7 @@
-"""Parameter-grid sweeps over the Monte Carlo trial harness.
+"""Parameter-grid sweeps: the one runner for seeded Monte Carlo trials.
+
+A Monte Carlo run of one configuration is a one-point sweep
+(``python -m repro montecarlo`` is an alias of ``sweep``).
 
 A :class:`SweepSpec` expands a grid — workload × n × channels × t ×
 adversary — into per-point trial batches with deterministically derived
@@ -34,17 +37,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..analysis.disruption import disruptability_histogram
+from ..analysis.stats import empirical_rate, meets_whp, min_informative_trials
 from ..errors import ConfigurationError, DispatchError
-from ..experiments.runner import MonteCarloRunner
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import (
     ADVERSARY_FACTORIES,
     WORKLOAD_USES_ADVERSARY,
     make_workload,
 )
+from ..radio.metrics import NetworkMetrics
 from ..rng import derive_seed, derive_seeds
 from .backend import DispatchBackend, SerialBackend
 from .journal import SweepJournal
@@ -222,28 +227,84 @@ class SweepSpec:
 def _point_report(
     spec: SweepSpec, point: SweepPoint, results: Sequence[TrialResult]
 ) -> dict[str, Any]:
-    """Aggregate one point's results via the Monte Carlo aggregator.
+    """Fold one point's results (any order) into its report section.
 
-    Execution-shape fields (workers/chunksize) are stripped: a sweep
-    report must serialise identically whatever backend produced it.
+    * counters merge via :meth:`~repro.radio.metrics.NetworkMetrics.merge`
+      in trial-index order, so the section is byte-identical whichever
+      backend produced the results and in whatever order they landed;
+    * the success rate gets a Wilson interval, and the ``1/n`` w.h.p.
+      claim is checked with :func:`~repro.analysis.stats.meets_whp` only
+      when the trial count is informative for it (``claim_holds`` is
+      ``None`` otherwise, never a vacuous confirmation);
+    * per-trial disruptability (``min_vertex_cover`` over failed pairs,
+      Definition 1) is histogrammed.
     """
-    runner = MonteCarloRunner(
-        point.workload,
-        spec.trials,
-        seed=spec.seed,
-        workers=1,
-        n=point.n,
-        channels=point.channels,
-        t=point.t,
-        pairs=spec.pairs,
-        adversary=point.adversary,
-        options=spec.options,
-    )
-    rendered = runner.aggregate(results).as_dict()
-    rendered.pop("workers", None)
-    rendered.pop("chunksize", None)
-    rendered["point_index"] = point.point_index
-    return rendered
+    ordered = sorted(results, key=lambda r: r.index)
+    if not ordered:
+        raise ConfigurationError("cannot aggregate zero trial results")
+    trials = len(ordered)
+    # merge promotes to the more derived operand type, so a plain base
+    # seed is safe even when trials carry a metrics subclass, and the
+    # section's counters never alias a trial's.
+    merged = NetworkMetrics()
+    for result in ordered:
+        merged = merged.merge(result.metrics)
+    successes = sum(1 for r in ordered if r.success)
+    rate = empirical_rate(successes, trials)
+    covers = [r.disruptability() for r in ordered]
+    # meets_whp owns the informative-trials gate: it raises below
+    # min_informative_trials.
+    try:
+        claim: bool | None = meets_whp(trials - successes, trials, point.n)
+    except ValueError:
+        claim = None
+    return {
+        "point_index": point.point_index,
+        "workload": point.workload,
+        "seed": spec.seed,
+        "trials": trials,
+        "model": {
+            "n": point.n,
+            "channels": point.channels,
+            "t": point.t,
+            "pairs": spec.pairs,
+            "adversary": point.adversary,
+        },
+        "success_rate": {
+            "successes": successes,
+            "trials": trials,
+            "point": rate.point,
+            "wilson_low": rate.low,
+            "wilson_high": rate.high,
+        },
+        "whp": {
+            "n": point.n,
+            "target_failure_rate": 1.0 / point.n,
+            "min_informative_trials": min_informative_trials(point.n),
+            "informative": claim is not None,
+            "claim_holds": claim,
+        },
+        "disruptability": {
+            "histogram": {
+                str(cover): count
+                for cover, count in sorted(
+                    disruptability_histogram(covers).items()
+                )
+            },
+            "max": max(covers),
+            "mean": sum(covers) / trials,
+        },
+        "merged_metrics": asdict(merged),
+        "trial_outcomes": [
+            {
+                "index": r.index,
+                "seed": r.seed,
+                "success": r.success,
+                "disruptability": cover,
+            }
+            for r, cover in zip(ordered, covers)
+        ],
+    }
 
 
 class SweepState:
@@ -391,9 +452,24 @@ class SweepReport:
         }
 
     def summary_line(self) -> str:
-        """The one-line stdout summary used with ``--json-out``."""
+        """The one-line stdout summary used with ``--json-out``.
+
+        The w.h.p. verdict is ``uninformative`` when no point ran enough
+        trials to check its ``1/n`` claim; otherwise it counts the points
+        that could.
+        """
         failed = self.whp_failures()
-        whp = "ok" if not failed else f"FAILED at points {failed}"
+        informative = sum(
+            1 for s in self.point_sections if s["whp"]["informative"]
+        )
+        if not informative:
+            whp = "uninformative"
+        else:
+            verdict = f"FAILED at points {failed}" if failed else "ok"
+            whp = (
+                f"{verdict} ({informative}/{len(self.point_sections)} "
+                "points informative)"
+            )
         return (
             f"sweep: {len(self.point_sections)} points x "
             f"{self.spec.trials} trials, success "

@@ -10,21 +10,15 @@ not one.  This package turns that into a subsystem:
   picklable unit of work and its outcome;
 * :mod:`~repro.experiments.workloads` — ready-made factories for the
   headline workloads (f-AME delivery, group-key establishment, the
-  adversary gauntlet) plus the shared adversary gallery;
-* :class:`~repro.experiments.runner.MonteCarloRunner` — fans trials over a
-  :mod:`repro.dispatch` backend (in-process serial, a ``multiprocessing``
-  pool, or the socket worker pool) and aggregates Wilson intervals,
-  disruptability histograms, and merged radio metrics into a
-  :class:`~repro.experiments.runner.MonteCarloReport`.
+  adversary gauntlet) plus the shared adversary gallery.
 
-Execution mechanics live in :mod:`repro.dispatch`: this package defines
-*what* a trial is and how outcomes aggregate, the dispatch layer decides
-*where* trials run (and adds journalled, resumable parameter-grid sweeps
-on top).  ``python -m repro montecarlo`` and ``python -m repro sweep``
-are the CLI front-ends.
+This package defines *what* a trial is.  :mod:`repro.dispatch` decides
+*where* trials run and how outcomes aggregate: a Monte Carlo run is a
+one-point :class:`~repro.dispatch.sweep.SweepSpec`, whose report carries
+Wilson intervals, disruptability histograms, and merged radio metrics.
+``python -m repro sweep`` (alias ``montecarlo``) is the CLI front-end.
 """
 
-from .runner import MonteCarloReport, MonteCarloRunner
 from .trial import TrialResult, TrialSpec, trial_seed
 from .workloads import (
     ADVERSARY_FACTORIES,
@@ -39,8 +33,6 @@ from .workloads import (
 
 __all__ = [
     "ADVERSARY_FACTORIES",
-    "MonteCarloReport",
-    "MonteCarloRunner",
     "SCENARIO_WORKLOAD_PREFIX",
     "TrialResult",
     "TrialSpec",

@@ -148,8 +148,8 @@ def _register_scenario_workload(workload_name: str, scenario_name: str):
 def make_workload(name: str) -> Callable[[TrialSpec], TrialResult]:
     """Resolve a workload name, registering scenario workloads lazily.
 
-    The single lookup path shared by :func:`run_trial`, the Monte Carlo
-    runner, and :class:`repro.dispatch.sweep.SweepSpec` validation —
+    The single lookup path shared by :func:`run_trial` and
+    :class:`repro.dispatch.sweep.SweepSpec` validation —
     unknown names raise :class:`~repro.errors.ConfigurationError` (or
     its :class:`~repro.errors.ScenarioError` subtype for a bad
     ``scenario:`` suffix) everywhere, including inside worker processes.

@@ -141,6 +141,10 @@ class ServeDaemon:
         except (BlockingIOError, OSError):
             return
         accepted.setblocking(False)
+        # Replies are small frames written as soon as they are ready;
+        # Nagle's algorithm would hold each one back waiting for the
+        # client's delayed ACK.
+        accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._next_token += 1
         client = _Client(accepted, self._next_token)
         self._clients[accepted.fileno()] = client

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _sweep_backend, build_parser, cmd_sweep, main
+from repro.dispatch import MultiprocessBackend, SerialBackend
 
 
 class TestParser:
@@ -53,26 +54,36 @@ class TestCommands:
 
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
+        assert args.handler is cmd_sweep and args.command == "montecarlo"
         assert args.trials == 100 and args.workers == 1
-        assert args.workload == "fame" and args.chunksize is None
+        assert args.workloads == ["fame"] and args.chunksize is None
 
     def test_montecarlo_default_trials_are_whp_informative(self):
         from repro.analysis.stats import min_informative_trials
 
         args = build_parser().parse_args(["montecarlo"])
-        assert args.trials >= min_informative_trials(args.nodes)
+        assert args.trials >= min_informative_trials(args.nodes[0])
+
+    def test_montecarlo_singular_flags_parse(self):
+        args = build_parser().parse_args(
+            ["montecarlo", "--workload", "groupkey", "--adversary", "null",
+             "--strength", "2"]
+        )
+        assert args.workloads == ["groupkey"]
+        assert args.adversaries == ["null"] and args.strengths == [2]
 
     def test_montecarlo_reports_json_sweep(self, capsys):
         assert main(
             ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["trials"] == 4
-        assert "wilson_low" in report["success_rate"]
-        assert "histogram" in report["disruptability"]
+        assert report["totals"]["trials"] == 4
+        [point] = report["points"]
+        assert "wilson_low" in point["success_rate"]
+        assert "histogram" in point["disruptability"]
         # 4 trials cannot resolve a 1/18 claim: reported, not confirmed.
-        assert report["whp"]["claim_holds"] is None
-        assert report["whp"]["informative"] is False
+        assert point["whp"]["claim_holds"] is None
+        assert point["whp"]["informative"] is False
 
     def test_montecarlo_json_out_writes_file_and_one_line(
         self, capsys, tmp_path
@@ -88,7 +99,8 @@ class TestCommands:
         ) == 0
         summary = capsys.readouterr().out
         assert summary.count("\n") == 1  # a single line on stdout
-        assert "montecarlo:" in summary and str(out) in summary
+        assert summary.startswith("sweep: 1 points x 4 trials")
+        assert "whp uninformative" in summary and str(out) in summary
         text = out.read_text()
         assert text.endswith("\n")
         assert json.loads(text) == stdout_report
@@ -98,27 +110,61 @@ class TestCommands:
             ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7",
              "--workers", "2"]
         ) == 0
-        parallel = json.loads(capsys.readouterr().out)
+        parallel = capsys.readouterr().out
         assert main(
             ["montecarlo", "--trials", "4", "-n", "18", "--seed", "7"]
         ) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert json.dumps(parallel["merged_metrics"], sort_keys=True) == \
-            json.dumps(serial["merged_metrics"], sort_keys=True)
-        assert parallel["trial_outcomes"] == serial["trial_outcomes"]
-        # only the execution-shape fields may differ
-        parallel.pop("workers"), serial.pop("workers")
-        parallel.pop("chunksize"), serial.pop("chunksize")
-        assert parallel == serial
+        assert capsys.readouterr().out == parallel
+
+    def test_montecarlo_writes_the_same_bytes_as_sweep(self, tmp_path):
+        grid = ["--trials", "4", "-n", "18", "--seed", "7", "--workers", "2",
+                "--workload", "fame", "--adversary", "schedule"]
+        for command in ("montecarlo", "sweep"):
+            assert main(
+                [command, *grid, "--json-out", str(tmp_path / command)]
+            ) == 0
+        assert (tmp_path / "montecarlo").read_bytes() == (
+            tmp_path / "sweep"
+        ).read_bytes()
+
+    def test_montecarlo_unrunnable_config_exits_2(self, capsys):
+        # f-AME needs n >= 17 here; the trial's typed error is a usage
+        # error, not exit 1 ("whp claim failed").
+        assert main(["montecarlo", "-n", "5", "--trials", "1"]) == 2
+        assert "repro montecarlo:" in capsys.readouterr().err
 
 
 class TestSweepCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.nodes == [20] and args.adversaries == ["schedule"]
-        assert args.backend == "serial" and args.trials == 20
+        assert args.backend is None and args.workers == 1
+        assert args.trials == 100
         assert args.journal is None and not args.resume
         assert args.batch_size is None  # adaptive unless pinned
+
+    def test_backend_follows_workers(self):
+        def backend(*argv):
+            return _sweep_backend(build_parser().parse_args(["sweep", *argv]))
+
+        assert isinstance(backend(), SerialBackend)
+        pool = backend("--workers", "4")
+        assert isinstance(pool, MultiprocessBackend) and pool.workers == 4
+        assert isinstance(backend("--workers", "4", "--backend", "serial"),
+                          SerialBackend)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "procs", "--workers", "0"],
+            ["--backend", "procs", "--workers", "1"],
+            ["--backend", "socket", "--workers", "0"],
+            ["--workers", "0"],
+        ],
+    )
+    def test_unrunnable_worker_count_exits_2(self, capsys, argv):
+        assert main(["sweep", "-n", "18", "--trials", "1", *argv]) == 2
+        assert "workers" in capsys.readouterr().err
 
     def test_batch_size_flag_parses(self):
         args = build_parser().parse_args(

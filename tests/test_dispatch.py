@@ -21,7 +21,6 @@ from repro.dispatch import (
     SweepRunner,
     SweepSpec,
     SweepState,
-    default_backend,
     make_backend,
 )
 from repro.dispatch.journal import decode_record, encode_record
@@ -30,23 +29,11 @@ from repro.errors import (
     DispatchError,
     SweepInterrupted,
 )
-from repro.experiments import MonteCarloRunner, TrialResult
+from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RngRegistry
 
 N = 18  # smallest population comfortably above the f-AME witness bound
-
-
-def make_runner(workers: int = 1, trials: int = 4, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        kwargs.pop("workload", "fame"),
-        trials,
-        seed=kwargs.pop("seed", 7),
-        workers=workers,
-        **kwargs,
-    )
 
 
 def fake_result(index: int, success: bool = True) -> TrialResult:
@@ -61,6 +48,7 @@ def fake_result(index: int, success: bool = True) -> TrialResult:
 
 
 small_spec = SweepSpec(ns=(N,), trials=2, seed=7, pairs=4)
+four_trials = SweepSpec(ns=(N,), trials=4, seed=7, pairs=4)
 
 
 class TestResultAssembler:
@@ -88,25 +76,34 @@ class TestResultAssembler:
 
 class TestBackends:
     def test_serial_matches_multiprocess(self):
-        specs = make_runner().specs()
+        specs = four_trials.specs()
         serial = SerialBackend().run(specs)
         parallel = MultiprocessBackend(2).run(specs)
         assert serial == parallel
 
     def test_runner_accepts_explicit_backend(self):
-        runner = make_runner()
-        assert runner.run(SerialBackend()) == runner.run()
-        assert runner.run(MultiprocessBackend(2)) == runner.run()
+        dispatched: list[int] = []
+
+        class RecordingBackend(SerialBackend):
+            def _execute(self, specs, assembler, should_stop):
+                dispatched.extend(s.index for s in specs)
+                super()._execute(specs, assembler, should_stop)
+
+        default = SweepRunner(four_trials)
+        assert isinstance(default.backend, SerialBackend)
+        explicit = SweepRunner(four_trials, backend=RecordingBackend()).run()
+        assert dispatched == [0, 1, 2, 3]
+        assert explicit.as_dict() == default.run().as_dict()
 
     def test_on_result_streams_in_index_order_for_serial(self):
         seen: list[int] = []
         SerialBackend().run(
-            make_runner().specs(), on_result=lambda r: seen.append(r.index)
+            four_trials.specs(), on_result=lambda r: seen.append(r.index)
         )
         assert seen == [0, 1, 2, 3]
 
     def test_should_stop_interrupts_with_completed_results(self):
-        specs = make_runner().specs()
+        specs = four_trials.specs()
         seen: list[int] = []
         with pytest.raises(SweepInterrupted) as excinfo:
             SerialBackend().run(
@@ -139,10 +136,6 @@ class TestBackends:
         # The backend derives from the actual dispatched batch size.
         assert MultiprocessBackend(4).effective_chunksize(16) == MIN_AUTO_CHUNK
 
-    def test_default_backend_shape(self):
-        assert isinstance(default_backend(1), SerialBackend)
-        assert isinstance(default_backend(4), MultiprocessBackend)
-
     def test_make_backend_names(self):
         assert make_backend("serial").name == "serial"
         assert make_backend("procs", workers=3).workers == 3
@@ -150,6 +143,16 @@ class TestBackends:
         with pytest.raises(ConfigurationError):
             make_backend("carrier-pigeon")
         assert set(BACKEND_NAMES) == {"serial", "procs", "socket"}
+
+    @pytest.mark.parametrize(
+        "name, workers", [("procs", 1), ("procs", 0), ("socket", 0)]
+    )
+    def test_make_backend_rejects_unrunnable_worker_counts(
+        self, name, workers
+    ):
+        # Rejected, never coerced to the nearest runnable pool size.
+        with pytest.raises(ConfigurationError):
+            make_backend(name, workers=workers)
 
 
 class TestJournal:
@@ -356,3 +359,38 @@ class TestSweepRunnerSerial:
     def test_report_build_requires_completeness(self):
         with pytest.raises(DispatchError):
             SweepReport.build(small_spec, [])
+
+
+class TestSweepReportSummary:
+    """The w.h.p. verdict of the one-line ``--json-out`` summary."""
+
+    # min_informative_trials(18) == 66 and (100) == 381, so 70 trials
+    # per point check the n=18 claim but not the n=100 one.
+    mixed = SweepSpec(ns=(18, 100), trials=70, seed=7)
+
+    def test_uninformative_when_no_point_can_check(self):
+        report = SweepReport.build(
+            small_spec, [fake_result(i) for i in range(2)]
+        )
+        assert report.point_sections[0]["whp"]["claim_holds"] is None
+        assert report.summary_line().endswith("whp uninformative")
+
+    def test_counts_informative_points(self):
+        report = SweepReport.build(
+            self.mixed, [fake_result(i) for i in range(140)]
+        )
+        assert report.summary_line().endswith(
+            "whp ok (1/2 points informative)"
+        )
+
+    def test_failed_points_named_with_the_informative_count(self):
+        # Every n=100 trial fails: rejected even below the informative
+        # trial count, so both points have a verdict.
+        report = SweepReport.build(
+            self.mixed,
+            [fake_result(i, success=i < 70) for i in range(140)],
+        )
+        assert report.whp_failures() == [1]
+        assert report.summary_line().endswith(
+            "whp FAILED at points [1] (2/2 points informative)"
+        )

@@ -22,7 +22,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.dispatch import ResultAssembler, SweepReport, SweepSpec
-from repro.experiments import MonteCarloRunner, TrialResult
+from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RngRegistry
 
@@ -139,9 +139,9 @@ def test_any_completion_order_with_duplicates_merges_identically(
     count, order_seed, dup_positions
 ):
     results = _fake_results(count, order_seed)
-    runner = MonteCarloRunner("fame", count, seed=3, n=18)
+    spec = SweepSpec(ns=(18,), trials=count, seed=3)
 
-    reference = runner.aggregate(results)
+    reference = SweepReport.build(spec, results)
 
     delivery = list(results)
     for pos in dup_positions:  # redeliveries of already-sent results
@@ -151,7 +151,7 @@ def test_any_completion_order_with_duplicates_merges_identically(
     assembler = ResultAssembler(range(count))
     applied = sum(1 for r in delivery if assembler.apply(r))
     assert applied == count  # every duplicate was dropped exactly
-    shuffled = runner.aggregate(assembler.ordered())
+    shuffled = SweepReport.build(spec, assembler.ordered())
 
     assert json.dumps(reference.as_dict(), sort_keys=True) == json.dumps(
         shuffled.as_dict(), sort_keys=True

@@ -34,17 +34,16 @@ from repro.dispatch.socket_pool import (
     worker_main,
 )
 from repro.errors import ConfigurationError, DispatchError, SweepInterrupted
-from repro.experiments import MonteCarloRunner
+from repro.experiments import TrialSpec
 
 N = 18
 
 
-def make_runner(trials: int = 4, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        "fame", trials, seed=kwargs.pop("seed", 7), **kwargs
-    )
+def fame_specs(trials: int = 4, *, seed: int = 7, **axes) -> list[TrialSpec]:
+    """The trial specs of a one-point f-AME sweep at n=18."""
+    return SweepSpec(
+        ns=(N,), trials=trials, seed=seed, pairs=4, **axes
+    ).specs()
 
 
 class TestFraming:
@@ -89,12 +88,12 @@ class TestBatching:
     """Unit coverage for the v2 batching machinery (no sockets)."""
 
     def test_spec_context_round_trip(self):
-        for spec in make_runner(trials=3, channels=3, t=2).specs():
+        for spec in fame_specs(3, channels=(3,), ts=(2,)):
             ctx = spec_context(spec)
             assert spec_from_context(ctx, spec.index, spec.seed) == spec
 
     def test_unapplied_specs_filters_applied_indices(self):
-        specs = make_runner(trials=6).specs()
+        specs = fame_specs(6)
         in_flight = {s.index: s for s in specs[:4]}
         # Indices 1 and 3 already have results; 0 and 2 are still missing
         # (index 5 is missing too but was never in flight here).
@@ -139,7 +138,7 @@ class TestBatching:
 
 class TestSocketBackendEndToEnd:
     def test_two_real_workers_match_serial(self):
-        specs = make_runner(trials=4).specs()
+        specs = fame_specs(4)
         serial = SerialBackend().run(specs)
         backend = SocketBackend(workers=2, accept_timeout=60.0)
         assert backend.run(specs) == serial
@@ -147,7 +146,7 @@ class TestSocketBackendEndToEnd:
         assert [p.wait(timeout=10) for p in backend.spawned] == [0, 0]
 
     def test_lost_worker_requeues_in_flight_trials(self):
-        specs = make_runner(trials=4).specs()
+        specs = fame_specs(4)
         serial = SerialBackend().run(specs)
         backend = SocketBackend(workers=2, accept_timeout=60.0)
         killed = []
@@ -162,7 +161,7 @@ class TestSocketBackendEndToEnd:
         assert backend.run(specs, on_result=kill_one) == serial
 
     def test_all_workers_dead_is_a_dispatch_error(self):
-        specs = make_runner(trials=4).specs()
+        specs = fame_specs(4)
         backend = SocketBackend(workers=1, accept_timeout=60.0)
 
         def kill_all(result) -> None:
@@ -173,8 +172,8 @@ class TestSocketBackendEndToEnd:
             backend.run(specs, on_result=kill_all)
 
     def test_warm_pool_reused_across_runs(self):
-        specs_a = make_runner(trials=4).specs()
-        specs_b = make_runner(trials=4, seed=11).specs()
+        specs_a = fame_specs(4)
+        specs_b = fame_specs(4, seed=11)
         serial_a = SerialBackend().run(specs_a)
         serial_b = SerialBackend().run(specs_b)
         backend = SocketBackend(
@@ -246,7 +245,18 @@ class _FakeWorker(threading.Thread):
 
 
 def _run_backend_in_thread(backend, specs, **kwargs):
+    """Start ``backend.run`` in a thread; return once it is listening."""
     out: dict = {}
+    listening = threading.Event()
+    open_pool = backend._open_pool
+
+    def open_and_signal() -> None:
+        open_pool()
+        listening.set()
+
+    # Hand-rolled workers do not retry, so connecting before the
+    # coordinator binds would be refused.
+    backend._open_pool = open_and_signal
 
     def target() -> None:
         try:
@@ -256,6 +266,7 @@ def _run_backend_in_thread(backend, specs, **kwargs):
 
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
+    assert listening.wait(timeout=30)
     return thread, out
 
 
@@ -269,7 +280,7 @@ def _free_port() -> int:
 
 class TestHandshake:
     def test_protocol_mismatch_rejected_but_sweep_continues(self):
-        specs = make_runner(trials=2).specs()
+        specs = fame_specs(2)
         serial = SerialBackend().run(specs)
         port = _free_port()
         backend = SocketBackend(
@@ -288,7 +299,7 @@ class TestHandshake:
         assert out.get("results") == serial
 
     def test_duplicate_results_from_worker_are_dropped(self):
-        specs = make_runner(trials=3).specs()
+        specs = fame_specs(3)
         serial = SerialBackend().run(specs)
         port = _free_port()
         backend = SocketBackend(
@@ -330,7 +341,7 @@ class TestWorkerMain:
             listener.close()
 
     def test_worker_runs_batches_until_shutdown(self):
-        specs = make_runner(trials=2).specs()
+        specs = fame_specs(2)
         expected = SerialBackend().run(specs)
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -371,7 +382,7 @@ class TestWorkerMain:
         assert got["results"]["elapsed"] > 0
 
     def test_worker_batch_before_contexts_exits_1(self):
-        spec = make_runner(trials=1).specs()[0]
+        spec = fame_specs(1)[0]
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen()

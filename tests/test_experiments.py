@@ -1,4 +1,9 @@
-"""Tests for the Monte Carlo trial harness (``repro.experiments``)."""
+"""Tests for the Monte Carlo trial harness.
+
+Trials are defined in ``repro.experiments``; a Monte Carlo run of one
+configuration is a one-point :class:`~repro.dispatch.SweepSpec`, so the
+aggregation checks here go through ``SweepRunner``/``SweepReport.build``.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,16 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.dispatch import (
+    MultiprocessBackend,
+    SweepReport,
+    SweepRunner,
+    SweepSpec,
+    SweepState,
+    make_backend,
+)
+from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import (
-    MonteCarloRunner,
     TrialResult,
     TrialSpec,
     WORKLOADS,
@@ -28,85 +40,104 @@ from repro.rng import RngRegistry
 N = 18  # smallest population comfortably above the f-AME witness bound
 
 
-def make_runner(workers: int = 1, trials: int = 6, **kwargs) -> MonteCarloRunner:
-    kwargs.setdefault("n", N)
-    kwargs.setdefault("pairs", 4)
-    return MonteCarloRunner(
-        kwargs.pop("workload", "fame"),
-        trials,
-        seed=kwargs.pop("seed", 7),
-        workers=workers,
-        **kwargs,
-    )
+def one_point(trials: int = 6, **axes) -> SweepSpec:
+    """A Monte Carlo run: a one-point f-AME sweep at n=18."""
+    axes.setdefault("ns", (N,))
+    return SweepSpec(trials=trials, seed=7, pairs=4, **axes)
 
 
-def metrics_json(report) -> str:
-    return json.dumps(report.as_dict()["merged_metrics"], sort_keys=True)
+def section(spec: SweepSpec, results) -> dict:
+    """The report section of a one-point sweep built from ``results``."""
+    [point] = SweepReport.build(spec, results).point_sections
+    return point
+
+
+@pytest.fixture(scope="module")
+def serial_report() -> SweepReport:
+    return SweepRunner(one_point()).run()
+
+
+@pytest.fixture(scope="module")
+def procs_report() -> SweepReport:
+    return SweepRunner(one_point(), backend=MultiprocessBackend(2)).run()
+
+
+def metrics_json(report: SweepReport) -> str:
+    return json.dumps(report.point_sections[0]["merged_metrics"], sort_keys=True)
 
 
 class TestTrialSeeds:
     def test_seeds_come_from_spawn_trial_index(self):
-        runner = make_runner()
+        # One-point sweeps seed trial i from spawn("sweep", 0, i); the
+        # standalone trial_seed helper keeps the ("trial", i) namespace.
         root = RngRegistry(seed=7)
-        for spec in runner.specs():
-            assert spec.seed == root.spawn("trial", spec.index).seed
-            assert spec.seed == trial_seed(7, spec.index)
+        for spec in one_point().specs():
+            assert spec.seed == root.spawn("sweep", 0, spec.index).seed
+            assert trial_seed(7, spec.index) == root.spawn(
+                "trial", spec.index
+            ).seed
 
-    def test_seeds_independent_of_worker_count(self):
-        assert make_runner(workers=1).specs() == make_runner(workers=4).specs()
+    def test_seeds_independent_of_worker_count(
+        self, serial_report, procs_report
+    ):
+        def seeds(report):
+            return [o["seed"] for o in report.point_sections[0]["trial_outcomes"]]
+
+        expected = [s.seed for s in one_point().specs()]
+        assert seeds(serial_report) == seeds(procs_report) == expected
 
     def test_seeds_are_distinct_across_trials(self):
-        seeds = [s.seed for s in make_runner(trials=32).specs()]
+        seeds = [s.seed for s in one_point(trials=32).specs()]
         assert len(set(seeds)) == len(seeds)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            make_runner(workload="nope")
+            one_point(workloads=("nope",))
         with pytest.raises(ConfigurationError):
-            make_runner(trials=0)
+            one_point(trials=0)
         with pytest.raises(ConfigurationError):
-            make_runner(workers=0)
+            one_point(adversaries=("nope",))
         with pytest.raises(ConfigurationError):
-            make_runner(adversary="nope")
+            make_backend("procs", workers=0)
         with pytest.raises(ConfigurationError):
-            make_runner(chunksize=0)
+            make_backend("procs", chunksize=0)
 
 
 class TestSerialParallelEquivalence:
-    def test_merged_metrics_byte_identical(self):
-        serial = make_runner(workers=1).run()
-        parallel = make_runner(workers=2).run()
-        assert metrics_json(serial) == metrics_json(parallel)
-        assert serial.merged_metrics == parallel.merged_metrics
+    def test_merged_metrics_byte_identical(self, serial_report, procs_report):
+        assert metrics_json(serial_report) == metrics_json(procs_report)
 
-    def test_per_trial_results_identical(self):
-        serial = make_runner(workers=1).run()
-        parallel = make_runner(workers=2).run()
-        assert serial.results == parallel.results
-        assert serial.success == parallel.success
-        assert serial.disruptability_histogram == parallel.disruptability_histogram
+    def test_per_trial_results_identical(self, serial_report, procs_report):
+        assert serial_report.results == procs_report.results
+        assert serial_report.point_sections == procs_report.point_sections
 
     def test_scheduling_order_irrelevant(self):
         # chunksize=1 interleaves trials across workers; a large chunksize
         # runs them in blocks.  Same report either way.
-        a = make_runner(workers=2, chunksize=1).run()
-        b = make_runner(workers=2, chunksize=6).run()
+        a = SweepRunner(
+            one_point(), backend=MultiprocessBackend(2, chunksize=1)
+        ).run()
+        b = SweepRunner(
+            one_point(), backend=MultiprocessBackend(2, chunksize=6)
+        ).run()
         assert a.results == b.results
-        assert metrics_json(a) == metrics_json(b)
+        assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
+            b.as_dict(), sort_keys=True
+        )
 
-    def test_aggregate_insensitive_to_result_order(self):
-        runner = make_runner(workers=1)
-        results = [run_trial(s) for s in runner.specs()]
-        assert runner.aggregate(results) == runner.aggregate(results[::-1])
+    def test_aggregate_insensitive_to_result_order(self, serial_report):
+        results = list(serial_report.results)
+        spec = one_point()
+        assert section(spec, results) == section(spec, results[::-1])
 
 
 class TestPickling:
     def test_trial_spec_round_trips(self):
-        spec = make_runner().specs()[0]
+        spec = one_point().specs()[0]
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_trial_result_round_trips(self):
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(one_point().specs()[0])
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.metrics == result.metrics
@@ -133,7 +164,7 @@ class TestPickling:
     def test_spec_round_trips_into_worker(self):
         # A pickled spec executed by a real worker process reproduces the
         # in-process result exactly.
-        spec = make_runner().specs()[0]
+        spec = one_point().specs()[0]
         expected = run_trial(spec)
         with multiprocessing.get_context().Pool(1) as pool:
             [remote] = pool.map(run_trial, [spec])
@@ -150,7 +181,7 @@ class TestWorkloads:
             run_trial(spec)
 
     def test_fame_trial_shape(self):
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(one_point().specs()[0])
         detail = result.detail_dict()
         assert detail["pairs"] == len(default_pairs(N, 4))
         assert detail["delivered"] + len(result.failed_pairs) == detail["pairs"]
@@ -185,7 +216,7 @@ class TestWorkloads:
     def test_run_trial_precomputes_cover_in_worker(self):
         from repro.analysis.vertex_cover import min_vertex_cover
 
-        result = run_trial(make_runner().specs()[0])
+        result = run_trial(one_point().specs()[0])
         assert result.cover is not None
         assert result.cover == len(min_vertex_cover(result.failed_pairs))
         assert result.disruptability() == result.cover
@@ -202,16 +233,15 @@ class TestWorkloads:
 
 
 class TestAggregation:
-    def test_whp_uninformative_at_small_trial_counts(self):
+    def test_whp_uninformative_at_small_trial_counts(self, serial_report):
         # 6 trials cannot resolve a 1/18 claim: report says so instead of
         # vacuously confirming.
-        report = make_runner().run()
-        assert not report.whp_informative
-        assert report.whp_claim is None
-        assert report.as_dict()["whp"]["claim_holds"] is None
+        whp = serial_report.point_sections[0]["whp"]
+        assert whp["informative"] is False
+        assert whp["claim_holds"] is None
+        assert serial_report.whp_failures() == []
 
     def test_whp_informative_with_synthetic_results(self):
-        runner = make_runner(trials=80, n=N)
         results = [
             TrialResult(
                 index=i, seed=i, success=True, failed_pairs=(),
@@ -219,21 +249,20 @@ class TestAggregation:
             )
             for i in range(80)
         ]
-        report = runner.aggregate(results)
-        assert report.whp_informative
-        assert report.whp_claim is True
-        assert report.merged_metrics.rounds == 80
+        point = section(one_point(trials=80), results)
+        assert point["whp"]["informative"] is True
+        assert point["whp"]["claim_holds"] is True
+        assert point["merged_metrics"]["rounds"] == 80
 
     def test_aggregate_preserves_metrics_subclass_counters(self):
-        # The fold is seeded with the first result's metrics so subclass
-        # counters survive (merge enumerates fields(self)).
+        # merge promotes to the more derived operand type, so subclass
+        # counters survive a fold seeded with plain NetworkMetrics.
         import dataclasses
 
         @dataclasses.dataclass
         class Extended(NetworkMetrics):
             dropped_frames: int = 0
 
-        runner = make_runner(trials=2)
         results = [
             TrialResult(
                 index=i, seed=i, success=True, failed_pairs=(),
@@ -241,27 +270,29 @@ class TestAggregation:
             )
             for i in range(2)
         ]
-        report = runner.aggregate(results)
-        assert report.merged_metrics.rounds == 2
-        assert report.merged_metrics.dropped_frames == 3
+        merged = section(one_point(trials=2), results)["merged_metrics"]
+        assert merged["rounds"] == 2
+        assert merged["dropped_frames"] == 3
 
     def test_aggregate_rejects_empty_results(self):
+        spec = one_point()
+        [point] = spec.points()
         with pytest.raises(ConfigurationError):
-            make_runner().aggregate([])
+            SweepState(spec).point_report(point)
+        with pytest.raises(DispatchError):
+            SweepReport.build(spec, [])
 
     def test_single_trial_merged_metrics_not_aliased(self):
         result = TrialResult(
             index=0, seed=0, success=True, failed_pairs=(),
             metrics=NetworkMetrics(rounds=5),
         )
-        report = make_runner(trials=1).aggregate([result])
-        assert report.merged_metrics == result.metrics
-        assert report.merged_metrics is not result.metrics
-        report.merged_metrics.rounds += 1  # must not touch the trial
+        merged = section(one_point(trials=1), [result])["merged_metrics"]
+        assert merged == asdict(result.metrics)
+        merged["rounds"] += 1  # must not touch the trial
         assert result.metrics.rounds == 5
 
     def test_histogram_and_wilson(self):
-        runner = make_runner(trials=4)
         results = [
             TrialResult(
                 index=i, seed=i, success=(i % 2 == 0),
@@ -270,15 +301,16 @@ class TestAggregation:
             )
             for i in range(4)
         ]
-        report = runner.aggregate(results)
-        assert report.disruptability_histogram == {1: 3, 0: 1}
-        assert report.success.successes == 2
-        assert report.success.low < 0.5 < report.success.high
+        point = section(one_point(trials=4), results)
+        assert point["disruptability"]["histogram"] == {"0": 1, "1": 3}
+        assert point["disruptability"]["max"] == 1
+        assert point["disruptability"]["mean"] == 0.75
+        rate = point["success_rate"]
+        assert rate["successes"] == 2
+        assert rate["wilson_low"] < 0.5 < rate["wilson_high"]
 
-    def test_report_dict_is_json_serialisable(self):
-        payload = make_runner(trials=2).run().as_dict()
+    def test_report_dict_is_json_serialisable(self, serial_report):
+        payload = serial_report.as_dict()
         parsed = json.loads(json.dumps(payload, sort_keys=True))
-        assert parsed["trials"] == 2
-        assert parsed["merged_metrics"] == asdict(
-            make_runner(trials=2).run().merged_metrics
-        )
+        assert parsed == payload
+        assert parsed["totals"]["trials"] == 6

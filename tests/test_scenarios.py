@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, ScenarioError
 from repro.experiments import (
     SCENARIO_WORKLOAD_PREFIX,
     WORKLOAD_USES_ADVERSARY,
-    MonteCarloRunner,
     make_workload,
 )
 from repro.fame.byzantine import BYZANTINE_REPORT_KIND
@@ -341,8 +340,11 @@ class TestScenarioWorkloads:
         SweepSpec(workloads=(CHEAP,), adversaries=("schedule",))
 
     def test_montecarlo_runs_scenario_workload(self):
-        report = MonteCarloRunner(CHEAP, 3, seed=5).run()
-        assert report.success.successes == 3
+        # A Monte Carlo run is a one-point sweep.
+        report = SweepRunner(
+            SweepSpec(workloads=(CHEAP,), trials=3, seed=5)
+        ).run()
+        assert report.successes == 3
         detail = dict(report.results[0].detail)
         assert detail["scenario"] == "serve.duplicate-open"
         assert decode_outcome(detail["observed"]) == SessionAborted(
@@ -523,7 +525,9 @@ class TestScenarioCLI:
             ]
         ) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["success_rate"]["successes"] == 3
+        [point] = payload["points"]
+        assert point["workload"] == CHEAP
+        assert point["success_rate"]["successes"] == 3
 
     def test_montecarlo_rejects_unknown_workload(self, capsys):
         from repro.__main__ import main

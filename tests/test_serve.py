@@ -365,6 +365,19 @@ class TestDaemonEndToEnd:
             client.flush("tiny")
             client.send("tiny", 0, b"b")  # drained: accepted again
 
+    def test_accepted_sockets_disable_nagle(self, daemon):
+        import socket as socket_mod
+
+        d, host, port = daemon
+        with ServiceClient(host, port, name="t") as client:
+            client.list_sessions()  # a full round trip: already accepted
+            socks = [c.sock for c in list(d._clients.values())]
+            assert socks
+            for sock in socks:
+                assert sock.getsockopt(
+                    socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY
+                )
+
     def test_handshake_rejects_wrong_protocol(self, daemon):
         import socket as socket_mod
 
