@@ -127,6 +127,10 @@ TARGET_BATCH_SECONDS = 0.25
 amortise a round trip, short enough for balanced tails and prompt
 journal flushes."""
 
+_CONNECT_RETRY_SECONDS = 10.0
+"""How long a worker keeps retrying its connection by default — and so
+how long a graceful close waits for a spawned worker still connecting."""
+
 
 # ----------------------------------------------------------------------
 # Framing
@@ -254,7 +258,7 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def worker_main(
-    host: str, port: int, *, retry_seconds: float = 10.0
+    host: str, port: int, *, retry_seconds: float = _CONNECT_RETRY_SECONDS
 ) -> int:
     """The ``python -m repro worker`` loop; returns a process exit code.
 
@@ -523,6 +527,8 @@ class SocketBackend(DispatchBackend):
         """Tear the pool down; graceful closes say goodbye first."""
         if self._sel is None:
             return
+        if not force:
+            self._await_spawned_handshakes()
         for conn in list(self._conns.values()):
             if not force:
                 try:
@@ -546,6 +552,30 @@ class SocketBackend(DispatchBackend):
         self._sel = None
         # Workers exit on shutdown/EOF; force only the stragglers.
         self._reap_spawned(force=force)
+
+    def _await_spawned_handshakes(self) -> None:
+        """Keep the listener up until every live spawned worker is greeted.
+
+        A worker spawned late — still importing, or inside its connect
+        retry loop — would otherwise find the listener closed, retry for
+        its whole window and then be killed.  Waiting for its handshake
+        lets the shutdown below reach it, so it exits 0.
+        """
+        deadline = time.monotonic() + _CONNECT_RETRY_SECONDS
+        while True:
+            greeted = {
+                conn.peer.get("pid")
+                for conn in self._conns.values()
+                if conn.ready
+            }
+            waiting = any(
+                proc.poll() is None and proc.pid not in greeted
+                for proc in self.spawned
+            )
+            remaining = deadline - time.monotonic()
+            if not waiting or remaining <= 0:
+                return
+            self._pump_handshakes(min(remaining, 0.1))
 
     def close(self) -> None:
         """Release a warm pool: shutdown frames, reap, close sockets."""
@@ -574,24 +604,31 @@ class SocketBackend(DispatchBackend):
                     f"only {self._ready_count()}/{want} workers completed "
                     f"the handshake while warming up"
                 )
-            for key, _events in self._sel.select(timeout=min(remaining, 0.25)):
-                if key.data is None:
-                    self._accept()
-                    continue
-                conn = key.data
-                try:
-                    chunk = conn.sock.recv(_RECV_CHUNK)
-                except (BlockingIOError, InterruptedError):
-                    continue
-                except OSError:
-                    self._forget(conn)
-                    continue
-                if not chunk:
-                    self._forget(conn)
-                    continue
-                for frame in conn.decoder.feed(chunk):
-                    self._handshake(frame, conn)
+            self._pump_handshakes(min(remaining, 0.25))
         return self._ready_count()
+
+    def _pump_handshakes(self, timeout: float) -> None:
+        """One selector pass outside a run: accept connections and answer
+        ``hello`` frames (frames from already-greeted workers are
+        dropped — no run is in progress to claim them)."""
+        for key, _events in self._sel.select(timeout=timeout):
+            if key.data is None:
+                self._accept()
+                continue
+            conn = key.data
+            try:
+                chunk = conn.sock.recv(_RECV_CHUNK)
+            except (BlockingIOError, InterruptedError):
+                continue
+            except OSError:
+                self._forget(conn)
+                continue
+            if not chunk:
+                self._forget(conn)
+                continue
+            for frame in conn.decoder.feed(chunk):
+                if not conn.ready:
+                    self._handshake(frame, conn)
 
     def _ready_count(self) -> int:
         return sum(1 for c in self._conns.values() if c.ready)

@@ -29,10 +29,10 @@ Each node's replica is represented by an O(1) *state fingerprint* advanced
 with every grant it applies (post-resynchronisation); Invariant 1 is
 asserted by fingerprint equality — O(n) per move — rather than by comparing
 ``n`` full sorted state snapshots, which dominated the per-move cost at
-scale.  Radio rounds are submitted sparsely (only scheduled nodes); pass
-``dense_actions=True`` to reproduce the legacy behaviour of padding every
-idle node with an explicit ``Sleep``, which the engine-equivalence tests
-use to prove the two paths resolve identically.
+scale.  Radio rounds are submitted sparsely (only scheduled nodes) as
+compiled schedules; seeded runs match the legacy engine, which padded every
+idle node with an explicit ``Sleep`` and ran the per-round feedback loops —
+``tests/test_golden.py`` pins digests recorded from it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ..game.graph import (
 )
 from ..game.greedy import GreedyPools, GreedyTermination
 from ..game.rules import check_proposal
-from ..radio.actions import SLEEP, Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
     CompiledRound,
@@ -117,12 +117,6 @@ class FameProtocol:
         Registry for the honest nodes' random choices (feedback hopping).
     config:
         Channel-regime configuration; derived from the network when omitted.
-    dense_actions:
-        When ``True``, every radio round pads idle nodes with explicit
-        ``Sleep`` actions and the feedback routines run their per-round
-        reference loops (the pre-pipeline engine behaviour, end to end).
-        Kept for the engine-equivalence tests; production callers leave it
-        ``False`` and get the compiled-schedule pipeline.
     """
 
     def __init__(
@@ -132,8 +126,6 @@ class FameProtocol:
         messages: Mapping[tuple[int, int], Any] | None = None,
         rng: RngRegistry | None = None,
         config: FameConfig | None = None,
-        *,
-        dense_actions: bool = False,
     ) -> None:
         self.network = network
         self.config = config or make_config(
@@ -152,7 +144,6 @@ class FameProtocol:
         if missing:
             raise ProtocolViolation(f"pairs without messages: {missing[:4]}")
         self.rng = rng or RngRegistry(seed=0)
-        self.dense_actions = dense_actions
         # One schedule-shape cache for the whole run: every move's feedback
         # phase has the same (participants, channels, repetitions) geometry,
         # so buckets/metadata/stream tables are built once and recycled.
@@ -214,27 +205,16 @@ class FameProtocol:
             schedule=schedule.meta_schedule(),
             extra={"move": move_index},
         )
-        if self.dense_actions:
-            # Legacy engine replay: per-node actions padded with sleeps.
-            actions: dict[int, Action] = dict(transmits)
-            for listener, channel in listener_channels.items():
-                actions[listener] = Listen(channel)
-            for node in range(self.network.n):
-                actions.setdefault(node, SLEEP)
-            results = self.network.execute_round(actions, meta)
-        else:
-            by_channel: dict[int, list[int]] = {}
-            for listener, channel in listener_channels.items():
-                by_channel.setdefault(channel, []).append(listener)
-            [heard] = self.network.execute_schedule(
-                RoundSchedule(
-                    [CompiledRound.make(transmits, by_channel, meta)]
-                )
-            )
-            results = {
-                listener: heard.get(channel)
-                for listener, channel in listener_channels.items()
-            }
+        by_channel: dict[int, list[int]] = {}
+        for listener, channel in listener_channels.items():
+            by_channel.setdefault(channel, []).append(listener)
+        [heard] = self.network.execute_schedule(
+            RoundSchedule([CompiledRound.make(transmits, by_channel, meta)])
+        )
+        results = {
+            listener: heard.get(channel)
+            for listener, channel in listener_channels.items()
+        }
         # Every frame decoded on an in-use channel is authentic: each such
         # channel carries an honest broadcaster, so adversarial transmissions
         # can only collide (the paper's first insight).  Record the vectors.
@@ -256,10 +236,6 @@ class FameProtocol:
                 frame = results.get(w)
                 flags[w] = frame is not None and frame.kind == AME_DATA_KIND
         participants = list(range(self.network.n))
-        # dense_actions replays the legacy engine end to end, so it also
-        # pins the feedback routines to their per-round reference path —
-        # including the legacy full-frame wire encoding for the parallel
-        # merge (delta frames postdate the legacy engine).
         if self.config.parallel_feedback:
             return run_parallel_feedback(
                 self.network,
@@ -268,10 +244,7 @@ class FameProtocol:
                 participants,
                 self.rng,
                 phase="feedback-parallel",
-                compiled=not self.dense_actions,
-                delta_frames=not self.dense_actions,
-                block_draws=not self.dense_actions,
-                shape_cache=None if self.dense_actions else self._shape_cache,
+                shape_cache=self._shape_cache,
             )
         return run_feedback(
             self.network,
@@ -280,9 +253,7 @@ class FameProtocol:
             participants,
             self.rng,
             phase="feedback",
-            compiled=not self.dense_actions,
-            block_draws=not self.dense_actions,
-            shape_cache=None if self.dense_actions else self._shape_cache,
+            shape_cache=self._shape_cache,
         )
 
     def _agree_on_referee(
@@ -410,14 +381,8 @@ def run_fame(
     rng: RngRegistry | None = None,
     *,
     config: FameConfig | None = None,
-    dense_actions: bool = False,
 ) -> FameResult:
     """Convenience wrapper: build a :class:`FameProtocol` and run it."""
     return FameProtocol(
-        network,
-        edges,
-        messages=messages,
-        rng=rng,
-        config=config,
-        dense_actions=dense_actions,
+        network, edges, messages=messages, rng=rng, config=config
     ).run()

@@ -15,8 +15,8 @@ merge used when ``C >= 2t^2``, reducing a full invocation to
 
 Schedule compilation
 --------------------
-Both routines execute, by default, as **compiled schedules** rather than
-per-round loops.  The key observation is that Figure 1's repetition loop is
+Both routines execute as **compiled schedules** rather than per-round
+loops.  The key observation is that Figure 1's repetition loop is
 *oblivious* in the paper's own sense: nothing a node transmits or tunes to
 during the phase depends on anything observed during the phase.  The
 witness of rank ``i`` occupies feedback channel ``i`` in every repetition
@@ -37,17 +37,18 @@ order, and per-round resolution follows the identical single-transmitter
 decode rule.  Every probabilistic event in Lemma 5's Chernoff argument —
 "listener hears the active slot's witness in one repetition with
 probability ``>= (C-t)/C``" — therefore has exactly the same distribution,
-and seeded runs of the compiled and per-round paths are byte-identical
-(enforced by ``tests/test_feedback_pipeline.py``).
+and seeded runs are byte-identical to the historical
+one-``execute_round``-per-repetition loop: ``tests/test_golden.py`` pins
+digests recorded from it.
 
 Wire encoding
 -------------
-The parallel merge additionally ships its knowledge frames, by default, in
-the digest/delta encoding of :class:`~repro.radio.messages.DeltaFrame`
-(``delta_frames=False`` restores the historical full-frame payloads);
-``tests/test_feedback_delta.py`` is the differential gauntlet proving the
-two encodings indistinguishable — identical ``D`` maps, metrics, and
-semantically identical traces — under the whole adversary gallery.
+The parallel merge ships its knowledge frames in the digest/delta encoding
+of :class:`~repro.radio.messages.DeltaFrame`.  Seeded runs match the
+historical full-frame payloads on ``D`` maps, metrics (bar the payload
+counter the delta shrinks) and semantic traces under the whole adversary
+gallery; ``tests/test_feedback_delta.py`` checks the digests recorded from
+the full-frame runs.
 """
 
 from .witness import WitnessAssignment, rank

@@ -22,25 +22,28 @@ which is what keeps spoofing impossible).
 
 Wire format
 -----------
-Knowledge frames come in two encodings:
+Knowledge frames use the **digest/delta** encoding
+(:class:`~repro.radio.messages.DeltaFrame`, kind
+:data:`~repro.radio.messages.DELTA_KIND`, mirroring the Section 5.6 digest
+pipeline): a digest of the frame's slot coverage plus only the true-flag
+slots — the only entries that can ever enter an output set ``D``.
+Receivers keep per-listener applied-digest state (:class:`DeltaApplyState`):
+a frame whose digest was already applied is skipped in O(1), a fresh frame
+is verified against its digest and its delta applied in place, and a
+digest mismatch falls back to the frame's embedded full-frame items (the
+resync escape hatch) or drops the frame.
 
-* the historical **full frame** (``MERGE_KIND``): the whole ``slot -> flag``
-  map, re-applied by every listener on every decode;
-* the default **digest/delta frame**
-  (:class:`~repro.radio.messages.DeltaFrame`, kind
-  :data:`~repro.radio.messages.DELTA_KIND`, mirroring the Section 5.6
-  digest pipeline): a digest of the frame's slot coverage plus only the
-  true-flag slots — the only entries that can ever enter an output set
-  ``D``.  Receivers keep per-listener applied-digest state
-  (:class:`DeltaApplyState`): a frame whose digest was already applied is
-  skipped in O(1), a fresh frame is verified against its digest and its
-  delta applied in place, and a digest mismatch falls back to the frame's
-  embedded full-frame items (the resync escape hatch) or drops the frame.
-  ``delta_frames=False`` keeps the full-frame reference path; seeded runs
-  of the two encodings produce identical ``D`` maps, radio metrics (bar
-  the payload-size counter the delta shrinks), and semantically identical
-  traces under every adversary — ``tests/test_feedback_delta.py`` is the
-  differential gauntlet enforcing that.
+Execution
+---------
+Each transfer phase's repetition loop is oblivious, so it runs as one
+compiled :class:`~repro.radio.network.RoundSchedule`.  Seeded runs are
+byte-identical to the historical one-``execute_round``-per-repetition
+loop, and match the historical full-frame encoding (which shipped the
+whole ``slot -> flag`` map) on ``D`` maps, every radio metric but the
+payload-size counter the delta shrinks, and semantic traces under every
+adversary: ``tests/test_golden.py`` pins digests recorded from both
+references, and ``tests/test_feedback_delta.py`` is the differential
+gauntlet checking them.
 """
 
 from __future__ import annotations
@@ -49,13 +52,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..radio.actions import Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import DELTA_KIND, DeltaFrame, Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
-
-MERGE_KIND = "feedback-merge"
+from ..rng import BlockDrawer, RngRegistry
 
 _UNRESOLVED = object()  # sentinel distinguishing "not seen" from "invalid"
 
@@ -64,18 +65,16 @@ _UNRESOLVED = object()  # sentinel distinguishing "not seen" from "invalid"
 class _Group:
     """A witness group in the merge tree with its accumulated knowledge.
 
-    ``true_slots`` and ``digest`` are the delta-encoding view of
-    ``knowledge``: the true-flag slots in ascending order (the merge tree
-    pairs adjacent groups, so concatenation preserves order) and the
-    incremental slot-set digest over them.  Both are maintained in O(1)
-    per merge via :func:`~repro.fame.digests.combine_digests`; full-frame
-    runs leave them empty.
+    The knowledge is kept in its delta encoding: ``true_slots`` holds the
+    true-flag slots in ascending order (the merge tree pairs adjacent
+    groups, so concatenation preserves order) and ``digest`` the
+    incremental slot-set digest over them, combined in O(1) per merge via
+    :func:`~repro.fame.digests.combine_digests`.
     """
 
     members: tuple[int, ...]
-    knowledge: dict[int, bool]  # slot -> flag
-    true_slots: tuple[int, ...] = ()
-    digest: bytes = b""
+    true_slots: tuple[int, ...]
+    digest: bytes
 
 
 class DeltaApplyState:
@@ -83,11 +82,11 @@ class DeltaApplyState:
 
     One instance lives for one :func:`run_parallel_feedback` invocation and
     tracks, per listener, which frame digests have already been applied —
-    the *applied-epoch* set that turns the O(frame) per-decode
-    ``dict.update`` of the full-frame encoding into an O(1) skip after the
-    first application.  Frame verification (hashing the delta and checking
-    it against the frame's digest) is cached per frame value, so it happens
-    once per transfer, not once per listener or per repetition.
+    the *applied-epoch* set that makes every decode after a listener's
+    first an O(1) skip instead of an O(frame) ``dict.update``.  Frame
+    verification (hashing the delta and checking it against the frame's
+    digest) is cached per frame value, so it happens once per transfer,
+    not once per listener or per repetition.
 
     Counters (all per-invocation):
 
@@ -165,125 +164,42 @@ class DeltaApplyState:
         self._verified[id(frame)] = (frame, verdict)
         return verdict
 
-    def fold(
-        self,
-        nodes: Sequence[int],
-        frame: DeltaFrame,
-        per_node_knowledge: dict[int, dict[int, bool]],
-    ) -> None:
-        """Fold one decoded frame into every listener of its channel.
-
-        The hot path of the delta encoding: verification and the applied
-        key are resolved once per decode, each already-applied listener
-        costs one set lookup, and a first-time listener pays a single
-        C-level ``dict.update`` of the cached items.
-        """
-        verdict = self.resolve(frame)
-        if verdict is None:
-            return
-        key, items = verdict
-        applied = self.applied
-        skips = 0
-        applications = 0
-        for node in nodes:
-            seen = applied.get(node)
-            if seen is None:
-                seen = applied[node] = set()
-            elif key in seen:
-                skips += 1
-                continue
-            per_node_knowledge[node].update(items)
-            seen.add(key)
-            applications += 1
-        self.skips += skips
-        self.applications += applications
-
     def apply(
         self, node: int, frame: DeltaFrame, knowledge: dict[int, bool]
     ) -> bool:
         """Fold ``frame`` into ``node``'s knowledge; True iff it applied.
 
-        Single-listener form of :meth:`fold` (same verification, applied
-        keys, and counters), for callers holding a bare knowledge dict.
+        Verification and the applied key come from :meth:`resolve`; an
+        already-applied frame costs one set lookup (a skip), a first-time
+        one a single ``dict.update`` of the cached items.
         """
-        before = self.applications
-        self.fold((node,), frame, {node: knowledge})
-        return self.applications > before
-
-
-def _merge_frame(sender: int, tag: object, knowledge: Mapping[int, bool]) -> Message:
-    """A knowledge broadcast: the full (slot -> flag) map known so far."""
-    return Message(
-        kind=MERGE_KIND,
-        sender=sender,
-        payload=(tag, tuple(sorted(knowledge.items()))),
-    )
+        verdict = self.resolve(frame)
+        if verdict is None:
+            return False
+        key, items = verdict
+        seen = self.applied.setdefault(node, set())
+        if key in seen:
+            self.skips += 1
+            return False
+        knowledge.update(items)
+        seen.add(key)
+        self.applications += 1
+        return True
 
 
 def _delta_payload(group: _Group, tag: object) -> DeltaFrame:
     """The digest/delta encoding of ``group``'s knowledge for one transfer.
 
     Built once per transfer and shared by every broadcaster of the block
-    across every repetition — the full-frame path re-serializes the whole
-    map per broadcaster instead.
+    across every repetition.
     """
     return DeltaFrame(tag=tag, digest=group.digest, true_slots=group.true_slots)
-
-
-def _build_frame(
-    sender: int,
-    tag: object,
-    knowledge: Mapping[int, bool],
-    delta: DeltaFrame | None,
-) -> Message:
-    """One broadcaster's knowledge frame in the transfer's encoding."""
-    if delta is not None:
-        return Message(kind=DELTA_KIND, sender=sender, payload=delta)
-    return _merge_frame(sender, tag, knowledge)
-
-
-def _fold_channel(
-    received: Message,
-    tag: object,
-    listeners: Sequence[int],
-    per_node_knowledge: dict[int, dict[int, bool]],
-    delta_state: DeltaApplyState | None,
-) -> None:
-    """Fold one decoded channel's frame into its listeners' knowledge.
-
-    The one receive path shared by the compiled and per-round loops, for
-    both encodings: full frames ``dict.update`` every listener, delta
-    frames go through :meth:`DeltaApplyState.apply` (O(1) when already
-    applied).
-    """
-    if delta_state is not None:
-        if received.kind != DELTA_KIND:
-            return
-        frame = received.payload
-        if not isinstance(frame, DeltaFrame) or frame.tag != tag:
-            return
-        delta_state.fold(listeners, frame, per_node_knowledge)
-        return
-    if received.kind != MERGE_KIND:
-        return
-    recv_tag, items = received.payload
-    if recv_tag != tag:
-        return
-    merged = dict(items)
-    for node in listeners:
-        per_node_knowledge[node].update(merged)
 
 
 def _run_transfer_rounds(
     network: RadioNetwork,
     transfers: Sequence[
-        tuple[
-            Sequence[int],
-            Sequence[int],
-            Sequence[int],
-            Mapping[int, bool],
-            DeltaFrame | None,
-        ]
+        tuple[Sequence[int], Sequence[int], Sequence[int], DeltaFrame]
     ],
     per_node_knowledge: dict[int, dict[int, bool]],
     tag: object,
@@ -291,38 +207,28 @@ def _run_transfer_rounds(
     rng: RngRegistry,
     phase: str,
     rng_namespace: object,
-    compiled: bool = True,
-    delta_state: DeltaApplyState | None = None,
-    block_draws: bool = True,
-    shapes: ScheduleShapeCache | None = None,
+    delta_state: DeltaApplyState,
+    shapes: ScheduleShapeCache,
 ) -> None:
     """Run ``repetitions`` rounds of simultaneous directed transfers.
 
-    Each transfer is ``(broadcasters, listeners, block_channels, knowledge,
-    delta_payload)``; blocks must be channel-disjoint (validated).  Every
-    block channel is occupied by an honest broadcaster each round, so
-    adversarial frames can only collide, never be decoded.  Listeners hop
-    uniformly within their block and merge any knowledge frame with a
-    matching tag.  ``delta_payload`` is the prebuilt
-    :class:`~repro.radio.messages.DeltaFrame` when the invocation uses the
-    delta encoding (``delta_state`` set), ``None`` on the full-frame path.
+    Each transfer is ``(broadcasters, listeners, block_channels, frame)``;
+    blocks must be channel-disjoint (validated).  Every block channel is
+    occupied by an honest broadcaster each round, so adversarial frames can
+    only collide, never be decoded.  Listeners hop uniformly within their
+    block and apply any knowledge frame with a matching tag.
 
-    The repetition loop is oblivious, so the default path compiles it into
-    one :class:`RoundSchedule`: the broadcaster assignment is a static
-    template (each knowledge frame built once, not once per repetition —
-    the frames of one transfer are identical across rounds), each
+    The repetition loop is oblivious, so it compiles into one
+    :class:`RoundSchedule`: the broadcaster assignment is a static template
+    (the frames of one transfer are identical across rounds), each
     listener's whole block-hop sequence is materialized up front with the
-    batched :class:`~repro.rng.BlockDrawer` (``block_draws=False`` replays
-    the per-draw reference sampler — byte-identical either way), and
-    results fold back per decoded channel.  Round metadata and the
-    per-round listener buckets come from ``shapes`` (a fresh ephemeral
-    cache when the caller passes none) and are recycled in place across
-    invocations with the same geometry.  ``compiled=False`` replays the
-    historical per-round loop; all paths are byte-identical on seeded
-    runs.
+    batched :class:`~repro.rng.BlockDrawer`, and results fold back per
+    decoded channel.  Round metadata and the per-round listener buckets
+    come from ``shapes`` and are recycled in place across invocations with
+    the same geometry.
     """
     used_channels: set[int] = set()
-    for broadcasters, _, block, _, _ in transfers:
+    for broadcasters, _, block, _ in transfers:
         overlap = used_channels & set(block)
         if overlap:
             raise ConfigurationError(
@@ -335,33 +241,17 @@ def _run_transfer_rounds(
                 f"{len(block)}-channel block"
             )
 
-    if not compiled:
-        _transfer_rounds_per_round(
-            network,
-            transfers,
-            per_node_knowledge,
-            tag,
-            repetitions,
-            rng,
-            phase,
-            rng_namespace,
-            delta_state,
-        )
-        return
-
-    if shapes is None:
-        shapes = ScheduleShapeCache()
     meta = shapes.meta(phase, tag=tag)
     buckets = shapes.buckets(tuple(used_channels), repetitions)
     rows = buckets.rows
     channel_pos = buckets.index
     template: dict[int, Transmit] = {}
     listen_total = 0
-    for broadcasters, listeners, block, knowledge, delta in transfers:
+    for broadcasters, listeners, block, frame in transfers:
         for idx, channel in enumerate(block):
-            template[broadcasters[idx]] = Transmit(
-                channel,
-                _build_frame(broadcasters[idx], tag, knowledge, delta),
+            sender = broadcasters[idx]
+            template[sender] = Transmit(
+                channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
         # Materialize each listener's whole hop sequence (choice-stream
         # compatible; see the invariant in repro.rng) and transpose it
@@ -369,20 +259,11 @@ def _run_transfer_rounds(
         # drawn as indices *within the block* and mapped to bucket
         # positions, so the fill indexes lists instead of hashing
         # channel ids.
-        block_list = list(block)
-        nblock = len(block_list)
-        if block_draws:
-            draw = BlockDrawer(nblock).draw
-        else:
-            draw = lambda stream, count: draw_uniform_indices(  # noqa: E731
-                stream, nblock, count
-            )
+        draw = BlockDrawer(len(block)).draw
         # One bucket view per round in block order: selecting buckets by
         # raw hop index here keeps the per-hop loop below to a single
         # list index + append, amortized over every listener.
-        bucket_rows = [
-            [row[channel_pos[c]] for c in block_list] for row in rows
-        ]
+        bucket_rows = [[row[channel_pos[c]] for c in block] for row in rows]
         streams = shapes.streams(
             rng, rng_namespace, "merge-listen", listeners
         )
@@ -404,28 +285,15 @@ def _run_transfer_rounds(
 
     heard_per_round = network.execute_schedule(RoundSchedule(compiled_rounds))
 
-    if delta_state is None:
-        for by_channel, heard in zip(fanouts, heard_per_round):
-            for channel, received in heard.items():
-                _fold_channel(
-                    received,
-                    tag,
-                    by_channel[channel],
-                    per_node_knowledge,
-                    delta_state,
-                )
-        return
-
-    # Delta fold, specialised for the compiled path: the same per-frame
-    # semantics as DeltaApplyState.fold (via resolve() and the shared
-    # applied-key state), inlined because this loop runs once per decoded
-    # channel-round.  A decoded message on a transfer channel is the
-    # *same* template object every repetition, so frame classification
-    # (kind/tag checks plus digest verification) resolves once per
-    # distinct message, each frame keeps a local set of listeners it
-    # already reached (one membership test per skip — the by-far common
-    # case), and only a first-time listener touches the global per-node
-    # applied-key state.
+    # The fold applies DeltaApplyState.apply's per-frame semantics (via
+    # resolve() and the shared applied-key state) inline, because this
+    # loop runs once per decoded channel-round.  A decoded message on a
+    # transfer channel is the *same* template object every repetition, so
+    # frame classification (kind/tag checks plus digest verification)
+    # resolves once per distinct message, each frame keeps a local set of
+    # listeners it already reached (one membership test per skip — the
+    # by-far common case), and only a first-time listener touches the
+    # global per-node applied-key state.
     applied = delta_state.applied
     resolved: dict[int, tuple | None] = {}
     for by_channel, heard in zip(fanouts, heard_per_round):
@@ -463,48 +331,6 @@ def _run_transfer_rounds(
             delta_state.applications += applications
 
 
-def _transfer_rounds_per_round(
-    network: RadioNetwork,
-    transfers: Sequence[
-        tuple[
-            Sequence[int],
-            Sequence[int],
-            Sequence[int],
-            Mapping[int, bool],
-            DeltaFrame | None,
-        ]
-    ],
-    per_node_knowledge: dict[int, dict[int, bool]],
-    tag: object,
-    repetitions: int,
-    rng: RngRegistry,
-    phase: str,
-    rng_namespace: object,
-    delta_state: DeltaApplyState | None = None,
-) -> None:
-    """The historical reference loop — the equivalence oracle for the
-    compiled path (blocks already validated by the caller)."""
-    for _rep in range(repetitions):
-        actions: dict[int, Action] = {}
-        for broadcasters, listeners, block, knowledge, delta in transfers:
-            for idx, channel in enumerate(block):
-                actions[broadcasters[idx]] = Transmit(
-                    channel,
-                    _build_frame(broadcasters[idx], tag, knowledge, delta),
-                )
-            for node in listeners:
-                stream = rng.stream(rng_namespace, "merge-listen", node)
-                actions[node] = Listen(stream.choice(list(block)))
-        results = network.execute_round(
-            actions, RoundMeta(phase=phase, extra={"tag": tag})
-        )
-        for node, received in results.items():
-            if received is not None:
-                _fold_channel(
-                    received, tag, (node,), per_node_knowledge, delta_state
-                )
-
-
 def run_parallel_feedback(
     network: RadioNetwork,
     witness_sets: Sequence[Sequence[int]],
@@ -515,51 +341,37 @@ def run_parallel_feedback(
     repetitions: int | None = None,
     phase: str = "feedback-parallel",
     rng_namespace: object = "feedback-parallel",
-    compiled: bool = True,
-    delta_frames: bool = True,
     delta_state: DeltaApplyState | None = None,
-    block_draws: bool = True,
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Merge per-slot flags through a parallel-prefix tree; return each
     participant's ``D`` (slot indices whose flag is true).
 
-    Parameters mirror :func:`repro.feedback.protocol.run_feedback`
-    (including ``compiled``); here ``witness_sets[r]`` must contain at
-    least ``2t`` members, and the network must offer enough channels for
-    the first level's simultaneous blocks (guaranteed by ``C >= 2t^2``
-    when ``len(witness_sets) <= C/t``).
+    Parameters mirror :func:`repro.feedback.protocol.run_feedback`; here
+    ``witness_sets[r]`` must contain at least ``2t`` members, and the
+    network must offer enough channels for the first level's simultaneous
+    blocks (guaranteed by ``C >= 2t^2`` when ``len(witness_sets) <= C/t``).
 
-    ``delta_frames`` selects the wire encoding (see the module docstring):
-    the default ships digest/delta frames and tracks per-listener applied
-    digests; ``False`` keeps the historical full-frame path, which is the
-    reference the differential gauntlet compares against.  A caller may
-    pass its own (fresh) :class:`DeltaApplyState` to inspect the
-    apply/skip/resync counters afterwards; states are single-use — reuse
-    across invocations raises, because repeated digests would be skipped
-    as already applied — and by default one is created per invocation.
-
-    ``block_draws`` and ``shape_cache`` mirror :func:`run_feedback`:
-    batched vs per-draw hop sampling (byte-identical either way) and an
-    optional cross-invocation shape cache.  Within one invocation the
-    merge tree always shares one cache, so the per-level transfer rounds
-    recycle buckets and metadata even when the caller passes none.
+    A caller may pass its own (fresh) :class:`DeltaApplyState` to inspect
+    the apply/skip/resync counters afterwards; states are single-use —
+    reuse across invocations raises, because repeated digests would be
+    skipped as already applied — and by default one is created per
+    invocation.  ``shape_cache`` is an optional cross-invocation shape
+    cache; within one invocation the merge tree always shares one cache,
+    so the per-level transfer rounds recycle buckets and metadata even
+    when the caller passes none.
     """
+    from ..fame.digests import combine_digests, slot_set_digest
+
     t = network.t
     block_size = max(1, 2 * t)
     slots = len(witness_sets)
     if slots == 0:
         return {node: set() for node in participants}
     shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
-
-    if delta_frames:
-        from ..fame.digests import combine_digests, slot_set_digest
-
-        if delta_state is None:
-            delta_state = DeltaApplyState()
-        delta_state._claim()
-    else:
-        delta_state = None
+    if delta_state is None:
+        delta_state = DeltaApplyState()
+    delta_state._claim()
 
     groups: list[_Group] = []
     per_node_knowledge: dict[int, dict[int, bool]] = {}
@@ -576,11 +388,8 @@ def run_parallel_feedback(
                 f"witness set {r} missing or inconsistent flags"
             )
         flag = next(iter(flag_values))
-        group = _Group(members=members, knowledge={r: flag})
-        if delta_frames:
-            group.true_slots = (r,) if flag else ()
-            group.digest = slot_set_digest(group.true_slots)
-        groups.append(group)
+        true_slots = (r,) if flag else ()
+        groups.append(_Group(members, true_slots, slot_set_digest(true_slots)))
         for w in members:
             per_node_knowledge[w] = {r: flag}
     for node in participants:
@@ -616,13 +425,7 @@ def run_parallel_feedback(
                     range(pair_idx * block_size, (pair_idx + 1) * block_size)
                 )
                 transfers.append(
-                    (
-                        src.members,
-                        dst.members,
-                        block,
-                        src.knowledge,
-                        _delta_payload(src, tag) if delta_frames else None,
-                    )
+                    (src.members, dst.members, block, _delta_payload(src, tag))
                 )
             _run_transfer_rounds(
                 network,
@@ -633,55 +436,38 @@ def run_parallel_feedback(
                 rng=rng,
                 phase=phase,
                 rng_namespace=(rng_namespace, level, direction),
-                compiled=compiled,
                 delta_state=delta_state,
-                block_draws=block_draws,
                 shapes=shapes,
             )
-        next_groups: list[_Group] = []
-        for left, right in pairs:
-            merged_knowledge = dict(left.knowledge)
-            merged_knowledge.update(right.knowledge)
-            merged = _Group(
-                members=left.members + right.members,
-                knowledge=merged_knowledge,
+        # Adjacent pairs cover adjacent slot ranges, so the concatenation
+        # stays sorted and the disjoint-union digest combines in O(1).
+        groups = [
+            _Group(
+                left.members + right.members,
+                left.true_slots + right.true_slots,
+                combine_digests(left.digest, right.digest),
             )
-            if delta_frames:
-                # Adjacent pairs cover adjacent slot ranges, so the
-                # concatenation stays sorted and the disjoint-union digest
-                # combines in O(1).
-                merged.true_slots = left.true_slots + right.true_slots
-                merged.digest = combine_digests(left.digest, right.digest)
-            next_groups.append(merged)
-        groups = next_groups + carry
+            for left, right in pairs
+        ] + carry
         level += 1
 
     # Final dissemination: the root group broadcasts to everyone else.
     root = groups[0]
-    block = tuple(range(block_size))
-    outsiders = [p for p in participants if p not in set(root.members)]
+    root_members = set(root.members)
+    outsiders = [p for p in participants if p not in root_members]
     if outsiders:
         tag = ("final", level)
+        block = tuple(range(block_size))
         _run_transfer_rounds(
             network,
-            [
-                (
-                    root.members,
-                    outsiders,
-                    block,
-                    root.knowledge,
-                    _delta_payload(root, tag) if delta_frames else None,
-                )
-            ],
+            [(root.members, outsiders, block, _delta_payload(root, tag))],
             per_node_knowledge,
             tag=tag,
             repetitions=repetitions,
             rng=rng,
             phase=phase,
             rng_namespace=(rng_namespace, "final"),
-            compiled=compiled,
             delta_state=delta_state,
-            block_draws=block_draws,
             shapes=shapes,
         )
 

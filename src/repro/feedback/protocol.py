@@ -19,23 +19,22 @@ Execution strategy
 ------------------
 The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hop sequence is private randomness that
-depends on nothing observed during the phase.  The default path therefore
-**compiles** the whole ``slots × repetitions`` loop into one
+depends on nothing observed during the phase.  :func:`run_feedback`
+therefore **compiles** the whole ``slots × repetitions`` loop into one
 :class:`~repro.radio.network.RoundSchedule` — per-slot static transmitter
 templates plus per-round listener groups drawn from each listener's RNG
 stream up front — and submits it through
 :meth:`~repro.radio.network.RadioNetwork.execute_schedule`, folding the
 per-channel results back into the output sets.  Hop sequences are
 materialized in blocks by :class:`~repro.rng.BlockDrawer` (byte-identical
-to the per-draw chain — the invariant lives in ``repro.rng``;
-``block_draws=False`` replays the per-draw sampler), and the per-round
-listener buckets, round metadata, transmitter templates and listener
-stream tables come from a :class:`~repro.radio.ScheduleShapeCache` so
-long-lived callers reuse schedule *shape* across invocations.
-``compiled=False`` replays the historical
-one-``execute_round``-per-repetition loop; seeded runs of all paths are
-byte-identical (same RNG stream consumption, same metrics, same traces),
-which `tests/test_feedback_pipeline.py` enforces.
+to the per-draw ``stream.choice`` chain — the invariant lives in
+``repro.rng``), and the per-round listener buckets, round metadata,
+transmitter templates and listener stream tables come from a
+:class:`~repro.radio.ScheduleShapeCache` so long-lived callers reuse
+schedule *shape* across invocations.  Seeded runs are byte-identical to
+the historical one-``execute_round``-per-repetition loop (same RNG stream
+consumption, same metrics, same traces): ``tests/test_golden.py`` pins
+digests recorded from that loop.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..radio.actions import Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry, draw_uniform_indices
+from ..rng import BlockDrawer, RngRegistry
 from .witness import WitnessAssignment
 
 FEEDBACK_KIND = "feedback"
@@ -74,8 +73,6 @@ def run_feedback(
     repetitions: int | None = None,
     phase: str = "feedback",
     rng_namespace: object = "feedback",
-    compiled: bool = True,
-    block_draws: bool = True,
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Execute one communication-feedback invocation.
@@ -103,19 +100,6 @@ def run_feedback(
         Phase label stamped on round metadata (adversaries can see it).
     rng_namespace:
         Disambiguates listener streams across multiple invocations.
-    compiled:
-        When ``True`` (default), compile the whole oblivious loop into one
-        :class:`~repro.radio.network.RoundSchedule` and execute it in bulk;
-        when ``False``, replay the historical per-round loop.  Both paths
-        are byte-identical on seeded runs.
-    block_draws:
-        When ``True`` (default), the compiled path materializes each
-        listener's hop sequence with the batched
-        :class:`~repro.rng.BlockDrawer`; ``False`` replays the per-draw
-        :func:`~repro.rng.draw_uniform_indices` chain (the reference
-        sampler).  Byte-identical either way — the escape hatch exists so
-        the equivalence gauntlets can exercise both samplers in situ.
-        Ignored when ``compiled=False``.
     shape_cache:
         Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
         across invocations with the same geometry (templates, round
@@ -148,123 +132,16 @@ def run_feedback(
         )
 
     outputs: dict[int, set[int]] = {node: set() for node in participants}
-    if compiled:
-        _run_feedback_compiled(
-            network,
-            assignment,
-            flags,
-            participants,
-            rng,
-            repetitions,
-            phase,
-            rng_namespace,
-            outputs,
-            shape_cache if shape_cache is not None else ScheduleShapeCache(),
-            block_draws,
-        )
-    else:
-        _run_feedback_per_round(
-            network,
-            assignment,
-            flags,
-            participants,
-            rng,
-            repetitions,
-            phase,
-            rng_namespace,
-            outputs,
-        )
-    return outputs
-
-
-def _run_feedback_per_round(
-    network: RadioNetwork,
-    assignment: WitnessAssignment,
-    flags: Mapping[int, bool],
-    participants: Sequence[int],
-    rng: RngRegistry,
-    repetitions: int,
-    phase: str,
-    rng_namespace: object,
-    outputs: dict[int, set[int]],
-) -> None:
-    """The historical reference loop: one ``execute_round`` per repetition.
-
-    Kept verbatim as the equivalence oracle for the compiled pipeline (and
-    for callers that interleave feedback with non-oblivious behaviour).
-    """
-    channels = assignment.channels
-    for slot in range(assignment.slots):
-        witnesses = assignment.witnesses_of(slot)
-        witness_set = set(witnesses)
-        slot_flag = flags[witnesses[0]]
-        if slot_flag:
-            for w in witnesses:
-                outputs[w].add(slot)  # Figure 1 line 14
-        for _rep in range(repetitions):
-            actions: dict[int, Action] = {}
-            for node in participants:
-                if node in witness_set:
-                    # Rank-map reuse: the precomputed per-slot map replaces
-                    # the historical witnesses.index scan (same value, no
-                    # O(|witnesses|) lookup in the inner loop).
-                    channel = channels[assignment.rank_of(slot, node)]
-                    frame = (
-                        feedback_true(node, slot)
-                        if slot_flag
-                        else feedback_false(node, slot)
-                    )
-                    actions[node] = Transmit(channel, frame)
-                else:
-                    stream = rng.stream(rng_namespace, "listen", node)
-                    actions[node] = Listen(stream.choice(channels))
-            results = network.execute_round(
-                actions, RoundMeta(phase=phase, extra={"slot": slot})
-            )
-            for node, received in results.items():
-                if (
-                    received is not None
-                    and received.kind == FEEDBACK_KIND
-                    and received.payload == ("true", slot)
-                ):
-                    outputs[node].add(slot)
-
-
-def _run_feedback_compiled(
-    network: RadioNetwork,
-    assignment: WitnessAssignment,
-    flags: Mapping[int, bool],
-    participants: Sequence[int],
-    rng: RngRegistry,
-    repetitions: int,
-    phase: str,
-    rng_namespace: object,
-    outputs: dict[int, set[int]],
-    shapes: ScheduleShapeCache,
-    block_draws: bool,
-) -> None:
-    """Compile ``slots × repetitions`` into one schedule and run it in bulk.
-
-    Per slot the witness broadcasts form a *static transmitter template*
-    (rank map precomputed once — no ``witnesses.index`` in any inner loop)
-    shared by every repetition's :class:`CompiledRound`; each listener's
-    whole hop sequence is materialized from its private stream up front
-    with the batched :class:`~repro.rng.BlockDrawer`, consuming the
-    streams in exactly the order the per-round path would (slot-major,
-    then repetition), so seeded executions coincide bit for bit.  Shape —
-    templates, metadata, the per-round listener buckets the hop matrices
-    transpose into, and the stream table — comes from ``shapes`` and is
-    reused in place across invocations when the caller shares a cache.
-    """
-    channels = assignment.channels
-    nchan = len(channels)
+    shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
+    # Per slot the witness broadcasts form a *static transmitter template*
+    # shared by every repetition's CompiledRound; each listener's whole hop
+    # sequence is drawn from its private stream up front, consuming the
+    # streams slot-major, then by repetition (the order of the historical
+    # per-round loop).  Templates, metadata, buckets and the stream table
+    # come from ``shapes`` and are reused in place when the caller shares
+    # a cache.
     streams = shapes.streams(rng, rng_namespace, "listen", participants)
-    if block_draws:
-        draw = BlockDrawer(nchan).draw
-    else:
-        draw = lambda stream, count: draw_uniform_indices(  # noqa: E731
-            stream, nchan, count
-        )
+    draw = BlockDrawer(len(channels)).draw
 
     buckets = shapes.buckets(channels, assignment.slots * repetitions)
     rows = buckets.rows
@@ -326,3 +203,4 @@ def _run_feedback_compiled(
             ):
                 for node in by_channel[channel]:
                     outputs[node].add(slot)
+    return outputs

@@ -9,7 +9,7 @@ function and a validated container for the assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 
@@ -19,9 +19,6 @@ def rank(node: int, witnesses: Sequence[int]) -> int:
 
     Figure 1's ``rank(pi, W[r])``; determines which feedback channel the
     witness occupies.  Raises when the node is not a witness of the set.
-    One-shot form — code that resolves many ranks against the same
-    assignment uses the precomputed :meth:`WitnessAssignment.rank_map`
-    instead of paying this O(|witnesses|) scan per lookup.
     """
     try:
         return list(witnesses).index(node)
@@ -63,20 +60,6 @@ class WitnessAssignment:
                     f"witness sets overlap on nodes {sorted(overlap)}"
                 )
             seen.update(witness_set)
-        # Precompute each slot's node -> rank map once at construction;
-        # assignments are reused across many repetitions (and, for delta
-        # transfers, across merge levels), so per-lookup index scans would
-        # otherwise dominate the per-round reference paths.  Stored via
-        # object.__setattr__ because the dataclass is frozen; not a field,
-        # so equality/hash/repr are unaffected.
-        object.__setattr__(
-            self,
-            "_rank_maps",
-            tuple(
-                {node: rank for rank, node in enumerate(witness_set)}
-                for witness_set in self.sets
-            ),
-        )
 
     @property
     def slots(self) -> int:
@@ -86,19 +69,6 @@ class WitnessAssignment:
     def witnesses_of(self, slot: int) -> tuple[int, ...]:
         """The witness tuple for ``slot``."""
         return self.sets[slot]
-
-    def rank_map(self, slot: int) -> Mapping[int, int]:
-        """The precomputed ``node -> rank`` map for ``slot`` (O(1) reuse)."""
-        return self._rank_maps[slot]
-
-    def rank_of(self, slot: int, node: int) -> int:
-        """``rank(node, witnesses_of(slot))`` without the per-call scan."""
-        try:
-            return self._rank_maps[slot][node]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"node {node} is not in witness set {slot}"
-            ) from exc
 
     def all_witnesses(self) -> set[int]:
         """Union of all witness sets."""

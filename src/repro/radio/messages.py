@@ -60,8 +60,8 @@ class DeltaFrame:
 
     ``tag``
         The transfer identifier (merge-tree level and direction), exactly as
-        on the full-frame encoding — receivers discard frames from other
-        transfers.
+        on the historical full-frame encoding — receivers discard frames
+        from other transfers.
     ``digest``
         Digest of the frame's full slot coverage (an incremental
         :class:`~repro.fame.digests.SlotSetDigest` value).  Receivers verify
@@ -77,7 +77,7 @@ class DeltaFrame:
         delta does not hash to ``digest``), a frame carrying the explicit
         ``(slot, flag)`` items is the *full-frame resync* escape hatch: the
         receiver abandons the delta machinery for this frame and applies the
-        uncompressed items, exactly as the reference encoding would.
+        uncompressed items, exactly as the full-frame encoding did.
 
     Like every radio payload, all fields are attacker-influencable unless
     the round's broadcast schedule makes spoofing impossible; the digest is

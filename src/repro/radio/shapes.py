@@ -26,8 +26,9 @@ back across invocations:
 
 Everything cached here is shape, never content: buckets are cleared before
 reuse, metadata and template frames are immutable, and nothing observable
-changes whether a cache is shared, fresh per invocation, or absent — the
-feedback equivalence gauntlets assert exactly that.  Consumers must not
+changes whether a cache is shared or fresh per invocation —
+``tests/test_feedback_pipeline.py`` asserts exactly that, and the golden
+digests of ``tests/test_golden.py`` pin the outputs either way.  Consumers must not
 retain a listener group past the invocation that produced it (the same
 rule the engine's reusable :class:`AdversaryView` already imposes).
 """

@@ -33,10 +33,11 @@ rejections dropped at C level) and a ``choice``/``randrange(n)`` loop
 therefore consume **byte-identical** generator state and produce identical
 values: the block sampler pulls exactly ``remaining`` words per pass, and a
 pass can only reach ``remaining`` acceptances on its final word, so it can
-never overshoot the sequential chain.  The feedback equivalence gauntlets
-and the hypothesis properties in
+never overshoot the sequential chain.  The hypothesis properties in
 ``tests/test_schedule_properties.py`` pin values *and* post-draw state
-against the real ``choice``-driven path.  Exotic stream types (anything that
+against the real ``choice``-driven path, and the feedback digests in
+``tests/test_golden.py`` (recorded with per-draw ``choice`` hops) pin it
+in situ.  Exotic stream types (anything that
 is not exactly ``random.Random``) fall back to calling ``choice`` itself on
 every path.
 

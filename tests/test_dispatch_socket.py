@@ -10,10 +10,17 @@ uninterrupted serial run).  CI runs this module as its sweep smoke job.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.dispatch import (
     SerialBackend,
@@ -136,7 +143,63 @@ class TestBatching:
             SocketBackend(workers=2, window=0)
 
 
+_GATED_WORKER = """\
+import sys, time
+from pathlib import Path
+gate = Path(sys.argv[1])
+while not gate.exists():
+    time.sleep(0.05)
+from repro.dispatch.socket_pool import worker_main
+sys.exit(worker_main(sys.argv[2], int(sys.argv[3])))
+"""
+
+
+class _GatedLastWorker(SocketBackend):
+    """Spawns its last worker as a real ``worker_main`` process that
+    starts connecting only once the ``gate`` file exists."""
+
+    def __init__(self, gate: Path, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.gate = gate
+
+    def _spawn(self, count: int) -> None:
+        super()._spawn(count - 1)
+        host, port = self.address
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        self.spawned.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _GATED_WORKER, str(self.gate),
+                 host, str(port)],
+                env=env,
+            )
+        )
+
+
 class TestSocketBackendEndToEnd:
+    def test_late_spawned_worker_is_shut_down_cleanly(self, tmp_path):
+        """A spawned worker that connects only after the last result
+        still gets its shutdown frame: the graceful close waits for its
+        handshake instead of closing the listener under it (the worker
+        would retry for 10 s and then be killed)."""
+        specs = fame_specs(4)
+        serial = SerialBackend().run(specs)
+        gate = tmp_path / "gate"
+        backend = _GatedLastWorker(gate, workers=2, accept_timeout=60.0)
+        applied: list[float] = []
+
+        def open_gate_at_last_result(result) -> None:
+            applied.append(time.monotonic())
+            if len(applied) == len(specs):
+                gate.touch()
+
+        assert backend.run(specs, on_result=open_gate_at_last_result) == serial
+        close_seconds = time.monotonic() - applied[-1]
+        assert [p.wait(timeout=10) for p in backend.spawned] == [0, 0]
+        assert close_seconds < 5.0
+
     def test_two_real_workers_match_serial(self):
         specs = fame_specs(4)
         serial = SerialBackend().run(specs)

@@ -1,16 +1,17 @@
 """Engine equivalence: the sparse fast path resolves exactly like the
 legacy dense-action path.
 
-This PR's flyweight round engine lets callers submit only non-sleeping
-nodes, skips record construction when nothing retains it, and replaces the
+The flyweight round engine lets callers submit only non-sleeping nodes,
+skips record construction when nothing retains it, and replaces the
 per-move pool derivation and n-replica game state with incremental
 structures.  These tests are the safety net: for seeded runs — with and
 without adversaries — the sparse and dense paths must produce identical
-per-round results, byte-identical metrics, canonically identical traces
-(explicit ``Sleep`` entries are semantically absent; see
-:meth:`repro.radio.trace.RoundRecord.canonical_form`), and identical
-``FameResult``s; and the incremental greedy pools must reproduce the
-from-scratch pools move for move.
+per-round results, byte-identical metrics and canonically identical
+traces (explicit ``Sleep`` entries are semantically absent; see
+:meth:`repro.radio.trace.RoundRecord.canonical_form`); whole f-AME runs
+must match the ``FameResult``, metric and trace digests recorded from
+the dense path (``tests/test_golden.py``); and the incremental greedy
+pools must reproduce the from-scratch pools move for move.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.adversary import (
     SweepJammer,
 )
 from repro.fame import run_fame
+from repro.fame.config import Regime
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyPools, greedy_proposal, proposal_pools
 from repro.params import ProtocolParameters
@@ -36,6 +38,7 @@ from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
 from conftest import make_network
+from test_golden import FAME, FAME_SQUARED, fame_digest
 
 
 def _random_actions(rng: random.Random, n: int, channels: int) -> dict:
@@ -219,48 +222,53 @@ class TestGreedyPoolEquivalence:
 
 
 class TestFameProtocolEquivalence:
-    """End-to-end: dense_actions=True replays the legacy engine exactly."""
+    """End-to-end: f-AME runs match digests recorded from the legacy
+    engine (Sleep-padded dense rounds, per-round feedback loops)."""
 
     EDGES = [(0, 1), (2, 3), (4, 5), (1, 6), (7, 8)]
 
-    def _pair(self, adversary_factory, *, n=20, channels=2, t=1, seed=5):
-        results = []
-        traces = []
-        metrics = []
-        for dense in (False, True):
-            net = make_network(
-                n=n, channels=channels, t=t, adversary=adversary_factory()
-            )
-            res = run_fame(
-                net,
-                self.EDGES,
-                rng=RngRegistry(seed=seed),
-                dense_actions=dense,
-            )
-            results.append(res)
-            traces.append(net.trace.canonical_forms())
-            metrics.append(net.metrics)
-        return results, traces, metrics
+    ADVERSARIES = {
+        "null": NullAdversary,
+        "sweep": SweepJammer,
+        "random": lambda: RandomJammer(random.Random(0xC)),
+        "schedule-aware": lambda: ScheduleAwareJammer(
+            random.Random(0xD), policy="prefix"
+        ),
+        "spoof": lambda: SpoofingAdversary(random.Random(0xE)),
+    }
 
-    @pytest.mark.parametrize(
-        "adversary_factory",
-        [
-            NullAdversary,
-            SweepJammer,
-            lambda: RandomJammer(random.Random(0xC)),
-            lambda: ScheduleAwareJammer(random.Random(0xD), policy="prefix"),
-            lambda: SpoofingAdversary(random.Random(0xE)),
-        ],
-        ids=["null", "sweep", "random", "schedule-aware", "spoof"],
-    )
-    def test_sparse_and_dense_runs_identical(self, adversary_factory):
-        (sparse, dense), (t_sparse, t_dense), (m_sparse, m_dense) = self._pair(
-            adversary_factory
+    @staticmethod
+    def _run(adversary, edges, *, n, channels, t, seed):
+        net = make_network(n=n, channels=channels, t=t, adversary=adversary)
+        return run_fame(net, edges, rng=RngRegistry(seed=seed)), net
+
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    def test_sparse_and_dense_runs_identical(self, adversary):
+        result, net = self._run(
+            self.ADVERSARIES[adversary](),
+            self.EDGES,
+            n=20,
+            channels=2,
+            t=1,
+            seed=5,
         )
-        assert sparse.summary() == dense.summary()
-        assert sparse.outcomes == dense.outcomes
-        assert sparse.claimed_cover == dense.claimed_cover
-        assert sparse.starred == dense.starred
-        assert sparse.surrogate_holders == dense.surrogate_holders
-        assert m_sparse == m_dense
-        assert t_sparse == t_dense
+        assert fame_digest(result, net) == FAME[adversary]
+
+    def test_squared_regime_run_matches_golden(self):
+        """C >= 2t^2: every move's feedback is the parallel merge."""
+        edges = [(0, 1), (2, 3), (4, 5), (1, 6), (7, 8), (9, 10), (11, 12),
+                 (3, 13)]
+        result, net = self._run(
+            ScheduleAwareJammer(random.Random(0x5A)),
+            edges,
+            n=40,
+            channels=4,
+            t=1,
+            seed=3,
+        )
+        assert result.config.regime is Regime.SQUARED
+        assert set(net.metrics.rounds_by_phase) == {
+            "ame-transmission",
+            "feedback-parallel",
+        }
+        assert fame_digest(result, net) == FAME_SQUARED

@@ -1,19 +1,19 @@
 """Differential gauntlet: digest/delta knowledge frames vs full frames.
 
-The parallel feedback merge ships, by default, digest/delta encoded
-knowledge frames (:class:`~repro.radio.messages.DeltaFrame`) instead of the
-historical full ``slot -> flag`` maps.  The optimisation obligation (after
-Aspnes' formulation: an optimized exchange must be indistinguishable from
-the naive one under every adversary) is discharged here differentially:
+The parallel feedback merge ships digest/delta encoded knowledge frames
+(:class:`~repro.radio.messages.DeltaFrame`) instead of the historical full
+``slot -> flag`` maps.  The optimisation obligation (after Aspnes'
+formulation: an optimized exchange must be indistinguishable from the
+naive one under every adversary) is discharged here against digests
+recorded from the naive executions (``tests/test_golden.py``):
 
-* seeded delta and full-frame executions produce identical ``D`` maps,
-  identical radio metrics apart from the payload-size counter the delta
-  encoding exists to shrink, and *semantically* identical traces (equal
-  once both encodings are projected onto the knowledge they carry) — for
-  the whole adversary gallery, including a protocol-aware delta-frame
-  spoofer;
-* the compiled-schedule and per-round paths of the delta encoding are
-  byte-identical, like the full-frame paths before them;
+* seeded delta runs match the full-frame runs' ``D`` maps, radio metrics
+  apart from the payload-size counter the delta encoding exists to
+  shrink, and *semantic* traces (both encodings projected onto the
+  knowledge they carry) — for the whole adversary gallery, including a
+  protocol-aware delta-frame spoofer;
+* the compiled schedule is byte-identical to the per-round transfer loop
+  it replaced;
 * a digest mismatch either falls back to the frame's embedded full-frame
   resync payload or drops the frame without corrupting knowledge — both
   branches forced below, in-process and end-to-end through the radio.
@@ -22,7 +22,6 @@ the naive one under every adversary) is discharged here differentially:
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -39,22 +38,31 @@ from repro.extensions.restricted_listening import (
     RestrictedListeningNetwork,
     StickyEavesdropper,
 )
-from repro.feedback.parallel import (
-    MERGE_KIND,
-    DeltaApplyState,
-    run_parallel_feedback,
-)
+from repro.feedback.parallel import DeltaApplyState, run_parallel_feedback
 from repro.radio.actions import Transmit
 from repro.radio.messages import DELTA_KIND, DeltaFrame, Message
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
+from test_golden import (
+    PARALLEL_FEEDBACK,
+    PARALLEL_FULL_FRAME_PAYLOAD_UNITS,
+    PARALLEL_FULL_FRAME_SEMANTIC,
+    RESTRICTED_FULL_FRAME_PAYLOAD_UNITS,
+    RESTRICTED_PARALLEL_FEEDBACK,
+    d_map_form,
+    json_forms,
+    metrics_form,
+    network_digest,
+    sha,
+)
+
 
 def _forge_delta(view, channel):
     """A protocol-aware forgery: a delta frame with a bogus digest aimed at
     the active transfer.  Every block channel carries an honest broadcaster,
-    so this can only collide — the gauntlet proves both encodings shrug it
-    off identically."""
+    so this can only collide — the gauntlet proves the delta encoding
+    shrugs it off exactly like the full-frame one did."""
     tag = view.meta.extra.get("tag") if view.meta.extra else None
     return Message(
         kind=DELTA_KIND,
@@ -80,43 +88,40 @@ ADVERSARIES = {
 }
 
 
-def _run(adversary_factory, *, delta, compiled=True, seed=9, state=None):
+def _run(adversary_factory, *, seed=9, state=None):
     n, channels, t = 60, 8, 2
     net = RadioNetwork(n, channels, t, adversary=adversary_factory())
     witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
     flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
     if state is None:
-        state = DeltaApplyState() if delta else None
+        state = DeltaApplyState()
     out = run_parallel_feedback(
         net,
         witness_sets,
         flags,
         list(range(n)),
         RngRegistry(seed=seed),
-        compiled=compiled,
-        delta_frames=delta,
         delta_state=state,
     )
     return out, net, state
 
 
 def _knowledge_view(msg):
-    """Project a knowledge frame of either encoding onto what it *means*:
-    (sender claim, transfer tag, true-slot set).  Non-knowledge payloads
-    pass through unchanged."""
+    """Project a knowledge frame onto what it *means*: (sender claim,
+    transfer tag, true slots) — the form both encodings shared, so the
+    full-frame run's digest applies.  Non-knowledge payloads pass through
+    unchanged."""
     if not isinstance(msg, Message):
         return msg
-    if msg.kind == MERGE_KIND:
-        tag, items = msg.payload
-        return ("knowledge", msg.sender, tag, frozenset(s for s, f in items if f))
     if msg.kind == DELTA_KIND and isinstance(msg.payload, DeltaFrame):
         frame = msg.payload
-        return ("knowledge", msg.sender, frame.tag, frozenset(frame.true_slots))
+        return ("knowledge", msg.sender, frame.tag, frame.true_slots)
     return msg
 
 
 def _semantic_trace(net):
-    """Canonical forms with knowledge frames normalized across encodings."""
+    """Canonical forms with knowledge frames projected by
+    :func:`_knowledge_view`."""
     out = []
     for form in net.trace.canonical_forms():
         actions = {}
@@ -145,12 +150,16 @@ def _semantic_trace(net):
     return out
 
 
-def _metrics_except_payload(metrics):
-    return {
-        f.name: getattr(metrics, f.name)
-        for f in fields(metrics)
-        if f.name != "payload_units"
-    }
+def _semantic_digest(out, net):
+    """The ``D`` map, every metric but ``payload_units``, and the semantic
+    trace — what the delta and full-frame encodings must agree on."""
+    return sha(
+        [
+            d_map_form(out),
+            metrics_form(net.metrics, exclude=("payload_units",)),
+            json_forms(_semantic_trace(net)),
+        ]
+    )
 
 
 class TestDeltaVersusFullFrame:
@@ -158,18 +167,13 @@ class TestDeltaVersusFullFrame:
 
     @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
     def test_d_maps_metrics_and_semantic_traces_match(self, adversary):
-        factory = ADVERSARIES[adversary]
-        full_out, full_net, _ = _run(factory, delta=False)
-        delta_out, delta_net, state = _run(factory, delta=True)
-        assert delta_out == full_out
-        assert _metrics_except_payload(
-            delta_net.metrics
-        ) == _metrics_except_payload(full_net.metrics)
-        # The counter the encoding exists to shrink, and nothing else.
+        out, net, state = _run(ADVERSARIES[adversary])
         assert (
-            delta_net.metrics.payload_units < full_net.metrics.payload_units
+            _semantic_digest(out, net)
+            == PARALLEL_FULL_FRAME_SEMANTIC[adversary]
         )
-        assert _semantic_trace(delta_net) == _semantic_trace(full_net)
+        # The counter the encoding exists to shrink, and nothing else.
+        assert net.metrics.payload_units < PARALLEL_FULL_FRAME_PAYLOAD_UNITS
         # Honest frames always verify: the escape hatch stays cold.
         assert state.digest_mismatches == 0
         assert state.resyncs == 0
@@ -178,23 +182,16 @@ class TestDeltaVersusFullFrame:
         "adversary", ["none", "random", "schedule-aware", "spoof-delta"]
     )
     def test_compiled_and_per_round_delta_byte_identical(self, adversary):
-        factory = ADVERSARIES[adversary]
-        fast_out, fast_net, _ = _run(factory, delta=True, compiled=True)
-        ref_out, ref_net, _ = _run(factory, delta=True, compiled=False)
-        assert fast_out == ref_out
-        assert fast_net.metrics == ref_net.metrics
-        assert (
-            fast_net.trace.canonical_forms()
-            == ref_net.trace.canonical_forms()
-        )
+        out, net, _ = _run(ADVERSARIES[adversary])
+        assert network_digest(out, net) == PARALLEL_FEEDBACK[adversary]
 
     def test_outputs_correct_under_jamming(self):
-        out, _net, _state = _run(ADVERSARIES["random"], delta=True)
+        out, _net, _state = _run(ADVERSARIES["random"])
         expected = {0, 2, 3}
         assert all(d == expected for d in out.values())
 
     def test_applied_digest_tracking_short_circuits_repeats(self):
-        _out, _net, state = _run(ADVERSARIES["none"], delta=True)
+        _out, _net, state = _run(ADVERSARIES["none"])
         assert state.applications > 0
         # Every decode after a listener's first is an O(1) skip — with no
         # jamming, listeners decode in (almost) every repetition, so skips
@@ -268,18 +265,14 @@ class TestDigestMismatchResync:
         from repro.errors import ConfigurationError
 
         state = DeltaApplyState()
-        _out, _net, _ = _run(
-            ADVERSARIES["none"], delta=True, state=state
-        )
+        _out, _net, _ = _run(ADVERSARIES["none"], state=state)
         with pytest.raises(ConfigurationError):
-            _run(ADVERSARIES["none"], delta=True, state=state)
+            _run(ADVERSARIES["none"], state=state)
 
     def test_forced_mismatch_resyncs_end_to_end(self, monkeypatch):
         """Corrupt every sender digest in flight; the embedded full-frame
-        payload must carry the whole invocation to the reference outcome."""
+        payload must carry the whole invocation to the true flag set."""
         import repro.feedback.parallel as parallel_module
-
-        reference_out, _net, _ = _run(ADVERSARIES["random"], delta=False)
 
         real = parallel_module._delta_payload
 
@@ -289,12 +282,12 @@ class TestDigestMismatchResync:
                 tag=frame.tag,
                 digest=b"\xff" * 32,
                 true_slots=frame.true_slots,
-                full=tuple(sorted(group.knowledge.items())),
+                full=tuple((slot, True) for slot in group.true_slots),
             )
 
         monkeypatch.setattr(parallel_module, "_delta_payload", corrupted)
-        out, _net, state = _run(ADVERSARIES["random"], delta=True)
-        assert out == reference_out
+        out, _net, state = _run(ADVERSARIES["random"])
+        assert all(d == {0, 2, 3} for d in out.values())
         assert state.digest_mismatches > 0
         assert state.resyncs == state.digest_mismatches
 
@@ -315,7 +308,7 @@ class TestDigestMismatchResync:
             )
 
         monkeypatch.setattr(parallel_module, "_delta_payload", corrupted)
-        out, _net, state = _run(ADVERSARIES["none"], delta=True)
+        out, _net, state = _run(ADVERSARIES["none"])
         assert state.digest_mismatches > 0 and state.resyncs == 0
         witness_slot = {w: s for s in range(4) for w in range(s * 4, s * 4 + 4)}
         for node, d in out.items():
@@ -326,10 +319,10 @@ class TestDigestMismatchResync:
 
 class TestRestrictedListeningDelta:
     """Compiled schedules carrying delta frames ride the execute_round
-    fallback of RestrictedListeningNetwork unchanged (the fallback was
-    previously only exercised with plain full-frame rounds)."""
+    fallback of RestrictedListeningNetwork unchanged: the run's digest,
+    redacted trace included, equals the per-round reference's."""
 
-    def _run(self, *, delta, compiled):
+    def _run(self):
         n, channels, t = 24, 8, 2
         net = RestrictedListeningNetwork(
             n, channels, t, StickyEavesdropper([1, 3])
@@ -342,34 +335,16 @@ class TestRestrictedListeningDelta:
             flags,
             list(range(n)),
             RngRegistry(seed=13),
-            compiled=compiled,
-            delta_frames=delta,
         )
         return out, net
 
     def test_compiled_delta_matches_per_round_delta(self):
-        fast_out, fast_net = self._run(delta=True, compiled=True)
-        ref_out, ref_net = self._run(delta=True, compiled=False)
-        assert fast_out == ref_out
-        assert fast_net.metrics == ref_net.metrics
-        assert (
-            fast_net.trace.canonical_forms()
-            == ref_net.trace.canonical_forms()
-        )
-        assert (
-            fast_net.redacted_trace.canonical_forms()
-            == ref_net.redacted_trace.canonical_forms()
-        )
-        assert (
-            fast_net.observed_channel_rounds
-            == ref_net.observed_channel_rounds
-        )
+        out, net = self._run()
+        assert network_digest(out, net) == RESTRICTED_PARALLEL_FEEDBACK
 
     def test_delta_matches_full_frame_outputs(self):
-        delta_out, delta_net = self._run(delta=True, compiled=True)
-        full_out, full_net = self._run(delta=False, compiled=True)
-        assert delta_out == full_out
-        assert all(d == {0, 1, 3} for d in delta_out.values())
+        out, net = self._run()
+        assert all(d == {0, 1, 3} for d in out.values())
         assert (
-            delta_net.metrics.payload_units < full_net.metrics.payload_units
+            net.metrics.payload_units < RESTRICTED_FULL_FRAME_PAYLOAD_UNITS
         )

@@ -1,15 +1,16 @@
 """The schedule-driven feedback pipeline resolves exactly like the
-per-round path.
+per-round loop it replaced.
 
-This PR compiles the oblivious feedback loops (Figure 1 repetitions,
-parallel-merge transfer rounds) into precompiled
+The oblivious feedback loops (Figure 1 repetitions, parallel-merge
+transfer rounds) run as precompiled
 :class:`~repro.radio.network.RoundSchedule` batches resolved by
 :meth:`~repro.radio.network.RadioNetwork.execute_schedule` with lazy,
 channel-grouped listener settlement and a sparse per-round delivery
 record.  These tests are the safety net: for seeded runs — including
 under jamming and spoofing adversaries — the compiled pipeline must
-return ``D`` maps, metrics, and canonical traces identical to the
-historical one-``execute_round``-per-repetition implementation.
+return ``D`` maps, metrics, and canonical traces whose digests equal the
+ones recorded from the one-``execute_round``-per-repetition reference
+(``tests/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -39,13 +40,20 @@ from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSch
 from repro.radio.trace import SparseDelivered
 from repro.rng import RngRegistry
 
+from test_golden import (
+    PARALLEL_FEEDBACK,
+    SERIAL_FEEDBACK,
+    SERIAL_FEEDBACK_NO_TRACE,
+    network_digest,
+)
+
 
 def _forge_feedback_true(view, channel):
     """A protocol-aware forgery: fake ``<true, r>`` for the active slot.
 
     Lemma 5's parenthetical says this can only collide (every feedback
     channel carries an honest witness); the equivalence tests run it to
-    prove the compiled path handles spoof attempts identically anyway.
+    prove the compiled path handles spoof attempts like the reference.
     """
     slot = view.meta.extra.get("slot", 0) if view.meta.extra else 0
     return Message(kind=FEEDBACK_KIND, sender=1, payload=("true", slot))
@@ -64,17 +72,9 @@ ADVERSARIES = {
 
 
 class TestFeedbackEquivalence:
-    """Compiled vs per-round `run_feedback` over seeded executions."""
+    """Seeded `run_feedback` against the per-round reference's digests."""
 
-    def _run(
-        self,
-        adversary_factory,
-        compiled,
-        *,
-        keep_trace=True,
-        seed=7,
-        **kwargs,
-    ):
+    def _run(self, adversary_factory, *, keep_trace=True, seed=7, **kwargs):
         n, channels, t = 40, 3, 2
         net = RadioNetwork(
             n, channels, t, adversary=adversary_factory(), keep_trace=keep_trace
@@ -88,44 +88,30 @@ class TestFeedbackEquivalence:
             flags,
             list(range(n)),
             RngRegistry(seed=seed),
-            compiled=compiled,
             **kwargs,
         )
         return out, net
 
     @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
     def test_outputs_metrics_and_traces_match(self, adversary):
-        factory = ADVERSARIES[adversary]
-        legacy_out, legacy_net = self._run(factory, compiled=False)
-        fast_out, fast_net = self._run(factory, compiled=True)
-        assert fast_out == legacy_out
-        assert fast_net.metrics == legacy_net.metrics
-        assert (
-            fast_net.trace.canonical_forms()
-            == legacy_net.trace.canonical_forms()
-        )
+        out, net = self._run(ADVERSARIES[adversary])
+        assert network_digest(out, net) == SERIAL_FEEDBACK[adversary]
 
     def test_keep_trace_false_preserves_outputs_and_metrics(self):
-        factory = ADVERSARIES["random"]
-        legacy_out, legacy_net = self._run(
-            factory, compiled=False, keep_trace=False
-        )
-        fast_out, fast_net = self._run(
-            factory, compiled=True, keep_trace=False
-        )
-        assert fast_out == legacy_out
-        assert fast_net.metrics == legacy_net.metrics
-        assert len(fast_net.trace) == 0
+        out, net = self._run(ADVERSARIES["random"], keep_trace=False)
+        assert len(net.trace) == 0
+        assert network_digest(out, net) == SERIAL_FEEDBACK_NO_TRACE
 
 
 class TestParallelFeedbackEquivalence:
-    """Compiled vs per-round merge-tree transfers, seeded."""
+    """Seeded merge-tree transfers against the per-round reference's
+    digests."""
 
     PARALLEL_ADVERSARIES = {
         k: v for k, v in ADVERSARIES.items() if k != "spoof-feedback"
     }
 
-    def _run(self, adversary_factory, compiled, *, seed=9, **kwargs):
+    def _run(self, adversary_factory, *, seed=9, **kwargs):
         n, channels, t = 60, 8, 2
         net = RadioNetwork(n, channels, t, adversary=adversary_factory())
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
@@ -138,25 +124,17 @@ class TestParallelFeedbackEquivalence:
             flags,
             list(range(n)),
             RngRegistry(seed=seed),
-            compiled=compiled,
             **kwargs,
         )
         return out, net
 
     @pytest.mark.parametrize("adversary", sorted(PARALLEL_ADVERSARIES))
     def test_outputs_metrics_and_traces_match(self, adversary):
-        factory = self.PARALLEL_ADVERSARIES[adversary]
-        legacy_out, legacy_net = self._run(factory, compiled=False)
-        fast_out, fast_net = self._run(factory, compiled=True)
-        assert fast_out == legacy_out
-        assert fast_net.metrics == legacy_net.metrics
-        assert (
-            fast_net.trace.canonical_forms()
-            == legacy_net.trace.canonical_forms()
-        )
+        out, net = self._run(self.PARALLEL_ADVERSARIES[adversary])
+        assert network_digest(out, net) == PARALLEL_FEEDBACK[adversary]
 
     def test_outputs_are_correct_under_jamming(self):
-        out, _net = self._run(ADVERSARIES["random"], compiled=True)
+        out, _net = self._run(ADVERSARIES["random"])
         expected = {0, 2, 3}
         assert all(d == expected for d in out.values())
 
@@ -164,51 +142,17 @@ class TestParallelFeedbackEquivalence:
 class TestBlockDrawEquivalence:
     """The block-draw hop sampler and the shape cache are invisible.
 
-    ``block_draws=False`` is the reference hatch: compiled scheduling with
-    the historical one-``draw_uniform_indices``-call-per-listener-slot
-    chain.  Block draws must match it byte-for-byte (outputs, metrics,
-    canonical traces — and, since the traces embed every hop, the exact
-    generator consumption).  Likewise a shared ``ScheduleShapeCache`` must
-    be pure behaviour-wise: cached bucket blocks, metas, and stream tables
-    change allocation, never results.
+    Block draws reproduce the per-draw ``stream.choice`` chain byte for
+    byte: the hypothesis property in ``test_schedule_properties.py``
+    checks the sampler alone, and the golden digests above (recorded with
+    per-draw hops) check it in situ, since the traces embed every hop.
+    Likewise a shared ``ScheduleShapeCache`` must be pure behaviour-wise:
+    cached bucket blocks, metas, and stream tables change allocation,
+    never results.
     """
 
     serial = TestFeedbackEquivalence()
     parallel = TestParallelFeedbackEquivalence()
-
-    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
-    def test_serial_block_draws_match_loop_draws(self, adversary):
-        factory = ADVERSARIES[adversary]
-        loop_out, loop_net = self.serial._run(
-            factory, compiled=True, block_draws=False
-        )
-        block_out, block_net = self.serial._run(
-            factory, compiled=True, block_draws=True
-        )
-        assert block_out == loop_out
-        assert block_net.metrics == loop_net.metrics
-        assert (
-            block_net.trace.canonical_forms()
-            == loop_net.trace.canonical_forms()
-        )
-
-    @pytest.mark.parametrize(
-        "adversary", sorted(TestParallelFeedbackEquivalence.PARALLEL_ADVERSARIES)
-    )
-    def test_parallel_block_draws_match_loop_draws(self, adversary):
-        factory = self.parallel.PARALLEL_ADVERSARIES[adversary]
-        loop_out, loop_net = self.parallel._run(
-            factory, compiled=True, block_draws=False
-        )
-        block_out, block_net = self.parallel._run(
-            factory, compiled=True, block_draws=True
-        )
-        assert block_out == loop_out
-        assert block_net.metrics == loop_net.metrics
-        assert (
-            block_net.trace.canonical_forms()
-            == loop_net.trace.canonical_forms()
-        )
 
     def test_serial_shared_shape_cache_is_pure(self):
         from repro.radio import ScheduleShapeCache
@@ -216,13 +160,10 @@ class TestBlockDrawEquivalence:
         cache = ScheduleShapeCache()
         for seed in (7, 8, 9, 7):  # repeat seed 7: warm-cache re-run
             fresh_out, fresh_net = self.serial._run(
-                ADVERSARIES["random"], compiled=True, seed=seed
+                ADVERSARIES["random"], seed=seed
             )
             cached_out, cached_net = self.serial._run(
-                ADVERSARIES["random"],
-                compiled=True,
-                seed=seed,
-                shape_cache=cache,
+                ADVERSARIES["random"], seed=seed, shape_cache=cache
             )
             assert cached_out == fresh_out
             assert cached_net.metrics == fresh_net.metrics
@@ -237,13 +178,10 @@ class TestBlockDrawEquivalence:
         cache = ScheduleShapeCache()
         for seed in (9, 10, 9):
             fresh_out, fresh_net = self.parallel._run(
-                ADVERSARIES["sweep"], compiled=True, seed=seed
+                ADVERSARIES["sweep"], seed=seed
             )
             cached_out, cached_net = self.parallel._run(
-                ADVERSARIES["sweep"],
-                compiled=True,
-                seed=seed,
-                shape_cache=cache,
+                ADVERSARIES["sweep"], seed=seed, shape_cache=cache
             )
             assert cached_out == fresh_out
             assert cached_net.metrics == fresh_net.metrics
@@ -251,65 +189,6 @@ class TestBlockDrawEquivalence:
                 cached_net.trace.canonical_forms()
                 == fresh_net.trace.canonical_forms()
             )
-
-
-class TestGroupKeyByteIdentity:
-    """Whole protocol runs are byte-identical to the pre-block-draw tree.
-
-    The digests below were recorded on the commit *before* the block-draw
-    engine landed, over (group key, holders, expected leader, round /
-    payload / collision counters, and the full canonical trace — every
-    hop of every node).  Matching them proves the batched samplers and
-    the shape cache reproduce the historical generator consumption
-    exactly, end to end, through all three group-key parts.
-    """
-
-    PLAIN_DIGEST = (
-        "caf9db3c5f00e2e548a628e4b35526d9ec784d082d79f3a2393139878e7af065"
-    )
-    JAMMED_DIGEST = (
-        "3ba37cd8357ce3ee46c9649fb172371a080568d5ab34e23f98705bc5c512a777"
-    )
-
-    @staticmethod
-    def _fingerprint(seed, adversary=None):
-        import hashlib
-        import json
-
-        from repro.crypto.dh import TEST_GROUP_64
-        from repro.groupkey import establish_group_key
-
-        net = RadioNetwork(18, 2, 1, adversary=adversary)
-        res = establish_group_key(
-            net, RngRegistry(seed=seed), group=TEST_GROUP_64
-        )
-        material = repr(
-            (
-                None if res.group_key is None else res.group_key.hex(),
-                sorted(res.holders()),
-                res.expected_leader,
-                net.metrics.rounds,
-                net.metrics.payload_units,
-                net.metrics.collisions,
-                [
-                    json.dumps(r, sort_keys=True, default=repr)
-                    for r in net.trace.canonical_forms()
-                ],
-            )
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
-
-    def test_plain_run_matches_pre_change_tree(self):
-        assert self._fingerprint(7) == self.PLAIN_DIGEST
-
-    def test_jammed_run_matches_pre_change_tree(self):
-        assert (
-            self._fingerprint(
-                11,
-                adversary=RandomJammer(random.Random(0xFEED), intensity=1.0),
-            )
-            == self.JAMMED_DIGEST
-        )
 
 
 def _random_compiled_round(rng, n, channels):
