@@ -1,32 +1,23 @@
-"""Engine microbenchmark: rounds/sec and moves/sec across the stack.
+"""Engine microbenchmark: game moves/sec and Invariant-1 certs/sec.
 
-Measures the three layers this repo's simulations are gated on, at
-``n ∈ {64, 256, 1024}``:
+Measures the two game-layer structures f-AME is gated on, at
+``n ∈ {64, 256, 1024}``, each against its from-scratch reference:
 
-1. **Radio rounds/sec** — a representative f-AME-shaped transmission round
-   (a few busy channels, one transmitter + a witness group of listeners
-   each) resolved two ways:
-
-   * ``legacy_dense``: the pre-PR cost model — every idle node submits an
-     explicit ``Sleep``, per-round action validation on, the full
-     ``RoundRecord`` built and retained;
-   * ``sparse_fast``: only non-sleeping nodes submitted, validation off
-     (``ProtocolParameters(validate_actions=False)``), trace retention off
-     (which now skips record construction and the spoof scan entirely).
-
-2. **Game moves/sec** — greedy proposal + grant application with the pools
-   re-derived from scratch each move (pre-PR) vs the incremental
+1. **Game moves/sec** — greedy proposal + grant application with the pools
+   re-derived from scratch each move vs the incremental
    :class:`repro.game.greedy.GreedyPools`.
 
-3. **Invariant-1 certifications/sec** — asserting that all ``n`` replicas
-   agree, by hashing ``n`` full sorted state snapshots (pre-PR) vs
-   comparing ``n`` incrementally-advanced fingerprints.
+2. **Invariant-1 certifications/sec** — asserting that all ``n`` replicas
+   agree, by hashing ``n`` full sorted state snapshots vs comparing ``n``
+   incrementally-advanced fingerprints.
+
+Radio rounds are timed end to end by ``perfbench/`` (``radio.us_per_round``
+on the ``fame`` and ``groupkey`` workloads), not here.
 
 Run ``PYTHONPATH=src python benchmarks/bench_engine.py`` to regenerate
 ``benchmarks/BENCH_engine.json`` (the committed perf trajectory for future
 PRs), or with ``--quick`` for the CI smoke invocation (small sizes, no
-file written, non-zero exit if the n-max radio speedup drops below the
-``--min-speedup`` floor).
+file written).
 """
 
 from __future__ import annotations
@@ -34,38 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import sys
 import time
 from pathlib import Path
 
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyPools, GreedyTermination, greedy_proposal
-from repro.params import ProtocolParameters
-from repro.radio.actions import SLEEP, Listen, Transmit
-from repro.radio.messages import Message
-from repro.radio.network import RadioNetwork
-
-CHANNELS = 8
-BUSY_CHANNELS = 4
-WITNESSES_PER_CHANNEL = 3
-T = 1
-
-
-def _round_actions(n: int) -> dict:
-    """One f-AME-shaped sparse round: BUSY_CHANNELS broadcasts, each with
-    a destination listener and a small witness group."""
-    actions = {}
-    node = 0
-    for channel in range(BUSY_CHANNELS):
-        actions[node] = Transmit(
-            channel, Message(kind="bench", sender=node, payload=("m", node))
-        )
-        node += 1
-        for _ in range(1 + WITNESSES_PER_CHANNEL):  # destination + witnesses
-            actions[node] = Listen(channel)
-            node += 1
-    assert node <= n, "population too small for the bench workload"
-    return actions
 
 
 def _time(fn, *, min_seconds: float) -> tuple[float, int]:
@@ -79,37 +43,6 @@ def _time(fn, *, min_seconds: float) -> tuple[float, int]:
         if elapsed >= min_seconds:
             return elapsed, iterations
         iterations *= 4
-
-
-def bench_radio(n: int, *, sparse: bool, min_seconds: float) -> float:
-    """Rounds/sec for the representative round in one submission style."""
-    base = _round_actions(n)
-    if sparse:
-        # The lean fast-path configuration: per-round validation and
-        # payload metering both gated off (each is id-cache-free work the
-        # trusted benchmark driver does not need).
-        params = ProtocolParameters(
-            validate_actions=False, meter_payloads=False
-        ).validate()
-        actions = base
-        keep_trace = False
-    else:
-        params = ProtocolParameters().validate()
-        actions = dict(base)
-        for node in range(n):
-            actions.setdefault(node, SLEEP)
-        keep_trace = True
-
-    def run(iterations: int) -> None:
-        net = RadioNetwork(
-            n, CHANNELS, T, params=params, keep_trace=keep_trace
-        )
-        execute = net.execute_round
-        for _ in range(iterations):
-            execute(actions)
-
-    elapsed, iterations = _time(run, min_seconds=min_seconds)
-    return iterations / elapsed
 
 
 def _bench_edges(n: int) -> list[tuple[int, int]]:
@@ -183,18 +116,10 @@ def bench_invariant1(n: int, *, fingerprints: bool, min_seconds: float) -> float
 
 def run_suite(sizes: list[int], min_seconds: float) -> dict:
     results: dict = {
-        "radio_rounds_per_sec": {},
         "game_moves_per_sec": {},
         "invariant1_certs_per_sec": {},
     }
     for n in sizes:
-        legacy = bench_radio(n, sparse=False, min_seconds=min_seconds)
-        fast = bench_radio(n, sparse=True, min_seconds=min_seconds)
-        results["radio_rounds_per_sec"][str(n)] = {
-            "legacy_dense": round(legacy, 1),
-            "sparse_fast": round(fast, 1),
-            "speedup": round(fast / legacy, 2),
-        }
         scratch = bench_game(n, incremental=False, min_seconds=min_seconds)
         pooled = bench_game(n, incremental=True, min_seconds=min_seconds)
         results["game_moves_per_sec"][str(n)] = {
@@ -222,12 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         help="CI smoke: small sizes, short timings, no JSON written",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=5.0,
-        help="fail (exit 1) if the largest-n radio speedup drops below this",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=Path(__file__).parent / "BENCH_engine.json",
@@ -245,16 +164,10 @@ def main(argv: list[str] | None = None) -> int:
             cells = "  ".join(f"{k}={v}" for k, v in row.items())
             print(f"  n={n:>5}  {cells}")
 
-    n_max = str(max(sizes))
-    radio_speedup = results["radio_rounds_per_sec"][n_max]["speedup"]
     if not args.quick:
         payload = {
             "generated_by": "benchmarks/bench_engine.py",
             "workload": {
-                "channels": CHANNELS,
-                "busy_channels": BUSY_CHANNELS,
-                "witnesses_per_channel": WITNESSES_PER_CHANNEL,
-                "t": T,
                 "game_t": 4,
                 "edges": "2n ring+chord pairs (see _bench_edges)",
             },
@@ -263,15 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {args.json}")
-
-    if radio_speedup < args.min_speedup:
-        print(
-            f"FAIL: radio speedup at n={n_max} is {radio_speedup}x "
-            f"(< {args.min_speedup}x floor)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"\nOK: radio speedup at n={n_max} is {radio_speedup}x")
     return 0
 
 

@@ -175,22 +175,17 @@ def _sweep_backend(args: argparse.Namespace):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = SweepSpec(
-            workloads=tuple(args.workloads),
-            ns=tuple(args.nodes),
-            channels=tuple(args.channels),
-            ts=tuple(args.strengths),
-            adversaries=tuple(args.adversaries),
-            trials=args.trials,
-            seed=args.seed,
-            pairs=args.pairs,
-        )
-        backend = _sweep_backend(args)
-    except ConfigurationError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
-
+    spec = SweepSpec(
+        workloads=tuple(args.workloads),
+        ns=tuple(args.nodes),
+        channels=tuple(args.channels),
+        ts=tuple(args.strengths),
+        adversaries=tuple(args.adversaries),
+        trials=args.trials,
+        seed=args.seed,
+        pairs=args.pairs,
+    )
+    backend = _sweep_backend(args)
     total_points = len(spec.points())
 
     def on_point_complete(point, section) -> None:
@@ -215,9 +210,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     try:
         report = runner.run()
-    except ConfigurationError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
     except SweepInterrupted:
         partial = runner.state.partial_report()
         done = f"{partial['completed_trials']}/{partial['total_trials']}"
@@ -282,22 +274,14 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    try:
-        host, port = parse_endpoint(args.connect)
-    except ConfigurationError as exc:
-        print(f"repro worker: {exc}", file=sys.stderr)
-        return 2
+    host, port = parse_endpoint(args.connect)
     return worker_main(host, port, retry_seconds=args.retry_seconds)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import serve_main
 
-    try:
-        host, port = parse_endpoint(args.bind)
-    except ConfigurationError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    host, port = parse_endpoint(args.bind)
     return serve_main(
         seed=args.seed,
         host=host,
@@ -311,11 +295,7 @@ def cmd_serve_client(args: argparse.Namespace) -> int:
     from .errors import ServiceError
     from .serve import ServiceClient
 
-    try:
-        host, port = parse_endpoint(args.connect)
-    except ConfigurationError as exc:
-        print(f"repro serve-client: {exc}", file=sys.stderr)
-        return 2
+    host, port = parse_endpoint(args.connect)
     try:
         with ServiceClient(host, port, name="cli") as client:
             return _serve_client_action(client, args)
@@ -677,9 +657,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A :class:`ConfigurationError` from any command (an unrunnable shape, a
+    malformed endpoint, an unusable journal) is a usage error: one
+    ``repro <command>: <reason>`` line on stderr and exit code 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

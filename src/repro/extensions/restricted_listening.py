@@ -33,12 +33,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError, ProtocolViolation
 from ..radio.actions import Action, Listen, Transmit
 from ..radio.messages import Message, Transmission
-from ..radio.network import AdversaryView, RadioNetwork, RoundMeta
+from ..radio.network import (
+    AdversaryView,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+)
 from ..radio.trace import ExecutionTrace, RoundRecord
 from ..rng import RngRegistry
 
@@ -67,6 +72,20 @@ class MonitoringAdversary(abc.ABC):
         """Clear per-execution state."""
 
 
+class _Committed:
+    """Stands in for the monitoring adversary inside the base resolver,
+    replaying the transmissions it committed before the round (the base
+    validates them against the model like any adversary's)."""
+
+    needs_history = False
+
+    def __init__(self, transmissions: Sequence[Transmission]) -> None:
+        self._transmissions = transmissions
+
+    def act(self, _view: AdversaryView) -> Sequence[Transmission]:
+        return self._transmissions
+
+
 class RestrictedListeningNetwork(RadioNetwork):
     """A radio network whose adversary sees only monitored channels.
 
@@ -76,12 +95,11 @@ class RestrictedListeningNetwork(RadioNetwork):
     that "the adversary learns all random choices of completed rounds" is
     deliberately dropped — that is the whole point of the Q2 model.
 
-    Compiled :class:`~repro.radio.network.RoundSchedule` submissions are
-    supported: because this class overrides :meth:`execute_round`, the base
-    :meth:`~repro.radio.network.RadioNetwork.execute_schedule` detects the
-    customisation and expands each compiled round through the override, so
-    the monitor-before-act semantics and per-round redaction apply to
-    schedule-driven protocols unchanged.
+    The override sits on
+    :meth:`~repro.radio.network.RadioNetwork.execute_schedule`, the one
+    round resolver, which per-node rounds reach through
+    :meth:`~repro.radio.network.RadioNetwork.execute_round`: monitoring
+    before acting and per-round redaction apply to both entry points.
     """
 
     def __init__(
@@ -119,62 +137,57 @@ class RestrictedListeningNetwork(RadioNetwork):
             meta=meta,
         )
 
-    def execute_round(
-        self,
-        actions: Mapping[int, Action],
-        meta: RoundMeta | None = None,
-    ) -> dict[int, Message | None]:
-        """Resolve one round with monitoring-before-acting semantics."""
-        meta = meta or RoundMeta()
-        view = self._redacted_view(meta)
-        monitored = sorted(set(self._monitoring_adversary.monitor(view)))
-        if len(monitored) > self.listen_budget:
-            raise ProtocolViolation(
-                f"adversary monitored {len(monitored)} channels; "
-                f"listen budget is {self.listen_budget}"
+    def execute_schedule(
+        self, schedule: RoundSchedule
+    ) -> list[dict[int, Message]]:
+        """Resolve each round with monitoring-before-acting semantics.
+
+        Per round, the adversary picks the channels to monitor and commits
+        its transmissions on the redacted history; one ``super()`` call
+        resolves the round, and its redacted record is appended.
+        """
+        heard: list[dict[int, Message]] = []
+        for cr in schedule.rounds:
+            view = self._redacted_view(cr.meta)
+            monitored = sorted(set(self._monitoring_adversary.monitor(view)))
+            if len(monitored) > self.listen_budget:
+                raise ProtocolViolation(
+                    f"adversary monitored {len(monitored)} channels; "
+                    f"listen budget is {self.listen_budget}"
+                )
+            if any(not 0 <= c < self.channels for c in monitored):
+                raise ProtocolViolation("monitored channel out of range")
+
+            self.adversary = _Committed(
+                tuple(self._monitoring_adversary.act(view))
             )
-        if any(not 0 <= c < self.channels for c in monitored):
-            raise ProtocolViolation("monitored channel out of range")
+            try:
+                heard += super().execute_schedule(RoundSchedule((cr,)))
+            finally:
+                self.adversary = None
 
-        transmissions = tuple(self._monitoring_adversary.act(view))
-        self._validate_adversary(list(transmissions))
-
-        class _OneShot:
-            """Adapter feeding the pre-committed transmissions through the
-            base class's resolution path."""
-
-            needs_history = False
-
-            def act(self, _view):
-                return transmissions
-
-        self.adversary = _OneShot()
-        try:
-            results = super().execute_round(actions, meta)
-        finally:
-            self.adversary = None
-
-        # Build the redacted record the adversary will remember.
-        full = self.trace[len(self.trace) - 1]
-        self.observed_channel_rounds += len(monitored)
-        monitored_set = set(monitored)
-        redacted = RoundRecord(
-            index=full.index,
-            actions={
-                node: action
-                for node, action in full.actions.items()
-                if isinstance(action, Transmit)
-                and action.channel in monitored_set
-            },
-            adversary_transmissions=full.adversary_transmissions,
-            delivered={
-                channel: (msg if channel in monitored_set else None)
-                for channel, msg in full.delivered.items()
-            },
-            meta=dict(full.meta, monitored=tuple(monitored)),
-        )
-        self.redacted_trace.append(redacted)
-        return results
+            # Build the redacted record the adversary will remember.
+            full = self.trace[len(self.trace) - 1]
+            self.observed_channel_rounds += len(monitored)
+            monitored_set = set(monitored)
+            self.redacted_trace.append(
+                RoundRecord(
+                    index=full.index,
+                    actions={
+                        node: action
+                        for node, action in full.actions.items()
+                        if isinstance(action, Transmit)
+                        and action.channel in monitored_set
+                    },
+                    adversary_transmissions=full.adversary_transmissions,
+                    delivered={
+                        channel: (msg if channel in monitored_set else None)
+                        for channel, msg in full.delivered.items()
+                    },
+                    meta=dict(full.meta, monitored=tuple(monitored)),
+                )
+            )
+        return heard
 
 
 class StickyEavesdropper(MonitoringAdversary):

@@ -42,8 +42,8 @@ class GroupKeyResult:
         Radio rounds consumed by each part.
     part1_payload_units, part2_payload_units, part3_payload_units:
         Honest wire size shipped by each part
-        (:attr:`~repro.radio.metrics.NetworkMetrics.payload_units` deltas;
-        zero when the network's ``meter_payloads`` gate is off).  Part 2 —
+        (:attr:`~repro.radio.metrics.NetworkMetrics.payload_units`
+        deltas).  Part 2 —
         the leader-spanner dissemination epochs — is the bulky one, and
         this baseline is what a future delta-frame encoding for group-key
         payloads would be measured against.

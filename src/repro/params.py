@@ -64,23 +64,6 @@ class ProtocolParameters:
     max_rounds:
         Hard safety cap on simulated radio rounds, so a buggy configuration
         cannot spin forever.  ``None`` disables the cap.
-    validate_actions:
-        When ``True`` (the default), :meth:`repro.radio.RadioNetwork.execute_round`
-        checks every submitted action (node ids in range, channels in range,
-        known action types) before resolving the round.  Trusted protocol
-        drivers — whose schedules are validated once, not per round — may
-        disable this to take the per-round cost of the check off the hot
-        path.  Model soundness checks that bound the *adversary* (budget,
-        distinct channels) are never disabled.
-    meter_payloads:
-        When ``True`` (the default), the network sizes every honest frame
-        (:func:`repro.radio.metrics.payload_size`) into
-        ``NetworkMetrics.payload_units`` — the counter wire-encoding work
-        such as the delta feedback frames is judged by.  The walk is
-        O(payload) per transmission on the per-round path (compiled
-        schedules size each static template once), so throughput
-        benchmarks that don't read the counter may disable it, exactly
-        like ``validate_actions``.
     """
 
     feedback_factor: float = 3.0
@@ -88,8 +71,6 @@ class ProtocolParameters:
     gossip_epoch_factor: float = 3.0
     strict_consistency: bool = True
     max_rounds: int | None = 20_000_000
-    validate_actions: bool = True
-    meter_payloads: bool = True
 
     def validate(self) -> "ProtocolParameters":
         """Check internal consistency; returns ``self`` for chaining."""

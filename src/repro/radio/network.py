@@ -1,15 +1,21 @@
 """The synchronous radio network simulator.
 
-:class:`RadioNetwork` resolves one round at a time.  The contract follows
-Section 3 of the paper exactly:
+:class:`RadioNetwork` resolves rounds by the contract of Section 3 of the
+paper:
 
-* every honest node submits one :class:`~repro.radio.actions.Action`;
+* every honest node transmits, listens or sleeps;
 * the adversary — asked *after* the honest actions are fixed but shown only
   past history plus deterministic public metadata — submits up to ``t``
   transmissions on distinct channels;
 * per channel: exactly one transmission ⇒ listeners decode it (if it is a
   message rather than noise); zero or several ⇒ listeners hear nothing.
   Listeners cannot distinguish silence, collision, and pure noise.
+
+One method implements that rule: :meth:`RadioNetwork.execute_schedule`,
+which takes precompiled rounds (:class:`CompiledRound`, listeners grouped
+by channel).  :meth:`RadioNetwork.execute_round` is a thin adapter for
+protocols that think in per-node action maps: it compiles the map into one
+round, resolves it there and fans the result out per listener.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -27,7 +33,7 @@ from ..errors import ConfigurationError, ProtocolViolation
 from ..params import ProtocolParameters, DEFAULT_PARAMETERS, validate_model
 from .actions import Action, Listen, Sleep, Transmit
 from .messages import Jam, Message, Transmission
-from .metrics import NetworkMetrics, frame_size, payload_size
+from .metrics import NetworkMetrics, frame_size
 from .trace import ExecutionTrace, RoundRecord, SparseDelivered
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -167,17 +173,6 @@ class RoundSchedule:
     def __iter__(self) -> Iterator[CompiledRound]:
         return iter(self.rounds)
 
-    def as_action_batches(
-        self,
-    ) -> list[tuple[dict[int, Action], RoundMeta]]:
-        """The classic ``(actions, meta)`` expansion of every round.
-
-        Used by the compatibility fallback for :class:`RadioNetwork`
-        subclasses that customise :meth:`RadioNetwork.execute_round`, and
-        by equivalence tests.
-        """
-        return [(cr.as_actions(), cr.meta) for cr in self.rounds]
-
 
 class RadioNetwork:
     """Round-based simulator for the multi-channel radio model.
@@ -236,21 +231,6 @@ class RadioNetwork:
 
     # ------------------------------------------------------------------
 
-    def _validate_actions(self, actions: Mapping[int, Action]) -> None:
-        for node, action in actions.items():
-            if not 0 <= node < self.n:
-                raise ProtocolViolation(f"unknown node id {node}")
-            if isinstance(action, (Transmit, Listen)):
-                if not 0 <= action.channel < self.channels:
-                    raise ProtocolViolation(
-                        f"node {node} used invalid channel {action.channel} "
-                        f"(C={self.channels})"
-                    )
-            elif not isinstance(action, Sleep):
-                raise ProtocolViolation(
-                    f"node {node} submitted unknown action {action!r}"
-                )
-
     def _validate_adversary(self, txs: list[Transmission]) -> None:
         seen: set[int] = set()
         for tx in txs:
@@ -305,170 +285,58 @@ class RadioNetwork:
             meta=meta,
         )
 
-    def _decode_channels(
-        self,
-        transmitters: Mapping[int, list],
-        adversary_channels: "set[int]",
-    ) -> tuple[dict[int, Message | None], int, int]:
-        """Resolve every touched channel by the single-transmitter rule.
-
-        The one decode-and-account step shared by :meth:`execute_round`
-        and :meth:`execute_schedule` — exactly one decodable transmission
-        on a channel delivers it (counting a spoof when that transmission
-        was the adversary's), anything else is silence or a collision.
-        Returns ``(delivered, deliveries, spoofs)``; collisions are
-        counted directly on the metrics.
-        """
-        delivered: dict[int, Message | None] = {}
-        deliveries = 0
-        spoofs = 0
-        for channel, payloads in transmitters.items():
-            if len(payloads) == 1 and isinstance(payloads[0], Message):
-                delivered[channel] = payloads[0]
-                deliveries += 1
-                if channel in adversary_channels:
-                    # The sole (decoded) transmission came from the
-                    # adversary: a successful spoof at the radio level.
-                    spoofs += 1
-            else:
-                delivered[channel] = None
-                if len(payloads) >= 2:
-                    self.metrics.collisions += 1
-        return delivered, deliveries, spoofs
-
     def execute_round(
         self,
         actions: Mapping[int, Action],
         meta: RoundMeta | None = None,
     ) -> dict[int, Message | None]:
-        """Resolve one synchronous round.
+        """Resolve one round given per-node actions.
 
-        ``actions`` may be *sparse*: nodes absent from the mapping sleep.
-        Submitting only the non-sleeping nodes is the fast path — resolution
-        cost is proportional to the number of active nodes and touched
-        channels, not to ``n`` or ``C``.  Explicit :class:`Sleep` entries
-        remain accepted (and are recorded verbatim when tracing), so dense
-        legacy callers resolve identically.
+        ``actions`` may be *sparse*: nodes absent from the mapping sleep,
+        and explicit :class:`Sleep` entries are accepted but not recorded.
+        The map is compiled into one :class:`CompiledRound` and resolved by
+        :meth:`execute_schedule`, so validation, adversary interaction,
+        metrics and trace records are those of the compiled path.
 
         Returns a dict mapping every *listening* node to what it received
         (``None`` for silence/collision/noise).  Nodes that transmitted or
         slept are absent from the result.
         """
-        if (
-            self.params.max_rounds is not None
-            and self._round_index >= self.params.max_rounds
-        ):
-            raise ProtocolViolation(
-                f"round cap exceeded ({self.params.max_rounds} rounds); "
-                "likely a non-terminating configuration"
-            )
-        meta = meta or RoundMeta()
-        if self.params.validate_actions:
-            self._validate_actions(actions)
-
-        adversary_txs: list[Transmission] = []
-        if self.adversary is not None:
-            adversary_txs = list(self.adversary.act(self._adversary_view(meta)))
-            self._validate_adversary(adversary_txs)
-
-        # Per-channel resolution over *touched* channels only.  Untouched
-        # channels carry silence, which listeners observe as ``None``.
-        transmitters: dict[int, list[Message | Jam]] = {}
-        honest_tx = 0
-        listens = 0
-        payload_units = 0
-        meter = self.params.meter_payloads
-        for action in actions.values():
-            if isinstance(action, Transmit):
-                honest_tx += 1
-                if meter:
-                    # frame_size, inlined: one unit of kind + the payload.
-                    payload_units += 1 + payload_size(action.message.payload)
-                transmitters.setdefault(action.channel, []).append(
-                    action.message
-                )
-            elif isinstance(action, Listen):
-                listens += 1
-        adversary_channels: set[int] = set()
-        for tx in adversary_txs:
-            adversary_channels.add(tx.channel)
-            transmitters.setdefault(tx.channel, []).append(tx.payload)
-
-        delivered, deliveries, spoofs = self._decode_channels(
-            transmitters, adversary_channels
-        )
-
-        # Bookkeeping.
-        self.metrics.rounds += 1
-        self.metrics.honest_transmissions += honest_tx
-        self.metrics.listens += listens
-        self.metrics.payload_units += payload_units
-        self.metrics.adversary_transmissions += len(adversary_txs)
-        self.metrics.deliveries += deliveries
-        self.metrics.spoofs_delivered += spoofs
-        if meta.phase:
-            self.metrics.note_phase(meta.phase)
-
-        # The round record (and its dense per-channel delivery map) is built
-        # only when something will actually retain it; pure benchmark runs
-        # with keep_trace=False skip the construction entirely.
-        if self._keep_trace or (
-            self.adversary is not None and self.adversary.needs_history
-        ):
-            self.trace.append(
-                RoundRecord(
-                    index=self._round_index,
-                    actions=dict(actions),
-                    adversary_transmissions=tuple(adversary_txs),
-                    delivered=SparseDelivered(delivered, self.channels),
-                    meta=meta.as_dict(),
-                )
-            )
-        self._round_index += 1
-
-        # Per-listener results.
-        results: dict[int, Message | None] = {}
+        transmits: dict[int, Transmit] = {}
+        listens: dict[int, list[int]] = {}
+        listen_count = 0
         for node, action in actions.items():
             if isinstance(action, Listen):
-                results[node] = delivered.get(action.channel)
-        return results
+                listens.setdefault(action.channel, []).append(node)
+                listen_count += 1
+            elif isinstance(action, Transmit):
+                transmits[node] = action
+            elif not isinstance(action, Sleep):
+                raise ProtocolViolation(
+                    f"node {node} submitted unknown action {action!r}"
+                )
+            elif not 0 <= node < self.n:
+                raise ProtocolViolation(f"unknown node id {node}")
+        compiled = CompiledRound(
+            transmits, listens, meta or RoundMeta(), listen_count
+        )
+        (heard,) = self.execute_schedule(RoundSchedule((compiled,)))
+        return {
+            node: heard.get(channel)
+            for channel, group in listens.items()
+            for node in group
+        }
 
     def execute_rounds(
         self,
-        batch: "RoundSchedule | Iterable[tuple[Mapping[int, Action], RoundMeta | None]]",
+        batch: Iterable[tuple[Mapping[int, Action], RoundMeta | None]],
     ) -> list[dict[int, Message | None]]:
-        """Resolve a precomputed sequence of rounds back-to-back.
-
-        Protocols that derive a whole schedule up front (fixed epochs,
-        deterministic sweeps) can submit it in one call instead of paying
-        the per-round dispatch in their own loop.  Each entry is an
-        ``(actions, meta)`` pair resolved exactly as by
-        :meth:`execute_round` — including adversary interaction per round —
-        and the per-listener result dicts are returned in order.
-
-        A precompiled :class:`RoundSchedule` is also accepted: it runs
-        through the :meth:`execute_schedule` fast path and the per-channel
-        results are expanded back into the same per-listener dicts this
-        method always returns, so the result contract is shape-stable
-        regardless of the submission style.  Callers wanting the raw
-        channel-level results (no per-listener fan-out cost) use
-        :meth:`execute_schedule` directly.
-        """
-        if isinstance(batch, RoundSchedule):
-            out: list[dict[int, Message | None]] = []
-            for cr, heard in zip(batch.rounds, self.execute_schedule(batch)):
-                results: dict[int, Message | None] = {}
-                for channel, group in cr.listens.items():
-                    msg = heard.get(channel)
-                    for node in group:
-                        results[node] = msg
-                out.append(results)
-            return out
-        execute = self.execute_round
-        return [execute(actions, meta) for actions, meta in batch]
+        """Resolve ``(actions, meta)`` pairs back-to-back, each exactly as
+        by :meth:`execute_round`; returns the per-listener results in order."""
+        return [self.execute_round(actions, meta) for actions, meta in batch]
 
     # ------------------------------------------------------------------
-    # The compiled-schedule fast path.
+    # The resolver.
     # ------------------------------------------------------------------
 
     def _validate_compiled(
@@ -535,7 +403,13 @@ class RadioNetwork:
     def execute_schedule(
         self, schedule: "RoundSchedule"
     ) -> list[dict[int, Message]]:
-        """Resolve a precompiled :class:`RoundSchedule`.
+        """Resolve a precompiled :class:`RoundSchedule`, round by round.
+
+        This is the one place a round is resolved: the round cap, validation
+        (:meth:`_validate_compiled`), adversary interaction, the
+        single-transmitter rule, metrics (payloads included) and trace
+        records all live here; :meth:`execute_round` submits one-round
+        schedules.
 
         Returns one dict per round mapping **channel** to the message
         decoded on it, containing entries only for channels that (a) had at
@@ -543,37 +417,9 @@ class RadioNetwork:
         fan results out to their listeners themselves (they compiled the
         listener groups, so they know them) — this is what lets a round
         with ``n`` listeners on silent or collided channels resolve without
-        any per-listener work.
-
-        Adversary interaction, metrics, the round cap, and trace retention
-        behave exactly as in :meth:`execute_round`: per-round records (with
-        full per-node action maps) are reconstructed whenever the trace is
-        retained, so traced executions are indistinguishable from the
-        per-round path.
+        any per-listener work.  Retained records hold the per-node action
+        map of :meth:`CompiledRound.as_actions`.
         """
-        if type(self).execute_round is not RadioNetwork.execute_round:
-            # A subclass customises round resolution (e.g. the
-            # restricted-listening model): preserve its semantics by
-            # expanding each compiled round through the classic interface.
-            # Contract: like the base model, an override must resolve all
-            # listeners on one channel identically (the radio medium has
-            # no per-listener state); the channel-level result is read
-            # from the group's first listener.  An override with
-            # per-listener semantics must override this method too.
-            out: list[dict[int, Message]] = []
-            for cr in schedule.rounds:
-                results = self.execute_round(cr.as_actions(), cr.meta)
-                heard: dict[int, Message] = {}
-                for channel, group in cr.listens.items():
-                    if group:
-                        msg = results.get(group[0])
-                        if msg is not None:
-                            heard[channel] = msg
-                out.append(heard)
-            return out
-
-        validate = self.params.validate_actions
-        meter_payloads = self.params.meter_payloads
         validated_transmits: set[int] = set()
         # Payload accounting per distinct transmitter template: a static
         # template shared by every repetition of a transfer is sized once
@@ -593,8 +439,7 @@ class RadioNetwork:
                     f"round cap exceeded ({max_rounds} rounds); "
                     "likely a non-terminating configuration"
                 )
-            if validate:
-                self._validate_compiled(cr, validated_transmits)
+            self._validate_compiled(cr, validated_transmits)
 
             adversary_txs: list[Transmission] = []
             if self.adversary is not None:
@@ -603,7 +448,9 @@ class RadioNetwork:
                 )
                 self._validate_adversary(adversary_txs)
 
-            # Channel resolution over touched channels only.
+            # Channel resolution over touched channels only: exactly one
+            # decodable transmission delivers (a spoof when it was the
+            # adversary's); anything else is silence or a collision.
             transmitters: dict[int, list[Message | Jam]] = {}
             for action in cr.transmits.values():
                 transmitters.setdefault(action.channel, []).append(
@@ -613,21 +460,26 @@ class RadioNetwork:
             for tx in adversary_txs:
                 adversary_channels.add(tx.channel)
                 transmitters.setdefault(tx.channel, []).append(tx.payload)
+            delivered: dict[int, Message | None] = {}
+            deliveries = 0
+            for channel, payloads in transmitters.items():
+                if len(payloads) == 1 and isinstance(payloads[0], Message):
+                    delivered[channel] = payloads[0]
+                    deliveries += 1
+                    if channel in adversary_channels:
+                        metrics.spoofs_delivered += 1
+                else:
+                    delivered[channel] = None
+                    if len(payloads) >= 2:
+                        metrics.collisions += 1
 
-            delivered, deliveries, spoofs = self._decode_channels(
-                transmitters, adversary_channels
-            )
-
-            if meter_payloads:
-                payload_units = template_sizes.get(id(cr.transmits))
-                if payload_units is None:
-                    payload_units = sum(
-                        frame_size(action.message)
-                        for action in cr.transmits.values()
-                    )
-                    template_sizes[id(cr.transmits)] = payload_units
-            else:
-                payload_units = 0
+            payload_units = template_sizes.get(id(cr.transmits))
+            if payload_units is None:
+                payload_units = sum(
+                    frame_size(action.message)
+                    for action in cr.transmits.values()
+                )
+                template_sizes[id(cr.transmits)] = payload_units
 
             metrics.rounds += 1
             metrics.honest_transmissions += len(cr.transmits)
@@ -635,7 +487,6 @@ class RadioNetwork:
             metrics.payload_units += payload_units
             metrics.adversary_transmissions += len(adversary_txs)
             metrics.deliveries += deliveries
-            metrics.spoofs_delivered += spoofs
             if cr.meta.phase:
                 metrics.note_phase(cr.meta.phase)
 

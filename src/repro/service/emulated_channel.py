@@ -39,7 +39,6 @@ from ..radio.network import (
     RoundMeta,
     RoundSchedule,
 )
-from ..rng import RngRegistry
 
 SERVICE_KIND = "service-frame"
 
@@ -66,9 +65,6 @@ class LongLivedChannel:
         Nodes holding the key; only they can send or receive.  Non-members
         sleep through service rounds (they are the at-most-``t`` nodes the
         reliability guarantee concedes).
-    rng:
-        Unused for hopping (the pattern is key-derived) but reserved for
-        future randomized scheduling; kept for interface symmetry.
     """
 
     def __init__(
@@ -76,7 +72,6 @@ class LongLivedChannel:
         network: RadioNetwork,
         group_key: bytes,
         members: Sequence[int],
-        rng: RngRegistry | None = None,
         *,
         channel_aware_epochs: bool = False,
     ) -> None:

@@ -186,9 +186,7 @@ class SecureSession:
     ) -> None:
         """Bind the session to its first channel (shared constructor tail)."""
         self.members = list(members)
-        self.channel = LongLivedChannel(
-            self.network, key, self.members, self.rng
-        )
+        self.channel = LongLivedChannel(self.network, key, self.members)
         self.stats = SessionStats(
             setup_rounds=setup_rounds,
             inboxes={m: [] for m in self.members},
@@ -400,9 +398,7 @@ class SecureSession:
                 dropped.append(member)
 
         self.members = sorted(new_members)
-        self.channel = LongLivedChannel(
-            self.network, new_key, self.members, self.rng
-        )
+        self.channel = LongLivedChannel(self.network, new_key, self.members)
         for m in self.members:
             self.stats.inboxes.setdefault(m, [])
         report = RekeyReport(

@@ -52,6 +52,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-message cost" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fame", "-n", "3"],
+            ["groupkey", "-n", "5"],
+            ["service", "-n", "5"],
+            ["gauntlet", "-n", "3"],
+        ],
+    )
+    def test_unrunnable_shape_exits_2_without_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert "Traceback" not in err
+
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
         assert args.handler is cmd_sweep and args.command == "montecarlo"

@@ -8,7 +8,9 @@ structures.  These tests are the safety net: for seeded runs — with and
 without adversaries — the sparse and dense paths must produce identical
 per-round results, byte-identical metrics and canonically identical
 traces (explicit ``Sleep`` entries are semantically absent; see
-:meth:`repro.radio.trace.RoundRecord.canonical_form`); whole f-AME runs
+:meth:`repro.radio.trace.RoundRecord.canonical_form`), and the dense side
+must match the digests recorded while ``execute_round`` still resolved
+rounds with its own loop; whole f-AME runs
 must match the ``FameResult``, metric and trace digests recorded from
 the dense path (``tests/test_golden.py``); and the incremental greedy
 pools must reproduce the from-scratch pools move for move.
@@ -31,14 +33,19 @@ from repro.fame import run_fame
 from repro.fame.config import Regime
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyPools, greedy_proposal, proposal_pools
-from repro.params import ProtocolParameters
 from repro.radio.actions import SLEEP, Listen, Sleep, Transmit
 from repro.radio.messages import Message
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
 from conftest import make_network
-from test_golden import FAME, FAME_SQUARED, fame_digest
+from test_golden import (
+    DENSE_ROUNDS,
+    FAME,
+    FAME_SQUARED,
+    fame_digest,
+    rounds_digest,
+)
 
 
 def _random_actions(rng: random.Random, n: int, channels: int) -> dict:
@@ -123,14 +130,19 @@ class TestRadioPathEquivalence:
         per_round = [
             _random_actions(plans, n, channels) for _ in range(rounds)
         ]
+        dense_outs = []
         for actions in per_round:
             sparse_out = nets["sparse"].execute_round(actions)
             dense_out = nets["dense"].execute_round(_densify(actions, n))
             assert sparse_out == dense_out
+            dense_outs.append(dense_out)
         assert nets["sparse"].metrics == nets["dense"].metrics
         assert (
             nets["sparse"].trace.canonical_forms()
             == nets["dense"].trace.canonical_forms()
+        )
+        assert (
+            rounds_digest(dense_outs, nets["dense"]) == DENSE_ROUNDS[adversary]
         )
 
     def test_keep_trace_false_preserves_metrics(self):
@@ -149,20 +161,6 @@ class TestRadioPathEquivalence:
         # The spoof scan no longer needs the record: counters still agree.
         assert kept.metrics == dropped.metrics
         assert len(dropped.trace) == 0 and len(kept.trace) == rounds
-
-    def test_validation_opt_out_resolves_identically(self):
-        n, channels, t = 10, 3, 1
-        params = ProtocolParameters(validate_actions=False).validate()
-        checked = RadioNetwork(n, channels, t)
-        unchecked = RadioNetwork(n, channels, t, params=params)
-        plans = random.Random(5)
-        for actions in (
-            _random_actions(plans, n, channels) for _ in range(20)
-        ):
-            assert checked.execute_round(actions) == unchecked.execute_round(
-                actions
-            )
-        assert checked.metrics == unchecked.metrics
 
     def test_execute_rounds_matches_loop(self):
         n, channels, t = 8, 2, 1

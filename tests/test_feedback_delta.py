@@ -318,9 +318,9 @@ class TestDigestMismatchResync:
 
 
 class TestRestrictedListeningDelta:
-    """Compiled schedules carrying delta frames ride the execute_round
-    fallback of RestrictedListeningNetwork unchanged: the run's digest,
-    redacted trace included, equals the per-round reference's."""
+    """Compiled schedules carrying delta frames resolve through
+    RestrictedListeningNetwork's monitoring resolver unchanged: the run's
+    digest, redacted trace included, equals the per-round reference's."""
 
     def _run(self):
         n, channels, t = 24, 8, 2

@@ -42,9 +42,13 @@ from repro.rng import RngRegistry
 
 from test_golden import (
     PARALLEL_FEEDBACK,
+    RESTRICTED_ROUND_EXPANSION,
+    ROUND_EXPANSION,
     SERIAL_FEEDBACK,
     SERIAL_FEEDBACK_NO_TRACE,
     network_digest,
+    per_round_expansion,
+    rounds_digest,
 )
 
 
@@ -208,7 +212,9 @@ def _random_compiled_round(rng, n, channels):
 
 
 class TestExecuteSchedule:
-    """The compiled radio entry point vs the classic per-round interface."""
+    """The compiled radio entry point vs the per-node adapter
+    (``execute_round``), whose side also matches the digests recorded
+    when it resolved rounds with its own loop."""
 
     ADVERSARIES = {
         "none": lambda: None,
@@ -231,38 +237,11 @@ class TestExecuteSchedule:
             n, channels, t, adversary=self.ADVERSARIES[adversary]()
         )
         heard = fast.execute_schedule(schedule)
-        expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
-        ):
-            results = ref.execute_round(actions, meta)
-            expected.append(
-                {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
-                }
-            )
+        expected = per_round_expansion(ref, schedule)
         assert heard == expected
         assert fast.metrics == ref.metrics
         assert fast.trace.canonical_forms() == ref.trace.canonical_forms()
-
-    def test_execute_rounds_accepts_a_schedule_with_stable_shape(self):
-        """execute_rounds keeps its per-listener result contract even for
-        compiled submissions (execute_schedule is the channel-level API)."""
-        rng = random.Random(5)
-        schedule = RoundSchedule(
-            _random_compiled_round(rng, 8, 2) for _ in range(5)
-        )
-        via_schedule = RadioNetwork(8, 2, 1)
-        via_classic = RadioNetwork(8, 2, 1)
-        got = via_schedule.execute_rounds(schedule)
-        expected = [
-            via_classic.execute_round(actions, meta)
-            for actions, meta in schedule.as_action_batches()
-        ]
-        assert got == expected
-        assert via_schedule.metrics == via_classic.metrics
+        assert rounds_digest(expected, ref) == ROUND_EXPANSION[adversary]
 
     def test_validation_rejects_overlapping_roles(self):
         msg = Message(kind="x", sender=0)
@@ -313,8 +292,9 @@ class TestExecuteSchedule:
         assert net.metrics.listens == 4
 
     def test_restricted_listening_fallback_preserves_semantics(self):
-        """Subclasses overriding execute_round keep their semantics under
-        compiled submission (monitoring, redaction, budget checks)."""
+        """The restricted-listening model resolves compiled submissions
+        exactly like per-node ones (monitoring, redaction, budget checks);
+        the per-node side matches its golden digest."""
 
         def build():
             return RestrictedListeningNetwork(
@@ -328,18 +308,7 @@ class TestExecuteSchedule:
         via_schedule = build()
         via_rounds = build()
         heard = via_schedule.execute_schedule(schedule)
-        expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
-        ):
-            results = via_rounds.execute_round(actions, meta)
-            expected.append(
-                {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
-                }
-            )
+        expected = per_round_expansion(via_rounds, schedule)
         assert heard == expected
         assert via_schedule.metrics == via_rounds.metrics
         assert (
@@ -349,6 +318,9 @@ class TestExecuteSchedule:
         assert (
             via_schedule.observed_channel_rounds
             == via_rounds.observed_channel_rounds
+        )
+        assert (
+            rounds_digest(expected, via_rounds) == RESTRICTED_ROUND_EXPANSION
         )
 
 

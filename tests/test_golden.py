@@ -7,21 +7,27 @@ Two kinds of entries live here.
   (the same on the serial, procs and socket backends), and
   :data:`GAUNTLET_DIGEST` the ``python -m repro scenario gauntlet
   --json-out`` report at seed 0.
-* **Protocol runs.**  :func:`network_digest` and :func:`fame_digest`
-  hash a run's outputs, its full
-  :class:`~repro.radio.metrics.NetworkMetrics` and its canonical trace
-  (plus the redacted trace and ``observed_channel_rounds`` on a
+* **Protocol runs.**  :func:`network_digest`, :func:`fame_digest`,
+  :func:`result_digest` and :func:`rounds_digest` hash a run's outputs,
+  its full :class:`~repro.radio.metrics.NetworkMetrics` and its
+  canonical trace (plus the redacted trace and
+  ``observed_channel_rounds`` on a
   :class:`~repro.extensions.restricted_listening.RestrictedListeningNetwork`).
   The feedback and f-AME tables below were recorded from the naive
   reference executions that once shipped beside the compiled paths — one
   ``execute_round`` per repetition, per-draw ``stream.choice`` hop
   sampling, Sleep-padded dense transmission rounds and the full-frame
   merge encoding — and the compiled paths reproduced every digest on the
-  same tree.  The tests that check them sit next to the recipes that
-  produce them (``test_feedback_pipeline.py``, ``test_feedback_delta.py``,
-  ``test_engine_equivalence.py``), so they discharge the same obligation
-  the live differential comparisons did: an optimised exchange stays
-  indistinguishable from the naive one under every adversary.
+  same tree.  The per-node tables were recorded while ``execute_round``
+  still resolved rounds with its own loop, before it became a one-round
+  adapter over ``execute_schedule``: every protocol that submits per-node
+  action maps, and the per-node sides of the radio oracle tests.  The
+  tests that check the recipes' tables sit next to them
+  (``test_feedback_pipeline.py``, ``test_feedback_delta.py``,
+  ``test_engine_equivalence.py``, ``test_restricted_listening.py``), so
+  they discharge the same obligation the live differential comparisons
+  did: an optimised execution stays indistinguishable from the naive one
+  under every adversary.
 
 A change that moves any seeded output — a seed scheme, a protocol's coin
 use, a metric, a frame encoding, the report shape — moves these digests,
@@ -38,8 +44,28 @@ import random
 import pytest
 
 from repro.__main__ import main
-from repro.adversary import RandomJammer
-from repro.extensions.restricted_listening import RestrictedListeningNetwork
+from repro.adversary import (
+    NullAdversary,
+    RandomJammer,
+    ReactiveJammer,
+    ScheduleAwareJammer,
+    SpoofingAdversary,
+    SweepJammer,
+)
+from repro.baselines import (
+    run_direct_exchange,
+    run_no_surrogate,
+    run_randomized_exchange,
+)
+from repro.extensions.restricted_listening import (
+    HoppingEavesdropper,
+    RestrictedListeningNetwork,
+    StickyEavesdropper,
+    run_share_spray,
+)
+from repro.fame.byzantine import CorruptionModel, run_byzantine_exchange
+from repro.fame.digests import run_fame_with_digests
+from repro.fame.result import FameResult
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
@@ -72,10 +98,11 @@ def d_map_form(outputs) -> list:
     return sorted((node, sorted(d)) for node, d in outputs.items())
 
 
-def network_digest(outputs, net) -> str:
-    """Fingerprint of a feedback run: ``D`` map, metrics and trace."""
+def network_material(net) -> list:
+    """A network's full metrics and canonical trace; on a
+    :class:`RestrictedListeningNetwork` also its redacted trace and
+    ``observed_channel_rounds``."""
     material = [
-        d_map_form(outputs),
         metrics_form(net.metrics),
         json_forms(net.trace.canonical_forms()),
     ]
@@ -84,21 +111,57 @@ def network_digest(outputs, net) -> str:
             json_forms(net.redacted_trace.canonical_forms()),
             net.observed_channel_rounds,
         ]
-    return sha(material)
+    return material
+
+
+def network_digest(outputs, net) -> str:
+    """Fingerprint of a feedback run: ``D`` map, metrics and trace."""
+    return sha([d_map_form(outputs), *network_material(net)])
+
+
+def fame_form(result) -> list:
+    """An f-AME result: its summary (never the config's ``repr``), the
+    outcomes, the cover certificate and the surrogates."""
+    return [
+        sorted(result.summary().items()),
+        sorted(result.outcomes.items()),
+        sorted(result.claimed_cover),
+        sorted(result.starred),
+        sorted(result.surrogate_holders.items()),
+    ]
 
 
 def fame_digest(result, net) -> str:
     """Fingerprint of an f-AME run: the result, metrics and trace."""
+    return sha([*fame_form(result), *network_material(net)])
+
+
+def result_form(result) -> list:
+    """A protocol result's fields in order, mappings and sets sorted; a
+    nested f-AME result contributes :func:`fame_form`."""
+    form = []
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, FameResult):
+            value = fame_form(value)
+        elif isinstance(value, dict):
+            value = sorted(value.items())
+        elif isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        form.append((f.name, value))
+    return form
+
+
+def result_digest(result, net) -> str:
+    """Fingerprint of a protocol run: result fields, metrics and trace."""
+    return sha([result_form(result), *network_material(net)])
+
+
+def rounds_digest(outputs, net) -> str:
+    """Fingerprint of a batch of rounds: each round's output map (sorted),
+    metrics and trace."""
     return sha(
-        [
-            sorted(result.summary().items()),
-            sorted(result.outcomes.items()),
-            sorted(result.claimed_cover),
-            sorted(result.starred),
-            sorted(result.surrogate_holders.items()),
-            metrics_form(net.metrics),
-            json_forms(net.trace.canonical_forms()),
-        ]
+        [[sorted(out.items()) for out in outputs], *network_material(net)]
     )
 
 
@@ -279,6 +342,264 @@ FAME = {
 FAME_SQUARED = (
     "32f9ba4f60f0710c5fcfb28052fdb7b6cdcf78d41ce55cc7c7675555e76d45b8"
 )
+
+
+# Per-node callers: every protocol that submits per-node action maps
+# through ``execute_round`` — Byzantine f-AME (a corrupt witness voting at
+# random), the Section 5.6 gossip pipeline and the three baselines —
+# under six adversaries; and the share-spray experiment on a
+# RestrictedListeningNetwork under a sticky and a hopping eavesdropper.
+# Recorded from the per-node resolver (``execute_round``'s own decode
+# loop and ``RestrictedListeningNetwork``'s ``execute_round`` override).
+
+PER_NODE_ADVERSARIES = {
+    "null": NullAdversary,
+    "sweep": SweepJammer,
+    "random": lambda: RandomJammer(random.Random(0x11)),
+    "spoof": lambda: SpoofingAdversary(random.Random(0x22)),
+    "reactive": lambda: ReactiveJammer(random.Random(0x33)),
+    "schedule-aware": lambda: ScheduleAwareJammer(
+        random.Random(0x44), policy="prefix"
+    ),
+}
+
+PER_NODE_EDGES = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 8)]
+
+
+def _byzantine(adversary):
+    net = RadioNetwork(20, 2, 1, adversary=adversary)
+    corruption = CorruptionModel.of(
+        8, garble_messages=False, vote_policy="random"
+    )
+    result = run_byzantine_exchange(
+        net, PER_NODE_EDGES[:4], rng=RngRegistry(seed=21),
+        corruption=corruption,
+    )
+    return result, net
+
+
+def _fame_with_digests(adversary):
+    net = RadioNetwork(20, 2, 1, adversary=adversary)
+    edges = [(0, 1), (0, 2), (3, 4), (5, 6)]
+    messages = {pair: ("m", pair) for pair in edges}
+    result = run_fame_with_digests(
+        net, edges, messages, rng=RngRegistry(seed=22)
+    )
+    return result, net
+
+
+def _direct_exchange(adversary):
+    net = RadioNetwork(20, 2, 1, adversary=adversary)
+    return run_direct_exchange(net, PER_NODE_EDGES, passes=5), net
+
+
+def _randomized_exchange(adversary):
+    net = RadioNetwork(10, 2, 1, adversary=adversary)
+    result = run_randomized_exchange(
+        net, [(0, 1), (2, 3), (4, 5)], rng=RngRegistry(seed=24)
+    )
+    return result, net
+
+
+def _no_surrogate(adversary):
+    net = RadioNetwork(20, 2, 1, adversary=adversary)
+    result = run_no_surrogate(net, PER_NODE_EDGES, rng=RngRegistry(seed=25))
+    return result, net
+
+
+PER_NODE_CALLERS = {
+    "byzantine": _byzantine,
+    "digests": _fame_with_digests,
+    "direct": _direct_exchange,
+    "no-surrogate": _no_surrogate,
+    "randomized": _randomized_exchange,
+}
+
+PER_NODE = {
+    ("byzantine", "null"): (
+        "0b88fe971710f3a83446db4d7cba8eea38e6301dac9097ceef78acf4016c9230"
+    ),
+    ("byzantine", "random"): (
+        "e62c08476c626ca468823a3554ccf11710268744490e9f3b63b0ef2c0ed3ee52"
+    ),
+    ("byzantine", "reactive"): (
+        "0cd6829b21579d8fd79a1622b2b20a12f82ec66660bd8b3065103711a6644a06"
+    ),
+    ("byzantine", "schedule-aware"): (
+        "19f34488579d60da1b3168a3f066580d374c2002496e99527d69fa2222ed75c2"
+    ),
+    ("byzantine", "spoof"): (
+        "b570124973ef7ab058d136d38e3013449b5b8e2777e6d4d87ebdf16e85d6f715"
+    ),
+    ("byzantine", "sweep"): (
+        "0a4841e0cb6de922cae239886479dbcd5492b469e8ff687ae3c5dfc60059f411"
+    ),
+    ("digests", "null"): (
+        "9937ad7779b941a3fbedf65b0a2ae093072359942a8c908b984ec8620b1dc968"
+    ),
+    ("digests", "random"): (
+        "20cdf597b5357356529125d2a46929467a1b98b25c4c0fef7067a15c610d9f98"
+    ),
+    ("digests", "reactive"): (
+        "f937d5a7613e93c20e4438311c7149cb93ad5b198506527ebb26c9f417e18a23"
+    ),
+    ("digests", "schedule-aware"): (
+        "d68f17317a46491c871501a2fe98e5c1b193ac58ecc79fe0359209500e8a3a89"
+    ),
+    ("digests", "spoof"): (
+        "067c7cb43b2df60e5c13442dc663c5bc391b55f2880dcf565caff33a47bc4ad7"
+    ),
+    ("digests", "sweep"): (
+        "fe9b0214fb50a078eab629b50074391bcd1d50f0d671611425d116c313a57a06"
+    ),
+    ("direct", "null"): (
+        "8d1dcf89b2ca6a7a3dfdfcb8bb07b2797950411f7640a61fb06897bd9aebbf5a"
+    ),
+    ("direct", "random"): (
+        "380a0a0809e981c92e1a84b9fecd6ad54251c47b78441036a4e75dcebe70c87c"
+    ),
+    ("direct", "reactive"): (
+        "aaa2ecaa0e6800d0c52d10a8249f7b0e986cca1e90c432513af52cd05110b501"
+    ),
+    ("direct", "schedule-aware"): (
+        "aaa2ecaa0e6800d0c52d10a8249f7b0e986cca1e90c432513af52cd05110b501"
+    ),
+    ("direct", "spoof"): (
+        "f6d82729b04467a946cb2827ff7ed2a16fcb9047cb639209787fef02c963c3a2"
+    ),
+    ("direct", "sweep"): (
+        "90af004a0c3c23aa3671db3f2f17e10e76503c3b0787bef57c3a3ae4bb310620"
+    ),
+    ("no-surrogate", "null"): (
+        "83fc0aa50a7625a6cad5cb343782fb51ae5b4e1497c037f5a9f3d01d80d7cb58"
+    ),
+    ("no-surrogate", "random"): (
+        "9430073f61ea525f83d73fe4867efcd42b7f94a43733f9bf1dda3f4ab195bce2"
+    ),
+    ("no-surrogate", "reactive"): (
+        "f2557658ca98c4e690920574a3c04b3dabe6856c0b26fc875f4c8bab40545d17"
+    ),
+    ("no-surrogate", "schedule-aware"): (
+        "3b26682a0639a8a6783fe3ac6e698a83e9c0ac3b6ec25dab1c527abe78fa31e0"
+    ),
+    ("no-surrogate", "spoof"): (
+        "08f13095ce2d416fc265064da730db1b87a20ee1eb1a76b4ad801e29c01e0ff1"
+    ),
+    ("no-surrogate", "sweep"): (
+        "21eef00b9f57105155110905335062ec4707d0412b13b953afdd081fe41f780f"
+    ),
+    ("randomized", "null"): (
+        "386a6267d30a19245b7ea4013a763936841ce5557f481442d449a5290ce7ba6d"
+    ),
+    ("randomized", "random"): (
+        "00744b3f12d52a82eee1039f2097a523821d8fb6834c4f8d1c669be2dab18305"
+    ),
+    ("randomized", "reactive"): (
+        "57b246ed35f479e07357e0b10b5b476981193e3bc68a8ed889b33e2273611bf0"
+    ),
+    ("randomized", "schedule-aware"): (
+        "386a6267d30a19245b7ea4013a763936841ce5557f481442d449a5290ce7ba6d"
+    ),
+    ("randomized", "spoof"): (
+        "714d5aa951bfbdf7ca2dd64f4910675ce9fa47f0e3c8d40c94ea6ef4ae16ef72"
+    ),
+    ("randomized", "sweep"): (
+        "c3d871c680434bc0117b2e45703598652cdc23f1423fb550c23ff73cf435e57c"
+    ),
+}
+
+EAVESDROPPERS = {
+    "hopping": lambda: HoppingEavesdropper(random.Random(0x55)),
+    "sticky": lambda: StickyEavesdropper([1, 3]),
+}
+
+SHARE_SPRAY = {
+    "hopping": (
+        "cc233427c1cd472f01c4d6147a843d24da717dfbfedaf901e00009b65e98883d"
+    ),
+    "sticky": (
+        "58dfe8948f55570f2a6340a4995438b1b7929252790be3253165b87095e307fd"
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(PER_NODE_CALLERS))
+@pytest.mark.parametrize("adversary", sorted(PER_NODE_ADVERSARIES))
+def test_per_node_caller_matches_golden(caller, adversary):
+    result, net = PER_NODE_CALLERS[caller](PER_NODE_ADVERSARIES[adversary]())
+    assert result_digest(result, net) == PER_NODE[caller, adversary]
+
+
+@pytest.mark.parametrize("eavesdropper", sorted(EAVESDROPPERS))
+def test_share_spray_matches_golden(eavesdropper):
+    net = RestrictedListeningNetwork(8, 4, 1, EAVESDROPPERS[eavesdropper]())
+    result = run_share_spray(
+        net, 0, 5, RngRegistry(seed=26), shares=4, repetitions=4
+    )
+    assert result_digest(result, net) == SHARE_SPRAY[eavesdropper]
+
+
+def per_round_expansion(net, schedule) -> list[dict]:
+    """Resolve a :class:`RoundSchedule` one ``execute_round`` at a time,
+    reading each channel's result off its first listener: the per-node
+    side of the ``execute_schedule`` oracle tests."""
+    out = []
+    for cr in schedule.rounds:
+        results = net.execute_round(cr.as_actions(), cr.meta)
+        out.append(
+            {
+                channel: results[group[0]]
+                for channel, group in cr.listens.items()
+                if group and results[group[0]] is not None
+            }
+        )
+    return out
+
+
+# The per-node sides of the radio oracle tests, recorded from the
+# per-node resolver: random compiled rounds expanded through
+# ``execute_round`` (test_feedback_pipeline.TestExecuteSchedule, four
+# adversaries, and its restricted-listening twin), delta-frame rounds on a
+# RestrictedListeningNetwork (test_restricted_listening), and random
+# Sleep-padded dense rounds (test_engine_equivalence, four adversaries).
+
+ROUND_EXPANSION = {
+    "none": (
+        "2c6feea9d1c8eb500ce6c9064759d8c6373d5a29ccbb09d6c42f56e2cd20e2cc"
+    ),
+    "random": (
+        "41ce9c083070edc0937310da5811d229405f75b034507a698039ee927c9b2340"
+    ),
+    "spoof": (
+        "8f1c2dae7d19c23546349d55be141ecd84c7fe2f8d446223978a2fc9a17931bd"
+    ),
+    "sweep": (
+        "3c743081d6ecc3e6ecd6236c563dbe1218cb2333797ac721fe18bf704f7a15dd"
+    ),
+}
+
+RESTRICTED_ROUND_EXPANSION = (
+    "3284b3fe8a0b607504fdb6f999bfca93baf4e0e7b61ab1308e04fb71ddde4df7"
+)
+
+RESTRICTED_DELTA_EXPANSION = (
+    "2bfd9969c9e57425fe285b06b14f26de816cdf5900e29158bd5ace20b0a20dff"
+)
+
+DENSE_ROUNDS = {
+    "none": (
+        "faaf840058bbb0a008ce50593d6d4883a2ed1284404f9e2b89b875fe79713636"
+    ),
+    "random": (
+        "5e68c9f36d45e165bc147f8dece4d4d34ff8f806f438f93d20977c988fe5c8a7"
+    ),
+    "spoof": (
+        "5995dd8dd7e062ba15571a3ec6c75abacb5378f0c530a318d07da645246db2fe"
+    ),
+    "sweep": (
+        "a650d8bf9e30e282050506d78328cee3e21c6aa733cc8e4128ffca006816f371"
+    ),
+}
 
 
 class TestGroupKeyByteIdentity:

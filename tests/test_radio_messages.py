@@ -61,7 +61,6 @@ class TestPayloadSize:
         assert frame_size(Message("k")) == 1
 
     def test_network_meters_honest_payloads_unless_gated_off(self):
-        from repro.params import ProtocolParameters
         from repro.radio.actions import Listen, Transmit
         from repro.radio.network import (
             CompiledRound,
@@ -76,17 +75,7 @@ class TestPayloadSize:
             RoundSchedule([CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})])
         )
         assert metered.metrics.payload_units == 6
-
-        lean = RadioNetwork(
-            4, 2, 0,
-            params=ProtocolParameters(meter_payloads=False).validate(),
-        )
-        lean.execute_round({0: Transmit(0, msg), 1: Listen(0)})
-        lean.execute_schedule(
-            RoundSchedule([CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})])
-        )
-        assert lean.metrics.payload_units == 0
-        assert lean.metrics.honest_transmissions == 2
+        assert metered.metrics.honest_transmissions == 2
 
 
 class TestDeltaFrame:

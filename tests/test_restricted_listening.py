@@ -20,6 +20,12 @@ from repro.radio.messages import DELTA_KIND, JAM, DeltaFrame, Message, Transmiss
 from repro.radio.network import CompiledRound, RoundMeta, RoundSchedule
 from repro.rng import RngRegistry
 
+from test_golden import (
+    RESTRICTED_DELTA_EXPANSION,
+    per_round_expansion,
+    rounds_digest,
+)
+
 
 def frame(payload="x"):
     return Message(kind="data", sender=0, payload=payload)
@@ -27,10 +33,9 @@ def frame(payload="x"):
 
 class TestCompiledDeltaFallback:
     """Compiled schedules whose frames are digest/delta encoded resolve
-    through the execute_round override exactly like the expanded per-round
-    submission — monitoring, redaction, and payload accounting included.
-    (The fallback was previously only covered for plain full-payload
-    rounds.)"""
+    exactly like the expanded per-round submission — monitoring,
+    redaction, and payload accounting included — and the per-round side
+    matches the digest recorded from the per-node resolver."""
 
     def _delta_schedule(self):
         rounds = []
@@ -60,18 +65,7 @@ class TestCompiledDeltaFallback:
         via_schedule = build()
         via_rounds = build()
         heard = via_schedule.execute_schedule(schedule)
-        expected = []
-        for cr, (actions, meta) in zip(
-            schedule.rounds, schedule.as_action_batches()
-        ):
-            results = via_rounds.execute_round(actions, meta)
-            expected.append(
-                {
-                    channel: results[group[0]]
-                    for channel, group in cr.listens.items()
-                    if group and results[group[0]] is not None
-                }
-            )
+        expected = per_round_expansion(via_rounds, schedule)
         assert heard == expected
         # Delta frames decode on the singly-occupied channels.
         assert all(
@@ -88,6 +82,7 @@ class TestCompiledDeltaFallback:
             via_schedule.observed_channel_rounds
             == via_rounds.observed_channel_rounds
         )
+        assert rounds_digest(expected, via_rounds) == RESTRICTED_DELTA_EXPANSION
 
     def test_redaction_hides_unmonitored_delta_frames(self):
         net = RestrictedListeningNetwork(8, 3, 1, StickyEavesdropper([1]))
