@@ -177,8 +177,8 @@ def _rounds_per_sec(workload, n, t, *, min_seconds):
     One :class:`ScheduleShapeCache` is held across the invocations — the
     steady-state caller representation (the f-AME protocol object and the
     baseline drivers keep a cache for exactly this reason), so the timing
-    covers warm-shape reuse rather than rebuilding bucket blocks and
-    stream tables from scratch every call.
+    covers warm-shape reuse rather than rebuilding templates, metadata
+    and stream tables on every call.
     """
     shapes = ScheduleShapeCache()
     start = time.perf_counter()

@@ -19,11 +19,13 @@ spoof-acceptance measured alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from ..errors import ProtocolViolation
 from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
+    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundMeta,
@@ -81,12 +83,12 @@ def run_oblivious_gossip(
     meta = RoundMeta(phase="oblivious-gossip")
     # The protocol is oblivious by definition, but the *stopping rule* is
     # not (completion is re-checked every round), so rounds are compiled
-    # and submitted one at a time; the win here is the channel-grouped
-    # listener fan-out, which only touches listeners that decoded a frame.
+    # and submitted one at a time; the fold marks each decoding channel's
+    # listeners with one translate of the round's hop row.
     while not done() and rounds < max_rounds:
         transmits: dict[int, Transmit] = {}
-        by_channel: dict[int, list[int]] = {}
-        listen_count = 0
+        listeners: list[int] = []
+        hops = bytearray()
         for node in range(n):
             stream = streams[node]
             channel = stream.randrange(network.channels)
@@ -100,18 +102,12 @@ def run_oblivious_gossip(
                     ),
                 )
             else:
-                by_channel.setdefault(channel, []).append(node)
-                listen_count += 1
+                listeners.append(node)
+                hops.append(channel)
+        row = bytes(hops)
         [heard] = network.execute_schedule(
             RoundSchedule(
-                [
-                    CompiledRound(
-                        transmits=transmits,
-                        listens=by_channel,
-                        meta=meta,
-                        listen_count=listen_count,
-                    )
-                ]
+                [CompiledRound(transmits, tuple(listeners), row, meta)]
             )
         )
         rounds += 1
@@ -122,7 +118,8 @@ def run_oblivious_gossip(
                 _tag, rumor = frame.payload
             except (TypeError, ValueError):
                 continue
-            for node in by_channel[channel]:
+            on_channel = row.translate(HIT_TABLES[channel])
+            for node in compress(listeners, on_channel):
                 # No authentication: the rumor is accepted as-is.
                 if not isinstance(rumor, int) or not 0 <= rumor < n:
                     spoofs_accepted += 1

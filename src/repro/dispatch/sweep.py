@@ -124,6 +124,8 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise ConfigurationError("trials per point must be >= 1")
+        if self.pairs < 1:
+            raise ConfigurationError("AME pairs per trial must be >= 1")
         if len(self.adversaries) > 1:
             blind = [
                 w for w in self.workloads

@@ -69,7 +69,13 @@ def make_adversary(name: str, rng: random.Random) -> Adversary:
 
 
 def default_pairs(n: int, count: int) -> list[tuple[int, int]]:
-    """The CLI's canonical AME pair set: ``(i, i + n//2)`` pairs."""
+    """The CLI's canonical AME pair set: ``(i, i + n//2)`` pairs.
+
+    Raises :class:`ConfigurationError` when ``count < 1``: an empty pair
+    set would run a vacuous exchange and report it as a success.
+    """
+    if count < 1:
+        raise ConfigurationError(f"need at least one AME pair, got {count}")
     return [(i, i + n // 2) for i in range(min(count, n // 2 - 1))]
 
 

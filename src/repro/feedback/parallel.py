@@ -36,25 +36,38 @@ resync escape hatch) or drops the frame.
 Execution
 ---------
 Each transfer phase's repetition loop is oblivious, so it runs as one
-compiled :class:`~repro.radio.network.RoundSchedule`.  Seeded runs are
-byte-identical to the historical one-``execute_round``-per-repetition
-loop, and match the historical full-frame encoding (which shipped the
-whole ``slot -> flag`` map) on ``D`` maps, every radio metric but the
-payload-size counter the delta shrinks, and semantic traces under every
-adversary: ``tests/test_golden.py`` pins digests recorded from both
-references, and ``tests/test_feedback_delta.py`` is the differential
-gauntlet checking them.
+compiled :class:`~repro.radio.network.RoundSchedule` whose rounds share
+one transmitter template and one listener tuple, each round carrying its
+listeners' channels as a ``bytes`` hop row (see
+:func:`_run_transfer_rounds`).  The receiver fold works on those rows with
+C-level ``bytes`` operations, so its Python work is per listener per
+frame, not per listener per repetition.  Seeded runs are byte-identical
+to the historical one-``execute_round``-per-repetition loop, and match
+the historical full-frame encoding (which shipped the whole ``slot ->
+flag`` map) on ``D`` maps, every radio metric but the payload-size counter
+the delta shrinks, and semantic traces under every adversary:
+``tests/test_golden.py`` pins digests recorded from both references and
+the :class:`DeltaApplyState` counters recorded from the per-listener
+fold, and ``tests/test_feedback_delta.py`` is the differential gauntlet
+checking them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.actions import Transmit
 from ..radio.messages import DELTA_KIND, DeltaFrame, Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
+from ..radio.network import (
+    HIT_TABLES,
+    CompiledRound,
+    RadioNetwork,
+    RoundSchedule,
+    hop_table,
+)
 from ..radio.shapes import ScheduleShapeCache
 from ..rng import BlockDrawer, RngRegistry
 
@@ -220,12 +233,17 @@ def _run_transfer_rounds(
 
     The repetition loop is oblivious, so it compiles into one
     :class:`RoundSchedule`: the broadcaster assignment is a static template
-    (the frames of one transfer are identical across rounds), each
+    (the frames of one transfer are identical across rounds) and the
+    listeners of every transfer form one tuple shared by all rounds.  Each
     listener's whole block-hop sequence is materialized up front with the
-    batched :class:`~repro.rng.BlockDrawer`, and results fold back per
-    decoded channel.  Round metadata and the per-round listener buckets
-    come from ``shapes`` and are recycled in place across invocations with
-    the same geometry.
+    batched :class:`~repro.rng.BlockDrawer` and laid out listener-major;
+    one ``translate`` per transfer maps block positions to channel ids,
+    and round ``r``'s hop row is the stride slice ``[r::repetitions]`` of
+    the joined matrix.  The fold marks the listeners of each decoded
+    channel-round with one ``translate`` of that row and applies a frame
+    only to the listeners it reaches for the first time (see the comment
+    above the loop).  Round metadata and listener stream tables come from
+    ``shapes``.
     """
     used_channels: set[int] = set()
     for broadcasters, _, block, _ in transfers:
@@ -242,61 +260,57 @@ def _run_transfer_rounds(
             )
 
     meta = shapes.meta(phase, tag=tag)
-    buckets = shapes.buckets(tuple(used_channels), repetitions)
-    rows = buckets.rows
-    channel_pos = buckets.index
     template: dict[int, Transmit] = {}
-    listen_total = 0
-    for broadcasters, listeners, block, frame in transfers:
+    listeners: list[int] = []
+    matrix = bytearray()
+    for broadcasters, block_listeners, block, frame in transfers:
         for idx, channel in enumerate(block):
             sender = broadcasters[idx]
             template[sender] = Transmit(
                 channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
         # Materialize each listener's whole hop sequence (choice-stream
-        # compatible; see the invariant in repro.rng) and transpose it
-        # straight into the pre-allocated per-round buckets.  Hops are
-        # drawn as indices *within the block* and mapped to bucket
-        # positions, so the fill indexes lists instead of hashing
-        # channel ids.
+        # compatible; see the invariant in repro.rng) as positions within
+        # the block, listener-major; one translate maps the transfer's
+        # positions to its block's channel ids.
         draw = BlockDrawer(len(block)).draw
-        # One bucket view per round in block order: selecting buckets by
-        # raw hop index here keeps the per-hop loop below to a single
-        # list index + append, amortized over every listener.
-        bucket_rows = [[row[channel_pos[c]] for c in block] for row in rows]
         streams = shapes.streams(
-            rng, rng_namespace, "merge-listen", listeners
+            rng, rng_namespace, "merge-listen", block_listeners
         )
-        for node, stream in zip(listeners, streams):
-            for row, hop in zip(bucket_rows, draw(stream, repetitions)):
-                row[hop].append(node)
-        listen_total += len(streams)
+        positions = bytearray()
+        for stream in streams:
+            positions.extend(draw(stream, repetitions))
+        matrix += positions.translate(hop_table(block))
+        listeners += block_listeners
 
-    fanouts: list[dict[int, list[int]]] = buckets.listens
-    compiled_rounds: list[CompiledRound] = [
-        CompiledRound(
-            transmits=template,
-            listens=by_channel,
-            meta=meta,
-            listen_count=listen_total,
+    # Every round shares the template and one listener tuple; round
+    # ``r``'s hop row is the stride slice of the listener-major matrix.
+    listener_tuple = tuple(listeners)
+    hops = bytes(matrix)
+    rows = [hops[r::repetitions] for r in range(repetitions)]
+    heard_per_round = network.execute_schedule(
+        RoundSchedule(
+            CompiledRound(template, listener_tuple, row, meta) for row in rows
         )
-        for by_channel in fanouts
-    ]
-
-    heard_per_round = network.execute_schedule(RoundSchedule(compiled_rounds))
+    )
 
     # The fold applies DeltaApplyState.apply's per-frame semantics (via
-    # resolve() and the shared applied-key state) inline, because this
-    # loop runs once per decoded channel-round.  A decoded message on a
-    # transfer channel is the *same* template object every repetition, so
-    # frame classification (kind/tag checks plus digest verification)
-    # resolves once per distinct message, each frame keeps a local set of
-    # listeners it already reached (one membership test per skip — the
-    # by-far common case), and only a first-time listener touches the
-    # global per-node applied-key state.
+    # resolve() and the shared applied-key state) inline.  A decoded
+    # message on a transfer channel is the *same* template object every
+    # repetition, so frame classification (kind/tag checks plus digest
+    # verification) resolves once per distinct message.  Per decoded
+    # channel-round, one translate marks the listeners on that channel
+    # and a bitmask of the listeners each message already reached leaves
+    # only first-time hearers, so a listener costs one Python step per
+    # message rather than one per repetition; every other hearing is a
+    # skip, counted in bulk.  Rounds are folded in order, so each
+    # listener's applications happen in the order it heard the frames.
     applied = delta_state.applied
-    resolved: dict[int, tuple | None] = {}
-    for by_channel, heard in zip(fanouts, heard_per_round):
+    resolved: dict[int, list | None] = {}
+    width = len(listener_tuple)
+    hearings = 0
+    applications = 0
+    for row, heard in zip(rows, heard_per_round):
         for channel, received in heard.items():
             entry = resolved.get(id(received), _UNRESOLVED)
             if entry is _UNRESOLVED:
@@ -306,29 +320,29 @@ def _run_transfer_rounds(
                     if isinstance(frame, DeltaFrame) and frame.tag == tag:
                         verdict = delta_state.resolve(frame)
                         if verdict is not None:
-                            entry = (*verdict, set())
+                            entry = [*verdict, 0]  # key, items, reached
                 resolved[id(received)] = entry
             if entry is None:
                 continue
-            key, items, reached = entry
-            skips = 0
-            applications = 0
-            for node in by_channel[channel]:
-                if node in reached:
-                    skips += 1
-                    continue
-                reached.add(node)
+            hit = row.translate(HIT_TABLES[channel])
+            hearings += hit.count(1)
+            fresh = int.from_bytes(hit, "little") & ~entry[2]
+            if not fresh:
+                continue
+            entry[2] |= fresh
+            key, items = entry[0], entry[1]
+            first_time = fresh.to_bytes(width, "little")
+            for node in compress(listener_tuple, first_time):
                 seen = applied.get(node)
                 if seen is None:
                     seen = applied[node] = set()
                 elif key in seen:
-                    skips += 1
                     continue
                 per_node_knowledge[node].update(items)
                 seen.add(key)
                 applications += 1
-            delta_state.skips += skips
-            delta_state.applications += applications
+    delta_state.applications += applications
+    delta_state.skips += hearings - applications
 
 
 def run_parallel_feedback(
@@ -358,8 +372,8 @@ def run_parallel_feedback(
     skipped as already applied — and by default one is created per
     invocation.  ``shape_cache`` is an optional cross-invocation shape
     cache; within one invocation the merge tree always shares one cache,
-    so the per-level transfer rounds recycle buckets and metadata even
-    when the caller passes none.
+    so the per-level transfer rounds reuse metadata and stream tables
+    even when the caller passes none.
     """
     from ..fame.digests import combine_digests, slot_set_digest
 

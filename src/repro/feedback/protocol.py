@@ -21,30 +21,41 @@ The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hop sequence is private randomness that
 depends on nothing observed during the phase.  :func:`run_feedback`
 therefore **compiles** the whole ``slots × repetitions`` loop into one
-:class:`~repro.radio.network.RoundSchedule` — per-slot static transmitter
-templates plus per-round listener groups drawn from each listener's RNG
-stream up front — and submits it through
-:meth:`~repro.radio.network.RadioNetwork.execute_schedule`, folding the
-per-channel results back into the output sets.  Hop sequences are
-materialized in blocks by :class:`~repro.rng.BlockDrawer` (byte-identical
-to the per-draw ``stream.choice`` chain — the invariant lives in
-``repro.rng``), and the per-round listener buckets, round metadata,
-transmitter templates and listener stream tables come from a
-:class:`~repro.radio.ScheduleShapeCache` so long-lived callers reuse
-schedule *shape* across invocations.  Seeded runs are byte-identical to
-the historical one-``execute_round``-per-repetition loop (same RNG stream
-consumption, same metrics, same traces): ``tests/test_golden.py`` pins
-digests recorded from that loop.
+:class:`~repro.radio.network.RoundSchedule` and submits it through
+:meth:`~repro.radio.network.RadioNetwork.execute_schedule`.  Per slot,
+every repetition shares one static transmitter template and one listener
+tuple; each listener's hop sequence is drawn from its RNG stream up front
+by :class:`~repro.rng.BlockDrawer` (byte-identical to the per-draw
+``stream.choice`` chain — the invariant lives in ``repro.rng``), the
+sequences are laid out listener-major as one ``bytes`` matrix, one
+``translate`` maps hop positions to channel ids, and repetition ``r``'s
+hop row is the C-level slice ``matrix[r::repetitions]``.  The fold marks,
+per slot, the listeners that sat on a channel delivering ``<true, r>``
+(one ``translate`` per such channel-round, OR-ed together as an integer
+mask) and adds the slot to each of them once, so no step runs per
+listener per repetition.  Round metadata, templates and listener stream
+tables come from a :class:`~repro.radio.ScheduleShapeCache` so long-lived
+callers reuse schedule *shape* across invocations.  Seeded runs are
+byte-identical to the historical one-``execute_round``-per-repetition
+loop (same RNG stream consumption, same metrics, same traces):
+``tests/test_golden.py`` pins digests recorded from that loop.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
+from ..radio.network import (
+    HIT_TABLES,
+    CompiledRound,
+    RadioNetwork,
+    RoundSchedule,
+    hop_table,
+)
 from ..radio.shapes import ScheduleShapeCache
 from ..rng import BlockDrawer, RngRegistry
 from .witness import WitnessAssignment
@@ -103,9 +114,9 @@ def run_feedback(
     shape_cache:
         Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
         across invocations with the same geometry (templates, round
-        metadata, listener buckets and stream tables are then reused
-        instead of rebuilt).  Defaults to a fresh per-invocation cache;
-        observable behaviour is identical either way.
+        metadata and stream tables are then reused instead of rebuilt).
+        Defaults to a fresh per-invocation cache; observable behaviour is
+        identical either way.
 
     Returns
     -------
@@ -134,23 +145,19 @@ def run_feedback(
     outputs: dict[int, set[int]] = {node: set() for node in participants}
     shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
     # Per slot the witness broadcasts form a *static transmitter template*
-    # shared by every repetition's CompiledRound; each listener's whole hop
-    # sequence is drawn from its private stream up front, consuming the
-    # streams slot-major, then by repetition (the order of the historical
-    # per-round loop).  Templates, metadata, buckets and the stream table
-    # come from ``shapes`` and are reused in place when the caller shares
-    # a cache.
+    # shared by every repetition's CompiledRound, and the slot's listeners
+    # one tuple shared the same way.  Each listener's whole hop sequence
+    # is drawn from its private stream up front, consuming the streams
+    # slot-major, then by repetition (the order of the historical
+    # per-round loop).  Templates, metadata and the stream table come
+    # from ``shapes`` and are reused when the caller shares a cache.
     streams = shapes.streams(rng, rng_namespace, "listen", participants)
     draw = BlockDrawer(len(channels)).draw
+    to_channels = hop_table(channels)
 
-    buckets = shapes.buckets(channels, assignment.slots * repetitions)
-    rows = buckets.rows
-    listens = buckets.listens
     compiled_rounds: list[CompiledRound] = []
-    # fanouts[i] = (slot, listener groups) for compiled_rounds[i]; the
-    # groups let the result fold touch only channels that decoded a frame.
-    fanouts: list[tuple[int, Mapping[int, list[int]]]] = []
-    base = 0
+    # (slot, listeners, hop rows) per slot, for the result fold.
+    slot_rows: list[tuple[int, tuple[int, ...], list[bytes]]] = []
     for slot in range(assignment.slots):
         witnesses = assignment.witnesses_of(slot)
         witness_set = set(witnesses)
@@ -167,40 +174,46 @@ def run_feedback(
             },
         )
         meta = shapes.meta(phase, slot=slot)
-        # Materialize each listener's hop sequence for this slot and
-        # transpose it straight into the slot's pre-allocated buckets
-        # (hop values are channel *positions*, so the fill indexes lists
-        # instead of hashing channel ids).  Every bucket dict is
-        # pre-seeded with every feedback channel, in channel order.
-        slot_rows = rows[base : base + repetitions]
-        listen_count = 0
+        # Lay the listeners' hop sequences out listener-major; one
+        # translate turns hop positions into channel ids, and round
+        # ``r``'s hop row is then the stride slice ``[r::repetitions]``.
+        listeners: list[int] = []
+        matrix = bytearray()
         for node, stream in zip(participants, streams):
             if node in witness_set:
                 continue
-            for row, hop in zip(slot_rows, draw(stream, repetitions)):
-                row[hop].append(node)
-            listen_count += 1
-        for i in range(base, base + repetitions):
-            by_channel = listens[i]
-            compiled_rounds.append(
-                CompiledRound(
-                    transmits=template,
-                    listens=by_channel,
-                    meta=meta,
-                    listen_count=listen_count,
-                )
-            )
-            fanouts.append((slot, by_channel))
-        base += repetitions
+            listeners.append(node)
+            matrix.extend(draw(stream, repetitions))
+        hops = bytes(matrix.translate(to_channels))
+        rows = [hops[r::repetitions] for r in range(repetitions)]
+        listener_tuple = tuple(listeners)
+        compiled_rounds += [
+            CompiledRound(template, listener_tuple, row, meta) for row in rows
+        ]
+        slot_rows.append((slot, listener_tuple, rows))
 
-    heard_per_round = network.execute_schedule(RoundSchedule(compiled_rounds))
+    heard_per_round = iter(
+        network.execute_schedule(RoundSchedule(compiled_rounds))
+    )
 
-    for (slot, by_channel), heard in zip(fanouts, heard_per_round):
-        for channel, received in heard.items():
-            if received.kind == FEEDBACK_KIND and received.payload == (
-                "true",
-                slot,
-            ):
-                for node in by_channel[channel]:
-                    outputs[node].add(slot)
+    # Fold per slot: OR together, over the slot's rounds, the listeners
+    # sitting on a channel that delivered <true, slot> (one C-level
+    # translate per such channel-round), then add the slot to each
+    # marked listener once.
+    for slot, listeners, rows in slot_rows:
+        wanted = ("true", slot)
+        hits = 0
+        for row, heard in zip(rows, heard_per_round):
+            for channel, received in heard.items():
+                if (
+                    received.kind == FEEDBACK_KIND
+                    and received.payload == wanted
+                ):
+                    hits |= int.from_bytes(
+                        row.translate(HIT_TABLES[channel]), "little"
+                    )
+        if hits:
+            marks = hits.to_bytes(len(listeners), "little")
+            for node in compress(listeners, marks):
+                outputs[node].add(slot)
     return outputs

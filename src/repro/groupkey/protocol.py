@@ -34,6 +34,7 @@ group key.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from typing import Any, Mapping, Sequence
 
 from ..crypto.dh import DEFAULT_GROUP, DhGroup, pairwise_context
@@ -46,6 +47,7 @@ from ..fame.protocol import FameProtocol
 from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
+    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundMeta,
@@ -216,9 +218,7 @@ class GroupKeyProtocol:
                 if pair_key is None:
                     # The epoch still burns its rounds in lockstep (the
                     # adversary acts; nothing is sent on this pair's behalf).
-                    idle = CompiledRound(
-                        transmits={}, listens={}, meta=meta, listen_count=0
-                    )
+                    idle = CompiledRound({}, (), b"", meta)
                     self.network.execute_schedule(
                         RoundSchedule([idle] * epoch_rounds)
                     )
@@ -232,6 +232,7 @@ class GroupKeyProtocol:
                 # compile it and submit it in one batch.
                 epoch: list[CompiledRound] = []
                 hops: list[int] = []
+                listeners = (w,)
                 for r in range(epoch_rounds):
                     channel = hopper.channel(r)
                     if v in leader_keys:
@@ -260,9 +261,9 @@ class GroupKeyProtocol:
                                     ),
                                 )
                             },
-                            listens={channel: (w,)},
+                            listeners=listeners,
+                            hops=bytes((channel,)),
                             meta=meta,
-                            listen_count=1,
                         )
                     )
                     hops.append(channel)
@@ -341,47 +342,39 @@ class GroupKeyProtocol:
             # the batched BlockDrawer (``randrange(channels)`` bottoms out
             # in the same getrandbits rejection chain — see the invariant
             # in repro.rng — so per-stream consumption is byte-identical
-            # to the historical per-round ``randrange`` loop) and compile
-            # the whole epoch; listeners resolve lazily per channel group.
+            # to the historical per-round ``randrange`` loop), lay the
+            # listeners' sequences out listener-major and compile the
+            # whole epoch, round ``rnd``'s hop row being the stride slice.
             # A silent reporter (no frame) draws nothing, as before.
             meta = RoundMeta(
                 phase="groupkey-part3", extra={"reporter": reporter}
             )
             drawer = BlockDrawer(channels)
-            hop_matrix: list[list[int] | None] = [
-                None
-                if node == reporter and frame is None
-                else drawer.draw(streams[node], epoch_rounds)
-                for node in range(self.n)
-            ]
-            epoch: list[CompiledRound] = []
-            fanouts: list[dict[int, list[int]]] = []
-            for rnd in range(epoch_rounds):
-                transmits: dict[int, Transmit] = {}
-                by_channel: dict[int, list[int]] = {}
-                listen_count = 0
-                for node in range(self.n):
-                    if node == reporter:
-                        if frame is not None:
-                            transmits[node] = Transmit(
-                                hop_matrix[node][rnd], frame
-                            )
-                    else:
-                        by_channel.setdefault(
-                            hop_matrix[node][rnd], []
-                        ).append(node)
-                        listen_count += 1
-                epoch.append(
-                    CompiledRound(
-                        transmits=transmits,
-                        listens=by_channel,
-                        meta=meta,
-                        listen_count=listen_count,
-                    )
+            listeners = tuple(n for n in range(self.n) if n != reporter)
+            matrix = bytearray()
+            reporter_hops: list[int] | None = None
+            for node in range(self.n):
+                if node != reporter:
+                    matrix.extend(drawer.draw(streams[node], epoch_rounds))
+                elif frame is not None:
+                    reporter_hops = drawer.draw(streams[node], epoch_rounds)
+            hops = bytes(matrix)
+            silent: dict[int, Transmit] = {}
+            epoch = [
+                CompiledRound(
+                    transmits=(
+                        silent
+                        if reporter_hops is None
+                        else {reporter: Transmit(reporter_hops[rnd], frame)}
+                    ),
+                    listeners=listeners,
+                    hops=hops[rnd::epoch_rounds],
+                    meta=meta,
                 )
-                fanouts.append(by_channel)
+                for rnd in range(epoch_rounds)
+            ]
             heard = self.network.execute_schedule(RoundSchedule(epoch))
-            for by_channel, per_round in zip(fanouts, heard):
+            for cr, per_round in zip(epoch, heard):
                 for channel, got in per_round.items():
                     if got.kind != REPORT_KIND:
                         continue
@@ -392,7 +385,8 @@ class GroupKeyProtocol:
                     if claimed_reporter in reporters and isinstance(
                         key_hash, bytes
                     ):
-                        for node in by_channel[channel]:
+                        on_channel = cr.hops.translate(HIT_TABLES[channel])
+                        for node in compress(listeners, on_channel):
                             reports[node][(leader, key_hash)].add(
                                 claimed_reporter
                             )

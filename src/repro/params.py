@@ -154,7 +154,8 @@ def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = F
     Parameters
     ----------
     n: number of nodes.
-    channels: number of channels ``C`` (paper: ``C > 1``).
+    channels: number of channels ``C`` (paper: ``C > 1``; the engine holds
+        channel ids as bytes, so ``C <= 256``).
     t: adversary strength, channels disrupted per round (paper: ``t < C``).
     require_witnesses:
         when ``True`` additionally enforce the f-AME population bound
@@ -164,6 +165,11 @@ def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = F
         raise ConfigurationError(f"need at least 2 nodes, got n={n}")
     if channels < 2:
         raise ConfigurationError(f"need C > 1 channels, got C={channels}")
+    if channels > 256:
+        raise ConfigurationError(
+            f"at most 256 channels are supported (hop rows hold channel "
+            f"ids as bytes), got C={channels}"
+        )
     if t < 0:
         raise ConfigurationError(f"adversary strength t must be >= 0, got {t}")
     if t >= channels:

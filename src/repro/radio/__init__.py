@@ -24,7 +24,7 @@ from .network import (
     RoundMeta,
     RoundSchedule,
 )
-from .shapes import BucketBlock, ScheduleShapeCache
+from .shapes import ScheduleShapeCache
 from .trace import ExecutionTrace, RoundRecord, SparseDelivered
 from .metrics import NetworkMetrics, frame_size, payload_size
 from .export import channel_occupancy, dump_trace, trace_to_records
@@ -32,7 +32,6 @@ from .export import channel_occupancy, dump_trace, trace_to_records
 __all__ = [
     "Action",
     "AdversaryView",
-    "BucketBlock",
     "CompiledRound",
     "DELTA_KIND",
     "DeltaFrame",

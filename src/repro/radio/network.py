@@ -12,10 +12,16 @@ paper:
   Listeners cannot distinguish silence, collision, and pure noise.
 
 One method implements that rule: :meth:`RadioNetwork.execute_schedule`,
-which takes precompiled rounds (:class:`CompiledRound`, listeners grouped
-by channel).  :meth:`RadioNetwork.execute_round` is a thin adapter for
-protocols that think in per-node action maps: it compiles the map into one
-round, resolves it there and fans the result out per listener.
+which takes precompiled rounds (:class:`CompiledRound`).  A round carries
+its listeners in one form only: a node tuple plus a ``bytes`` *hop row*
+whose ``i``-th byte is the channel the ``i``-th listener tunes to, so a
+compiler can slice whole rows out of a hop matrix and the engine checks and
+settles a row with a few C-level ``bytes`` operations instead of a visit
+per listener.  Channel ids are therefore bytes, and
+:func:`~repro.params.validate_model` caps ``C`` at 256.
+:meth:`RadioNetwork.execute_round` is a thin adapter for protocols that
+think in per-node action maps: it compiles the map into one round,
+resolves it there and fans the result out per listener.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -91,6 +97,27 @@ class AdversaryView:
     meta: RoundMeta
 
 
+_LISTEN_ON = tuple(Listen(channel) for channel in range(256))
+"""``Listen`` flyweight per byte-sized channel id, for row expansion."""
+
+
+def hop_table(channels: Sequence[int]) -> bytes:
+    """The :meth:`bytes.translate` table sending hop *position* ``i`` to
+    channel ``channels[i]``.
+
+    Hop samplers draw positions within a channel list; one ``translate``
+    of a whole hop matrix with this table turns them into channel ids.
+    """
+    return bytes(channels).ljust(256, b"\0")
+
+
+HIT_TABLES = tuple(
+    bytes(channel) + b"\x01" + bytes(255 - channel) for channel in range(256)
+)
+"""``row.translate(HIT_TABLES[c])`` marks with ``1`` the listeners of a
+hop row that are on channel ``c`` (and with ``0`` everyone else)."""
+
+
 @dataclass(frozen=True)
 class CompiledRound:
     """One precompiled round of a :class:`RoundSchedule`.
@@ -102,46 +129,66 @@ class CompiledRound:
         template* (e.g. the witnesses of one feedback slot, identical over
         every repetition) may reference the **same** mapping object — the
         engine validates each distinct mapping once, not once per round.
-    listens:
-        ``channel -> ordered listener node ids``.  Grouping listeners by
-        channel is what makes lazy resolution possible: a channel's
-        delivery is computed once, silent channels cost nothing, and the
-        engine never touches individual listeners unless a trace record is
-        being built.
+    listeners:
+        The listening node ids.  Rounds of one repetition loop share one
+        tuple, so the engine validates it (ids in range, no duplicates,
+        disjoint from the template) once per
+        :meth:`RadioNetwork.execute_schedule` call.
+    hops:
+        The *hop row*: ``hops[i]`` is the channel ``listeners[i]`` listens
+        on.  A row is plain ``bytes``, so a compiler that lays hop
+        sequences out listener-major slices round ``r``'s row out of the
+        matrix in C (``matrix[r::repetitions]``); settlement is
+        ``channel in hops`` and a fold marks hitting listeners with one
+        ``hops.translate(...)``.
     meta:
         Round metadata, exactly as for :meth:`RadioNetwork.execute_round`.
-    listen_count:
-        Total listener count, precomputed so per-round metric bookkeeping
-        stays O(1) in the population size.
     """
 
     transmits: Mapping[int, Transmit]
-    listens: Mapping[int, Sequence[int]]
+    listeners: tuple[int, ...]
+    hops: bytes
     meta: RoundMeta
-    listen_count: int
 
     @classmethod
     def make(
         cls,
         transmits: Mapping[int, Transmit],
-        listens: Mapping[int, Sequence[int]],
+        groups: Mapping[int, Sequence[int]],
         meta: RoundMeta | None = None,
     ) -> "CompiledRound":
-        """Build a round, deriving ``listen_count`` from the groups."""
+        """Build a round from ``channel -> listeners`` groups, flattened in
+        group order."""
+        listeners: list[int] = []
+        hops = bytearray()
+        for channel, group in groups.items():
+            if not isinstance(channel, int) or not 0 <= channel < 256:
+                raise ProtocolViolation(
+                    f"listeners grouped on invalid channel {channel!r} "
+                    "(channel ids are bytes)"
+                )
+            listeners += group
+            hops += bytes((channel,)) * len(group)
         return cls(
-            transmits=transmits,
-            listens=listens,
-            meta=meta or RoundMeta(),
-            listen_count=sum(len(group) for group in listens.values()),
+            transmits, tuple(listeners), bytes(hops), meta or RoundMeta()
         )
 
+    @property
+    def listens(self) -> dict[int, list[int]]:
+        """Read-only view: ``channel -> listeners`` in row order (a fresh
+        dict per access; channels without listeners are absent)."""
+        groups: dict[int, list[int]] = {}
+        for node, channel in zip(self.listeners, self.hops):
+            groups.setdefault(channel, []).append(node)
+        return groups
+
     def as_actions(self) -> dict[int, Action]:
-        """Expand into the per-node action map of the classic interface."""
+        """Expand into the per-node action map of the classic interface:
+        transmitters, then listeners in row order."""
         actions: dict[int, Action] = dict(self.transmits)
-        for channel, group in self.listens.items():
-            listen = Listen(channel)
-            for node in group:
-                actions[node] = listen
+        actions.update(
+            zip(self.listeners, map(_LISTEN_ON.__getitem__, self.hops))
+        )
         return actions
 
 
@@ -153,9 +200,8 @@ class RoundSchedule:
     the whole loop once and submit it through
     :meth:`RadioNetwork.execute_schedule`.  The engine then resolves each
     round at a cost proportional to the transmitters and the *touched*
-    channels, not to the population or the channel count: listeners are
-    settled per channel group, and a listener on a silent channel costs no
-    per-node work at all.
+    channels, plus a few C-level passes over the hop row: no listener
+    costs a Python-level step unless a trace record is being built.
 
     A schedule is a plain value (picklable when its messages are), which is
     what makes it a unit of work that can later be fanned out to worker
@@ -303,12 +349,10 @@ class RadioNetwork:
         slept are absent from the result.
         """
         transmits: dict[int, Transmit] = {}
-        listens: dict[int, list[int]] = {}
-        listen_count = 0
+        groups: dict[int, list[int]] = {}
         for node, action in actions.items():
             if isinstance(action, Listen):
-                listens.setdefault(action.channel, []).append(node)
-                listen_count += 1
+                groups.setdefault(action.channel, []).append(node)
             elif isinstance(action, Transmit):
                 transmits[node] = action
             elif not isinstance(action, Sleep):
@@ -317,14 +361,11 @@ class RadioNetwork:
                 )
             elif not 0 <= node < self.n:
                 raise ProtocolViolation(f"unknown node id {node}")
-        compiled = CompiledRound(
-            transmits, listens, meta or RoundMeta(), listen_count
-        )
+        compiled = CompiledRound.make(transmits, groups, meta)
         (heard,) = self.execute_schedule(RoundSchedule((compiled,)))
         return {
             node: heard.get(channel)
-            for channel, group in listens.items()
-            for node in group
+            for node, channel in zip(compiled.listeners, compiled.hops)
         }
 
     def execute_rounds(
@@ -339,19 +380,24 @@ class RadioNetwork:
     # The resolver.
     # ------------------------------------------------------------------
 
-    def _validate_compiled(
-        self, cr: CompiledRound, validated_transmits: set[int]
+    def _validate_shared(
+        self,
+        cr: CompiledRound,
+        validated: set[object],
+        listener_sets: dict[int, set[int]],
     ) -> None:
-        """Validate one compiled round.
+        """Validate the parts a repetition loop shares across its rounds.
 
-        Transmitter maps shared across rounds (the static template of a
-        repetition loop) are validated once per :meth:`execute_schedule`
-        call, keyed by object identity — the schedule keeps them alive, so
-        ids are stable for the duration of the call.
+        The transmitter template, the listener tuple, and their
+        disjointness (one action per node per round: a node may listen at
+        most once and may not both transmit and listen) are each checked
+        once per :meth:`execute_schedule` call, keyed by object identity —
+        the schedule keeps them alive, so ids are stable for the duration
+        of the call.
         """
-        if id(cr.transmits) not in validated_transmits:
-            validated_transmits.add(id(cr.transmits))
-            for node, action in cr.transmits.items():
+        transmits, listeners = cr.transmits, cr.listeners
+        if id(transmits) not in validated:
+            for node, action in transmits.items():
                 if not 0 <= node < self.n:
                     raise ProtocolViolation(f"unknown node id {node}")
                 if not isinstance(action, Transmit):
@@ -364,63 +410,55 @@ class RadioNetwork:
                         f"node {node} used invalid channel {action.channel} "
                         f"(C={self.channels})"
                     )
-        listeners_seen: set[int] = set()
-        listener_total = 0
-        for channel, group in cr.listens.items():
-            if not 0 <= channel < self.channels:
+            validated.add(id(transmits))
+        members = listener_sets.get(id(listeners))
+        if members is None:
+            # set/min/max run at C speed; only dig for the per-node
+            # culprit on failure.
+            members = set(listeners)
+            if len(members) != len(listeners):
                 raise ProtocolViolation(
-                    f"listeners grouped on invalid channel {channel} "
-                    f"(C={self.channels})"
+                    "compiled round schedules a node to listen twice"
                 )
-            if not group:
-                continue
-            # min/max and the set ops below run at C speed; only dig for
-            # the per-node culprit on failure.
-            if not (0 <= min(group) and max(group) < self.n):
-                bad = next(n for n in group if not 0 <= n < self.n)
+            if members and not (0 <= min(members) and max(members) < self.n):
+                bad = next(n for n in listeners if not 0 <= n < self.n)
                 raise ProtocolViolation(f"unknown node id {bad}")
-            listeners_seen.update(group)
-            listener_total += len(group)
-        # One action per node per round: a node may listen at most once and
-        # may not both transmit and listen (states the per-node action API
-        # cannot even represent must stay unrepresentable here too).
-        if len(listeners_seen) != listener_total:
-            raise ProtocolViolation(
-                "compiled round schedules a node in two listener groups"
-            )
-        if cr.listen_count != listener_total:
-            raise ProtocolViolation(
-                f"compiled round declares listen_count={cr.listen_count} "
-                f"but its groups hold {listener_total} listeners "
-                "(build rounds with CompiledRound.make)"
-            )
-        if cr.transmits and not listeners_seen.isdisjoint(cr.transmits):
-            bad = sorted(listeners_seen & set(cr.transmits))[0]
+            listener_sets[id(listeners)] = members
+        if not members.isdisjoint(transmits):
+            bad = min(members.intersection(transmits))
             raise ProtocolViolation(
                 f"node {bad} is scheduled to both transmit and listen"
             )
+        validated.add((id(transmits), id(listeners)))
 
     def execute_schedule(
         self, schedule: "RoundSchedule"
     ) -> list[dict[int, Message]]:
         """Resolve a precompiled :class:`RoundSchedule`, round by round.
 
-        This is the one place a round is resolved: the round cap, validation
-        (:meth:`_validate_compiled`), adversary interaction, the
-        single-transmitter rule, metrics (payloads included) and trace
-        records all live here; :meth:`execute_round` submits one-round
-        schedules.
+        This is the one place a round is resolved: the round cap,
+        validation, adversary interaction, the single-transmitter rule,
+        metrics (payloads included) and trace records all live here;
+        :meth:`execute_round` submits one-round schedules.
+
+        Validation is split by what varies.  Each distinct transmitter
+        template, listener tuple and (template, listeners) pair is checked
+        once per call (:meth:`_validate_shared`); per round only the hop
+        row is checked, with one length comparison and one C-level
+        ``translate`` for hops outside ``0 .. C-1``.
 
         Returns one dict per round mapping **channel** to the message
         decoded on it, containing entries only for channels that (a) had at
-        least one scheduled listener and (b) delivered a message.  Callers
-        fan results out to their listeners themselves (they compiled the
-        listener groups, so they know them) — this is what lets a round
-        with ``n`` listeners on silent or collided channels resolve without
-        any per-listener work.  Retained records hold the per-node action
-        map of :meth:`CompiledRound.as_actions`.
+        least one listener (``channel in hops``) and (b) delivered a
+        message.  Callers fan results out to their listeners themselves
+        (they compiled the rows, so they know them) — this is what lets a
+        round with ``n`` listeners on silent or collided channels resolve
+        without any per-listener work.  Retained records hold the per-node
+        action map of :meth:`CompiledRound.as_actions`, built only when
+        records are kept.
         """
-        validated_transmits: set[int] = set()
+        validated: set[object] = set()
+        listener_sets: dict[int, set[int]] = {}
         # Payload accounting per distinct transmitter template: a static
         # template shared by every repetition of a transfer is sized once
         # (same id-keyed caching as validation), so per-round bookkeeping
@@ -431,6 +469,7 @@ class RadioNetwork:
         )
         max_rounds = self.params.max_rounds
         metrics = self.metrics
+        on_air = bytes(range(self.channels))
         outputs: list[dict[int, Message]] = []
 
         for cr in schedule.rounds:
@@ -439,7 +478,19 @@ class RadioNetwork:
                     f"round cap exceeded ({max_rounds} rounds); "
                     "likely a non-terminating configuration"
                 )
-            self._validate_compiled(cr, validated_transmits)
+            listeners, hops = cr.listeners, cr.hops
+            if (id(cr.transmits), id(listeners)) not in validated:
+                self._validate_shared(cr, validated, listener_sets)
+            if len(hops) != len(listeners):
+                raise ProtocolViolation(
+                    f"hop row holds {len(hops)} hops for "
+                    f"{len(listeners)} listeners"
+                )
+            if hops.translate(None, on_air):
+                raise ProtocolViolation(
+                    f"listener hops to invalid channel {max(hops)} "
+                    f"(C={self.channels})"
+                )
 
             adversary_txs: list[Transmission] = []
             if self.adversary is not None:
@@ -483,7 +534,7 @@ class RadioNetwork:
 
             metrics.rounds += 1
             metrics.honest_transmissions += len(cr.transmits)
-            metrics.listens += cr.listen_count
+            metrics.listens += len(listeners)
             metrics.payload_units += payload_units
             metrics.adversary_transmissions += len(adversary_txs)
             metrics.deliveries += deliveries
@@ -505,10 +556,9 @@ class RadioNetwork:
             # Lazy listener settlement: only channels that both carried a
             # decodable message and have listeners produce an entry.
             heard: dict[int, Message] = {}
-            listens = cr.listens
             if deliveries:
                 for channel, msg in delivered.items():
-                    if msg is not None and channel in listens:
+                    if msg is not None and channel in hops:
                         heard[channel] = msg
             outputs.append(heard)
         return outputs

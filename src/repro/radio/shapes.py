@@ -4,17 +4,13 @@ The feedback routines compile their oblivious repetition loops into
 :class:`~repro.radio.network.RoundSchedule` batches.  Long-lived callers —
 one f-AME run, the no-surrogate baseline, a bench loop — invoke them
 hundreds of times with identical ``(participants, channels, slots,
-repetitions)`` geometry, and before this cache every invocation rebuilt the
-same per-round listener buckets, round metadata, transmitter templates and
-listener-stream tables from scratch.
+repetitions)`` geometry, and rebuilding the same round metadata,
+transmitter templates and listener-stream tables per invocation would be
+pure waste.
 
 A :class:`ScheduleShapeCache` owns those *shape* objects and hands them
 back across invocations:
 
-* :meth:`buckets` — a :class:`BucketBlock` of pre-allocated per-channel
-  listener lists for a whole batch of rounds, cleared in place on reuse
-  (the listener groups are indexed by channel *position*, so the hot
-  transpose from hop matrices avoids a dict hash per listener-round);
 * :meth:`meta` — interned immutable :class:`RoundMeta` objects;
 * :meth:`streams` — the listener stream table for a ``(namespace, label,
   nodes)`` key, short-circuiting one registry key construction + lookup
@@ -24,19 +20,17 @@ back across invocations:
   templates (the per-slot rank→channel maps live inside the cached
   templates, so rank maps are reused along with them).
 
-Everything cached here is shape, never content: buckets are cleared before
-reuse, metadata and template frames are immutable, and nothing observable
-changes whether a cache is shared or fresh per invocation —
-``tests/test_feedback_pipeline.py`` asserts exactly that, and the golden
-digests of ``tests/test_golden.py`` pin the outputs either way.  Consumers must not
-retain a listener group past the invocation that produced it (the same
-rule the engine's reusable :class:`AdversaryView` already imposes).
+Everything cached here is shape, never content: metadata and template
+frames are immutable, and nothing observable changes whether a cache is
+shared or fresh per invocation — ``tests/test_feedback_pipeline.py``
+asserts exactly that, and the golden digests of ``tests/test_golden.py``
+pin the outputs either way.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..rng import RngRegistry
 from .network import RoundMeta
@@ -46,66 +40,21 @@ _MEMO_CAP = 1024
 unbounded key churn — e.g. per-move witness templates — stay bounded)."""
 
 
-class BucketBlock:
-    """``rounds`` pre-allocated channel→listeners buckets over a fixed
-    channel tuple, reusable in place.
-
-    ``rows[i]`` is round ``i``'s buckets indexed by channel *position*
-    (the hot fill path); ``listens[i]`` is the same lists viewed as the
-    channel→listeners dict a :class:`CompiledRound` expects, pre-seeded
-    with every channel in order; ``index`` maps channel id → position.
-    """
-
-    __slots__ = ("channels", "rows", "listens", "index")
-
-    def __init__(self, channels: Sequence[int], rounds: int) -> None:
-        self.channels = tuple(channels)
-        self.rows: list[list[list[int]]] = [
-            [[] for _ in self.channels] for _ in range(rounds)
-        ]
-        self.listens: list[dict[int, list[int]]] = [
-            dict(zip(self.channels, row)) for row in self.rows
-        ]
-        self.index: dict[int, int] = {
-            c: i for i, c in enumerate(self.channels)
-        }
-
-    def reset(self) -> None:
-        """Clear every bucket in place (the dict views stay valid)."""
-        for row in self.rows:
-            for bucket in row:
-                bucket.clear()
-
-
 class ScheduleShapeCache:
     """Per-caller cache of compiled-schedule shape (see module docstring).
 
     Instances are cheap; the feedback routines create an ephemeral one per
     invocation when the caller passes none, so sharing is purely an
     amortization decision.  Not thread-safe (neither is the engine): a
-    cache serves one logical caller at a time, and a bucket block is
-    recycled only after the invocation that used it has folded its
-    results.
+    cache serves one logical caller at a time.
     """
 
-    __slots__ = ("_buckets", "_metas", "_streams", "_memo")
+    __slots__ = ("_metas", "_streams", "_memo")
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, BucketBlock] = {}
         self._metas: dict[tuple, RoundMeta] = {}
         self._streams: dict[tuple, tuple[RngRegistry, list[random.Random]]] = {}
         self._memo: dict[tuple, object] = {}
-
-    def buckets(self, channels: Sequence[int], rounds: int) -> BucketBlock:
-        """A cleared :class:`BucketBlock` for ``rounds`` rounds over
-        ``channels`` (allocated on first use per geometry)."""
-        key = (tuple(channels), rounds)
-        block = self._buckets.get(key)
-        if block is None:
-            block = self._buckets[key] = BucketBlock(channels, rounds)
-        else:
-            block.reset()
-        return block
 
     def meta(self, phase: str, **extra: object) -> RoundMeta:
         """The interned :class:`RoundMeta` for ``phase`` + ``extra``."""

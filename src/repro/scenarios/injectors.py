@@ -18,6 +18,7 @@ names.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -26,7 +27,7 @@ from ..adversary.base import Adversary
 from ..fame.byzantine import BYZANTINE_REPORT_KIND
 from ..radio.actions import Transmit
 from ..radio.messages import Message, Transmission
-from ..radio.network import CompiledRound, RadioNetwork, RoundSchedule
+from ..radio.network import RadioNetwork, RoundSchedule
 
 __all__ = [
     "FrameInjector",
@@ -87,15 +88,7 @@ def crashed_sender(network: RadioNetwork):
     def stripped(schedule: RoundSchedule):
         return original(
             RoundSchedule(
-                [
-                    CompiledRound(
-                        transmits={},
-                        listens=r.listens,
-                        meta=r.meta,
-                        listen_count=r.listen_count,
-                    )
-                    for r in schedule.rounds
-                ]
+                [dataclasses.replace(r, transmits={}) for r in schedule.rounds]
             )
         )
 

@@ -174,9 +174,9 @@ class LongLivedChannel:
                         sender: Transmit(channel, frame)
                         for sender, frame in sealed.items()
                     },
-                    listens={channel: members_listening},
+                    listeners=members_listening,
+                    hops=bytes((channel,)) * len(members_listening),
                     meta=meta,
-                    listen_count=len(members_listening),
                 )
             )
             hops.append(channel)

@@ -133,15 +133,16 @@ class PairwiseChannel:
         meta = RoundMeta(phase="pairwise", extra={"exchange": exchange})
         epoch: list[CompiledRound] = []
         hops: list[int] = []
+        listeners = (receiver,)
         for _ in range(self.epoch_length()):
             channel = self._hopper.channel(self._cursor)
             self._cursor += 1
             epoch.append(
                 CompiledRound(
                     transmits={sender: Transmit(channel, frame)},
-                    listens={channel: (receiver,)},
+                    listeners=listeners,
+                    hops=bytes((channel,)),
                     meta=meta,
-                    listen_count=1,
                 )
             )
             hops.append(channel)

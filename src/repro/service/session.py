@@ -343,6 +343,7 @@ class SecureSession:
             )
             epoch: list[CompiledRound] = []
             hops: list[int] = []
+            listeners = (member,)
             for r in range(epoch_rounds):
                 channel = hopper.channel(r)
                 sealed = cipher.encrypt(
@@ -362,9 +363,9 @@ class SecureSession:
                                 ),
                             )
                         },
-                        listens={channel: (member,)},
+                        listeners=listeners,
+                        hops=bytes((channel,)),
                         meta=meta,
-                        listen_count=1,
                     )
                 )
                 hops.append(channel)

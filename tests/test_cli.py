@@ -67,6 +67,27 @@ class TestCommands:
         assert err.startswith(f"repro {argv[0]}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fame", "-n", "20", "--pairs", "-3"],
+            ["gauntlet", "-n", "20", "--pairs", "0"],
+            ["sweep", "-n", "18", "--pairs", "-3", "--trials", "2"],
+        ],
+    )
+    def test_non_positive_pairs_exits_2_before_any_trial(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_too_many_channels_exits_2(self, capsys):
+        assert main(["fame", "--channels", "257"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro fame: ") and "256" in err
+        assert "Traceback" not in err
+
     def test_montecarlo_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
         assert args.handler is cmd_sweep and args.command == "montecarlo"

@@ -157,9 +157,9 @@ class TestPickling:
         assert len(clone) == 1
         (cr_clone,), (cr,) = clone.rounds, schedule.rounds
         assert cr_clone.transmits == cr.transmits
-        assert cr_clone.listens == cr.listens
+        assert cr_clone.listeners == cr.listeners == (2, 3)
+        assert cr_clone.hops == cr.hops == b"\x00\x00"
         assert cr_clone.meta == cr.meta
-        assert cr_clone.listen_count == cr.listen_count
 
     def test_spec_round_trips_into_worker(self):
         # A pickled spec executed by a real worker process reproduces the

@@ -45,12 +45,17 @@ from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
 from test_golden import (
+    DELTA_COUNTERS,
+    FORCED_DROP_COUNTERS,
+    FORCED_RESYNC_COUNTERS,
     PARALLEL_FEEDBACK,
     PARALLEL_FULL_FRAME_PAYLOAD_UNITS,
     PARALLEL_FULL_FRAME_SEMANTIC,
     RESTRICTED_FULL_FRAME_PAYLOAD_UNITS,
+    RESTRICTED_DELTA_COUNTERS,
     RESTRICTED_PARALLEL_FEEDBACK,
     d_map_form,
+    delta_state_form,
     json_forms,
     metrics_form,
     network_digest,
@@ -190,6 +195,11 @@ class TestDeltaVersusFullFrame:
         expected = {0, 2, 3}
         assert all(d == expected for d in out.values())
 
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    def test_apply_counters_match_golden(self, adversary):
+        _out, _net, state = _run(ADVERSARIES[adversary])
+        assert delta_state_form(state) == DELTA_COUNTERS[adversary]
+
     def test_applied_digest_tracking_short_circuits_repeats(self):
         _out, _net, state = _run(ADVERSARIES["none"])
         assert state.applications > 0
@@ -290,6 +300,7 @@ class TestDigestMismatchResync:
         assert all(d == {0, 2, 3} for d in out.values())
         assert state.digest_mismatches > 0
         assert state.resyncs == state.digest_mismatches
+        assert delta_state_form(state) == FORCED_RESYNC_COUNTERS
 
     def test_forced_mismatch_without_resync_drops_frames_end_to_end(
         self, monkeypatch
@@ -310,6 +321,7 @@ class TestDigestMismatchResync:
         monkeypatch.setattr(parallel_module, "_delta_payload", corrupted)
         out, _net, state = _run(ADVERSARIES["none"])
         assert state.digest_mismatches > 0 and state.resyncs == 0
+        assert delta_state_form(state) == FORCED_DROP_COUNTERS
         witness_slot = {w: s for s in range(4) for w in range(s * 4, s * 4 + 4)}
         for node, d in out.items():
             slot = witness_slot.get(node)
@@ -322,7 +334,7 @@ class TestRestrictedListeningDelta:
     RestrictedListeningNetwork's monitoring resolver unchanged: the run's
     digest, redacted trace included, equals the per-round reference's."""
 
-    def _run(self):
+    def _run(self, state=None):
         n, channels, t = 24, 8, 2
         net = RestrictedListeningNetwork(
             n, channels, t, StickyEavesdropper([1, 3])
@@ -335,6 +347,7 @@ class TestRestrictedListeningDelta:
             flags,
             list(range(n)),
             RngRegistry(seed=13),
+            delta_state=state,
         )
         return out, net
 
@@ -348,3 +361,8 @@ class TestRestrictedListeningDelta:
         assert (
             net.metrics.payload_units < RESTRICTED_FULL_FRAME_PAYLOAD_UNITS
         )
+
+    def test_apply_counters_match_golden(self):
+        state = DeltaApplyState()
+        self._run(state)
+        assert delta_state_form(state) == RESTRICTED_DELTA_COUNTERS

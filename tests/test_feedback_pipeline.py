@@ -151,8 +151,8 @@ class TestBlockDrawEquivalence:
     checks the sampler alone, and the golden digests above (recorded with
     per-draw hops) check it in situ, since the traces embed every hop.
     Likewise a shared ``ScheduleShapeCache`` must be pure behaviour-wise:
-    cached bucket blocks, metas, and stream tables change allocation,
-    never results.
+    cached templates, metas, and stream tables change allocation, never
+    results.
     """
 
     serial = TestFeedbackEquivalence()
@@ -256,7 +256,7 @@ class TestExecuteSchedule:
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([duplicated]))
         miscounted = CompiledRound(
-            transmits={}, listens={0: [1, 2]}, meta=RoundMeta(), listen_count=7
+            transmits={}, listeners=(1, 2), hops=b"\x00", meta=RoundMeta()
         )
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([miscounted]))

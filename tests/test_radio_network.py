@@ -8,7 +8,13 @@ from repro.errors import ConfigurationError, ProtocolViolation
 from repro.params import ProtocolParameters
 from repro.radio.actions import Listen, Sleep, Transmit
 from repro.radio.messages import JAM, Jam, Message, Transmission
-from repro.radio.network import AdversaryView, RadioNetwork, RoundMeta
+from repro.radio.network import (
+    AdversaryView,
+    CompiledRound,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+)
 from repro.adversary.base import Adversary
 
 from conftest import make_network
@@ -190,6 +196,75 @@ class TestValidation:
 
         with pytest.raises(ConfigurationError, match="history"):
             make_network(n=4, adversary=Hist(), keep_trace=False)
+
+
+class TestHopRows:
+    """A compiled round holds its listeners as a node tuple plus one
+    ``bytes`` hop row; every malformed row is a ProtocolViolation."""
+
+    MSG = Message(kind="x", sender=0)
+
+    def _resolve(self, cr, *, n=8, channels=3):
+        net = RadioNetwork(n, channels, 1)
+        return net.execute_schedule(RoundSchedule([cr]))
+
+    @pytest.mark.parametrize(
+        "listeners, hops, match",
+        [
+            ((1, 9), b"\x00\x01", "unknown node id 9"),
+            ((1, -1), b"\x00\x01", "unknown node id -1"),
+            ((1, 2, 1), b"\x00\x01\x02", "listen twice"),
+            ((0, 2), b"\x00\x01", "both transmit and listen"),
+            ((1, 2), b"\x00\x03", "invalid channel 3"),
+            ((1, 2), b"\x00", "2 listeners"),
+            ((1,), b"\x00\x00", "1 listeners"),
+        ],
+    )
+    def test_malformed_row_rejected(self, listeners, hops, match):
+        cr = CompiledRound(
+            {0: Transmit(0, self.MSG)}, listeners, hops, RoundMeta()
+        )
+        with pytest.raises(ProtocolViolation, match=match):
+            self._resolve(cr)
+
+    def test_row_settles_listeners_by_channel(self):
+        cr = CompiledRound(
+            {0: Transmit(1, self.MSG)}, (4, 2, 3), b"\x01\x00\x01", RoundMeta()
+        )
+        assert self._resolve(cr) == [{1: self.MSG}]
+        # A delivering channel nobody listens on is not in the result.
+        lonely = CompiledRound(
+            {0: Transmit(1, self.MSG)}, (2,), b"\x00", RoundMeta()
+        )
+        assert self._resolve(lonely) == [{}]
+
+    @pytest.mark.parametrize("channel", [-1, 300])
+    def test_non_byte_channel_is_a_protocol_violation(self, channel):
+        net = make_network(n=4)
+        with pytest.raises(ProtocolViolation, match="invalid channel"):
+            net.execute_round({0: Listen(channel)})
+        with pytest.raises(ProtocolViolation, match="invalid channel"):
+            CompiledRound.make({}, {channel: [1]})
+
+    def test_make_flattens_groups_and_listens_is_a_view(self):
+        groups = {2: [5, 1], 0: [3], 1: [4, 6]}
+        cr = CompiledRound.make({0: Transmit(0, self.MSG)}, groups)
+        assert cr.listeners == (5, 1, 3, 4, 6)
+        assert cr.hops == bytes([2, 2, 0, 1, 1])
+        assert cr.listens == groups
+        assert cr.as_actions() == {
+            0: Transmit(0, self.MSG),
+            5: Listen(2),
+            1: Listen(2),
+            3: Listen(0),
+            4: Listen(1),
+            6: Listen(1),
+        }
+
+    def test_more_than_256_channels_rejected(self):
+        with pytest.raises(ConfigurationError, match="256"):
+            RadioNetwork(8, 257, 1)
+        assert RadioNetwork(8, 256, 1).channels == 256
 
 
 class TestBookkeeping:

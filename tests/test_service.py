@@ -406,7 +406,9 @@ class TestServiceAdversaryGauntlet:
     def test_pairwise_replay_from_prior_exchange_rejected(self):
         from repro.adversary.base import Adversary
         from repro.radio.messages import Transmission
-        from repro.radio.network import CompiledRound, RoundSchedule
+        import dataclasses
+
+        from repro.radio.network import RoundSchedule
         from repro.service import PairwiseChannel
 
         net = make_network(n=12, channels=2, t=1, keep_trace=True)
@@ -439,12 +441,7 @@ class TestServiceAdversaryGauntlet:
             return original(
                 RoundSchedule(
                     [
-                        CompiledRound(
-                            transmits={},
-                            listens=r.listens,
-                            meta=r.meta,
-                            listen_count=r.listen_count,
-                        )
+                        dataclasses.replace(r, transmits={})
                         for r in schedule.rounds
                     ]
                 )
