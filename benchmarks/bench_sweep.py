@@ -1,21 +1,20 @@
-"""Sweep dispatcher benchmark: serial vs multiprocess vs socket backends.
+"""Sweep dispatcher benchmark: serial vs the forked socket pool.
 
-Runs the *same* :class:`~repro.dispatch.SweepSpec` through all three
-dispatch backends and — **before** timing anything — asserts the
-reports are byte-identical (``json.dumps(..., sort_keys=True)``),
-including a fault-injected socket run (one worker killed mid-sweep, the
-coordinator stopped halfway, the journal resumed on a fresh pool): the
-backend layer's whole contract is that dispatch never changes the
-report, so an equivalence regression fails the bench rather than
-inflating it.  Then trials/sec per backend.
+Runs the *same* :class:`~repro.dispatch.SweepSpec` in-process and on the
+socket pool and — **before** timing anything — asserts the reports are
+byte-identical (``json.dumps(..., sort_keys=True)``), including a
+fault-injected socket run (one worker killed mid-sweep, the coordinator
+stopped halfway, the journal resumed on a fresh pool): the dispatch
+layer's whole contract is that it never changes the report, so an
+equivalence regression fails the bench rather than inflating it.  Then
+trials/sec per side.
 
-The socket backend is timed twice: **cold** (spawn + import + handshake
-included — what a one-shot ``--backend socket`` run pays) and **warm**
-(pool pre-warmed via :meth:`SocketBackend.warm_up`, measuring dispatch
+The socket pool is timed twice: **cold** (fork + handshake included —
+what a one-shot ``sweep --workers N`` run pays) and **warm** (pool
+pre-warmed via :meth:`SocketBackend.warm_up`, measuring dispatch
 throughput alone — what a long-lived cluster pool looks like in steady
 state, and the number the protocol-v2 batching work targets).  The
-headline ``socket`` entry is the warm one; ``socket_cold`` is recorded
-alongside.
+``socket`` entry is the warm one; ``socket_cold`` is recorded alongside.
 
 The full run times two grids: ``short`` (n=24 trials of a few ms,
 where per-dispatch overhead shows) and ``long`` (n=256 with 16 pairs,
@@ -25,10 +24,10 @@ Run ``PYTHONPATH=src python benchmarks/bench_sweep.py`` to regenerate
 ``benchmarks/BENCH_sweep.json``; ``--quick`` is the CI smoke mode (one
 tiny grid, no JSON unless ``--json`` is given).  ``os.cpu_count()`` is
 recorded and the floors are enforced, on every grid, only when the
-machine has at least ``--workers`` cores: the procs backend must beat
-``--min-speedup``, the warm socket backend must match the procs backend
-(``--min-socket-vs-procs``) and must beat the protocol-v1 baseline of
-0.13x serial by at least ``--min-socket-improvement`` (default 3x).
+machine has at least ``--workers`` cores: the cold pool — what
+``--workers N`` runs — must beat ``--min-speedup``, and the warm pool
+must beat the protocol-v1 baseline of 0.13x serial by at least
+``--min-socket-improvement`` (default 3x).
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.dispatch import (
-    MultiprocessBackend,
-    SerialBackend,
-    SocketBackend,
-    SweepRunner,
-    SweepSpec,
-)
+from repro.dispatch import SerialBackend, SocketBackend, SweepRunner, SweepSpec
 from repro.errors import SweepInterrupted
 
 SOCKET_V1_BASELINE = 0.13
@@ -111,7 +104,7 @@ def run_kill_and_resume(spec: SweepSpec, workers: int, batch_size) -> dict:
 
 
 def assert_equivalent(reports: dict[str, dict]) -> None:
-    """All backends must produce byte-identical reports before timing."""
+    """Every side must produce a byte-identical report before timing."""
     rendered = {
         name: json.dumps(report, sort_keys=True)
         for name, report in reports.items()
@@ -128,17 +121,14 @@ def assert_equivalent(reports: dict[str, dict]) -> None:
 
 
 def bench_grid(spec: SweepSpec, workers: int, batch_size) -> dict[str, float]:
-    """Every backend on ``spec``; reports asserted identical, then timed.
+    """Every side on ``spec``; reports asserted identical, then timed.
 
-    Returns trials/sec per backend.
+    Returns trials/sec per side.
     """
     reports: dict[str, dict] = {}
     throughput: dict[str, float] = {}
     reports["serial"], throughput["serial"] = run_sweep(spec, SerialBackend())
-    reports["procs"], throughput["procs"] = run_sweep(
-        spec, MultiprocessBackend(workers)
-    )
-    # Cold socket: one-shot pool, spawn + import + handshake on the clock.
+    # Cold socket: one-shot pool, fork + handshake on the clock.
     reports["socket_cold"], throughput["socket_cold"] = run_sweep(
         spec, SocketBackend(workers=workers, batch_size=batch_size)
     )
@@ -162,20 +152,14 @@ def floor_failures(
     label: str, throughput: dict[str, float], args: argparse.Namespace
 ) -> list[str]:
     """The floors one grid's throughput misses."""
-    speedup = throughput["procs"] / throughput["serial"]
+    speedup = throughput["socket_cold"] / throughput["serial"]
     socket_speedup = throughput["socket"] / throughput["serial"]
-    socket_vs_procs = throughput["socket"] / throughput["procs"]
     improvement = socket_speedup / SOCKET_V1_BASELINE
     failures = []
     if speedup < args.min_speedup:
         failures.append(
-            f"{label}: procs-backend speedup is {speedup:.2f}x "
+            f"{label}: cold-pool speedup is {speedup:.2f}x "
             f"(< {args.min_speedup}x floor)"
-        )
-    if socket_vs_procs < args.min_socket_vs_procs:
-        failures.append(
-            f"{label}: warm socket is {socket_vs_procs:.2f}x the procs "
-            f"backend (< {args.min_socket_vs_procs}x floor)"
         )
     if improvement < args.min_socket_improvement:
         failures.append(
@@ -196,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool size for the procs/socket backends (default: 4, quick: 2)",
+        help="socket pool size (default: 4, quick: 2)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=None,
@@ -205,13 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=1.3,
-        help="fail (exit 1) if the procs-backend speedup drops below this "
-        "— enforced only when os.cpu_count() >= workers",
-    )
-    parser.add_argument(
-        "--min-socket-vs-procs", type=float, default=1.0,
-        help="fail if warm-socket trials/sec divided by procs trials/sec "
-        "drops below this — enforced only when os.cpu_count() >= workers",
+        help="fail (exit 1) if the cold pool's speedup vs serial (what "
+        "--workers N runs) drops below this — enforced only when "
+        "os.cpu_count() >= workers",
     )
     parser.add_argument(
         "--min-socket-improvement", type=float, default=3.0,
@@ -259,18 +239,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"({rate / throughput['serial']:.2f}x vs serial)"
             )
         print(
-            f"{label:>5} {'equivalence':>12}: serial == procs == "
-            "socket_cold == socket == socket_kill_resume (byte-identical "
-            "reports)"
+            f"{label:>5} {'equivalence':>12}: serial == socket_cold == "
+            "socket == socket_kill_resume (byte-identical reports)"
         )
 
     enforceable = cpu_count >= workers
     if write_json:
         payload = {
             "generated_by": "benchmarks/bench_sweep.py",
-            "equivalence": "serial/procs/socket(cold+warm) SweepReport."
-            "as_dict asserted byte-identical (sort_keys dumps) before "
-            "timing, including a kill-one-worker + --resume socket run",
+            "equivalence": "serial/socket(cold+warm) SweepReport.as_dict "
+            "asserted byte-identical (sort_keys dumps) before timing, "
+            "including a kill-one-worker + --resume socket run",
             "python": platform.python_version(),
             "cpu_count": cpu_count,
             "workers": workers,
@@ -298,8 +277,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if not enforceable:
         print(
-            f"NOTE: {cpu_count} CPU(s) < {workers} workers — parallel "
-            "backends cannot beat serial here; floors not enforced "
+            f"NOTE: {cpu_count} CPU(s) < {workers} workers — the pool "
+            "cannot beat serial here; floors not enforced "
             "(equivalence still asserted)"
         )
         return 0

@@ -7,13 +7,14 @@ Commands
 ``service``     run the full pipeline and exchange a few chat messages
 ``gauntlet``    run f-AME against every adversary in the gallery
 ``sweep``       expand a parameter grid (workload × n × C × t × adversary)
-                into deterministically seeded trials, dispatch them over
-                a pluggable backend (``--backend serial|procs|socket``),
-                with a durable ``--journal`` and ``--resume``, and print
+                into deterministically seeded trials, run them in-process
+                (``--workers 1``) or on a socket pool of forked workers
+                (``--workers N``) that survives a killed worker, with a
+                durable ``--journal`` and ``--resume``, and print
                 a JSON report (Wilson intervals, disruptability
                 histograms, merged radio metrics)
 ``montecarlo``  alias of ``sweep``: a Monte Carlo run is a one-point sweep
-``worker``      join a socket-backend sweep as a worker process (connects
+``worker``      join a sweep's socket pool from another machine (connects
                 to the coordinator, pulls batches of trials until shutdown;
                 ``--batch-size`` on the sweep side pins the batch size)
 ``scenario``    list/run entries of the declarative attack-scenario
@@ -27,14 +28,14 @@ Commands
 
 Common options: ``--nodes``, ``--channels``, ``--strength`` (t), ``--seed``,
 ``--adversary``.  Every run is deterministic given the seed, and a sweep's
-*report* is byte-identical across backends, worker counts, kills, and
-resumes::
+*report* is byte-identical across worker counts, kills, and resumes::
 
     python -m repro montecarlo --trials 100 --workers 4 --seed 7
 
-runs on a 4-process pool and writes the same report as ``--workers 1``
-(100 trials, the default, is also enough for an informative 1/n verdict
-at the default ``n=20``; see ``repro.analysis.stats.min_informative_trials``).
+runs on 4 forked socket workers and writes the same report as
+``--workers 1`` (100 trials, the default, is also enough for an
+informative 1/n verdict at the default ``n=20``; see
+``repro.analysis.stats.min_informative_trials``).
 ``--json-out PATH`` writes the report to a file (trailing newline) and
 prints only a one-line summary.
 """
@@ -49,8 +50,14 @@ from pathlib import Path
 from . import __version__
 from .adversary import Adversary
 from .crypto.dh import TEST_GROUP_128
-from .dispatch import SweepRunner, SweepSpec, make_backend, worker_main
-from .dispatch.socket_pool import SocketBackend, parse_endpoint
+from .dispatch import (
+    SerialBackend,
+    SocketBackend,
+    SweepRunner,
+    SweepSpec,
+    worker_main,
+)
+from .dispatch.socket_pool import parse_endpoint
 from .errors import ConfigurationError, SweepInterrupted
 from .experiments import WORKLOADS, default_pairs
 from .experiments.workloads import (
@@ -159,19 +166,18 @@ def _emit_report(
 
 
 def _sweep_backend(args: argparse.Namespace):
-    # An unset --backend follows --workers: in-process at one worker, a
-    # local process pool above (a count below one is rejected there).
-    name = args.backend or ("serial" if args.workers == 1 else "procs")
-    if name == "socket":
-        host, port = parse_endpoint(args.bind)
-        return SocketBackend(
-            workers=args.workers,
-            host=host,
-            port=port,
-            spawn_workers=not args.no_spawn_workers,
-            batch_size=args.batch_size,
-        )
-    return make_backend(name, workers=args.workers, chunksize=args.chunksize)
+    # One local worker runs in-process; anything else is the socket
+    # coordinator (which rejects a count below one).
+    if args.workers == 1 and not args.no_spawn_workers:
+        return SerialBackend()
+    host, port = parse_endpoint(args.bind)
+    return SocketBackend(
+        workers=args.workers,
+        host=host,
+        port=port,
+        spawn_workers=not args.no_spawn_workers,
+        batch_size=args.batch_size,
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -441,20 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
         "report); montecarlo is an alias",
         description="Expand a parameter grid (workload × n × channels × t "
         "× adversary) into deterministically seeded trials "
-        "(RngRegistry.spawn('sweep', point, trial)) and dispatch them over "
-        "--backend serial|procs|socket.  Each grid point reports Wilson "
-        "success intervals, its 1/n w.h.p. verdict, a disruptability "
-        "histogram, and merged radio metrics; a Monte Carlo run is a "
-        "one-point sweep.  With --journal every completed trial is "
-        "durably appended; --resume replays the journal, skips completed "
-        "trials, and produces a report byte-identical to an uninterrupted "
-        "run.  The report never depends on the backend, worker count, "
-        "completion order, retries, kills, or resumes.  Exit codes: 0 "
-        "done, 1 a checkable w.h.p. claim failed, 2 usage or "
+        "(RngRegistry.spawn('sweep', point, trial)) and run them "
+        "in-process (--workers 1) or on N forked socket workers "
+        "(--workers N; a killed worker's trials are requeued).  Each grid "
+        "point reports Wilson success intervals, its 1/n w.h.p. verdict, "
+        "a disruptability histogram, and merged radio metrics; a Monte "
+        "Carlo run is a one-point sweep.  With --journal every completed "
+        "trial is durably appended; --resume replays the journal, skips "
+        "completed trials, and produces a report byte-identical to an "
+        "uninterrupted run.  The report never depends on the worker "
+        "count, completion order, retries, kills, or resumes.  Exit "
+        "codes: 0 done, 1 a checkable w.h.p. claim failed, 2 usage or "
         "configuration error, 3 stopped early.",
         epilog="example: python -m repro sweep --nodes 18,24 "
-        "--adversaries schedule,random --trials 20 --backend socket "
-        "--workers 4 --journal sweep.jsonl --json-out sweep.json",
+        "--adversaries schedule,random --trials 20 --workers 4 "
+        "--journal sweep.jsonl --json-out sweep.json",
     )
     sw.add_argument("--workloads", "--workload", type=_str_list,
                     default=["fame"],
@@ -476,19 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trials per grid point")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--pairs", type=int, default=5)
-    sw.add_argument(
-        "--backend", choices=("serial", "procs", "socket"), default=None,
-        help="default: serial at --workers 1, procs above",
-    )
     sw.add_argument("--workers", "-j", type=int, default=1,
-                    help="pool size for the procs/socket backends")
-    sw.add_argument(
-        "--chunksize", type=int, default=None,
-        help="trials per dispatch for the procs backend",
-    )
+                    help="1 runs in-process; N forks N local socket "
+                    "workers")
     sw.add_argument(
         "--batch-size", type=int, default=None,
-        help="socket backend: pin trials per batch frame (default: sized "
+        help="socket pool: pin trials per batch frame (default: sized "
         "adaptively from observed per-trial cost)",
     )
     sw.add_argument(
@@ -510,12 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument(
         "--bind", default="127.0.0.1:0",
-        help="socket backend: coordinator HOST:PORT (0 = OS-assigned)",
+        help="socket pool: coordinator HOST:PORT (0 = OS-assigned)",
     )
     sw.add_argument(
         "--no-spawn-workers", action="store_true",
-        help="socket backend: only listen; workers are started elsewhere "
-        "with `python -m repro worker --connect HOST:PORT`",
+        help="socket pool: only listen (even at --workers 1); workers "
+        "are started elsewhere with `python -m repro worker --connect "
+        "HOST:PORT`",
     )
     sw.add_argument(
         "--stop-after", type=int, default=None,
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wk = sub.add_parser(
         "worker",
-        help="join a socket-backend sweep as a worker process",
+        help="join a sweep's socket pool as a worker process",
         description="Connect to a sweep coordinator, handshake, and pull "
         "trials until it sends shutdown.  Exit codes: 0 shutdown, 1 "
         "coordinator unreachable/vanished, 2 handshake rejected or "

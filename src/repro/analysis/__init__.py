@@ -11,9 +11,10 @@ The pure-stdlib members (:mod:`~repro.analysis.vertex_cover`,
 imported eagerly — they sit on the trial hot path.  The numpy/networkx
 ones (:mod:`~repro.analysis.graphs`, :mod:`~repro.analysis.theory`,
 :mod:`~repro.analysis.complexity`) load lazily on first attribute
-access: ``import repro`` happens once per spawned dispatch worker, and
-those third-party imports were more than a third of its cost without
-ever being needed to *run* a trial.
+access: ``import repro`` happens once per sweep coordinator (whose
+forked workers inherit it) and per remote ``python -m repro worker``,
+and those third-party imports were more than a third of its cost
+without ever being needed to *run* a trial.
 """
 
 from .vertex_cover import (

@@ -28,17 +28,14 @@ calls (the socket pool's warm workers): :meth:`DispatchBackend.close`
 releases it, backends are context managers, and the base implementations
 are no-ops so stateless backends need not care.
 
-Backends: :class:`SerialBackend` (in-process loop), :class:`
-MultiprocessBackend` (a local ``multiprocessing`` pool streaming via
-``imap`` with batch-derived chunk sizes), and
+Backends: :class:`SerialBackend` (in-process loop) and
 :class:`~repro.dispatch.socket_pool.SocketBackend` (stdlib socket
-coordinator + ``python -m repro worker`` processes, possibly on other
+coordinator + workers it forks locally or that connect from other
 machines, shipping batched spec frames over a pipelined window).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Iterable, Sequence
 
 from ..errors import ConfigurationError, DispatchError, SweepInterrupted
@@ -47,28 +44,6 @@ from ..experiments.workloads import run_trial
 
 OnResult = Callable[[TrialResult], None]
 ShouldStop = Callable[[], bool]
-
-MIN_AUTO_CHUNK = 4
-"""Floor for derived chunksizes: per-dispatch IPC overhead is roughly
-constant, so chunks below this spend a visible fraction of a small
-grid's wall time on dispatch instead of trials."""
-
-
-def auto_chunksize(batch_size: int, workers: int) -> int:
-    """Chunksize for ``batch_size`` specs over ``workers`` processes.
-
-    Large batches keep the classic ``batch // (workers * 4)`` — four
-    waves per worker, balanced when trial wall times vary.  Small
-    batches are where that heuristic collapsed to 1–2-trial dispatches
-    whose IPC overhead dominated (the 16-trial sweep points of
-    ``BENCH_sweep``): the :data:`MIN_AUTO_CHUNK` floor batches them up,
-    capped at an even ``ceil(batch / workers)`` split so every worker
-    still gets work.
-    """
-    per_worker = -(-batch_size // workers)  # ceil: an even split
-    return max(1, min(
-        max(batch_size // (workers * 4), MIN_AUTO_CHUNK), per_worker
-    ))
 
 
 class ResultAssembler:
@@ -194,8 +169,8 @@ class DispatchBackend:
 class SerialBackend(DispatchBackend):
     """Run every trial in-process, in submission order.
 
-    This is both the reference implementation the others must match and
-    the fallback for environments without working ``multiprocessing``.
+    This is both the reference implementation the socket pool must match
+    and what ``--workers 1`` runs.
     """
 
     name = "serial"
@@ -204,82 +179,3 @@ class SerialBackend(DispatchBackend):
         for spec in specs:
             assembler.apply(run_trial(spec))
             self._check_stop(assembler, should_stop)
-
-
-class MultiprocessBackend(DispatchBackend):
-    """Fan trials over a local ``multiprocessing`` pool.
-
-    ``imap`` streams results back in submission order, so journalling
-    and partial reports work mid-batch.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (>= 2; use :class:`SerialBackend` for one).
-    chunksize:
-        Trials per worker dispatch; ``None`` derives one with
-        :func:`auto_chunksize` from the *actual* batch handed to
-        :meth:`run` — the whole sweep's spec stream, never a single
-        point's trial count.
-    """
-
-    name = "procs"
-
-    def __init__(self, workers: int, chunksize: int | None = None) -> None:
-        if workers < 2:
-            raise ConfigurationError(
-                "MultiprocessBackend needs workers >= 2; "
-                "use SerialBackend for in-process runs"
-            )
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1 when given")
-        self.workers = workers
-        self.chunksize = chunksize
-
-    def effective_chunksize(self, batch_size: int) -> int:
-        """The chunksize actually handed to ``imap`` for a batch."""
-        if self.chunksize is not None:
-            return self.chunksize
-        return auto_chunksize(batch_size, self.workers)
-
-    def _execute(self, specs, assembler, should_stop):
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=self.workers) as pool:
-            # imap yields in submission order no matter which worker ran
-            # what, so streaming application is oblivious to scheduling.
-            for result in pool.imap(
-                run_trial, specs, chunksize=self.effective_chunksize(len(specs))
-            ):
-                assembler.apply(result)
-                self._check_stop(assembler, should_stop)
-
-
-BACKEND_NAMES = ("serial", "procs", "socket")
-"""CLI names accepted by :func:`make_backend` (and ``--backend``)."""
-
-
-def make_backend(
-    name: str,
-    *,
-    workers: int = 2,
-    chunksize: int | None = None,
-    batch_size: int | None = None,
-) -> DispatchBackend:
-    """Instantiate a backend by CLI name.
-
-    ``chunksize`` applies to ``procs``; ``batch_size`` pins the socket
-    backend's per-assignment batch (``None`` keeps it adaptive).  A worker
-    count the backend cannot run raises :class:`~repro.errors.
-    ConfigurationError`; it is never silently coerced.
-    """
-    if name == "serial":
-        return SerialBackend()
-    if name == "procs":
-        return MultiprocessBackend(workers, chunksize)
-    if name == "socket":
-        from .socket_pool import SocketBackend
-
-        return SocketBackend(workers=workers, batch_size=batch_size)
-    raise ConfigurationError(
-        f"unknown dispatch backend {name!r}; pick from {BACKEND_NAMES}"
-    )

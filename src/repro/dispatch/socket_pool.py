@@ -1,11 +1,11 @@
-"""Stdlib-only socket worker pool: coordinator + ``python -m repro worker``.
+"""Stdlib-only socket worker pool: coordinator + forked or remote workers.
 
-The one backend that leaves the machine: a coordinator binds a TCP port,
-workers (local subprocesses it spawns itself, or ``python -m repro worker
---connect HOST:PORT`` processes started anywhere that can reach the port)
-connect, handshake, and pull *batches* of :class:`~repro.experiments.
-trial.TrialSpec` coordinates.  ``socket`` + ``selectors`` + ``pickle``
-only — no third-party queue.
+The one parallel backend, and the one that leaves the machine: a
+coordinator binds a TCP port, workers (local processes it forks itself,
+or ``python -m repro worker --connect HOST:PORT`` processes started
+anywhere that can reach the port) connect, handshake, and pull *batches*
+of :class:`~repro.experiments.trial.TrialSpec` coordinates.  ``socket``
++ ``selectors`` + ``pickle`` only — no third-party queue.
 
 Throughput model
 ----------------
@@ -26,16 +26,17 @@ per *batch* instead of per unit of work:
   compute time) targeting :data:`TARGET_BATCH_SECONDS` per batch, capped
   by a fair share of the remaining work so the tail stays balanced;
   ``batch_size=`` (CLI ``--batch-size``) pins K instead;
-* **pipelined in-flight window** — each worker holds up to ``window``
-  (default :data:`DEFAULT_WINDOW`) outstanding batches, so coordinator
-  send latency hides behind worker compute instead of alternating with
-  it;
+* **pipelined in-flight window** — each worker holds up to
+  :data:`DEFAULT_WINDOW` outstanding batches, so coordinator send
+  latency hides behind worker compute instead of alternating with it;
+  both ends set ``TCP_NODELAY``, so a pipelined ``batch`` frame is not
+  held back waiting for the busy worker's delayed ACK;
 * **warm pool** — the pool can outlive a single :meth:`SocketBackend.
   run` call (``keep_alive=True``): workers stay connected and the next
-  batch of specs reuses them, paying spawn + import + handshake once.
+  batch of specs reuses them, paying fork + handshake once.
   A whole sweep is already *one* ``run`` call (every point's trials in
   one interleaved stream); ``keep_alive`` extends that to sequences of
-  sweeps.  :meth:`SocketBackend.warm_up` pre-spawns and handshakes the
+  sweeps.  :meth:`SocketBackend.warm_up` pre-forks and handshakes the
   pool so timed runs measure dispatch, not process startup.
 
 Wire protocol (version :data:`PROTOCOL_VERSION`)
@@ -68,11 +69,12 @@ in-flight batches that is still unapplied is handed to the next idle
 worker (:func:`unapplied_specs` filters out indices whose results
 already arrived — the :class:`~repro.dispatch.backend.ResultAssembler`'s
 at-most-once-per-index rule makes redelivery of partially-applied
-batches harmless either way).  Because per-trial seeds are a pure
-function of the trial index, a requeued trial re-runs bit-for-bit
-identically on any worker, so the merged report stays byte-identical to
-serial regardless of batch sizes, completion order, retries, or worker
-count.
+batches harmless either way).  A SIGKILLed local worker is no different:
+it is a forked child that alone holds its end of the connection.
+Because per-trial seeds are a pure function of the trial index, a
+requeued trial re-runs bit-for-bit identically on any worker, so the
+merged report stays byte-identical to serial regardless of batch sizes,
+completion order, retries, or worker count.
 
 Trust model: frames are pickles, but both directions decode through
 :func:`~repro.dispatch.wire.loads_restricted`, whose ``find_class``
@@ -86,15 +88,14 @@ frames are neither authenticated nor encrypted.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import selectors
 import socket
-import subprocess
 import sys
 import time
 from collections import deque
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigurationError, DispatchError
@@ -130,6 +131,12 @@ journal flushes."""
 _CONNECT_RETRY_SECONDS = 10.0
 """How long a worker keeps retrying its connection by default — and so
 how long a graceful close waits for a spawned worker still connecting."""
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Send small frames at once: a pipelined ``batch`` frame must not
+    wait for the busy peer's delayed ACK (Nagle's algorithm)."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +264,25 @@ def parse_endpoint(text: str) -> tuple[str, int]:
         ) from None
 
 
+def _connect(host: str, port: int) -> socket.socket:
+    """One connection attempt to the coordinator, ready for frames.
+
+    IPv4 like the coordinator's listener.  Unlike
+    ``socket.create_connection``, a numeric host never reaches the
+    resolver, whose first call costs a freshly forked worker ~6 ms.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(10.0)
+        sock.connect((host, port))
+    except OSError:
+        sock.close()
+        raise
+    sock.settimeout(None)
+    _no_delay(sock)
+    return sock
+
+
 def worker_main(
     host: str, port: int, *, retry_seconds: float = _CONNECT_RETRY_SECONDS
 ) -> int:
@@ -276,7 +302,7 @@ def worker_main(
     sock: socket.socket | None = None
     while sock is None:
         try:
-            sock = socket.create_connection((host, port), timeout=10.0)
+            sock = _connect(host, port)
         except OSError:
             if time.monotonic() >= deadline:
                 print(
@@ -286,7 +312,6 @@ def worker_main(
                 )
                 return 1
             time.sleep(0.1)
-    sock.settimeout(None)
     contexts: list[tuple] | None = None
     try:
         send_frame(
@@ -385,24 +410,24 @@ class SocketBackend(DispatchBackend):
     Parameters
     ----------
     workers:
-        Local worker subprocesses to spawn (``spawn_workers=True``); also
-        the pool's nominal size, used to split early batches fairly
-        before every worker has connected.
+        Local workers to fork (``spawn_workers=True``); also the pool's
+        nominal size, used to split early batches fairly before every
+        worker has connected.
     host, port:
-        Bind address; ``port=0`` lets the OS pick (the spawned workers
+        Bind address; ``port=0`` lets the OS pick (the forked workers
         are told the real port).  Bind a routable host + fixed port with
         ``spawn_workers=False`` to serve workers on other machines.
     spawn_workers:
-        Spawn ``workers`` local ``python -m repro worker`` subprocesses
-        after binding.  When ``False`` the coordinator only listens and
-        prints the bound endpoint to stderr; start workers yourself.
+        Fork ``workers`` local worker processes after binding; each
+        closes its inherited copy of the coordinator's listener and
+        selector, then runs :func:`worker_main`.  When ``False`` the
+        coordinator only listens and prints the bound endpoint to
+        stderr; start ``python -m repro worker`` processes yourself.
     batch_size:
         Trials per ``batch`` frame.  ``None`` (default) adapts: start at
         :data:`INITIAL_BATCH`, then target :data:`TARGET_BATCH_SECONDS`
         of worker compute per batch from the observed per-trial cost,
         always capped by a fair share of the remaining work.
-    window:
-        Outstanding batches per worker (pipelining depth).
     keep_alive:
         Keep the pool connected after :meth:`run` completes so the next
         ``run`` reuses the same warm workers; call :meth:`close` (or use
@@ -426,7 +451,6 @@ class SocketBackend(DispatchBackend):
         port: int = 0,
         spawn_workers: bool = True,
         batch_size: int | None = None,
-        window: int = DEFAULT_WINDOW,
         keep_alive: bool = False,
         accept_timeout: float = 30.0,
         idle_timeout: float = 300.0,
@@ -435,19 +459,16 @@ class SocketBackend(DispatchBackend):
             raise ConfigurationError("SocketBackend needs workers >= 1")
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1 when given")
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
         self.workers = workers
         self.host = host
         self.port = port
         self.spawn_workers = spawn_workers
         self.batch_size = batch_size
-        self.window = window
         self.keep_alive = keep_alive
         self.accept_timeout = accept_timeout
         self.idle_timeout = idle_timeout
         self.target_batch_seconds = TARGET_BATCH_SECONDS
-        self.spawned: list[subprocess.Popen] = []
+        self.spawned: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
         self._sel: selectors.BaseSelector | None = None
         self._listener: socket.socket | None = None
@@ -458,40 +479,32 @@ class SocketBackend(DispatchBackend):
     # -- worker process management ------------------------------------
 
     def _spawn(self, count: int) -> None:
-        import repro
-
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        host, port = self.address  # type: ignore[misc]
+        # Forked, not exec'd: a child starts with repro already imported.
+        # That needs a coordinator with no other threads running (the
+        # CLI's has none).  Daemonic, so an exiting coordinator never
+        # waits on a warm pool it forgot to close.
+        fork = multiprocessing.get_context("fork")
         for _ in range(count):
-            self.spawned.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "worker",
-                        "--connect",
-                        f"{host}:{port}",
-                    ],
-                    env=env,
-                )
-            )
+            proc = fork.Process(target=self._worker_process, daemon=True)
+            proc.start()
+            self.spawned.append(proc)
+
+    def _worker_process(self) -> None:
+        """A forked worker's body.  Dropping the inherited listener means
+        the port closes with the coordinator, whatever the workers do."""
+        self._sel.close()
+        self._listener.close()
+        sys.exit(worker_main(*self.address))
 
     def _reap_spawned(self, *, force: bool) -> None:
         for proc in self.spawned:
-            if proc.poll() is None and force:
+            if force:
                 proc.terminate()
         for proc in self.spawned:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=10.0)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait(timeout=10.0)
+                proc.join(timeout=10.0)
 
     # -- pool lifecycle -------------------------------------------------
 
@@ -556,7 +569,7 @@ class SocketBackend(DispatchBackend):
     def _await_spawned_handshakes(self) -> None:
         """Keep the listener up until every live spawned worker is greeted.
 
-        A worker spawned late — still importing, or inside its connect
+        A worker forked late — still starting, or inside its connect
         retry loop — would otherwise find the listener closed, retry for
         its whole window and then be killed.  Waiting for its handshake
         lets the shutdown below reach it, so it exits 0.
@@ -569,7 +582,7 @@ class SocketBackend(DispatchBackend):
                 if conn.ready
             }
             waiting = any(
-                proc.poll() is None and proc.pid not in greeted
+                proc.is_alive() and proc.pid not in greeted
                 for proc in self.spawned
             )
             remaining = deadline - time.monotonic()
@@ -585,11 +598,11 @@ class SocketBackend(DispatchBackend):
         """Open the pool and wait for every spawned worker's handshake.
 
         Returns the number of ready workers.  With ``spawn_workers=False``
-        it waits for at least one remote worker.  Spawn + import +
-        handshake are one-time pool costs; warming separates them from
-        dispatch throughput (and is what a long-lived cluster pool looks
-        like in steady state).  The pool stays open afterwards regardless
-        of ``keep_alive`` — pair with :meth:`close`.
+        it waits for at least one remote worker.  Fork + handshake are
+        one-time pool costs; warming separates them from dispatch
+        throughput (and is what a long-lived cluster pool looks like in
+        steady state).  The pool stays open afterwards regardless of
+        ``keep_alive`` — pair with :meth:`close`.
         """
         if not self.pool_open:
             self._open_pool()
@@ -639,6 +652,7 @@ class SocketBackend(DispatchBackend):
         except (BlockingIOError, OSError):
             return None
         accepted.setblocking(False)
+        _no_delay(accepted)
         conn = _Connection(accepted)
         self._conns[accepted.fileno()] = conn
         self._sel.register(accepted, selectors.EVENT_READ, data=conn)
@@ -696,25 +710,30 @@ class SocketBackend(DispatchBackend):
         else:
             self._trial_cost = 0.5 * self._trial_cost + 0.5 * per_trial
 
-    def _next_batch_size(self, pending_count: int, live_workers: int) -> int:
-        """Trials for the next ``batch`` frame.
+    def _next_batch_size(
+        self, pending_count: int, live_workers: int, share: int
+    ) -> int:
+        """Trials for the next ``batch`` frame (0: leave the rest).
 
         A pinned ``batch_size`` wins outright (bar the pending cap).
-        Otherwise: before any observation, :data:`INITIAL_BATCH`; after,
-        enough trials for ~``target_batch_seconds`` of worker compute —
-        both capped by a fair share of the remaining work across the
-        pool's window slots, so one early-connecting worker can never
-        hoard the whole stream and the tail splits evenly.
+        Before any observation: :data:`INITIAL_BATCH`, capped by
+        ``share`` — what this worker may still take for an even
+        per-worker split of the unreported work — so on a grid that fits
+        in the pool's windows the first worker to connect takes only its
+        part, as a static split would.  After: enough trials for
+        ~``target_batch_seconds`` of worker compute, capped by a fair
+        share of the remaining work across the pool's window slots, so
+        one early-connecting worker can never hoard the whole stream and
+        the tail splits evenly.
         """
         if pending_count < 1:
             return 0
         if self.batch_size is not None:
             return min(self.batch_size, pending_count)
         if self._trial_cost is None:
-            size = INITIAL_BATCH
-        else:
-            size = int(self.target_batch_seconds / max(self._trial_cost, 1e-9))
-        slots = max(live_workers, self.workers, 1) * self.window
+            return max(0, min(INITIAL_BATCH, share, pending_count))
+        size = int(self.target_batch_seconds / max(self._trial_cost, 1e-9))
+        slots = max(live_workers, self.workers, 1) * DEFAULT_WINDOW
         fair = -(-pending_count // slots)  # ceil
         return max(1, min(size, MAX_BATCH, fair, pending_count))
 
@@ -759,10 +778,23 @@ class SocketBackend(DispatchBackend):
         def live_workers() -> int:
             return self._ready_count()
 
+        def share(conn: _Connection) -> int:
+            """What ``conn`` may still take for an even per-worker split
+            of the unreported work."""
+            unreported = len(pending) + sum(
+                len(c.in_flight) for c in self._conns.values()
+            )
+            pool = max(live_workers(), self.workers)
+            return -(-unreported // pool) - len(conn.in_flight)
+
         def assign(conn: _Connection) -> None:
             """Fill the worker's window with batches off the stream."""
-            while conn.ready and conn.outstanding < self.window and pending:
-                size = self._next_batch_size(len(pending), live_workers())
+            while conn.ready and conn.outstanding < DEFAULT_WINDOW and pending:
+                size = self._next_batch_size(
+                    len(pending), live_workers(), share(conn)
+                )
+                if not size:
+                    return
                 batch = [pending.popleft() for _ in range(size)]
                 trials = [
                     (ctx_ids[spec_context(s)], s.index, s.seed)
@@ -781,7 +813,7 @@ class SocketBackend(DispatchBackend):
             for conn in list(self._conns.values()):
                 if not pending:
                     return
-                if conn.ready and conn.outstanding < self.window:
+                if conn.ready and conn.outstanding < DEFAULT_WINDOW:
                     assign(conn)
 
         def handle(frame: Any, conn: _Connection) -> None:
@@ -859,8 +891,8 @@ class SocketBackend(DispatchBackend):
                 f"{self.accept_timeout}s"
             )
         if self.spawn_workers and not live:
-            if self.spawned and all(
-                p.poll() is not None for p in self.spawned
+            if self.spawned and not any(
+                p.is_alive() for p in self.spawned
             ):
                 raise DispatchError(
                     f"all {len(self.spawned)} spawned workers exited with "

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import _sweep_backend, build_parser, cmd_sweep, main
-from repro.dispatch import MultiprocessBackend, SerialBackend
+from repro.dispatch import SerialBackend, SocketBackend
 
 
 class TestParser:
@@ -92,7 +92,7 @@ class TestCommands:
         args = build_parser().parse_args(["montecarlo"])
         assert args.handler is cmd_sweep and args.command == "montecarlo"
         assert args.trials == 100 and args.workers == 1
-        assert args.workloads == ["fame"] and args.chunksize is None
+        assert args.workloads == ["fame"] and args.batch_size is None
 
     def test_montecarlo_default_trials_are_whp_informative(self):
         from repro.analysis.stats import min_informative_trials
@@ -174,7 +174,7 @@ class TestSweepCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.nodes == [20] and args.adversaries == ["schedule"]
-        assert args.backend is None and args.workers == 1
+        assert args.workers == 1 and not args.no_spawn_workers
         assert args.trials == 100
         assert args.journal is None and not args.resume
         assert args.batch_size is None  # adaptive unless pinned
@@ -185,17 +185,20 @@ class TestSweepCommand:
 
         assert isinstance(backend(), SerialBackend)
         pool = backend("--workers", "4")
-        assert isinstance(pool, MultiprocessBackend) and pool.workers == 4
-        assert isinstance(backend("--workers", "4", "--backend", "serial"),
-                          SerialBackend)
+        assert isinstance(pool, SocketBackend) and pool.workers == 4
+        assert pool.spawn_workers
+        # Listening for remote workers needs the coordinator, even at one.
+        remote = backend("--no-spawn-workers", "--bind", "127.0.0.1:7411")
+        assert isinstance(remote, SocketBackend) and not remote.spawn_workers
+        assert (remote.host, remote.port) == ("127.0.0.1", 7411)
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--backend", "procs", "--workers", "0"],
-            ["--backend", "procs", "--workers", "1"],
-            ["--backend", "socket", "--workers", "0"],
             ["--workers", "0"],
+            ["-j", "0"],
+            ["--workers", "-2"],
+            ["--workers", "0", "--no-spawn-workers"],
         ],
     )
     def test_unrunnable_worker_count_exits_2(self, capsys, argv):
@@ -204,7 +207,7 @@ class TestSweepCommand:
 
     def test_batch_size_flag_parses(self):
         args = build_parser().parse_args(
-            ["sweep", "--backend", "socket", "--batch-size", "16"]
+            ["sweep", "--workers", "2", "--batch-size", "16"]
         )
         assert args.batch_size == 16
 

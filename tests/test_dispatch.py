@@ -12,16 +12,14 @@ import json
 import pytest
 
 from repro.dispatch import (
-    BACKEND_NAMES,
-    MultiprocessBackend,
     ResultAssembler,
     SerialBackend,
+    SocketBackend,
     SweepJournal,
     SweepReport,
     SweepRunner,
     SweepSpec,
     SweepState,
-    make_backend,
 )
 from repro.dispatch.journal import decode_record, encode_record
 from repro.errors import (
@@ -78,7 +76,7 @@ class TestBackends:
     def test_serial_matches_multiprocess(self):
         specs = four_trials.specs()
         serial = SerialBackend().run(specs)
-        parallel = MultiprocessBackend(2).run(specs)
+        parallel = SocketBackend(workers=2, accept_timeout=60.0).run(specs)
         assert serial == parallel
 
     def test_runner_accepts_explicit_backend(self):
@@ -112,47 +110,6 @@ class TestBackends:
                 should_stop=lambda: len(seen) >= 2,
             )
         assert [r.index for r in excinfo.value.completed] == [0, 1]
-
-    def test_multiprocess_validation(self):
-        with pytest.raises(ConfigurationError):
-            MultiprocessBackend(1)
-        with pytest.raises(ConfigurationError):
-            MultiprocessBackend(2, chunksize=0)
-        assert MultiprocessBackend(2).effective_chunksize(64) == 8
-        assert MultiprocessBackend(2, chunksize=3).effective_chunksize(64) == 3
-
-    def test_auto_chunksize_small_grids(self):
-        from repro.dispatch.backend import MIN_AUTO_CHUNK, auto_chunksize
-
-        # Large batches: the classic workers*4 oversubscription split.
-        assert auto_chunksize(64, 2) == 8
-        assert auto_chunksize(1024, 8) == 32
-        # Small grids used to degenerate to chunksize 1 (a dispatch per
-        # trial); now they floor at MIN_AUTO_CHUNK ...
-        assert auto_chunksize(16, 4) == MIN_AUTO_CHUNK
-        # ... but never so large that a worker sits idle from the start.
-        assert auto_chunksize(6, 4) == 2  # ceil(6/4), not MIN_AUTO_CHUNK
-        assert auto_chunksize(1, 4) == 1
-        # The backend derives from the actual dispatched batch size.
-        assert MultiprocessBackend(4).effective_chunksize(16) == MIN_AUTO_CHUNK
-
-    def test_make_backend_names(self):
-        assert make_backend("serial").name == "serial"
-        assert make_backend("procs", workers=3).workers == 3
-        assert make_backend("socket", workers=2).name == "socket"
-        with pytest.raises(ConfigurationError):
-            make_backend("carrier-pigeon")
-        assert set(BACKEND_NAMES) == {"serial", "procs", "socket"}
-
-    @pytest.mark.parametrize(
-        "name, workers", [("procs", 1), ("procs", 0), ("socket", 0)]
-    )
-    def test_make_backend_rejects_unrunnable_worker_counts(
-        self, name, workers
-    ):
-        # Rejected, never coerced to the nearest runnable pool size.
-        with pytest.raises(ConfigurationError):
-            make_backend(name, workers=workers)
 
 
 class TestJournal:
@@ -279,16 +236,16 @@ class TestSweepRunnerSerial:
         report = SweepRunner(small_spec).run().as_dict()
         text = json.dumps(report, sort_keys=True)
         assert '"workers"' not in text
-        assert '"chunksize"' not in text
+        assert '"batch_size"' not in text
         assert report["totals"]["trials"] == small_spec.total_trials
 
     def test_multiprocess_backend_matches_serial(self):
         serial = SweepRunner(small_spec).run()
-        procs = SweepRunner(
-            small_spec, backend=MultiprocessBackend(2)
+        pooled = SweepRunner(
+            small_spec, backend=SocketBackend(workers=2, accept_timeout=60.0)
         ).run()
         assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
-            procs.as_dict(), sort_keys=True
+            pooled.as_dict(), sort_keys=True
         )
 
     def test_journal_stop_resume_identical_to_uninterrupted(self, tmp_path):

@@ -1,27 +1,26 @@
 """End-to-end tests for the socket worker pool.
 
-These run the real thing: a coordinator in-process and genuine
-``python -m repro worker`` subprocesses over localhost TCP — including
-the acceptance scenario (2 workers, one killed mid-sweep, coordinator
-interrupted, resumed from the journal, report byte-identical to an
-uninterrupted serial run).  CI runs this module as its sweep smoke job.
+These run the real thing: a coordinator in-process and genuine forked
+worker processes over localhost TCP — including the acceptance scenarios
+(``sweep -j 2`` with one worker SIGKILLed mid-sweep still reports what
+serial reports; 2 workers, one killed, coordinator interrupted, resumed
+from the journal, report byte-identical to an uninterrupted serial run).
+CI runs this module as its sweep smoke job.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
+import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-import repro
-
+from repro.__main__ import _sweep_backend, build_parser
 from repro.dispatch import (
     SerialBackend,
     SocketBackend,
@@ -32,6 +31,7 @@ from repro.dispatch.socket_pool import (
     INITIAL_BATCH,
     PROTOCOL_VERSION,
     FrameDecoder,
+    _connect,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -51,6 +51,13 @@ def fame_specs(trials: int = 4, *, seed: int = 7, **axes) -> list[TrialSpec]:
     return SweepSpec(
         ns=(N,), trials=trials, seed=seed, pairs=4, **axes
     ).specs()
+
+
+def exit_codes(procs) -> list[int | None]:
+    """Each forked worker's exit code, once it has exited."""
+    for proc in procs:
+        proc.join(timeout=10)
+    return [proc.exitcode for proc in procs]
 
 
 class TestFraming:
@@ -109,23 +116,35 @@ class TestBatching:
 
     def test_next_batch_size_pinned(self):
         backend = SocketBackend(workers=2, batch_size=7)
-        assert backend._next_batch_size(100, 2) == 7
-        assert backend._next_batch_size(3, 2) == 3  # capped by pending
-        assert backend._next_batch_size(0, 2) == 0
+        assert backend._next_batch_size(100, 2, 50) == 7
+        assert backend._next_batch_size(3, 2, 2) == 3  # capped by pending
+        assert backend._next_batch_size(0, 2, 0) == 0
 
     def test_next_batch_size_starts_small_then_adapts(self):
         backend = SocketBackend(workers=2)
-        assert backend._next_batch_size(1000, 2) == INITIAL_BATCH
+        assert backend._next_batch_size(1000, 2, 500) == INITIAL_BATCH
         backend._observe_batch(0.05, 10)  # 5 ms/trial observed
         # target 0.25s / 5ms = 50 trials, but fair share over
         # 2 workers * window 2 = 4 slots caps it at ceil(1000/4).
-        assert backend._next_batch_size(1000, 2) == 50
-        assert backend._next_batch_size(100, 2) == 25  # fair-share cap
+        assert backend._next_batch_size(1000, 2, 500) == 50
+        assert backend._next_batch_size(100, 2, 50) == 25  # fair-share cap
+
+    def test_first_batches_split_a_small_grid_evenly(self):
+        # 8 trials, 2 workers: the first to connect stops at its 4 ...
+        backend = SocketBackend(workers=2)
+        assert backend._next_batch_size(8, 1, 4) == 2
+        assert backend._next_batch_size(6, 1, 2) == 2
+        assert backend._next_batch_size(4, 1, 0) == 0
+        # ... and the second takes the other 4 in two full batches
+        # (a per-slot split of the 4 pending would hand it single trials
+        # and leave 2 to whichever worker reports first).
+        assert backend._next_batch_size(4, 2, 4) == 2
+        assert backend._next_batch_size(2, 2, 2) == 2
 
     def test_next_batch_size_never_zero_for_slow_trials(self):
         backend = SocketBackend(workers=2)
         backend._observe_batch(10.0, 1)  # 10 s/trial
-        assert backend._next_batch_size(100, 2) == 1
+        assert backend._next_batch_size(100, 2, 50) == 1
 
     def test_observe_batch_ewma(self):
         backend = SocketBackend(workers=2)
@@ -139,23 +158,10 @@ class TestBatching:
     def test_batch_size_validation(self):
         with pytest.raises(ConfigurationError):
             SocketBackend(workers=2, batch_size=0)
-        with pytest.raises(ConfigurationError):
-            SocketBackend(workers=2, window=0)
-
-
-_GATED_WORKER = """\
-import sys, time
-from pathlib import Path
-gate = Path(sys.argv[1])
-while not gate.exists():
-    time.sleep(0.05)
-from repro.dispatch.socket_pool import worker_main
-sys.exit(worker_main(sys.argv[2], int(sys.argv[3])))
-"""
 
 
 class _GatedLastWorker(SocketBackend):
-    """Spawns its last worker as a real ``worker_main`` process that
+    """Forks its last worker as a real ``worker_main`` process that
     starts connecting only once the ``gate`` file exists."""
 
     def __init__(self, gate: Path, **kwargs) -> None:
@@ -164,18 +170,16 @@ class _GatedLastWorker(SocketBackend):
 
     def _spawn(self, count: int) -> None:
         super()._spawn(count - 1)
-        host, port = self.address
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        proc = multiprocessing.get_context("fork").Process(
+            target=self._gated_worker, daemon=True
         )
-        self.spawned.append(
-            subprocess.Popen(
-                [sys.executable, "-c", _GATED_WORKER, str(self.gate),
-                 host, str(port)],
-                env=env,
-            )
-        )
+        proc.start()
+        self.spawned.append(proc)
+
+    def _gated_worker(self) -> None:
+        while not self.gate.exists():
+            time.sleep(0.05)
+        self._worker_process()
 
 
 class TestSocketBackendEndToEnd:
@@ -197,7 +201,7 @@ class TestSocketBackendEndToEnd:
 
         assert backend.run(specs, on_result=open_gate_at_last_result) == serial
         close_seconds = time.monotonic() - applied[-1]
-        assert [p.wait(timeout=10) for p in backend.spawned] == [0, 0]
+        assert exit_codes(backend.spawned) == [0, 0]
         assert close_seconds < 5.0
 
     def test_two_real_workers_match_serial(self):
@@ -205,8 +209,8 @@ class TestSocketBackendEndToEnd:
         serial = SerialBackend().run(specs)
         backend = SocketBackend(workers=2, accept_timeout=60.0)
         assert backend.run(specs) == serial
-        # spawned workers exited cleanly on shutdown
-        assert [p.wait(timeout=10) for p in backend.spawned] == [0, 0]
+        # forked workers exited cleanly on shutdown
+        assert exit_codes(backend.spawned) == [0, 0]
 
     def test_lost_worker_requeues_in_flight_trials(self):
         specs = fame_specs(4)
@@ -254,7 +258,57 @@ class TestSocketBackendEndToEnd:
         finally:
             backend.close()
         assert not backend.pool_open
-        assert [p.wait(timeout=10) for p in spawned] == [0, 0]
+        assert exit_codes(spawned) == [0, 0]
+
+    def test_graceful_close_refuses_the_old_address(self):
+        """Forked workers drop their inherited copy of the listener, so
+        the port stops accepting when the coordinator stops listening —
+        even while the workers live on."""
+        backend = SocketBackend(
+            workers=2, accept_timeout=60.0, keep_alive=True
+        )
+        try:
+            assert backend.warm_up(timeout=60.0) == 2
+            address = backend.address
+            backend._sel.unregister(backend._listener)
+            backend._listener.close()
+            assert all(proc.is_alive() for proc in backend.spawned)
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5).close()
+        finally:
+            backend.close()
+        assert exit_codes(backend.spawned) == [0, 0]
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+
+    def test_both_ends_disable_nagle(self, monkeypatch):
+        """A pipelined ``batch`` frame must not wait for the busy
+        worker's delayed ACK: the coordinator's accepted socket and the
+        worker's connection both set ``TCP_NODELAY``."""
+        worker_socks: list[socket.socket] = []
+
+        def recording_connect(host, port):
+            worker_socks.append(_connect(host, port))
+            return worker_socks[-1]
+
+        monkeypatch.setattr(
+            "repro.dispatch.socket_pool._connect", recording_connect
+        )
+        backend = SocketBackend(workers=1, spawn_workers=False)
+        backend._open_pool()
+        worker = threading.Thread(
+            target=worker_main, args=backend.address, daemon=True
+        )
+        worker.start()
+        try:
+            assert backend.warm_up(timeout=30.0) == 1
+            [conn] = backend._conns.values()
+            [worker_sock] = worker_socks
+            for sock in (conn.sock, worker_sock):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            backend.close()
+            worker.join(timeout=30)
 
 
 class _FakeWorker(threading.Thread):
@@ -471,7 +525,31 @@ class TestWorkerMain:
 
 
 class TestKillAndResumeAcceptance:
-    """The ISSUE acceptance scenario, end to end on localhost."""
+    """The kill and resume acceptance scenarios, end to end on localhost."""
+
+    def test_sigkilled_worker_under_sweep_j2_matches_serial(self):
+        """What ``sweep -j 2`` builds survives a SIGKILLed worker: the
+        dead worker's trials are requeued and the report is serial's."""
+        args = build_parser().parse_args(["sweep", "-j", "2"])
+        backend = _sweep_backend(args)
+        spec = SweepSpec(ns=(N,), trials=8, seed=7, pairs=4)
+        reference = SweepRunner(spec).run().as_dict()
+        runner = SweepRunner(spec, backend=backend)
+        original_add = runner.state.add
+
+        def add_and_kill(result):
+            victim = backend.spawned[0]
+            if victim.exitcode is None:
+                victim.kill()  # SIGKILL
+                victim.join(timeout=10)
+            return original_add(result)
+
+        runner.state.add = add_and_kill
+        report = runner.run()
+        assert backend.spawned[0].exitcode == -signal.SIGKILL
+        assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
 
     def test_mid_batch_kill_journals_every_index_exactly_once(
         self, tmp_path

@@ -15,12 +15,11 @@ from dataclasses import asdict
 import pytest
 
 from repro.dispatch import (
-    MultiprocessBackend,
+    SocketBackend,
     SweepReport,
     SweepRunner,
     SweepSpec,
     SweepState,
-    make_backend,
 )
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import (
@@ -57,9 +56,14 @@ def serial_report() -> SweepReport:
     return SweepRunner(one_point()).run()
 
 
+def pooled(**kwargs) -> SocketBackend:
+    """Two forked socket workers: what ``--workers 2`` runs."""
+    return SocketBackend(workers=2, accept_timeout=60.0, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def procs_report() -> SweepReport:
-    return SweepRunner(one_point(), backend=MultiprocessBackend(2)).run()
+def socket_report() -> SweepReport:
+    return SweepRunner(one_point(), backend=pooled()).run()
 
 
 def metrics_json(report: SweepReport) -> str:
@@ -78,13 +82,13 @@ class TestTrialSeeds:
             ).seed
 
     def test_seeds_independent_of_worker_count(
-        self, serial_report, procs_report
+        self, serial_report, socket_report
     ):
         def seeds(report):
             return [o["seed"] for o in report.point_sections[0]["trial_outcomes"]]
 
         expected = [s.seed for s in one_point().specs()]
-        assert seeds(serial_report) == seeds(procs_report) == expected
+        assert seeds(serial_report) == seeds(socket_report) == expected
 
     def test_seeds_are_distinct_across_trials(self):
         seeds = [s.seed for s in one_point(trials=32).specs()]
@@ -97,29 +101,21 @@ class TestTrialSeeds:
             one_point(trials=0)
         with pytest.raises(ConfigurationError):
             one_point(adversaries=("nope",))
-        with pytest.raises(ConfigurationError):
-            make_backend("procs", workers=0)
-        with pytest.raises(ConfigurationError):
-            make_backend("procs", chunksize=0)
 
 
 class TestSerialParallelEquivalence:
-    def test_merged_metrics_byte_identical(self, serial_report, procs_report):
-        assert metrics_json(serial_report) == metrics_json(procs_report)
+    def test_merged_metrics_byte_identical(self, serial_report, socket_report):
+        assert metrics_json(serial_report) == metrics_json(socket_report)
 
-    def test_per_trial_results_identical(self, serial_report, procs_report):
-        assert serial_report.results == procs_report.results
-        assert serial_report.point_sections == procs_report.point_sections
+    def test_per_trial_results_identical(self, serial_report, socket_report):
+        assert serial_report.results == socket_report.results
+        assert serial_report.point_sections == socket_report.point_sections
 
     def test_scheduling_order_irrelevant(self):
-        # chunksize=1 interleaves trials across workers; a large chunksize
-        # runs them in blocks.  Same report either way.
-        a = SweepRunner(
-            one_point(), backend=MultiprocessBackend(2, chunksize=1)
-        ).run()
-        b = SweepRunner(
-            one_point(), backend=MultiprocessBackend(2, chunksize=6)
-        ).run()
+        # batch_size=1 interleaves trials across workers; batch_size=6
+        # hands one worker the whole point.  Same report either way.
+        a = SweepRunner(one_point(), backend=pooled(batch_size=1)).run()
+        b = SweepRunner(one_point(), backend=pooled(batch_size=6)).run()
         assert a.results == b.results
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True

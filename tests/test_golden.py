@@ -4,7 +4,7 @@ Two kinds of entries live here.
 
 * **Whole CLI reports.**  :data:`GOLDEN` pins the exact bytes
   ``python -m repro sweep ... --json-out`` writes for two seeded grids
-  (the same on the serial, procs and socket backends), and
+  (the same in-process and on two forked socket workers), and
   :data:`GAUNTLET_DIGEST` the ``python -m repro scenario gauntlet
   --json-out`` report at seed 0.
 * **Protocol runs.**  :func:`network_digest`, :func:`fame_digest`,
@@ -198,11 +198,20 @@ GAUNTLET_DIGEST = (
 )
 
 
-@pytest.mark.parametrize("grid", sorted(GOLDEN))
-def test_sweep_report_bytes_match_golden(grid, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "grid, workers",
+    [
+        pytest.param(grid, workers, id=grid + suffix)
+        for workers, suffix in (("1", ""), ("2", "-workers2"))
+        for grid in sorted(GOLDEN)
+    ],
+)
+def test_sweep_report_bytes_match_golden(grid, workers, tmp_path, capsys):
     argv, digest = GOLDEN[grid]
     out = tmp_path / "report.json"
-    assert main(["sweep", *argv, "--json-out", str(out)]) == 0
+    assert main(
+        ["sweep", *argv, "--workers", workers, "--json-out", str(out)]
+    ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
