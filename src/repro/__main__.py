@@ -24,7 +24,8 @@ Commands
 ``lint``        run the determinism & wire-safety static analyzer
                 (:mod:`repro.lint`) over the tree; exit 0 clean, 1 on
                 findings, 2 on usage errors — CI self-hosts it over
-                ``src tests benchmarks`` with a zero-tolerance baseline
+                ``src tests benchmarks examples`` with a zero-tolerance
+                baseline
 
 Common options: ``--nodes``, ``--channels``, ``--strength`` (t), ``--seed``,
 ``--adversary``.  Every run is deterministic given the seed, and a sweep's
@@ -650,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         "disable=RULE -- reason'.  Exit codes: 0 clean, 1 findings, 2 "
         "usage error.",
         epilog="example: python -m repro lint src tests benchmarks "
-        "--baseline lint_baseline.json --json-out lint_report.json",
+        "examples --baseline lint_baseline.json --json-out lint_report.json",
     )
     add_lint_arguments(li)
     li.set_defaults(handler=cmd_lint)

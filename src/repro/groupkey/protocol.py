@@ -13,7 +13,9 @@ Three parts, all running on the same radio network:
   pair's epoch, encrypted under the pairwise key, on a channel-hopping
   pattern derived from the same key.  The adversary neither predicts the
   channel (so jamming succeeds with probability at most ``t/C`` per round)
-  nor forges ciphertexts (authenticated encryption).
+  nor forges ciphertexts (authenticated encryption).  Each epoch is one
+  keyed epoch (:func:`~repro.radio.network.run_hopped_epoch`); the partner
+  stops opening frames once one yields the key.
 
 * **Part 3 — key agreement** (``Θ(t^3 log n)`` rounds): ``2t + 1``
   non-leader reporters each broadcast, over a randomized epoch, the
@@ -52,6 +54,9 @@ from ..radio.network import (
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    first_opened,
+    keyed_epoch_rounds,
+    run_hopped_epoch,
 )
 from ..rng import BlockDrawer, RngRegistry
 from .result import GroupKeyResult
@@ -196,15 +201,7 @@ class GroupKeyProtocol:
         for v in completed:
             received[v][v] = leader_keys[v]
 
-        if self.channel_aware:
-            epoch_rounds = self.network.params.hopping_epoch_rounds(
-                self.n, self.network.channels, self.t
-            )
-        else:
-            epoch_rounds = self.network.params.dissemination_epoch_rounds(
-                self.n, self.t
-            )
-        channels = self.network.channels
+        epoch_rounds = keyed_epoch_rounds(self.network, self.channel_aware)
         epoch_index = 0
         for v in self.leaders:
             for w in range(self.n):
@@ -224,66 +221,45 @@ class GroupKeyProtocol:
                     )
                     epoch_index += 1
                     continue
-                hopper = ChannelHopper(
-                    pair_key, channels, label=("part2", v, w)
-                )
+                hops = ChannelHopper(
+                    pair_key, self.network.channels, label=("part2", v, w)
+                ).sequence(0, epoch_rounds)
                 cipher = AuthenticatedCipher(pair_key)
-                # The whole epoch is deterministic given the pair key:
-                # compile it and submit it in one batch.
-                epoch: list[CompiledRound] = []
-                hops: list[int] = []
-                listeners = (w,)
-                for r in range(epoch_rounds):
-                    channel = hopper.channel(r)
-                    if v in leader_keys:
-                        sealed = cipher.encrypt(
-                            leader_keys[v],
-                            nonce=nonce_from_counter(epoch_index, r),
-                            associated=b"leader-key",
-                        )
-                        payload: Any = ("key", sealed.as_tuple())
-                    else:
-                        sealed = cipher.encrypt(
-                            b"",
-                            nonce=nonce_from_counter(epoch_index, r),
-                            associated=b"incomplete",
-                        )
-                        payload = ("incomplete", sealed.as_tuple())
-                    epoch.append(
-                        CompiledRound(
-                            transmits={
-                                v: Transmit(
-                                    channel,
-                                    Message(
-                                        kind=LEADER_KEY_KIND,
-                                        sender=v,
-                                        payload=payload,
-                                    ),
-                                )
-                            },
-                            listeners=listeners,
-                            hops=bytes((channel,)),
-                            meta=meta,
-                        )
+                # A complete leader seals its key afresh every round; an
+                # incomplete one seals an empty notice.
+                tag, plaintext, associated = (
+                    ("key", leader_keys[v], b"leader-key")
+                    if v in leader_keys
+                    else ("incomplete", b"", b"incomplete")
+                )
+                seals = (
+                    cipher.encrypt(
+                        plaintext, nonce_from_counter(epoch_index, r), associated
                     )
-                    hops.append(channel)
-                heard = self.network.execute_schedule(RoundSchedule(epoch))
-                for channel, per_round in zip(hops, heard):
-                    frame = per_round.get(channel)
-                    if frame is None or frame.kind != LEADER_KEY_KIND:
-                        continue
-                    try:
-                        tag, sealed_tuple = frame.payload
-                        sealed = Ciphertext.from_tuple(sealed_tuple)
-                        if tag == "key":
-                            plaintext = cipher.decrypt(
-                                sealed, associated=b"leader-key"
-                            )
-                            received[w][v] = plaintext
-                        else:
-                            cipher.decrypt(sealed, associated=b"incomplete")
-                    except (CryptoError, TypeError, ValueError):
-                        continue  # forged or malformed — rejected
+                    for r in range(epoch_rounds)
+                )
+                frames = [
+                    {v: Message(LEADER_KEY_KIND, v, (tag, s.as_tuple()))}
+                    for s in seals
+                ]
+                heard = run_hopped_epoch(
+                    self.network, hops, frames, (w,), meta
+                )
+
+                def open_key(contents: Any) -> bytes | None:
+                    frame_tag, sealed = contents
+                    if frame_tag != "key":
+                        return None  # an incomplete leader's notice
+                    return cipher.decrypt(
+                        Ciphertext.from_tuple(sealed),
+                        associated=b"leader-key",
+                    )
+
+                # AEAD: every key frame that opens carries the same key,
+                # so the first one settles the pair.
+                key = first_opened(heard, LEADER_KEY_KIND, open_key)
+                if key is not None:
+                    received[w][v] = key
                 epoch_index += 1
         result.received_leader_keys = {
             node: dict(keys) for node, keys in received.items()

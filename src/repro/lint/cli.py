@@ -24,7 +24,7 @@ from .engine import run_lint
 from .report import load_baseline
 
 #: What a bare ``python -m repro lint`` covers: the self-hosted scope.
-DEFAULT_PATHS = ("src", "tests", "benchmarks")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:

@@ -23,6 +23,9 @@ from .network import (
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    first_opened,
+    keyed_epoch_rounds,
+    run_hopped_epoch,
 )
 from .shapes import ScheduleShapeCache
 from .trace import ExecutionTrace, RoundRecord, SparseDelivered
@@ -52,7 +55,10 @@ __all__ = [
     "Transmit",
     "channel_occupancy",
     "dump_trace",
+    "first_opened",
     "frame_size",
+    "keyed_epoch_rounds",
     "payload_size",
+    "run_hopped_epoch",
     "trace_to_records",
 ]

@@ -23,6 +23,15 @@ per listener.  Channel ids are therefore bytes, and
 think in per-node action maps: it compiles the map into one round,
 resolves it there and fans the result out per listener.
 
+Everything Sections 6-7 build after the group key is one *keyed epoch*:
+senders repeat AEAD-sealed frames over a key-derived hop pattern while
+the receivers sit on the same hops, and a receiver keeps the first frame
+that authenticates.  :func:`run_hopped_epoch` compiles and submits such an
+epoch (one :meth:`RadioNetwork.execute_schedule` call) and returns what
+was decoded on each round's hop; :func:`first_opened` applies a caller's
+open-and-check rule to those frames in order and stops at the first one
+it accepts.  :func:`keyed_epoch_rounds` is the epoch length they share.
+
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
 only, alongside the current round's public ``meta`` (which the adversary
@@ -33,9 +42,18 @@ schedule depends only on public history).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
-from ..errors import ConfigurationError, ProtocolViolation
+from ..errors import ConfigurationError, CryptoError, ProtocolViolation
 from ..params import ProtocolParameters, DEFAULT_PARAMETERS, validate_model
 from .actions import Action, Listen, Sleep, Transmit
 from .messages import Jam, Message, Transmission
@@ -562,3 +580,82 @@ class RadioNetwork:
                         heard[channel] = msg
             outputs.append(heard)
         return outputs
+
+
+# ----------------------------------------------------------------------
+# Keyed epochs (Sections 6-7).
+# ----------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def keyed_epoch_rounds(
+    network: RadioNetwork, channel_aware: bool = False
+) -> int:
+    """Real rounds in one keyed epoch on ``network``: the paper's base
+    ``Θ(t log n)``, or with ``channel_aware`` the Section 7 parenthetical's
+    ``Θ(log n)`` at ``C >= 2t``, where the keyless adversary hits the hop
+    with probability at most 1/2 per round."""
+    params = network.params
+    if channel_aware:
+        return params.hopping_epoch_rounds(
+            network.n, network.channels, network.t
+        )
+    return params.dissemination_epoch_rounds(network.n, network.t)
+
+
+def run_hopped_epoch(
+    network: RadioNetwork,
+    hops: Sequence[int],
+    frames: Sequence[Mapping[int, Message]],
+    listeners: tuple[int, ...],
+    meta: RoundMeta,
+) -> list[Message | None]:
+    """Run one keyed epoch and return the message decoded on each hop.
+
+    Round ``r`` has every sender of ``frames[r]`` (``sender -> frame``)
+    transmit on ``hops[r]`` and every node of ``listeners`` tuned there.
+    The whole epoch goes to ``network.execute_schedule`` as one schedule,
+    so anything wrapping that method sees it as one unit.  Entry ``r`` of
+    the result is ``None`` when round ``r``'s hop carried silence, a
+    collision or noise.
+    """
+    width = len(listeners)
+    heard = network.execute_schedule(
+        RoundSchedule(
+            CompiledRound(
+                {s: Transmit(hop, frame) for s, frame in senders.items()},
+                listeners,
+                bytes((hop,)) * width,
+                meta,
+            )
+            for hop, senders in zip(hops, frames)
+        )
+    )
+    return [per_round.get(hop) for hop, per_round in zip(hops, heard)]
+
+
+def first_opened(
+    heard: Iterable[Message | None],
+    kind: str,
+    open_payload: Callable[[Any], T | None],
+) -> T | None:
+    """The first non-``None`` ``open_payload(frame.payload)`` over the
+    frames of ``kind`` in ``heard``, in round order.
+
+    ``open_payload`` is the receiver's acceptance rule: it returns
+    ``None`` for a frame it declines (a replay, a stale generation) and
+    raises :class:`~repro.errors.CryptoError`, :class:`TypeError` or
+    :class:`ValueError` for a forged or malformed one; either way the scan
+    moves on.  Nothing after the accepted frame is opened.
+    """
+    for frame in heard:
+        if frame is None or frame.kind != kind:
+            continue
+        try:
+            opened = open_payload(frame.payload)
+        except (CryptoError, TypeError, ValueError):
+            continue
+        if opened is not None:
+            return opened
+    return None

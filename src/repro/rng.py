@@ -54,10 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Sequence
-from typing import TypeVar
-
-T = TypeVar("T")
+from collections.abc import Iterable
 
 _MASK_64 = (1 << 64) - 1
 
@@ -147,11 +144,6 @@ class RngRegistry:
         the group-key protocol) own a private namespace of streams.
         """
         return RngRegistry(derive_seed(self._seed, "spawn", *name_parts))
-
-    def spawn_seeds(self, *prefix_parts: object, count: int) -> list[int]:
-        """Bulk form of ``[self.spawn(*prefix_parts, i).seed for i in
-        range(count)]`` — see :func:`derive_seeds`."""
-        return derive_seeds(self._seed, *prefix_parts, count=count)
 
     def stream_block(
         self, *prefix_parts: object, nodes: Iterable[object]
@@ -342,35 +334,3 @@ def draw_uniform_block(
     """Functional form of :meth:`BlockDrawer.draw`; byte-identical to
     :func:`draw_uniform_indices` (see the module docstring's invariant)."""
     return BlockDrawer(n).draw(stream, count)
-
-
-def sample_distinct(rng: random.Random, population: Sequence[T], k: int) -> list[T]:
-    """Sample ``k`` distinct elements; a deterministic thin wrapper.
-
-    Sequence populations (lists, tuples, ``range``) are passed to
-    :func:`random.sample` directly — ``sample`` never mutates its input, so
-    the historical ``list(population)`` wrapper copied a population that
-    was frequently already a fresh list (and ``sample`` re-copies into its
-    selection pool for large ``k`` anyway).  Only non-sequence iterables
-    are materialized.  Draw consumption is unchanged: ``sample``'s
-    algorithm depends only on ``len(population)`` and ``k``.
-
-    Raises :class:`ValueError` when ``k`` exceeds the population size, same
-    as :func:`random.sample`.
-    """
-    if not isinstance(population, Sequence):
-        population = list(population)
-    return rng.sample(population, k)
-
-
-def shuffled(rng: random.Random, items: Iterable[T]) -> list[T]:
-    """Return a new shuffled list of ``items`` without mutating the input.
-
-    The single ``list(items)`` is the materialization (for iterators) or
-    the one no-mutation copy (for sequences) — there is no second pass;
-    draw consumption is exactly one :meth:`random.Random.shuffle` of a
-    length-``len(items)`` list.
-    """
-    out = list(items)
-    rng.shuffle(out)
-    return out

@@ -307,6 +307,13 @@ class SessionHost:
 
     def rekey(self, token: object, req: p.Rekey) -> p.RekeyDone:
         hosted = self._get(req.name)
+        # A non-int id is the client's malformation: refuse it before any
+        # side effect, not as the session's ``rekey-failed``.
+        if any(type(v) is not int for v in req.compromised):
+            raise ServiceError(
+                p.BAD_REQUEST,
+                f"compromised node ids must be int, got {req.compromised!r}",
+            )
         report = self._rekey(hosted, req.compromised)
         return p.RekeyDone(
             name=req.name,

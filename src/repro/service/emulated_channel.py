@@ -20,24 +20,30 @@ Guarantees (with high probability, matching Section 7):
 Like a real broadcast channel, two concurrent broadcasters collide and
 nobody delivers — scheduling is the application's job (see
 :class:`repro.service.session.SecureSession`).
+
+An emulated round is one keyed epoch
+(:func:`~repro.radio.network.run_hopped_epoch`).  Every listening member
+sits on the same hop, so all of them hear the same frames: each frame is
+opened once, and the first that authenticates is the one
+:class:`Delivery` every listener gets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..crypto.hashes import canonical_encode
 from ..crypto.hopping import ChannelHopper
 from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
-from ..errors import ConfigurationError, CryptoError
-from ..radio.actions import Transmit
+from ..errors import ConfigurationError
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
+    first_opened,
+    keyed_epoch_rounds,
+    run_hopped_epoch,
 )
 
 SERVICE_KIND = "service-frame"
@@ -99,20 +105,10 @@ class LongLivedChannel:
         return self._emulated_round
 
     def epoch_length(self) -> int:
-        """Real rounds per emulated round.
-
-        The paper's base analysis charges ``Θ(t log n)`` (the default).
-        With ``channel_aware_epochs=True`` the Section 7 parenthetical
-        kicks in: at ``C >= 2t`` the keyless adversary hits the hop with
-        probability at most 1/2 per round, so ``Θ(log n)`` suffices.
-        """
-        if self._channel_aware:
-            return self.network.params.hopping_epoch_rounds(
-                self.network.n, self.network.channels, self.network.t
-            )
-        return self.network.params.dissemination_epoch_rounds(
-            self.network.n, self.network.t
-        )
+        """Real rounds per emulated round (see
+        :func:`~repro.radio.network.keyed_epoch_rounds`): ``Θ(t log n)``,
+        or ``Θ(log n)`` at ``C >= 2t`` with ``channel_aware_epochs``."""
+        return keyed_epoch_rounds(self.network, self._channel_aware)
 
     def _associated(self, sender: int, emulated_round: int) -> bytes:
         return canonical_encode(("service", sender, emulated_round))
@@ -156,54 +152,30 @@ class LongLivedChannel:
             )
             for sender, payload in broadcasts.items()
         }
-        listeners = [m for m in self.members if m not in broadcasts]
-        deliveries: dict[int, Delivery | None] = {m: None for m in listeners}
+        listeners = tuple(m for m in self.members if m not in broadcasts)
+        epoch = self.epoch_length()
+        hops = self._hopper.sequence(self._real_round_cursor, epoch)
+        self._real_round_cursor += epoch
+        heard = run_hopped_epoch(
+            self.network,
+            hops,
+            [sealed] * epoch,
+            listeners,
+            RoundMeta(phase="service", extra={"emulated_round": er}),
+        )
 
-        # The epoch's hop pattern is key-derived and the frames are fixed:
-        # compile every real round up front and submit the batch.
-        meta = RoundMeta(phase="service", extra={"emulated_round": er})
-        members_listening = tuple(listeners)
-        epoch: list[CompiledRound] = []
-        hops: list[int] = []
-        for _ in range(self.epoch_length()):
-            channel = self._hopper.channel(self._real_round_cursor)
-            self._real_round_cursor += 1
-            epoch.append(
-                CompiledRound(
-                    transmits={
-                        sender: Transmit(channel, frame)
-                        for sender, frame in sealed.items()
-                    },
-                    listeners=members_listening,
-                    hops=bytes((channel,)) * len(members_listening),
-                    meta=meta,
-                )
+        def open_frame(contents: Any) -> Delivery | None:
+            claimed_sender, claimed_round, sealed_tuple = contents
+            if claimed_round != er:
+                return None  # replay from another emulated round
+            opened = self._cipher.decrypt(
+                Ciphertext.from_tuple(sealed_tuple),
+                associated=self._associated(claimed_sender, er),
             )
-            hops.append(channel)
-        heard = self.network.execute_schedule(RoundSchedule(epoch))
+            return Delivery(er, claimed_sender, opened)
 
-        for channel, per_round in zip(hops, heard):
-            frame = per_round.get(channel)
-            if frame is None or frame.kind != SERVICE_KIND:
-                continue
-            for member in listeners:
-                if deliveries[member] is not None:
-                    continue
-                try:
-                    claimed_sender, claimed_round, sealed_tuple = frame.payload
-                    if claimed_round != er:
-                        continue  # replay from another emulated round
-                    ciphertext = Ciphertext.from_tuple(sealed_tuple)
-                    payload = self._cipher.decrypt(
-                        ciphertext,
-                        associated=self._associated(claimed_sender, er),
-                    )
-                except (CryptoError, TypeError, ValueError):
-                    continue  # forged or malformed — rejected
-                deliveries[member] = Delivery(
-                    emulated_round=er,
-                    sender=claimed_sender,
-                    payload=payload,
-                )
+        # Every listener sits on the hop, so all of them hear the same
+        # frames: open each once and hand every listener the result.
+        delivery = first_opened(heard, SERVICE_KIND, open_frame)
         self._emulated_round += 1
-        return deliveries
+        return {m: delivery for m in listeners}

@@ -8,24 +8,27 @@ ciphertexts over it.  Each exchange costs one hopping epoch —
 ``Θ(t log n)`` rounds at ``C = t + 1``, dropping to ``Θ(log n)`` at
 ``C >= 2t`` (``channel_aware_epochs=True``) — and involves *only the two
 endpoints*: everyone else sleeps, so many pairwise channels can run
-back-to-back without coordination.
+back-to-back without coordination.  An exchange is one keyed epoch
+(:func:`~repro.radio.network.run_hopped_epoch`) whose receiver keeps the
+first frame that authenticates for this exchange.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..crypto.hashes import canonical_encode
 from ..crypto.hopping import ChannelHopper
 from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
-from ..errors import ConfigurationError, CryptoError
-from ..radio.actions import Transmit
+from ..errors import ConfigurationError
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
+    first_opened,
+    keyed_epoch_rounds,
+    run_hopped_epoch,
 )
 
 PAIRWISE_KIND = "pairwise-frame"
@@ -83,20 +86,10 @@ class PairwiseChannel:
         self._exchange = 0
         self._cursor = 0
 
-    @property
-    def exchange_index(self) -> int:
-        """Index of the next exchange epoch."""
-        return self._exchange
-
     def epoch_length(self) -> int:
-        """Real rounds per exchange."""
-        if self._channel_aware:
-            return self.network.params.hopping_epoch_rounds(
-                self.network.n, self.network.channels, self.network.t
-            )
-        return self.network.params.dissemination_epoch_rounds(
-            self.network.n, self.network.t
-        )
+        """Real rounds per exchange (see
+        :func:`~repro.radio.network.keyed_epoch_rounds`)."""
+        return keyed_epoch_rounds(self.network, self._channel_aware)
 
     def _associated(self, sender: int, exchange: int) -> bytes:
         return canonical_encode(("pairwise", *self.endpoints, sender, exchange))
@@ -112,11 +105,8 @@ class PairwiseChannel:
             raise ConfigurationError(f"{sender} is not an endpoint")
         if not isinstance(payload, (bytes, bytearray)):
             raise ConfigurationError("payload must be bytes")
-        receiver = (
-            self.endpoints[0]
-            if sender == self.endpoints[1]
-            else self.endpoints[1]
-        )
+        a, b = self.endpoints
+        receiver = a if sender == b else b
         exchange = self._exchange
         sealed = self._cipher.encrypt(
             bytes(payload),
@@ -128,45 +118,27 @@ class PairwiseChannel:
             sender=sender,
             payload=(sender, exchange, sealed.as_tuple()),
         )
-        # The epoch is a fixed hop sequence with a static frame: compile
-        # it once and submit it as one batch.
-        meta = RoundMeta(phase="pairwise", extra={"exchange": exchange})
-        epoch: list[CompiledRound] = []
-        hops: list[int] = []
-        listeners = (receiver,)
-        for _ in range(self.epoch_length()):
-            channel = self._hopper.channel(self._cursor)
-            self._cursor += 1
-            epoch.append(
-                CompiledRound(
-                    transmits={sender: Transmit(channel, frame)},
-                    listeners=listeners,
-                    hops=bytes((channel,)),
-                    meta=meta,
-                )
-            )
-            hops.append(channel)
-        heard = self.network.execute_schedule(RoundSchedule(epoch))
+        epoch = self.epoch_length()
+        hops = self._hopper.sequence(self._cursor, epoch)
+        self._cursor += epoch
+        heard = run_hopped_epoch(
+            self.network,
+            hops,
+            [{sender: frame}] * epoch,
+            (receiver,),
+            RoundMeta(phase="pairwise", extra={"exchange": exchange}),
+        )
 
-        delivery: PairwiseDelivery | None = None
-        for channel, per_round in zip(hops, heard):
-            if delivery is not None:
-                continue  # the epoch ran to its end regardless (lockstep)
-            got = per_round.get(channel)
-            if got is None or got.kind != PAIRWISE_KIND:
-                continue
-            try:
-                claimed_sender, claimed_exchange, sealed_tuple = got.payload
-                if claimed_exchange != exchange:
-                    continue  # replay from another epoch
-                opened = self._cipher.decrypt(
-                    Ciphertext.from_tuple(sealed_tuple),
-                    associated=self._associated(claimed_sender, exchange),
-                )
-            except (CryptoError, TypeError, ValueError):
-                continue
-            delivery = PairwiseDelivery(
-                exchange=exchange, sender=claimed_sender, payload=opened
+        def open_frame(contents: Any) -> PairwiseDelivery | None:
+            claimed_sender, claimed_exchange, sealed_tuple = contents
+            if claimed_exchange != exchange:
+                return None  # replay from another epoch
+            opened = self._cipher.decrypt(
+                Ciphertext.from_tuple(sealed_tuple),
+                associated=self._associated(claimed_sender, exchange),
             )
+            return PairwiseDelivery(exchange, claimed_sender, opened)
+
+        delivery = first_opened(heard, PAIRWISE_KIND, open_frame)
         self._exchange += 1
         return delivery

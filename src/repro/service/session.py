@@ -22,22 +22,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..crypto.dh import DEFAULT_GROUP, DhGroup
 from ..crypto.hashes import derive_key
 from ..crypto.hopping import ChannelHopper
 from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
-from ..errors import ConfigurationError, CryptoError
+from ..errors import ConfigurationError
 from ..groupkey.protocol import GroupKeyProtocol
 from ..groupkey.result import GroupKeyResult
-from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
+    first_opened,
+    keyed_epoch_rounds,
+    run_hopped_epoch,
 )
 from ..rng import RngRegistry
 from .emulated_channel import Delivery, LongLivedChannel
@@ -281,20 +281,30 @@ class SecureSession:
 
         The smallest non-compromised complete leader draws a fresh key and
         sends it to every remaining member over that pair's Part 1
-        pairwise key — one ``Θ(t log n)`` hopping epoch per member, so the
-        whole operation costs ``Θ(n t^2 log n)`` rounds (a Part 2 rerun,
-        much cheaper than a full setup).  Compromised members have no
-        epoch scheduled and hold none of the other pairs' keys, so the new
-        group key is information they never see; the old channel is torn
-        down immediately.
+        pairwise key — one ``Θ(t log n)`` keyed epoch per member
+        (:func:`~repro.radio.network.run_hopped_epoch`, a fresh seal every
+        round), so the whole operation costs ``Θ(n t^2 log n)`` rounds (a
+        Part 2 rerun, much cheaper than a full setup).  Compromised
+        members have no epoch scheduled and hold none of the other pairs'
+        keys, so the new group key is information they never see; the old
+        channel is torn down immediately.
 
         A surviving member that nevertheless missed the fresh key — its
         pair key with the distributor was never established, or its whole
         epoch was jammed — is reported in :attr:`RekeyReport.dropped`
         (disjoint from ``excluded``), and frames carrying a stale
-        generation number are rejected outright.
+        generation number are rejected outright.  Queued messages from
+        members that left (excluded or dropped) can no longer be sent:
+        they leave the queue and count as ``stats.undelivered``.  An id
+        that is not an ``int`` (``"1"``, ``True``, ``2.9``) raises
+        :class:`ConfigurationError` before any side effect.
         """
-        excluded = frozenset(int(v) for v in compromised)
+        compromised = tuple(compromised)
+        if any(type(v) is not int for v in compromised):
+            raise ConfigurationError(
+                f"compromised node ids must be int, got {compromised!r}"
+            )
+        excluded = frozenset(compromised)
         pair_keys = self.setup.pairwise_keys
         candidates = [
             v for v in self.setup.completed_leaders if v not in excluded
@@ -311,9 +321,7 @@ class SecureSession:
         )
 
         start = self.network.metrics.rounds
-        epoch_rounds = self.network.params.dissemination_epoch_rounds(
-            self.network.n, self.network.t
-        )
+        epoch_rounds = keyed_epoch_rounds(self.network)
         new_members = [distributor]
         dropped: list[int] = []
         recipients = [
@@ -329,69 +337,54 @@ class SecureSession:
                 # the fresh key.  Accounted for in ``dropped``.
                 dropped.append(member)
                 continue
-            hopper = ChannelHopper(
+            hops = ChannelHopper(
                 pair_key,
                 self.network.channels,
                 label=("rekey", generation, distributor, member),
-            )
+            ).sequence(0, epoch_rounds)
             cipher = AuthenticatedCipher(pair_key)
-            # Key-derived hops, deterministic ciphertexts: compile the
-            # member's whole epoch and submit it in one batch.
-            meta = RoundMeta(
-                phase="rekey",
-                extra={"generation": generation, "member": member},
-            )
-            epoch: list[CompiledRound] = []
-            hops: list[int] = []
-            listeners = (member,)
-            for r in range(epoch_rounds):
-                channel = hopper.channel(r)
-                sealed = cipher.encrypt(
+            seals = (
+                cipher.encrypt(
                     new_key,
-                    nonce=nonce_from_counter(generation, epoch_index, r),
-                    associated=b"rekey",
+                    nonce_from_counter(generation, epoch_index, r),
+                    b"rekey",
                 )
-                epoch.append(
-                    CompiledRound(
-                        transmits={
-                            distributor: Transmit(
-                                channel,
-                                Message(
-                                    kind=REKEY_KIND,
-                                    sender=distributor,
-                                    payload=(generation, sealed.as_tuple()),
-                                ),
-                            )
-                        },
-                        listeners=listeners,
-                        hops=bytes((channel,)),
-                        meta=meta,
+                for r in range(epoch_rounds)
+            )
+            frames = [
+                {
+                    distributor: Message(
+                        REKEY_KIND, distributor, (generation, s.as_tuple())
                     )
-                )
-                hops.append(channel)
-            heard = self.network.execute_schedule(RoundSchedule(epoch))
+                }
+                for s in seals
+            ]
+            heard = run_hopped_epoch(
+                self.network,
+                hops,
+                frames,
+                (member,),
+                RoundMeta(
+                    phase="rekey",
+                    extra={"generation": generation, "member": member},
+                ),
+            )
 
-            received = False
-            for channel, per_round in zip(hops, heard):
-                frame = per_round.get(channel)
-                if received or frame is None or frame.kind != REKEY_KIND:
-                    continue
-                try:
-                    frame_gen, sealed_tuple = frame.payload
-                    if frame_gen != generation:
-                        # Stale generation: a replayed rekey frame from
-                        # an earlier epoch must never vouch for the
-                        # current one, whatever it decrypts to.
-                        continue
-                    opened = cipher.decrypt(
-                        Ciphertext.from_tuple(sealed_tuple),
-                        associated=b"rekey",
-                    )
-                except (CryptoError, TypeError, ValueError):
-                    continue
-                if opened == new_key:
-                    received = True
-            if received:
+            def open_key(contents: Any) -> bytes | None:
+                frame_gen, sealed = contents
+                if frame_gen != generation:
+                    # Stale generation: a replayed rekey frame from an
+                    # earlier epoch must never vouch for the current one,
+                    # whatever it decrypts to.
+                    return None
+                opened = cipher.decrypt(
+                    Ciphertext.from_tuple(sealed), associated=b"rekey"
+                )
+                # The generation is not authenticated: an older frame
+                # relabelled as current still opens, to the old key.
+                return opened if opened == new_key else None
+
+            if first_opened(heard, REKEY_KIND, open_key) is not None:
                 new_members.append(member)
             else:
                 # The adversary won every round of this member's epoch:
@@ -402,7 +395,12 @@ class SecureSession:
         self.channel = LongLivedChannel(self.network, new_key, self.members)
         for m in self.members:
             self.stats.inboxes.setdefault(m, [])
-        report = RekeyReport(
+        queued = len(self._queue)
+        self._queue = deque(
+            entry for entry in self._queue if entry[0] in self.members
+        )
+        self.stats.undelivered += queued - len(self._queue)
+        return RekeyReport(
             generation=generation,
             distributor=distributor,
             members=tuple(self.members),
@@ -410,4 +408,3 @@ class SecureSession:
             rounds=self.network.metrics.rounds - start,
             dropped=tuple(sorted(dropped)),
         )
-        return report

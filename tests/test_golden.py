@@ -4,15 +4,18 @@ Two kinds of entries live here.
 
 * **Whole CLI reports.**  :data:`GOLDEN` pins the exact bytes
   ``python -m repro sweep ... --json-out`` writes for two seeded grids
-  (the same in-process and on two forked socket workers), and
+  (the same in-process and on two forked socket workers),
   :data:`GAUNTLET_DIGEST` the ``python -m repro scenario gauntlet
-  --json-out`` report at seed 0.
+  --json-out`` report at seed 0, and :data:`EXAMPLES` the stdout of each
+  ``examples/*.py`` script.
 * **Protocol runs.**  :func:`network_digest`, :func:`fame_digest`,
   :func:`result_digest` and :func:`rounds_digest` hash a run's outputs,
   its full :class:`~repro.radio.metrics.NetworkMetrics` and its
   canonical trace (plus the redacted trace and
   ``observed_channel_rounds`` on a
   :class:`~repro.extensions.restricted_listening.RestrictedListeningNetwork`).
+  :data:`KEYED` does the same for whole keyed-epoch runs: sessions,
+  pairwise channels and a ``SessionHost`` request log.
   The feedback and f-AME tables below were recorded from the naive
   reference executions that once shipped beside the compiled paths — one
   ``execute_round`` per repetition, per-draw ``stream.choice`` hop
@@ -39,10 +42,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.adversary import (
     NullAdversary,
@@ -57,6 +65,8 @@ from repro.baselines import (
     run_no_surrogate,
     run_randomized_exchange,
 )
+from repro.crypto.dh import TEST_GROUP_64
+from repro.experiments.workloads import make_adversary
 from repro.extensions.restricted_listening import (
     HoppingEavesdropper,
     RestrictedListeningNetwork,
@@ -68,6 +78,11 @@ from repro.fame.digests import run_fame_with_digests
 from repro.fame.result import FameResult
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
+from repro.serve import SessionHost
+from repro.serve import protocol as p
+from repro.service import PairwiseChannel, SecureSession
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def sha(material) -> str:
@@ -714,3 +729,250 @@ class TestGroupKeyByteIdentity:
             )
             == self.JAMMED_DIGEST
         )
+
+
+# -- keyed epochs: sessions, pairwise channels, the session host ------------
+#
+# Every path that repeats an AEAD-sealed frame over a key-derived hop
+# pattern for one epoch — the emulated channel behind ``flush`` and
+# ``idle_round``, ``SecureSession.rekey``, ``PairwiseChannel.send`` and,
+# inside a set-up session, group-key Part 2 — pinned whole-run under five
+# gallery adversaries: what each call returned, the session's counters and
+# inboxes, and the network's full metrics and canonical trace.  The host
+# log adds every response of a ``SessionHost`` request sequence over four
+# sessions (scheduled and explicit re-keys, budgeted flushes, drains).
+# Recorded at commit f310022, before these paths shared one epoch helper.
+
+KEYED_ADVERSARIES = ("null", "random", "reactive", "spoofer", "sweep")
+
+KEYED_KEY = bytes(range(32))
+
+
+def _keyed_network(n, channels, adversary):
+    return RadioNetwork(
+        n, channels, 1,
+        adversary=make_adversary(adversary, random.Random(0x66)),
+    )
+
+
+def session_form(session) -> list:
+    """A session's members, generation, counters and inboxes."""
+    stats = session.stats
+    return [
+        list(session.members),
+        session._generation,
+        session.pending(),
+        (
+            stats.setup_rounds,
+            stats.emulated_rounds,
+            stats.real_rounds,
+            stats.sent,
+            stats.delivered,
+            stats.undelivered,
+        ),
+        sorted(stats.inboxes.items()),
+    ]
+
+
+def _setup_session(adversary):
+    net = _keyed_network(18, 2, adversary)
+    session = SecureSession(net, RngRegistry(seed=31), group=TEST_GROUP_64)
+    for i, sender in enumerate(session.members[:4]):
+        session.send(sender, b"setup-%d" % i)
+    log = [session.flush()]
+    session.idle_round()
+    log.append(session.rekey([session.members[-1]]))
+    session.send(session.members[0], b"after-rekey")
+    log.append(session.flush())
+    return log, session, net
+
+
+def _preshared_session(adversary):
+    net = _keyed_network(10, 3, adversary)
+    session = SecureSession.from_preshared(
+        net, KEYED_KEY, range(10), rng=RngRegistry(seed=32)
+    )
+    for sender in range(6):
+        session.send(sender, b"pre-%d" % sender)
+    log = [session.flush(max_rounds=2), session.flush(max_rounds=3)]
+    log.append(session.flush())
+    log.append(session.rekey([2, 7]))
+    session.send(9, b"after-rekey")
+    log.append(session.flush())
+    return log, session, net
+
+
+def _pairwise_exchanges(adversary):
+    net = _keyed_network(12, 2, adversary)
+    channel = PairwiseChannel(net, KEYED_KEY, 2, 9)
+    log = [
+        channel.send(sender, b"pair-%d" % i)
+        for i, sender in enumerate((2, 9, 2, 9, 2, 9))
+    ]
+    return log, None, net
+
+
+KEYED_RUNS = {
+    "setup-session": _setup_session,
+    "preshared-session": _preshared_session,
+    "pairwise": _pairwise_exchanges,
+}
+
+
+def host_requests(adversary) -> list:
+    """A request log over four preshared sessions: two rotate their key
+    every three emulated rounds, one is re-keyed explicitly."""
+    log = [
+        p.OpenSession("s0", n=6, adversary=adversary, rekey_interval=3),
+        p.OpenSession("s1", n=8, channels=3, adversary=adversary),
+        p.OpenSession(
+            "s2", n=6, adversary=adversary, members=(0, 1, 2, 3, 4),
+            rekey_interval=3,
+        ),
+        p.OpenSession("s3", n=7, adversary=adversary),
+    ]
+    for name in ("s0", "s1", "s2", "s3"):
+        log += [
+            p.SendMessage(name, s, b"%s:%d" % (name.encode(), s))
+            for s in range(5)
+        ]
+    log += [
+        p.Flush("s0", max_rounds=2),
+        p.Flush("s0"),
+        p.Rekey("s1", compromised=(6,)),
+        p.Flush("s1"),
+        p.Flush("s2", max_rounds=4),
+        p.Flush("s3", max_rounds=3),
+        p.DrainInbox("s0", 1),
+        p.DrainInbox("s1", 6, include_former=True),
+        p.SendMessage("s2", 0, b"late"),
+        p.Flush("s2"),
+        p.Flush("s3"),
+        p.DrainInbox("s2", 3),
+        p.DrainInbox("s3", 0),
+    ]
+    log += [p.SessionStatsReq(name) for name in ("s0", "s1", "s2", "s3")]
+    return log
+
+
+def _host_log(adversary):
+    host = SessionHost(seed=33)
+    log = [host.handle("client", req) for req in host_requests(adversary)]
+    networks = [
+        network_material(host.sessions[name].session.network)
+        for name in sorted(host.sessions)
+    ]
+    return log, networks
+
+
+KEYED = {
+    ("host", "null"): (
+        "0060ae360b629281abc15bb3c1623a68d29ce0a95887b2c3a87bbdb6e05f3bb8"
+    ),
+    ("host", "random"): (
+        "3295c375940b85cbcdfe937ded7422380eba58fad94d8cf9fc0f79b091098311"
+    ),
+    ("host", "reactive"): (
+        "49ed3b252ed10e502d47a3f97b7bc37cabe46f89b71845cc28fd9862836764bb"
+    ),
+    ("host", "spoofer"): (
+        "1d632f24ee878a551a369980944a3c85993e1e964010da35adaa07d84ad53bcf"
+    ),
+    ("host", "sweep"): (
+        "882cc7ab56069895598a5a6eaf3295a21c5bc8a4afc6721ee7bdb959fcb17958"
+    ),
+    ("pairwise", "null"): (
+        "460009147dd3503b52eddf428033e9457cd591c3c38c5729162468675785a3bf"
+    ),
+    ("pairwise", "random"): (
+        "36e688ffd51cd8b4e8319d739406575f54023898fe73d46053e62fedd0ff0757"
+    ),
+    ("pairwise", "reactive"): (
+        "591eb151fc0a7d10f30127aad7bdd9039e1ff1a6212da4a6e02cd9ee27d3c67f"
+    ),
+    ("pairwise", "spoofer"): (
+        "e42a6c46b3bbddb83d4b73c7702a9769ec93a22bd16a47c688981c361911b949"
+    ),
+    ("pairwise", "sweep"): (
+        "aa80ca90386280724df7158fd7e9204d3a92fc50f61c43698d948d68226d9a21"
+    ),
+    ("preshared-session", "null"): (
+        "c4c90e5ccb024387c60cf2e949122c2c30e1a506f8e6b5b63cd315bf3fd2a53a"
+    ),
+    ("preshared-session", "random"): (
+        "580b10848c85faa02bb297e955dfb95b7f810888a1b0f6e20b18ec75b1bbb1b6"
+    ),
+    ("preshared-session", "reactive"): (
+        "5c76b11b330e32c246935b60c58ace90665d8c3f77c3e2ac2b039a166c733de3"
+    ),
+    ("preshared-session", "spoofer"): (
+        "bc8811d7c6adbbf22ed20ad03788bc7672a294b20af8394ffb9a9b0d37956911"
+    ),
+    ("preshared-session", "sweep"): (
+        "d03166bc6e5764dbb538ec18da1a20991f01353c0cf0ea648f55197a25b25a0d"
+    ),
+    ("setup-session", "null"): (
+        "1a236907fdba83aeb9cd30275c09bb4669671bf90b93e723adba54b338015e55"
+    ),
+    ("setup-session", "random"): (
+        "565dba1253a50fc52eeefe2446eb24cdbdae52db3fda5cfb763ac2f6dc2dc309"
+    ),
+    ("setup-session", "reactive"): (
+        "500d6aac29acb3187a2ed866e927fee40fef73b617bf2a8f516185bff26ca579"
+    ),
+    ("setup-session", "spoofer"): (
+        "6eb361c09a7021496e1168b70a542bc85f0ffad346d669ea402397bd2bf12aaa"
+    ),
+    ("setup-session", "sweep"): (
+        "fb22f865cb080e51c6983a7e69b9424abf3b0a48ef8c5e9b52119cca2ada97bb"
+    ),
+}
+
+
+def keyed_digest(run, adversary) -> str:
+    """Fingerprint of one keyed-epoch run (see :data:`KEYED`)."""
+    if run == "host":
+        return sha(list(_host_log(adversary)))
+    log, session, net = KEYED_RUNS[run](adversary)
+    form = None if session is None else session_form(session)
+    return sha([log, form, *network_material(net)])
+
+
+@pytest.mark.parametrize("run", sorted([*KEYED_RUNS, "host"]))
+@pytest.mark.parametrize("adversary", KEYED_ADVERSARIES)
+def test_keyed_epoch_run_matches_golden(run, adversary):
+    assert keyed_digest(run, adversary) == KEYED[run, adversary]
+
+
+# The stdout of every example script (deterministic: each seeds its own
+# registries and adversaries).
+
+EXAMPLES = {
+    "adversary_gauntlet.py": (
+        "ba4d2a4f8c735579ccf7a7ee3679c8c3f382fd66f268e244cfc2e55980e011bc"
+    ),
+    "piconet_pairing.py": (
+        "b161d792937eba538c1a842ee389bffb95011a531e9cd8be5fba9682090887d2"
+    ),
+    "quickstart.py": (
+        "9bcaa028a5ed6ac2ebf610cadb0204199f8fdab2d8abc383a206d0def9c7ccec"
+    ),
+    "rekey_and_pairwise.py": (
+        "67e911ac8535a8a2d7d36e17c266c6b18d249f5aab22e43afafac0b5fd83b7b7"
+    ),
+    "secure_group_chat.py": (
+        "29f5946d555538f24a0df2be644d9865d40d6b9280932619569c7ceb0e3be13d"
+    ),
+}
+
+
+@pytest.mark.parametrize("script", sorted(EXAMPLES))
+def test_example_stdout_matches_golden(script):
+    package_root = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(REPO / "examples" / script)],
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == EXAMPLES[script]

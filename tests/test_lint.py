@@ -649,7 +649,12 @@ class TestSelfRun:
     def test_repo_tree_is_clean(self):
         baseline = load_baseline(REPO / "lint_baseline.json")
         report = run_lint(
-            [REPO / "src", REPO / "tests", REPO / "benchmarks"],
+            [
+                REPO / "src",
+                REPO / "tests",
+                REPO / "benchmarks",
+                REPO / "examples",
+            ],
             root=REPO,
             baseline=baseline,
         )

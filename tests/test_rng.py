@@ -13,8 +13,6 @@ from repro.rng import (
     derive_seeds,
     draw_uniform_block,
     draw_uniform_indices,
-    sample_distinct,
-    shuffled,
 )
 
 
@@ -160,12 +158,6 @@ class TestDeriveSeeds:
     def test_64_bit_range(self):
         assert all(0 <= s < 2**64 for s in derive_seeds(9, "t", count=32))
 
-    def test_registry_method_matches_module_function(self):
-        reg = RngRegistry(seed=11)
-        assert reg.spawn_seeds("trial", count=4) == derive_seeds(
-            11, "trial", count=4
-        )
-
     def test_distinct_prefixes_give_distinct_seed_sequences(self):
         assert derive_seeds(5, "trial", count=8) != derive_seeds(
             5, "sweep", count=8
@@ -240,59 +232,3 @@ class TestBlockDrawer:
         assert [s.getstate() for s in streams] == [
             r.getstate() for r in reference
         ]
-
-
-class TestHelpers:
-    def test_sample_distinct_size_and_membership(self):
-        reg = RngRegistry(seed=2)
-        out = sample_distinct(reg.stream("s"), range(10), 4)
-        assert len(out) == 4
-        assert len(set(out)) == 4
-        assert all(0 <= x < 10 for x in out)
-
-    def test_sample_distinct_overdraw_raises(self):
-        reg = RngRegistry(seed=2)
-        with pytest.raises(ValueError):
-            sample_distinct(reg.stream("s"), range(3), 4)
-
-    def test_sample_distinct_does_not_copy_or_mutate_sequences(self):
-        # Regression for the redundant list(population) wrapper: sequence
-        # populations go to random.sample directly (sample never mutates),
-        # and draw consumption is unchanged versus the copying path.
-        population = list(range(10))
-        a, b = random.Random(4), random.Random(4)
-        out = sample_distinct(a, population, 4)
-        assert population == list(range(10))
-        assert out == b.sample(list(range(10)), 4)
-        assert a.getstate() == b.getstate()
-
-    def test_sample_distinct_sequence_kinds_consume_identically(self):
-        # range / tuple / list populations of equal length draw the same.
-        draws = []
-        for population in (range(10), tuple(range(10)), list(range(10))):
-            stream = random.Random(77)
-            draws.append(
-                (sample_distinct(stream, population, 3), stream.getstate())
-            )
-        assert draws[0] == draws[1] == draws[2]
-
-    def test_sample_distinct_materializes_non_sequences(self):
-        out = sample_distinct(random.Random(1), (x for x in range(8)), 3)
-        assert len(out) == 3 and all(0 <= x < 8 for x in out)
-
-    def test_shuffled_does_not_mutate_input(self):
-        reg = RngRegistry(seed=3)
-        original = [1, 2, 3, 4, 5]
-        out = shuffled(reg.stream("s"), original)
-        assert original == [1, 2, 3, 4, 5]
-        assert sorted(out) == original
-
-    def test_shuffled_draw_consumption_unchanged(self):
-        # One shuffle of a len-n list regardless of the input's type.
-        a, b, c = random.Random(6), random.Random(6), random.Random(6)
-        reference = [1, 2, 3, 4]
-        expected = list(reference)
-        c.shuffle(expected)
-        assert shuffled(a, reference) == expected
-        assert shuffled(b, iter(reference)) == expected
-        assert a.getstate() == b.getstate() == c.getstate()

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
+from repro.scenarios.injectors import RekeyEpochTap
 from repro.serve import ServeDaemon, ServiceClient, SessionHost
 from repro.serve import protocol as p
 
@@ -228,6 +229,55 @@ class TestSessionHost:
         host.handle(1, p.SendMessage(name="s", sender=0, payload=b"post"))
         flushed = host.handle(1, p.Flush(name="s"))
         assert len(flushed.deliveries) == 4
+
+    def test_rekey_keeps_flushing_after_removing_a_queued_sender(self):
+        # The removed member's queued message used to crash the flush:
+        # Failure(internal, "node 5 is not a channel member").
+        host = SessionHost(seed=1)
+        open_default(host)
+        host.handle(1, p.SendMessage(name="s", sender=5, payload=b"x"))
+        host.handle(1, p.SendMessage(name="s", sender=1, payload=b"y"))
+        assert isinstance(
+            host.handle(1, p.Rekey(name="s", compromised=(5,))), p.RekeyDone
+        )
+        flushed = host.handle(1, p.Flush(name="s"))
+        assert isinstance(flushed, p.Flushed), flushed
+        assert {row[3] for row in flushed.deliveries} == {b"y"}
+        stats = host.handle(1, p.SessionStatsReq(name="s"))
+        assert (stats.sent, stats.delivered, stats.undelivered) == (2, 1, 1)
+        assert stats.pending == 0
+
+    def test_scheduled_rekey_dropping_a_queued_sender(self):
+        # A scheduled re-key mid-flush whose epoch for member 4 is jammed
+        # drops 4; its queued message leaves the queue as undelivered.
+        host = SessionHost(seed=1)
+        open_default(host, rekey_interval=1)
+        tap = RekeyEpochTap(host.sessions["s"].session.network, 4)
+        tap.suppress()
+        host.handle(1, p.SendMessage(name="s", sender=1, payload=b"a"))
+        host.handle(1, p.SendMessage(name="s", sender=4, payload=b"b"))
+        flushed = host.handle(1, p.Flush(name="s"))
+        tap.restore()
+        assert isinstance(flushed, p.Flushed), flushed
+        assert flushed.rekeys[0][4] == (4,)  # dropped
+        assert flushed.emulated_rounds == 1 and flushed.pending == 0
+        stats = host.handle(1, p.SessionStatsReq(name="s"))
+        assert (stats.sent, stats.delivered, stats.undelivered) == (2, 1, 1)
+        assert stats.members == (0, 1, 2, 3, 5)
+
+    @pytest.mark.parametrize(
+        "compromised", [("1",), (True,), (2.9,), (0, "5")], ids=repr
+    )
+    def test_rekey_rejects_non_int_ids(self, compromised):
+        # int() used to coerce these into members the client never named.
+        host = SessionHost(seed=1)
+        open_default(host)
+        refused = host.handle(1, p.Rekey(name="s", compromised=compromised))
+        assert isinstance(refused, p.Failure)
+        assert refused.code == p.BAD_REQUEST
+        stats = host.handle(1, p.SessionStatsReq(name="s"))
+        assert stats.generation == 0 and stats.rekeys == 0
+        assert stats.members == (0, 1, 2, 3, 4, 5)
 
     def test_rekey_without_leader_is_typed(self):
         host = SessionHost(seed=1)

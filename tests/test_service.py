@@ -11,6 +11,7 @@ from repro.crypto.dh import TEST_GROUP_64
 from repro.errors import ConfigurationError
 from repro.radio.messages import Message
 from repro.rng import RngRegistry
+from repro.scenarios.injectors import RekeyEpochTap
 from repro.service import LongLivedChannel, SecureSession
 
 from conftest import make_network
@@ -365,6 +366,46 @@ class TestSessionBugfixRegressions:
         assert victim in report.dropped  # pre-fix: accepted, stayed member
         assert victim not in report.members
 
+    def test_rekey_drops_queued_messages_of_removed_members(self):
+        # The queue used to keep a removed member's message, so the next
+        # flush popped it and the channel raised "not a channel member".
+        session, _net = self._preshared()
+        session.send(5, b"from-excluded")
+        session.send(1, b"from-member")
+        session.send(5, b"from-excluded-again")
+        session.rekey([5])
+        assert session.pending() == 1
+        assert session.stats.undelivered == 2
+        delivered = session.flush()
+        assert {d.payload for d in delivered} == {b"from-member"}
+        stats = session.stats
+        assert (stats.sent, stats.delivered, stats.undelivered) == (3, 1, 2)
+        assert stats.sent == (
+            stats.delivered + stats.undelivered + session.pending()
+        )
+
+    def test_rekey_drops_queued_messages_of_dropped_members(self):
+        # A member the re-key drops (here: no pair key with the
+        # distributor) leaves the same way an excluded one does.
+        session, _net = self._preshared()
+        del session.setup.pairwise_keys[frozenset((0, 3))]
+        session.send(3, b"stranded")
+        session.send(2, b"kept")
+        report = session.rekey([])
+        assert report.dropped == (3,)
+        assert session.pending() == 1
+        assert [d.payload for d in session.flush()] == [b"kept"] * 4
+        assert session.stats.undelivered == 1
+
+    @pytest.mark.parametrize("bad", ["1", True, 2.9, None])
+    def test_rekey_rejects_non_int_ids(self, bad):
+        # int() used to coerce these into members nobody named.
+        session, _net = self._preshared()
+        with pytest.raises(ConfigurationError, match="must be int"):
+            session.rekey([bad])
+        assert session._generation == 0
+        assert session.members == [0, 1, 2, 3, 4, 5]
+
     def test_inbox_former_member_needs_explicit_flag(self):
         # A rekey-excluded member keeps its historical inbox but is no
         # longer current; reading it used to succeed silently because
@@ -512,6 +553,39 @@ class TestServiceAdversaryGauntlet:
             return original(schedule)
 
         net.execute_schedule = replay_gen1
+        second = session.rekey([])
+        assert second.generation == 2
+        assert victim in second.dropped
+        assert victim not in second.members
+
+    def test_rekey_relabelled_older_generation_rejected(self):
+        # The generation field is not authenticated, so a generation-1
+        # frame relabelled as generation 2 still opens — to the
+        # generation-1 key.  Comparing the opened key rejects it.
+        import dataclasses as _dc
+
+        net = make_network(n=6, channels=2, t=1)
+        session = SecureSession.from_preshared(net, KEY, range(6))
+        victim = 4
+        tap = RekeyEpochTap(net, victim)
+        assert victim in session.rekey([5]).members
+        tap.restore()
+        original = net.execute_schedule
+
+        def relabelled_gen1(schedule):
+            heard = original(schedule)  # burn the epoch's real rounds
+            meta = schedule.rounds[0].meta
+            if meta.phase != "rekey" or meta.extra.get("member") != victim:
+                return heard
+            return [
+                {
+                    ch: _dc.replace(frame, payload=(2, frame.payload[1]))
+                    for ch, frame in per_round.items()
+                }
+                for per_round in tap.captured[1]
+            ]
+
+        net.execute_schedule = relabelled_gen1
         second = session.rekey([])
         assert second.generation == 2
         assert victim in second.dropped
