@@ -12,11 +12,16 @@ differently.  This package makes that literal:
   :class:`~repro.dispatch.backend.SerialBackend`;
   :class:`~repro.dispatch.backend.ResultAssembler` is the shared
   order/duplicate-oblivious merge.
-* :mod:`~repro.dispatch.socket_pool` — :class:`~repro.dispatch.
-  socket_pool.SocketBackend`, the one parallel backend: a stdlib
-  ``socket``/``selectors``/pickle coordinator serving workers it forks
-  locally (``--workers N``) or ``python -m repro worker`` processes on
-  other machines, with length-prefixed framing, a versioned handshake,
+* :mod:`~repro.dispatch.socket_pool` — the one socket transport and
+  :class:`~repro.dispatch.socket_pool.SocketBackend`, the one parallel
+  backend.  The transport is length-prefixed pickle framing, the
+  non-blocking :class:`~repro.dispatch.socket_pool.FrameServer` (the
+  ``repro serve`` daemon listens through it too) and the dialing end
+  :func:`~repro.dispatch.socket_pool.dial`; on both listening ports a
+  versioned ``hello`` handshake admits peers, and a frame that does not
+  decode closes only its own connection.  The backend is a coordinator
+  serving workers it forks locally (``--workers N``) or
+  ``python -m repro worker`` processes on other machines, with
   per-run spec-context tables (shared ``TrialSpec`` fields pickled once
   per worker, not once per trial), batched spec frames sized adaptively
   from observed per-trial cost (``--batch-size`` pins them), a pipelined

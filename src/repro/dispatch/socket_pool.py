@@ -7,6 +7,28 @@ anywhere that can reach the port) connect, handshake, and pull *batches*
 of :class:`~repro.experiments.trial.TrialSpec` coordinates.  ``socket``
 + ``selectors`` + ``pickle`` only — no third-party queue.
 
+Transport
+---------
+This module also holds the one socket transport, which the
+``repro serve`` daemon (:mod:`repro.serve.daemon`) runs on as well:
+
+* the framing — :func:`frame_bytes` (the one encoder, capped at
+  :data:`MAX_FRAME_BYTES`), :func:`send_frame`, :func:`recv_frame` and
+  the incremental :class:`FrameDecoder`;
+* :class:`FrameServer` — the non-blocking listening end: an AF_INET
+  listener, ``TCP_NODELAY`` accepts, decoder reads, buffered writes
+  flushed as sockets become writable, the versioned ``hello`` rule, and
+  a drain-then-close shutdown.  Its owner sees ``(peer, frame)`` events
+  and keeps only its own protocol;
+* :func:`dial` — the dialing end: an IPv4 connect with retry and
+  ``TCP_NODELAY``, then the ``hello`` exchange.  The worker and
+  :class:`~repro.serve.client.ServiceClient` both start with it.
+
+The ``hello`` rule: a connection's first frame must be ``{"kind":
+"hello", "protocol": P}`` with the server's ``P``.  The server answers
+``{"kind": "welcome", "protocol": P}``, or sends ``{"kind": "reject",
+"reason": ...}``, flushes it and closes that connection.
+
 Throughput model
 ----------------
 Version 1 of this protocol shipped one fully-pickled spec per frame and
@@ -46,9 +68,10 @@ dict (``pickle.HIGHEST_PROTOCOL``, capped at :data:`MAX_FRAME_BYTES`
 against malformed prefixes):
 
 * worker → ``{"kind": "hello", "protocol": 2, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome"}`` or ``{"kind": "reject",
-  "reason": ...}`` (protocol mismatch: the stray worker is turned away
-  and the sweep continues with the rest);
+* coordinator → ``{"kind": "welcome", "protocol": 2}`` or ``{"kind":
+  "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
+  or any other peer is turned away and the sweep continues with the
+  rest);
 * coordinator → ``{"kind": "contexts", "contexts": [ctx, ...]}`` — the
   run's distinct spec contexts, sent once per run per worker (replacing
   any previous table on a warm pool);
@@ -79,11 +102,17 @@ completion order, retries, or worker count.
 Trust model: frames are pickles, but both directions decode through
 :func:`~repro.dispatch.wire.loads_restricted`, whose ``find_class``
 allowlist is exactly {``TrialSpec``, ``TrialResult``,
-``NetworkMetrics``} — an attacker who reaches the port can disrupt a
-sweep (:class:`~repro.dispatch.wire.FrameRejected` kills the
-connection) but cannot make the pickle layer import or call anything
-else.  Still bind to localhost or a private network you control:
-frames are neither authenticated nor encrypted.
+``NetworkMetrics``}, so a peer cannot make the pickle layer import or
+call anything else.  One rule holds on both listening ports (the
+coordinator's and the daemon's): any exception raised while decoding a
+peer's bytes — an unpickler error, an oversized prefix, a disallowed
+global (:class:`~repro.dispatch.wire.FrameRejected`) — closes that
+connection alone, and so does a first frame that is not an acceptable
+``hello``.  The owner treats it like any vanished peer: the coordinator
+requeues its in-flight trials, the daemon detaches it from its
+sessions.  A welcomed peer can still disrupt a sweep (an ``error``
+frame aborts it), so bind to localhost or a private network you
+control: frames are neither authenticated nor encrypted.
 """
 
 from __future__ import annotations
@@ -132,10 +161,14 @@ _CONNECT_RETRY_SECONDS = 10.0
 """How long a worker keeps retrying its connection by default — and so
 how long a graceful close waits for a spawned worker still connecting."""
 
+DRAIN_SECONDS = 5.0
+"""How long a graceful :meth:`FrameServer.close` lets buffered frames
+(shutdown acknowledgements, goodbyes) leave before it closes."""
+
 
 def _no_delay(sock: socket.socket) -> None:
-    """Send small frames at once: a pipelined ``batch`` frame must not
-    wait for the busy peer's delayed ACK (Nagle's algorithm)."""
+    """Send small frames at once: a pipelined ``batch`` frame or a serve
+    reply must not wait for the peer's delayed ACK (Nagle's algorithm)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
@@ -153,11 +186,17 @@ def _check_frame_length(length: int) -> None:
         )
 
 
-def send_frame(sock: socket.socket, obj: Any) -> None:
-    """Pickle ``obj`` (``HIGHEST_PROTOCOL``) and send it length-prefixed."""
+def frame_bytes(obj: Any) -> bytes:
+    """``obj`` pickled (``HIGHEST_PROTOCOL``) and length-prefixed: the
+    one encoder, so every outbound frame obeys :data:`MAX_FRAME_BYTES`."""
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     _check_frame_length(len(data))
-    sock.sendall(len(data).to_bytes(4, "big") + data)
+    return len(data).to_bytes(4, "big") + data
+
+
+def send_frame(sock: socket.socket, obj: Any) -> None:
+    """Blocking send of one frame (the dialing side)."""
+    sock.sendall(frame_bytes(obj))
 
 
 def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
@@ -178,7 +217,7 @@ def recv_frame(sock: socket.socket) -> Any:
 
 
 class FrameDecoder:
-    """Incremental decoder for the coordinator's non-blocking reads.
+    """Incremental decoder for :class:`FrameServer`'s non-blocking reads.
 
     One ``bytearray`` feed buffer; completed frames are unpickled through
     a ``memoryview`` so the payload is never copied out first.
@@ -203,6 +242,246 @@ class FrameDecoder:
                 frames.append(loads_restricted(payload))
             del self._buffer[: 4 + length]
         return frames
+
+
+# ----------------------------------------------------------------------
+# Transport: the listening end and the dialing end
+# ----------------------------------------------------------------------
+
+
+WELCOMED = object()
+"""Event marker: the peer's ``hello`` was welcomed (it is ``peer.hello``)."""
+
+CLOSED = object()
+"""Event marker: the peer's connection is gone — EOF, a socket error, an
+undecodable frame, or a rejected ``hello``."""
+
+
+class FramePeer:
+    """One accepted connection of a :class:`FrameServer`."""
+
+    __slots__ = ("sock", "decoder", "outbuf", "hello")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.decoder = FrameDecoder()
+        self.outbuf = bytearray()  # encoded frames the socket has not taken
+        self.hello: dict | None = None  # set once the hello is welcomed
+
+
+class FrameServer:
+    """The non-blocking frame server under the coordinator and the daemon.
+
+    Binds an AF_INET listener.  Each :meth:`poll` accepts connections
+    (``TCP_NODELAY``), flushes buffered writes, and reads every readable
+    connection through its :class:`FrameDecoder`, applying the ``hello``
+    rule to each connection's first frame.  Any exception raised while
+    decoding a peer's bytes closes that connection alone.  The owner
+    acts on the returned events and answers through :meth:`send`; it
+    never touches a socket.
+    """
+
+    def __init__(self, host: str, port: int, protocol: int) -> None:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen()
+        except OSError:
+            listener.close()
+            raise
+        listener.setblocking(False)
+        self.protocol = protocol
+        self.address: tuple[str, int] = listener.getsockname()[:2]
+        self.peers: set[FramePeer] = set()
+        self._events: list[tuple[FramePeer, Any]] = []
+        self._listener = listener
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(listener, selectors.EVENT_READ)
+
+    def poll(self, timeout: float) -> list[tuple[FramePeer, Any]]:
+        """One selector pass; returns its ``(peer, frame)`` events in order.
+
+        ``frame`` is a decoded frame from a welcomed peer,
+        :data:`WELCOMED`, or :data:`CLOSED`.  A peer's events stop at its
+        ``CLOSED``; a ``CLOSED`` found by :meth:`send` is returned by the
+        next poll, which then does not wait.
+        """
+        for key, mask in self._sel.select(0 if self._events else timeout):
+            peer = key.data
+            if peer is None:
+                self._accept()
+                continue
+            if mask & selectors.EVENT_WRITE:
+                self._flush(peer)
+            if mask & selectors.EVENT_READ and peer in self.peers:
+                self._read(peer)
+        events, self._events = self._events, []
+        return events
+
+    def send(self, peer: FramePeer, data: bytes) -> None:
+        """Queue encoded frames (:func:`frame_bytes`) for ``peer`` and
+        write what its socket takes now; polls write the rest.  Bytes
+        for a closed peer are dropped."""
+        if peer not in self.peers:
+            return
+        idle = not peer.outbuf
+        peer.outbuf += data
+        if idle:
+            self._flush(peer)
+
+    def close(self, drain: float = 0.0) -> None:
+        """Stop listening, give buffered frames up to ``drain`` seconds
+        to leave, then close every connection."""
+        self._sel.unregister(self._listener)
+        self._listener.close()
+        for peer in list(self.peers):
+            if peer.outbuf:
+                self._sel.modify(peer.sock, selectors.EVENT_WRITE, peer)
+            else:
+                self._close(peer)
+        deadline = time.monotonic() + drain
+        while self.peers and (remaining := deadline - time.monotonic()) > 0:
+            for key, _mask in self._sel.select(remaining):
+                if self._write(key.data) and not key.data.outbuf:
+                    self._close(key.data)
+        for peer in list(self.peers):
+            self._close(peer)
+        self._sel.close()
+
+    def forget(self) -> None:
+        """Close only this process's copies of the listener and selector:
+        a forked child's first step, leaving both to its parent."""
+        self._sel.close()
+        self._listener.close()
+
+    # -- one connection -------------------------------------------------
+
+    def _accept(self) -> None:
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:  # BlockingIOError: it went away before accept
+            return
+        sock.setblocking(False)
+        _no_delay(sock)
+        peer = FramePeer(sock)
+        self.peers.add(peer)
+        self._sel.register(sock, selectors.EVENT_READ, peer)
+
+    def _read(self, peer: FramePeer) -> None:
+        try:
+            chunk = peer.sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._close(peer)
+            return
+        try:
+            frames = peer.decoder.feed(chunk)
+        except Exception:
+            # Bytes that do not decode — any unpickler error, an
+            # oversized prefix, a disallowed global — are this peer's
+            # fault alone: its connection closes, every other one stays.
+            self._close(peer)
+            return
+        for frame in frames:
+            if peer.hello is not None:
+                self._events.append((peer, frame))
+            elif not self._greet(peer, frame):
+                return
+
+    def _greet(self, peer: FramePeer, frame: Any) -> bool:
+        """The ``hello`` rule for a first frame; False once ``peer`` is
+        closed."""
+        kind, got = (
+            (frame.get("kind"), frame.get("protocol"))
+            if isinstance(frame, dict)
+            else (type(frame).__name__, None)
+        )
+        if kind == "hello" and got == self.protocol:
+            peer.hello = frame
+            self._events.append((peer, WELCOMED))
+            self.send(peer, frame_bytes({"kind": "welcome", "protocol": got}))
+            return peer in self.peers
+        reason = (
+            f"first frame must be a protocol {self.protocol} hello, got "
+            f"kind {kind!r:.40} protocol {got!r:.40}"
+        )
+        self.send(peer, frame_bytes({"kind": "reject", "reason": reason}))
+        # A fresh connection's send buffer takes the small reject whole,
+        # so it has left by now.
+        if peer in self.peers:
+            self._close(peer)
+        return False
+
+    def _write(self, peer: FramePeer) -> bool:
+        """Send what the socket takes; False if that closed ``peer``."""
+        try:
+            sent = peer.sock.send(peer.outbuf)
+        except (BlockingIOError, InterruptedError):
+            return True
+        except OSError:
+            self._close(peer)
+            return False
+        del peer.outbuf[:sent]
+        return True
+
+    def _flush(self, peer: FramePeer) -> None:
+        if self._write(peer):
+            events = selectors.EVENT_READ
+            if peer.outbuf:
+                events |= selectors.EVENT_WRITE
+            self._sel.modify(peer.sock, events, peer)
+
+    def _close(self, peer: FramePeer) -> None:
+        self.peers.discard(peer)
+        self._sel.unregister(peer.sock)
+        peer.sock.close()
+        self._events.append((peer, CLOSED))
+
+
+def dial(
+    host: str, port: int, hello: dict, *, retry_seconds: float
+) -> socket.socket:
+    """Connect to a :class:`FrameServer` and exchange ``hello``.
+
+    Retries the IPv4 connect for up to ``retry_seconds`` (a server may
+    bind after its clients start), sets ``TCP_NODELAY``, and returns the
+    blocking socket once the server welcomes ``hello``.  Unlike
+    ``socket.create_connection``, a numeric host never reaches the
+    resolver, whose first call costs a freshly forked worker ~6 ms.
+    Raises the last ``OSError`` when the server stays unreachable, and
+    :class:`~repro.errors.DispatchError` carrying the server's reason
+    when it rejects the ``hello``.
+    """
+    deadline = time.monotonic() + retry_seconds
+    while True:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(10.0)
+            sock.connect((host, port))
+            break
+        except OSError:
+            sock.close()
+            if time.monotonic() >= deadline:
+                raise
+        time.sleep(0.05)
+    try:
+        sock.settimeout(None)
+        _no_delay(sock)
+        send_frame(sock, hello)
+        greeting = recv_frame(sock)
+    except BaseException:
+        sock.close()
+        raise
+    if isinstance(greeting, dict) and greeting.get("kind") == "welcome":
+        return sock
+    sock.close()
+    if isinstance(greeting, dict):
+        greeting = greeting.get("reason", greeting)
+    raise DispatchError(str(greeting))
 
 
 # ----------------------------------------------------------------------
@@ -264,73 +543,38 @@ def parse_endpoint(text: str) -> tuple[str, int]:
         ) from None
 
 
-def _connect(host: str, port: int) -> socket.socket:
-    """One connection attempt to the coordinator, ready for frames.
-
-    IPv4 like the coordinator's listener.  Unlike
-    ``socket.create_connection``, a numeric host never reaches the
-    resolver, whose first call costs a freshly forked worker ~6 ms.
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.settimeout(10.0)
-        sock.connect((host, port))
-    except OSError:
-        sock.close()
-        raise
-    sock.settimeout(None)
-    _no_delay(sock)
-    return sock
-
-
 def worker_main(
     host: str, port: int, *, retry_seconds: float = _CONNECT_RETRY_SECONDS
 ) -> int:
     """The ``python -m repro worker`` loop; returns a process exit code.
 
-    Connects (retrying up to ``retry_seconds`` so workers may be started
-    before the coordinator binds), handshakes, stores each ``contexts``
-    table as it arrives, then runs ``batch`` frames — every trial of a
-    batch back to back, one merged ``results`` frame (with the batch's
-    compute time) back — until the coordinator sends ``shutdown`` (exit
-    0).  A rejected handshake exits 2; a coordinator that vanishes
-    mid-run exits 1.
+    Dials the coordinator (:func:`dial`, retrying up to
+    ``retry_seconds`` so workers may be started before it binds), stores
+    each ``contexts`` table as it arrives, then runs ``batch`` frames —
+    every trial of a batch back to back, one merged ``results`` frame
+    (with the batch's compute time) back — until the coordinator sends
+    ``shutdown`` (exit 0).  A rejected handshake exits 2; an unreachable
+    coordinator, or one that vanishes mid-run, exits 1.
     """
     from .. import __version__
 
-    deadline = time.monotonic() + retry_seconds
-    sock: socket.socket | None = None
-    while sock is None:
-        try:
-            sock = _connect(host, port)
-        except OSError:
-            if time.monotonic() >= deadline:
-                print(
-                    f"repro worker: cannot reach {host}:{port} "
-                    f"after {retry_seconds}s",
-                    file=sys.stderr,
-                )
-                return 1
-            time.sleep(0.1)
+    hello = {
+        "kind": "hello",
+        "protocol": PROTOCOL_VERSION,
+        "repro": __version__,
+        "pid": os.getpid(),
+    }
+    try:
+        sock = dial(host, port, hello, retry_seconds=retry_seconds)
+    except DispatchError as exc:
+        print(f"repro worker: rejected by coordinator: {exc}", file=sys.stderr)
+        return 2
+    except (EOFError, OSError) as exc:
+        print(f"repro worker: cannot reach {host}:{port}: {exc}",
+              file=sys.stderr)
+        return 1
     contexts: list[tuple] | None = None
     try:
-        send_frame(
-            sock,
-            {
-                "kind": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "repro": __version__,
-                "pid": os.getpid(),
-            },
-        )
-        greeting = recv_frame(sock)
-        if greeting.get("kind") != "welcome":
-            print(
-                f"repro worker: rejected by coordinator: "
-                f"{greeting.get('reason', greeting)}",
-                file=sys.stderr,
-            )
-            return 2
         while True:
             frame = recv_frame(sock)
             kind = frame.get("kind")
@@ -389,19 +633,15 @@ def worker_main(
 # ----------------------------------------------------------------------
 
 
-class _Connection:
-    """Coordinator-side state for one worker socket."""
+class _Worker:
+    """Coordinator-side state for one welcomed worker connection."""
 
-    __slots__ = ("sock", "decoder", "ready", "in_flight", "outstanding",
-                 "peer")
+    __slots__ = ("peer", "in_flight", "outstanding")
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.decoder = FrameDecoder()
-        self.ready = False  # handshake completed
+    def __init__(self, peer: FramePeer) -> None:
+        self.peer = peer
         self.in_flight: dict[int, TrialSpec] = {}  # index -> spec
         self.outstanding = 0  # batches sent, results frame not yet seen
-        self.peer: dict[str, Any] = {}
 
 
 class SocketBackend(DispatchBackend):
@@ -437,8 +677,9 @@ class SocketBackend(DispatchBackend):
     accept_timeout:
         Seconds to wait for the first successful handshake.
     idle_timeout:
-        Seconds of no frames/connections before the batch is declared
-        stuck (workers are then torn down; journalled trials survive).
+        Seconds without a pool event (a frame, a welcome, a lost
+        connection) before the batch is declared stuck (workers are then
+        torn down; journalled trials survive).
     """
 
     name = "socket"
@@ -470,9 +711,8 @@ class SocketBackend(DispatchBackend):
         self.target_batch_seconds = TARGET_BATCH_SECONDS
         self.spawned: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
-        self._sel: selectors.BaseSelector | None = None
-        self._listener: socket.socket | None = None
-        self._conns: dict[int, _Connection] = {}
+        self._server: FrameServer | None = None
+        self._workers: dict[FramePeer, _Worker] = {}
         self._ever_connected = False
         self._trial_cost: float | None = None  # EWMA seconds per trial
 
@@ -492,8 +732,7 @@ class SocketBackend(DispatchBackend):
     def _worker_process(self) -> None:
         """A forked worker's body.  Dropping the inherited listener means
         the port closes with the coordinator, whatever the workers do."""
-        self._sel.close()
-        self._listener.close()
+        self._server.forget()
         sys.exit(worker_main(*self.address))
 
     def _reap_spawned(self, *, force: bool) -> None:
@@ -511,20 +750,12 @@ class SocketBackend(DispatchBackend):
     @property
     def pool_open(self) -> bool:
         """True while the listener (and any warm workers) are live."""
-        return self._listener is not None
+        return self._server is not None
 
     def _open_pool(self) -> None:
-        sel = selectors.DefaultSelector()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
-        listener.setblocking(False)
-        self.address = listener.getsockname()[:2]
-        sel.register(listener, selectors.EVENT_READ, data=None)
-        self._sel = sel
-        self._listener = listener
-        self._conns = {}
+        self._server = FrameServer(self.host, self.port, PROTOCOL_VERSION)
+        self.address = self._server.address
+        self._workers = {}
         self._ever_connected = False
         self.spawned = []
         if self.spawn_workers:
@@ -538,31 +769,17 @@ class SocketBackend(DispatchBackend):
 
     def _close_pool(self, *, force: bool) -> None:
         """Tear the pool down; graceful closes say goodbye first."""
-        if self._sel is None:
+        server = self._server
+        if server is None:
             return
         if not force:
             self._await_spawned_handshakes()
-        for conn in list(self._conns.values()):
-            if not force:
-                try:
-                    send_frame(conn.sock, {"kind": "shutdown"})
-                except OSError:
-                    pass
-            try:
-                self._sel.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            conn.sock.close()
-        self._conns = {}
-        if self._listener is not None:
-            try:
-                self._sel.unregister(self._listener)
-            except (KeyError, ValueError):
-                pass
-            self._listener.close()
-            self._listener = None
-        self._sel.close()
-        self._sel = None
+            goodbye = frame_bytes({"kind": "shutdown"})
+            for peer in self._workers:
+                server.send(peer, goodbye)
+        self._server = None
+        self._workers = {}
+        server.close(drain=0.0 if force else DRAIN_SECONDS)
         # Workers exit on shutdown/EOF; force only the stragglers.
         self._reap_spawned(force=force)
 
@@ -576,11 +793,7 @@ class SocketBackend(DispatchBackend):
         """
         deadline = time.monotonic() + _CONNECT_RETRY_SECONDS
         while True:
-            greeted = {
-                conn.peer.get("pid")
-                for conn in self._conns.values()
-                if conn.ready
-            }
+            greeted = {peer.hello.get("pid") for peer in self._workers}
             waiting = any(
                 proc.is_alive() and proc.pid not in greeted
                 for proc in self.spawned
@@ -610,93 +823,30 @@ class SocketBackend(DispatchBackend):
             timeout if timeout is not None else self.accept_timeout
         )
         want = self.workers if self.spawn_workers else 1
-        while self._ready_count() < want:
+        while len(self._workers) < want:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise DispatchError(
-                    f"only {self._ready_count()}/{want} workers completed "
+                    f"only {len(self._workers)}/{want} workers completed "
                     f"the handshake while warming up"
                 )
             self._pump_handshakes(min(remaining, 0.25))
-        return self._ready_count()
+        return len(self._workers)
 
     def _pump_handshakes(self, timeout: float) -> None:
-        """One selector pass outside a run: accept connections and answer
-        ``hello`` frames (frames from already-greeted workers are
-        dropped — no run is in progress to claim them)."""
-        for key, _events in self._sel.select(timeout=timeout):
-            if key.data is None:
-                self._accept()
-                continue
-            conn = key.data
-            try:
-                chunk = conn.sock.recv(_RECV_CHUNK)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError:
-                self._forget(conn)
-                continue
-            if not chunk:
-                self._forget(conn)
-                continue
-            for frame in conn.decoder.feed(chunk):
-                if not conn.ready:
-                    self._handshake(frame, conn)
+        """One server pass outside a run: track welcomed and closed
+        workers (frames from greeted workers are dropped — no run is in
+        progress to claim them)."""
+        for peer, frame in self._server.poll(timeout):
+            if frame is WELCOMED:
+                self._welcome(peer)
+            elif frame is CLOSED:
+                self._workers.pop(peer, None)
 
-    def _ready_count(self) -> int:
-        return sum(1 for c in self._conns.values() if c.ready)
-
-    def _accept(self) -> _Connection | None:
-        try:
-            accepted, _addr = self._listener.accept()
-        except (BlockingIOError, OSError):
-            return None
-        accepted.setblocking(False)
-        _no_delay(accepted)
-        conn = _Connection(accepted)
-        self._conns[accepted.fileno()] = conn
-        self._sel.register(accepted, selectors.EVENT_READ, data=conn)
-        return conn
-
-    def _forget(self, conn: _Connection) -> None:
-        """Drop a connection without requeueing (no run in progress)."""
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        self._conns.pop(conn.sock.fileno(), None)
-        conn.sock.close()
-
-    def _handshake(self, frame: Any, conn: _Connection) -> bool:
-        """Process a ``hello``; True if the worker was welcomed."""
-        kind = frame.get("kind") if isinstance(frame, dict) else None
-        if kind != "hello":
-            raise DispatchError(f"unexpected frame from worker: {frame!r}")
-        conn.peer = frame
-        if frame.get("protocol") != PROTOCOL_VERSION:
-            try:
-                send_frame(
-                    conn.sock,
-                    {
-                        "kind": "reject",
-                        "reason": (
-                            f"protocol {frame.get('protocol')!r} != "
-                            f"coordinator protocol {PROTOCOL_VERSION}"
-                        ),
-                    },
-                )
-            except OSError:
-                pass
-            self._forget(conn)
-            return False
-        try:
-            send_frame(conn.sock, {"kind": "welcome"})
-        except OSError:
-            self._forget(conn)
-            return False
-        conn.ready = True
+    def _welcome(self, peer: FramePeer) -> _Worker:
+        worker = self._workers[peer] = _Worker(peer)
         self._ever_connected = True
-        return True
+        return worker
 
     # -- batch sizing ---------------------------------------------------
 
@@ -742,7 +892,7 @@ class SocketBackend(DispatchBackend):
     def _execute(self, specs, assembler, should_stop):
         pending: deque[TrialSpec] = deque(specs)
         # The run's context table: shared spec fields, pickled once per
-        # worker instead of once per trial.
+        # run instead of once per trial.
         contexts: list[tuple] = []
         ctx_ids: dict[tuple, int] = {}
         for spec in specs:
@@ -750,48 +900,39 @@ class SocketBackend(DispatchBackend):
             if ctx not in ctx_ids:
                 ctx_ids[ctx] = len(contexts)
                 contexts.append(ctx)
-        contexts_frame = {"kind": "contexts", "contexts": contexts}
+        contexts_frame = frame_bytes(
+            {"kind": "contexts", "contexts": contexts}
+        )
 
         if not self.pool_open:
             self._open_pool()
-        sel = self._sel
+        server = self._server
         started = last_activity = time.monotonic()
 
-        def drop(conn: _Connection) -> None:
-            """Forget a worker; requeue its unapplied in-flight specs."""
-            self._forget(conn)
-            requeue = unapplied_specs(conn.in_flight, assembler.missing())
-            conn.in_flight = {}
-            conn.outstanding = 0
+        def drop(peer: FramePeer) -> None:
+            """Forget a closed worker; requeue its unapplied specs."""
+            worker = self._workers.pop(peer, None)
+            if worker is None:
+                return
+            requeue = unapplied_specs(worker.in_flight, assembler.missing())
             if requeue:
                 pending.extendleft(reversed(requeue))
                 assign_idle()
 
-        def send_or_drop(conn: _Connection, frame: dict[str, Any]) -> bool:
-            try:
-                send_frame(conn.sock, frame)
-                return True
-            except OSError:
-                drop(conn)
-                return False
-
-        def live_workers() -> int:
-            return self._ready_count()
-
-        def share(conn: _Connection) -> int:
-            """What ``conn`` may still take for an even per-worker split
+        def share(worker: _Worker) -> int:
+            """What ``worker`` may still take for an even per-worker split
             of the unreported work."""
             unreported = len(pending) + sum(
-                len(c.in_flight) for c in self._conns.values()
+                len(w.in_flight) for w in self._workers.values()
             )
-            pool = max(live_workers(), self.workers)
-            return -(-unreported // pool) - len(conn.in_flight)
+            pool = max(len(self._workers), self.workers)
+            return -(-unreported // pool) - len(worker.in_flight)
 
-        def assign(conn: _Connection) -> None:
+        def assign(worker: _Worker) -> None:
             """Fill the worker's window with batches off the stream."""
-            while conn.ready and conn.outstanding < DEFAULT_WINDOW and pending:
+            while worker.outstanding < DEFAULT_WINDOW and pending:
                 size = self._next_batch_size(
-                    len(pending), live_workers(), share(conn)
+                    len(pending), len(self._workers), share(worker)
                 )
                 if not size:
                     return
@@ -800,81 +941,69 @@ class SocketBackend(DispatchBackend):
                     (ctx_ids[spec_context(s)], s.index, s.seed)
                     for s in batch
                 ]
-                # Record in-flight before sending: a failed send drops
-                # the connection, and drop() requeues from in_flight.
+                # In flight before sent: a failed send closes the
+                # connection, and its CLOSED event requeues from here.
                 for s in batch:
-                    conn.in_flight[s.index] = s
-                conn.outstanding += 1
-                if not send_or_drop(conn, {"kind": "batch", "trials": trials}):
-                    return
+                    worker.in_flight[s.index] = s
+                worker.outstanding += 1
+                server.send(
+                    worker.peer,
+                    frame_bytes({"kind": "batch", "trials": trials}),
+                )
 
         def assign_idle() -> None:
             """Hand requeued work to ready workers with window room."""
-            for conn in list(self._conns.values()):
+            for worker in list(self._workers.values()):
                 if not pending:
                     return
-                if conn.ready and conn.outstanding < DEFAULT_WINDOW:
-                    assign(conn)
+                assign(worker)
 
-        def handle(frame: Any, conn: _Connection) -> None:
+        def start(worker: _Worker) -> None:
+            server.send(worker.peer, contexts_frame)
+            assign(worker)
+
+        def handle(frame: Any, worker: _Worker) -> None:
             kind = frame.get("kind") if isinstance(frame, dict) else None
-            if kind == "hello":
-                if self._handshake(frame, conn):
-                    if send_or_drop(conn, contexts_frame):
-                        assign(conn)
-                return
             if kind == "results":
                 results = frame["results"]
                 # Guard against a misbehaving worker's extra frames.
-                if conn.outstanding > 0:
-                    conn.outstanding -= 1
+                if worker.outstanding > 0:
+                    worker.outstanding -= 1
                 self._observe_batch(frame.get("elapsed"), len(results))
                 for result in results:
-                    conn.in_flight.pop(result.index, None)
+                    worker.in_flight.pop(result.index, None)
                     assembler.apply(result)  # duplicates dropped by index
                     self._check_stop(assembler, should_stop)
                     if assembler.done:
                         break
-                assign(conn)
+                assign(worker)
                 return
             if kind == "error":
                 raise DispatchError(
                     f"trial {frame.get('index')} failed on worker "
-                    f"pid={conn.peer.get('pid')}: {frame.get('error')}"
+                    f"pid={worker.peer.hello.get('pid')}: "
+                    f"{frame.get('error')}"
                 )
             raise DispatchError(f"unexpected frame from worker: {frame!r}")
 
         try:
             # A warm pool's workers are mid-recv: ship the new run's
             # context table and start filling their windows immediately.
-            for conn in list(self._conns.values()):
-                if conn.ready and send_or_drop(conn, contexts_frame):
-                    assign(conn)
+            for worker in list(self._workers.values()):
+                start(worker)
             while not assembler.done:
-                for key, _events in sel.select(timeout=0.25):
-                    if key.data is None:
-                        if self._accept() is not None:
-                            last_activity = time.monotonic()
-                        continue
-                    conn = key.data
-                    try:
-                        chunk = conn.sock.recv(_RECV_CHUNK)
-                    except (BlockingIOError, InterruptedError):
-                        continue
-                    except OSError:
-                        drop(conn)
-                        continue
-                    if not chunk:
-                        drop(conn)
-                        continue
+                for peer, frame in server.poll(0.25):
                     last_activity = time.monotonic()
-                    for frame in conn.decoder.feed(chunk):
-                        handle(frame, conn)
-                        if assembler.done:
-                            break
-                now = time.monotonic()
+                    if frame is WELCOMED:
+                        start(self._welcome(peer))
+                    elif frame is CLOSED:
+                        drop(peer)
+                    elif not assembler.done:
+                        handle(frame, self._workers[peer])
                 if not assembler.done:
-                    self._check_liveness(assembler, started, last_activity, now)
+                    self._check_liveness(
+                        assembler, started, last_activity, time.monotonic()
+                    )
         except BaseException:
             # Interrupts and dispatch errors always tear the pool down —
             # journalled trials survive; a fresh backend resumes them.
@@ -884,7 +1013,7 @@ class SocketBackend(DispatchBackend):
             self._close_pool(force=False)
 
     def _check_liveness(self, assembler, started, last_activity, now) -> None:
-        live = self._ready_count()
+        live = len(self._workers)
         if not self._ever_connected and now - started > self.accept_timeout:
             raise DispatchError(
                 f"no worker completed the handshake within "

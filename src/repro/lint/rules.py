@@ -687,19 +687,16 @@ MODULE_ALLOWLIST: dict[str, dict[str, str]] = {
     },
     "DET003": {
         "repro.dispatch.socket_pool": (
-            "dispatch control plane: socket timeouts, batch-cost EWMA, "
-            "and worker spawning are wall-clock by nature and never "
-            "enter reports (reports are byte-identical across backends)"
+            "dispatch and transport control plane: socket timeouts, "
+            "connect retry, drain deadlines, batch-cost EWMA, and worker "
+            "spawning are wall-clock by nature and never enter reports "
+            "(reports are byte-identical across backends)"
         ),
         "repro.serve.daemon": (
             "serve control plane: select timeouts and the idle watchdog "
             "pace the event loop only; the SessionHost it drives is "
             "clock-free, so daemon-served sessions stay byte-identical "
             "to synchronously driven ones"
-        ),
-        "repro.serve.client": (
-            "serve control plane: connect retry/backoff against a daemon "
-            "that has not bound yet; session traffic never sees a clock"
         ),
     },
     "WIRE001": {

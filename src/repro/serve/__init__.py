@@ -1,8 +1,8 @@
 """The multi-session key-service daemon (``python -m repro serve``).
 
 The paper's Section 7 service is setup-once, communicate-forever; this
-package is the "forever" part as an actual process: a selectors-based
-daemon multiplexing many concurrent :class:`~repro.service.session.
+package is the "forever" part as an actual process: a daemon
+multiplexing many concurrent :class:`~repro.service.session.
 SecureSession` group sessions (create/join/leave churn, scheduled and
 on-demand re-keys, per-session adversaries) behind a typed
 request/response wire protocol with bounded queues and typed failure
@@ -16,9 +16,11 @@ Layers:
 * :mod:`~repro.serve.host` — :class:`~repro.serve.host.SessionHost`,
   the clock-free session registry and request dispatcher (drive it
   directly for byte-identical synchronous replays);
-* :mod:`~repro.serve.daemon` — the socket event loop;
+* :mod:`~repro.serve.daemon` — the event loop, on the sweep
+  coordinator's :class:`~repro.dispatch.socket_pool.FrameServer`;
 * :mod:`~repro.serve.client` — :class:`~repro.serve.client.
-  ServiceClient`, the blocking API.
+  ServiceClient`, the blocking API, dialled with
+  :func:`~repro.dispatch.socket_pool.dial`.
 """
 
 from .client import ServiceClient

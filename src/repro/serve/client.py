@@ -9,17 +9,21 @@ Daemon ``fail`` frames re-raise locally as
 catching ``ServiceError`` with ``exc.code == "busy"`` is the retry
 signal; everything else arrives as the typed response dataclass.
 
-Connect retries (like the dispatch worker's loop) let clients start
-before the daemon binds — the CI smoke job races them deliberately.
+The connection comes from :func:`~repro.dispatch.socket_pool.dial`, the
+sweep worker's own dial-and-hello: IPv4 with ``TCP_NODELAY``, retried
+so clients may start before the daemon binds (the CI smoke job races
+them deliberately).
 """
 
 from __future__ import annotations
 
-import socket
-import time
-
-from ..dispatch.socket_pool import parse_endpoint, recv_frame, send_frame
-from ..errors import ServiceError
+from ..dispatch.socket_pool import (
+    dial,
+    parse_endpoint,
+    recv_frame,
+    send_frame,
+)
+from ..errors import DispatchError, ServiceError
 from ..service.emulated_channel import Delivery
 from . import protocol as p
 
@@ -43,43 +47,26 @@ class ServiceClient:
         name: str = "client",
         retry_seconds: float = 10.0,
     ) -> None:
-        deadline = time.monotonic() + retry_seconds
-        sock: socket.socket | None = None
-        while sock is None:
-            try:
-                sock = socket.create_connection((host, port), timeout=10.0)
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise ServiceError(
-                        p.INTERNAL,
-                        f"cannot reach {host}:{port} after {retry_seconds}s",
-                    ) from None
-                time.sleep(0.05)
-        sock.settimeout(None)
-        self._sock = sock
-        self._req = 0
-        self._closed = False
         from .. import __version__
 
-        send_frame(
-            sock,
-            {
-                "kind": "hello",
-                "protocol": p.SERVE_PROTOCOL,
-                "repro": __version__,
-                "client": name,
-            },
-        )
-        greeting = recv_frame(sock)
-        if not isinstance(greeting, dict) or greeting.get("kind") != "welcome":
-            reason = (
-                greeting.get("reason", greeting)
-                if isinstance(greeting, dict)
-                else greeting
-            )
-            sock.close()
-            self._closed = True
-            raise ServiceError(p.BAD_REQUEST, f"rejected by daemon: {reason}")
+        hello = {
+            "kind": "hello",
+            "protocol": p.SERVE_PROTOCOL,
+            "repro": __version__,
+            "client": name,
+        }
+        try:
+            self._sock = dial(host, port, hello, retry_seconds=retry_seconds)
+        except DispatchError as exc:
+            raise ServiceError(
+                p.BAD_REQUEST, f"rejected by daemon: {exc}"
+            ) from None
+        except (EOFError, OSError) as exc:
+            raise ServiceError(
+                p.INTERNAL, f"cannot reach {host}:{port}: {exc}"
+            ) from None
+        self._req = 0
+        self._closed = False
 
     # ------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ effect, so a refused request is always safely retryable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..adversary import NullAdversary
 from ..errors import (
@@ -39,6 +39,18 @@ DEFAULT_MAX_SESSIONS = 4096
 """Default bound on the host's session table (the host-level ``busy``)."""
 
 SESSION_MODES = ("preshared", "group")
+
+# Integer request fields must hold exactly ``int``: ``bool`` and
+# ``float`` compare equal to ints, so a coerced or accepted ``1.0`` would
+# slip past membership checks and fail deep in the crypto, and ``int()``
+# would turn ``2.9`` or ``"1"`` into ids the client never named.
+_INT_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "int | None": lambda v: v is None or type(v) is int,
+    "tuple[int, ...]": lambda v: (
+        type(v) is tuple and all(type(x) is int for x in v)
+    ),
+}
 
 
 @dataclass
@@ -159,8 +171,8 @@ class SessionHost:
             session=session,
             mode=req.mode,
             adversary=req.adversary,
-            rekey_interval=int(req.rekey_interval),
-            max_pending=int(req.max_pending),
+            rekey_interval=req.rekey_interval,
+            max_pending=req.max_pending,
         )
         hosted.attached.add(token)
         self.sessions[req.name] = hosted
@@ -307,13 +319,6 @@ class SessionHost:
 
     def rekey(self, token: object, req: p.Rekey) -> p.RekeyDone:
         hosted = self._get(req.name)
-        # A non-int id is the client's malformation: refuse it before any
-        # side effect, not as the session's ``rekey-failed``.
-        if any(type(v) is not int for v in req.compromised):
-            raise ServiceError(
-                p.BAD_REQUEST,
-                f"compromised node ids must be int, got {req.compromised!r}",
-            )
         report = self._rekey(hosted, req.compromised)
         return p.RekeyDone(
             name=req.name,
@@ -362,7 +367,7 @@ class SessionHost:
         from ..scenarios import run_scenario as execute
 
         try:
-            run = execute(req.name, seed=int(req.seed))
+            run = execute(req.name, seed=req.seed)
         except ScenarioError as exc:
             raise ServiceError(p.BAD_REQUEST, str(exc)) from None
         return p.ScenarioOutcome(
@@ -398,15 +403,35 @@ class SessionHost:
         p.Shutdown: shutdown,
     }
 
+    # Per request class, its integer fields and their exactness checks.
+    _INT_FIELDS = {
+        cls: tuple(
+            (f.name, _INT_CHECKS[f.type])
+            for f in fields(cls)
+            if f.type in _INT_CHECKS
+        )
+        for cls in _HANDLERS
+    }
+
     def handle(self, token: object, request):
         """Service one decoded request; always returns a response
         dataclass (:class:`~repro.serve.protocol.Failure` on refusal) —
-        raw exceptions never escape to the transport."""
+        raw exceptions never escape to the transport.  A request whose
+        integer field holds anything but an ``int`` is refused
+        ``bad-request`` before any handler runs."""
         handler = self._HANDLERS.get(type(request))
         if handler is None:
             return p.Failure(
                 p.BAD_REQUEST, f"unhandled request type {type(request).__name__}"
             )
+        for name, exact in self._INT_FIELDS[type(request)]:
+            value = getattr(request, name)
+            if not exact(value):
+                return p.Failure(
+                    p.BAD_REQUEST,
+                    f"{request.KIND} field {name!r} must be an int, "
+                    f"got {value!r:.60}",
+                )
         try:
             return handler(self, token, request)
         except ServiceError as exc:

@@ -17,8 +17,9 @@ Frame shapes
 ------------
 * client → ``{"kind": "hello", "protocol": 1, "repro": ..., "client": ...}``
 * daemon → ``{"kind": "welcome", "protocol": 1}`` or ``{"kind":
-  "reject", "reason": ...}`` (version mismatch: the stray client is
-  turned away, the daemon keeps serving everyone else);
+  "reject", "reason": ...}`` (any first frame but a protocol-1 hello:
+  the reject is flushed and that connection closed, the daemon keeps
+  serving everyone else);
 * client → ``{"kind": <request kind>, "req": <id>, ...fields}`` — the
   ``req`` id is an opaque client-chosen token echoed in the response
   (responses arrive in request order; the echo lets pipelining clients

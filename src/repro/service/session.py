@@ -45,6 +45,16 @@ from .emulated_channel import Delivery, LongLivedChannel
 REKEY_KIND = "rekey-frame"
 
 
+def _int_ids(ids: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``ids`` as a tuple, each exactly an ``int`` — ``"1"``, ``True``
+    and ``2.9`` raise :class:`ConfigurationError` instead of being
+    coerced into (or compared equal to) a member nobody named."""
+    ids = tuple(ids)
+    if any(type(v) is not int for v in ids):
+        raise ConfigurationError(f"{what} must be int, got {ids!r:.80}")
+    return ids
+
+
 @dataclass(frozen=True)
 class RekeyReport:
     """Outcome of one re-keying operation.
@@ -161,8 +171,10 @@ class SecureSession:
         group secret per unordered member pair, every member counts as a
         complete leader, and ``setup_rounds`` is zero.  Traffic, flush,
         inbox, and re-keying semantics are identical to a set-up session.
+        A member id that is not an ``int`` raises
+        :class:`ConfigurationError`.
         """
-        member_ids = tuple(sorted(set(int(m) for m in members)))
+        member_ids = tuple(sorted(set(_int_ids(members, "member ids"))))
         secret = bytes(group_key)
         pairwise = {
             frozenset((a, b)): derive_key(secret, "preshared-pair", a, b)
@@ -198,6 +210,7 @@ class SecureSession:
 
     def send(self, sender: int, payload: bytes) -> None:
         """Enqueue a broadcast from ``sender`` (one emulated round each)."""
+        _int_ids((sender,), "sender id")
         if sender not in self.channel.members:
             raise ConfigurationError(f"node {sender} is not a member")
         if not isinstance(payload, (bytes, bytearray)):
@@ -299,11 +312,7 @@ class SecureSession:
         that is not an ``int`` (``"1"``, ``True``, ``2.9``) raises
         :class:`ConfigurationError` before any side effect.
         """
-        compromised = tuple(compromised)
-        if any(type(v) is not int for v in compromised):
-            raise ConfigurationError(
-                f"compromised node ids must be int, got {compromised!r}"
-            )
+        compromised = _int_ids(compromised, "compromised node ids")
         excluded = frozenset(compromised)
         pair_keys = self.setup.pairwise_keys
         candidates = [

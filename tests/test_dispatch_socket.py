@@ -31,7 +31,7 @@ from repro.dispatch.socket_pool import (
     INITIAL_BATCH,
     PROTOCOL_VERSION,
     FrameDecoder,
-    _connect,
+    dial,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -42,6 +42,8 @@ from repro.dispatch.socket_pool import (
 )
 from repro.errors import ConfigurationError, DispatchError, SweepInterrupted
 from repro.experiments import TrialSpec
+
+from test_transport import BAD_FRAMES, assert_closed_by_peer
 
 N = 18
 
@@ -270,8 +272,7 @@ class TestSocketBackendEndToEnd:
         try:
             assert backend.warm_up(timeout=60.0) == 2
             address = backend.address
-            backend._sel.unregister(backend._listener)
-            backend._listener.close()
+            backend._server._listener.close()
             assert all(proc.is_alive() for proc in backend.spawned)
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(address, timeout=5).close()
@@ -287,13 +288,11 @@ class TestSocketBackendEndToEnd:
         worker's connection both set ``TCP_NODELAY``."""
         worker_socks: list[socket.socket] = []
 
-        def recording_connect(host, port):
-            worker_socks.append(_connect(host, port))
+        def recording_dial(*args, **kwargs):
+            worker_socks.append(dial(*args, **kwargs))
             return worker_socks[-1]
 
-        monkeypatch.setattr(
-            "repro.dispatch.socket_pool._connect", recording_connect
-        )
+        monkeypatch.setattr("repro.dispatch.socket_pool.dial", recording_dial)
         backend = SocketBackend(workers=1, spawn_workers=False)
         backend._open_pool()
         worker = threading.Thread(
@@ -302,9 +301,13 @@ class TestSocketBackendEndToEnd:
         worker.start()
         try:
             assert backend.warm_up(timeout=30.0) == 1
-            [conn] = backend._conns.values()
+            [peer] = backend._server.peers
+            # dial returns once the welcome arrives, maybe after warm_up.
+            deadline = time.monotonic() + 10.0
+            while not worker_socks and time.monotonic() < deadline:
+                time.sleep(0.01)
             [worker_sock] = worker_socks
-            for sock in (conn.sock, worker_sock):
+            for sock in (peer.sock, worker_sock):
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
             backend.close()
@@ -432,6 +435,89 @@ class TestHandshake:
         assert not thread.is_alive()
         assert out.get("results") == serial
         assert sorted(applied) == [0, 1, 2]  # once each, duplicates dropped
+
+
+class _Intruder(threading.Thread):
+    """Greets a coordinator as a worker, then sends ``bad`` bytes."""
+
+    def __init__(self, address, bad: bytes) -> None:
+        super().__init__(daemon=True)
+        self.address = address
+        self.bad = bad
+        self.greeting = None
+
+    def run(self) -> None:
+        with socket.create_connection(self.address, timeout=30) as sock:
+            send_frame(
+                sock, {"kind": "hello", "protocol": PROTOCOL_VERSION, "pid": 0}
+            )
+            self.greeting = recv_frame(sock)
+            sock.sendall(self.bad)
+            try:
+                while sock.recv(1 << 16):  # contexts and batch frames
+                    pass
+            except ConnectionResetError:
+                pass
+
+
+def _sweep_with(spec: SweepSpec, on_first_result) -> tuple[dict, object]:
+    """Run ``spec`` on one forked worker; ``on_first_result(address)``
+    fires (in the coordinator's thread) when the first result lands."""
+    backend = SocketBackend(workers=1, accept_timeout=60.0)
+    runner = SweepRunner(spec, backend=backend)
+    original_add = runner.state.add
+    fired = []
+
+    def add(result):
+        if not fired:
+            fired.append(on_first_result(backend.address))
+        return original_add(result)
+
+    runner.state.add = add
+    report = runner.run().as_dict()
+    assert fired
+    return report, fired[0]
+
+
+class TestBadPeersMidSweep:
+    """A bad peer costs only its own connection: the sweep goes on and
+    its report is the ``--workers 1`` report.  Each of these used to
+    abort the run."""
+
+    @pytest.mark.parametrize("bad", list(BAD_FRAMES))
+    def test_undecodable_frame_closes_only_its_connection(self, bad):
+        spec = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)
+        reference = SweepRunner(spec).run().as_dict()
+
+        def intrude(address):
+            intruder = _Intruder(address, BAD_FRAMES[bad])
+            intruder.start()
+            return intruder
+
+        report, intruder = _sweep_with(spec, intrude)
+        intruder.join(timeout=30)
+        assert not intruder.is_alive()
+        assert intruder.greeting["kind"] == "welcome"
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
+    def test_stray_first_frame_is_rejected(self):
+        spec = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)
+        reference = SweepRunner(spec).run().as_dict()
+
+        def stray_in(address):
+            stray = socket.create_connection(address, timeout=30)
+            send_frame(stray, {"kind": "list-sessions", "req": 1})
+            return stray
+
+        report, stray = _sweep_with(spec, stray_in)
+        with stray:
+            assert recv_frame(stray)["kind"] == "reject"
+            assert_closed_by_peer(stray)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
 
 
 class TestWorkerMain:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
 
+from repro.dispatch import socket_pool
+from repro.dispatch.socket_pool import frame_bytes, recv_frame, send_frame
 from repro.errors import ServiceError
 from repro.scenarios.injectors import RekeyEpochTap
 from repro.serve import ServeDaemon, ServiceClient, SessionHost
+from repro.serve import daemon as daemon_module
 from repro.serve import protocol as p
+
+from test_transport import BAD_FRAMES, assert_closed_by_peer
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +285,44 @@ class TestSessionHost:
         assert stats.generation == 0 and stats.rekeys == 0
         assert stats.members == (0, 1, 2, 3, 4, 5)
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            p.OpenSession(name="x", n=True),
+            p.OpenSession(name="x", n=6, channels=2.0),
+            p.OpenSession(name="x", n=6, t=True),
+            p.OpenSession(name="x", n=6, members=("1", 2.9, True)),
+            p.OpenSession(name="x", n=6, rekey_interval=1.5),
+            p.OpenSession(name="x", n=6, max_pending=2.5),
+            p.SendMessage(name="s", sender=1.0, payload=b"x"),
+            p.Flush(name="s", max_rounds=1.0),
+            p.DrainInbox(name="s", member=True),
+            p.RunScenario(name="serve.duplicate-open", seed=1.5),
+        ],
+        ids=[
+            "open-n", "open-channels", "open-t", "open-members",
+            "open-rekey_interval", "open-max_pending", "send-sender",
+            "flush-max_rounds", "drain-member", "scenario-seed",
+        ],
+    )
+    def test_non_int_field_is_refused_without_side_effects(self, request_):
+        # Each used to be accepted, coerced by int(), or (sender=1.0)
+        # queued until the next flush raised AttributeError out of handle.
+        host = SessionHost(seed=1)
+        open_default(host)
+        host.handle(1, p.SendMessage(name="s", sender=0, payload=b"q"))
+
+        def snapshot():
+            stats = host.handle(1, p.SessionStatsReq(name="s"))
+            cursors = repr(host.sessions["s"].cursors)
+            return sorted(host.sessions), stats, cursors
+
+        before = snapshot()
+        refused = host.handle(1, request_)
+        assert isinstance(refused, p.Failure), refused
+        assert refused.code == p.BAD_REQUEST
+        assert snapshot() == before
+
     def test_rekey_without_leader_is_typed(self):
         host = SessionHost(seed=1)
         open_default(host)
@@ -416,37 +460,106 @@ class TestDaemonEndToEnd:
             client.send("tiny", 0, b"b")  # drained: accepted again
 
     def test_accepted_sockets_disable_nagle(self, daemon):
-        import socket as socket_mod
-
         d, host, port = daemon
         with ServiceClient(host, port, name="t") as client:
             client.list_sessions()  # a full round trip: already accepted
-            socks = [c.sock for c in list(d._clients.values())]
+            socks = [peer.sock for peer in list(d._server.peers)]
             assert socks
-            for sock in socks:
-                assert sock.getsockopt(
-                    socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY
-                )
+            # the client's own connection too (it used to skip Nagle)
+            for sock in socks + [client._sock]:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_handshake_rejects_wrong_protocol(self, daemon):
-        import socket as socket_mod
-
-        from repro.dispatch.socket_pool import recv_frame, send_frame
-
         _d, host, port = daemon
-        with socket_mod.create_connection((host, port), timeout=10) as sock:
+        with socket.create_connection((host, port), timeout=10) as sock:
             send_frame(sock, {"kind": "hello", "protocol": 999})
             reply = recv_frame(sock)
             assert reply["kind"] == "reject"
             assert "999" in reply["reason"]
 
-    def test_malformed_request_gets_typed_failure(self, daemon):
-        import socket as socket_mod
-
-        from repro.dispatch.socket_pool import recv_frame, send_frame
-
+    def test_rejected_peer_is_closed(self, daemon):
+        # The daemon used to keep a rejected connection and welcome its
+        # second hello; now it closes it, like the coordinator does.
         _d, host, port = daemon
-        with socket_mod.create_connection((host, port), timeout=10) as sock:
+        with socket.create_connection((host, port), timeout=10) as sock:
+            send_frame(sock, {"kind": "hello", "protocol": 999})
+            assert recv_frame(sock)["kind"] == "reject"
+            try:
+                send_frame(sock, {"kind": "hello", "protocol": p.SERVE_PROTOCOL})
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+            assert_closed_by_peer(sock)
+        with ServiceClient(host, port, name="t") as client:
+            assert client.list_sessions() == ()
+
+    @pytest.mark.parametrize("bad", list(BAD_FRAMES))
+    def test_undecodable_frame_closes_only_its_connection(self, daemon, bad):
+        # One such frame used to raise out of ServeDaemon.run, dropping
+        # every client.  Alice's answers must equal a run without it.
+        _d, host, port = daemon
+        before = [
+            p.OpenSession(name="alpha", n=6),
+            p.SendMessage(name="alpha", sender=0, payload=b"one"),
+            p.Flush(name="alpha"),
+        ]
+        after = [
+            p.SendMessage(name="alpha", sender=1, payload=b"two"),
+            p.Flush(name="alpha"),
+            p.DrainInbox(name="alpha", member=2),
+            p.SessionStatsReq(name="alpha"),
+        ]
+        with ServiceClient(host, port, name="alice") as alice:
+            served = [alice.request(request) for request in before]
+            with socket.create_connection((host, port), timeout=10) as evil:
+                send_frame(evil, {"kind": "hello", "protocol": p.SERVE_PROTOCOL})
+                assert recv_frame(evil)["kind"] == "welcome"
+                evil.sendall(BAD_FRAMES[bad])
+                assert_closed_by_peer(evil)
+            served += [alice.request(request) for request in after]
+        sync = SessionHost(seed=11)  # the daemon fixture's seed
+        assert served == [sync.handle(1, r) for r in before + after]
+
+    def test_stalled_reader_gets_busy_until_it_drains(self, daemon, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_OUTBUF_BYTES", 1 << 16)
+        _d, host, port = daemon
+        with ServiceClient(host, port, name="owner") as owner:
+            for i in range(4):  # a ~100 kB list-sessions answer
+                owner.open_session("x" * 25_000 + str(i), n=6)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((host, port))
+        with sock:
+            send_frame(sock, {"kind": "hello", "protocol": p.SERVE_PROTOCOL})
+            assert recv_frame(sock)["kind"] == "welcome"
+            # 200 requests, not one response read: ~20 MB of answers.
+            sock.sendall(b"".join(
+                frame_bytes({"kind": "list-sessions", "req": i})
+                for i in range(200)
+            ))
+            replies = [recv_frame(sock) for _ in range(200)]
+            assert [r["req"] for r in replies] == list(range(200))
+            assert replies[0]["kind"] == "session-list"
+            busy = [r for r in replies if r["kind"] == "fail"]
+            assert busy and all(r["code"] == p.BUSY for r in busy)
+            # drained: answered again
+            send_frame(sock, {"kind": "list-sessions", "req": 200})
+            assert recv_frame(sock)["kind"] == "session-list"
+
+    def test_over_cap_response_is_a_typed_failure(self, daemon, monkeypatch):
+        monkeypatch.setattr(socket_pool, "MAX_FRAME_BYTES", 4096)
+        _d, host, port = daemon
+        with ServiceClient(host, port, name="t") as client:
+            for i in range(3):
+                client.open_session("x" * 1500 + str(i), n=6)
+            with pytest.raises(ServiceError) as err:
+                client.list_sessions()  # ~4.5 kB: over the cap
+            assert err.value.code == p.INTERNAL
+            assert "cap 4096" in err.value.detail
+            assert client.stats("x" * 1500 + "0").attached == 1
+
+    def test_malformed_request_gets_typed_failure(self, daemon):
+        _d, host, port = daemon
+        with socket.create_connection((host, port), timeout=10) as sock:
             send_frame(sock, {"kind": "hello", "protocol": p.SERVE_PROTOCOL})
             assert recv_frame(sock)["kind"] == "welcome"
             send_frame(sock, {"kind": "no-such-kind", "req": 5})

@@ -406,6 +406,18 @@ class TestSessionBugfixRegressions:
         assert session._generation == 0
         assert session.members == [0, 1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("bad", ["1", True, 2.9, None])
+    def test_send_and_preshared_members_reject_non_int_ids(self, bad):
+        # 1.0 and True compare equal to member 1: send queued them and the
+        # flush crashed in the nonce; from_preshared ran int() on members.
+        net = make_network(n=6, channels=2, t=1)
+        with pytest.raises(ConfigurationError, match="must be int"):
+            SecureSession.from_preshared(net, KEY, (0, bad, 2))
+        session, _net = self._preshared()
+        with pytest.raises(ConfigurationError, match="must be int"):
+            session.send(bad, b"x")
+        assert session.pending() == 0 and session.stats.sent == 0
+
     def test_inbox_former_member_needs_explicit_flag(self):
         # A rekey-excluded member keeps its historical inbox but is no
         # longer current; reading it used to succeed silently because
