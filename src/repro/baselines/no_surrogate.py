@@ -162,7 +162,6 @@ def run_no_surrogate(
             flags,
             list(range(network.n)),
             rng,
-            phase="feedback",
             rng_namespace="nosurrogate-feedback",
             shape_cache=shape_cache,
         )

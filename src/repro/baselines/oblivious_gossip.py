@@ -25,11 +25,11 @@ from ..errors import ProtocolViolation
 from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    hit_row,
 )
 from ..rng import RngRegistry
 
@@ -84,7 +84,7 @@ def run_oblivious_gossip(
     # The protocol is oblivious by definition, but the *stopping rule* is
     # not (completion is re-checked every round), so rounds are compiled
     # and submitted one at a time; the fold marks each decoding channel's
-    # listeners with one translate of the round's hop row.
+    # listeners with one hit_row of the round's hop row.
     while not done() and rounds < max_rounds:
         transmits: dict[int, Transmit] = {}
         listeners: list[int] = []
@@ -118,8 +118,7 @@ def run_oblivious_gossip(
                 _tag, rumor = frame.payload
             except (TypeError, ValueError):
                 continue
-            on_channel = row.translate(HIT_TABLES[channel])
-            for node in compress(listeners, on_channel):
+            for node in compress(listeners, hit_row(row, channel)):
                 # No authentication: the rumor is accepted as-is.
                 if not isinstance(rumor, int) or not 0 <= rumor < n:
                     spoofs_accepted += 1

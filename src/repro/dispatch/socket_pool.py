@@ -110,9 +110,10 @@ global (:class:`~repro.dispatch.wire.FrameRejected`) — closes that
 connection alone, and so does a first frame that is not an acceptable
 ``hello``.  The owner treats it like any vanished peer: the coordinator
 requeues its in-flight trials, the daemon detaches it from its
-sessions.  A welcomed peer can still disrupt a sweep (an ``error``
-frame aborts it), so bind to localhost or a private network you
-control: frames are neither authenticated nor encrypted.
+sessions.  A welcomed worker's frame that decodes but breaks the
+protocol costs it the same (:meth:`FrameServer.close_peer`); only an
+``error`` frame aborts a sweep, so bind to localhost or a private
+network you control: frames are neither authenticated nor encrypted.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ from collections import deque
 from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigurationError, DispatchError
-from ..experiments.trial import TrialSpec
+from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
 from .wire import loads_restricted
@@ -329,6 +330,11 @@ class FrameServer:
         peer.outbuf += data
         if idle:
             self._flush(peer)
+
+    def close_peer(self, peer: FramePeer) -> None:
+        """Close ``peer``; the next :meth:`poll` reports it :data:`CLOSED`."""
+        if peer in self.peers:
+            self._close(peer)
 
     def close(self, drain: float = 0.0) -> None:
         """Stop listening, give buffered frames up to ``drain`` seconds
@@ -964,27 +970,36 @@ class SocketBackend(DispatchBackend):
 
         def handle(frame: Any, worker: _Worker) -> None:
             kind = frame.get("kind") if isinstance(frame, dict) else None
-            if kind == "results":
-                results = frame["results"]
-                # Guard against a misbehaving worker's extra frames.
-                if worker.outstanding > 0:
-                    worker.outstanding -= 1
-                self._observe_batch(frame.get("elapsed"), len(results))
-                for result in results:
-                    worker.in_flight.pop(result.index, None)
-                    assembler.apply(result)  # duplicates dropped by index
-                    self._check_stop(assembler, should_stop)
-                    if assembler.done:
-                        break
-                assign(worker)
-                return
             if kind == "error":
                 raise DispatchError(
                     f"trial {frame.get('index')} failed on worker "
                     f"pid={worker.peer.hello.get('pid')}: "
                     f"{frame.get('error')}"
                 )
-            raise DispatchError(f"unexpected frame from worker: {frame!r}")
+            results = frame.get("results") if kind == "results" else None
+            if not (
+                isinstance(results, list)
+                and type(frame.get("elapsed")) in (int, float, type(None))
+                and all(
+                    isinstance(r, TrialResult) and type(r.index) is int
+                    for r in results
+                )
+            ):
+                # Like undecodable bytes, a protocol break costs only its
+                # connection, whose CLOSED event requeues its trials.
+                server.close_peer(worker.peer)
+                return
+            # Guard against a misbehaving worker's extra frames.
+            if worker.outstanding > 0:
+                worker.outstanding -= 1
+            self._observe_batch(frame.get("elapsed"), len(results))
+            for result in results:
+                worker.in_flight.pop(result.index, None)
+                assembler.apply(result)  # duplicates dropped by index
+                self._check_stop(assembler, should_stop)
+                if assembler.done:
+                    break
+            assign(worker)
 
         try:
             # A warm pool's workers are mid-recv: ship the new run's
@@ -998,7 +1013,7 @@ class SocketBackend(DispatchBackend):
                         start(self._welcome(peer))
                     elif frame is CLOSED:
                         drop(peer)
-                    elif not assembler.done:
+                    elif not assembler.done and peer in server.peers:
                         handle(frame, self._workers[peer])
                 if not assembler.done:
                     self._check_liveness(

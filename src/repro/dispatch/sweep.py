@@ -46,6 +46,7 @@ from ..errors import ConfigurationError, DispatchError
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import (
     ADVERSARY_FACTORIES,
+    WORKLOAD_MODEL_CHECKS,
     WORKLOAD_USES_ADVERSARY,
     make_workload,
 )
@@ -536,6 +537,11 @@ class SweepRunner:
         an early stop, with everything so far already journalled."""
         spec = self.spec
         points = {p.point_index: p for p in spec.points()}
+        for point in points.values():
+            # Before any backend starts: the same error at every --workers.
+            check = WORKLOAD_MODEL_CHECKS.get(point.workload)
+            if check is not None:
+                check(point.n, point.channels, point.t)
         journal: SweepJournal | None = None
         if self.journal_path is not None:
             journal, completed = SweepJournal.attach(

@@ -36,6 +36,7 @@ from ..adversary import (
 from ..crypto.dh import TEST_GROUP_128
 from ..errors import ConfigurationError
 from ..fame import run_fame
+from ..fame.config import make_config
 from ..groupkey import establish_group_key
 from ..groupkey.spanner import leader_spanner
 from ..radio.metrics import NetworkMetrics
@@ -90,6 +91,13 @@ sweeping it across an adversary axis would duplicate identical
 configurations — :class:`repro.dispatch.sweep.SweepSpec` consults this
 map to reject such grids.
 """
+
+WORKLOAD_MODEL_CHECKS: dict[str, Callable[[int, int, int], object]] = (
+    dict.fromkeys(("fame", "groupkey", "gauntlet"), make_config)
+)
+"""Per workload, a call on ``(n, channels, t)`` that raises what every
+trial of that model would, before :class:`~repro.dispatch.sweep.
+SweepRunner` starts a backend; scenario workloads pin their own model."""
 
 
 def register_workload(

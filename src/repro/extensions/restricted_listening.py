@@ -19,7 +19,9 @@ question is hard:
   agreement: one node sprays ``k`` one-time-pad shares over random
   channels, the peer collects them, and the pad is the XOR of all
   shares.  The adversary reconstructs the pad only if it observed *every*
-  share; the peer gets the pad only if it received every share.
+  share; the peer gets the pad only if it received every share.  Each
+  share's rounds are pure private coin flips, so they run as one compiled
+  private-hop epoch (:func:`~repro.radio.network.run_gossip_epoch`).
 
 The experiment exposes the tension the conjecture lives on: repetitions
 make delivery reliable but give the eavesdropper more chances to catch
@@ -33,16 +35,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError, ProtocolViolation
-from ..radio.actions import Action, Listen, Transmit
-from ..radio.messages import Message, Transmission
+from ..radio.actions import Transmit
+from ..radio.messages import Message, Transmission, payload_fields
 from ..radio.network import (
     AdversaryView,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    run_gossip_epoch,
 )
 from ..radio.trace import ExecutionTrace, RoundRecord
 from ..rng import RngRegistry
@@ -251,6 +254,15 @@ class ShareSprayResult:
         return not self.adversary_has_pad
 
 
+def _share_indexes(frames: Iterable[Message | None]) -> Iterator[int]:
+    """The indexes of the well-formed share frames among ``frames``."""
+    for frame in frames:
+        if frame is not None and frame.kind == SHARE_KIND:
+            fields = payload_fields(frame.payload, str, int)
+            if fields is not None:
+                yield fields[1]
+
+
 def run_share_spray(
     network: RestrictedListeningNetwork,
     sender: int,
@@ -272,26 +284,26 @@ def run_share_spray(
         raise ConfigurationError("sender and receiver must differ")
     result = ShareSprayResult(shares=shares, repetitions=repetitions)
     start = network.metrics.rounds
+    streams = {node: rng.stream("spray", node) for node in (sender, receiver)}
     for share in range(shares):
-        for _ in range(repetitions):
-            stream_s = rng.stream("spray", sender)
-            stream_r = rng.stream("spray", receiver)
-            actions: dict[int, Action] = {}
-            actions[sender] = Transmit(
-                stream_s.randrange(network.channels),
-                Message(kind=SHARE_KIND, sender=sender, payload=("share", share)),
+        epoch = run_gossip_epoch(
+            network,
+            sender,
+            Message(kind=SHARE_KIND, sender=sender, payload=("share", share)),
+            (receiver,),
+            streams,
+            repetitions,
+            RoundMeta(phase="it-spray", extra={"share": share}),
+        )
+        # The receiver is the epoch's only listener, so everything decoded
+        # reached it.
+        for _row, heard in epoch:
+            result.receiver_shares.update(_share_indexes(heard.values()))
+        # What did the adversary see?  The epoch's redacted records answer.
+        records = network.redacted_trace
+        for record in records[len(records) - repetitions :]:
+            result.adversary_shares.update(
+                _share_indexes(record.delivered.values())
             )
-            actions[receiver] = Listen(stream_r.randrange(network.channels))
-            frames = network.execute_round(
-                actions, RoundMeta(phase="it-spray", extra={"share": share})
-            )
-            got = frames.get(receiver)
-            if got is not None and got.kind == SHARE_KIND:
-                result.receiver_shares.add(got.payload[1])
-            # What did the adversary see?  The redacted record answers.
-            last = network.redacted_trace[len(network.redacted_trace) - 1]
-            for _channel, msg in last.delivered.items():
-                if msg is not None and msg.kind == SHARE_KIND:
-                    result.adversary_shares.add(msg.payload[1])
     result.rounds = network.metrics.rounds - start
     return result

@@ -33,19 +33,30 @@ interpretation (documented in DESIGN.md):
 
 Corruption is modelled by :class:`CorruptionModel`: corrupt sources garble
 their payloads, corrupt witnesses invert their feedback flags.
+
+Listeners hop on private coins, so each slot's witness rotations run as
+one compiled schedule over :func:`~repro.radio.network.private_hop_rows`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Mapping, Sequence
 
 from ..analysis.vertex_cover import min_vertex_cover
 from ..errors import ConfigurationError, ProtocolViolation, SimulationDiverged
 from ..radio.actions import Action, Listen, Transmit
 from ..radio.messages import Message
-from ..radio.network import RadioNetwork, RoundMeta
+from ..radio.network import (
+    CompiledRound,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+    hit_row,
+    private_hop_rows,
+)
 from ..rng import RngRegistry
 
 BYZANTINE_DATA_KIND = "byz-data"
@@ -190,45 +201,38 @@ def _byzantine_feedback(
                 "witness group size must be a multiple of the feedback "
                 "channel count"
             )
-        rotations = [
-            group[i : i + channels] for i in range(0, len(group), channels)
-        ]
-        for rotation in rotations:
-            for rep in range(reps):
-                actions: dict[int, Action] = {}
-                broadcasters = set(rotation)
+        # Templates are built in repetition order: the vote coins' order.
+        meta = RoundMeta(phase="byz-feedback", extra={"slot": slot})
+        rounds: list[CompiledRound] = []
+        for start in range(0, len(group), channels):
+            rotation = group[start : start + channels]
+            listeners = tuple(n for n in range(network.n) if n not in rotation)
+            streams = [rng.stream("byz-feedback", n) for n in listeners]
+            rows = private_hop_rows([(streams, range(channels))], reps)
+            for rep, row in enumerate(rows):
+                template: dict[int, Transmit] = {}
                 for rank, witness in enumerate(rotation):
                     flag = flags[witness]
                     if corruption.lie_in_feedback and corruption.is_corrupt(
                         witness
                     ):
                         flag = corruption.dishonest_flag(
-                            flag,
-                            rep=rep,
-                            coin=rng.stream("byz-vote", witness),
+                            flag, rep=rep, coin=rng.stream("byz-vote", witness)
                         )
-                    actions[witness] = Transmit(
-                        rank,
-                        Message(
-                            kind=BYZANTINE_REPORT_KIND,
-                            sender=witness,
-                            payload=(slot, flag, witness),
-                        ),
+                    report = (slot, flag, witness)
+                    template[witness] = Transmit(
+                        rank, Message(BYZANTINE_REPORT_KIND, witness, report)
                     )
-                for node in range(network.n):
-                    if node not in broadcasters:
-                        stream = rng.stream("byz-feedback", node)
-                        actions[node] = Listen(stream.randrange(channels))
-                results = network.execute_round(
-                    actions,
-                    RoundMeta(phase="byz-feedback", extra={"slot": slot}),
-                )
-                for node, frame in results.items():
-                    if frame is None or frame.kind != BYZANTINE_REPORT_KIND:
-                        continue
-                    r_slot, r_flag, r_witness = frame.payload
-                    # Full channel occupancy makes spoofing impossible, so
-                    # the claimed witness id is authentic.
+                rounds.append(CompiledRound(template, listeners, row, meta))
+        heard = network.execute_schedule(RoundSchedule(rounds))
+        for cr, per_round in zip(rounds, heard):
+            for channel, frame in per_round.items():
+                if frame.kind != BYZANTINE_REPORT_KIND:
+                    continue
+                r_slot, r_flag, r_witness = frame.payload
+                # Full channel occupancy makes spoofing impossible, so
+                # the claimed witness id is authentic.
+                for node in compress(cr.listeners, hit_row(cr.hops, channel)):
                     reports[node][r_slot][r_witness] = r_flag
         # Witnesses know their own channel first-hand.
         for witness in group:

@@ -25,17 +25,18 @@ pipeline shrinks protocol messages to constant size in three stages:
 
 All hash evaluations happen locally (cheap, per the paper's aside); only
 the gossip epochs and the signature-sized f-AME run cost radio rounds.
+Each gossip epoch is pure private coin flips, so it runs as one compiled
+epoch (:func:`~repro.radio.network.run_gossip_epoch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..errors import ProtocolViolation
-from ..radio.actions import Action, Listen, Transmit
-from ..radio.messages import Message
-from ..radio.network import RadioNetwork, RoundMeta
+from ..radio.messages import Message, payload_fields
+from ..radio.network import RadioNetwork, RoundMeta, hit_row, run_gossip_epoch
 from ..rng import RngRegistry
 from .config import FameConfig, make_config
 from .protocol import FameProtocol
@@ -270,10 +271,12 @@ def run_gossip_phase(
         for v in sources:
             inboxes[node].ensure(v, len(sequences[v]))
 
+    streams = [rng.stream("gossip", node) for node in range(n)]
     rounds = 0
     for v in sources:
         seq_msgs = [messages[p] for p in sequences[v]]
         tags = reconstruction_hashes(seq_msgs, hash1)
+        listeners = tuple(node for node in range(n) if node != v)
         for level, message in enumerate(seq_msgs):
             frame = Message(
                 kind=GOSSIP_KIND,
@@ -282,34 +285,27 @@ def run_gossip_phase(
             )
             # The source itself trivially knows its own frame.
             inboxes[v].add(v, level, message, tags[level])
-            for _ in range(epoch_rounds):
-                actions: dict[int, Action] = {}
-                for node in range(n):
-                    stream = rng.stream("gossip", node)
-                    if node == v:
-                        actions[node] = Transmit(
-                            stream.randrange(network.channels), frame
-                        )
-                    else:
-                        actions[node] = Listen(
-                            stream.randrange(network.channels)
-                        )
-                results = network.execute_round(
-                    actions,
-                    RoundMeta(
-                        phase="gossip", extra={"source": v, "level": level}
-                    ),
-                )
-                rounds += 1
-                for node, received in results.items():
-                    if received is None or received.kind != GOSSIP_KIND:
+            epoch = run_gossip_epoch(
+                network,
+                v,
+                frame,
+                listeners,
+                streams,
+                epoch_rounds,
+                RoundMeta(phase="gossip", extra={"source": v, "level": level}),
+            )
+            rounds += epoch_rounds
+            for row, heard in epoch:
+                for channel, received in heard.items():
+                    if received.kind != GOSSIP_KIND:
                         continue
-                    try:
-                        src, lvl, msg, digest = received.payload
-                    except (TypeError, ValueError):
+                    fields = payload_fields(
+                        received.payload, int, int, None, bytes
+                    )
+                    if fields is None:
                         continue  # malformed spoof
-                    if isinstance(digest, bytes):
-                        inboxes[node].add(src, lvl, msg, digest)
+                    for node in compress(listeners, hit_row(row, channel)):
+                        inboxes[node].add(*fields)
     return inboxes, rounds
 
 

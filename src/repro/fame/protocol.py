@@ -243,7 +243,6 @@ class FameProtocol:
                 flags,
                 participants,
                 self.rng,
-                phase="feedback-parallel",
                 shape_cache=self._shape_cache,
             )
         return run_feedback(
@@ -252,7 +251,6 @@ class FameProtocol:
             {w: flags[w] for s in schedule.feedback_sets for w in s},
             participants,
             self.rng,
-            phase="feedback",
             shape_cache=self._shape_cache,
         )
 

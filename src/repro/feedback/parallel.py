@@ -36,20 +36,18 @@ resync escape hatch) or drops the frame.
 Execution
 ---------
 Each transfer phase's repetition loop is oblivious, so it runs as one
-compiled :class:`~repro.radio.network.RoundSchedule` whose rounds share
-one transmitter template and one listener tuple, each round carrying its
-listeners' channels as a ``bytes`` hop row (see
-:func:`_run_transfer_rounds`).  The receiver fold works on those rows with
-C-level ``bytes`` operations, so its Python work is per listener per
-frame, not per listener per repetition.  Seeded runs are byte-identical
-to the historical one-``execute_round``-per-repetition loop, and match
-the historical full-frame encoding (which shipped the whole ``slot ->
-flag`` map) on ``D`` maps, every radio metric but the payload-size counter
-the delta shrinks, and semantic traces under every adversary:
-``tests/test_golden.py`` pins digests recorded from both references and
-the :class:`DeltaApplyState` counters recorded from the per-listener
-fold, and ``tests/test_feedback_delta.py`` is the differential gauntlet
-checking them.
+compiled :class:`~repro.radio.network.RoundSchedule` with one transmitter
+template, one listener tuple and hop rows from
+:func:`~repro.radio.network.private_hop_rows` (one ``(streams, block)``
+group per transfer; see :func:`_run_transfer_rounds`).  Seeded runs are
+byte-identical to the historical one-``execute_round``-per-repetition
+loop, and match the historical full-frame encoding (which shipped the
+whole ``slot -> flag`` map) on ``D`` maps, every radio metric but the
+payload-size counter the delta shrinks, and semantic traces under every
+adversary: ``tests/test_golden.py`` pins digests recorded from both
+references and the :class:`DeltaApplyState` counters recorded from the
+per-listener fold, and ``tests/test_feedback_delta.py`` is the
+differential gauntlet checking them.
 """
 
 from __future__ import annotations
@@ -62,14 +60,14 @@ from ..errors import ConfigurationError
 from ..radio.actions import Transmit
 from ..radio.messages import DELTA_KIND, DeltaFrame, Message
 from ..radio.network import (
-    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundSchedule,
-    hop_table,
+    hit_row,
+    private_hop_rows,
 )
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry
+from ..rng import RngRegistry
 
 _UNRESOLVED = object()  # sentinel distinguishing "not seen" from "invalid"
 
@@ -218,7 +216,6 @@ def _run_transfer_rounds(
     tag: object,
     repetitions: int,
     rng: RngRegistry,
-    phase: str,
     rng_namespace: object,
     delta_state: DeltaApplyState,
     shapes: ScheduleShapeCache,
@@ -231,19 +228,11 @@ def _run_transfer_rounds(
     only collide, never be decoded.  Listeners hop uniformly within their
     block and apply any knowledge frame with a matching tag.
 
-    The repetition loop is oblivious, so it compiles into one
-    :class:`RoundSchedule`: the broadcaster assignment is a static template
-    (the frames of one transfer are identical across rounds) and the
-    listeners of every transfer form one tuple shared by all rounds.  Each
-    listener's whole block-hop sequence is materialized up front with the
-    batched :class:`~repro.rng.BlockDrawer` and laid out listener-major;
-    one ``translate`` per transfer maps block positions to channel ids,
-    and round ``r``'s hop row is the stride slice ``[r::repetitions]`` of
-    the joined matrix.  The fold marks the listeners of each decoded
-    channel-round with one ``translate`` of that row and applies a frame
-    only to the listeners it reaches for the first time (see the comment
-    above the loop).  Round metadata and listener stream tables come from
-    ``shapes``.
+    The loop compiles into one :class:`RoundSchedule`: the frames of one
+    transfer are identical across rounds, so the broadcasters form one
+    static template, and every transfer's listeners one tuple.  The fold
+    applies a frame only to the listeners it reaches for the first time
+    (see the comment above it).
     """
     used_channels: set[int] = set()
     for broadcasters, _, block, _ in transfers:
@@ -259,35 +248,25 @@ def _run_transfer_rounds(
                 f"{len(block)}-channel block"
             )
 
-    meta = shapes.meta(phase, tag=tag)
+    meta = shapes.meta("feedback-parallel", tag=tag)
     template: dict[int, Transmit] = {}
     listeners: list[int] = []
-    matrix = bytearray()
+    groups = []
     for broadcasters, block_listeners, block, frame in transfers:
         for idx, channel in enumerate(block):
             sender = broadcasters[idx]
             template[sender] = Transmit(
                 channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
-        # Materialize each listener's whole hop sequence (choice-stream
-        # compatible; see the invariant in repro.rng) as positions within
-        # the block, listener-major; one translate maps the transfer's
-        # positions to its block's channel ids.
-        draw = BlockDrawer(len(block)).draw
         streams = shapes.streams(
             rng, rng_namespace, "merge-listen", block_listeners
         )
-        positions = bytearray()
-        for stream in streams:
-            positions.extend(draw(stream, repetitions))
-        matrix += positions.translate(hop_table(block))
+        groups.append((streams, block))
         listeners += block_listeners
 
-    # Every round shares the template and one listener tuple; round
-    # ``r``'s hop row is the stride slice of the listener-major matrix.
+    # Every round shares the template and one listener tuple.
     listener_tuple = tuple(listeners)
-    hops = bytes(matrix)
-    rows = [hops[r::repetitions] for r in range(repetitions)]
+    rows = private_hop_rows(groups, repetitions)
     heard_per_round = network.execute_schedule(
         RoundSchedule(
             CompiledRound(template, listener_tuple, row, meta) for row in rows
@@ -299,7 +278,7 @@ def _run_transfer_rounds(
     # message on a transfer channel is the *same* template object every
     # repetition, so frame classification (kind/tag checks plus digest
     # verification) resolves once per distinct message.  Per decoded
-    # channel-round, one translate marks the listeners on that channel
+    # channel-round, one hit_row marks the listeners on that channel
     # and a bitmask of the listeners each message already reached leaves
     # only first-time hearers, so a listener costs one Python step per
     # message rather than one per repetition; every other hearing is a
@@ -324,7 +303,7 @@ def _run_transfer_rounds(
                 resolved[id(received)] = entry
             if entry is None:
                 continue
-            hit = row.translate(HIT_TABLES[channel])
+            hit = hit_row(row, channel)
             hearings += hit.count(1)
             fresh = int.from_bytes(hit, "little") & ~entry[2]
             if not fresh:
@@ -352,9 +331,6 @@ def run_parallel_feedback(
     participants: Sequence[int],
     rng: RngRegistry,
     *,
-    repetitions: int | None = None,
-    phase: str = "feedback-parallel",
-    rng_namespace: object = "feedback-parallel",
     delta_state: DeltaApplyState | None = None,
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
@@ -409,12 +385,11 @@ def run_parallel_feedback(
     for node in participants:
         per_node_knowledge.setdefault(node, {})
 
-    if repetitions is None:
-        # Block of 2t channels with at most t jammed: success probability
-        # >= 1/2 per round, matching the C = 2t feedback formula.
-        repetitions = network.params.feedback_repetitions(
-            network.n, max(2, block_size), min(t, max(2, block_size) - 1)
-        )
+    # Block of 2t channels with at most t jammed: success probability
+    # >= 1/2 per round, matching the C = 2t feedback formula.
+    repetitions = network.params.feedback_repetitions(
+        network.n, max(2, block_size), min(t, max(2, block_size) - 1)
+    )
 
     level = 0
     while len(groups) > 1:
@@ -448,8 +423,7 @@ def run_parallel_feedback(
                 tag=tag,
                 repetitions=repetitions,
                 rng=rng,
-                phase=phase,
-                rng_namespace=(rng_namespace, level, direction),
+                rng_namespace=("feedback-parallel", level, direction),
                 delta_state=delta_state,
                 shapes=shapes,
             )
@@ -479,8 +453,7 @@ def run_parallel_feedback(
             tag=tag,
             repetitions=repetitions,
             rng=rng,
-            phase=phase,
-            rng_namespace=(rng_namespace, "final"),
+            rng_namespace=("feedback-parallel", "final"),
             delta_state=delta_state,
             shapes=shapes,
         )

@@ -18,27 +18,17 @@ participants return identical ``D`` equal to the true flag set.
 Execution strategy
 ------------------
 The repetition loop is *oblivious*: who transmits where is fixed by the
-witness ranks, and each listener's hop sequence is private randomness that
-depends on nothing observed during the phase.  :func:`run_feedback`
-therefore **compiles** the whole ``slots × repetitions`` loop into one
-:class:`~repro.radio.network.RoundSchedule` and submits it through
-:meth:`~repro.radio.network.RadioNetwork.execute_schedule`.  Per slot,
-every repetition shares one static transmitter template and one listener
-tuple; each listener's hop sequence is drawn from its RNG stream up front
-by :class:`~repro.rng.BlockDrawer` (byte-identical to the per-draw
-``stream.choice`` chain — the invariant lives in ``repro.rng``), the
-sequences are laid out listener-major as one ``bytes`` matrix, one
-``translate`` maps hop positions to channel ids, and repetition ``r``'s
-hop row is the C-level slice ``matrix[r::repetitions]``.  The fold marks,
-per slot, the listeners that sat on a channel delivering ``<true, r>``
-(one ``translate`` per such channel-round, OR-ed together as an integer
-mask) and adds the slot to each of them once, so no step runs per
-listener per repetition.  Round metadata, templates and listener stream
-tables come from a :class:`~repro.radio.ScheduleShapeCache` so long-lived
-callers reuse schedule *shape* across invocations.  Seeded runs are
-byte-identical to the historical one-``execute_round``-per-repetition
-loop (same RNG stream consumption, same metrics, same traces):
-``tests/test_golden.py`` pins digests recorded from that loop.
+witness ranks, and each listener's hops are private coins.
+:func:`run_feedback` therefore compiles the whole ``slots × repetitions``
+loop into one :class:`~repro.radio.network.RoundSchedule`: per slot, one
+static transmitter template and one listener tuple, with hop rows from
+:func:`~repro.radio.network.private_hop_rows`.  The fold ORs together,
+per slot, the :func:`~repro.radio.network.hit_row` masks of the
+channel-rounds that delivered ``<true, r>`` and adds the slot to each
+marked listener once.  Shapes come from a
+:class:`~repro.radio.ScheduleShapeCache`.  Seeded runs are byte-identical
+to the historical one-``execute_round``-per-repetition loop:
+``tests/test_golden.py`` pins digests recorded from it.
 """
 
 from __future__ import annotations
@@ -50,14 +40,14 @@ from ..errors import ConfigurationError
 from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
-    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundSchedule,
-    hop_table,
+    hit_row,
+    private_hop_rows,
 )
 from ..radio.shapes import ScheduleShapeCache
-from ..rng import BlockDrawer, RngRegistry
+from ..rng import RngRegistry
 from .witness import WitnessAssignment
 
 FEEDBACK_KIND = "feedback"
@@ -81,8 +71,6 @@ def run_feedback(
     participants: Sequence[int],
     rng: RngRegistry,
     *,
-    repetitions: int | None = None,
-    phase: str = "feedback",
     rng_namespace: object = "feedback",
     shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
@@ -103,12 +91,6 @@ def run_feedback(
         of slots other than the active one listen like everyone else.
     rng:
         Registry supplying each listener's private channel-hopping stream.
-    repetitions:
-        Inner-loop count; defaults to the
-        :meth:`~repro.params.ProtocolParameters.feedback_repetitions` of the
-        network's parameters.
-    phase:
-        Phase label stamped on round metadata (adversaries can see it).
     rng_namespace:
         Disambiguates listener streams across multiple invocations.
     shape_cache:
@@ -137,23 +119,16 @@ def run_feedback(
         if not set(witness_set) <= participant_set:
             raise ConfigurationError("witness outside participant set")
 
-    if repetitions is None:
-        repetitions = network.params.feedback_repetitions(
-            network.n, len(channels), network.t
-        )
+    repetitions = network.params.feedback_repetitions(
+        network.n, len(channels), network.t
+    )
 
     outputs: dict[int, set[int]] = {node: set() for node in participants}
     shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
-    # Per slot the witness broadcasts form a *static transmitter template*
-    # shared by every repetition's CompiledRound, and the slot's listeners
-    # one tuple shared the same way.  Each listener's whole hop sequence
-    # is drawn from its private stream up front, consuming the streams
-    # slot-major, then by repetition (the order of the historical
-    # per-round loop).  Templates, metadata and the stream table come
-    # from ``shapes`` and are reused when the caller shares a cache.
+    # Listener streams are consumed slot-major, then by repetition (the
+    # historical per-round loop's order); templates, metadata and the
+    # stream table come from ``shapes``.
     streams = shapes.streams(rng, rng_namespace, "listen", participants)
-    draw = BlockDrawer(len(channels)).draw
-    to_channels = hop_table(channels)
 
     compiled_rounds: list[CompiledRound] = []
     # (slot, listeners, hop rows) per slot, for the result fold.
@@ -173,33 +148,24 @@ def run_feedback(
                 for rank, w in enumerate(witnesses)
             },
         )
-        meta = shapes.meta(phase, slot=slot)
-        # Lay the listeners' hop sequences out listener-major; one
-        # translate turns hop positions into channel ids, and round
-        # ``r``'s hop row is then the stride slice ``[r::repetitions]``.
-        listeners: list[int] = []
-        matrix = bytearray()
-        for node, stream in zip(participants, streams):
-            if node in witness_set:
-                continue
-            listeners.append(node)
-            matrix.extend(draw(stream, repetitions))
-        hops = bytes(matrix.translate(to_channels))
-        rows = [hops[r::repetitions] for r in range(repetitions)]
-        listener_tuple = tuple(listeners)
+        meta = shapes.meta("feedback", slot=slot)
+        listening = [node not in witness_set for node in participants]
+        listeners = tuple(compress(participants, listening))
+        rows = private_hop_rows(
+            [(compress(streams, listening), channels)], repetitions
+        )
         compiled_rounds += [
-            CompiledRound(template, listener_tuple, row, meta) for row in rows
+            CompiledRound(template, listeners, row, meta) for row in rows
         ]
-        slot_rows.append((slot, listener_tuple, rows))
+        slot_rows.append((slot, listeners, rows))
 
     heard_per_round = iter(
         network.execute_schedule(RoundSchedule(compiled_rounds))
     )
 
     # Fold per slot: OR together, over the slot's rounds, the listeners
-    # sitting on a channel that delivered <true, slot> (one C-level
-    # translate per such channel-round), then add the slot to each
-    # marked listener once.
+    # sitting on a channel that delivered <true, slot>, then add the slot
+    # to each marked listener once.
     for slot, listeners, rows in slot_rows:
         wanted = ("true", slot)
         hits = 0
@@ -209,9 +175,7 @@ def run_feedback(
                     received.kind == FEEDBACK_KIND
                     and received.payload == wanted
                 ):
-                    hits |= int.from_bytes(
-                        row.translate(HIT_TABLES[channel]), "little"
-                    )
+                    hits |= int.from_bytes(hit_row(row, channel), "little")
         if hits:
             marks = hits.to_bytes(len(listeners), "little")
             for node in compress(listeners, marks):

@@ -46,19 +46,19 @@ from ..crypto.stream import AuthenticatedCipher, Ciphertext, nonce_from_counter
 from ..errors import ConfigurationError, CryptoError
 from ..fame.config import FameConfig, make_config
 from ..fame.protocol import FameProtocol
-from ..radio.actions import Transmit
-from ..radio.messages import Message
+from ..radio.messages import Message, payload_fields
 from ..radio.network import (
-    HIT_TABLES,
     CompiledRound,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
     first_opened,
+    hit_row,
     keyed_epoch_rounds,
+    run_gossip_epoch,
     run_hopped_epoch,
 )
-from ..rng import BlockDrawer, RngRegistry
+from ..rng import RngRegistry
 from .result import GroupKeyResult
 from .spanner import choose_leaders, leader_spanner
 
@@ -282,14 +282,14 @@ class GroupKeyProtocol:
         start = self.network.metrics.rounds
         payload_start = self.network.metrics.payload_units
         non_leaders = [v for v in range(self.n) if v not in self.leaders]
-        reporters = non_leaders[: 2 * self.t + 1]
-        if len(reporters) < 2 * self.t + 1:
+        group_size = self.network.params.agreement_group_size(self.t)
+        reporters = non_leaders[:group_size]
+        if len(reporters) < group_size:
             raise ConfigurationError(
-                f"need {2 * self.t + 1} non-leader reporters, "
+                f"need {group_size} non-leader reporters, "
                 f"have {len(reporters)}"
             )
         epoch_rounds = self.network.params.gossip_epoch_rounds(self.n, self.t)
-        channels = self.network.channels
 
         # reports[node][(leader, key_hash)] = set of claimed reporter ids.
         reports: dict[int, dict[tuple[int, bytes], set[int]]] = {
@@ -298,74 +298,35 @@ class GroupKeyProtocol:
         streams = [self.rng.stream("part3", node) for node in range(self.n)]
         for reporter in reporters:
             known = received.get(reporter, {})
-            report_payload = None
+            frame = None
             if known:
                 smallest = min(known)
-                report_payload = (
-                    reporter,
-                    smallest,
-                    h2("leader-key", known[smallest]),
-                )
-            frame = (
-                Message(
-                    kind=REPORT_KIND, sender=reporter, payload=report_payload
-                )
-                if report_payload is not None
-                else None
-            )
-            # The epoch's transmit/listen pattern is pure private coin
-            # flips: materialize every node's hop sequence up front with
-            # the batched BlockDrawer (``randrange(channels)`` bottoms out
-            # in the same getrandbits rejection chain — see the invariant
-            # in repro.rng — so per-stream consumption is byte-identical
-            # to the historical per-round ``randrange`` loop), lay the
-            # listeners' sequences out listener-major and compile the
-            # whole epoch, round ``rnd``'s hop row being the stride slice.
-            # A silent reporter (no frame) draws nothing, as before.
-            meta = RoundMeta(
-                phase="groupkey-part3", extra={"reporter": reporter}
-            )
-            drawer = BlockDrawer(channels)
+                key_hash = h2("leader-key", known[smallest])
+                report = (reporter, smallest, key_hash)
+                frame = Message(REPORT_KIND, reporter, report)
+            # Each reporter's epoch is pure private coin flips: the
+            # reporter on its hop, everyone else on theirs.  A reporter
+            # that knows no leader key stays silent and draws nothing.
             listeners = tuple(n for n in range(self.n) if n != reporter)
-            matrix = bytearray()
-            reporter_hops: list[int] | None = None
-            for node in range(self.n):
-                if node != reporter:
-                    matrix.extend(drawer.draw(streams[node], epoch_rounds))
-                elif frame is not None:
-                    reporter_hops = drawer.draw(streams[node], epoch_rounds)
-            hops = bytes(matrix)
-            silent: dict[int, Transmit] = {}
-            epoch = [
-                CompiledRound(
-                    transmits=(
-                        silent
-                        if reporter_hops is None
-                        else {reporter: Transmit(reporter_hops[rnd], frame)}
-                    ),
-                    listeners=listeners,
-                    hops=hops[rnd::epoch_rounds],
-                    meta=meta,
-                )
-                for rnd in range(epoch_rounds)
-            ]
-            heard = self.network.execute_schedule(RoundSchedule(epoch))
-            for cr, per_round in zip(epoch, heard):
-                for channel, got in per_round.items():
+            epoch = run_gossip_epoch(
+                self.network,
+                reporter,
+                frame,
+                listeners,
+                streams,
+                epoch_rounds,
+                RoundMeta(phase="groupkey-part3", extra={"reporter": reporter}),
+            )
+            for row, heard in epoch:
+                for channel, got in heard.items():
                     if got.kind != REPORT_KIND:
                         continue
-                    try:
-                        claimed_reporter, leader, key_hash = got.payload
-                    except (TypeError, ValueError):
+                    fields = payload_fields(got.payload, int, int, bytes)
+                    if fields is None or fields[0] not in reporters:
                         continue
-                    if claimed_reporter in reporters and isinstance(
-                        key_hash, bytes
-                    ):
-                        on_channel = cr.hops.translate(HIT_TABLES[channel])
-                        for node in compress(listeners, on_channel):
-                            reports[node][(leader, key_hash)].add(
-                                claimed_reporter
-                            )
+                    claimed_reporter, leader, key_hash = fields
+                    for node in compress(listeners, hit_row(row, channel)):
+                        reports[node][(leader, key_hash)].add(claimed_reporter)
 
         # The agreement rule: adopt the smallest leader whose key the node
         # can verify and that gathered t+1 distinct (claimed) reporters.

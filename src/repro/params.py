@@ -52,9 +52,6 @@ class ProtocolParameters:
     gossip_epoch_factor:
         Multiplier on the ``t^2 · log2 n`` epoch length of the message-gossip
         phase (Section 5.6) and of Part 3 of the group-key protocol.
-    agreement_reporters:
-        Number of non-leader reporter nodes in Part 3 (paper: ``2t + 1``);
-        expressed as a multiplier on ``t`` plus an additive 1.
     strict_consistency:
         When ``True``, the f-AME driver raises
         :class:`repro.errors.SimulationDiverged` the moment node-local game

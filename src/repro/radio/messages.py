@@ -45,6 +45,22 @@ class Message:
         return f"Message({self.kind!r}, from={self.sender}, {self.payload!r})"
 
 
+def payload_fields(payload: Any, *types: type | None) -> tuple | None:
+    """``payload`` when it is a hashable tuple of one field per type, each
+    of exactly that type (``None``: any); else ``None``.  Receivers read
+    unauthenticated payloads through it, so a forged one is skipped."""
+    if type(payload) is not tuple or len(payload) != len(types) or any(
+        kind is not None and type(value) is not kind
+        for value, kind in zip(payload, types)
+    ):
+        return None
+    try:
+        hash(payload)
+    except TypeError:
+        return None
+    return payload
+
+
 DELTA_KIND = "knowledge-delta"
 """Frame kind carrying a :class:`DeltaFrame` payload."""
 

@@ -23,14 +23,17 @@ per listener.  Channel ids are therefore bytes, and
 think in per-node action maps: it compiles the map into one round,
 resolves it there and fans the result out per listener.
 
-Everything Sections 6-7 build after the group key is one *keyed epoch*:
-senders repeat AEAD-sealed frames over a key-derived hop pattern while
-the receivers sit on the same hops, and a receiver keeps the first frame
-that authenticates.  :func:`run_hopped_epoch` compiles and submits such an
-epoch (one :meth:`RadioNetwork.execute_schedule` call) and returns what
-was decoded on each round's hop; :func:`first_opened` applies a caller's
-open-and-check rule to those frames in order and stops at the first one
-it accepts.  :func:`keyed_epoch_rounds` is the epoch length they share.
+Two kinds of epoch sit on that resolver at the end of this module, each
+submitted as one :meth:`RadioNetwork.execute_schedule` call:
+
+* *keyed epochs* (Sections 6-7): senders repeat AEAD-sealed frames on a
+  key-derived hop pattern the receivers share.  :func:`run_hopped_epoch`
+  runs one, :func:`first_opened` keeps the first frame that
+  authenticates, and :func:`keyed_epoch_rounds` is their length;
+* *private-hop epochs* (every oblivious phase): each node hops on its own
+  private coins.  :func:`private_hop_rows` is the one place they are
+  drawn and laid out as hop rows, :func:`hit_row` the one read-back, and
+  :func:`run_gossip_epoch` the epoch of one sender among listeners.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -41,6 +44,7 @@ schedule depends only on public history).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -55,6 +59,7 @@ from typing import (
 
 from ..errors import ConfigurationError, CryptoError, ProtocolViolation
 from ..params import ProtocolParameters, DEFAULT_PARAMETERS, validate_model
+from ..rng import BlockDrawer
 from .actions import Action, Listen, Sleep, Transmit
 from .messages import Jam, Message, Transmission
 from .metrics import NetworkMetrics, frame_size
@@ -119,23 +124,6 @@ _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
 """``Listen`` flyweight per byte-sized channel id, for row expansion."""
 
 
-def hop_table(channels: Sequence[int]) -> bytes:
-    """The :meth:`bytes.translate` table sending hop *position* ``i`` to
-    channel ``channels[i]``.
-
-    Hop samplers draw positions within a channel list; one ``translate``
-    of a whole hop matrix with this table turns them into channel ids.
-    """
-    return bytes(channels).ljust(256, b"\0")
-
-
-HIT_TABLES = tuple(
-    bytes(channel) + b"\x01" + bytes(255 - channel) for channel in range(256)
-)
-"""``row.translate(HIT_TABLES[c])`` marks with ``1`` the listeners of a
-hop row that are on channel ``c`` (and with ``0`` everyone else)."""
-
-
 @dataclass(frozen=True)
 class CompiledRound:
     """One precompiled round of a :class:`RoundSchedule`.
@@ -154,11 +142,10 @@ class CompiledRound:
         :meth:`RadioNetwork.execute_schedule` call.
     hops:
         The *hop row*: ``hops[i]`` is the channel ``listeners[i]`` listens
-        on.  A row is plain ``bytes``, so a compiler that lays hop
-        sequences out listener-major slices round ``r``'s row out of the
-        matrix in C (``matrix[r::repetitions]``); settlement is
-        ``channel in hops`` and a fold marks hitting listeners with one
-        ``hops.translate(...)``.
+        on.  A row is plain ``bytes``, so :func:`private_hop_rows` slices
+        whole rows out of a hop matrix in C; settlement is ``channel in
+        hops`` and a fold marks hitting listeners with one
+        :func:`hit_row`.
     meta:
         Round metadata, exactly as for :meth:`RadioNetwork.execute_round`.
     """
@@ -583,7 +570,7 @@ class RadioNetwork:
 
 
 # ----------------------------------------------------------------------
-# Keyed epochs (Sections 6-7).
+# Epochs: keyed (Sections 6-7), then private-hop (Sections 5, 6 and 8).
 # ----------------------------------------------------------------------
 
 T = TypeVar("T")
@@ -659,3 +646,65 @@ def first_opened(
         if opened is not None:
             return opened
     return None
+
+
+_HIT_TABLES = tuple(
+    bytes(channel) + b"\x01" + bytes(255 - channel) for channel in range(256)
+)
+
+
+def private_hop_rows(
+    groups: Iterable[tuple[Iterable[random.Random], Sequence[int]]],
+    rounds: int,
+) -> list[bytes]:
+    """Per-round hop rows for streams hopping on private coins: one
+    :meth:`~repro.rng.BlockDrawer.draw` per stream (byte for byte a
+    ``choice(channels)`` per round; see :mod:`repro.rng`), laid out
+    stream-major in group order, so row ``r`` is ``matrix[r::rounds]``."""
+    matrix = bytearray()
+    for streams, channels in groups:
+        draw = BlockDrawer(len(channels)).draw
+        positions = bytearray()
+        for stream in streams:
+            positions.extend(draw(stream, rounds))
+        matrix += positions.translate(bytes(channels).ljust(256, b"\0"))
+    hops = bytes(matrix)
+    return [hops[r::rounds] for r in range(rounds)]
+
+
+def hit_row(row: bytes, channel: int) -> bytes:
+    """One byte per listener of ``row``: ``1`` on ``channel``, else ``0``."""
+    return row.translate(_HIT_TABLES[channel])
+
+
+def run_gossip_epoch(
+    network: RadioNetwork,
+    sender: int,
+    frame: Message | None,
+    listeners: tuple[int, ...],
+    streams: Mapping[int, random.Random] | Sequence[random.Random],
+    rounds: int,
+    meta: RoundMeta,
+) -> list[tuple[bytes, dict[int, Message]]]:
+    """Run one epoch in which ``sender`` transmits ``frame`` and
+    ``listeners`` listen, each node on fresh hops off ``streams[node]``;
+    returns each round's hop row and ``channel -> message`` heard, from
+    one :meth:`RadioNetwork.execute_schedule` call.  A ``None`` frame
+    leaves the sender silent, drawing nothing."""
+    channels = range(network.channels)
+    rows = private_hop_rows(
+        [([streams[node] for node in listeners], channels)], rounds
+    )
+    templates: list[dict[int, Transmit]] = [{}] * rounds
+    if frame is not None:
+        templates = [
+            {sender: Transmit(hop[0], frame)}
+            for hop in private_hop_rows([([streams[sender]], channels)], rounds)
+        ]
+    heard = network.execute_schedule(
+        RoundSchedule(
+            CompiledRound(template, listeners, row, meta)
+            for template, row in zip(templates, rows)
+        )
+    )
+    return list(zip(rows, heard))

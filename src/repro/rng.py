@@ -17,7 +17,7 @@ The interpreter-mirroring invariant (block draws)
 The protocols here are *oblivious*: every hop sequence is private coin flips
 drawn independently of anything observed mid-phase, so whole hop matrices can
 be materialized in bulk.  This module is the single home of the contract that
-makes the bulk paths exchangeable with the naive ones:
+makes the bulk path exchangeable with the naive one:
 
     For a plain :class:`random.Random`, one uniform draw from ``range(n)``
     is ``getrandbits(n.bit_length())`` rejection-sampled until the value is
@@ -25,21 +25,23 @@ makes the bulk paths exchangeable with the naive ones:
     both ``choice`` and single-argument ``randrange``.
 
 :func:`draw_uniform_indices` (one rejection chain per draw),
-:class:`BlockDrawer` / :func:`draw_uniform_block` (one bulk
-``getrandbits(32 * shortfall)`` pull per pass — the same Mersenne-Twister
-words as that many single draws, since every ``getrandbits(k)`` with
-``k <= 32`` consumes exactly one 32-bit word — with values extracted and
-rejections dropped at C level) and a ``choice``/``randrange(n)`` loop
-therefore consume **byte-identical** generator state and produce identical
-values: the block sampler pulls exactly ``remaining`` words per pass, and a
-pass can only reach ``remaining`` acceptances on its final word, so it can
-never overshoot the sequential chain.  The hypothesis properties in
+:class:`BlockDrawer` (one bulk ``getrandbits(32 * shortfall)`` pull per
+pass — the same Mersenne-Twister words as that many single draws, since
+every ``getrandbits(k)`` with ``k <= 32`` consumes exactly one 32-bit word
+— with values extracted and rejections dropped at C level) and a
+``choice``/``randrange(n)`` loop therefore consume **byte-identical**
+generator state and produce identical values: the block sampler pulls
+exactly ``remaining`` words per pass, and a pass can only reach
+``remaining`` acceptances on its final word, so it can never overshoot the
+sequential chain.  The hypothesis properties in
 ``tests/test_schedule_properties.py`` pin values *and* post-draw state
 against the real ``choice``-driven path, and the feedback digests in
 ``tests/test_golden.py`` (recorded with per-draw ``choice`` hops) pin it
-in situ.  Exotic stream types (anything that
-is not exactly ``random.Random``) fall back to calling ``choice`` itself on
-every path.
+in situ.  Exotic stream types (anything that is not exactly
+``random.Random``) fall back to calling ``choice`` itself on every path.
+
+Its one production consumer is :func:`repro.radio.network.private_hop_rows`,
+which draws every private hop of every oblivious phase.
 
 Example
 -------
@@ -326,11 +328,3 @@ class BlockDrawer:
         """One length-``count`` hop sequence per stream, in stream order."""
         draw = self.draw
         return [draw(stream, count) for stream in streams]
-
-
-def draw_uniform_block(
-    stream: random.Random, n: int, count: int
-) -> list[int]:
-    """Functional form of :meth:`BlockDrawer.draw`; byte-identical to
-    :func:`draw_uniform_indices` (see the module docstring's invariant)."""
-    return BlockDrawer(n).draw(stream, count)

@@ -205,6 +205,20 @@ class TestSweepCommand:
         assert main(["sweep", "-n", "18", "--trials", "1", *argv]) == 2
         assert "workers" in capsys.readouterr().err
 
+    def test_unrunnable_grid_exits_2_at_every_worker_count(self, capsys):
+        # The grid is rejected before any backend starts, so forked
+        # workers never see it and both runs print the same line.
+        errors = []
+        for workers in ("1", "2"):
+            argv = ["sweep", "--nodes", "5", "--trials", "2"]
+            assert main([*argv, "--workers", workers]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == (
+            "repro sweep: f-AME in regime base with t=1 and proposal size "
+            "2 needs n >= 17 (got n=5)\n"
+        )
+
     def test_batch_size_flag_parses(self):
         args = build_parser().parse_args(
             ["sweep", "--workers", "2", "--batch-size", "16"]

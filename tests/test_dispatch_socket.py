@@ -32,6 +32,7 @@ from repro.dispatch.socket_pool import (
     PROTOCOL_VERSION,
     FrameDecoder,
     dial,
+    frame_bytes,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -479,18 +480,32 @@ def _sweep_with(spec: SweepSpec, on_first_result) -> tuple[dict, object]:
     return report, fired[0]
 
 
+PROTOCOL_BREAKS = {
+    "unknown-kind": {"kind": "bogus"},
+    "results-missing": {"kind": "results"},
+    "results-not-trial-results": {
+        "kind": "results",
+        "results": [1],
+        "elapsed": 0.1,
+    },
+}
+"""Frames that decode but that no worker sends."""
+
+
 class TestBadPeersMidSweep:
     """A bad peer costs only its own connection: the sweep goes on and
     its report is the ``--workers 1`` report.  Each of these used to
     abort the run."""
 
-    @pytest.mark.parametrize("bad", list(BAD_FRAMES))
-    def test_undecodable_frame_closes_only_its_connection(self, bad):
+    @staticmethod
+    def _intrude_mid_sweep(bad: bytes) -> None:
+        """A welcomed intruder sends ``bad`` once the first result lands;
+        the report must still be the ``--workers 1`` report."""
         spec = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)
         reference = SweepRunner(spec).run().as_dict()
 
         def intrude(address):
-            intruder = _Intruder(address, BAD_FRAMES[bad])
+            intruder = _Intruder(address, bad)
             intruder.start()
             return intruder
 
@@ -501,6 +516,14 @@ class TestBadPeersMidSweep:
         assert json.dumps(report, sort_keys=True) == json.dumps(
             reference, sort_keys=True
         )
+
+    @pytest.mark.parametrize("bad", list(BAD_FRAMES))
+    def test_undecodable_frame_closes_only_its_connection(self, bad):
+        self._intrude_mid_sweep(BAD_FRAMES[bad])
+
+    @pytest.mark.parametrize("frame", list(PROTOCOL_BREAKS))
+    def test_protocol_break_closes_only_its_connection(self, frame):
+        self._intrude_mid_sweep(frame_bytes(PROTOCOL_BREAKS[frame]))
 
     def test_stray_first_frame_is_rejected(self):
         spec = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)

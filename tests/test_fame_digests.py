@@ -130,6 +130,32 @@ class TestPipeline:
                 assert outcome.message == MESSAGES[pair]
                 assert outcome.message != ("m", "FORGED")
 
+    @pytest.mark.parametrize(
+        "payload", [(0, 0, [1], b"d"), ([0], 0, 1, b"d")], ids=["message", "source"]
+    )
+    def test_spoofed_gossip_with_unhashable_field_is_skipped(
+        self, rng, adv_rng, payload
+    ):
+        # An unhashable message or source id used to crash GossipInbox.add.
+        def forge(view, channel):
+            return Message(kind="ame-gossip", sender=0, payload=payload)
+
+        net = make_network(
+            n=20, channels=2, t=1,
+            adversary=SpoofingAdversary(adv_rng, forge=forge, target_scheduled=False),
+        )
+        res = run_fame_with_digests(net, EDGES, MESSAGES, rng=rng)
+        assert any(
+            net.trace[index].meta["phase"] == "gossip"
+            for index, _channel, _msg in net.trace.spoofed_deliveries()
+        )
+        # No receiver stored the forgery: every source's candidates are
+        # its honest levels only.
+        assert res.candidate_stats == {
+            v: len(message_sequence(EDGES, v)) for v in res.candidate_stats
+        }
+        assert res.disruptability() <= 1
+
     def test_constant_size_protocol_messages(self, rng):
         # The f-AME stage must carry 32-byte signatures, not full vectors.
         net = make_network(n=20, channels=2, t=1)

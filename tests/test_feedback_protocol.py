@@ -89,15 +89,6 @@ class TestCorrectness:
         reps = net.params.feedback_repetitions(net.n, 2, 1)
         assert net.metrics.rounds == 2 * reps  # slots * repetitions
 
-    def test_explicit_repetitions_override(self, rng):
-        net = make_network(n=20, channels=2, t=1)
-        wa = assignment_for(net, 1)
-        run_feedback(
-            net, wa, flags_for(wa, (True,)), list(range(net.n)), rng,
-            repetitions=5,
-        )
-        assert net.metrics.rounds == 5
-
 
 class TestSpoofResistance:
     def test_forged_true_frames_cannot_be_decoded(self, rng, adv_rng):

@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.adversary import RandomJammer, ScheduleAwareJammer, SweepJammer
+from repro.adversary import (
+    RandomJammer,
+    ScheduleAwareJammer,
+    SpoofingAdversary,
+    SweepJammer,
+)
 from repro.crypto.dh import TEST_GROUP_64
 from repro.errors import ConfigurationError
 from repro.groupkey import (
@@ -16,6 +21,8 @@ from repro.groupkey import (
     leader_spanner,
     spanner_size,
 )
+from repro.groupkey.protocol import REPORT_KIND
+from repro.radio.messages import Message
 from repro.rng import RngRegistry
 
 from conftest import make_network
@@ -150,6 +157,28 @@ class TestGroupKeyUnderAttack:
                 if isinstance(action, Transmit):
                     payload = action.message.payload
                     assert not _contains_bytes(payload, key)
+
+    def test_report_with_unhashable_leader_is_skipped(self):
+        # A spoofed Part 3 report from a real reporter id whose leader
+        # field is a list used to crash the receivers' tally.
+        def forge(view, channel):
+            return Message(REPORT_KIND, 2, (2, [0], b"h"))
+
+        net = make_network(
+            n=18, channels=2, t=1,
+            adversary=SpoofingAdversary(random.Random(5), forge=forge),
+        )
+        res = establish_group_key(net, RngRegistry(seed=50), group=TEST_GROUP_64)
+        part3_spoofs = [
+            index
+            for index, _channel, msg in net.trace.spoofed_deliveries()
+            if net.trace[index].meta["phase"] == "groupkey-part3"
+        ]
+        assert part3_spoofs  # the forgery did land in Part 3
+        assert len(res.holders()) >= 18 - 1
+        for node in res.non_holders():
+            adopted = res.adopted[node]
+            assert adopted is None or adopted in res.leader_keys.values()
 
 
 def _contains_bytes(value, needle: bytes) -> bool:

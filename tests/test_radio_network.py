@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolViolation
@@ -14,6 +18,7 @@ from repro.radio.network import (
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    run_gossip_epoch,
 )
 from repro.adversary.base import Adversary
 
@@ -265,6 +270,45 @@ class TestHopRows:
         with pytest.raises(ConfigurationError, match="256"):
             RadioNetwork(8, 257, 1)
         assert RadioNetwork(8, 256, 1).channels == 256
+
+
+class TestPrivateHopEpochs:
+    """Every oblivious phase draws, lays out and reads back its private
+    hops through one seam in ``repro.radio.network``."""
+
+    def test_silent_sender_draws_nothing_but_the_epoch_runs(self):
+        net = make_network(n=6, channels=3)
+        streams = [random.Random(seed) for seed in range(4)]
+        before = streams[0].getstate()
+        epoch = run_gossip_epoch(
+            net, 0, None, (1, 2, 3), streams, 7, RoundMeta(phase="silent")
+        )
+        assert streams[0].getstate() == before
+        assert net.metrics.rounds == 7
+        assert net.metrics.honest_transmissions == 0
+        assert [heard for _row, heard in epoch] == [{}] * 7
+        assert all(len(row) == 3 for row, _heard in epoch)
+
+    def test_only_the_seam_names_the_hop_primitives(self):
+        # Replacing the hop coins must stay a change to one function: no
+        # other module may draw or decode private hops itself.
+        primitives = {"BlockDrawer", "hop_table", "HIT_TABLES", "_HIT_TABLES"}
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        allowed = {package / "rng.py", package / "radio" / "network.py"}
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path in allowed:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                named = (
+                    getattr(node, "id", None),
+                    getattr(node, "attr", None),
+                    getattr(node, "name", None),
+                    getattr(node, "asname", None),
+                )
+                if primitives.intersection(named):
+                    offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestBookkeeping:

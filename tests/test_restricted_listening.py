@@ -14,6 +14,7 @@ from repro.extensions import (
     StickyEavesdropper,
     run_share_spray,
 )
+from repro.extensions.restricted_listening import SHARE_KIND
 from repro.fame.digests import slot_set_digest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import DELTA_KIND, JAM, DeltaFrame, Message, Transmission
@@ -231,6 +232,26 @@ class TestShareSpray:
         assert res.information_theoretically_secret == (
             len(res.adversary_shares) < 2
         )
+
+    def test_forged_share_with_unhashable_index_is_skipped(self):
+        # A forged share whose index is a list used to crash the tally of
+        # both the receiver's and the eavesdropper's shares.
+        class ForgingEavesdropper(MonitoringAdversary):
+            def monitor(self, view):
+                return [0]
+
+            def act(self, view):
+                forged = Message(SHARE_KIND, 0, ("share", [1]))
+                return [Transmission(0, forged)]
+
+        net = RestrictedListeningNetwork(8, 4, 1, ForgingEavesdropper())
+        res = run_share_spray(
+            net, 0, 5, RngRegistry(seed=6), shares=4, repetitions=8
+        )
+        assert net.metrics.spoofs_delivered > 0
+        assert res.rounds == 4 * 8
+        assert res.receiver_shares <= set(range(4))
+        assert res.adversary_shares <= set(range(4))
 
     def test_sender_receiver_must_differ(self):
         net = RestrictedListeningNetwork(8, 3, 1, StickyEavesdropper([0]))

@@ -21,7 +21,8 @@ And to the block-draw properties backing the batched hop sampler: for
 arbitrary ``(n, count, seed)``, block draws == sequential
 ``draw_uniform_indices`` == a ``choice`` loop, byte-for-byte — values AND
 post-draw generator state — the invariant (see ``repro.rng``) that makes
-the compiled feedback pipelines' bulk hop matrices exchangeable with the
+the bulk hop rows of every private-hop epoch
+(``repro.radio.network.private_hop_rows``) exchangeable with the
 historical per-draw paths.
 """
 
@@ -38,9 +39,9 @@ from repro.fame.digests import SlotSetDigest, combine_digests, slot_set_digest
 from repro.fame.schedule import build_schedule
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyTermination, greedy_proposal
+from repro.radio.network import private_hop_rows
 from repro.rng import (
     BlockDrawer,
-    draw_uniform_block,
     draw_uniform_indices,
 )
 
@@ -166,9 +167,45 @@ def test_block_draws_equal_loop_draws_equal_choice_loop(n, count, seed):
     seq = range(n)
     choice_values = [c.choice(seq) for _ in range(count)]
     loop_values = draw_uniform_indices(a, n, count)
-    block_values = draw_uniform_block(b, n, count)
+    block_values = BlockDrawer(n).draw(b, count)
     assert block_values == loop_values == choice_values
     assert a.getstate() == b.getstate() == c.getstate()
+
+
+@given(
+    groups=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 2**32), max_size=4),
+            st.lists(
+                st.integers(0, 255), min_size=1, max_size=256, unique=True
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    rounds=st.integers(0, 60),
+)
+@settings(max_examples=100, deadline=None)
+def test_private_hop_rows_equal_per_round_choice_loop(groups, rounds):
+    """The row helper's rows, read column by column, are each stream's
+    ``choice(channels)`` per round, and the post-draw states match."""
+    streams = [[random.Random(seed) for seed in seeds] for seeds, _ in groups]
+    reference = [[random.Random(seed) for seed in seeds] for seeds, _ in groups]
+    rows = private_hop_rows(
+        [(group, channels) for group, (_, channels) in zip(streams, groups)],
+        rounds,
+    )
+    assert len(rows) == rounds
+    column = 0
+    for group, (_, channels) in zip(reference, groups):
+        for stream in group:
+            expected = [stream.choice(channels) for _ in range(rounds)]
+            assert [row[column] for row in rows] == expected
+            column += 1
+    assert all(len(row) == column for row in rows)
+    assert [s.getstate() for group in streams for s in group] == [
+        s.getstate() for group in reference for s in group
+    ]
 
 
 @given(
@@ -185,7 +222,7 @@ def test_block_draws_fallback_matches_choice_for_exotic_streams(
     a, b, c = _ExoticRandom(seed), _ExoticRandom(seed), _ExoticRandom(seed)
     seq = range(n)
     choice_values = [c.choice(seq) for _ in range(count)]
-    assert draw_uniform_block(a, n, count) == choice_values
+    assert BlockDrawer(n).draw(a, count) == choice_values
     assert draw_uniform_indices(b, n, count) == choice_values
     assert a.getstate() == b.getstate() == c.getstate()
 
@@ -200,7 +237,7 @@ def test_empty_range_raises_on_every_path(n, count):
         with pytest.raises(ValueError):
             draw_uniform_indices(stream, n, count)
         with pytest.raises(ValueError):
-            draw_uniform_block(stream, n, count)
+            BlockDrawer(n).draw(stream, count)
         with pytest.raises(ValueError):
             BlockDrawer(n)
         assert stream.getstate() == before
