@@ -12,10 +12,35 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.messages import JAM, Transmission
+from ..radio.network import private_hop_rows
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..radio.network import AdversaryView
+    from ..radio.network import AdversaryView, RoundMeta
+
+
+def sample_jams(
+    rng: random.Random, population: Sequence[int], count: int, rounds: int
+) -> list[tuple[Transmission, ...]]:
+    """``rounds`` moves, move ``r`` jamming ``rng.sample(population,
+    count)`` as drawn in round ``r`` of a per-round loop.
+
+    ``sample(population, 1)`` is one ``_randbelow(len(population))``, the
+    draw under ``choice``, so a one-channel schedule is one
+    :func:`~repro.radio.network.private_hop_rows` block draw of indices
+    (same values, same final generator state) with one shared move per
+    index; from two rounds on that beats a ``sample`` call per round.
+    """
+    if count == 0:
+        return [()] * rounds
+    if count == 1 and rounds > 1 and len(population) <= 256:
+        singles = [(Transmission(c, JAM),) for c in population]
+        rows = private_hop_rows([([rng], range(len(singles)))], rounds)
+        return [singles[index] for index in b"".join(rows)]
+    return [
+        tuple(Transmission(c, JAM) for c in rng.sample(population, count))
+        for _ in range(rounds)
+    ]
 
 
 class RandomJammer(Adversary):
@@ -27,7 +52,10 @@ class RandomJammer(Adversary):
         Adversary-private randomness stream.
     intensity:
         Fraction of the per-round budget actually used, in ``(0, 1]``.
-        ``intensity=0.5`` with ``t=4`` jams 2 channels per round.
+        ``intensity=0.5`` with ``t=4`` jams 2 channels per round; any
+        positive intensity jams at least one.
+
+    Reads neither history nor metadata, so it plans whole schedules.
     """
 
     reusable_view = True
@@ -39,12 +67,14 @@ class RandomJammer(Adversary):
         self._intensity = intensity
 
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
+        return self.plan_schedule(view, (view.meta,))[0]
+
+    def plan_schedule(
+        self, view: "AdversaryView", metas: Sequence["RoundMeta"]
+    ) -> list[tuple[Transmission, ...]]:
         budget = min(view.t, view.channels)
-        count = max(0, round(budget * self._intensity))
-        if count == 0:
-            return ()
-        channels = self._rng.sample(range(view.channels), count)
-        return tuple(Transmission(c, JAM) for c in channels)
+        count = max(1, round(budget * self._intensity)) if budget else 0
+        return sample_jams(self._rng, range(view.channels), count, len(metas))
 
 
 class SweepJammer(Adversary):
@@ -52,7 +82,7 @@ class SweepJammer(Adversary):
 
     Round ``r`` jams channels ``(r*stride + i) mod C`` for ``i < t``.  A
     predictable but full-budget disruptor: useful for deterministic
-    regression tests of disruption handling.
+    regression tests of disruption handling.  It plans whole schedules.
     """
 
     reusable_view = True
@@ -63,10 +93,21 @@ class SweepJammer(Adversary):
         self._stride = stride
 
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
-        base = (view.round_index * self._stride) % view.channels
+        return self.plan_schedule(view, (view.meta,))[0]
+
+    def plan_schedule(
+        self, view: "AdversaryView", metas: Sequence["RoundMeta"]
+    ) -> list[tuple[Transmission, ...]]:
         budget = min(view.t, view.channels)
-        channels = {(base + i) % view.channels for i in range(budget)}
-        return tuple(Transmission(c, JAM) for c in sorted(channels))
+        # A round's window depends on its index mod C: build one period.
+        period = []
+        for k in range(min(len(metas), view.channels)):
+            base = ((view.round_index + k) * self._stride) % view.channels
+            channels = {(base + i) % view.channels for i in range(budget)}
+            period.append(
+                tuple(Transmission(c, JAM) for c in sorted(channels))
+            )
+        return [period[k % len(period)] for k in range(len(metas))]
 
 
 class ReactiveJammer(Adversary):

@@ -13,7 +13,7 @@ from ..radio.messages import Transmission
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..radio.network import AdversaryView
+    from ..radio.network import AdversaryView, RoundMeta
 
 
 class NullAdversary(Adversary):
@@ -23,3 +23,8 @@ class NullAdversary(Adversary):
 
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
         return ()
+
+    def plan_schedule(
+        self, view: "AdversaryView", metas: Sequence["RoundMeta"]
+    ) -> list[tuple[Transmission, ...]]:
+        return [()] * len(metas)

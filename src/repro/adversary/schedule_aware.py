@@ -16,14 +16,15 @@ witness occupancy argument of Lemma 5).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Collection, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.messages import JAM, Transmission
 from .base import Adversary
+from .jammers import sample_jams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..radio.network import AdversaryView
+    from ..radio.network import AdversaryView, RoundMeta
 
 VICTIM_POLICIES = ("prefix", "suffix", "random", "victims")
 
@@ -50,6 +51,9 @@ class ScheduleAwareJammer(Adversary):
     jam_feedback:
         When ``True``, also jam ``t`` random channels during rounds whose
         phase starts with ``"feedback"``, maximising listener delay.
+
+    Its moves depend on its coins and the round's meta alone, so it plans
+    any schedule whose rounds share one meta object.
     """
 
     reusable_view = True
@@ -73,7 +77,9 @@ class ScheduleAwareJammer(Adversary):
 
     # ------------------------------------------------------------------
 
-    def _pick_scheduled(self, view: "AdversaryView", in_use: list[int]) -> list[int]:
+    def _pick_scheduled(
+        self, view: "AdversaryView", schedule: Mapping, in_use: list[int]
+    ) -> list[int]:
         budget = min(view.t, len(in_use))
         if budget == 0:
             return []
@@ -81,10 +87,7 @@ class ScheduleAwareJammer(Adversary):
             return sorted(in_use)[:budget]
         if self._policy == "suffix":
             return sorted(in_use)[-budget:]
-        if self._policy == "random":
-            return self._rng.sample(in_use, budget)
         # "victims": channels touching a victim first.
-        schedule = view.meta.schedule or {}
         assignments = schedule.get("assignments", {})
 
         def touches_victim(channel: int) -> bool:
@@ -101,13 +104,26 @@ class ScheduleAwareJammer(Adversary):
         return (preferred + rest)[:budget]
 
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
-        schedule = view.meta.schedule or {}
+        return self.plan_schedule(view, (view.meta,))[0]
+
+    def plan_schedule(
+        self, view: "AdversaryView", metas: Sequence["RoundMeta"]
+    ) -> list[tuple[Transmission, ...]] | None:
+        """Plans a schedule whose rounds share one meta object; rounds
+        with differing metas keep acting round by round."""
+        meta = metas[0]
+        if any(other is not meta for other in metas):
+            return None
+        rounds = len(metas)
+        schedule = meta.schedule or {}
         in_use = list(schedule.get("channels_in_use", ()))
         if in_use:
-            targets = self._pick_scheduled(view, in_use)
-            return tuple(Transmission(c, JAM) for c in targets)
-        if self._jam_feedback and str(view.meta.phase).startswith("feedback"):
+            if self._policy == "random":
+                budget = min(view.t, len(in_use))
+                return sample_jams(self._rng, in_use, budget, rounds)
+            targets = self._pick_scheduled(view, schedule, in_use)
+            return [tuple(Transmission(c, JAM) for c in targets)] * rounds
+        if self._jam_feedback and str(meta.phase).startswith("feedback"):
             budget = min(view.t, view.channels)
-            targets = self._rng.sample(range(view.channels), budget)
-            return tuple(Transmission(c, JAM) for c in targets)
-        return ()
+            return sample_jams(self._rng, range(view.channels), budget, rounds)
+        return [()] * rounds

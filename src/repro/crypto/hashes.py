@@ -23,6 +23,9 @@ from ..errors import CryptoError
 DIGEST_SIZE = 32
 """Byte length of full-strength digests (SHA-256)."""
 
+KDF_DOMAIN = b"repro/kdf\x00"
+"""Domain-separation prefix of :func:`derive_key`."""
+
 
 def canonical_encode(value: Any) -> bytes:
     """Encode a value into canonical, self-delimiting bytes.
@@ -95,7 +98,7 @@ def derive_key(secret: Any, *context: Any) -> bytes:
     split one master key into independent sub-keys (encryption vs MAC vs
     channel hopping) by varying ``context``.
     """
-    return _digest(b"repro/kdf\x00", (secret, *context))
+    return _digest(KDF_DOMAIN, (secret, *context))
 
 
 class WeakHash:

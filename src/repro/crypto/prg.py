@@ -16,6 +16,9 @@ from .hashes import canonical_encode
 
 _BLOCK = 32
 
+PRG_DOMAIN = b"repro/prg\x00"
+"""Domain-separation prefix of every :class:`Prg` block."""
+
 
 class Prg:
     """Deterministic byte/integer stream seeded by key material.
@@ -35,7 +38,7 @@ class Prg:
         if not isinstance(seed, (bytes, bytearray)):
             raise CryptoError("PRG seed must be bytes")
         self._prefix = (
-            b"repro/prg\x00"
+            PRG_DOMAIN
             + canonical_encode(bytes(seed))
             + canonical_encode(label)
         )

@@ -10,6 +10,22 @@ for confidentiality and an HMAC-SHA256 tag over ``nonce || ciphertext ||
 associated data`` for integrity.  Nonces are caller-supplied (protocols use
 round/epoch counters) and must never repeat under one key — the classic
 stream-cipher contract, stated loudly in :meth:`AuthenticatedCipher.encrypt`.
+
+Byte for byte, with ``enc`` and ``mac`` the master key's
+``derive_key(key, "enc")`` and ``derive_key(key, "mac")``:
+
+* the pad of ``nonce`` is ``Prg(derive_key(enc, "nonce", nonce),
+  "xor").read(len(plaintext))``;
+* the body is ``plaintext`` XOR that pad;
+* the tag is ``HMAC-SHA256(mac, canonical_encode(nonce) ||
+  canonical_encode(body) || canonical_encode(associated))``.
+
+:class:`AuthenticatedCipher` computes exactly that without a ``Prg`` object
+or a fresh HMAC per message: it keeps the KDF's SHA-256 state after the
+``(enc, "nonce")`` prefix and one keyed HMAC, copies each per message,
+hashes the pad's counter blocks inline and XORs through
+``int.from_bytes`` (``tests/test_crypto_stream_hopping.py`` checks it
+against the composition above).
 """
 
 from __future__ import annotations
@@ -19,10 +35,12 @@ import hashlib
 from dataclasses import dataclass
 
 from ..errors import CryptoError
-from .hashes import canonical_encode, derive_key
-from .prg import Prg
+from .hashes import KDF_DOMAIN, canonical_encode, derive_key
+from .prg import PRG_DOMAIN
 
 TAG_SIZE = 32
+
+_PAD_LABEL = canonical_encode("xor")
 
 
 @dataclass(frozen=True)
@@ -64,16 +82,39 @@ class AuthenticatedCipher:
     def __init__(self, key: bytes) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise CryptoError("key must be at least 16 bytes")
-        self._enc_key = derive_key(bytes(key), "enc")
-        self._mac_key = derive_key(bytes(key), "mac")
+        enc_key = derive_key(bytes(key), "enc")
+        # derive_key(enc_key, "nonce", nonce), stopped before the nonce.
+        self._nonce_kdf = hashlib.sha256(
+            KDF_DOMAIN + canonical_encode(enc_key) + canonical_encode("nonce")
+        )
+        self._mac = hmac.new(
+            derive_key(bytes(key), "mac"), digestmod=hashlib.sha256
+        )
+
+    def _xor_pad(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the first ``len(data)`` bytes of ``nonce``'s pad."""
+        size = len(data)
+        if not size:
+            return b""
+        kdf = self._nonce_kdf.copy()
+        kdf.update(_encode_bytes(nonce))
+        prefix = PRG_DOMAIN + _encode_bytes(kdf.digest()) + _PAD_LABEL
+        sha256 = hashlib.sha256
+        pad = b"".join([
+            sha256(prefix + block.to_bytes(8, "big")).digest()
+            for block in range((size + 31) // 32)
+        ])
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(pad[:size], "big")
+        return mixed.to_bytes(size, "big")
 
     def _tag(self, nonce: bytes, body: bytes, associated: bytes) -> bytes:
-        material = (
-            canonical_encode(nonce)
-            + canonical_encode(body)
-            + canonical_encode(associated)
+        mac = self._mac.copy()
+        mac.update(
+            _encode_bytes(nonce)
+            + _encode_bytes(body)
+            + _encode_bytes(associated)
         )
-        return hmac.new(self._mac_key, material, hashlib.sha256).digest()
+        return mac.digest()
 
     def encrypt(
         self, plaintext: bytes, nonce: bytes, associated: bytes = b""
@@ -88,26 +129,34 @@ class AuthenticatedCipher:
             raise CryptoError("plaintext must be bytes")
         if not isinstance(nonce, (bytes, bytearray)) or not nonce:
             raise CryptoError("nonce must be non-empty bytes")
-        # Bind the keystream to the nonce by deriving a per-nonce stream.
-        pad = Prg(
-            derive_key(self._enc_key, "nonce", bytes(nonce)), "xor"
-        ).read(len(plaintext))
-        body = bytes(a ^ b for a, b in zip(bytes(plaintext), pad))
+        _check_associated(associated)
+        nonce = bytes(nonce)
+        body = self._xor_pad(nonce, plaintext)
         return Ciphertext(
-            nonce=bytes(nonce),
-            body=body,
-            tag=self._tag(bytes(nonce), body, bytes(associated)),
+            nonce=nonce, body=body, tag=self._tag(nonce, body, associated)
         )
 
     def decrypt(self, sealed: Ciphertext, associated: bytes = b"") -> bytes:
         """Open a ciphertext; raises :class:`CryptoError` on any tampering."""
-        expected = self._tag(sealed.nonce, sealed.body, bytes(associated))
+        _check_associated(associated)
+        if not isinstance(sealed.nonce, (bytes, bytearray)) or not isinstance(
+            sealed.body, (bytes, bytearray)
+        ):
+            raise CryptoError("malformed ciphertext")
+        expected = self._tag(sealed.nonce, sealed.body, associated)
         if not hmac.compare_digest(expected, sealed.tag):
             raise CryptoError("authentication failed: bad tag")
-        pad = Prg(
-            derive_key(self._enc_key, "nonce", sealed.nonce), "xor"
-        ).read(len(sealed.body))
-        return bytes(a ^ b for a, b in zip(sealed.body, pad))
+        return self._xor_pad(sealed.nonce, sealed.body)
+
+
+def _encode_bytes(value: bytes) -> bytes:
+    """:func:`canonical_encode` of a ``bytes`` value, inline."""
+    return b"b" + len(value).to_bytes(4, "big") + value
+
+
+def _check_associated(associated: object) -> None:
+    if not isinstance(associated, (bytes, bytearray)):
+        raise CryptoError("associated data must be bytes")
 
 
 def nonce_from_counter(*parts: int) -> bytes:

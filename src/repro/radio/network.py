@@ -39,7 +39,13 @@ The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
 only, alongside the current round's public ``meta`` (which the adversary
 could derive itself, since protocols are known and their deterministic
-schedule depends only on public history).
+schedule depends only on public history).  A strategy whose moves depend on
+nothing but its own coins and those metas may therefore decide a whole
+schedule up front: :meth:`RadioNetwork.execute_schedule` asks its
+:meth:`~repro.adversary.base.Adversary.plan_schedule` once, with the metas
+of the rounds that will run, and the strategy draws its coins in the order
+per-round :meth:`~repro.adversary.base.Adversary.act` calls would, so a
+planned run is byte-identical to one that acts round by round.
 """
 
 from __future__ import annotations
@@ -119,6 +125,15 @@ class AdversaryView:
     history: ExecutionTrace
     meta: RoundMeta
 
+
+_Settled = tuple[
+    dict[int, list["Message | Jam"]],
+    dict[int, "Message | None"],
+    int,
+    int,
+    int,
+]
+"""A template resolved on its own (:meth:`RadioNetwork._settle_template`)."""
 
 _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
 """``Listen`` flyweight per byte-sized channel id, for row expansion."""
@@ -282,7 +297,7 @@ class RadioNetwork:
 
     # ------------------------------------------------------------------
 
-    def _validate_adversary(self, txs: list[Transmission]) -> None:
+    def _validate_adversary(self, txs: Sequence[Transmission]) -> None:
         seen: set[int] = set()
         for tx in txs:
             if not 0 <= tx.channel < self.channels:
@@ -436,6 +451,52 @@ class RadioNetwork:
             )
         validated.add((id(transmits), id(listeners)))
 
+    def _plan(
+        self, rounds: Sequence[CompiledRound]
+    ) -> Sequence[Sequence[Transmission]] | None:
+        """The adversary's moves for the rounds of ``rounds`` that run
+        before the round cap, from its ``plan_schedule`` hook (looked up by
+        name, so duck-typed adversaries without one simply act), or
+        ``None`` when it acts round by round."""
+        plan = getattr(self.adversary, "plan_schedule", None)
+        cap = self.params.max_rounds
+        runnable = len(rounds)
+        if cap is not None:
+            runnable = min(runnable, cap - self._round_index)
+        if plan is None or runnable <= 0:
+            return None
+        metas = [cr.meta for cr in rounds[:runnable]]
+        moves = plan(self._adversary_view(metas[0]), metas)
+        if moves is not None and len(moves) != runnable:
+            raise ProtocolViolation(
+                f"adversary planned {len(moves)} moves for {runnable} rounds"
+            )
+        return moves
+
+    @staticmethod
+    def _settle_template(transmits: Mapping[int, Transmit]) -> _Settled:
+        """Resolve a transmitter template on its own: ``(senders,
+        delivered, deliveries, collisions, payload_units)``, where
+        ``senders`` maps each touched channel to its payloads and
+        ``delivered`` holds the message a lone decodable payload delivers
+        (``None`` for noise or a collision), in first-touch order."""
+        senders: dict[int, list[Message | Jam]] = {}
+        units = 0
+        for action in transmits.values():
+            senders.setdefault(action.channel, []).append(action.message)
+            units += frame_size(action.message)
+        delivered: dict[int, Message | None] = {}
+        deliveries = collisions = 0
+        for channel, payloads in senders.items():
+            if len(payloads) == 1 and isinstance(payloads[0], Message):
+                delivered[channel] = payloads[0]
+                deliveries += 1
+            else:
+                delivered[channel] = None
+                if len(payloads) >= 2:
+                    collisions += 1
+        return senders, delivered, deliveries, collisions, units
+
     def execute_schedule(
         self, schedule: "RoundSchedule"
     ) -> list[dict[int, Message]]:
@@ -446,11 +507,21 @@ class RadioNetwork:
         metrics (payloads included) and trace records all live here;
         :meth:`execute_round` submits one-round schedules.
 
-        Validation is split by what varies.  Each distinct transmitter
-        template, listener tuple and (template, listeners) pair is checked
-        once per call (:meth:`_validate_shared`); per round only the hop
-        row is checked, with one length comparison and one C-level
-        ``translate`` for hops outside ``0 .. C-1``.
+        Work is split by what varies.  Each distinct transmitter template,
+        listener tuple and (template, listeners) pair is validated once per
+        call (:meth:`_validate_shared`), and each template is resolved once
+        (:meth:`_settle_template`); per round the hop row is checked with
+        one length comparison and one C-level ``translate``, and only the
+        adversary's channels are folded into the template's resolution,
+        on a copy.
+
+        The adversary is asked once per call first: if its
+        :meth:`~repro.adversary.base.Adversary.plan_schedule` returns the
+        moves of every round that runs before the round cap (given their
+        public metas only, never the compiled rounds), no round asks it
+        again; each distinct planned move is validated the first time a
+        round uses it, so a bad move raises at the same round as when
+        acting.  Otherwise it acts once per round.
 
         Returns one dict per round mapping **channel** to the message
         decoded on it, containing entries only for channels that (a) had at
@@ -464,27 +535,27 @@ class RadioNetwork:
         """
         validated: set[object] = set()
         listener_sets: dict[int, set[int]] = {}
-        # Payload accounting per distinct transmitter template: a static
-        # template shared by every repetition of a transfer is sized once
-        # (same id-keyed caching as validation), so per-round bookkeeping
-        # stays O(1) even for large knowledge frames.
-        template_sizes: dict[int, int] = {}
+        settled: dict[int, _Settled] = {}
+        adversary = self.adversary
         keep_records = self._keep_trace or (
-            self.adversary is not None and self.adversary.needs_history
+            adversary is not None and adversary.needs_history
         )
         max_rounds = self.params.max_rounds
         metrics = self.metrics
         on_air = bytes(range(self.channels))
+        rounds = schedule.rounds
+        moves = None if adversary is None else self._plan(rounds)
+        checked_moves: set[int] = set()
         outputs: list[dict[int, Message]] = []
 
-        for cr in schedule.rounds:
+        for index, cr in enumerate(rounds):
             if max_rounds is not None and self._round_index >= max_rounds:
                 raise ProtocolViolation(
                     f"round cap exceeded ({max_rounds} rounds); "
                     "likely a non-terminating configuration"
                 )
-            listeners, hops = cr.listeners, cr.hops
-            if (id(cr.transmits), id(listeners)) not in validated:
+            transmits, listeners, hops = cr.transmits, cr.listeners, cr.hops
+            if (id(transmits), id(listeners)) not in validated:
                 self._validate_shared(cr, validated, listener_sets)
             if len(hops) != len(listeners):
                 raise ProtocolViolation(
@@ -497,52 +568,53 @@ class RadioNetwork:
                     f"(C={self.channels})"
                 )
 
-            adversary_txs: list[Transmission] = []
-            if self.adversary is not None:
-                adversary_txs = list(
-                    self.adversary.act(self._adversary_view(cr.meta))
+            adversary_txs: Sequence[Transmission] = ()
+            if moves is not None:
+                adversary_txs = moves[index]
+                if id(adversary_txs) not in checked_moves:
+                    self._validate_adversary(adversary_txs)
+                    checked_moves.add(id(adversary_txs))
+            elif adversary is not None:
+                adversary_txs = tuple(
+                    adversary.act(self._adversary_view(cr.meta))
                 )
                 self._validate_adversary(adversary_txs)
 
-            # Channel resolution over touched channels only: exactly one
-            # decodable transmission delivers (a spoof when it was the
-            # adversary's); anything else is silence or a collision.
-            transmitters: dict[int, list[Message | Jam]] = {}
-            for action in cr.transmits.values():
-                transmitters.setdefault(action.channel, []).append(
-                    action.message
+            resolution = settled.get(id(transmits))
+            if resolution is None:
+                resolution = settled[id(transmits)] = self._settle_template(
+                    transmits
                 )
-            adversary_channels: set[int] = set()
-            for tx in adversary_txs:
-                adversary_channels.add(tx.channel)
-                transmitters.setdefault(tx.channel, []).append(tx.payload)
-            delivered: dict[int, Message | None] = {}
-            deliveries = 0
-            for channel, payloads in transmitters.items():
-                if len(payloads) == 1 and isinstance(payloads[0], Message):
-                    delivered[channel] = payloads[0]
-                    deliveries += 1
-                    if channel in adversary_channels:
-                        metrics.spoofs_delivered += 1
-                else:
-                    delivered[channel] = None
-                    if len(payloads) >= 2:
-                        metrics.collisions += 1
-
-            payload_units = template_sizes.get(id(cr.transmits))
-            if payload_units is None:
-                payload_units = sum(
-                    frame_size(action.message)
-                    for action in cr.transmits.values()
-                )
-                template_sizes[id(cr.transmits)] = payload_units
+            senders, delivered, deliveries, collisions, units = resolution
+            # Fold the adversary's channels (distinct, validated) into the
+            # template's resolution: alone on a channel it delivers a
+            # spoof or noise; next to one honest payload it makes a new
+            # collision; on a collided channel it changes nothing.
+            if adversary_txs:
+                delivered = dict(delivered)
+                for tx in adversary_txs:
+                    channel = tx.channel
+                    honest = senders.get(channel)
+                    if honest is None:
+                        if isinstance(tx.payload, Message):
+                            delivered[channel] = tx.payload
+                            deliveries += 1
+                            metrics.spoofs_delivered += 1
+                        else:
+                            delivered[channel] = None
+                    elif len(honest) == 1:
+                        if delivered[channel] is not None:
+                            deliveries -= 1
+                            delivered[channel] = None
+                        collisions += 1
 
             metrics.rounds += 1
-            metrics.honest_transmissions += len(cr.transmits)
+            metrics.honest_transmissions += len(transmits)
             metrics.listens += len(listeners)
-            metrics.payload_units += payload_units
+            metrics.payload_units += units
             metrics.adversary_transmissions += len(adversary_txs)
             metrics.deliveries += deliveries
+            metrics.collisions += collisions
             if cr.meta.phase:
                 metrics.note_phase(cr.meta.phase)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary import (
     BudgetAdversary,
@@ -17,10 +18,18 @@ from repro.adversary import (
     SweepJammer,
     TriangleIsolationAdversary,
 )
-from repro.errors import ConfigurationError
+from repro.adversary.schedule_aware import VICTIM_POLICIES
+from repro.errors import ConfigurationError, ProtocolViolation
+from repro.params import ProtocolParameters
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import Jam, Message, Transmission
-from repro.radio.network import AdversaryView, RoundMeta
+from repro.radio.network import (
+    AdversaryView,
+    CompiledRound,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+)
 from repro.radio.trace import ExecutionTrace, RoundRecord
 
 
@@ -69,6 +78,24 @@ class TestRandomJammer:
             RandomJammer(random.Random(0), intensity=0.0)
         with pytest.raises(ConfigurationError):
             RandomJammer(random.Random(0), intensity=1.5)
+
+    @pytest.mark.parametrize("intensity", [0.4, 0.5])
+    def test_positive_intensity_jams_at_least_one_channel(self, intensity):
+        # round(1 * 0.5) and round(1 * 0.4) are both 0.
+        acting = RandomJammer(random.Random(3), intensity=intensity)
+        planning = RandomJammer(random.Random(3), intensity=intensity)
+        acted = [acting.act(view(t=1, channels=3)) for _ in range(5)]
+        planned = planning.plan_schedule(
+            view(t=1, channels=3), [RoundMeta()] * 5
+        )
+        assert [len(txs) for txs in acted] == [1] * 5
+        assert [tuple(txs) for txs in planned] == acted
+
+    def test_zero_budget_jams_nothing(self):
+        adv = RandomJammer(random.Random(0))
+        assert adv.act(view(t=0, channels=3)) == ()
+        planned = adv.plan_schedule(view(t=0, channels=3), [RoundMeta()] * 3)
+        assert planned == [()] * 3
 
 
 class TestSweepJammer:
@@ -285,3 +312,155 @@ class TestBudgetAdversary:
     def test_propagates_needs_history(self):
         adv = BudgetAdversary(ReactiveJammer(random.Random(0)), 5)
         assert adv.needs_history is True
+
+
+# ----------------------------------------------------------------------
+# Planning equals acting: a network driven by a strategy's
+# plan_schedule must match one that asks its act() every round.
+# ----------------------------------------------------------------------
+
+
+class _ActOnly:
+    """Exposes only ``act`` (and the flags the network reads), so the
+    network drives the wrapped strategy one round at a time."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.needs_history = inner.needs_history
+        self.reusable_view = inner.reusable_view
+
+    def act(self, view):
+        return self._inner.act(view)
+
+
+SENDERS = (0, 1, 2)
+LISTENERS = (3, 4, 5, 6, 7)
+PLAN_N = 8
+
+
+def _strategy(kind, option, rng):
+    if kind == "random":
+        return RandomJammer(rng, intensity=option)
+    if kind == "schedule":
+        policy, jam_feedback = option
+        return ScheduleAwareJammer(
+            rng, policy, victims=(1, 4), jam_feedback=jam_feedback
+        )
+    if kind == "sweep":
+        return SweepJammer(stride=option)
+    return NullAdversary()
+
+
+@st.composite
+def planning_cases(draw):
+    channels = draw(st.one_of(st.integers(2, 8), st.integers(22, 30)))
+    t = draw(st.integers(0, channels - 1))
+    kind = draw(st.sampled_from(["random", "schedule", "sweep", "null"]))
+    option = draw(
+        {
+            "random": st.sampled_from([1.0, 0.9, 0.5, 0.34]),
+            "schedule": st.tuples(
+                st.sampled_from(VICTIM_POLICIES), st.booleans()
+            ),
+            "sweep": st.integers(1, 3),
+            "null": st.none(),
+        }[kind]
+    )
+    # (rounds, shared meta?) per schedule; a cap may cut one short.
+    schedules = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.booleans()),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    total = sum(rounds for rounds, _ in schedules)
+    cap = draw(st.one_of(st.none(), st.integers(1, total)))
+    seed = draw(st.integers(0, 2**16))
+    return channels, t, kind, option, schedules, cap, seed
+
+
+def _build_schedules(channels, schedules, seed):
+    """Seeded rounds: templates and listener tuples shared across rounds
+    (one lone sender, a collision, silence), fresh hop rows, and metas
+    drawn from a pool the schedule-aware jammer reacts to."""
+    layout = random.Random(seed)
+    in_use = tuple(
+        layout.sample(range(channels), layout.randint(1, min(channels, 6)))
+    )
+    assignments = {
+        channel: {"broadcaster": layout.randrange(PLAN_N), "listener": 4}
+        for channel in in_use
+    }
+    pool = [
+        RoundMeta(phase="feedback", extra={"slot": 0}),
+        RoundMeta(phase="feedback-parallel"),
+        RoundMeta(
+            phase="ame-transmission",
+            schedule={"channels_in_use": in_use, "assignments": assignments},
+        ),
+        RoundMeta(phase="other"),
+        RoundMeta(),
+    ]
+    lone = layout.randrange(channels)
+    templates = [
+        {},
+        {0: Transmit(lone, Message("data", 0, "a"))},
+        {
+            0: Transmit(lone, Message("data", 0, "a")),
+            1: Transmit(lone, Message("data", 1, "b")),
+            2: Transmit((lone + 1) % channels, Message("data", 2, "c")),
+        },
+    ]
+    built = []
+    for rounds, shared in schedules:
+        meta = layout.choice(pool)
+        built.append(
+            RoundSchedule(
+                CompiledRound(
+                    layout.choice(templates),
+                    LISTENERS,
+                    bytes(layout.randrange(channels) for _ in LISTENERS),
+                    meta if shared else layout.choice(pool),
+                )
+                for _ in range(rounds)
+            )
+        )
+    return built
+
+
+def _drive(channels, t, adversary, schedules, cap):
+    net = RadioNetwork(
+        PLAN_N,
+        channels,
+        t,
+        adversary=adversary,
+        params=ProtocolParameters(max_rounds=cap).validate(),
+    )
+    outputs, error = [], None
+    try:
+        for schedule in schedules:
+            outputs.append(net.execute_schedule(schedule))
+    except ProtocolViolation as exc:
+        error = str(exc)
+    return outputs, error, net.metrics, net.trace.canonical_forms()
+
+
+@given(case=planning_cases())
+@settings(max_examples=300, deadline=None)
+def test_planning_equals_acting(case):
+    channels, t, kind, option, shapes, cap, seed = case
+    schedules = _build_schedules(channels, shapes, seed)
+    planned_rng, acted_rng = random.Random(seed), random.Random(seed)
+    planned = _drive(
+        channels, t, _strategy(kind, option, planned_rng), schedules, cap
+    )
+    acted = _drive(
+        channels,
+        t,
+        _ActOnly(_strategy(kind, option, acted_rng)),
+        schedules,
+        cap,
+    )
+    assert planned == acted
+    assert planned_rng.getstate() == acted_rng.getstate()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import hashlib
+import hmac
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.crypto.hashes import canonical_encode, derive_key
 from repro.crypto.hopping import ChannelHopper
+from repro.crypto.prg import Prg
 from repro.crypto.stream import (
     AuthenticatedCipher,
     Ciphertext,
@@ -110,6 +115,26 @@ class TestValidation:
         with pytest.raises(CryptoError):
             AuthenticatedCipher(KEY).encrypt(b"x", nonce=b"")
 
+    @pytest.mark.parametrize("associated", [3, "sender:3", None])
+    def test_non_bytes_associated_rejected(self, associated):
+        c = AuthenticatedCipher(KEY)
+        with pytest.raises(CryptoError):
+            c.encrypt(b"x", nonce=b"n", associated=associated)
+        # bytes(3) is three zero bytes: an int must not open this frame.
+        sealed = c.encrypt(b"x", nonce=b"n", associated=b"\x00\x00\x00")
+        with pytest.raises(CryptoError):
+            c.decrypt(sealed, associated=associated)
+
+    def test_non_bytes_ciphertext_fields_rejected(self):
+        c = AuthenticatedCipher(KEY)
+        sealed = c.encrypt(b"x", nonce=b"n")
+        for forged in (
+            Ciphertext(nonce="n", body=sealed.body, tag=sealed.tag),
+            Ciphertext(nonce=sealed.nonce, body="x", tag=sealed.tag),
+        ):
+            with pytest.raises(CryptoError):
+                c.decrypt(forged)
+
 
 class TestChannelHopper:
     def test_deterministic_random_access(self):
@@ -158,3 +183,60 @@ def test_round_trip_property(plaintext, nonce, associated):
     c = AuthenticatedCipher(KEY)
     sealed = c.encrypt(plaintext, nonce=nonce, associated=associated)
     assert c.decrypt(sealed, associated=associated) == plaintext
+
+
+def _documented_seal(key, plaintext, nonce, associated):
+    """The construction the ``repro.crypto.stream`` docstring states,
+    composed from the library's slow primitives."""
+    enc, mac = derive_key(key, "enc"), derive_key(key, "mac")
+    pad = Prg(derive_key(enc, "nonce", nonce), "xor").read(len(plaintext))
+    body = bytes(a ^ b for a, b in zip(plaintext, pad))
+    material = (
+        canonical_encode(nonce)
+        + canonical_encode(body)
+        + canonical_encode(associated)
+    )
+    return nonce, body, hmac.new(mac, material, hashlib.sha256).digest()
+
+
+def _flip(value: bytes, bit: int) -> bytes:
+    bit %= 8 * len(value)
+    flipped = bytearray(value)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@given(
+    key=st.binary(min_size=16, max_size=48),
+    plaintext=st.binary(max_size=1000),
+    nonce=st.binary(min_size=1, max_size=24),
+    associated=st.binary(max_size=24),
+    bit=st.integers(min_value=0, max_value=2**16),
+)
+# A 64-byte frame (two pad blocks, as serve's) and a 1 000-byte one.
+@example(key=KEY, plaintext=bytes(64), nonce=b"n", associated=b"", bit=0)
+@example(key=KEY, plaintext=b"\xff" * 1000, nonce=b"n", associated=b"a", bit=9)
+@settings(max_examples=200, deadline=None)
+def test_cipher_matches_documented_construction(
+    key, plaintext, nonce, associated, bit
+):
+    cipher = AuthenticatedCipher(key)
+    sealed = cipher.encrypt(plaintext, nonce, associated)
+    assert (sealed.nonce, sealed.body, sealed.tag) == _documented_seal(
+        key, plaintext, nonce, associated
+    )
+    assert cipher.decrypt(sealed, associated) == plaintext
+    forgeries = [
+        Ciphertext(_flip(sealed.nonce, bit), sealed.body, sealed.tag),
+        Ciphertext(sealed.nonce, sealed.body, _flip(sealed.tag, bit)),
+    ]
+    if plaintext:
+        forgeries.append(
+            Ciphertext(sealed.nonce, _flip(sealed.body, bit), sealed.tag)
+        )
+    for forged in forgeries:
+        with pytest.raises(CryptoError):
+            cipher.decrypt(forged, associated)
+    other = _flip(associated, bit) if associated else b"\x00"
+    with pytest.raises(CryptoError):
+        cipher.decrypt(sealed, other)

@@ -163,6 +163,77 @@ class TestAdversaryInteraction:
         assert seen_first_record[0].actions[0] == Transmit(0, msg(payload="r0"))
 
 
+class ScriptedPlanner(Adversary):
+    """Plans fixed moves (test double); counts both hooks' calls."""
+
+    def __init__(self, moves):
+        self.moves = moves
+        self.plans: list[int] = []
+        self.acts = 0
+
+    def act(self, view):
+        self.acts += 1
+        return ()
+
+    def plan_schedule(self, view, metas):
+        self.plans.append(len(metas))
+        return self.moves[: len(metas)]
+
+
+def listening_rounds(count):
+    return RoundSchedule([CompiledRound({}, (1,), b"\0", RoundMeta())] * count)
+
+
+class TestPlannedMoves:
+    def test_bad_planned_channel_raises_at_its_round(self):
+        ok = (Transmission(0, JAM),)
+        planner = ScriptedPlanner([ok, ok, (Transmission(5, JAM),), ok])
+        net = make_network(n=4, adversary=planner)
+        with pytest.raises(ProtocolViolation, match="invalid channel 5"):
+            net.execute_schedule(listening_rounds(4))
+        assert net.metrics.rounds == 2
+        assert net.metrics.adversary_transmissions == 2
+        assert (planner.plans, planner.acts) == ([4], 0)
+
+    def test_plan_covers_only_rounds_before_the_cap(self):
+        planner = ScriptedPlanner([()] * 5)
+        net = make_network(
+            n=4,
+            adversary=planner,
+            params=ProtocolParameters(max_rounds=3).validate(),
+        )
+        net.execute_schedule(listening_rounds(1))
+        with pytest.raises(ProtocolViolation, match="round cap"):
+            net.execute_schedule(listening_rounds(5))
+        assert planner.plans == [1, 2]
+        assert net.metrics.rounds == 3
+
+    def test_wrong_number_of_moves_rejected(self):
+        class Short(ScriptedPlanner):
+            def plan_schedule(self, view, metas):
+                return self.moves
+
+        net = make_network(n=4, adversary=Short([()]))
+        with pytest.raises(ProtocolViolation, match="planned 1 moves for 3"):
+            net.execute_schedule(listening_rounds(3))
+
+    def test_adversary_without_the_hook_acts_each_round(self):
+        class DuckTyped:
+            needs_history = False
+
+            def __init__(self):
+                self.acts = 0
+
+            def act(self, view):
+                self.acts += 1
+                return (Transmission(0, JAM),)
+
+        duck = DuckTyped()
+        net = make_network(n=4, adversary=duck)
+        assert net.execute_schedule(listening_rounds(3)) == [{}, {}, {}]
+        assert duck.acts == 3
+
+
 class TestValidation:
     def test_unknown_node_rejected(self):
         net = make_network(n=4)
