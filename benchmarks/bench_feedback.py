@@ -178,7 +178,7 @@ def _rounds_per_sec(workload, n, t, *, min_seconds):
     steady-state caller representation (the f-AME protocol object and the
     baseline drivers keep a cache for exactly this reason), so the timing
     covers warm-shape reuse rather than rebuilding templates, metadata
-    and stream tables on every call.
+    and hop tables on every call.
     """
     shapes = ScheduleShapeCache()
     start = time.perf_counter()

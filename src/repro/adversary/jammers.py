@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.messages import JAM, Transmission
-from ..radio.network import private_hop_rows
+from ..radio.network import draw_in_step
 from .base import Adversary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,16 +27,15 @@ def sample_jams(
 
     ``sample(population, 1)`` is one ``_randbelow(len(population))``, the
     draw under ``choice``, so a one-channel schedule is one
-    :func:`~repro.radio.network.private_hop_rows` block draw of indices
-    (same values, same final generator state) with one shared move per
-    index; from two rounds on that beats a ``sample`` call per round.
+    :func:`~repro.radio.network.draw_in_step` block draw of indices (same
+    values, same final generator state) with one shared move per index;
+    from two rounds on that beats a ``sample`` call per round.
     """
     if count == 0:
         return [()] * rounds
     if count == 1 and rounds > 1 and len(population) <= 256:
         singles = [(Transmission(c, JAM),) for c in population]
-        rows = private_hop_rows([([rng], range(len(singles)))], rounds)
-        return [singles[index] for index in b"".join(rows)]
+        return [singles[i] for i in draw_in_step(rng, len(singles), rounds)]
     return [
         tuple(Transmission(c, JAM) for c in rng.sample(population, count))
         for _ in range(rounds)

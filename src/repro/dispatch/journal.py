@@ -25,12 +25,15 @@ The human-auditable fields (index/seed/success/cover) are convenience
 duplicates; the pickle field is authoritative — it round-trips tuple
 types and metrics subclasses that plain JSON would flatten.  It is
 decoded through :func:`~repro.dispatch.wire.loads_restricted`, so an
-edited journal can at worst fail replay (:class:`~repro.dispatch.wire.
-FrameRejected` is fatal at any line — tampering, unlike truncation, is
-never forgiven), not execute code.  A truncated
-final line (the crash happened mid-write) is skipped on replay; a corrupt
-*interior* line is an error, since records after it prove the file was
-not merely cut short.
+edited journal can at worst fail replay, not execute code.  A truncated
+final line (the crash happened mid-write, so the line is not JSON) is
+skipped on replay; a corrupt *interior* line is an error, since records
+after it prove the file was not merely cut short.  A complete JSON line
+of the wrong shape — not a trial object, a missing or mistyped field, a
+payload that is not a :class:`~repro.experiments.trial.TrialResult` or
+disagrees with the duplicated fields, a disallowed global — is a
+:class:`~repro.errors.DispatchError` naming its line wherever it sits:
+tampering, unlike truncation, is never forgiven.
 """
 
 from __future__ import annotations
@@ -67,14 +70,48 @@ def encode_record(result: TrialResult) -> str:
     )
 
 
-def decode_record(record: dict) -> TrialResult:
-    """Reconstruct the exact :class:`TrialResult` a record was made from."""
-    result = loads_restricted(base64.b64decode(record["result"]))
-    if result.index != record["index"]:
+_MIRRORED = ("index", "seed", "success", "cover")
+"""Record fields that duplicate the payload's, checked against it."""
+
+_MISSING = object()
+
+
+def decode_record(record: object) -> TrialResult:
+    """Reconstruct the exact :class:`TrialResult` a record was made from.
+
+    Raises :class:`DispatchError` unless ``record`` is a trial record whose
+    payload decodes, within the restricted unpickler's allowlist, to a
+    :class:`TrialResult` agreeing with every duplicated field.
+    """
+    if not isinstance(record, dict) or record.get("kind") != "trial":
+        raise DispatchError("is not a trial record")
+    blob = record.get("result")
+    if not isinstance(blob, str):
+        raise DispatchError("has no base64 result payload")
+    try:
+        result = loads_restricted(base64.b64decode(blob, validate=True))
+    except FrameRejected as exc:
+        raise DispatchError(f"rejected: {exc}") from None
+    except Exception as exc:
+        # Garbage pickle bytes raise UnpicklingError, EOFError, ValueError,
+        # TypeError, AttributeError, OverflowError or even MemoryError;
+        # each means the same thing here: the record is corrupt.
         raise DispatchError(
-            f"journal record index {record['index']} does not match its "
-            f"payload ({result.index})"
+            f"has an undecodable result payload ({type(exc).__name__})"
+        ) from None
+    if type(result) is not TrialResult or type(result.index) is not int:
+        raise DispatchError(
+            f"carries a payload of type {type(result).__name__}, not a "
+            "TrialResult"
         )
+    for name in _MIRRORED:
+        value = getattr(result, name)
+        mirrored = record.get(name, _MISSING)
+        if type(mirrored) is not type(value) or mirrored != value:
+            raise DispatchError(
+                f"field {name}={record.get(name)!r} does not match its "
+                f"payload ({value!r})"
+            )
     return result
 
 
@@ -129,7 +166,10 @@ class SweepJournal:
 
     @staticmethod
     def _replay(path: Path, fingerprint: str) -> dict[int, TrialResult]:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise DispatchError(f"journal {path} is not UTF-8 text") from None
         if not lines:
             raise DispatchError(f"journal {path} is empty (no header)")
         try:
@@ -138,7 +178,7 @@ class SweepJournal:
             raise DispatchError(
                 f"journal {path} has a corrupt header line"
             ) from None
-        if header.get("kind") != "header":
+        if not isinstance(header, dict) or header.get("kind") != "header":
             raise DispatchError(f"journal {path} does not start with a header")
         if header.get("journal_version") != JOURNAL_VERSION:
             raise DispatchError(
@@ -158,23 +198,21 @@ class SweepJournal:
                 continue
             try:
                 record = json.loads(line)
-                result = decode_record(record)
-            except FrameRejected as exc:
-                # Tampering, not truncation: a crash mid-append can cut a
-                # record short (JSON/base64/pickle decode errors below),
-                # but it cannot write a *complete* pickle referencing a
-                # disallowed global.  Fatal even on the final line.
-                raise DispatchError(
-                    f"journal {path} line {lineno} rejected: {exc}"
-                ) from None
-            except (json.JSONDecodeError, KeyError, ValueError,
-                    pickle.UnpicklingError, EOFError):
+            except json.JSONDecodeError:
                 if lineno == len(lines):
                     # Crash mid-append: the cut-short final record is the
                     # one trial the journal is allowed to lose.
                     break
                 raise DispatchError(
                     f"journal {path} line {lineno} is corrupt but not final"
+                ) from None
+            # A complete JSON line is never a crash artifact, so from here
+            # on every fault is fatal, even on the final line.
+            try:
+                result = decode_record(record)
+            except DispatchError as exc:
+                raise DispatchError(
+                    f"journal {path} line {lineno} {exc}"
                 ) from None
             completed.setdefault(result.index, result)
         return completed

@@ -284,7 +284,9 @@ def run_share_spray(
         raise ConfigurationError("sender and receiver must differ")
     result = ShareSprayResult(shares=shares, repetitions=repetitions)
     start = network.metrics.rounds
-    streams = {node: rng.stream("spray", node) for node in (sender, receiver)}
+    pair = (sender, receiver)
+    hops = rng.hops("spray", nodes=pair, n=network.channels)
+    streams = dict(zip(pair, hops))
     for share in range(shares):
         epoch = run_gossip_epoch(
             network,

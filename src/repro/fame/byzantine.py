@@ -34,8 +34,9 @@ interpretation (documented in DESIGN.md):
 Corruption is modelled by :class:`CorruptionModel`: corrupt sources garble
 their payloads, corrupt witnesses invert their feedback flags.
 
-Listeners hop on private coins, so each slot's witness rotations run as
-one compiled schedule over :func:`~repro.radio.network.private_hop_rows`.
+Listeners hop on private coins (their ``"byz-feedback"`` hop streams), so
+each slot's witness rotations run as one compiled schedule over
+:func:`~repro.radio.network.private_hop_rows`.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _byzantine_feedback(
         for start in range(0, len(group), channels):
             rotation = group[start : start + channels]
             listeners = tuple(n for n in range(network.n) if n not in rotation)
-            streams = [rng.stream("byz-feedback", n) for n in listeners]
+            streams = rng.hops("byz-feedback", nodes=listeners, n=channels)
             rows = private_hop_rows([(streams, range(channels))], reps)
             for rep, row in enumerate(rows):
                 template: dict[int, Transmit] = {}

@@ -25,8 +25,9 @@ pipeline shrinks protocol messages to constant size in three stages:
 
 All hash evaluations happen locally (cheap, per the paper's aside); only
 the gossip epochs and the signature-sized f-AME run cost radio rounds.
-Each gossip epoch is pure private coin flips, so it runs as one compiled
-epoch (:func:`~repro.radio.network.run_gossip_epoch`).
+Each gossip epoch is pure private coin flips, drawn from every node's
+``"gossip"`` hop stream, so it runs as one compiled epoch
+(:func:`~repro.radio.network.run_gossip_epoch`).
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def run_gossip_phase(
         for v in sources:
             inboxes[node].ensure(v, len(sequences[v]))
 
-    streams = [rng.stream("gossip", node) for node in range(n)]
+    streams = rng.hops("gossip", nodes=range(n), n=network.channels)
     rounds = 0
     for v in sources:
         seq_msgs = [messages[p] for p in sequences[v]]

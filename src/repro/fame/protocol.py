@@ -146,7 +146,7 @@ class FameProtocol:
         self.rng = rng or RngRegistry(seed=0)
         # One schedule-shape cache for the whole run: every move's feedback
         # phase has the same (participants, channels, repetitions) geometry,
-        # so templates/metadata/stream tables are built once and reused.
+        # so templates/metadata/hop tables are built once and reused.
         self._shape_cache = ScheduleShapeCache()
 
         # Game state: one canonical graph with live greedy pools, plus one

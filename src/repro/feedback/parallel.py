@@ -37,12 +37,13 @@ Execution
 ---------
 Each transfer phase's repetition loop is oblivious, so it runs as one
 compiled :class:`~repro.radio.network.RoundSchedule` with one transmitter
-template, one listener tuple and hop rows from
-:func:`~repro.radio.network.private_hop_rows` (one ``(streams, block)``
-group per transfer; see :func:`_run_transfer_rounds`).  Seeded runs are
-byte-identical to the historical one-``execute_round``-per-repetition
-loop, and match the historical full-frame encoding (which shipped the
-whole ``slot -> flag`` map) on ``D`` maps, every radio metric but the
+template, one listener tuple and hop rows laid out by
+:func:`~repro.radio.network.private_hop_rows` (one ``(hop streams,
+block)`` group per transfer; see :func:`_run_transfer_rounds`).  Seeded
+runs are byte-identical to the historical
+one-``execute_round``-per-repetition loop, and match the historical
+full-frame encoding (which shipped the whole ``slot -> flag`` map) on
+``D`` maps, every radio metric but the
 payload-size counter the delta shrinks, and semantic traces under every
 adversary: ``tests/test_golden.py`` pins digests recorded from both
 references and the :class:`DeltaApplyState` counters recorded from the
@@ -258,8 +259,8 @@ def _run_transfer_rounds(
             template[sender] = Transmit(
                 channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
-        streams = shapes.streams(
-            rng, rng_namespace, "merge-listen", block_listeners
+        streams = shapes.hops(
+            rng, rng_namespace, "merge-listen", block_listeners, len(block)
         )
         groups.append((streams, block))
         listeners += block_listeners
@@ -348,8 +349,8 @@ def run_parallel_feedback(
     skipped as already applied — and by default one is created per
     invocation.  ``shape_cache`` is an optional cross-invocation shape
     cache; within one invocation the merge tree always shares one cache,
-    so the per-level transfer rounds reuse metadata and stream tables
-    even when the caller passes none.
+    so the per-level transfer rounds reuse metadata and hop tables even
+    when the caller passes none.
     """
     from ..fame.digests import combine_digests, slot_set_digest
 

@@ -21,8 +21,9 @@ The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hops are private coins.
 :func:`run_feedback` therefore compiles the whole ``slots × repetitions``
 loop into one :class:`~repro.radio.network.RoundSchedule`: per slot, one
-static transmitter template and one listener tuple, with hop rows from
-:func:`~repro.radio.network.private_hop_rows`.  The fold ORs together,
+static transmitter template and one listener tuple, with hop rows laid
+out by :func:`~repro.radio.network.private_hop_rows` from each
+listener's :class:`~repro.rng.HopStream`.  The fold ORs together,
 per slot, the :func:`~repro.radio.network.hit_row` masks of the
 channel-rounds that delivered ``<true, r>`` and adds the slot to each
 marked listener once.  Shapes come from a
@@ -90,13 +91,13 @@ def run_feedback(
         Every node taking part (witnesses and listeners alike).  Witnesses
         of slots other than the active one listen like everyone else.
     rng:
-        Registry supplying each listener's private channel-hopping stream.
+        Registry supplying each listener's private hop stream.
     rng_namespace:
-        Disambiguates listener streams across multiple invocations.
+        Disambiguates listener hop streams across multiple invocations.
     shape_cache:
         Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
         across invocations with the same geometry (templates, round
-        metadata and stream tables are then reused instead of rebuilt).
+        metadata and hop tables are then reused instead of rebuilt).
         Defaults to a fresh per-invocation cache; observable behaviour is
         identical either way.
 
@@ -125,10 +126,12 @@ def run_feedback(
 
     outputs: dict[int, set[int]] = {node: set() for node in participants}
     shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
-    # Listener streams are consumed slot-major, then by repetition (the
+    # Listener coins are consumed slot-major, then by repetition (the
     # historical per-round loop's order); templates, metadata and the
-    # stream table come from ``shapes``.
-    streams = shapes.streams(rng, rng_namespace, "listen", participants)
+    # hop table come from ``shapes``.
+    streams = shapes.hops(
+        rng, rng_namespace, "listen", participants, len(channels)
+    )
 
     compiled_rounds: list[CompiledRound] = []
     # (slot, listeners, hop rows) per slot, for the result fold.

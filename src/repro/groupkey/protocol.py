@@ -295,7 +295,9 @@ class GroupKeyProtocol:
         reports: dict[int, dict[tuple[int, bytes], set[int]]] = {
             v: defaultdict(set) for v in range(self.n)
         }
-        streams = [self.rng.stream("part3", node) for node in range(self.n)]
+        streams = self.rng.hops(
+            "part3", nodes=range(self.n), n=self.network.channels
+        )
         for reporter in reporters:
             known = received.get(reporter, {})
             frame = None

@@ -679,11 +679,6 @@ MODULE_ALLOWLIST: dict[str, dict[str, str]] = {
             "the RNG registry itself: the one module allowed to "
             "construct random.Random, from SHA-256-derived seeds"
         ),
-        "repro.radio.shapes": (
-            "schedule-shape caching mirrors random.Random internals "
-            "(stream tables, block draws) under the interpreter-"
-            "mirroring invariant"
-        ),
     },
     "DET003": {
         "repro.dispatch.socket_pool": (

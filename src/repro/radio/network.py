@@ -31,9 +31,11 @@ submitted as one :meth:`RadioNetwork.execute_schedule` call:
   runs one, :func:`first_opened` keeps the first frame that
   authenticates, and :func:`keyed_epoch_rounds` is their length;
 * *private-hop epochs* (every oblivious phase): each node hops on its own
-  private coins.  :func:`private_hop_rows` is the one place they are
-  drawn and laid out as hop rows, :func:`hit_row` the one read-back, and
-  :func:`run_gossip_epoch` the epoch of one sender among listeners.
+  private coins, handed out by its :class:`~repro.rng.HopStream`.
+  :func:`private_hop_rows` is the one place they are laid out as hop
+  rows, :func:`hit_row` the one read-back, and :func:`run_gossip_epoch`
+  the epoch of one sender among listeners.  :func:`draw_in_step` is the
+  one other draw: an oblivious jammer's, off a generator it keeps.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -65,7 +67,7 @@ from typing import (
 
 from ..errors import ConfigurationError, CryptoError, ProtocolViolation
 from ..params import ProtocolParameters, DEFAULT_PARAMETERS, validate_model
-from ..rng import BlockDrawer
+from ..rng import BlockDrawer, HopStream
 from .actions import Action, Listen, Sleep, Transmit
 from .messages import Jam, Message, Transmission
 from .metrics import NetworkMetrics, frame_size
@@ -726,22 +728,36 @@ _HIT_TABLES = tuple(
 
 
 def private_hop_rows(
-    groups: Iterable[tuple[Iterable[random.Random], Sequence[int]]],
+    groups: Iterable[tuple[Iterable[HopStream], Sequence[int]]],
     rounds: int,
 ) -> list[bytes]:
-    """Per-round hop rows for streams hopping on private coins: one
-    :meth:`~repro.rng.BlockDrawer.draw` per stream (byte for byte a
-    ``choice(channels)`` per round; see :mod:`repro.rng`), laid out
+    """Per-round hop rows for nodes hopping on private coins: each group
+    pairs hop streams over ``range(len(channels))`` with the channel ids
+    their values index; each stream hands out ``rounds`` values (byte for
+    byte a ``choice(channels)`` per round; see :mod:`repro.rng`), laid out
     stream-major in group order, so row ``r`` is ``matrix[r::rounds]``."""
     matrix = bytearray()
     for streams, channels in groups:
-        draw = BlockDrawer(len(channels)).draw
+        width = len(channels)
         positions = bytearray()
         for stream in streams:
-            positions.extend(draw(stream, rounds))
+            if stream.n != width:
+                raise ConfigurationError(
+                    f"hop stream over range({stream.n}) laid out on "
+                    f"{width} channels"
+                )
+            positions += stream.take(rounds)
         matrix += positions.translate(bytes(channels).ljust(256, b"\0"))
     hops = bytes(matrix)
     return [hops[r::rounds] for r in range(rounds)]
+
+
+def draw_in_step(rng: random.Random, n: int, count: int) -> bytes:
+    """``count`` values of a ``rng.choice(range(n))`` loop, leaving ``rng``
+    exactly where that loop would: the draw for a generator its owner
+    keeps using (an oblivious jammer's), which a
+    :class:`~repro.rng.HopStream` could not draw ahead of."""
+    return bytes(BlockDrawer(n).draw(rng, count))
 
 
 def hit_row(row: bytes, channel: int) -> bytes:
@@ -754,15 +770,16 @@ def run_gossip_epoch(
     sender: int,
     frame: Message | None,
     listeners: tuple[int, ...],
-    streams: Mapping[int, random.Random] | Sequence[random.Random],
+    streams: Mapping[int, HopStream] | Sequence[HopStream],
     rounds: int,
     meta: RoundMeta,
 ) -> list[tuple[bytes, dict[int, Message]]]:
     """Run one epoch in which ``sender`` transmits ``frame`` and
-    ``listeners`` listen, each node on fresh hops off ``streams[node]``;
-    returns each round's hop row and ``channel -> message`` heard, from
-    one :meth:`RadioNetwork.execute_schedule` call.  A ``None`` frame
-    leaves the sender silent, drawing nothing."""
+    ``listeners`` listen, each node on fresh hops off its hop stream
+    ``streams[node]`` (over ``range(network.channels)``); returns each
+    round's hop row and ``channel -> message`` heard, from one
+    :meth:`RadioNetwork.execute_schedule` call.  A ``None`` frame leaves
+    the sender silent, drawing nothing."""
     channels = range(network.channels)
     rows = private_hop_rows(
         [([streams[node] for node in listeners], channels)], rounds

@@ -5,23 +5,25 @@ The feedback routines compile their oblivious repetition loops into
 one f-AME run, the no-surrogate baseline, a bench loop — invoke them
 hundreds of times with identical ``(participants, channels, slots,
 repetitions)`` geometry, and rebuilding the same round metadata,
-transmitter templates and listener-stream tables per invocation would be
+transmitter templates and listener hop tables per invocation would be
 pure waste.
 
 A :class:`ScheduleShapeCache` owns those *shape* objects and hands them
 back across invocations:
 
 * :meth:`meta` — interned immutable :class:`RoundMeta` objects;
-* :meth:`streams` — the listener stream table for a ``(namespace, label,
-  nodes)`` key, short-circuiting one registry key construction + lookup
-  per listener per invocation (the stream objects and their state remain
-  the registry's own; a different registry under the same key rebuilds);
+* :meth:`hops` — the listener hop table for a ``(namespace, label,
+  nodes, n)`` key, short-circuiting one registry key construction +
+  lookup per listener per invocation (the hop streams and their coins
+  remain the registry's own; a different registry under the same key
+  rebuilds);
 * :meth:`memo` — a bounded generic memo used for static transmitter
   templates (the per-slot rank→channel maps live inside the cached
   templates, so rank maps are reused along with them).
 
 Everything cached here is shape, never content: metadata and template
-frames are immutable, and nothing observable changes whether a cache is
+frames are immutable, a hop table only points at the registry's hop
+streams, and nothing observable changes whether a cache is
 shared or fresh per invocation — ``tests/test_feedback_pipeline.py``
 asserts exactly that, and the golden digests of ``tests/test_golden.py``
 pin the outputs either way.
@@ -29,10 +31,9 @@ pin the outputs either way.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable
 
-from ..rng import RngRegistry
+from ..rng import HopStream, RngRegistry
 from .network import RoundMeta
 
 _MEMO_CAP = 1024
@@ -49,11 +50,11 @@ class ScheduleShapeCache:
     cache serves one logical caller at a time.
     """
 
-    __slots__ = ("_metas", "_streams", "_memo")
+    __slots__ = ("_metas", "_hops", "_memo")
 
     def __init__(self) -> None:
         self._metas: dict[tuple, RoundMeta] = {}
-        self._streams: dict[tuple, tuple[RngRegistry, list[random.Random]]] = {}
+        self._hops: dict[tuple, tuple[RngRegistry, list[HopStream]]] = {}
         self._memo: dict[tuple, object] = {}
 
     def meta(self, phase: str, **extra: object) -> RoundMeta:
@@ -71,15 +72,16 @@ class ScheduleShapeCache:
             )
         return meta
 
-    def streams(
+    def hops(
         self,
         rng: RngRegistry,
         namespace: object,
         label: str,
         nodes: Iterable[int],
-    ) -> list[random.Random]:
-        """The streams ``rng.stream(namespace, label, node)`` for ``nodes``,
-        in order, built once per ``(namespace, label, nodes)`` key.
+        n: int,
+    ) -> list[HopStream]:
+        """The hop streams ``rng.hops(namespace, label, nodes=nodes, n=n)``,
+        in node order, built once per ``(namespace, label, nodes, n)`` key.
 
         The key stringifies ``namespace`` exactly like the registry does,
         so two namespace spellings that alias in the registry alias here
@@ -88,14 +90,14 @@ class ScheduleShapeCache:
         one registry is retained per key.
         """
         nodes = tuple(nodes)
-        key = (str(namespace), label, nodes)
-        entry = self._streams.get(key)
+        key = (str(namespace), label, nodes, n)
+        entry = self._hops.get(key)
         if entry is not None and entry[0] is rng:
             return entry[1]
-        if len(self._streams) >= _MEMO_CAP:
-            self._streams.clear()
-        table = rng.stream_block(namespace, label, nodes=nodes)
-        self._streams[key] = (rng, table)
+        if len(self._hops) >= _MEMO_CAP:
+            self._hops.clear()
+        table = rng.hops(namespace, label, nodes=nodes, n=n)
+        self._hops[key] = (rng, table)
         return table
 
     def memo(self, key: tuple, build: Callable[[], object]) -> object:

@@ -12,36 +12,39 @@ end of each round.  Keeping the streams separate in code makes it impossible
 for an adversary implementation to accidentally consume (and thereby observe)
 honest randomness.
 
-The interpreter-mirroring invariant (block draws)
--------------------------------------------------
-The protocols here are *oblivious*: every hop sequence is private coin flips
-drawn independently of anything observed mid-phase, so whole hop matrices can
-be materialized in bulk.  This module is the single home of the contract that
-makes the bulk path exchangeable with the naive one:
+Hop streams: private coins drawn ahead
+--------------------------------------
+The protocols here are *oblivious*: every private hop is a coin flip drawn
+independently of anything observed mid-phase, and the adversary of
+Section 3 sees honest coins only after each round.  Drawing a node's hop
+coins early therefore changes no output, as long as each generator's
+values are consumed in the same order.  A :class:`HopStream` owns one
+node's hop generator and one range size ``n``; :meth:`HopStream.take`
+returns the next values a ``choice(range(n))`` loop on that generator
+would return, served from a buffer that bulk passes refill ahead of
+demand.  The registry hands hop streams out (:meth:`RngRegistry.hops`),
+and nothing else ever sees their generators.  The module's invariant:
 
-    For a plain :class:`random.Random`, one uniform draw from ``range(n)``
-    is ``getrandbits(n.bit_length())`` rejection-sampled until the value is
-    ``< n`` — CPython's ``_randbelow_with_getrandbits``, the primitive under
-    both ``choice`` and single-argument ``randrange``.
+    A hop generator has produced exactly the values its stream handed out
+    plus the values still buffered: its state equals that of a fresh
+    generator after that many ``choice(range(n))`` draws.
 
-:func:`draw_uniform_indices` (one rejection chain per draw),
-:class:`BlockDrawer` (one bulk ``getrandbits(32 * shortfall)`` pull per
-pass — the same Mersenne-Twister words as that many single draws, since
-every ``getrandbits(k)`` with ``k <= 32`` consumes exactly one 32-bit word
-— with values extracted and rejections dropped at C level) and a
-``choice``/``randrange(n)`` loop therefore consume **byte-identical**
-generator state and produce identical values: the block sampler pulls
-exactly ``remaining`` words per pass, and a pass can only reach
-``remaining`` acceptances on its final word, so it can never overshoot the
-sequential chain.  The hypothesis properties in
-``tests/test_schedule_properties.py`` pin values *and* post-draw state
-against the real ``choice``-driven path, and the feedback digests in
-``tests/test_golden.py`` (recorded with per-draw ``choice`` hops) pin it
-in situ.  Exotic stream types (anything that is not exactly
-``random.Random``) fall back to calling ``choice`` itself on every path.
+The hypothesis properties in ``tests/test_schedule_properties.py`` pin
+values *and* that state rule, and the golden digests of
+``tests/test_golden.py`` (recorded with per-draw ``choice`` hops) pin the
+callers in situ.  Their one consumer is
+:func:`repro.radio.network.private_hop_rows`, which lays out every
+private hop of every oblivious phase.
 
-Its one production consumer is :func:`repro.radio.network.private_hop_rows`,
-which draws every private hop of every oblivious phase.
+A generator the caller keeps drawing from — an oblivious jammer's, which
+also feeds ``sample`` — cannot be drawn ahead.  :class:`BlockDrawer` is
+the in-step primitive for such *borrowed* generators: one uniform draw
+from ``range(n)`` is ``getrandbits(n.bit_length())`` rejection-sampled
+until the value is ``< n`` (CPython's ``_randbelow_with_getrandbits``,
+under both ``choice`` and single-argument ``randrange``), and a block
+draw consumes byte-identical generator state to that many draws, so the
+generator stops on exactly the word a ``choice`` loop would.
+:func:`draw_uniform_indices` is the same chain one draw at a time.
 
 Example
 -------
@@ -57,6 +60,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable
+
+from .errors import ConfigurationError
 
 _MASK_64 = (1 << 64) - 1
 
@@ -99,7 +104,12 @@ def derive_seeds(
 
 
 class RngRegistry:
-    """Factory for independent, reproducible :class:`random.Random` streams.
+    """Factory for independent, reproducible named streams.
+
+    A name is either a :class:`random.Random` (:meth:`stream`) or a
+    :class:`HopStream` (:meth:`hops`), never both: the two kinds share one
+    cache, and asking for a name as the other kind, or as a hop stream
+    with another range size, raises :class:`ConfigurationError`.
 
     Parameters
     ----------
@@ -110,7 +120,7 @@ class RngRegistry:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._streams: dict[tuple[str, ...], random.Random] = {}
+        self._streams: dict[tuple[str, ...], random.Random | HopStream] = {}
 
     @property
     def seed(self) -> int:
@@ -129,6 +139,11 @@ class RngRegistry:
         if stream is None:
             stream = random.Random(derive_seed(self._seed, *key))
             self._streams[key] = stream
+        elif type(stream) is HopStream:
+            raise ConfigurationError(
+                f"stream {key!r} is a hop stream; only it may draw from "
+                "its generator"
+            )
         return stream
 
     def fresh(self, *name_parts: object) -> random.Random:
@@ -147,43 +162,51 @@ class RngRegistry:
         """
         return RngRegistry(derive_seed(self._seed, "spawn", *name_parts))
 
-    def stream_block(
-        self, *prefix_parts: object, nodes: Iterable[object]
-    ) -> list[random.Random]:
-        """Bulk form of ``[self.stream(*prefix_parts, v) for v in nodes]``.
+    def hops(
+        self, *prefix_parts: object, nodes: Iterable[object], n: int
+    ) -> list[HopStream]:
+        """The hop streams over ``range(n)`` of ``nodes`` under
+        ``prefix_parts``, in node order, creating them on demand.
 
-        Identical streams (same objects for already-cached names, same
-        seeds and registry-cache entries for new ones), built with one
-        precomputed name-``repr`` prefix and one SHA-256 per missing node
-        instead of a key construction + hash + lookup per call — the hot
-        path under the compiled feedback pipelines, which need a whole
-        per-listener stream table per invocation.  The fast derivation
-        applies when the prefix is non-empty and every node is a plain
+        Node ``v``'s generator is seeded exactly as ``stream(*prefix_parts,
+        v)`` would seed it, and repeated calls return the same
+        :class:`HopStream` objects, so coins advance across calls.  Seeds
+        come from one precomputed name-``repr`` prefix and one SHA-256 per
+        missing node when the prefix is non-empty and every node is a plain
         ``int`` (``repr`` of a stringified int is always
-        ``'<digits>'``-quoted, so the spliced material equals the full
-        tuple ``repr`` :func:`derive_seed` hashes); anything else falls
-        back to per-call :meth:`stream`.
+        ``'<digits>'``-quoted, so the spliced material equals the full tuple
+        ``repr`` :func:`derive_seed` hashes); anything else derives per
+        node.
         """
         items = list(nodes)
-        if not prefix_parts or not all(type(v) is int for v in items):
-            return [self.stream(*prefix_parts, v) for v in items]
         prefix = tuple(str(p) for p in prefix_parts)
+        fast = bool(prefix) and all(type(v) is int for v in items)
         opening = repr((self._seed,) + prefix)[:-1]
         streams = self._streams
-        get = streams.get
-        sha256 = hashlib.sha256
-        from_bytes = int.from_bytes
-        Random = random.Random
-        out: list[random.Random] = []
+        out: list[HopStream] = []
         append = out.append
         for v in items:
             key = prefix + (str(v),)
-            stream = get(key)
-            if stream is None:
-                digest = sha256(f"{opening}, '{v}')".encode("utf-8")).digest()
-                stream = Random(from_bytes(digest[:8], "big") & _MASK_64)
-                streams[key] = stream
-            append(stream)
+            hop = streams.get(key)
+            if hop is None:
+                if fast:
+                    material = f"{opening}, '{v}')".encode("utf-8")
+                    digest = hashlib.sha256(material).digest()
+                    seed = int.from_bytes(digest[:8], "big") & _MASK_64
+                else:
+                    seed = derive_seed(self._seed, *key)
+                hop = streams[key] = HopStream(seed, n)
+            elif type(hop) is not HopStream or hop.n != n:
+                kind = (
+                    f"a hop stream over range({hop.n})"
+                    if type(hop) is HopStream
+                    else "a plain stream"
+                )
+                raise ConfigurationError(
+                    f"stream {key!r} is {kind}, not a hop stream over "
+                    f"range({n})"
+                )
+            append(hop)
         return out
 
 
@@ -328,3 +351,95 @@ class BlockDrawer:
         """One length-``count`` hop sequence per stream, in stream order."""
         draw = self.draw
         return [draw(stream, count) for stream in streams]
+
+
+_LOOKAHEAD = 512
+"""Values a :class:`HopStream` draws, on average, past a request its
+buffer cannot serve: enough to serve a dozen epochs of a repeated phase
+from one bulk pass, few enough that the values a stream never hands out
+stay a small share of its draws (3% of a 64-node group-key trial's, 15%
+of a 256-node f-AME trial's)."""
+
+
+class HopStream:
+    """One node's private hop coins over ``range(n)``, drawn ahead in bulk.
+
+    :meth:`take` returns the next values a ``choice(range(n))`` loop on the
+    stream's generator would return.  The buffer behind it is refilled by
+    bulk ``getrandbits(32 * m)`` passes: each ``getrandbits(k)`` with
+    ``0 < k <= 32`` consumes one 32-bit Mersenne-Twister word and returns
+    its top ``k`` bits, so for ``n < 256`` a draw is the high byte of its
+    word shifted down by ``8 - k``, and one :meth:`bytes.translate` over
+    the ``[3::4]`` high-byte slice maps accepted words to values and drops
+    rejected ones.  A pass pulls enough words for the shortfall plus
+    :data:`_LOOKAHEAD` values, so unlike :class:`BlockDrawer` it never
+    finishes on a per-value tail; if its last word was rejected, the one
+    draw that word began is completed on the spot, which keeps the module
+    invariant: the generator has produced exactly the values handed out
+    plus the values still buffered.  ``n = 256`` (``k = 9``) draws its
+    nine-bit values one word at a time.
+
+    Only the registry makes hop streams (:meth:`RngRegistry.hops`), and the
+    generator is never handed out.
+    """
+
+    __slots__ = ("n", "_rng", "_buffer", "_pos")
+
+    def __init__(self, seed: int, n: int) -> None:
+        if not 0 < n <= 256:
+            raise ValueError(
+                f"hop streams draw from range(n), 0 < n <= 256; got n={n}"
+            )
+        self.n = n
+        self._rng = random.Random(seed)
+        self._buffer = b""
+        self._pos = 0
+
+    @property
+    def buffered(self) -> int:
+        """Values drawn from the generator but not yet handed out."""
+        return len(self._buffer) - self._pos
+
+    def getstate(self) -> object:
+        """The generator's state (:meth:`random.Random.getstate`)."""
+        return self._rng.getstate()
+
+    def take(self, count: int) -> bytes:
+        """The next ``count`` values, one byte each."""
+        pos = self._pos
+        end = pos + count
+        if end > len(self._buffer):
+            self._refill(count)
+            pos, end = 0, count
+        self._pos = end
+        return self._buffer[pos:end]
+
+    def _refill(self, count: int) -> None:
+        """Buffer at least ``count`` values, drawing ahead."""
+        buffer = self._buffer[self._pos :]
+        n = self.n
+        k = n.bit_length()
+        grb = self._rng.getrandbits
+        if k > 8:  # n == 256: nine-bit values, one word at a time
+            singles = count - len(buffer) + _LOOKAHEAD
+        else:
+            table, reject = _byte_tables(n, k)
+            while len(buffer) < count:
+                # Words for the shortfall plus the lookahead, on average:
+                # a word yields a value with probability n / 2**k.
+                words = ((count - len(buffer) + _LOOKAHEAD) << k) // n
+                high = grb(32 * words).to_bytes(4 * words, "little")[3::4]
+                buffer += high.translate(table, reject)
+            # A pass ending on a rejected word stopped inside one draw's
+            # rejection chain: finish that draw.
+            singles = int(high[-1] >> (8 - k) >= n)
+        if singles:
+            out = bytearray(buffer)
+            for _ in range(singles):
+                r = grb(k)
+                while r >= n:
+                    r = grb(k)
+                out.append(r)
+            buffer = bytes(out)
+        self._buffer = buffer
+        self._pos = 0

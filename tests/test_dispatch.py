@@ -7,7 +7,9 @@ in ``tests/test_dispatch_properties.py``.
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 
 import pytest
 
@@ -162,6 +164,53 @@ class TestJournal:
             fh.write("{broken\n")
             fh.write(encode_record(fake_result(1)) + "\n")
         with pytest.raises(DispatchError):
+            SweepJournal.attach(path, "fp", resume=True)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"x"',
+            "null",
+            '{"kind": "trial", "index": 0, "result": 5}',
+            5,
+            (0, 1),
+        ],
+    )
+    @pytest.mark.parametrize("final", [False, True])
+    def test_wrong_shaped_record_is_a_typed_error(self, tmp_path, line, final):
+        # Well-formed JSON is never a crash artifact: fatal on any line,
+        # and the error names the line.
+        if not isinstance(line, str):  # a record whose payload is ``line``
+            record = json.loads(encode_record(fake_result(0)))
+            payload = base64.b64encode(pickle.dumps(line)).decode("ascii")
+            line = json.dumps({**record, "result": payload})
+        path = tmp_path / "j.jsonl"
+        journal, _ = SweepJournal.attach(path, "fp", resume=False)
+        journal.close()
+        lines = [line, encode_record(fake_result(1))]
+        if final:
+            lines.reverse()
+        path.write_text(
+            path.read_text() + "\n".join(lines) + "\n", encoding="utf-8"
+        )
+        bad_line = 3 if final else 2
+        with pytest.raises(DispatchError, match=f"line {bad_line} "):
+            SweepJournal.attach(path, "fp", resume=True)
+
+    @pytest.mark.parametrize("header", ["[1]", '"x"'])
+    def test_wrong_shaped_header_is_a_typed_error(self, tmp_path, header):
+        path = tmp_path / "j.jsonl"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(DispatchError, match="header"):
+            SweepJournal.attach(path, "fp", resume=True)
+
+    def test_non_utf8_journal_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        SweepJournal.attach(path, "fp", resume=False)[0].close()
+        with path.open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(DispatchError, match="UTF-8"):
             SweepJournal.attach(path, "fp", resume=True)
 
     def test_duplicate_records_keep_first(self, tmp_path):

@@ -11,17 +11,34 @@ Two families, both load-bearing for the byte-identical-report guarantee:
   grid *axis* renumbers points and is a new sweep by design);
 * **merge obliviousness** — applying trial results in *any* completion
   order, with duplicate redeliveries interleaved, aggregates
-  byte-identically to index order (the at-most-once + index-sort rule).
+  byte-identically to index order (the at-most-once + index-sort rule);
+* **journal replay** — over any header and record lines (cut short,
+  wrong JSON types, missing or mistyped fields, payloads that are not a
+  ``TrialResult``, reordered, duplicated or forged indexes), ``--resume``
+  replay returns the first record of each index, skips only a cut-short
+  final line, or raises ``DispatchError`` / ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
+import pickle
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dispatch import ResultAssembler, SweepReport, SweepSpec
+from repro.dispatch import (
+    ResultAssembler,
+    SweepJournal,
+    SweepReport,
+    SweepSpec,
+)
+from repro.dispatch.journal import decode_record, encode_record
+from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RngRegistry
@@ -173,3 +190,157 @@ def test_sweep_report_builds_identically_from_any_order(order_seed, trials):
     assert json.dumps(reference, sort_keys=True) == json.dumps(
         shuffled, sort_keys=True
     )
+
+
+# ----------------------------------------------------------------------
+# Journal replay over hostile lines.
+# ----------------------------------------------------------------------
+
+
+def _journal_result(index: int) -> TrialResult:
+    return TrialResult(
+        index=index,
+        seed=index * 7 + 3,
+        success=index % 3 != 0,
+        failed_pairs=((0, 1),) if index % 3 == 0 else (),
+        metrics=NetworkMetrics(rounds=index + 1),
+        cover=1 if index % 3 == 0 else 0,
+    )
+
+
+def _record(index: int) -> dict:
+    return json.loads(encode_record(_journal_result(index)))
+
+
+def _blob(payload: object) -> str:
+    return base64.b64encode(pickle.dumps(payload)).decode("ascii")
+
+
+_indexes = st.integers(0, 5)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_not_trial_results = (
+    st.integers()
+    | st.text(max_size=4)
+    | st.none()
+    | st.tuples(st.integers(), st.integers())
+    | st.lists(st.integers(), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+_FIELDS = ("kind", "index", "seed", "success", "cover", "result")
+
+
+def _mistyped(field: str, value: object):
+    """Values of another JSON type than ``value`` (a ``kind`` other than
+    ``"trial"``, a ``result`` that is no pickle's base64)."""
+    if field == "kind":
+        return _json_values.filter(lambda v: v != "trial")
+    if field == "result":
+        return _json_values.filter(lambda v: not isinstance(v, str)) | st.just(
+            "not base64!"
+        ) | st.binary(max_size=24).map(
+            lambda raw: base64.b64encode(raw).decode("ascii")
+        )
+    return _json_values.filter(lambda v: type(v) is not type(value))
+
+
+@st.composite
+def _journal_line(draw):
+    """``(line, fault)``: a journal line and the fault it carries (``None``
+    for a well-formed record, ``"truncated"`` for a cut-short one)."""
+    index = draw(_indexes)
+    record = _record(index)
+    kind = draw(
+        st.sampled_from(
+            ["good", "good", "truncated", "json", "missing", "mistyped",
+             "foreign", "forged"]
+        )
+    )
+    if kind == "good":
+        return json.dumps(record, sort_keys=True), None
+    if kind == "truncated":
+        line = json.dumps(record, sort_keys=True)
+        return line[: draw(st.integers(1, len(line) - 1))], "truncated"
+    if kind == "json":
+        value = draw(_json_values.filter(lambda v: not isinstance(v, dict)))
+        return json.dumps(value), "shape"
+    if kind == "missing":
+        del record[draw(st.sampled_from(_FIELDS))]
+    elif kind == "mistyped":
+        field = draw(st.sampled_from(_FIELDS))
+        record[field] = draw(_mistyped(field, record[field]))
+    elif kind == "foreign":
+        record["result"] = _blob(draw(_not_trial_results))
+    else:
+        record["index"] = draw(_indexes.filter(lambda i: i != index))
+    return json.dumps(record, sort_keys=True), "shape"
+
+
+_HEADER = {"kind": "header", "journal_version": 1, "fingerprint": "fp"}
+
+
+@st.composite
+def _journal_header(draw):
+    """``(line, error)``: a header line and the error replay must raise."""
+    kind = draw(
+        st.sampled_from(
+            ["good", "good", "json", "kind", "version", "fingerprint",
+             "truncated"]
+        )
+    )
+    header = dict(_HEADER)
+    if kind == "good":
+        return json.dumps(header), None
+    if kind == "json":
+        value = draw(_json_values.filter(lambda v: not isinstance(v, dict)))
+        return json.dumps(value), DispatchError
+    if kind == "kind":
+        header["kind"] = draw(_json_values.filter(lambda v: v != "header"))
+    elif kind == "version":
+        header["journal_version"] = draw(_json_values.filter(lambda v: v != 1))
+    elif kind == "fingerprint":
+        header["fingerprint"] = draw(_json_values.filter(lambda v: v != "fp"))
+        return json.dumps(header), ConfigurationError
+    else:
+        line = json.dumps(header)
+        return line[: draw(st.integers(1, len(line) - 1))], DispatchError
+    return json.dumps(header), DispatchError
+
+
+@given(header=_journal_header(), lines=st.lists(_journal_line(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_journal_replay_returns_skips_a_cut_tail_or_raises_typed(
+    header, lines
+):
+    """Whatever the lines, replay returns the first record of each index
+    (skipping only a cut-short final line) or raises the typed error the
+    first faulty line calls for — never anything else."""
+    header_line, header_error = header
+    expected: dict[int, TrialResult] | type = {}
+    if header_error is not None:
+        expected = header_error
+    else:
+        for position, (line, fault) in enumerate(lines):
+            if fault is None:
+                result = decode_record(json.loads(line))
+                expected.setdefault(result.index, result)
+            elif fault == "truncated" and position == len(lines) - 1:
+                break
+            else:
+                expected = DispatchError
+                break
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "j.jsonl"
+        text = "\n".join([header_line] + [line for line, _ in lines])
+        path.write_text(text + "\n", encoding="utf-8")
+        if isinstance(expected, dict):
+            journal, completed = SweepJournal.attach(path, "fp", resume=True)
+            journal.close()
+            assert completed == expected
+        else:
+            with pytest.raises(expected):
+                SweepJournal.attach(path, "fp", resume=True)

@@ -18,9 +18,11 @@ from repro.radio.network import (
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
+    private_hop_rows,
     run_gossip_epoch,
 )
 from repro.adversary.base import Adversary
+from repro.rng import RngRegistry, derive_seed
 
 from conftest import make_network
 
@@ -349,16 +351,26 @@ class TestPrivateHopEpochs:
 
     def test_silent_sender_draws_nothing_but_the_epoch_runs(self):
         net = make_network(n=6, channels=3)
-        streams = [random.Random(seed) for seed in range(4)]
-        before = streams[0].getstate()
+        streams = RngRegistry(seed=4).hops("silent", nodes=range(4), n=3)
         epoch = run_gossip_epoch(
             net, 0, None, (1, 2, 3), streams, 7, RoundMeta(phase="silent")
         )
-        assert streams[0].getstate() == before
+        # The sender's hop stream is untouched: nothing handed out, nothing
+        # drawn ahead, its generator still at its seed.
+        assert streams[0].buffered == 0
+        assert streams[0].getstate() == (
+            random.Random(derive_seed(4, "silent", 0)).getstate()
+        )
+        assert all(hop.buffered > 0 for hop in streams[1:])
         assert net.metrics.rounds == 7
         assert net.metrics.honest_transmissions == 0
         assert [heard for _row, heard in epoch] == [{}] * 7
         assert all(len(row) == 3 for row, _heard in epoch)
+
+    def test_hop_streams_must_match_their_channels(self):
+        streams = RngRegistry(seed=4).hops("rows", nodes=range(2), n=3)
+        with pytest.raises(ConfigurationError, match=r"range\(3\)"):
+            private_hop_rows([(streams, range(4))], 5)
 
     def test_only_the_seam_names_the_hop_primitives(self):
         # Replacing the hop coins must stay a change to one function: no

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import weakref
+
 import pytest
 
-import random
-
+from repro.errors import ConfigurationError
 from repro.rng import (
     BlockDrawer,
+    HopStream,
     RngRegistry,
     derive_seed,
     derive_seeds,
@@ -84,33 +88,75 @@ class TestRegistry:
     def test_seed_property(self):
         assert RngRegistry(seed=42).seed == 42
 
-    def test_stream_block_matches_per_call_streams(self):
+    def test_hops_match_per_call_streams(self):
         a, b = RngRegistry(seed=13), RngRegistry(seed=13)
         nodes = [0, 3, 7, 1024, -2]
-        bulk = a.stream_block("ns", "listen", nodes=nodes)
+        bulk = a.hops("ns", "listen", nodes=nodes, n=5)
         per_call = [b.stream("ns", "listen", v) for v in nodes]
-        assert [s.random() for s in bulk] == [s.random() for s in per_call]
+        assert [h.take(9) for h in bulk] == [
+            bytes(s.choice(range(5)) for _ in range(9)) for s in per_call
+        ]
 
-    def test_stream_block_returns_cached_stream_objects(self):
+    def test_hops_return_cached_hop_streams(self):
         reg = RngRegistry(seed=13)
-        existing = reg.stream("ns", "listen", 3)
-        bulk = reg.stream_block("ns", "listen", nodes=[2, 3, 4])
+        (existing,) = reg.hops("ns", "listen", nodes=[3], n=4)
+        bulk = reg.hops("ns", "listen", nodes=[2, 3, 4], n=4)
         assert bulk[1] is existing
         # And the bulk-built ones are now the registry's cached objects.
-        assert reg.stream("ns", "listen", 2) is bulk[0]
-        assert reg.stream("ns", "listen", 4) is bulk[2]
+        assert reg.hops("ns", "listen", nodes=[2], n=4) == [bulk[0]]
+        assert reg.hops("ns", "listen", nodes=[4], n=4) == [bulk[2]]
 
-    def test_stream_block_fallback_paths_match(self):
-        # Empty prefix and non-int nodes take the per-call fallback; both
-        # must still agree with stream() exactly.
+    def test_hops_fallback_paths_match(self):
+        # Empty prefix and non-int nodes derive seeds per node; both must
+        # still seed exactly like stream().
         a, b = RngRegistry(seed=5), RngRegistry(seed=5)
-        bulk = a.stream_block(nodes=[1, 2])
+        bulk = a.hops(nodes=[1, 2], n=3)
         per_call = [b.stream(v) for v in (1, 2)]
-        assert [s.random() for s in bulk] == [s.random() for s in per_call]
+        assert [h.take(6) for h in bulk] == [
+            bytes(s.choice(range(3)) for _ in range(6)) for s in per_call
+        ]
         c, d = RngRegistry(seed=5), RngRegistry(seed=5)
-        bulk = c.stream_block("ns", nodes=["x", 1])
+        bulk = c.hops("ns", nodes=["x", 1], n=3)
         per_call = [d.stream("ns", v) for v in ("x", 1)]
-        assert [s.random() for s in bulk] == [s.random() for s in per_call]
+        assert [h.take(6) for h in bulk] == [
+            bytes(s.choice(range(3)) for _ in range(6)) for s in per_call
+        ]
+
+    def test_a_name_is_one_kind_of_stream(self):
+        reg = RngRegistry(seed=3)
+        reg.hops("hop", nodes=[1], n=4)
+        with pytest.raises(ConfigurationError, match="hop stream"):
+            reg.stream("hop", 1)
+        reg.stream("plain", 1)
+        with pytest.raises(ConfigurationError, match="plain stream"):
+            reg.hops("plain", nodes=[1], n=4)
+        with pytest.raises(ConfigurationError, match=r"range\(4\)"):
+            reg.hops("hop", nodes=[1], n=2)
+        # The failed requests left both entries as they were.
+        assert reg.hops("hop", nodes=[1], n=4)[0].n == 4
+        assert isinstance(reg.stream("plain", 1), random.Random)
+
+    def test_dropped_registry_frees_its_hop_generators(self):
+        # No reference cycle keeps a hop generator alive: reference
+        # counting alone frees it with its registry.
+        reg = RngRegistry(seed=8)
+        (hop,) = reg.hops("ns", nodes=[0], n=3)
+        hop.take(700)
+        generator = weakref.ref(hop._rng)
+        gc.disable()
+        try:
+            del reg, hop
+            assert generator() is None
+        finally:
+            gc.enable()
+
+
+class TestHopStream:
+    # Values and the state rule: tests/test_schedule_properties.py.
+    @pytest.mark.parametrize("n", [0, -1, 257])
+    def test_range_must_fit_a_byte(self, n):
+        with pytest.raises(ValueError):
+            HopStream(1, n)
 
 
 class TestDrawUniformIndices:

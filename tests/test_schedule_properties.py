@@ -17,20 +17,21 @@ frames: applying any sequence of (possibly overlapping) slot-set deltas
 and digesting incrementally must equal the one-shot digest of the merged
 set, and disjoint parts must combine to the whole.
 
-And to the block-draw properties backing the batched hop sampler: for
-arbitrary ``(n, count, seed)``, block draws == sequential
-``draw_uniform_indices`` == a ``choice`` loop, byte-for-byte — values AND
-post-draw generator state — the invariant (see ``repro.rng``) that makes
-the bulk hop rows of every private-hop epoch
-(``repro.radio.network.private_hop_rows``) exchangeable with the
-historical per-draw paths.
+And to the coin properties: for arbitrary ``(n, count, seed)``, the
+in-step block draws a jammer makes off its own generator ==
+sequential ``draw_uniform_indices`` == a ``choice`` loop, byte-for-byte —
+values AND post-draw generator state; and the hop rows of every
+private-hop epoch (``repro.radio.network.private_hop_rows``), drawn ahead
+by registry hop streams, hold a ``choice`` loop's values while each hop
+generator obeys the state rule of ``repro.rng``: it has made exactly the
+handed-out plus the buffered draws.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -41,7 +42,10 @@ from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyTermination, greedy_proposal
 from repro.radio.network import private_hop_rows
 from repro.rng import (
+    _LOOKAHEAD,
     BlockDrawer,
+    RngRegistry,
+    derive_seed,
     draw_uniform_indices,
 )
 
@@ -172,10 +176,15 @@ def test_block_draws_equal_loop_draws_equal_choice_loop(n, count, seed):
     assert a.getstate() == b.getstate() == c.getstate()
 
 
+def _reference(seed, name):
+    """A fresh generator seeded like the registry's stream ``name``."""
+    return random.Random(derive_seed(seed, *name))
+
+
 @given(
     groups=st.lists(
         st.tuples(
-            st.lists(st.integers(0, 2**32), max_size=4),
+            st.integers(1, 4),
             st.lists(
                 st.integers(0, 255), min_size=1, max_size=256, unique=True
             ),
@@ -183,29 +192,57 @@ def test_block_draws_equal_loop_draws_equal_choice_loop(n, count, seed):
         min_size=1,
         max_size=3,
     ),
-    rounds=st.integers(0, 60),
+    takes=st.lists(
+        st.one_of(
+            st.just(0), st.integers(1, 60), st.integers(_LOOKAHEAD, 1400)
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    groups=[(1, [7]), (2, list(range(256)))],
+    takes=[0, 3, _LOOKAHEAD + 1],
+    seed=0,
 )
 @settings(max_examples=100, deadline=None)
-def test_private_hop_rows_equal_per_round_choice_loop(groups, rounds):
-    """The row helper's rows, read column by column, are each stream's
-    ``choice(channels)`` per round, and the post-draw states match."""
-    streams = [[random.Random(seed) for seed in seeds] for seeds, _ in groups]
-    reference = [[random.Random(seed) for seed in seeds] for seeds, _ in groups]
-    rows = private_hop_rows(
-        [(group, channels) for group, (_, channels) in zip(streams, groups)],
-        rounds,
-    )
-    assert len(rows) == rounds
-    column = 0
-    for group, (_, channels) in zip(reference, groups):
-        for stream in group:
+def test_private_hop_rows_equal_per_round_choice_loop(groups, takes, seed):
+    """Repeated row-helper calls off registry hop streams (1-4 per group,
+    ``n`` from 1 to 256, takes of 0, a few, and past the lookahead):
+    the rows, read column by column, are each stream's
+    ``choice(channels)`` per round, and after every call each generator
+    obeys the state rule of ``repro.rng``: it has made exactly the
+    handed-out plus the buffered draws."""
+    registry = RngRegistry(seed)
+    hops = [
+        registry.hops("rows", g, nodes=range(size), n=len(channels))
+        for g, (size, channels) in enumerate(groups)
+    ]
+    columns = [
+        (hop, ("rows", g, i), channels)
+        for g, (group, (_, channels)) in enumerate(zip(hops, groups))
+        for i, hop in enumerate(group)
+    ]
+    references = [_reference(seed, name) for _, name, _ in columns]
+    handed_out = 0
+    for rounds in takes:
+        rows = private_hop_rows(
+            [(group, channels) for group, (_, channels) in zip(hops, groups)],
+            rounds,
+        )
+        handed_out += rounds
+        assert len(rows) == rounds
+        assert all(len(row) == len(columns) for row in rows)
+        for column, ((hop, name, channels), stream) in enumerate(
+            zip(columns, references)
+        ):
             expected = [stream.choice(channels) for _ in range(rounds)]
             assert [row[column] for row in rows] == expected
-            column += 1
-    assert all(len(row) == column for row in rows)
-    assert [s.getstate() for group in streams for s in group] == [
-        s.getstate() for group in reference for s in group
-    ]
+            state = _reference(seed, name)
+            for _ in range(handed_out + hop.buffered):
+                state.choice(channels)
+            assert hop.getstate() == state.getstate()
 
 
 @given(
