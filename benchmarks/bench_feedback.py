@@ -1,14 +1,9 @@
-"""E2 — Lemma 5: communication-feedback costs O(t^2 log n) and is correct.
+"""Feedback pipeline throughput: compiled rounds/sec and hop draws/sec.
 
-Measures the radio-round cost of one full feedback invocation across a
-``t`` sweep (fixed n) and an ``n`` sweep (fixed t), checks the measured
-growth against the formula's shape, and verifies output correctness under
-a full-budget jammer on every run.
-
-Run ``PYTHONPATH=src:benchmarks python benchmarks/bench_feedback.py`` to
-measure the compiled feedback pipeline (rounds/sec of wall time for the
-serial routine and the parallel merge, after asserting that a seeded run
-leaves every node's ``D`` equal to the true flag set) and regenerate
+Run ``PYTHONPATH=src python benchmarks/bench_feedback.py`` to measure the
+compiled feedback pipeline (rounds/sec of wall time for the serial routine
+and the parallel merge, after asserting that a seeded run leaves every
+node's ``D`` equal to the true flag set) and regenerate
 ``benchmarks/BENCH_feedback.json``; ``--quick`` is a short smoke run that
 writes nothing.  Equivalence with the historical per-round and full-frame
 references is pinned by the golden digests in ``tests/test_golden.py``.
@@ -30,94 +25,13 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.adversary import RandomJammer
-from repro.analysis.complexity import normalized_cost
+from repro.experiments.workloads import make_network
 from repro.feedback.parallel import run_parallel_feedback
 from repro.feedback.protocol import run_feedback
 from repro.feedback.witness import WitnessAssignment
-from repro.params import log2n
 from repro.radio import ScheduleShapeCache
 from repro.rng import BlockDrawer, RngRegistry, draw_uniform_indices
-
-from bench_common import make_network, report
-
-
-def run_one(n, t, seed):
-    channels = t + 1
-    net = make_network(
-        n, channels, t, adversary=RandomJammer(random.Random(seed))
-    )
-    sets = tuple(
-        tuple(range(slot * channels, (slot + 1) * channels))
-        for slot in range(channels)
-    )
-    wa = WitnessAssignment(sets=sets, channels=tuple(range(channels)))
-    truth = tuple(slot % 2 == 0 for slot in range(channels))
-    flags = {w: truth[slot] for slot, ws in enumerate(sets) for w in ws}
-    out = run_feedback(
-        net, wa, flags, list(range(n)), RngRegistry(seed=seed)
-    )
-    expected = {s for s, f in enumerate(truth) if f}
-    correct = all(d == expected for d in out.values())
-    return net.metrics.rounds, correct
-
-
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_feedback_cost_t_sweep(benchmark, t):
-    n = 80
-    rounds, correct = benchmark.pedantic(
-        run_one, args=(n, t, t), rounds=3, iterations=1
-    )
-    benchmark.extra_info.update({"n": n, "t": t, "rounds": rounds})
-    assert correct
-
-
-@pytest.mark.parametrize("n", [40, 80, 160])
-def test_feedback_cost_n_sweep(benchmark, n):
-    t = 2
-    rounds, correct = benchmark.pedantic(
-        run_one, args=(n, t, n), rounds=3, iterations=1
-    )
-    benchmark.extra_info.update({"n": n, "t": t, "rounds": rounds})
-    assert correct
-
-
-def _e2_table():
-    rows, t_points = [], []
-    for t in (1, 2, 3, 4):
-        n = 120
-        rounds, correct = run_one(n, t, seed=t)
-        predicted = (t + 1) ** 2 * log2n(n)  # slots * C/(C-t) * log n shape
-        rows.append([n, t, rounds, round(predicted, 1),
-                     round(rounds / predicted, 2), correct])
-        t_points.append((predicted, rounds))
-    n_points = []
-    for n in (40, 80, 160, 320):
-        t = 2
-        rounds, correct = run_one(n, t, seed=n)
-        predicted = (t + 1) ** 2 * log2n(n)
-        rows.append([n, t, rounds, round(predicted, 1),
-                     round(rounds / predicted, 2), correct])
-        n_points.append((predicted, rounds))
-    report(
-        "E2 / Lemma 5 — feedback rounds vs t^2 log n",
-        ["n", "t", "rounds", "t²·log n", "ratio", "correct"],
-        rows,
-    )
-    # Shape: measured/predicted stays within a 3x band across the sweep.
-    for points in (t_points, n_points):
-        ratios = normalized_cost(
-            [rounds for _p, rounds in points], [p for p, _r in points]
-        )
-        assert max(ratios) / min(ratios) < 3.0
-    assert all(row[-1] for row in rows)
-
-
-def test_e2_table(benchmark):
-    """Benchmark wrapper so the table regenerates under --benchmark-only."""
-    benchmark.pedantic(_e2_table, rounds=1, iterations=1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,6 @@ class Adversary(abc.ABC):
     #: Whether this strategy reads ``view.history``.
     needs_history: bool = False
 
-    #: Strategies that consume the view only *inside* :meth:`act` — never
-    #: retaining it between rounds — may set this to ``True``; the network
-    #: then hands them one shared view whose ``round_index``/``meta`` are
-    #: advanced in place each round instead of allocating a fresh view per
-    #: round (the ROADMAP "adversary fast path").  ``history`` stays live
-    #: either way.  Leave ``False`` for strategies that store views.
-    reusable_view: bool = False
-
     @abc.abstractmethod
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
         """Return this round's transmissions (at most ``view.t``, distinct

@@ -39,7 +39,6 @@ class BudgetAdversary(Adversary):
         self._total_budget = total_budget
         self._spent = 0
         self.needs_history = inner.needs_history
-        self.reusable_view = getattr(inner, "reusable_view", False)
 
     @property
     def remaining(self) -> int:

@@ -57,8 +57,6 @@ class RandomJammer(Adversary):
     Reads neither history nor metadata, so it plans whole schedules.
     """
 
-    reusable_view = True
-
     def __init__(self, rng: random.Random, intensity: float = 1.0) -> None:
         if not 0.0 < intensity <= 1.0:
             raise ConfigurationError("intensity must be in (0, 1]")
@@ -83,8 +81,6 @@ class SweepJammer(Adversary):
     predictable but full-budget disruptor: useful for deterministic
     regression tests of disruption handling.  It plans whole schedules.
     """
-
-    reusable_view = True
 
     def __init__(self, stride: int = 1) -> None:
         if stride < 1:
@@ -120,7 +116,6 @@ class ReactiveJammer(Adversary):
     """
 
     needs_history = True
-    reusable_view = True  # reads the (live) history inside act() only
 
     def __init__(self, rng: random.Random, window: int = 4) -> None:
         if window < 1:

@@ -19,8 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class NullAdversary(Adversary):
     """Does nothing each round."""
 
-    reusable_view = True
-
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
         return ()
 

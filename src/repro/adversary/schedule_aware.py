@@ -56,8 +56,6 @@ class ScheduleAwareJammer(Adversary):
     any schedule whose rounds share one meta object.
     """
 
-    reusable_view = True
-
     def __init__(
         self,
         rng: random.Random,

@@ -49,8 +49,6 @@ class SpoofingAdversary(Adversary):
         forgery could be decoded); otherwise it picks uniformly at random.
     """
 
-    reusable_view = True
-
     def __init__(
         self,
         rng: random.Random,

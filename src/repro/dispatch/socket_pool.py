@@ -39,9 +39,9 @@ amortises all three costs, the classic message-complexity move of paying
 per *batch* instead of per unit of work:
 
 * **context table once per run** — the distinct ``(workload, n,
-  channels, t, pairs, adversary, options)`` combinations are sent to
-  each worker in a single ``contexts`` frame; batches then carry only
-  ``(ctx_id, index, seed)`` triples per trial;
+  channels, t, pairs, adversary)`` combinations are sent to each worker
+  in a single ``contexts`` frame; batches then carry only ``(ctx_id,
+  index, seed)`` triples per trial;
 * **batched assignment** — a ``batch`` frame carries K trials; the
   worker runs them all and replies with one merged ``results`` frame.
   K adapts to the observed per-trial cost (workers report their batch
@@ -67,8 +67,8 @@ Every frame is a 4-byte big-endian length prefix followed by a pickled
 dict (``pickle.HIGHEST_PROTOCOL``, capped at :data:`MAX_FRAME_BYTES`
 against malformed prefixes):
 
-* worker → ``{"kind": "hello", "protocol": 2, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome", "protocol": 2}`` or ``{"kind":
+* worker → ``{"kind": "hello", "protocol": 3, "repro": ..., "pid": ...}``
+* coordinator → ``{"kind": "welcome", "protocol": 3}`` or ``{"kind":
   "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
   or any other peer is turned away and the sweep continues with the
   rest);
@@ -134,8 +134,12 @@ from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
 from .wire import loads_restricted
 
-PROTOCOL_VERSION = 2
-"""Coordinator/worker wire-protocol version, checked in the handshake."""
+PROTOCOL_VERSION = 3
+"""Coordinator/worker wire-protocol version, checked in the handshake.
+
+Bumped whenever a frame changes shape (3: the spec context tuple lost
+its ``options`` field), so a worker of another version is turned away at
+``hello`` instead of failing to unpack a frame."""
 
 MAX_FRAME_BYTES = 1 << 28
 """Upper bound on a single frame; larger prefixes abort the connection."""
@@ -499,16 +503,16 @@ def spec_context(spec: TrialSpec) -> tuple:
     """The spec's shared fields — everything but ``(index, seed)``."""
     return (
         spec.workload, spec.n, spec.channels, spec.t, spec.pairs,
-        spec.adversary, spec.options,
+        spec.adversary,
     )
 
 
 def spec_from_context(ctx: tuple, index: int, seed: int) -> TrialSpec:
     """Rebuild the exact :class:`TrialSpec` a batch triple refers to."""
-    workload, n, channels, t, pairs, adversary, options = ctx
+    workload, n, channels, t, pairs, adversary = ctx
     return TrialSpec(
         workload=workload, index=index, seed=seed, n=n, channels=channels,
-        t=t, pairs=pairs, adversary=adversary, options=tuple(options),
+        t=t, pairs=pairs, adversary=adversary,
     )
 
 

@@ -94,7 +94,6 @@ class SweepSpec:
     trials: int = 20
     seed: int = 0
     pairs: int = 5
-    options: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         for name, axis in (
@@ -140,7 +139,6 @@ class SweepSpec:
                     "duplicate identical configurations; sweep them in a "
                     "separate single-adversary grid"
                 )
-        object.__setattr__(self, "options", tuple(self.options))
 
     # ------------------------------------------------------------------
 
@@ -185,7 +183,6 @@ class SweepSpec:
             t=point.t,
             pairs=self.pairs,
             adversary=point.adversary,
-            options=self.options,
         )
 
     def specs(self) -> list[TrialSpec]:
@@ -218,7 +215,6 @@ class SweepSpec:
             "trials": self.trials,
             "seed": self.seed,
             "pairs": self.pairs,
-            "options": [list(kv) for kv in self.options],
         }
 
     def fingerprint(self) -> str:

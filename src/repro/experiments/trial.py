@@ -55,9 +55,6 @@ class TrialSpec:
     adversary:
         Adversary gallery name (see
         :data:`repro.experiments.workloads.ADVERSARY_FACTORIES`).
-    options:
-        Workload-specific extras as a sorted key/value tuple — kept a tuple
-        (not a dict) so specs stay hashable and cheaply picklable.
     """
 
     workload: str
@@ -68,14 +65,6 @@ class TrialSpec:
     t: int = 1
     pairs: int = 5
     adversary: str = "schedule"
-    options: tuple[tuple[str, Any], ...] = ()
-
-    def option(self, key: str, default: Any = None) -> Any:
-        """Look up one workload-specific extra."""
-        for name, value in self.options:
-            if name == key:
-                return value
-        return default
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,7 @@ class TrialResult:
         The run's radio counters, merged across trials via
         :meth:`~repro.radio.metrics.NetworkMetrics.merge`.
     detail:
-        Workload-specific extras (sorted key/value tuple, like
-        ``TrialSpec.options``).
+        Workload-specific extras as a sorted key/value tuple.
     cover:
         Precomputed disruptability.  :func:`~repro.experiments.workloads.
         run_trial` fills this inside the worker so the exact (worst-case

@@ -11,7 +11,7 @@ nodes — unknown to the others — run adversarial code.  It sketches a
   is no longer trustworthy.
 
 This module implements that sketch with the following concrete
-interpretation (documented in DESIGN.md):
+interpretation:
 
 * each move schedules up to ``C`` **vertex-disjoint** pending edges, each
   broadcast directly by its source;

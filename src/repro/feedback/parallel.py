@@ -9,9 +9,9 @@ depth ``O(log C')`` and each level costs ``O(log n)`` rounds, for
 ``O(log^2 n)`` total.  A final dissemination stage broadcasts the fully
 merged flag set to every participant.
 
-Reconstruction note (documented in DESIGN.md): the paper assigns each pair
-"a unique set of t channels", but a ``t``-channel block can be fully jammed
-by the budget-``t`` adversary, deterministically stalling that pair.  We
+Reconstruction note: the paper assigns each pair "a unique set of t
+channels", but a ``t``-channel block can be fully jammed by the
+budget-``t`` adversary, deterministically stalling that pair.  We
 assign ``2t``-channel blocks instead — the capacity ``C >= 2t^2`` admits
 ``C'/2 = C/(2t) >= t`` simultaneous pairs needing ``C/(2t) * 2t = C``
 channels, which exactly fits — so every listener retains success probability

@@ -23,9 +23,9 @@ Three parts, all running on the same radio network:
   adopts the smallest leader key it can verify that gathered reports from
   ``t + 1`` distinct reporters.
 
-Reproduction note (also in DESIGN.md): Part 3 reports are unauthenticated,
-so a spoofing adversary can replay a *later* complete leader's report under
-fabricated reporter ids.  Nodes that know the smallest completed leader's
+Reproduction note: Part 3 reports are unauthenticated, so a spoofing
+adversary can replay a *later* complete leader's report under fabricated
+reporter ids.  Nodes that know the smallest completed leader's
 key are unaffected (the smallest-verified rule adopts it regardless); only
 nodes already cut off from that leader — at most ``t``, by Part 1's
 ``t``-disruptability — can be steered to a different (still honest-leader)

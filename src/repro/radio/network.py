@@ -288,9 +288,6 @@ class RadioNetwork:
         self.trace = ExecutionTrace()
         self.metrics = NetworkMetrics()
         self._round_index = 0
-        # One shared view instance, reused across rounds for adversaries
-        # that declare ``reusable_view`` (see Adversary.reusable_view).
-        self._shared_view: AdversaryView | None = None
 
     @property
     def round_index(self) -> int:
@@ -319,31 +316,7 @@ class RadioNetwork:
     # ------------------------------------------------------------------
 
     def _adversary_view(self, meta: RoundMeta) -> AdversaryView:
-        """The view handed to the adversary for the round about to resolve.
-
-        Adversaries that declare :attr:`~repro.adversary.base.Adversary.
-        reusable_view` get **one** view object whose ``round_index`` and
-        ``meta`` are advanced in place each round (the population fields
-        are constant and ``history`` is the live trace, which mutates as
-        rounds complete) — removing the last per-round allocation on
-        adversarial hot paths.  Everyone else gets a fresh frozen view.
-        """
-        if getattr(self.adversary, "reusable_view", False):
-            view = self._shared_view
-            if view is None:
-                view = AdversaryView(
-                    n=self.n,
-                    channels=self.channels,
-                    t=self.t,
-                    round_index=self._round_index,
-                    history=self.trace,
-                    meta=meta,
-                )
-                self._shared_view = view
-            else:
-                object.__setattr__(view, "round_index", self._round_index)
-                object.__setattr__(view, "meta", meta)
-            return view
+        """A fresh frozen view for the round about to resolve."""
         return AdversaryView(
             n=self.n,
             channels=self.channels,

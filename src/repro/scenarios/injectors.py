@@ -47,8 +47,6 @@ class FrameInjector(Adversary):
     round index, staying within the ``t``-transmission budget.
     """
 
-    reusable_view = True
-
     def __init__(self, make_frame) -> None:
         self._make_frame = make_frame
 

@@ -321,13 +321,13 @@ class TestBudgetAdversary:
 
 
 class _ActOnly:
-    """Exposes only ``act`` (and the flags the network reads), so the
-    network drives the wrapped strategy one round at a time."""
+    """Exposes only ``act`` (and the ``needs_history`` flag the network
+    reads), so the network drives the wrapped strategy one round at a
+    time."""
 
     def __init__(self, inner):
         self._inner = inner
         self.needs_history = inner.needs_history
-        self.reusable_view = inner.reusable_view
 
     def act(self, view):
         return self._inner.act(view)

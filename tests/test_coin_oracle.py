@@ -1,11 +1,11 @@
 """A statistical oracle for the private hop coins, through the seam.
 
 Byte-identical digests vouch for a refactor of the coins, never for new
-coins.  These checks drive real Section 5.6 gossip epochs
-(:func:`~repro.radio.network.run_gossip_epoch` on registry hop streams,
-under :class:`~repro.adversary.RandomJammer`) and compare them with the
-closed forms of :mod:`repro.analysis.theory` — jointly, not just per
-listener:
+coins.  These checks drive real phases on registry hop streams under
+:class:`~repro.adversary.RandomJammer` and compare them with the closed
+forms of :mod:`repro.analysis.theory` — jointly, not just per listener.
+
+Section 5.6 gossip epochs (:func:`~repro.radio.network.run_gossip_epoch`):
 
 * the hit rate per listener-round is ``1 - gossip_miss_probability(1, C,
   t)``, i.e. ``(C - t) / C^2``;
@@ -13,10 +13,20 @@ listener:
   ``Binomial(L, 1/C)`` (a chi-square test);
 * each listener's channel histogram is uniform (a chi-square test each).
 
+Serial feedback repetitions (Figure 1, :func:`~repro.feedback.protocol.
+run_feedback`) with every feedback channel in use, ``C = t + 1``
+witnesses of one true slot:
+
+* the hearing rate per listener-repetition is ``1 -
+  feedback_miss_probability(1, C, t)``, i.e. ``(C - t) / C``;
+* the per-repetition count of listeners that hear ``<true, r>`` is
+  ``Binomial(L, (C - t) / C)`` (a chi-square test).
+
 Seeds are fixed and every bound sits at 5 sigma, so a correct change of
-the coins fails a check with probability about 1e-6.  The negative
-control, listeners whose hop streams share one seed, keeps every
-listener's histogram uniform but must fail the joint test.
+the coins fails a check with probability about 1e-6.  Two negative
+controls must fail: listeners whose hop streams share one seed keep every
+listener's histogram uniform but fail the joint gossip test, and a jammer
+that silently never jams fails both feedback checks.
 """
 
 from __future__ import annotations
@@ -27,7 +37,12 @@ import random
 import pytest
 
 from repro.adversary import RandomJammer
-from repro.analysis.theory import gossip_miss_probability
+from repro.analysis.theory import (
+    feedback_miss_probability,
+    gossip_miss_probability,
+)
+from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
+from repro.feedback.witness import WitnessAssignment
 from repro.radio.messages import Message
 from repro.radio.network import RadioNetwork, RoundMeta, run_gossip_epoch
 from repro.rng import RngRegistry
@@ -70,6 +85,14 @@ def chi_square_p(observed: list[int], expected: list[float]) -> float:
         pooled[-1][1] += wanted
     statistic = sum((seen - wanted) ** 2 / wanted for seen, wanted in pooled)
     return chi_square_sf(statistic, len(pooled) - 1)
+
+
+def binomial_counts(rounds: int, trials: int, p: float) -> list[float]:
+    """Expected histogram of ``rounds`` draws of ``Binomial(trials, p)``."""
+    return [
+        rounds * math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+        for k in range(trials + 1)
+    ]
 
 
 def gossip_checks(channels: int, t: int, hops: list, seed: int) -> dict:
@@ -120,11 +143,7 @@ def gossip_checks(channels: int, t: int, hops: list, seed: int) -> dict:
     on_sender = [0] * (LISTENERS + 1)
     for row, channel in zip(rows, sent):
         on_sender[row.count(channel)] += 1
-    p = 1 / channels
-    binomial = [
-        rounds * math.comb(LISTENERS, k) * p**k * (1 - p) ** (LISTENERS - k)
-        for k in range(LISTENERS + 1)
-    ]
+    binomial = binomial_counts(rounds, LISTENERS, 1 / channels)
 
     # Marginal: each listener's own channel histogram.
     hops_of = b"".join(rows)
@@ -163,3 +182,77 @@ def test_shared_listener_coins_fail_the_joint_check():
     checks = gossip_checks(channels, t, [sender] + shared, seed)
     assert checks["uniform"] > FIVE_SIGMA, checks
     assert checks["binomial"] < FIVE_SIGMA, checks
+
+
+FEEDBACK_ROUNDS = 12_000
+"""Feedback repetitions per check, summed over serial invocations."""
+
+
+class _SilentJammer(RandomJammer):
+    """Claims the jammer's budget but never jams."""
+
+    def plan_schedule(self, view, metas):
+        return [()] * len(metas)
+
+
+def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
+    """Run serial feedback invocations until ``FEEDBACK_ROUNDS``
+    repetitions have run, witnesses ``0..C-1`` reporting one true slot on
+    every feedback channel and ``LISTENERS`` listeners hopping on their
+    registry hop streams; return each check's p-value."""
+    assignment = WitnessAssignment(
+        sets=(tuple(range(channels)),), channels=tuple(range(channels))
+    )
+    flags = dict.fromkeys(range(channels), True)
+    participants = list(range(channels + LISTENERS))
+    network = RadioNetwork(
+        len(participants), channels, t, adversary=adversary, keep_trace=False
+    )
+    rounds: list[tuple[bytes, dict]] = []
+    execute = network.execute_schedule
+
+    def spy(schedule):
+        heard = execute(schedule)
+        rounds.extend(zip((cr.hops for cr in schedule.rounds), heard))
+        return heard
+
+    network.execute_schedule = spy
+    # One registry for every invocation: each listener's hop stream goes
+    # on where the previous invocation left it.
+    registry = RngRegistry(seed)
+    while len(rounds) < FEEDBACK_ROUNDS:
+        run_feedback(network, assignment, flags, participants, registry)
+    counts = [
+        sum(
+            row.count(channel)
+            for channel, frame in heard.items()
+            if frame.kind == FEEDBACK_KIND and frame.payload == ("true", 0)
+        )
+        for row, heard in rounds
+    ]
+    p = 1 - float(feedback_miss_probability(1, channels, t))
+    z = (sum(counts) - len(counts) * LISTENERS * p) / math.sqrt(
+        len(counts) * LISTENERS * p * (1 - p)
+    )
+    histogram = [0] * (LISTENERS + 1)
+    for count in counts:
+        histogram[count] += 1
+    return {
+        "hearing_rate": math.erfc(abs(z) / math.sqrt(2)),
+        "binomial": chi_square_p(
+            histogram, binomial_counts(len(counts), LISTENERS, p)
+        ),
+    }
+
+
+@pytest.mark.parametrize("channels,t,seed", [(2, 1, 21), (3, 2, 22), (4, 3, 23)])
+def test_feedback_coins_match_theory(channels, t, seed):
+    checks = feedback_checks(
+        channels, t, RandomJammer(random.Random(seed)), seed
+    )
+    assert min(checks.values()) > FIVE_SIGMA, checks
+
+
+def test_a_silent_jammer_fails_the_feedback_checks():
+    checks = feedback_checks(3, 2, _SilentJammer(random.Random(22)), 22)
+    assert max(checks.values()) < FIVE_SIGMA, checks

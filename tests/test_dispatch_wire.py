@@ -77,7 +77,7 @@ class TestLoadsRestricted:
     def test_trial_spec_and_result_round_trip(self):
         spec = TrialSpec(
             workload="fame", index=4, seed=99, n=12, channels=2, t=1,
-            pairs=3, adversary="schedule", options=(("window", 5),),
+            pairs=3, adversary="schedule",
         )
         assert loads_restricted(pickle.dumps(spec)) == spec
         result = sample_result()

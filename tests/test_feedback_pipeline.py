@@ -371,71 +371,23 @@ class TestSparseDelivered:
 
 
 class _ViewProbe(Adversary):
-    """Records the identity of every view it is handed."""
+    """Keeps every view it is handed."""
 
-    def __init__(self, reusable: bool) -> None:
-        self.reusable_view = reusable
-        self.view_ids: list[int] = []
-        self.round_indices: list[int] = []
+    def __init__(self) -> None:
+        self.views = []
 
     def act(self, view):
-        self.view_ids.append(id(view))
-        self.round_indices.append(view.round_index)
+        self.views.append(view)
         return (Transmission(0),)
 
 
 class TestReusableAdversaryView:
-    """The adversary fast path: one view, advanced in place."""
-
-    def _drive(self, probe, rounds=6):
-        net = RadioNetwork(6, 2, 1, adversary=probe)
-        for _ in range(rounds):
-            net.execute_round({1: Listen(0), 2: Listen(1)})
-        return net
-
-    def test_reusable_view_is_one_object_with_advancing_index(self):
-        probe = _ViewProbe(reusable=True)
-        self._drive(probe)
-        assert len(set(probe.view_ids)) == 1
-        assert probe.round_indices == list(range(6))
+    """No view is shared between rounds: each ask gets a fresh one."""
 
     def test_fresh_views_by_default(self):
-        probe = _ViewProbe(reusable=False)
-        self._drive(probe)
-        assert probe.round_indices == list(range(6))
-
-    def test_builtin_strategies_declare_the_fast_path(self):
-        assert NullAdversary.reusable_view
-        assert SweepJammer.reusable_view
-        assert RandomJammer.reusable_view
-        assert SpoofingAdversary.reusable_view
-        assert Adversary.reusable_view is False
-
-    def test_reuse_does_not_change_behaviour(self):
-        """Seeded runs agree whether or not the view is shared."""
-
-        class FreshRandomJammer(RandomJammer):
-            reusable_view = False
-
-        n, channels, t, rounds = 12, 3, 2, 25
-        plans = random.Random(42)
-        per_round = []
-        for _ in range(rounds):
-            actions = {}
-            for node in plans.sample(range(n), 5):
-                actions[node] = Listen(plans.randrange(channels))
-            per_round.append(actions)
-        shared = RadioNetwork(
-            n, channels, t, adversary=RandomJammer(random.Random(1))
-        )
-        fresh = RadioNetwork(
-            n, channels, t, adversary=FreshRandomJammer(random.Random(1))
-        )
-        for actions in per_round:
-            assert shared.execute_round(actions) == fresh.execute_round(
-                actions
-            )
-        assert shared.metrics == fresh.metrics
-        assert (
-            shared.trace.canonical_forms() == fresh.trace.canonical_forms()
-        )
+        probe = _ViewProbe()
+        net = RadioNetwork(6, 2, 1, adversary=probe)
+        for _ in range(6):
+            net.execute_round({1: Listen(0), 2: Listen(1)})
+        assert [view.round_index for view in probe.views] == list(range(6))
+        assert len({id(view) for view in probe.views}) == 6

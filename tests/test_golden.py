@@ -199,12 +199,12 @@ GOLDEN = {
     "workloads": (
         ["--workloads", "fame,groupkey,gauntlet,scenario:serve.duplicate-open",
          "--nodes", "18", "--trials", "3", "--seed", "7", "--pairs", "4"],
-        "c2a7bc84b4916e097ccb1312a77343d2ff325daedd0c8171dde5303bce9b794a",
+        "70304139738815aa75b5b6800310579d84cb762643e21408a8b73a996bf6d1a4",
     ),
     "adversaries": (
         ["--nodes", "18,24", "--adversaries", "schedule,random,null",
          "--trials", "2", "--seed", "11", "--pairs", "4"],
-        "45a6c52200354b4d652e2e21bff6d0fca64a65f92ec400b3731c33f40fcb56ec",
+        "521b30ab3807a13b816ba3c01263a5070d401dfffd2942155ef129041590427c",
     ),
 }
 

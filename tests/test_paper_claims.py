@@ -1,0 +1,1014 @@
+"""The paper's claims, each checked on fixed-seed executions.
+
+One test (or one parametrized family) per claim, named after its theorem,
+figure or experiment id:
+
+* E1 — Theorem 4: greedy removal finishes in O(|E|) game moves;
+* E2 — Lemma 5: communication feedback costs O(t^2 log n) and is correct;
+* E3 — Figure 3: f-AME's cost across the three channel regimes;
+* E4 — Theorem 6: f-AME is t-disruptable against the adversary gallery;
+* E5 — Theorem 2: spoofing wins against unscheduled randomness, never
+  against f-AME;
+* E6 — Section 5.6: constant-size frames via gossip and digests;
+* E7 — Section 6: group keys held by at least n - t nodes, in rounds
+  linear in n;
+* E8 — Section 7: Θ(t log n) real rounds per emulated round;
+* E9 — Section 2 / [13]: oblivious gossip is slow and unauthenticated;
+* E10 — Section 5: surrogates are what buy optimal resilience;
+* A1–A3 — ablations of the w.h.p. constants, channel-aware epochs and the
+  Byzantine-hardened exchange;
+* Q2 — Section 8: the secrecy/reliability tension of restricted
+  listening.
+
+Every execution runs once: where a claim's per-point check and its table
+share a (configuration, seed), one test runs it and makes both sets of
+assertions.  Each table prints through :func:`report`; run with ``-s``
+to see them.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.adversary import (
+    NullAdversary,
+    RandomJammer,
+    ReactiveJammer,
+    ScheduleAwareJammer,
+    SimulatingAdversary,
+    SpoofingAdversary,
+    SweepJammer,
+    TriangleIsolationAdversary,
+)
+from repro.analysis.complexity import fit_power_law, normalized_cost
+from repro.baselines import (
+    run_direct_exchange,
+    run_no_surrogate,
+    run_oblivious_gossip,
+    run_randomized_exchange,
+)
+from repro.baselines.randomized_exchange import exchange_frame
+from repro.crypto.dh import TEST_GROUP_64
+from repro.crypto.hashes import canonical_encode, h1
+from repro.experiments.workloads import make_network
+from repro.extensions import (
+    HoppingEavesdropper,
+    RestrictedListeningNetwork,
+    run_share_spray,
+)
+from repro.fame import (
+    CorruptionModel,
+    Regime,
+    make_config,
+    predicted_rounds,
+    run_byzantine_exchange,
+    run_fame,
+    run_fame_with_digests,
+)
+from repro.feedback.protocol import run_feedback
+from repro.feedback.witness import WitnessAssignment
+from repro.game.engine import StarredEdgeRemovalGame
+from repro.game.graph import GameGraph
+from repro.game.referees import AdversarialReferee, SingleGrantReferee
+from repro.groupkey import establish_group_key
+from repro.params import ProtocolParameters, log2n
+from repro.radio.actions import Transmit
+from repro.radio.messages import Message, Transmission
+from repro.radio.network import RadioNetwork
+from repro.rng import RngRegistry
+from repro.service import LongLivedChannel, SecureSession
+
+
+def report(title: str, headers: list[str], rows: list[list]) -> None:
+    """Print one paper-style table."""
+    widths = [
+        max(len(str(h)), *(len(str(row[i])) for row in rows)) if rows else len(str(h))
+        for i, h in enumerate(headers)
+    ]
+    print(f"\n=== {title} ===")
+    print("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
+    for row in rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+# ---------------------------------------------------------------------------
+# E1 — Theorem 4: greedy removal finishes in O(|E|) moves.  The game runs on
+# several graph families against the strongest referee; moves/|E| stays
+# within the theorem's constant 3 (|E| removals + at most 2|E| stars) and
+# roughly flat as |E| grows.
+# ---------------------------------------------------------------------------
+
+
+def complete(n):
+    return [(v, w) for v in range(n) for w in range(n) if v != w]
+
+
+def disjoint(count):
+    return [(2 * i, 2 * i + 1) for i in range(count)]
+
+
+def grid(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+FAMILIES = {
+    "complete-8": complete(8),
+    "complete-12": complete(12),
+    "disjoint-24": disjoint(24),
+    "disjoint-48": disjoint(48),
+    "grid-6x6": grid(6, 6),
+    "grid-8x8": grid(8, 8),
+}
+
+
+def play(edges, t, referee):
+    graph = GameGraph.from_pairs(edges, vertices=range(200))
+    game = StarredEdgeRemovalGame(graph, t)
+    return game.play(referee)
+
+
+def assert_theorem4_bound(result, t, edges):
+    assert result.cover_size <= t
+    assert result.moves <= 3 * len(edges)
+
+
+@pytest.mark.parametrize(
+    "t, family",
+    [
+        (t, family)
+        for t in (1, 2, 4)
+        for family in sorted(FAMILIES)
+        # The table below plays complete-8 and complete-12 at t = 1, 2.
+        if not (family.startswith("complete-") and t < 4)
+    ],
+)
+def test_e1_theorem4_moves_linear_in_edges(t, family):
+    edges = FAMILIES[family]
+    assert_theorem4_bound(play(edges, t, AdversarialReferee()), t, edges)
+
+
+def test_e1_theorem4_table():
+    """Moves/|E| flat across sizes and referees."""
+    rows = []
+    exponents = {}
+    for t in (1, 2):
+        for referee_name, referee_fn in (
+            ("adversarial", AdversarialReferee),
+            ("single-grant", lambda: SingleGrantReferee("last")),
+        ):
+            sizes, moves = [], []
+            for n in (6, 8, 10, 12):
+                edges = complete(n)
+                result = play(edges, t, referee_fn())
+                assert_theorem4_bound(result, t, edges)
+                rows.append(
+                    [f"complete-{n}", t, referee_name, len(edges),
+                     result.moves, round(result.moves / len(edges), 3),
+                     result.cover_size]
+                )
+                sizes.append(len(edges))
+                moves.append(result.moves)
+            fit = fit_power_law(sizes, moves)
+            exponents[(t, referee_name)] = fit.exponent
+    report(
+        "E1 / Theorem 4 — greedy-removal moves vs |E|",
+        ["graph", "t", "referee", "|E|", "moves", "moves/|E|", "cover"],
+        rows,
+    )
+    print("power-law exponents (theory: 1.0):",
+          {k: round(v, 3) for k, v in exponents.items()})
+    # Shape check: growth is linear in |E| (exponent ~1), never superlinear.
+    for exponent in exponents.values():
+        assert 0.7 < exponent < 1.3
+
+
+# ---------------------------------------------------------------------------
+# E2 — Lemma 5: one full feedback invocation under a full-budget jammer,
+# across a t sweep (fixed n) and an n sweep (fixed t): the output is the
+# true flag set at every node, and the cost follows t^2 log n.
+# ---------------------------------------------------------------------------
+
+
+def feedback_run(n, t, seed):
+    channels = t + 1
+    net = make_network(n, channels, t, RandomJammer(random.Random(seed)))
+    sets = tuple(
+        tuple(range(slot * channels, (slot + 1) * channels))
+        for slot in range(channels)
+    )
+    wa = WitnessAssignment(sets=sets, channels=tuple(range(channels)))
+    truth = tuple(slot % 2 == 0 for slot in range(channels))
+    flags = {w: truth[slot] for slot, ws in enumerate(sets) for w in ws}
+    out = run_feedback(
+        net, wa, flags, list(range(n)), RngRegistry(seed=seed)
+    )
+    expected = {s for s, f in enumerate(truth) if f}
+    correct = all(d == expected for d in out.values())
+    return net.metrics.rounds, correct
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_e2_lemma5_feedback_correct_t_sweep(t):
+    _rounds, correct = feedback_run(80, t, t)
+    assert correct
+
+
+def test_e2_lemma5_table():
+    rows, t_points = [], []
+    for t in (1, 2, 3, 4):
+        n = 120
+        rounds, correct = feedback_run(n, t, seed=t)
+        predicted = (t + 1) ** 2 * log2n(n)  # slots * C/(C-t) * log n shape
+        rows.append([n, t, rounds, round(predicted, 1),
+                     round(rounds / predicted, 2), correct])
+        t_points.append((predicted, rounds))
+    n_points = []
+    for n in (40, 80, 160, 320):
+        t = 2
+        rounds, correct = feedback_run(n, t, seed=n)
+        predicted = (t + 1) ** 2 * log2n(n)
+        rows.append([n, t, rounds, round(predicted, 1),
+                     round(rounds / predicted, 2), correct])
+        n_points.append((predicted, rounds))
+    report(
+        "E2 / Lemma 5 — feedback rounds vs t^2 log n",
+        ["n", "t", "rounds", "t²·log n", "ratio", "correct"],
+        rows,
+    )
+    # Shape: measured/predicted stays within a 3x band across the sweep.
+    for points in (t_points, n_points):
+        ratios = normalized_cost(
+            [rounds for _p, rounds in points], [p for p, _r in points]
+        )
+        assert max(ratios) / min(ratios) < 3.0
+    assert all(row[-1] for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# E3 — Figure 3: the same workload at C = t+1, C = 2t and C = 2t^2 (with
+# the matching regime), measured rounds next to the predicted shapes
+#
+#     base     O(|E| · t^2 · log n)
+#     double   O(|E| · log n)
+#     squared  O(|E| · log^2 n / t)
+#
+# The assertions are on the ordering and gaps, not absolute constants.
+# ---------------------------------------------------------------------------
+
+FIG3_T = 2
+FIG3_N = 120
+FIG3_EDGES = [(i, i + 50) for i in range(16)]
+
+REGIME_CHANNELS = {
+    Regime.BASE: FIG3_T + 1,
+    Regime.DOUBLE: 2 * FIG3_T,
+    Regime.SQUARED: 2 * FIG3_T * FIG3_T * 2,  # C = 4t^2 => C/t = 8 proposal channels
+}
+
+
+def regime_run(regime, seed):
+    channels = REGIME_CHANNELS[regime]
+    net = make_network(
+        FIG3_N, channels, FIG3_T,
+        ScheduleAwareJammer(random.Random(seed), policy="prefix"),
+    )
+    cfg = make_config(FIG3_N, channels, FIG3_T, regime=regime)
+    return run_fame(net, FIG3_EDGES, rng=RngRegistry(seed=seed), config=cfg)
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_e3_figure3_regime_t_disruptable(regime):
+    assert regime_run(regime, seed=0).is_d_disruptable(FIG3_T)
+
+
+def test_e3_figure3_table():
+    rows = []
+    measured = {}
+    for regime in Regime:
+        res = regime_run(regime, seed=1)
+        cfg = res.config
+        predicted = predicted_rounds(cfg, len(FIG3_EDGES))
+        measured[regime] = res.rounds
+        rows.append([
+            regime.value, cfg.channels, cfg.proposal_size, len(FIG3_EDGES),
+            res.moves, res.rounds, round(predicted, 0),
+            round(res.rounds / predicted, 2), res.disruptability(),
+        ])
+    report(
+        "E3 / Figure 3 — f-AME cost by channel regime "
+        f"(n={FIG3_N}, t={FIG3_T}, |E|={len(FIG3_EDGES)})",
+        ["regime", "C", "proposal", "|E|", "moves", "rounds",
+         "predicted", "ratio", "disrupt"],
+        rows,
+    )
+    # Figure 3's ordering: base is the most expensive by a wide margin.
+    assert measured[Regime.BASE] > 2 * measured[Regime.DOUBLE]
+    assert measured[Regime.BASE] > 2 * measured[Regime.SQUARED]
+
+
+def test_e3_figure3_base_rounds_linear_in_edges():
+    # Every row of Figure 3 is linear in |E| — verify for the base regime.
+    rows = []
+    points = []
+    for count in (6, 12, 24):
+        edges = [(i, i + 50) for i in range(count)]
+        net = make_network(
+            FIG3_N, FIG3_T + 1, FIG3_T,
+            ScheduleAwareJammer(random.Random(2), policy="prefix"),
+        )
+        res = run_fame(net, edges, rng=RngRegistry(seed=2))
+        rows.append([count, res.moves, res.rounds,
+                     round(res.rounds / count, 1)])
+        points.append((count, res.rounds))
+    report(
+        "E3b — base-regime rounds vs |E| (linear shape)",
+        ["|E|", "moves", "rounds", "rounds/|E|"],
+        rows,
+    )
+    per_edge = [rounds / count for count, rounds in points]
+    assert max(per_edge) / min(per_edge) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# E4 — Theorem 6: for every adversary strategy and several seeds, the
+# minimum vertex cover of the failed pairs never exceeds t.  The table
+# reports the worst observed disruptability per strategy.
+# ---------------------------------------------------------------------------
+
+GALLERY = {
+    "null": lambda r: NullAdversary(),
+    "random-jam": RandomJammer,
+    "sweep-jam": lambda r: SweepJammer(),
+    "reactive-jam": ReactiveJammer,
+    "spoofer": SpoofingAdversary,
+    "schedule-prefix": lambda r: ScheduleAwareJammer(r, policy="prefix"),
+    "schedule-suffix": lambda r: ScheduleAwareJammer(r, policy="suffix"),
+    "schedule-random": lambda r: ScheduleAwareJammer(r, policy="random"),
+    "schedule-victims": lambda r: ScheduleAwareJammer(
+        r, policy="victims", victims=[0, 1]
+    ),
+}
+
+
+def gallery_run(name, t, seed):
+    n = 20 if t == 1 else 40
+    edges = [(i, i + n // 2) for i in range(6)]
+    edges += [(0, n // 2 + 7), (1, n // 2 + 8)]  # shared sources
+    net = make_network(n, t + 1, t, GALLERY[name](random.Random(seed)))
+    return run_fame(net, edges, rng=RngRegistry(seed=seed))
+
+
+def test_e4_theorem6_gallery_t_disruptable():
+    rows = []
+    for t in (1, 2):
+        for name in sorted(GALLERY):
+            worst = 0
+            worst_failed = 0
+            for seed in range(5):
+                res = gallery_run(name, t, seed)
+                worst = max(worst, res.disruptability())
+                worst_failed = max(worst_failed, len(res.failed))
+                assert res.is_d_disruptable(t), (name, t, seed, res.failed)
+            rows.append([name, t, worst_failed, worst, t])
+    report(
+        "E4 / Theorem 6 — worst disruptability over 5 seeds per adversary",
+        ["adversary", "t", "max failed pairs", "max cover", "bound (t)"],
+        rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# E5 — Theorem 2: the simulating adversary runs a faithful copy of the
+# sender with fake content.  Against the purely randomized exchange the
+# receiver accepts the forgery about half the time it hears anything (the
+# executions are equiprobable); against f-AME it never lands, because the
+# transmission schedule leaves spoofs nowhere to go.
+# ---------------------------------------------------------------------------
+
+PAIR = (0, 10)
+REAL = ("real-msg",)
+FAKE = ("fake-msg",)
+
+
+def simulator(view, rng):
+    return Transmission(
+        rng.randrange(view.channels), exchange_frame(*PAIR, FAKE)
+    )
+
+
+def strawman_trial(seed):
+    net = make_network(
+        20, 2, 1, SimulatingAdversary(random.Random(seed), [simulator])
+    )
+    res = run_randomized_exchange(
+        net, [PAIR], {PAIR: REAL}, rng=RngRegistry(seed=seed)
+    )
+    return res.accepted.get(PAIR)
+
+
+def fame_trial(seed):
+    net = make_network(
+        20, 2, 1, SimulatingAdversary(random.Random(seed), [simulator])
+    )
+    res = run_fame(
+        net, [PAIR, (2, 3), (4, 5)],
+        messages={PAIR: REAL, (2, 3): "x", (4, 5): "y"},
+        rng=RngRegistry(seed=seed),
+    )
+    return res.outcomes[PAIR]
+
+
+def test_e5_theorem2_spoofing_separation():
+    straw_outcomes = [strawman_trial(seed) for seed in range(60)]
+    straw_delivered = sum(1 for o in straw_outcomes if o is not None)
+    straw_spoofed = sum(1 for o in straw_outcomes if o == FAKE)
+
+    fame_outcomes = [fame_trial(seed) for seed in range(15)]
+    fame_delivered = sum(1 for o in fame_outcomes if o.success)
+    fame_spoofed = sum(
+        1 for o in fame_outcomes if o.success and o.message != REAL
+    )
+    rows = [
+        ["randomized-exchange", len(straw_outcomes), straw_delivered,
+         straw_spoofed,
+         round(straw_spoofed / max(1, straw_delivered), 2), "~0.5"],
+        ["f-AME", len(fame_outcomes), fame_delivered, fame_spoofed,
+         round(fame_spoofed / max(1, fame_delivered), 2), "0.0"],
+    ]
+    report(
+        "E5 / Theorem 2 — spoof acceptance under the simulating adversary",
+        ["protocol", "trials", "delivered", "spoofed", "spoof rate", "theory"],
+        rows,
+    )
+    assert straw_spoofed > 0
+    assert straw_delivered > 30
+    assert straw_spoofed / straw_delivered > 0.2  # theory: ~0.5
+    assert fame_spoofed == 0
+
+
+# ---------------------------------------------------------------------------
+# E6 — Section 5.6: plain f-AME (vector-sized frames) against the digest
+# pipeline (constant 32-byte signatures): the largest protocol frame, and
+# the reconstruction chain counts under heavy spoofing, the quantity the
+# paper bounds by O(t^2 log n).
+# ---------------------------------------------------------------------------
+
+DIGEST_N, DIGEST_T = 20, 1
+DIGEST_EDGES = [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7)]
+DIGEST_MESSAGES = {p: ("data-block", "x" * 40, p) for p in DIGEST_EDGES}
+
+
+def largest_ame_frame(net):
+    """Max encoded payload size over all transmitted ame frames."""
+    biggest = 0
+    for record in net.trace:
+        for action in record.actions.values():
+            if isinstance(action, Transmit) and action.message.kind in (
+                "ame-data",
+            ):
+                biggest = max(
+                    biggest, len(canonical_encode(action.message.payload[1]))
+                )
+    return biggest
+
+
+def plain_run(seed):
+    net = RadioNetwork(DIGEST_N, DIGEST_T + 1, DIGEST_T, keep_trace=True)
+    res = run_fame(net, DIGEST_EDGES, DIGEST_MESSAGES, rng=RngRegistry(seed=seed))
+    return res, largest_ame_frame(net)
+
+
+def digest_run(seed, adversary=None):
+    net = RadioNetwork(
+        DIGEST_N, DIGEST_T + 1, DIGEST_T, adversary=adversary, keep_trace=True
+    )
+    res = run_fame_with_digests(
+        net, DIGEST_EDGES, DIGEST_MESSAGES, rng=RngRegistry(seed=seed)
+    )
+    return res, largest_ame_frame(net)
+
+
+def test_e6_section56_digest_frames():
+    plain_res, plain_size = plain_run(seed=1)
+    digest_res, digest_size = digest_run(seed=1)
+
+    # Heavy spoof pressure: count surviving candidate chains.
+    def forge(view, channel):
+        fake = ("spoofed", view.round_index)
+        return Message(
+            kind="ame-gossip", sender=0, payload=(0, 0, fake, h1(fake))
+        )
+
+    spoofed_res, _ = digest_run(
+        seed=2,
+        adversary=SpoofingAdversary(
+            random.Random(3), forge=forge, target_scheduled=False
+        ),
+    )
+    rows = [
+        ["plain f-AME", plain_size, plain_res.rounds, "-", "-",
+         plain_res.disruptability()],
+        ["digest pipeline", digest_size,
+         digest_res.fame.rounds + digest_res.gossip_rounds,
+         max(digest_res.candidate_stats.values()),
+         max(digest_res.chain_stats.values()),
+         digest_res.disruptability()],
+        ["digest + spoof flood", "-",
+         spoofed_res.fame.rounds + spoofed_res.gossip_rounds,
+         max(spoofed_res.candidate_stats.values()),
+         max(spoofed_res.chain_stats.values()),
+         spoofed_res.disruptability()],
+    ]
+    report(
+        "E6 / Section 5.6 — frame size and reconstruction pressure",
+        ["pipeline", "max frame bytes", "rounds", "max candidates",
+         "max chains", "disrupt"],
+        rows,
+    )
+    # The digest pipeline's f-AME frames carry 32-byte signatures: the
+    # biggest vector payload shrinks despite identical application data.
+    assert digest_size < plain_size
+    # All pipelines stay within the t-disruptability bound.
+    assert plain_res.disruptability() <= DIGEST_T
+    assert digest_res.disruptability() <= DIGEST_T
+    assert spoofed_res.disruptability() <= DIGEST_T
+    # Spoofing inflates candidates but chains stay near 1 per source
+    # (collision-resistant H1 prunes garbage).
+    assert max(spoofed_res.candidate_stats.values()) >= max(
+        digest_res.candidate_stats.values()
+    )
+
+
+# ---------------------------------------------------------------------------
+# E7 — Section 6: sweeping n at fixed t, (a) at least n - t nodes adopt the
+# canonical group key under jamming, (b) the total cost grows linearly in
+# n (the dominant Part 1), and (c) Part 1 dominates Parts 2-3.  The payload
+# table meters the honest wire size each part ships (NetworkMetrics.
+# payload_units deltas, recorded per part on GroupKeyResult).
+# ---------------------------------------------------------------------------
+
+
+def groupkey_run(n, t, seed):
+    net = make_network(n, t + 1, t, RandomJammer(random.Random(seed)))
+    return establish_group_key(
+        net, RngRegistry(seed=seed), group=TEST_GROUP_64
+    )
+
+
+def test_e7_section6_t2_holders():
+    res = groupkey_run(40, 2, seed=7)
+    assert len(res.holders()) >= 40 - 2
+
+
+def test_e7_section6_group_key_tables():
+    rows, ns, totals = [], [], []
+    summaries = {}
+    for n in (17, 24, 32, 48):
+        s = summaries[n] = groupkey_run(n, 1, seed=n).summary()
+        rows.append([
+            n, 1, s["pairwise_established"], s["completed_leaders"],
+            s["holders"], s["part1_rounds"], s["part2_rounds"],
+            s["part3_rounds"], s["total_rounds"],
+        ])
+        ns.append(n)
+        totals.append(s["total_rounds"])
+        assert s["holders"] >= n - 1
+        # Part 1 (f-AME over the spanner) dominates, as the paper claims.
+        assert s["part1_rounds"] > s["part2_rounds"] + s["part3_rounds"]
+    s = groupkey_run(40, 2, seed=99).summary()
+    rows.append([
+        40, 2, s["pairwise_established"], s["completed_leaders"],
+        s["holders"], s["part1_rounds"], s["part2_rounds"],
+        s["part3_rounds"], s["total_rounds"],
+    ])
+    assert s["holders"] >= 38
+    report(
+        "E7 / Section 6 — group-key establishment under random jamming",
+        ["n", "t", "pair keys", "leaders done", "holders",
+         "part1", "part2", "part3", "total rounds"],
+        rows,
+    )
+    fit = fit_power_law(ns, totals)
+    print(f"total-rounds exponent vs n (theory 1.0): {fit.exponent:.3f}")
+    assert 0.7 < fit.exponent < 1.4
+
+    # Part 2's epochs retransmit the same sealed leader key every round of
+    # every pair's epoch, so its per-round payload is the heaviest.
+    rows = []
+    for n in (17, 24, 32):
+        s = summaries[n]
+        per_round2 = s["part2_payload_units"] / max(1, s["part2_rounds"])
+        rows.append([
+            n, 1,
+            s["part1_payload_units"], s["part2_payload_units"],
+            s["part3_payload_units"], s["total_payload_units"],
+            f"{per_round2:.2f}",
+        ])
+        assert s["part2_payload_units"] > 0, "spanner epochs unmetered"
+        assert s["total_payload_units"] == (
+            s["part1_payload_units"] + s["part2_payload_units"]
+            + s["part3_payload_units"]
+        )
+        per_round3 = s["part3_payload_units"] / max(1, s["part3_rounds"])
+        assert per_round2 > per_round3
+    report(
+        "E7b / Section 6 — group-key payload baseline "
+        "(NetworkMetrics.payload_units; spanner epochs = part2)",
+        ["n", "t", "part1 payload", "part2 payload", "part3 payload",
+         "total payload", "part2/round"],
+        rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# E8 — Section 7: the real-round cost of emulated rounds across t and n,
+# reliability under jamming (every key holder receives every sole
+# broadcast), and the setup-vs-usage amortisation of a secure session.
+# ---------------------------------------------------------------------------
+
+CHANNEL_KEY = b"bench-key-for-emulated-channel!!"
+
+
+def emulated_round_cost(n, t, seed=0, rounds=5):
+    net = make_network(n, t + 1, t, RandomJammer(random.Random(seed)))
+    ch = LongLivedChannel(net, CHANNEL_KEY, list(range(n)))
+    delivered = 0
+    expected = 0
+    for i in range(rounds):
+        out = ch.run_round({i % n: b"payload"})
+        expected += len(out)
+        delivered += sum(1 for d in out.values() if d is not None)
+    return net.metrics.rounds / rounds, delivered, expected
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_e8_section7_emulated_rounds_reliable(t):
+    _per_round, delivered, expected = emulated_round_cost(40, t)
+    assert delivered == expected  # whp reliability, observed exactly
+
+
+def test_e8_section7_table():
+    rows = []
+    for t in (1, 2, 3):
+        n = 40
+        per_round, delivered, expected = emulated_round_cost(n, t, seed=t)
+        predicted = (t + 1) * log2n(n)
+        rows.append([
+            n, t, round(per_round, 1), round(predicted, 1),
+            round(per_round / predicted, 2), f"{delivered}/{expected}",
+        ])
+    for n in (20, 80, 160):
+        per_round, delivered, expected = emulated_round_cost(n, 1, seed=n)
+        predicted = 2 * log2n(n)
+        rows.append([
+            n, 1, round(per_round, 1), round(predicted, 1),
+            round(per_round / predicted, 2), f"{delivered}/{expected}",
+        ])
+    report(
+        "E8 / Section 7 — real rounds per emulated round vs Θ(t log n)",
+        ["n", "t", "measured", "t·log n", "ratio", "deliveries"],
+        rows,
+    )
+    ratios = [row[4] for row in rows]
+    assert max(ratios) / min(ratios) < 3.0
+
+
+def test_e8_section7_setup_amortises():
+    # One secure session: the setup costs Θ(n t^3 log n) once; each message
+    # afterwards costs Θ(t log n) — orders of magnitude cheaper.
+    net = make_network(18, 2, 1, RandomJammer(random.Random(5)))
+    session = SecureSession(net, RngRegistry(seed=5), group=TEST_GROUP_64)
+    for i in range(10):
+        session.send(session.members[i % len(session.members)], b"msg")
+    session.flush()
+    per_message = session.stats.real_rounds / max(1, session.stats.emulated_rounds)
+    rows = [[
+        session.stats.setup_rounds, session.stats.emulated_rounds,
+        round(per_message, 1),
+        round(session.stats.setup_rounds / per_message, 0),
+    ]]
+    report(
+        "E8b — setup amortisation (messages until setup cost is matched)",
+        ["setup rounds", "messages sent", "rounds/message", "break-even msgs"],
+        rows,
+    )
+    assert per_message * 20 < session.stats.setup_rounds
+
+
+# ---------------------------------------------------------------------------
+# E9 — Section 2 / [13]: at t = 1 the oblivious gossip baseline's completion
+# time grows super-linearly in n (the [13] bound is Θ(n²/C²) for their
+# algorithm; the uniform variant shows the same shape), while f-AME solves
+# a full exchange workload in time linear in the number of pairs.  Gossip
+# also accepts spoofed rumors; f-AME never does.
+# ---------------------------------------------------------------------------
+
+
+def gossip_run(net, seed, max_rounds=400_000):
+    return run_oblivious_gossip(
+        net, RngRegistry(seed=seed), max_rounds=max_rounds
+    )
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_e9_gossip_completes(n):
+    net = RadioNetwork(n, 2, 1, keep_trace=False)
+    assert gossip_run(net, seed=n).completed
+
+
+def test_e9_gossip_vs_fame_table():
+    # f-AME needs the Section 5.4 population bound (n >= 17 at t = 1), so
+    # the head-to-head sweep starts at n = 18; the smaller gossip-only
+    # points live in test_e9_gossip_completes.
+    rows, ns, gossip_rounds = [], [], []
+    for n in (18, 24, 32):
+        g = gossip_run(RadioNetwork(n, 2, 1, keep_trace=False), seed=n)
+        net = make_network(n, 2, 1, RandomJammer(random.Random(n)))
+        edges = [(i, (i + 1) % n) for i in range(n)]  # n "rumor" deliveries
+        f = run_fame(net, edges, rng=RngRegistry(seed=n))
+        rows.append([
+            n, g.rounds, "yes" if g.completed else "no",
+            f.rounds, len(edges), round(f.rounds / len(edges), 1),
+        ])
+        ns.append(n)
+        gossip_rounds.append(g.rounds)
+        assert g.completed
+    report(
+        "E9 / [13] — oblivious gossip vs f-AME at t=1, C=2",
+        ["n", "gossip rounds", "done", "f-AME rounds", "pairs",
+         "f-AME rounds/pair"],
+        rows,
+    )
+    fit = fit_power_law(ns, gossip_rounds)
+    print(f"gossip rounds exponent vs n (theory >= 1, towards 2): {fit.exponent:.2f}")
+    # Super-linear growth in n — the qualitative gap the paper cites.
+    assert fit.exponent > 1.1
+
+
+def test_e9_gossip_accepts_spoofed_rumors():
+    victim = 5
+
+    def forge(view, channel):
+        return Message(
+            kind="oblivious-rumor", sender=victim, payload=("rumor", victim)
+        )
+
+    adversary = SpoofingAdversary(
+        random.Random(2), forge=forge, target_scheduled=False
+    )
+    res = gossip_run(
+        make_network(10, 2, 1, adversary), seed=1, max_rounds=2_000
+    )
+    poisoned = sum(
+        1
+        for v, known in enumerate(res.knowledge)
+        if v != victim and victim in known
+    )
+    rows = [[10, poisoned, "accepted blindly", "rejected by schedule"]]
+    report(
+        "E9b — spoofed rumor acceptance",
+        ["n", "nodes accepting forged rumor", "gossip", "f-AME"],
+        rows,
+    )
+    assert poisoned > 0
+
+
+# ---------------------------------------------------------------------------
+# E10 — Section 5 and Q1: without surrogates, the triangle-isolation
+# adversary forces a disruption graph of t edge-disjoint triangles, minimum
+# vertex cover 2t.  f-AME's surrogates reroute around the isolation and
+# stay at t.  The direct exchange draws no coins, so one run per t serves
+# both seeds.
+# ---------------------------------------------------------------------------
+
+
+def test_e10_surrogates_buy_optimal_resilience():
+    rows = []
+    for t in (1, 2, 3):
+        triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(t)]
+        edges = [(a, b) for tr in triples for a in tr for b in tr if a != b]
+        edges += [(30 + i, 50 + i) for i in range(6)]
+        n = max(80, 3 * (t + 1) ** 2 + 3 * (t + 1) + 60)
+
+        def network():
+            return make_network(
+                n, t + 1, t, TriangleIsolationAdversary(triples)
+            )
+
+        direct = run_direct_exchange(network(), edges, passes=5)
+        assert direct.disruptability() == 2 * t
+        runs = {
+            seed: (
+                run_no_surrogate(network(), edges, rng=RngRegistry(seed=seed)),
+                run_fame(network(), edges, rng=RngRegistry(seed=seed)),
+            )
+            for seed in (0, t)
+        }
+        for nosur, fame in runs.values():
+            assert nosur.disruptability() == 2 * t
+            assert fame.disruptability() <= t
+        nosur, fame = runs[t]
+        rows.append([
+            t, direct.disruptability(), nosur.disruptability(),
+            fame.disruptability(), 2 * t, t,
+        ])
+    report(
+        "E10 — triangle-isolation attack: surrogate ablation",
+        ["t", "direct exchange", "no-surrogate", "f-AME",
+         "theory (no surrogates)", "theory (f-AME)"],
+        rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# A1 — the w.h.p. constants: sweeping feedback_factor shows why the default
+# sits at 3.0; smaller constants trade rounds for feedback divergences (the
+# Lemma 5 failure event), larger ones buy nothing.
+# ---------------------------------------------------------------------------
+
+ABLATION_EDGES = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 8)]
+
+
+def test_a1_feedback_constant_vs_divergence():
+    rows = []
+    for factor in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0):
+        params = ProtocolParameters(
+            feedback_factor=factor, strict_consistency=False
+        ).validate()
+        divergences = rounds = failures = 0
+        trials = 10
+        for seed in range(trials):
+            net = RadioNetwork(
+                20, 2, 1, adversary=RandomJammer(random.Random(seed)),
+                params=params, keep_trace=False,
+            )
+            res = run_fame(net, ABLATION_EDGES, rng=RngRegistry(seed=seed))
+            divergences += res.divergence_events
+            rounds += res.rounds
+            failures += len(res.failed)
+            assert res.is_d_disruptable(1)  # resync keeps correctness
+        rows.append([
+            factor, round(rounds / trials), divergences,
+            round(divergences / trials, 2), failures,
+        ])
+    report(
+        "A1 — feedback_factor vs divergence rate (10 seeds each, t=1)",
+        ["factor", "avg rounds", "divergent moves", "per run", "failed pairs"],
+        rows,
+    )
+    # The default (3.0) sits where divergences vanish.
+    by_factor = {row[0]: row[2] for row in rows}
+    assert by_factor[0.25] > 0  # starved constants do diverge
+    assert by_factor[3.0] == 0
+    assert by_factor[4.0] == 0
+
+
+# ---------------------------------------------------------------------------
+# A2 — channel-aware hopping epochs (the Section 7 parenthetical): the cost
+# of an emulated round falls from Θ(t log n) to Θ(log n) once C >= 2t.
+# ---------------------------------------------------------------------------
+
+
+def service_cost(channels, t, channel_aware, seed=0):
+    n = 40
+    net = make_network(n, channels, t, RandomJammer(random.Random(seed)))
+    ch = LongLivedChannel(
+        net, b"a" * 32, list(range(n)), channel_aware_epochs=channel_aware
+    )
+    delivered = expected = 0
+    for i in range(4):
+        out = ch.run_round({i: b"x"})
+        expected += len(out)
+        delivered += sum(1 for d in out.values() if d is not None)
+    return net.metrics.rounds / 4, delivered, expected
+
+
+def test_a2_channel_aware_epochs():
+    rows = []
+    t = 2
+    for channels, label in ((3, "C = t+1"), (4, "C = 2t"), (8, "C = 4t")):
+        base, d1, e1 = service_cost(channels, t, channel_aware=False)
+        aware, d2, e2 = service_cost(channels, t, channel_aware=True)
+        rows.append([
+            label, base, aware, round(base / aware, 2),
+            f"{d1}/{e1}", f"{d2}/{e2}",
+        ])
+        assert d2 == e2  # the shorter epochs still deliver w.h.p.
+    report(
+        "A2 — emulated-round cost: fixed Θ(t log n) vs channel-aware epochs",
+        ["channels", "base rounds", "aware rounds", "speedup",
+         "base deliveries", "aware deliveries"],
+        rows,
+    )
+    # With C = 2t, the channel-aware epoch is ~t times shorter.
+    speedups = {row[0]: row[3] for row in rows}
+    assert speedups["C = 2t"] > 1.5
+    assert speedups["C = 4t"] >= speedups["C = 2t"]
+
+
+# ---------------------------------------------------------------------------
+# A3 — the Byzantine-hardened variant (Section 8 Q1): with up to t corrupt
+# nodes lying in feedback and garbling messages, the hardened exchange stays
+# within 2t-disruptability, at a measurable round premium over f-AME.
+# ---------------------------------------------------------------------------
+
+
+def test_a3_byzantine_exchange_2t_disruptable():
+    rows = []
+    for t in (1, 2):
+        n = 20 if t == 1 else 40
+        edges = [(i, i + n // 2) for i in range(6)]
+        corrupt = tuple(range(t))  # corrupt the first t sources
+
+        net_b = make_network(
+            n, t + 1, t,
+            ScheduleAwareJammer(random.Random(t), policy="prefix"),
+        )
+        byz = run_byzantine_exchange(
+            net_b, edges, rng=RngRegistry(seed=t),
+            corruption=CorruptionModel.of(*corrupt),
+        )
+        net_f = make_network(
+            n, t + 1, t,
+            ScheduleAwareJammer(random.Random(t), policy="prefix"),
+        )
+        fame = run_fame(net_f, edges, rng=RngRegistry(seed=t))
+        rows.append([
+            t, len(corrupt), byz.disruptability(), 2 * t,
+            fame.disruptability(), t,
+            byz.rounds, fame.rounds,
+        ])
+        assert byz.disruptability() <= 2 * t
+        assert fame.disruptability() <= t
+    report(
+        "A3 — Byzantine-hardened exchange (t corrupt nodes) vs plain f-AME",
+        ["t", "corrupt", "byz cover", "bound 2t", "f-AME cover", "bound t",
+         "byz rounds", "f-AME rounds"],
+        rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Q2 — restricted listening: the paper conjectures that information-
+# theoretically secure key agreement against a t-channel listener is
+# inherently exponential.  Sweeping the share spray's per-share repetition
+# count, the probability that the receiver assembles the pad and that the
+# eavesdropper does track each other: both listen on the same number of
+# channels, and nothing authenticated exists yet to break the symmetry.
+# ---------------------------------------------------------------------------
+
+SPRAY_N, SPRAY_C, SPRAY_T = 10, 3, 1
+SPRAY_SHARES = 4
+SPRAY_TRIALS = 40
+
+
+def spray_point(repetitions):
+    delivered = leaked = 0
+    for seed in range(SPRAY_TRIALS):
+        net = RestrictedListeningNetwork(
+            SPRAY_N, SPRAY_C, SPRAY_T, HoppingEavesdropper(random.Random(seed)),
+            keep_trace=True,
+        )
+        res = run_share_spray(
+            net, 0, 1, RngRegistry(seed=seed),
+            shares=SPRAY_SHARES, repetitions=repetitions,
+        )
+        delivered += res.receiver_has_pad
+        leaked += res.adversary_has_pad
+    return delivered / SPRAY_TRIALS, leaked / SPRAY_TRIALS
+
+
+def test_q2_share_spray_secrecy_tracks_reliability():
+    rows = []
+    curve = []
+    for repetitions in (1, 2, 4, 8, 16, 32):
+        p_deliver, p_leak = spray_point(repetitions)
+        rows.append([
+            repetitions, round(p_deliver, 2), round(p_leak, 2),
+            round(p_deliver - p_leak, 2),
+        ])
+        curve.append((p_deliver, p_leak))
+    report(
+        f"Q2 — share-spray over {SPRAY_C} channels, t={SPRAY_T} listener "
+        f"({SPRAY_SHARES} shares, {SPRAY_TRIALS} trials/point)",
+        ["repetitions/share", "P(receiver has pad)", "P(adversary has pad)",
+         "advantage"],
+        rows,
+    )
+    # The tension: delivery and leakage rise together; the receiver's
+    # advantage never becomes substantial at any repetition count.
+    assert all(abs(d - l) < 0.35 for d, l in curve)
+    # Extremes behave as predicted: unreliable when secret...
+    assert curve[0][0] < 0.3
+    # ...and fully leaked when reliable.
+    assert curve[-1][0] > 0.9 and curve[-1][1] > 0.9

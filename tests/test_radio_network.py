@@ -394,6 +394,35 @@ class TestPrivateHopEpochs:
         assert offenders == []
 
 
+def test_benchmarks_hold_no_tests():
+    # The paper's claims run in tier-1 (tests/test_paper_claims.py) and
+    # benchmarks/*.py are standalone scripts that pytest never collects, so
+    # a test written there would silently run nowhere.
+    root = Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted((root / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            if any(name.split(".")[0] == "pytest" for name in imported):
+                offenders.append(f"{where} imports pytest")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("test_"):
+                    offenders.append(f"{where} defines {node.name}")
+                args = node.args
+                if any(
+                    arg.arg == "benchmark"
+                    for arg in args.posonlyargs + args.args + args.kwonlyargs
+                ):
+                    offenders.append(f"{where} takes a benchmark argument")
+    assert offenders == []
+
+
 class TestBookkeeping:
     def test_metrics_counts(self):
         net = make_network(n=6)
