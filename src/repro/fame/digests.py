@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..crypto.hashes import h1, h2
 from ..radio.messages import Message, payload_fields
 from ..radio.network import RadioNetwork, RoundMeta, hit_row, run_gossip_epoch
 from ..rng import RngRegistry
@@ -54,69 +55,23 @@ SLOT_DIGEST_SIZE = 32
 _SLOT_DOMAIN = "slot-digest"
 
 
-def _slot_term(slot: int, hash1: HashFn) -> int:
-    return int.from_bytes(hash1(_SLOT_DOMAIN, slot), "big")
+def slot_set_digest(slots: Iterable[int]) -> bytes:
+    """Order-independent digest of a set of slot indices.
 
-
-class SlotSetDigest:
-    """Incremental, order-independent digest over a set of slot indices.
-
-    The digest of a slot set is the XOR of one ``H1`` term per member, so
-    it can be maintained *incrementally*: adding a batch of new slots costs
-    O(batch) hash evaluations regardless of how many slots are already
-    digested, and the digest of a disjoint union is the XOR of the parts'
-    digests (:func:`combine_digests`).  This is what lets the parallel
-    feedback merge tag every knowledge frame with a digest of the frame's
-    full slot coverage without ever re-hashing the accumulated set: leaf
-    groups hash their single slot once, merged groups combine in O(1).
-
-    Duplicate slots are ignored (a set, not a multiset), which keeps the
-    invariant *apply-then-digest equals digest-of-merged*: feeding any
-    sequence of possibly-overlapping slot batches through :meth:`update`
-    yields exactly ``slot_set_digest(union of the batches)`` —
-    ``tests/test_schedule_properties.py`` pins this property.
+    The XOR of one ``H1`` term per distinct slot: duplicates and order in
+    ``slots`` do not change it, and the digest of a disjoint union is the
+    XOR of the parts' digests (:func:`combine_digests`).  This is what
+    lets the parallel feedback merge tag every knowledge frame with a
+    digest of the frame's full slot coverage without re-hashing the
+    accumulated set: leaf groups hash their single slot once, merged
+    groups combine in O(1), and a listener checks a frame by hashing its
+    true slots.  ``tests/test_schedule_properties.py`` pins both
+    properties.
     """
-
-    __slots__ = ("_acc", "_slots", "_hash1")
-
-    def __init__(
-        self, slots: "Iterable[int]" = (), *, hash1: HashFn | None = None
-    ) -> None:
-        from ..crypto.hashes import h1 as default_h1
-
-        self._hash1 = hash1 or default_h1
-        self._acc = 0
-        self._slots: set[int] = set()
-        self.update(slots)
-
-    def update(self, slots: "Iterable[int]") -> "SlotSetDigest":
-        """Fold new slots into the digest (already-present slots are
-        no-ops); returns ``self`` for chaining."""
-        for slot in slots:
-            if slot not in self._slots:
-                self._slots.add(slot)
-                self._acc ^= _slot_term(slot, self._hash1)
-        return self
-
-    @property
-    def value(self) -> bytes:
-        """The current digest."""
-        return self._acc.to_bytes(SLOT_DIGEST_SIZE, "big")
-
-    @property
-    def slots(self) -> frozenset[int]:
-        """The slot set digested so far."""
-        return frozenset(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
-def slot_set_digest(
-    slots: "Iterable[int]", *, hash1: HashFn | None = None
-) -> bytes:
-    """One-shot digest of a slot set (see :class:`SlotSetDigest`)."""
-    return SlotSetDigest(slots, hash1=hash1).value
+    acc = 0
+    for slot in dict.fromkeys(slots):
+        acc ^= int.from_bytes(h1(_SLOT_DOMAIN, slot), "big")
+    return acc.to_bytes(SLOT_DIGEST_SIZE, "big")
 
 
 def combine_digests(*digests: bytes) -> bytes:
@@ -322,11 +277,10 @@ def run_fame_with_digests(
     epoch_rounds: int | None = None,
 ) -> DigestFameResult:
     """The full Section 5.6 pipeline: gossip, reconstruct, sign, extract."""
-    from ..crypto.hashes import h1 as default_h1, h2 as default_h2
     from .protocol import default_messages
 
-    hash1 = hash1 or default_h1
-    hash2 = hash2 or default_h2
+    hash1 = hash1 or h1
+    hash2 = hash2 or h2
     rng = rng or RngRegistry(seed=0)
     config = config or make_config(
         network.n, network.channels, network.t, params=network.params

@@ -53,10 +53,9 @@ the full-frame runs.
 
 from .witness import WitnessAssignment, rank
 from .protocol import run_feedback
-from .parallel import DeltaApplyState, run_parallel_feedback
+from .parallel import run_parallel_feedback
 
 __all__ = [
-    "DeltaApplyState",
     "WitnessAssignment",
     "rank",
     "run_feedback",

@@ -65,6 +65,35 @@ def feedback_false(sender: int, slot: int) -> Message:
     return Message(kind=FEEDBACK_KIND, sender=sender, payload=("false", slot))
 
 
+def check_witness_flags(
+    witness_sets: Sequence[Sequence[int]],
+    flags: Mapping[int, bool],
+    participants: Sequence[int],
+) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless every witness
+    is a participant holding a flag and each slot's witnesses agree on it.
+
+    Figure 1 assumes all witnesses of a slot hold the same flag; a
+    mismatch means the caller's transmission round already violated the
+    model.  Both feedback routines validate their inputs here.
+    """
+    participant_set = set(participants)
+    for witness_set in witness_sets:
+        flag_values = {flags[w] for w in witness_set if w in flags}
+        if len(flag_values) > 1:
+            raise ConfigurationError(
+                "witnesses of one slot disagree on their flag; the "
+                "transmission round upstream was inconsistent"
+            )
+        missing = [w for w in witness_set if w not in flags]
+        if missing:
+            raise ConfigurationError(
+                f"witnesses {missing} have no flag: missing from flags"
+            )
+        if not set(witness_set) <= participant_set:
+            raise ConfigurationError("witness outside participant set")
+
+
 def run_feedback(
     network: RadioNetwork,
     assignment: WitnessAssignment,
@@ -84,9 +113,8 @@ def run_feedback(
     assignment:
         Witness sets per slot and the feedback channel list.
     flags:
-        Flag value per witness node.  Figure 1 assumes all witnesses of a
-        slot hold the same flag; we validate that, since a mismatch means
-        the caller's transmission round already violated the model.
+        Flag value per witness node, validated by
+        :func:`check_witness_flags`.
     participants:
         Every node taking part (witnesses and listeners alike).  Witnesses
         of slots other than the active one listen like everyone else.
@@ -106,19 +134,7 @@ def run_feedback(
     dict mapping every participant to its output set ``D`` (slot indices).
     """
     channels = assignment.channels
-    participant_set = set(participants)
-    for witness_set in assignment.sets:
-        flag_values = {flags[w] for w in witness_set if w in flags}
-        if len(flag_values) > 1:
-            raise ConfigurationError(
-                "witnesses of one slot disagree on their flag; the "
-                "transmission round upstream was inconsistent"
-            )
-        missing = [w for w in witness_set if w not in flags]
-        if missing:
-            raise ConfigurationError(f"witnesses {missing} have no flag")
-        if not set(witness_set) <= participant_set:
-            raise ConfigurationError("witness outside participant set")
+    check_witness_flags(assignment.sets, flags, participants)
 
     repetitions = network.params.feedback_repetitions(
         network.n, len(channels), network.t

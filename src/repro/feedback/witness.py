@@ -26,6 +26,25 @@ def rank(node: int, witnesses: Sequence[int]) -> int:
         raise ConfigurationError(f"node {node} is not in witness set") from exc
 
 
+def check_disjoint(sets: Sequence[Sequence[int]]) -> None:
+    """Raise :class:`ConfigurationError` unless each witness set lists
+    distinct nodes and the sets are pairwise disjoint.
+
+    A node listed twice leaves one of its set's feedback channels without
+    an honest broadcaster, and a spoofed frame sent there is decoded.
+    """
+    seen: set[int] = set()
+    for r, witness_set in enumerate(sets):
+        if len(set(witness_set)) != len(witness_set):
+            raise ConfigurationError(f"witness set {r} has duplicates")
+        overlap = seen & set(witness_set)
+        if overlap:
+            raise ConfigurationError(
+                f"witness sets overlap on nodes {sorted(overlap)}"
+            )
+        seen.update(witness_set)
+
+
 @dataclass(frozen=True)
 class WitnessAssignment:
     """A validated witness partition for one feedback invocation.
@@ -45,21 +64,13 @@ class WitnessAssignment:
     channels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
         for r, witness_set in enumerate(self.sets):
             if len(witness_set) != len(self.channels):
                 raise ConfigurationError(
                     f"witness set {r} has {len(witness_set)} members; "
                     f"needs exactly {len(self.channels)} (one per channel)"
                 )
-            if len(set(witness_set)) != len(witness_set):
-                raise ConfigurationError(f"witness set {r} has duplicates")
-            overlap = seen & set(witness_set)
-            if overlap:
-                raise ConfigurationError(
-                    f"witness sets overlap on nodes {sorted(overlap)}"
-                )
-            seen.update(witness_set)
+        check_disjoint(self.sets)
 
     @property
     def slots(self) -> int:

@@ -70,30 +70,21 @@ class DeltaFrame:
     """Digest/delta encoding of a knowledge broadcast.
 
     The parallel feedback merge historically shipped a full ``slot -> flag``
-    map in every frame, paying O(frame) message size per transmission and
-    O(frame) ``dict.update`` per listener per decode.  A delta frame ships
-    the same *information* in compressed form:
+    map in every frame, paying O(frame) message size per transmission.  A
+    delta frame ships the same *information* in compressed form:
 
     ``tag``
         The transfer identifier (merge-tree level and direction), exactly as
         on the historical full-frame encoding — receivers discard frames
         from other transfers.
     ``digest``
-        Digest of the frame's full slot coverage (an incremental
-        :class:`~repro.fame.digests.SlotSetDigest` value).  Receivers verify
-        the delta against it before applying, and use it as an O(1)
-        already-applied key so repeated decodes of the same transfer cost no
-        per-slot work.
+        Digest of the frame's full slot coverage
+        (:func:`~repro.fame.digests.slot_set_digest`).  Receivers check the
+        true slots against it and drop a frame whose slots do not match.
     ``true_slots``
         The delta payload: exactly the slots whose flag is true — the only
         entries that can ever change a receiver's output set ``D``.  False
         flags are never shipped; a frame's knowledge is the slot set itself.
-    ``full``
-        Normally ``None``.  When a receiver detects a digest mismatch (the
-        delta does not hash to ``digest``), a frame carrying the explicit
-        ``(slot, flag)`` items is the *full-frame resync* escape hatch: the
-        receiver abandons the delta machinery for this frame and applies the
-        uncompressed items, exactly as the full-frame encoding did.
 
     Like every radio payload, all fields are attacker-influencable unless
     the round's broadcast schedule makes spoofing impossible; the digest is
@@ -104,27 +95,19 @@ class DeltaFrame:
     tag: Any
     digest: bytes
     true_slots: tuple[int, ...]
-    full: tuple[tuple[int, bool], ...] | None = None
 
     def wire_size(self) -> int:
-        """Wire size in the units of :func:`repro.radio.metrics.payload_size`.
-
-        One unit per true slot plus one for the (constant-size) digest and
-        the tag's own units; a resync frame additionally pays the full
-        item list it carries.
-        """
+        """Wire size in the units of :func:`repro.radio.metrics.payload_size`:
+        the tag's own units, one for the (constant-size) digest and one per
+        true slot."""
         from .metrics import payload_size
 
-        size = payload_size(self.tag) + 1 + len(self.true_slots)
-        if self.full is not None:
-            size += 2 * len(self.full)
-        return size
+        return payload_size(self.tag) + 1 + len(self.true_slots)
 
     def __repr__(self) -> str:  # compact, trace-friendly
-        resync = ", resync" if self.full is not None else ""
         return (
             f"DeltaFrame({self.tag!r}, true={self.true_slots!r}, "
-            f"digest={self.digest[:4].hex()}…{resync})"
+            f"digest={self.digest[:4].hex()}…)"
         )
 
 

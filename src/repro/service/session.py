@@ -21,7 +21,9 @@ keys, skipping the compromised members, who can neither receive their
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Iterable, Sequence
 
 from ..crypto.dh import DEFAULT_GROUP, DhGroup
@@ -75,6 +77,54 @@ class RekeyReport:
     dropped: tuple[int, ...] = ()
 
 
+class PresharedPairKeys(Mapping):
+    """The pairwise keys of a preshared group, each derived when first read.
+
+    ``keys[frozenset((a, b))]`` for two distinct members ``a < b`` is
+    ``derive_key(secret, "preshared-pair", a, b)``, derived once and kept.
+    Opening a session derives none of the ``n(n-1)/2`` keys, and a re-key
+    reads only the distributor's ``n - 1``.  ``del keys[pair]`` revokes a
+    pair: it then reads as a key that was never established.
+    """
+
+    def __init__(self, secret: bytes, members: Iterable[int]) -> None:
+        self._secret = secret
+        self._members = frozenset(members)
+        self._derived: dict[frozenset[int], bytes] = {}
+        self._revoked: set[frozenset[int]] = set()
+
+    def _check(self, pair: frozenset[int]) -> None:
+        if (
+            not isinstance(pair, frozenset)
+            or len(pair) != 2
+            or not pair <= self._members
+            or pair in self._revoked
+        ):
+            raise KeyError(pair)
+
+    def __getitem__(self, pair: frozenset[int]) -> bytes:
+        key = self._derived.get(pair)
+        if key is None:
+            self._check(pair)
+            a, b = sorted(pair)
+            key = derive_key(self._secret, "preshared-pair", a, b)
+            self._derived[pair] = key
+        return key
+
+    def __delitem__(self, pair: frozenset[int]) -> None:
+        self._check(pair)
+        self._derived.pop(pair, None)
+        self._revoked.add(pair)
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        pairs = map(frozenset, combinations(sorted(self._members), 2))
+        return (pair for pair in pairs if pair not in self._revoked)
+
+    def __len__(self) -> int:
+        n = len(self._members)
+        return n * (n - 1) // 2 - len(self._revoked)
+
+
 @dataclass(frozen=True)
 class PresharedSetup:
     """Key material provisioned out of band (no Part 1-3 run).
@@ -83,13 +133,14 @@ class PresharedSetup:
     group secret was established offline (the paper's setup runs once;
     a serving deployment re-opens sessions against stored material).
     Pairwise keys are derived from the group secret per unordered pair,
-    so :meth:`SecureSession.rekey` works identically: every member can
-    act as distributor (``completed_leaders`` is the whole membership).
+    on first use (:class:`PresharedPairKeys`), so
+    :meth:`SecureSession.rekey` works identically: every member can act
+    as distributor (``completed_leaders`` is the whole membership).
     """
 
     group_key: bytes
     members: tuple[int, ...]
-    pairwise_keys: dict[frozenset[int], bytes]
+    pairwise_keys: PresharedPairKeys
     completed_leaders: tuple[int, ...]
 
     def holders(self) -> list[int]:
@@ -168,26 +219,21 @@ class SecureSession:
         long-lived deployment (the ``repro.serve`` daemon) re-opens
         sessions against stored key material instead of re-running it per
         session.  Pairwise keys for :meth:`rekey` are derived from the
-        group secret per unordered member pair, every member counts as a
-        complete leader, and ``setup_rounds`` is zero.  Traffic, flush,
-        inbox, and re-keying semantics are identical to a set-up session.
-        A member id that is not an ``int`` raises
-        :class:`ConfigurationError`.
+        group secret per unordered member pair when a re-key first needs
+        one, every member counts as a complete leader, and
+        ``setup_rounds`` is zero.  Traffic, flush, inbox, and re-keying
+        semantics are identical to a set-up session.  A member id that is
+        not an ``int`` raises :class:`ConfigurationError`.
         """
         member_ids = tuple(sorted(set(_int_ids(members, "member ids"))))
         secret = bytes(group_key)
-        pairwise = {
-            frozenset((a, b)): derive_key(secret, "preshared-pair", a, b)
-            for i, a in enumerate(member_ids)
-            for b in member_ids[i + 1 :]
-        }
         self = cls.__new__(cls)
         self.network = network
         self.rng = rng or RngRegistry(seed=0)
         self.setup = PresharedSetup(
             group_key=secret,
             members=member_ids,
-            pairwise_keys=pairwise,
+            pairwise_keys=PresharedPairKeys(secret, member_ids),
             completed_leaders=member_ids,
         )
         self._attach(secret, member_ids, setup_rounds=0)

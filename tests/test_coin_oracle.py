@@ -22,11 +22,17 @@ witnesses of one true slot:
 * the per-repetition count of listeners that hear ``<true, r>`` is
   ``Binomial(L, (C - t) / C)`` (a chi-square test).
 
+Parallel feedback transfers (Section 5.5, :func:`~repro.feedback.parallel.
+run_parallel_feedback`) at ``C = 2t``: one merge pair of ``2t``-member
+witness groups, so the block is every channel, and ``L`` outsiders
+listening in the final dissemination.  The same two checks hold with
+``(C - t) / C = 1/2``.
+
 Seeds are fixed and every bound sits at 5 sigma, so a correct change of
-the coins fails a check with probability about 1e-6.  Two negative
+the coins fails a check with probability about 1e-6.  Three negative
 controls must fail: listeners whose hop streams share one seed keep every
 listener's histogram uniform but fail the joint gossip test, and a jammer
-that silently never jams fails both feedback checks.
+that silently never jams fails both feedback checks, serial and parallel.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ from repro.analysis.theory import (
     feedback_miss_probability,
     gossip_miss_probability,
 )
+from repro.feedback.parallel import run_parallel_feedback
 from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
 from repro.feedback.witness import WitnessAssignment
-from repro.radio.messages import Message
+from repro.radio.messages import DELTA_KIND, Message
 from repro.radio.network import RadioNetwork, RoundMeta, run_gossip_epoch
 from repro.rng import RngRegistry
 
@@ -195,6 +202,25 @@ class _SilentJammer(RandomJammer):
         return [()] * len(metas)
 
 
+def hearing_checks(counts: list[int], channels: int, t: int) -> dict:
+    """p-values of the hearing rate and of the Binomial histogram, given
+    each repetition's count of ``LISTENERS`` listeners that heard the
+    true frame."""
+    p = 1 - float(feedback_miss_probability(1, channels, t))
+    z = (sum(counts) - len(counts) * LISTENERS * p) / math.sqrt(
+        len(counts) * LISTENERS * p * (1 - p)
+    )
+    histogram = [0] * (LISTENERS + 1)
+    for count in counts:
+        histogram[count] += 1
+    return {
+        "hearing_rate": math.erfc(abs(z) / math.sqrt(2)),
+        "binomial": chi_square_p(
+            histogram, binomial_counts(len(counts), LISTENERS, p)
+        ),
+    }
+
+
 def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
     """Run serial feedback invocations until ``FEEDBACK_ROUNDS``
     repetitions have run, witnesses ``0..C-1`` reporting one true slot on
@@ -230,19 +256,7 @@ def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
         )
         for row, heard in rounds
     ]
-    p = 1 - float(feedback_miss_probability(1, channels, t))
-    z = (sum(counts) - len(counts) * LISTENERS * p) / math.sqrt(
-        len(counts) * LISTENERS * p * (1 - p)
-    )
-    histogram = [0] * (LISTENERS + 1)
-    for count in counts:
-        histogram[count] += 1
-    return {
-        "hearing_rate": math.erfc(abs(z) / math.sqrt(2)),
-        "binomial": chi_square_p(
-            histogram, binomial_counts(len(counts), LISTENERS, p)
-        ),
-    }
+    return hearing_checks(counts, channels, t)
 
 
 @pytest.mark.parametrize("channels,t,seed", [(2, 1, 21), (3, 2, 22), (4, 3, 23)])
@@ -255,4 +269,63 @@ def test_feedback_coins_match_theory(channels, t, seed):
 
 def test_a_silent_jammer_fails_the_feedback_checks():
     checks = feedback_checks(3, 2, _SilentJammer(random.Random(22)), 22)
+    assert max(checks.values()) < FIVE_SIGMA, checks
+
+
+PARALLEL_ROUNDS = 6_000
+"""Final-dissemination repetitions per check, summed over invocations."""
+
+
+def parallel_feedback_checks(t: int, adversary, seed: int) -> dict:
+    """Run parallel merges at ``C = 2t`` until ``PARALLEL_ROUNDS``
+    final-dissemination repetitions have run: two witness groups of
+    ``2t`` reporting true slots, merged on one block of every channel,
+    then broadcast to ``LISTENERS`` outsiders hopping on their registry
+    hop streams; return each check's p-value."""
+    channels = 2 * t
+    witness_sets = [
+        tuple(range(channels)),
+        tuple(range(channels, 2 * channels)),
+    ]
+    flags = dict.fromkeys(range(2 * channels), True)
+    participants = list(range(2 * channels + LISTENERS))
+    network = RadioNetwork(
+        len(participants), channels, t, adversary=adversary, keep_trace=False
+    )
+    rounds: list[tuple[bytes, dict]] = []
+    execute = network.execute_schedule
+
+    def spy(schedule):
+        heard = execute(schedule)
+        if schedule.rounds[0].meta.extra["tag"][0] == "final":
+            rounds.extend(zip((cr.hops for cr in schedule.rounds), heard))
+        return heard
+
+    network.execute_schedule = spy
+    registry = RngRegistry(seed)
+    while len(rounds) < PARALLEL_ROUNDS:
+        run_parallel_feedback(
+            network, witness_sets, flags, participants, registry
+        )
+    counts = [
+        sum(
+            row.count(channel)
+            for channel, frame in heard.items()
+            if frame.kind == DELTA_KIND and frame.payload.true_slots == (0, 1)
+        )
+        for row, heard in rounds
+    ]
+    return hearing_checks(counts, channels, t)
+
+
+@pytest.mark.parametrize("t,seed", [(1, 31), (2, 32), (3, 33)])
+def test_parallel_feedback_coins_match_theory(t, seed):
+    checks = parallel_feedback_checks(
+        t, RandomJammer(random.Random(seed)), seed
+    )
+    assert min(checks.values()) > FIVE_SIGMA, checks
+
+
+def test_a_silent_jammer_fails_the_parallel_feedback_checks():
+    checks = parallel_feedback_checks(2, _SilentJammer(random.Random(32)), 32)
     assert max(checks.values()) < FIVE_SIGMA, checks

@@ -14,9 +14,10 @@ recorded from the naive executions (``tests/test_golden.py``):
   protocol-aware delta-frame spoofer;
 * the compiled schedule is byte-identical to the per-round transfer loop
   it replaced;
-* a digest mismatch either falls back to the frame's embedded full-frame
-  resync payload or drops the frame without corrupting knowledge — both
-  branches forced below, in-process and end-to-end through the radio.
+* a frame whose digest does not match its true slots is dropped whole,
+  without corrupting knowledge — forced below end to end through the
+  radio — and each distinct frame is checked once, however many listeners
+  and repetitions hear it.
 """
 
 from __future__ import annotations
@@ -38,24 +39,19 @@ from repro.extensions.restricted_listening import (
     RestrictedListeningNetwork,
     StickyEavesdropper,
 )
-from repro.feedback.parallel import DeltaApplyState, run_parallel_feedback
+from repro.feedback.parallel import run_parallel_feedback
 from repro.radio.actions import Transmit
 from repro.radio.messages import DELTA_KIND, DeltaFrame, Message
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 
 from test_golden import (
-    DELTA_COUNTERS,
-    FORCED_DROP_COUNTERS,
-    FORCED_RESYNC_COUNTERS,
     PARALLEL_FEEDBACK,
     PARALLEL_FULL_FRAME_PAYLOAD_UNITS,
     PARALLEL_FULL_FRAME_SEMANTIC,
     RESTRICTED_FULL_FRAME_PAYLOAD_UNITS,
-    RESTRICTED_DELTA_COUNTERS,
     RESTRICTED_PARALLEL_FEEDBACK,
     d_map_form,
-    delta_state_form,
     json_forms,
     metrics_form,
     network_digest,
@@ -93,22 +89,33 @@ ADVERSARIES = {
 }
 
 
-def _run(adversary_factory, *, seed=9, state=None):
+def _run(adversary_factory, *, seed=9):
     n, channels, t = 60, 8, 2
     net = RadioNetwork(n, channels, t, adversary=adversary_factory())
     witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
     flags = {w: (s != 1) for s, ws in enumerate(witness_sets) for w in ws}
-    if state is None:
-        state = DeltaApplyState()
     out = run_parallel_feedback(
-        net,
-        witness_sets,
-        flags,
-        list(range(n)),
-        RngRegistry(seed=seed),
-        delta_state=state,
+        net, witness_sets, flags, list(range(n)), RngRegistry(seed=seed)
     )
-    return out, net, state
+    return out, net
+
+
+def _corrupt_digests(monkeypatch, corrupt=lambda tag: True):
+    """Send every frame whose tag satisfies ``corrupt`` with a digest its
+    true slots do not hash to."""
+    import repro.feedback.parallel as parallel_module
+
+    real = parallel_module._delta_payload
+
+    def payload(group, tag):
+        frame = real(group, tag)
+        if not corrupt(tag):
+            return frame
+        return DeltaFrame(
+            tag=frame.tag, digest=b"\xff" * 32, true_slots=frame.true_slots
+        )
+
+    monkeypatch.setattr(parallel_module, "_delta_payload", payload)
 
 
 def _knowledge_view(msg):
@@ -172,161 +179,76 @@ class TestDeltaVersusFullFrame:
 
     @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
     def test_d_maps_metrics_and_semantic_traces_match(self, adversary):
-        out, net, state = _run(ADVERSARIES[adversary])
+        out, net = _run(ADVERSARIES[adversary])
         assert (
             _semantic_digest(out, net)
             == PARALLEL_FULL_FRAME_SEMANTIC[adversary]
         )
         # The counter the encoding exists to shrink, and nothing else.
         assert net.metrics.payload_units < PARALLEL_FULL_FRAME_PAYLOAD_UNITS
-        # Honest frames always verify: the escape hatch stays cold.
-        assert state.digest_mismatches == 0
-        assert state.resyncs == 0
 
     @pytest.mark.parametrize(
         "adversary", ["none", "random", "schedule-aware", "spoof-delta"]
     )
     def test_compiled_and_per_round_delta_byte_identical(self, adversary):
-        out, net, _ = _run(ADVERSARIES[adversary])
+        out, net = _run(ADVERSARIES[adversary])
         assert network_digest(out, net) == PARALLEL_FEEDBACK[adversary]
 
     def test_outputs_correct_under_jamming(self):
-        out, _net, _state = _run(ADVERSARIES["random"])
+        out, _net = _run(ADVERSARIES["random"])
         expected = {0, 2, 3}
         assert all(d == expected for d in out.values())
 
-    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
-    def test_apply_counters_match_golden(self, adversary):
-        _out, _net, state = _run(ADVERSARIES[adversary])
-        assert delta_state_form(state) == DELTA_COUNTERS[adversary]
-
-    def test_applied_digest_tracking_short_circuits_repeats(self):
-        _out, _net, state = _run(ADVERSARIES["none"])
-        assert state.applications > 0
-        # Every decode after a listener's first is an O(1) skip — with no
-        # jamming, listeners decode in (almost) every repetition, so skips
-        # dwarf applications.
-        assert state.skips > state.applications
-
 
 class TestDigestMismatchResync:
-    """The correctness escape hatch, both branches."""
-
-    def _frames(self):
-        from repro.fame.digests import slot_set_digest
-
-        good = DeltaFrame(
-            tag="t", digest=slot_set_digest((2, 5)), true_slots=(2, 5)
-        )
-        bad = DeltaFrame(tag="t", digest=b"\xff" * 32, true_slots=(2, 5))
-        resync = DeltaFrame(
-            tag="t",
-            digest=b"\xff" * 32,
-            true_slots=(2, 5),
-            full=((2, True), (4, False), (5, True)),
-        )
-        return good, bad, resync
-
-    def test_good_frame_applies_once_then_skips(self):
-        good, _bad, _resync = self._frames()
-        state = DeltaApplyState()
-        knowledge: dict[int, bool] = {}
-        assert state.apply(7, good, knowledge)
-        assert knowledge == {2: True, 5: True}
-        assert not state.apply(7, good, knowledge)
-        assert state.applications == 1 and state.skips == 1
-
-    def test_mismatch_without_resync_payload_drops_the_frame(self):
-        good, bad, _resync = self._frames()
-        state = DeltaApplyState()
-        knowledge: dict[int, bool] = {9: True}
-        assert not state.apply(7, bad, knowledge)
-        assert knowledge == {9: True}  # untouched — no partial application
-        assert state.digest_mismatches == 1 and state.resyncs == 0
-        # The bad digest was not marked applied: a later well-formed frame
-        # under the same digest key still lands (here: the good frame,
-        # whose digest differs — and applying it works).
-        assert state.apply(7, good, knowledge)
-        assert knowledge == {9: True, 2: True, 5: True}
-
-    def test_mismatch_with_resync_payload_applies_full_items(self):
-        _good, _bad, resync = self._frames()
-        state = DeltaApplyState()
-        knowledge: dict[int, bool] = {}
-        assert state.apply(7, resync, knowledge)
-        assert knowledge == {2: True, 4: False, 5: True}
-        assert state.digest_mismatches == 1 and state.resyncs == 1
-        # The resync frame (keyed by value, not by its untrustworthy
-        # digest) is now applied for this node.
-        assert not state.apply(7, resync, knowledge)
-        assert state.skips == 1
-
-    def test_verification_is_cached_per_frame_not_per_listener(self):
-        _good, bad, _resync = self._frames()
-        state = DeltaApplyState()
-        for node in range(10):
-            state.apply(node, bad, {})
-        assert state.digest_mismatches == 1
-
-    def test_apply_state_is_single_use(self):
-        """Reusing a state across invocations would silently skip the
-        second run's frames (same slot layout => same digests), so the
-        entry point refuses it outright."""
-        from repro.errors import ConfigurationError
-
-        state = DeltaApplyState()
-        _out, _net, _ = _run(ADVERSARIES["none"], state=state)
-        with pytest.raises(ConfigurationError):
-            _run(ADVERSARIES["none"], state=state)
-
-    def test_forced_mismatch_resyncs_end_to_end(self, monkeypatch):
-        """Corrupt every sender digest in flight; the embedded full-frame
-        payload must carry the whole invocation to the true flag set."""
-        import repro.feedback.parallel as parallel_module
-
-        real = parallel_module._delta_payload
-
-        def corrupted(group, tag):
-            frame = real(group, tag)
-            return DeltaFrame(
-                tag=frame.tag,
-                digest=b"\xff" * 32,
-                true_slots=frame.true_slots,
-                full=tuple((slot, True) for slot in group.true_slots),
-            )
-
-        monkeypatch.setattr(parallel_module, "_delta_payload", corrupted)
-        out, _net, state = _run(ADVERSARIES["random"])
-        assert all(d == {0, 2, 3} for d in out.values())
-        assert state.digest_mismatches > 0
-        assert state.resyncs == state.digest_mismatches
-        assert delta_state_form(state) == FORCED_RESYNC_COUNTERS
+    """A frame whose digest does not match its true slots is dropped
+    whole: there is no resync path, and no partial application."""
 
     def test_forced_mismatch_without_resync_drops_frames_end_to_end(
         self, monkeypatch
     ):
-        """Without the escape hatch, corrupted frames are dropped whole:
-        nobody learns anything beyond their own witness flag — and nobody's
-        knowledge is corrupted into a wrong positive."""
-        import repro.feedback.parallel as parallel_module
-
-        real = parallel_module._delta_payload
-
-        def corrupted(group, tag):
-            frame = real(group, tag)
-            return DeltaFrame(
-                tag=frame.tag, digest=b"\xff" * 32, true_slots=frame.true_slots
-            )
-
-        monkeypatch.setattr(parallel_module, "_delta_payload", corrupted)
-        out, _net, state = _run(ADVERSARIES["none"])
-        assert state.digest_mismatches > 0 and state.resyncs == 0
-        assert delta_state_form(state) == FORCED_DROP_COUNTERS
+        """With every digest corrupted, nobody learns anything beyond
+        their own witness flag — and nobody's knowledge is corrupted into
+        a wrong positive."""
+        _corrupt_digests(monkeypatch)
+        out, _net = _run(ADVERSARIES["none"])
         witness_slot = {w: s for s in range(4) for w in range(s * 4, s * 4 + 4)}
         for node, d in out.items():
             slot = witness_slot.get(node)
             expected = {slot} if slot is not None and slot != 1 else set()
             assert d == expected
+
+    def test_mismatch_without_resync_payload_drops_the_frame(
+        self, monkeypatch
+    ):
+        """Only the final dissemination frame is corrupted: the merge tree
+        still brings every witness to the true flag set, while the
+        outsiders, who hear nothing else, keep an empty ``D``."""
+        _corrupt_digests(monkeypatch, lambda tag: tag[0] == "final")
+        out, _net = _run(ADVERSARIES["random"])
+        for node, d in out.items():
+            assert d == ({0, 2, 3} if node < 16 else set())
+
+    def test_verification_is_cached_per_frame_not_per_listener(
+        self, monkeypatch
+    ):
+        """Each distinct frame is checked once, however many listeners
+        hear it in however many repetitions: four leaf digests, then one
+        check per transfer (four at level 0, two at level 1, one in the
+        final dissemination)."""
+        import repro.fame.digests as digests_module
+
+        calls = []
+        real = digests_module.slot_set_digest
+
+        def counted(slots):
+            calls.append(tuple(slots))
+            return real(slots)
+
+        monkeypatch.setattr(digests_module, "slot_set_digest", counted)
+        out, _net = _run(ADVERSARIES["random"])
+        assert all(d == {0, 2, 3} for d in out.values())
+        assert len(calls) == 4 + 4 + 2 + 1
 
 
 class TestRestrictedListeningDelta:
@@ -334,7 +256,7 @@ class TestRestrictedListeningDelta:
     RestrictedListeningNetwork's monitoring resolver unchanged: the run's
     digest, redacted trace included, equals the per-round reference's."""
 
-    def _run(self, state=None):
+    def _run(self):
         n, channels, t = 24, 8, 2
         net = RestrictedListeningNetwork(
             n, channels, t, StickyEavesdropper([1, 3])
@@ -342,12 +264,7 @@ class TestRestrictedListeningDelta:
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
         flags = {w: (s != 2) for s, ws in enumerate(witness_sets) for w in ws}
         out = run_parallel_feedback(
-            net,
-            witness_sets,
-            flags,
-            list(range(n)),
-            RngRegistry(seed=13),
-            delta_state=state,
+            net, witness_sets, flags, list(range(n)), RngRegistry(seed=13)
         )
         return out, net
 
@@ -361,8 +278,3 @@ class TestRestrictedListeningDelta:
         assert (
             net.metrics.payload_units < RESTRICTED_FULL_FRAME_PAYLOAD_UNITS
         )
-
-    def test_apply_counters_match_golden(self):
-        state = DeltaApplyState()
-        self._run(state)
-        assert delta_state_form(state) == RESTRICTED_DELTA_COUNTERS

@@ -122,6 +122,43 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="flags"):
             run_parallel_feedback(net, sets, {}, list(range(net.n)), rng)
 
+    def test_witness_without_flag_rejected(self, rng):
+        # The serial routine's check: one flagged witness used to vouch
+        # for its whole set, so node 1 below ended with D = {0}.
+        net = make_network(n=40, channels=2, t=1)
+        sets = [(0, 1), (2, 3)]
+        flags = {0: True, 2: False, 3: False}
+        with pytest.raises(ConfigurationError, match="no flag"):
+            run_parallel_feedback(net, sets, flags, list(range(net.n)), rng)
+
+    def test_witness_outside_participants_rejected(self, rng):
+        net = make_network(n=40, channels=8, t=2)
+        sets = witness_sets_for(2, 4)
+        with pytest.raises(ConfigurationError, match="participant"):
+            run_parallel_feedback(
+                net,
+                sets,
+                flags_for(sets, (True, False)),
+                list(range(4, net.n)),
+                rng,
+            )
+
+    @pytest.mark.parametrize(
+        "sets,match",
+        [
+            ([(0, 0, 1, 2)], "duplicates"),
+            ([(0, 1, 2, 3), (3, 4, 5, 6)], "overlap"),
+        ],
+    )
+    def test_witness_sets_must_be_disjoint(self, rng, sets, match):
+        # As in the serial routine.  A node listed twice left a block
+        # channel without an honest broadcaster: a forged frame with a
+        # valid digest sent there reached every outsider.
+        net = make_network(n=40, channels=8, t=2)
+        flags = {w: False for s in sets for w in s}
+        with pytest.raises(ConfigurationError, match=match):
+            run_parallel_feedback(net, sets, flags, list(range(net.n)), rng)
+
     def test_insufficient_channels_rejected(self, rng):
         net = make_network(n=60, channels=4, t=2)  # < 2t^2
         sets = witness_sets_for(4, 4)

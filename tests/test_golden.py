@@ -134,19 +134,6 @@ def network_digest(outputs, net) -> str:
     return sha([d_map_form(outputs), *network_material(net)])
 
 
-def delta_state_form(state) -> tuple:
-    """A :class:`~repro.feedback.parallel.DeltaApplyState`'s counters and
-    the fingerprint of its sorted per-node applied-key counts."""
-    counters = (
-        state.applications,
-        state.skips,
-        state.digest_mismatches,
-        state.resyncs,
-    )
-    applied = sorted((node, len(keys)) for node, keys in state.applied.items())
-    return counters, sha(applied)
-
-
 def fame_form(result) -> list:
     """An f-AME result: its summary (never the config's ``repr``), the
     outcomes, the cover certificate and the surrogates."""
@@ -351,45 +338,6 @@ RESTRICTED_PARALLEL_FEEDBACK = (
 )
 
 RESTRICTED_FULL_FRAME_PAYLOAD_UNITS = 5040
-
-# The parallel merge's receiver bookkeeping on the same recipes: the
-# ``DeltaApplyState`` counters ``(applications, skips,
-# digest_mismatches, resyncs)`` and the digest of its sorted per-node
-# applied-key counts (:func:`delta_state_form`) — under the nine
-# adversaries of test_feedback_delta, on the RestrictedListeningNetwork
-# recipe, and with every sender digest corrupted (with and without the
-# embedded full-frame resync payload).  Recorded from the per-listener,
-# per-repetition fold.
-
-DELTA_APPLIED_N60 = (
-    "1a242afdf79970d93b47a583628164fe6b13c2b3b668fd6223de2ba49b1ac048"
-)
-
-DELTA_COUNTERS = {
-    "budget": ((76, 2624, 0, 0), DELTA_APPLIED_N60),
-    "none": ((76, 2660, 0, 0), DELTA_APPLIED_N60),
-    "null": ((76, 2660, 0, 0), DELTA_APPLIED_N60),
-    "random": ((76, 1958, 0, 0), DELTA_APPLIED_N60),
-    "reactive": ((76, 1476, 0, 0), DELTA_APPLIED_N60),
-    "schedule-aware": ((76, 1980, 0, 0), DELTA_APPLIED_N60),
-    "spoof": ((76, 1988, 0, 0), DELTA_APPLIED_N60),
-    "spoof-delta": ((76, 1921, 0, 0), DELTA_APPLIED_N60),
-    "sweep": ((76, 1946, 0, 0), DELTA_APPLIED_N60),
-}
-
-RESTRICTED_DELTA_COUNTERS = (
-    (40, 1080, 0, 0),
-    "5d7462d07c6532cde3a00e2cdebedceeb5eb36f36bf25fc2c587d269e8973d23",
-)
-
-FORCED_RESYNC_COUNTERS = ((76, 1958, 7, 7), DELTA_APPLIED_N60)
-"""Every digest corrupted, full-frame payload embedded; ``random``."""
-
-FORCED_DROP_COUNTERS = (
-    (0, 0, 7, 0),
-    "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-)
-"""Every digest corrupted, no resync payload; no adversary."""
 
 # f-AME end to end (TestFameProtocolEquivalence): five pairs at n=20,
 # C=2, t=1 (BASE regime, serial feedback), seed 5, recorded from the

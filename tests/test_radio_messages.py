@@ -79,9 +79,9 @@ class TestPayloadSize:
 
 
 class TestDeltaFrame:
-    def _frame(self, full=None):
+    def _frame(self, true_slots=(3, 5, 9)):
         return DeltaFrame(
-            tag=(2, 1), digest=b"\x01" * 32, true_slots=(3, 5, 9), full=full
+            tag=(2, 1), digest=b"\x01" * 32, true_slots=true_slots
         )
 
     def test_wire_size_is_delta_plus_constants(self):
@@ -92,10 +92,6 @@ class TestDeltaFrame:
         full_equivalent = ((2, 1), ((3, True), (4, False), (5, True), (9, True)))
         assert self._frame().wire_size() < payload_size(full_equivalent)
 
-    def test_resync_payload_pays_its_items(self):
-        resync = self._frame(full=((3, True), (4, False)))
-        assert resync.wire_size() == self._frame().wire_size() + 4
-
     def test_payload_size_dispatches_to_wire_size(self):
         frame = self._frame()
         assert payload_size(frame) == frame.wire_size()
@@ -105,4 +101,4 @@ class TestDeltaFrame:
     def test_value_equality_and_hashability(self):
         assert self._frame() == self._frame()
         assert hash(self._frame()) == hash(self._frame())
-        assert self._frame() != self._frame(full=((3, True),))
+        assert self._frame() != self._frame(true_slots=(3, 5))

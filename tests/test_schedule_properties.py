@@ -13,9 +13,9 @@ leans on:
   every scheduled role.
 
 Also home to the slot-set digest properties backing the delta feedback
-frames: applying any sequence of (possibly overlapping) slot-set deltas
-and digesting incrementally must equal the one-shot digest of the merged
-set, and disjoint parts must combine to the whole.
+frames: digesting any sequence of (possibly overlapping) slot-set deltas,
+in any order, must equal the digest of the merged set, and disjoint parts
+must combine to the whole.
 
 And to the coin properties: for arbitrary ``(n, count, seed)``, the
 in-step block draws a jammer makes off its own generator ==
@@ -36,7 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from repro.fame.config import make_config, witness_group_size
-from repro.fame.digests import SlotSetDigest, combine_digests, slot_set_digest
+from repro.fame.digests import combine_digests, slot_set_digest
 from repro.fame.schedule import build_schedule
 from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyTermination, greedy_proposal
@@ -126,18 +126,14 @@ slot_batches = st.lists(
 @given(batches=slot_batches)
 @settings(max_examples=150, deadline=None)
 def test_delta_apply_then_digest_equals_digest_of_merged(batches):
-    """Incremental update over any delta sequence == one-shot digest of the
-    union — the invariant that lets merge groups maintain their frame
-    digest in O(delta) while receivers verify against the merged set."""
-    incremental = SlotSetDigest()
-    merged: set[int] = set()
-    for batch in batches:
-        incremental.update(batch)
-        merged |= set(batch)
-    assert incremental.value == slot_set_digest(merged)
-    # Order independence: the reversed-order one-shot digest agrees too.
-    assert incremental.value == slot_set_digest(sorted(merged, reverse=True))
-    assert incremental.slots == frozenset(merged)
+    """The digest of any delta sequence, duplicates included, == the
+    digest of the union, in any order — so a listener's check of a
+    frame's true slots cannot depend on how they were gathered."""
+    applied = [slot for batch in batches for slot in batch]
+    merged = set(applied)
+    digest = slot_set_digest(applied)
+    assert digest == slot_set_digest(merged)
+    assert digest == slot_set_digest(sorted(merged, reverse=True))
 
 
 @given(slots=st.sets(st.integers(0, 300), max_size=24), pivot=st.integers(0, 300))

@@ -243,6 +243,37 @@ class TestPresharedSession:
         assert report.distributor == 1
         assert report.members == (1, 2, 3, 4, 5)
 
+    def test_pair_keys_are_derived_on_demand(self, monkeypatch):
+        # Opening used to derive all n(n-1)/2 pair keys, blocking the
+        # daemon's loop for seconds at n=800; a re-key reads only the
+        # distributor's, and derives each at most once.
+        import repro.service.session as session_module
+
+        derived = []
+        real = session_module.derive_key
+
+        def counted(secret, *context):
+            derived.append(context)
+            return real(secret, *context)
+
+        monkeypatch.setattr(session_module, "derive_key", counted)
+        net = make_network(n=6, channels=2, t=1)
+        session = SecureSession.from_preshared(net, KEY, range(6))
+        assert derived == []
+        session.rekey([5])
+        assert derived == [("preshared-pair", 0, m) for m in (1, 2, 3, 4)]
+        session.rekey([])  # the same distributor: every key is kept
+        assert len(derived) == 4
+        session.rekey([0])
+        assert derived[4:] == [("preshared-pair", 1, m) for m in (2, 3, 4)]
+        keys = session.setup.pairwise_keys
+        assert keys[frozenset((1, 3))] == real(KEY, "preshared-pair", 1, 3)
+        assert len(keys) == len(list(keys)) == 15
+        del keys[frozenset((1, 3))]
+        assert keys.get(frozenset((1, 3))) is None
+        assert len(keys) == len(list(keys)) == 14
+        assert keys.get(frozenset((1, 9))) is None  # not a member pair
+
     def test_same_key_same_traffic(self):
         # Two preshared sessions over the same key and seeds emit
         # byte-identical frames: the basis of the serve determinism claim.
