@@ -18,6 +18,7 @@ without ever being needed to *run* a trial.
 """
 
 from .vertex_cover import (
+    greedy_matching,
     greedy_matching_cover,
     has_cover_at_most,
     min_vertex_cover,
@@ -87,6 +88,7 @@ __all__ = [
     "node_connectivity",
     "triangle_count",
     "union_bound_failure",
+    "greedy_matching",
     "greedy_matching_cover",
     "has_cover_at_most",
     "min_vertex_cover",

@@ -70,7 +70,7 @@ def min_vertex_cover(edges: Iterable[tuple[V, V]]) -> set[V]:
     if not normalized:
         return set()
     # A maximal matching of size m forces cover size >= m.
-    lower = len(_greedy_matching(normalized))
+    lower = len(greedy_matching(normalized))
     for k in range(lower, 2 * lower + 1):
         cover = _cover_at_most(normalized, k)
         if cover is not None:
@@ -83,10 +83,18 @@ def vertex_cover_number(edges: Iterable[tuple[V, V]]) -> int:
     return len(min_vertex_cover(edges))
 
 
-def _greedy_matching(edges: list[tuple[V, V]]) -> list[tuple[V, V]]:
+def greedy_matching(
+    edges: Iterable[tuple[V, V]], limit: int | None = None
+) -> list[tuple[V, V]]:
+    """Scan ``edges`` in order and keep each one that shares no vertex
+    with those kept, stopping at ``limit`` edges: a maximal matching when
+    ``limit`` is ``None``, and the vertex-disjoint batch a deterministic
+    exchange schedules on ``limit`` channels."""
     matched: set[V] = set()
     matching: list[tuple[V, V]] = []
     for u, v in edges:
+        if len(matching) == limit:
+            break
         if u not in matched and v not in matched:
             matching.append((u, v))
             matched.update((u, v))
@@ -100,6 +108,6 @@ def greedy_matching_cover(edges: Iterable[tuple[V, V]]) -> set[V]:
     progress displays inside long benchmark sweeps).
     """
     cover: set[V] = set()
-    for u, v in _greedy_matching(_normalize(edges)):
+    for u, v in greedy_matching(_normalize(edges)):
         cover.update((u, v))
     return cover

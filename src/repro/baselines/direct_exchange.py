@@ -6,7 +6,9 @@ channels, sources broadcast, destinations listen.  Because the schedule is
 deterministic, the adversary can never spoof (any of its transmissions on a
 scheduled channel merely collides) — this is the easy half of
 authentication.  The protocol simply sweeps over the pending set for a fixed
-number of passes.
+number of passes, each round a :func:`~repro.analysis.vertex_cover.
+greedy_matching` batch in pending order run as f-AME's surrogate-free
+:func:`~repro.fame.protocol.direct_round`.
 
 Its weakness is resilience: with no surrogates, the triangle-isolation
 adversary (Section 5) pins ``t`` vertex-disjoint triples and jams every
@@ -21,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from ..analysis.vertex_cover import min_vertex_cover
-from ..errors import ProtocolViolation
-from ..radio.actions import Action, Listen, Transmit
-from ..radio.messages import Message
-from ..radio.network import RadioNetwork, RoundMeta
+from ..analysis.disruption import disruptability, disruption_graph
+from ..analysis.vertex_cover import greedy_matching
+from ..fame.protocol import check_pairs, direct_round
+from ..radio.network import RadioNetwork
 
 DIRECT_KIND = "direct-data"
 
@@ -42,27 +43,11 @@ class DirectExchangeResult:
     @property
     def failed(self) -> list[tuple[int, int]]:
         """Pairs never delivered."""
-        return [p for p, ok in self.outcomes.items() if not ok]
+        return disruption_graph(self.outcomes)
 
     def disruptability(self) -> int:
         """Minimum vertex cover of the failed pairs."""
-        return len(min_vertex_cover(self.failed))
-
-
-def _pack_round(
-    pending: Sequence[tuple[int, int]], channels: int
-) -> list[tuple[int, int]]:
-    """Deterministically pick up to ``channels`` vertex-disjoint pairs."""
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for v, w in pending:
-        if v in used or w in used:
-            continue
-        chosen.append((v, w))
-        used.update((v, w))
-        if len(chosen) == channels:
-            break
-    return chosen
+        return disruptability(self.failed)
 
 
 def run_direct_exchange(
@@ -80,12 +65,7 @@ def run_direct_exchange(
     delivery directly — the baseline makes no sender-awareness claim, which
     is one of the things f-AME adds).
     """
-    edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-    for v, w in edges:
-        if v == w or not (0 <= v < network.n and 0 <= w < network.n):
-            raise ProtocolViolation(f"invalid pair ({v}, {w})")
-    if messages is None:
-        messages = {(v, w): ("msg", v, w) for v, w in edges}
+    edges, messages = check_pairs(network, edges, messages)
     start = network.metrics.rounds
     pending = list(edges)
     delivered: dict[tuple[int, int], Any] = {}
@@ -96,41 +76,21 @@ def run_direct_exchange(
         # One sweep: schedule every pending pair exactly once.
         sweep = list(pending)
         while sweep:
-            batch = _pack_round(sweep, network.channels)
-            sweep = [p for p in sweep if p not in set(batch)]
-            actions: dict[int, Action] = {}
-            assignments: dict[int, dict[str, int | None]] = {}
-            for channel, (v, w) in enumerate(batch):
-                actions[v] = Transmit(
-                    channel,
-                    Message(
-                        kind=DIRECT_KIND, sender=v, payload=(v, w, messages[(v, w)])
-                    ),
-                )
-                actions[w] = Listen(channel)
-                assignments[channel] = {
-                    "broadcaster": v,
-                    "source": v,
-                    "listener": w,
-                }
-            meta = RoundMeta(
-                phase="direct-exchange",
-                schedule={
-                    "channels_in_use": tuple(range(len(batch))),
-                    "assignments": assignments,
-                },
+            batch = greedy_matching(sweep, network.channels)
+            scheduled = set(batch)
+            sweep = [p for p in sweep if p not in scheduled]
+            frames = direct_round(
+                network, batch, messages, DIRECT_KIND, "direct-exchange"
             )
-            results = network.execute_round(actions, meta)
-            for channel, (v, w) in enumerate(batch):
-                frame = results.get(w)
+            for pair, frame in zip(batch, frames):
                 if (
                     frame is not None
                     and frame.kind == DIRECT_KIND
-                    and frame.payload[:2] == (v, w)
+                    and frame.payload[:2] == pair
                 ):
-                    delivered[(v, w)] = frame.payload[2]
-                    if (v, w) in pending:
-                        pending.remove((v, w))
+                    delivered[pair] = frame.payload[2]
+                    if pair in pending:
+                        pending.remove(pair)
     return DirectExchangeResult(
         outcomes={p: p in delivered for p in edges},
         delivered=delivered,

@@ -17,21 +17,26 @@ adaptive protocol:
 Against the triangle-isolation adversary the bound is tight: the run ends
 with ``t`` jammed triangles and disruptability exactly ``2t``, while f-AME
 on the same workload stays at ``t`` (experiment E10).
+
+Each move is f-AME's machinery minus the surrogates: the pair check, a
+:func:`~repro.analysis.vertex_cover.greedy_matching` batch, witness
+recruitment, the surrogate-free :func:`~repro.fame.protocol.direct_round`,
+serial feedback and the referee vote.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from ..analysis.vertex_cover import min_vertex_cover
+from ..analysis.disruption import disruptability, disruption_graph
+from ..analysis.vertex_cover import greedy_matching
 from ..errors import ProtocolViolation, SimulationDiverged
+from ..fame.protocol import check_pairs, direct_round, referee_vote
+from ..fame.schedule import recruit_witnesses
 from ..feedback.protocol import run_feedback
 from ..feedback.witness import WitnessAssignment
-from ..radio.actions import Action, Listen, Transmit
-from ..radio.messages import Message
-from ..radio.network import RadioNetwork, RoundMeta
+from ..radio.network import RadioNetwork
 from ..radio.shapes import ScheduleShapeCache
 from ..rng import RngRegistry
 
@@ -51,27 +56,11 @@ class NoSurrogateResult:
     @property
     def failed(self) -> list[tuple[int, int]]:
         """Pairs that output fail."""
-        return [p for p, ok in self.outcomes.items() if not ok]
+        return disruption_graph(self.outcomes)
 
     def disruptability(self) -> int:
         """Minimum vertex cover of the failed pairs."""
-        return len(min_vertex_cover(self.failed))
-
-
-def _matching_proposal(
-    pending: Sequence[tuple[int, int]], limit: int
-) -> list[tuple[int, int]]:
-    """Greedy vertex-disjoint selection in deterministic order."""
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for v, w in sorted(pending):
-        if v in used or w in used:
-            continue
-        chosen.append((v, w))
-        used.update((v, w))
-        if len(chosen) == limit:
-            break
-    return chosen
+        return disruptability(self.failed)
 
 
 def run_no_surrogate(
@@ -82,16 +71,12 @@ def run_no_surrogate(
 ) -> NoSurrogateResult:
     """Run the surrogate-free adaptive exchange to termination."""
     t = network.t
-    edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-    for v, w in edges:
-        if v == w or not (0 <= v < network.n and 0 <= w < network.n):
-            raise ProtocolViolation(f"invalid pair ({v}, {w})")
-    if messages is None:
-        messages = {(v, w): ("msg", v, w) for v, w in edges}
+    edges, messages = check_pairs(network, edges, messages)
     rng = rng or RngRegistry(seed=0)
 
+    # Each witness group is its slot's feedback witness set: one member per
+    # feedback channel.
     fb_channels = min(network.channels, 3 * (t + 1))
-    group_size = fb_channels
     start = network.metrics.rounds
     pending = list(edges)
     delivered: dict[tuple[int, int], Any] = {}
@@ -102,86 +87,48 @@ def run_no_surrogate(
     shape_cache = ScheduleShapeCache()
 
     while True:
-        batch = _matching_proposal(pending, network.channels)
+        batch = greedy_matching(sorted(pending), network.channels)
         if len(batch) < t + 1:
             break  # matching <= t  =>  vertex cover of pending <= 2t
         busy = {v for pair in batch for v in pair}
-        free = [node for node in range(network.n) if node not in busy]
-        if len(free) < group_size * len(batch):
-            raise ProtocolViolation(
-                "population too small for witness groups in the "
-                "no-surrogate baseline"
-            )
-        witness_groups = [
-            tuple(free[i * group_size : (i + 1) * group_size])
-            for i in range(len(batch))
-        ]
-
-        actions: dict[int, Action] = {}
-        assignments: dict[int, dict[str, int | None]] = {}
-        for channel, (v, w) in enumerate(batch):
-            actions[v] = Transmit(
-                channel,
-                Message(
-                    kind=NOSURROGATE_KIND,
-                    sender=v,
-                    payload=(v, w, messages[(v, w)]),
-                ),
-            )
-            actions[w] = Listen(channel)
-            for witness in witness_groups[channel]:
-                actions[witness] = Listen(channel)
-            assignments[channel] = {"broadcaster": v, "source": v, "listener": w}
-        results = network.execute_round(
-            actions,
-            RoundMeta(
-                phase="nosurrogate-transmission",
-                schedule={
-                    "channels_in_use": tuple(range(len(batch))),
-                    "assignments": assignments,
-                },
-                extra={"move": moves},
-            ),
+        witness_groups = recruit_witnesses(
+            network.n, busy, len(batch), fb_channels
+        )
+        frames = direct_round(
+            network,
+            batch,
+            messages,
+            NOSURROGATE_KIND,
+            "nosurrogate-transmission",
+            witness_groups,
+            {"move": moves},
         )
 
         flags = {
-            witness: (
-                results.get(witness) is not None
-                and results[witness].kind == NOSURROGATE_KIND
-            )
-            for group in witness_groups
+            witness: frame is not None and frame.kind == NOSURROGATE_KIND
+            for group, frame in zip(witness_groups, frames)
             for witness in group
         }
-        assignment = WitnessAssignment(
-            sets=tuple(group[:fb_channels] for group in witness_groups),
-            channels=tuple(range(fb_channels)),
-        )
         outputs = run_feedback(
             network,
-            assignment,
+            WitnessAssignment(
+                sets=witness_groups, channels=tuple(range(fb_channels))
+            ),
             flags,
             list(range(network.n)),
             rng,
             rng_namespace="nosurrogate-feedback",
             shape_cache=shape_cache,
         )
-        counts = Counter(frozenset(d) for d in outputs.values())
-        majority, _ = counts.most_common(1)[0]
-        disagreeing = sum(
-            1 for d in outputs.values() if frozenset(d) != majority
+        majority, disagreeing = referee_vote(
+            outputs, network.params.strict_consistency
         )
         if disagreeing:
-            if network.params.strict_consistency:
-                raise SimulationDiverged(
-                    "feedback disagreement in no-surrogate baseline"
-                )
             divergence_events += 1
-        if not majority:
-            raise SimulationDiverged("empty referee response")
 
         for slot in sorted(majority):
             pair = batch[slot]
-            frame = results.get(pair[1])
+            frame = frames[slot]
             if frame is None:  # pragma: no cover - feedback is truthful
                 raise SimulationDiverged(
                     f"slot {slot} reported success but destination heard "

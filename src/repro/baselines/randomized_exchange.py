@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from ..errors import ProtocolViolation
-from ..radio.actions import Action, Listen, Transmit
+from ..fame.protocol import check_pairs
+from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import RadioNetwork, RoundMeta
+from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
 from ..rng import RngRegistry
 
 RANDOM_EXCHANGE_KIND = "rand-exchange"
@@ -79,13 +79,12 @@ def run_randomized_exchange(
     *,
     epoch_rounds: int | None = None,
 ) -> RandomizedExchangeResult:
-    """Run one epoch per pair; destinations accept the first matching frame."""
-    edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-    for v, w in edges:
-        if v == w or not (0 <= v < network.n and 0 <= w < network.n):
-            raise ProtocolViolation(f"invalid pair ({v}, {w})")
-    if messages is None:
-        messages = {(v, w): ("msg", v, w) for v, w in edges}
+    """Run one epoch per pair; destinations accept the first matching frame.
+
+    Each round is compiled on its own: when the next one runs depends on
+    what this one delivered.
+    """
+    edges, messages = check_pairs(network, edges, messages)
     rng = rng or RngRegistry(seed=0)
     if epoch_rounds is None:
         epoch_rounds = network.params.gossip_epoch_rounds(network.n, network.t)
@@ -95,19 +94,17 @@ def run_randomized_exchange(
     for pair in edges:
         v, w = pair
         frame = exchange_frame(v, w, messages[pair])
+        meta = RoundMeta(phase="rand-exchange", extra={"pair": pair})
         for _ in range(epoch_rounds):
             if pair in accepted:
                 break
-            stream_v = rng.stream("rand-exchange", v)
-            stream_w = rng.stream("rand-exchange", w)
-            actions: dict[int, Action] = {}
-            actions[v] = Transmit(stream_v.randrange(network.channels), frame)
-            actions[w] = Listen(stream_w.randrange(network.channels))
-            results = network.execute_round(
-                actions,
-                RoundMeta(phase="rand-exchange", extra={"pair": pair}),
+            hop = rng.stream("rand-exchange", v).randrange(network.channels)
+            tuned = rng.stream("rand-exchange", w).randrange(network.channels)
+            compiled = CompiledRound(
+                {v: Transmit(hop, frame)}, (w,), bytes((tuned,)), meta
             )
-            got = results.get(w)
+            [heard] = network.execute_schedule(RoundSchedule([compiled]))
+            got = heard.get(tuned)
             if got is not None and got.kind == RANDOM_EXCHANGE_KIND:
                 try:
                     src, dst, payload = got.payload

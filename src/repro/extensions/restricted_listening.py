@@ -54,7 +54,7 @@ SHARE_KIND = "it-share"
 
 
 class MonitoringAdversary(abc.ABC):
-    """An adversary with a per-round listening budget.
+    """An adversary with a per-round listening budget of ``t`` channels.
 
     Subclasses implement :meth:`monitor` (channels to observe this round,
     chosen before the round resolves) and :meth:`act` (transmissions, as
@@ -65,7 +65,7 @@ class MonitoringAdversary(abc.ABC):
 
     @abc.abstractmethod
     def monitor(self, view: AdversaryView) -> Sequence[int]:
-        """Channels to observe this round (at most the listen budget)."""
+        """Channels to observe this round (at most ``t``)."""
 
     def act(self, view: AdversaryView) -> Sequence[Transmission]:
         """Transmissions for this round (at most ``t``); default silent."""
@@ -98,11 +98,13 @@ class RestrictedListeningNetwork(RadioNetwork):
     that "the adversary learns all random choices of completed rounds" is
     deliberately dropped — that is the whole point of the Q2 model.
 
-    The override sits on
+    The adversary may monitor at most ``t`` channels per round, as the Q2
+    model states; both gallery eavesdroppers size their monitor set by
+    ``view.t``.  The override sits on
     :meth:`~repro.radio.network.RadioNetwork.execute_schedule`, the one
-    round resolver, which per-node rounds reach through
-    :meth:`~repro.radio.network.RadioNetwork.execute_round`: monitoring
-    before acting and per-round redaction apply to both entry points.
+    round resolver, which the share spray's compiled epochs call and the
+    tests' per-node oracle reaches too: monitoring before acting and
+    per-round redaction apply to both.
     """
 
     def __init__(
@@ -111,8 +113,6 @@ class RestrictedListeningNetwork(RadioNetwork):
         channels: int,
         t: int,
         adversary: MonitoringAdversary,
-        *,
-        listen_budget: int | None = None,
         **kwargs,
     ) -> None:
         if not isinstance(adversary, MonitoringAdversary):
@@ -122,9 +122,6 @@ class RestrictedListeningNetwork(RadioNetwork):
         kwargs["keep_trace"] = True  # redaction reads the full last record
         super().__init__(n, channels, t, adversary=None, **kwargs)
         self._monitoring_adversary = adversary
-        self.listen_budget = t if listen_budget is None else listen_budget
-        if not 0 <= self.listen_budget <= channels:
-            raise ConfigurationError("listen budget out of range")
         self.redacted_trace = ExecutionTrace()
         self.observed_channel_rounds = 0
 
@@ -153,10 +150,10 @@ class RestrictedListeningNetwork(RadioNetwork):
         for cr in schedule.rounds:
             view = self._redacted_view(cr.meta)
             monitored = sorted(set(self._monitoring_adversary.monitor(view)))
-            if len(monitored) > self.listen_budget:
+            if len(monitored) > self.t:
                 raise ProtocolViolation(
                     f"adversary monitored {len(monitored)} channels; "
-                    f"listen budget is {self.listen_budget}"
+                    f"listen budget is {self.t}"
                 )
             if any(not 0 <= c < self.channels for c in monitored):
                 raise ProtocolViolation("monitored channel out of range")
@@ -194,11 +191,11 @@ class RestrictedListeningNetwork(RadioNetwork):
 
 
 class StickyEavesdropper(MonitoringAdversary):
-    """Monitors a fixed channel set every round (budget channels).
+    """Monitors a fixed channel set every round (its first ``t``).
 
     The strongest *oblivious* listener against uniform channel spraying:
     it observes each uniformly-placed frame with probability exactly
-    ``budget / C``.
+    ``t / C``.
     """
 
     def __init__(self, channels: Sequence[int]) -> None:

@@ -13,12 +13,7 @@ feedback phase, and the greedy strategy's termination certifies
 constant-size frames (gossip + reconstruction hashes + vector signatures).
 """
 
-from .byzantine import (
-    ByzantineResult,
-    CorruptionModel,
-    run_byzantine_exchange,
-    witness_group_size_byz,
-)
+from .byzantine import ByzantineResult, CorruptionModel, run_byzantine_exchange
 from .config import FameConfig, Regime, make_config, predicted_rounds, witness_group_size
 from .digests import (
     DigestFameResult,
@@ -59,5 +54,4 @@ __all__ = [
     "run_gossip_phase",
     "vector_frame",
     "witness_group_size",
-    "witness_group_size_byz",
 ]

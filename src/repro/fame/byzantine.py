@@ -15,10 +15,11 @@ interpretation:
 
 * each move schedules up to ``C`` **vertex-disjoint** pending edges, each
   broadcast directly by its source;
-* each in-use channel gets a witness group of ``3(t+1)`` listeners — an
-  honest majority from *every* observer's perspective whenever at most
-  ``t`` nodes are corrupt, including witnesses themselves, who are deaf to
-  their own rotation-mates (see :func:`witness_group_size_byz`);
+* each in-use channel gets a witness group of ``3(t+1)`` listeners
+  (f-AME's :func:`~repro.fame.config.witness_group_size`) — an honest
+  majority from *every* observer's perspective whenever at most ``t``
+  nodes are corrupt, including witnesses themselves, who are deaf to their
+  own rotation-mates;
 * feedback runs in witness *rotations*: each rotation fills every feedback
   channel with one witness per channel broadcasting a signed-by-position
   report ``(slot, flag, witness)`` (full occupancy keeps spoofing
@@ -34,21 +35,26 @@ interpretation:
 Corruption is modelled by :class:`CorruptionModel`: corrupt sources garble
 their payloads, corrupt witnesses invert their feedback flags.
 
-Listeners hop on private coins (their ``"byz-feedback"`` hop streams), so
-each slot's witness rotations run as one compiled schedule over
-:func:`~repro.radio.network.private_hop_rows`.
+The exchange shares f-AME's pair check, the greedy vertex-disjoint batch
+(:func:`~repro.analysis.vertex_cover.greedy_matching`), witness
+recruitment, the surrogate-free transmission round
+(:func:`~repro.fame.protocol.direct_round`) and the referee vote, which
+here counts only the honest nodes.  Listeners hop on private coins (their
+``"byz-feedback"`` hop streams), so each slot's witness rotations run as
+one compiled schedule over :func:`~repro.radio.network.private_hop_rows`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Mapping, Sequence
 
-from ..analysis.vertex_cover import min_vertex_cover
+from ..analysis.disruption import disruptability, disruption_graph
+from ..analysis.vertex_cover import greedy_matching
 from ..errors import ConfigurationError, ProtocolViolation, SimulationDiverged
-from ..radio.actions import Action, Listen, Transmit
+from ..radio.actions import Transmit
 from ..radio.messages import Message
 from ..radio.network import (
     CompiledRound,
@@ -59,6 +65,9 @@ from ..radio.network import (
     private_hop_rows,
 )
 from ..rng import RngRegistry
+from .config import witness_group_size
+from .protocol import check_pairs, direct_round, referee_vote
+from .schedule import recruit_witnesses
 
 BYZANTINE_DATA_KIND = "byz-data"
 BYZANTINE_REPORT_KIND = "byz-report"
@@ -142,39 +151,11 @@ class ByzantineResult:
     @property
     def failed(self) -> list[tuple[int, int]]:
         """Pairs that did not receive their genuine message."""
-        return [p for p, ok in self.outcomes.items() if not ok]
+        return disruption_graph(self.outcomes)
 
     def disruptability(self) -> int:
         """Minimum vertex cover of the failed pairs (bounded by 2t)."""
-        return len(min_vertex_cover(self.failed))
-
-
-def witness_group_size_byz(t: int) -> int:
-    """Witnesses per channel: ``3(t+1)``.
-
-    A witness transmits during its own rotation and therefore cannot hear
-    its ``t`` rotation-mates: it observes only ``group - t`` votes
-    (including its own first-hand flag).  For the majority to survive
-    ``t`` lying corrupt witnesses even from a witness's narrowed view, the
-    group needs ``group - t - t > t``, i.e. ``group > 3t`` — and the size
-    must also be a whole number of ``t+1``-channel rotations.  ``3(t+1)``
-    satisfies both (and pleasingly matches the paper's witness-group
-    constant from Section 5.4).
-    """
-    return 3 * (t + 1)
-
-
-def _matching(pending: Sequence[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for v, w in sorted(pending):
-        if v in used or w in used:
-            continue
-        chosen.append((v, w))
-        used.update((v, w))
-        if len(chosen) == limit:
-            break
-    return chosen
+        return disruptability(self.failed)
 
 
 def _byzantine_feedback(
@@ -274,15 +255,16 @@ def run_byzantine_exchange(
             f"the 2t-disruptability analysis assumes at most t={t} corrupt "
             f"nodes; got {len(corruption.corrupt)}"
         )
-    edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-    for v, w in edges:
-        if v == w or not (0 <= v < network.n and 0 <= w < network.n):
-            raise ProtocolViolation(f"invalid pair ({v}, {w})")
-    if messages is None:
-        messages = {(v, w): ("msg", v, w) for v, w in edges}
+    edges, messages = check_pairs(network, edges, messages)
     rng = rng or RngRegistry(seed=0)
 
-    group_size = witness_group_size_byz(t)
+    # f-AME's 3(t+1) witnesses per channel.  A witness transmits during its
+    # own rotation and so cannot hear its t rotation-mates: it observes only
+    # group - t votes (its own first-hand flag included).  For the majority
+    # to survive t lying witnesses even from that narrowed view, the group
+    # needs group - t - t > t, i.e. group > 3t, and it must be a whole
+    # number of (t+1)-channel rotations; 3(t+1) satisfies both.
+    group_size = witness_group_size(t)
     start = network.metrics.rounds
     pending = list(edges)
     delivered: dict[tuple[int, int], Any] = {}
@@ -292,82 +274,53 @@ def run_byzantine_exchange(
     max_moves = 3 * len(edges) + t + 2
 
     while True:
-        batch = _matching(pending, min(network.channels, t + 1))
+        batch = greedy_matching(sorted(pending), min(network.channels, t + 1))
         if len(batch) < t + 1:
             break
         busy = {v for pair in batch for v in pair}
-        free = [node for node in range(network.n) if node not in busy]
-        if len(free) < group_size * len(batch):
-            raise ProtocolViolation(
-                "population too small for Byzantine witness groups"
+        witness_groups = recruit_witnesses(
+            network.n, busy, len(batch), group_size
+        )
+        payloads = {
+            (v, w): (
+                ("garbled-by", v)
+                if corruption.garble_messages and corruption.is_corrupt(v)
+                else messages[(v, w)]
             )
-        witness_groups = [
-            tuple(free[i * group_size : (i + 1) * group_size])
-            for i in range(len(batch))
-        ]
-
-        actions: dict[int, Action] = {}
-        payloads: dict[tuple[int, int], Any] = {}
-        for channel, (v, w) in enumerate(batch):
-            payload = messages[(v, w)]
-            if corruption.garble_messages and corruption.is_corrupt(v):
-                payload = ("garbled-by", v)
-            payloads[(v, w)] = payload
-            actions[v] = Transmit(
-                channel,
-                Message(
-                    kind=BYZANTINE_DATA_KIND, sender=v, payload=(v, w, payload)
-                ),
-            )
-            actions[w] = Listen(channel)
-            for witness in witness_groups[channel]:
-                actions[witness] = Listen(channel)
-        results = network.execute_round(
-            actions,
-            RoundMeta(
-                phase="byz-transmission",
-                schedule={
-                    "channels_in_use": tuple(range(len(batch))),
-                    "assignments": {
-                        c: {"broadcaster": v, "source": v, "listener": w}
-                        for c, (v, w) in enumerate(batch)
-                    },
-                },
-                extra={"move": moves},
-            ),
+            for v, w in batch
+        }
+        frames = direct_round(
+            network,
+            batch,
+            payloads,
+            BYZANTINE_DATA_KIND,
+            "byz-transmission",
+            witness_groups,
+            {"move": moves},
         )
 
         flags = {
-            witness: (
-                results.get(witness) is not None
-                and results[witness].kind == BYZANTINE_DATA_KIND
-            )
-            for group in witness_groups
+            witness: frame is not None and frame.kind == BYZANTINE_DATA_KIND
+            for group, frame in zip(witness_groups, frames)
             for witness in group
         }
         decisions = _byzantine_feedback(
             network, witness_groups, flags, corruption, rng
         )
-        honest_decisions = [
-            frozenset(d)
-            for node, d in decisions.items()
-            if not corruption.is_corrupt(node)
-        ]
-        tally = Counter(honest_decisions)
-        majority, _count = tally.most_common(1)[0]
-        disagreeing = sum(1 for d in honest_decisions if d != majority)
+        majority, disagreeing = referee_vote(
+            {
+                node: d
+                for node, d in decisions.items()
+                if not corruption.is_corrupt(node)
+            },
+            network.params.strict_consistency,
+        )
         if disagreeing:
-            if network.params.strict_consistency:
-                raise SimulationDiverged(
-                    "honest nodes disagree on Byzantine feedback"
-                )
             divergence_events += 1
-        if not majority:
-            raise SimulationDiverged("empty referee response")
 
         for slot in sorted(majority):
             pair = batch[slot]
-            frame = results.get(pair[1])
+            frame = frames[slot]
             if frame is None:  # pragma: no cover - majority vote is truthful
                 raise SimulationDiverged("granted slot without delivery")
             got = frame.payload[2]

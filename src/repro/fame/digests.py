@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..analysis.disruption import disruptability
 from ..crypto.hashes import h1, h2
 from ..radio.messages import Message, payload_fields
 from ..radio.network import RadioNetwork, RoundMeta, hit_row, run_gossip_epoch
 from ..rng import RngRegistry
 from .config import FameConfig, make_config
-from .protocol import FameProtocol
+from .protocol import FameProtocol, check_pairs
 from .result import FameResult, PairOutcome
 
 GOSSIP_KIND = "ame-gossip"
@@ -195,9 +196,7 @@ class DigestFameResult:
 
     def disruptability(self) -> int:
         """Minimum vertex cover of the failed pairs."""
-        from ..analysis.vertex_cover import min_vertex_cover
-
-        return len(min_vertex_cover(self.failed))
+        return disruptability(self.failed)
 
 
 def run_gossip_phase(
@@ -276,19 +275,17 @@ def run_fame_with_digests(
     hash2: HashFn | None = None,
     epoch_rounds: int | None = None,
 ) -> DigestFameResult:
-    """The full Section 5.6 pipeline: gossip, reconstruct, sign, extract."""
-    from .protocol import default_messages
+    """The full Section 5.6 pipeline: gossip, reconstruct, sign, extract.
 
+    The pairs are checked before the gossip phase, as f-AME checks them.
+    """
     hash1 = hash1 or h1
     hash2 = hash2 or h2
     rng = rng or RngRegistry(seed=0)
     config = config or make_config(
         network.n, network.channels, network.t, params=network.params
     )
-    edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-    messages = (
-        dict(messages) if messages is not None else default_messages(edges)
-    )
+    edges, messages = check_pairs(network, edges, messages)
 
     # Stage 1: unauthenticated gossip.
     inboxes, gossip_rounds = run_gossip_phase(

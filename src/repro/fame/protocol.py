@@ -38,7 +38,7 @@ idle node with an explicit ``Sleep`` and ran the per-round feedback loops —
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..errors import ProtocolViolation, SimulationDiverged
 from ..feedback.parallel import run_parallel_feedback
@@ -102,6 +102,106 @@ def default_messages(
     return {(v, w): ("msg", v, w) for (v, w) in edges}
 
 
+def check_pairs(
+    network: RadioNetwork,
+    edges: Iterable[tuple[int, int]],
+    messages: Mapping[tuple[int, int], Any] | None = None,
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], Any]]:
+    """Definition 1's input, checked before any round runs: returns the
+    distinct pairs of ``edges`` in order and the message of each
+    (:func:`default_messages` when ``messages`` is ``None``).
+
+    Raises
+    ------
+    ProtocolViolation:
+        If a pair leaves the network, is a self-loop, or has no message.
+    """
+    pairs = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
+    for v, w in pairs:
+        if not (0 <= v < network.n and 0 <= w < network.n):
+            raise ProtocolViolation(f"pair ({v}, {w}) outside the network")
+        if v == w:
+            raise ProtocolViolation(f"pair ({v}, {w}) is a self-loop")
+    messages = (
+        dict(messages) if messages is not None else default_messages(pairs)
+    )
+    missing = [p for p in pairs if p not in messages]
+    if missing:
+        raise ProtocolViolation(f"pairs without messages: {missing[:4]}")
+    return pairs, messages
+
+
+def direct_round(
+    network: RadioNetwork,
+    batch: Sequence[tuple[int, int]],
+    payloads: Mapping[tuple[int, int], Any],
+    kind: str,
+    phase: str,
+    witness_groups: Sequence[tuple[int, ...]] = (),
+    extra: Mapping[str, Any] | None = None,
+) -> list[Message | None]:
+    """One surrogate-free transmission round; returns the frame each
+    channel delivered (``None`` for silence, a collision or noise).
+
+    Pair ``i`` of the vertex-disjoint ``batch`` gets channel ``i``: its
+    source broadcasts ``(v, w, payloads[(v, w)])`` in a ``kind`` frame,
+    and its destination, then ``witness_groups[i]`` when given, listen
+    there.  Every channel in use carries an honest broadcaster, so the
+    adversary can only collide (Section 5's first insight), and the
+    round's published ``schedule`` meta tells it nothing it could not
+    derive itself.
+    """
+    transmits: dict[int, Transmit] = {}
+    groups: dict[int, tuple[int, ...]] = {}
+    assignments: dict[int, dict[str, int]] = {}
+    for channel, (v, w) in enumerate(batch):
+        frame = Message(kind, v, (v, w, payloads[(v, w)]))
+        transmits[v] = Transmit(channel, frame)
+        groups[channel] = (w,)
+        assignments[channel] = {"broadcaster": v, "source": v, "listener": w}
+    for channel, group in enumerate(witness_groups):
+        groups[channel] += group
+    meta = RoundMeta(
+        phase=phase,
+        schedule={
+            "channels_in_use": tuple(range(len(batch))),
+            "assignments": assignments,
+        },
+        extra=extra or {},
+    )
+    [heard] = network.execute_schedule(
+        RoundSchedule([CompiledRound.make(transmits, groups, meta)])
+    )
+    return [heard.get(channel) for channel in range(len(batch))]
+
+
+def referee_vote(
+    outputs: Mapping[int, Iterable[int]], strict: bool
+) -> tuple[frozenset[int], int]:
+    """Resolve per-node feedback outputs into one referee response.
+
+    Returns the majority slot set and the number of nodes that disagree
+    with it.  With ``strict`` any disagreement raises
+    :class:`~repro.errors.SimulationDiverged` — the event Lemma 5 makes
+    improbable; otherwise the caller records it and resynchronises, which
+    is what a deployed system would log.
+    """
+    counts = Counter(frozenset(d) for d in outputs.values())
+    majority, agreeing = counts.most_common(1)[0]
+    disagreeing = len(outputs) - agreeing
+    if disagreeing and strict:
+        raise SimulationDiverged(
+            f"{disagreeing} nodes disagree on the feedback output "
+            "(the low-probability event of Lemma 5)"
+        )
+    if not majority:
+        raise SimulationDiverged(
+            "empty referee response: feedback reported no surviving "
+            "channel, which the adversary budget cannot cause"
+        )
+    return majority, disagreeing
+
+
 class FameProtocol:
     """One f-AME execution bound to a network and an edge set.
 
@@ -131,18 +231,7 @@ class FameProtocol:
         self.config = config or make_config(
             network.n, network.channels, network.t, params=network.params
         )
-        self.edges = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
-        for v, w in self.edges:
-            if not (0 <= v < network.n and 0 <= w < network.n):
-                raise ProtocolViolation(f"pair ({v}, {w}) outside the network")
-            if v == w:
-                raise ProtocolViolation(f"pair ({v}, {w}) is a self-loop")
-        self.messages = (
-            dict(messages) if messages is not None else default_messages(self.edges)
-        )
-        missing = [p for p in self.edges if p not in self.messages]
-        if missing:
-            raise ProtocolViolation(f"pairs without messages: {missing[:4]}")
+        self.edges, self.messages = check_pairs(network, edges, messages)
         self.rng = rng or RngRegistry(seed=0)
         # One schedule-shape cache for the whole run: every move's feedback
         # phase has the same (participants, channels, repetitions) geometry,
@@ -254,34 +343,6 @@ class FameProtocol:
             shape_cache=self._shape_cache,
         )
 
-    def _agree_on_referee(
-        self, outputs: Mapping[int, set[int]]
-    ) -> tuple[frozenset[int], int]:
-        """Resolve the per-node feedback outputs into one referee response.
-
-        Returns the majority ``D`` and the number of disagreeing nodes.  In
-        strict mode any disagreement raises
-        :class:`~repro.errors.SimulationDiverged` — the event Lemma 5 makes
-        improbable; otherwise the run records it and resynchronises, which
-        is what a deployed system would log.
-        """
-        counts = Counter(frozenset(d) for d in outputs.values())
-        majority, _ = counts.most_common(1)[0]
-        disagreeing = sum(
-            1 for d in outputs.values() if frozenset(d) != majority
-        )
-        if disagreeing and self.network.params.strict_consistency:
-            raise SimulationDiverged(
-                f"{disagreeing} nodes disagree on the feedback output "
-                "(the low-probability event of Lemma 5)"
-            )
-        if not majority:
-            raise SimulationDiverged(
-                "empty referee response: feedback reported no surviving "
-                "channel, which the adversary budget cannot cause"
-            )
-        return majority, disagreeing
-
     # ------------------------------------------------------------------
 
     def run(self) -> FameResult:
@@ -313,7 +374,9 @@ class FameProtocol:
             )
             results = self._transmission_round(schedule, moves)
             outputs = self._feedback_phase(schedule, results)
-            granted_slots, disagreeing = self._agree_on_referee(outputs)
+            granted_slots, disagreeing = referee_vote(
+                outputs, self.network.params.strict_consistency
+            )
             if disagreeing:
                 divergence_events += 1
                 disagreeing_total += disagreeing

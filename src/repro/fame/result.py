@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..analysis.vertex_cover import has_cover_at_most, min_vertex_cover
+from ..analysis.disruption import disruptability, is_d_disruptable
 from .config import FameConfig
 
 
@@ -88,11 +88,11 @@ class FameResult:
 
     def disruptability(self) -> int:
         """Minimum vertex cover of the disruption graph (Definition 1)."""
-        return len(min_vertex_cover(self.failed))
+        return disruptability(self.failed)
 
     def is_d_disruptable(self, d: int) -> bool:
         """Check Definition 1's property 3 for ``d``."""
-        return has_cover_at_most(self.failed, d)
+        return is_d_disruptable(self.failed, d)
 
     def delivered_messages(self) -> dict[tuple[int, int], Any]:
         """Map of successful pair -> decoded message."""

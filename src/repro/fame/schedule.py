@@ -139,6 +139,30 @@ class TransmissionSchedule:
         }
 
 
+def recruit_witnesses(
+    n: int, busy: set[int], count: int, group_size: int
+) -> tuple[tuple[int, ...], ...]:
+    """``count`` witness groups of ``group_size`` nodes each, recruited
+    from the nodes of ``range(n)`` outside ``busy``, lowest ids first.
+
+    Raises
+    ------
+    ScheduleError:
+        If fewer than ``count * group_size`` nodes are free.
+    """
+    free = [node for node in range(n) if node not in busy]
+    needed = group_size * count
+    if len(free) < needed:
+        raise ScheduleError(
+            f"population too small for witness groups: need {needed} free "
+            f"nodes, have {len(free)} (n={n})"
+        )
+    return tuple(
+        tuple(free[i * group_size : (i + 1) * group_size])
+        for i in range(count)
+    )
+
+
 def build_schedule(
     config: FameConfig,
     proposal: Sequence[Item],
@@ -249,19 +273,11 @@ def build_schedule(
     if len(final) != len(proposal):  # pragma: no cover - internal invariant
         raise ScheduleError("internal error: unassigned proposal items")
 
-    # Witness recruitment from the free population, lowest ids first.
-    busy = involved | surrogates_used
-    free = [node for node in range(config.n) if node not in busy]
-    group_size = witness_group_size(config.t)
-    needed = group_size * len(final)
-    if len(free) < needed:
-        raise ScheduleError(
-            f"population too small for witness groups: need {needed} free "
-            f"nodes, have {len(free)} (n={config.n})"
-        )
-    witness_groups = tuple(
-        tuple(free[i * group_size : (i + 1) * group_size])
-        for i in range(len(final))
+    witness_groups = recruit_witnesses(
+        config.n,
+        involved | surrogates_used,
+        len(final),
+        witness_group_size(config.t),
     )
     fb_size = (
         max(1, 2 * config.t)

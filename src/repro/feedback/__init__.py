@@ -38,7 +38,7 @@ decode rule.  Every probabilistic event in Lemma 5's Chernoff argument —
 "listener hears the active slot's witness in one repetition with
 probability ``>= (C-t)/C``" — therefore has exactly the same distribution,
 and seeded runs are byte-identical to the historical
-one-``execute_round``-per-repetition loop: ``tests/test_golden.py`` pins
+per-node, one-round-per-repetition loop: ``tests/test_golden.py`` pins
 digests recorded from it.
 
 Wire encoding

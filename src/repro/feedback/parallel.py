@@ -41,7 +41,7 @@ distinct frame, it ORs together the :func:`~repro.radio.network.hit_row`
 masks of the channel-rounds that delivered it, checks the frame once, and
 adds its true slots once to each listener it reached; a node's knowledge
 is its set of true slots.  Seeded runs are byte-identical to the
-historical one-``execute_round``-per-repetition loop, and match the
+historical per-node, one-round-per-repetition loop, and match the
 historical full-frame encoding (which shipped the whole ``slot -> flag``
 map) on ``D`` maps, every radio metric but the payload-size counter the
 delta shrinks, and semantic traces under every adversary:

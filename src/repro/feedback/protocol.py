@@ -28,7 +28,7 @@ per slot, the :func:`~repro.radio.network.hit_row` masks of the
 channel-rounds that delivered ``<true, r>`` and adds the slot to each
 marked listener once.  Shapes come from a
 :class:`~repro.radio.ScheduleShapeCache`.  Seeded runs are byte-identical
-to the historical one-``execute_round``-per-repetition loop:
+to the historical per-node, one-round-per-repetition loop:
 ``tests/test_golden.py`` pins digests recorded from it.
 """
 

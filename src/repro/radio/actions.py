@@ -2,21 +2,16 @@
 
 The model (Section 3) allows a node one action per round on one channel.
 These small frozen dataclasses make protocol round-functions explicit and
-easily assertable in tests.
-
-:class:`Listen` and :class:`Sleep` are *flyweights*: constructing
-``Listen(c)`` returns one shared instance per channel and ``Sleep()`` always
-returns the same singleton.  Protocols resolve millions of rounds, and the
-listen/sleep actions they submit are pure value objects with a tiny key
-space, so interning removes almost all per-round allocation on the hot path
-while keeping construction-site code unchanged.  ``SLEEP`` is the shared
-sleep instance for callers that want to skip the constructor call entirely.
+easily assertable in tests.  No protocol submits them: protocols compile
+rounds (:class:`~repro.radio.network.CompiledRound`), and per-node actions
+appear only in trace records and in the tests' per-node oracle.  They are
+plain values, compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Union
 
 from .messages import Message
 
@@ -29,63 +24,19 @@ class Transmit:
     message: Message
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Listen:
     """Tune to ``channel`` and receive whatever single transmission succeeds."""
 
     channel: int
 
-    _interned: ClassVar[dict[int, "Listen"]] = {}
 
-    # init=False: instances are fully built here, so constructing an
-    # already-interned channel can never re-run an __init__ against the
-    # shared (frozen) instance.  Only exact ints are interned — equal but
-    # differently-typed keys (True, 1.0) get ordinary fresh instances, and
-    # validation of the channel *value* stays with the network.
-    def __new__(cls, channel: int) -> "Listen":
-        if type(channel) is int:
-            cached = cls._interned.get(channel)
-            if cached is None:
-                cached = super().__new__(cls)
-                object.__setattr__(cached, "channel", channel)
-                cls._interned[channel] = cached
-            return cached
-        instance = super().__new__(cls)
-        object.__setattr__(instance, "channel", channel)
-        return instance
-
-    def __copy__(self) -> "Listen":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Listen":
-        return self
-
-    def __reduce__(self):
-        return (Listen, (self.channel,))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Sleep:
     """Do nothing this round (neither transmit nor receive)."""
 
-    _instance: ClassVar["Sleep | None"] = None
-
-    def __new__(cls) -> "Sleep":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __copy__(self) -> "Sleep":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Sleep":
-        return self
-
-    def __reduce__(self):
-        return (Sleep, ())
-
 
 SLEEP = Sleep()
-"""The shared :class:`Sleep` flyweight (``Sleep()`` returns the same object)."""
+"""A ready-made :class:`Sleep`."""
 
 Action = Union[Transmit, Listen, Sleep]

@@ -18,10 +18,11 @@ whose ``i``-th byte is the channel the ``i``-th listener tunes to, so a
 compiler can slice whole rows out of a hop matrix and the engine checks and
 settles a row with a few C-level ``bytes`` operations instead of a visit
 per listener.  Channel ids are therefore bytes, and
-:func:`~repro.params.validate_model` caps ``C`` at 256.
-:meth:`RadioNetwork.execute_round` is a thin adapter for protocols that
-think in per-node action maps: it compiles the map into one round,
-resolves it there and fans the result out per listener.
+:func:`~repro.params.validate_model` caps ``C`` at 256.  Every protocol
+compiles its rounds; :meth:`RadioNetwork.execute_round`, which compiles a
+per-node action map into one round, resolves it there and fans the result
+out per listener, serves only the tests' per-node oracle and the
+benchmark tracer.
 
 Two kinds of epoch sit on that resolver at the end of this module, each
 submitted as one :meth:`RadioNetwork.execute_schedule` call:
@@ -138,7 +139,8 @@ _Settled = tuple[
 """A template resolved on its own (:meth:`RadioNetwork._settle_template`)."""
 
 _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
-"""``Listen`` flyweight per byte-sized channel id, for row expansion."""
+"""One prebuilt ``Listen`` per byte-sized channel id, which row expansion
+(:meth:`CompiledRound.as_actions`, for trace records) shares."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ class CompiledRound:
         hops`` and a fold marks hitting listeners with one
         :func:`hit_row`.
     meta:
-        Round metadata, exactly as for :meth:`RadioNetwork.execute_round`.
+        Round metadata (:class:`RoundMeta`): its phase, the published
+        schedule and extras.
     """
 
     transmits: Mapping[int, Transmit]
@@ -332,6 +335,10 @@ class RadioNetwork:
         meta: RoundMeta | None = None,
     ) -> dict[int, Message | None]:
         """Resolve one round given per-node actions.
+
+        No protocol calls this: every one compiles its rounds.  It is the
+        per-node oracle the tests resolve rounds through, and a binding the
+        benchmark tracer wraps.
 
         ``actions`` may be *sparse*: nodes absent from the mapping sleep,
         and explicit :class:`Sleep` entries are accepted but not recorded.

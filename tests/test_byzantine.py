@@ -12,8 +12,8 @@ from repro.fame.byzantine import (
     ByzantineResult,
     CorruptionModel,
     run_byzantine_exchange,
-    witness_group_size_byz,
 )
+from repro.fame.config import witness_group_size
 from repro.rng import RngRegistry
 
 from conftest import make_network
@@ -32,13 +32,14 @@ class TestCorruptionModel:
         assert model.garble_messages and model.lie_in_feedback
 
     def test_group_size_is_3_t_plus_1(self):
-        # > 3t (honest majority from a witness's narrowed view) and a
-        # whole number of (t+1)-channel rotations.
-        assert witness_group_size_byz(1) == 6
-        assert witness_group_size_byz(2) == 9
+        # The exchange recruits f-AME's witness groups: > 3t (honest
+        # majority from a witness's narrowed view) and a whole number of
+        # (t+1)-channel rotations.
+        assert witness_group_size(1) == 6
+        assert witness_group_size(2) == 9
         for t in range(1, 5):
-            assert witness_group_size_byz(t) > 3 * t
-            assert witness_group_size_byz(t) % (t + 1) == 0
+            assert witness_group_size(t) > 3 * t
+            assert witness_group_size(t) % (t + 1) == 0
 
 
 class TestHonestRuns:

@@ -28,11 +28,22 @@ witness groups, so the block is every channel, and ``L`` outsiders
 listening in the final dissemination.  The same two checks hold with
 ``(C - t) / C = 1/2``.
 
+Keyed epochs (Sections 6-7, :func:`~repro.radio.network.run_hopped_epoch`)
+on :class:`~repro.crypto.hopping.ChannelHopper` hops, one sender and one
+listener:
+
+* a round survives the keyless jammer with probability ``1 -
+  hopping_miss_probability(1, C, t)``, i.e. ``1 - t / C``;
+* the hop-channel histogram is uniform (a chi-square test).
+
 Seeds are fixed and every bound sits at 5 sigma, so a correct change of
-the coins fails a check with probability about 1e-6.  Three negative
+the coins fails a check with probability about 1e-6.  Five negative
 controls must fail: listeners whose hop streams share one seed keep every
-listener's histogram uniform but fail the joint gossip test, and a jammer
-that silently never jams fails both feedback checks, serial and parallel.
+listener's histogram uniform but fail the joint gossip test; hop streams
+that clamp out-of-range draws instead of rejecting them fail every gossip
+check; a jammer that silently never jams fails both feedback checks,
+serial and parallel; and a jammer that knows the hop key fails the
+survival check while the hops stay uniform.
 """
 
 from __future__ import annotations
@@ -42,16 +53,24 @@ import random
 
 import pytest
 
-from repro.adversary import RandomJammer
+from repro.adversary import Adversary, RandomJammer
 from repro.analysis.theory import (
     feedback_miss_probability,
     gossip_miss_probability,
+    hopping_miss_probability,
 )
+from repro.crypto.hopping import ChannelHopper
 from repro.feedback.parallel import run_parallel_feedback
 from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
 from repro.feedback.witness import WitnessAssignment
-from repro.radio.messages import DELTA_KIND, Message
-from repro.radio.network import RadioNetwork, RoundMeta, run_gossip_epoch
+from repro.radio.messages import DELTA_KIND, JAM, Message, Transmission
+from repro.radio.network import (
+    RadioNetwork,
+    RoundMeta,
+    keyed_epoch_rounds,
+    run_gossip_epoch,
+    run_hopped_epoch,
+)
 from repro.rng import RngRegistry
 
 LISTENERS = 30
@@ -189,6 +208,33 @@ def test_shared_listener_coins_fail_the_joint_check():
     checks = gossip_checks(channels, t, [sender] + shared, seed)
     assert checks["uniform"] > FIVE_SIGMA, checks
     assert checks["binomial"] < FIVE_SIGMA, checks
+
+
+class _ClampedStream:
+    """A hop stream that draws just enough bits per hop and clamps values
+    past ``n - 1`` instead of rejecting them: at ``n = 3`` a 2-bit draw
+    lands on channel 2 half the time."""
+
+    def __init__(self, seed: int, n: int) -> None:
+        self.n = n
+        self._bits = (n - 1).bit_length()
+        self._rng = random.Random(seed)
+
+    def take(self, count: int) -> bytes:
+        top = self.n - 1
+        return bytes(
+            min(self._rng.getrandbits(self._bits), top) for _ in range(count)
+        )
+
+
+def test_clamped_hop_coins_fail_the_gossip_checks():
+    channels, t, seed = 3, 1, 12
+    hops = [
+        _ClampedStream(seed * 1000 + node, channels)
+        for node in range(LISTENERS + 1)
+    ]
+    checks = gossip_checks(channels, t, hops, seed)
+    assert max(checks.values()) < FIVE_SIGMA, checks
 
 
 FEEDBACK_ROUNDS = 12_000
@@ -329,3 +375,60 @@ def test_parallel_feedback_coins_match_theory(t, seed):
 def test_a_silent_jammer_fails_the_parallel_feedback_checks():
     checks = parallel_feedback_checks(2, _SilentJammer(random.Random(32)), 32)
     assert max(checks.values()) < FIVE_SIGMA, checks
+
+
+HOP_ROUNDS = 15_000
+"""Keyed rounds per check, summed over epochs."""
+
+
+class _KeyHolder(Adversary):
+    """A jammer that knows the hop key: it jams the hop every round."""
+
+    def __init__(self, hopper: ChannelHopper) -> None:
+        self._hopper = hopper
+
+    def act(self, view):
+        return (Transmission(self._hopper.channel(view.round_index), JAM),)
+
+
+def keyed_hop_checks(channels: int, t: int, adversary, hopper) -> dict:
+    """Run keyed epochs through ``run_hopped_epoch`` until ``HOP_ROUNDS``
+    rounds have run, node 0 sending to node 1 on ``hopper``'s hop for each
+    absolute round; return the p-values of the survival rate and of the
+    hop histogram's uniformity."""
+    network = RadioNetwork(2, channels, t, adversary=adversary, keep_trace=False)
+    epoch = keyed_epoch_rounds(network)
+    frames = [{0: Message("oracle", 0, None)}] * epoch
+    meta = RoundMeta(phase="oracle")
+    hops: list[int] = []
+    survived = 0
+    while len(hops) < HOP_ROUNDS:
+        epoch_hops = hopper.sequence(network.round_index, epoch)
+        heard = run_hopped_epoch(network, epoch_hops, frames, (1,), meta)
+        hops += epoch_hops
+        survived += sum(frame is not None for frame in heard)
+    p = 1 - float(hopping_miss_probability(1, channels, t))
+    z = (survived - len(hops) * p) / math.sqrt(len(hops) * p * (1 - p))
+    return {
+        "survival": math.erfc(abs(z) / math.sqrt(2)),
+        "uniform": chi_square_p(
+            [hops.count(c) for c in range(channels)],
+            [len(hops) / channels] * channels,
+        ),
+    }
+
+
+@pytest.mark.parametrize("channels,t,seed", [(2, 1, 41), (4, 1, 42), (4, 3, 43)])
+def test_keyed_hops_match_theory(channels, t, seed):
+    hopper = ChannelHopper(bytes([seed]) * 16, channels, label="oracle")
+    checks = keyed_hop_checks(
+        channels, t, RandomJammer(random.Random(seed)), hopper
+    )
+    assert min(checks.values()) > FIVE_SIGMA, checks
+
+
+def test_a_jammer_with_the_key_fails_the_survival_check():
+    hopper = ChannelHopper(bytes([42]) * 16, 4, label="oracle")
+    checks = keyed_hop_checks(4, 1, _KeyHolder(hopper), hopper)
+    assert checks["uniform"] > FIVE_SIGMA, checks
+    assert checks["survival"] < FIVE_SIGMA, checks

@@ -1,7 +1,7 @@
 """Engine equivalence: the sparse fast path resolves exactly like the
 legacy dense-action path.
 
-The flyweight round engine lets callers submit only non-sleeping nodes,
+The sparse round engine lets callers submit only non-sleeping nodes,
 skips record construction when nothing retains it, and replaces the
 per-move pool derivation and n-replica game state with incremental
 structures.  These tests are the safety net: for seeded runs — with and
@@ -74,37 +74,24 @@ def _densify(actions: dict, n: int) -> dict:
 
 
 class TestActionFlyweights:
-    def test_sleep_is_a_singleton(self):
-        assert Sleep() is Sleep() is SLEEP
-
-    def test_listen_interned_per_channel(self):
-        assert Listen(3) is Listen(3)
-        assert Listen(3) is not Listen(4)
+    """``Listen`` and ``Sleep`` are plain frozen values, compared and
+    hashed by their fields."""
 
     def test_equality_and_hashing_preserved(self):
         assert Listen(2) == Listen(2) and hash(Listen(2)) == hash(Listen(2))
-        assert Sleep() == Sleep()
+        assert Sleep() == Sleep() == SLEEP
+        assert hash(Sleep()) == hash(SLEEP)
         assert Listen(1) != Listen(2)
 
     def test_equal_but_differently_typed_channel_never_mutates_flyweight(self):
-        # Regression: bool/float channels hash-collide with the interned
-        # int key; they must get fresh instances, never re-initialise the
-        # shared flyweight every existing action dict points at.
+        # bool/float channels hash-collide with an int channel; building
+        # one must never change an existing action's channel or its type.
         interned = Listen(1)
         oddball = Listen(True)
         assert oddball is not interned
         assert interned.channel == 1 and type(interned.channel) is int
         assert Listen(1.0) is not interned
         assert type(Listen(1).channel) is int
-
-    def test_copy_and_pickle_round_trip(self):
-        import copy
-        import pickle
-
-        assert copy.deepcopy(Listen(5)) is Listen(5)
-        assert copy.copy(SLEEP) is SLEEP
-        assert pickle.loads(pickle.dumps(Listen(5))) is Listen(5)
-        assert pickle.loads(pickle.dumps(SLEEP)) is SLEEP
 
 
 class TestRadioPathEquivalence:

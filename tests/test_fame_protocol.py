@@ -14,8 +14,20 @@ from repro.adversary import (
     SpoofingAdversary,
     SweepJammer,
 )
+from repro.baselines import (
+    run_direct_exchange,
+    run_no_surrogate,
+    run_randomized_exchange,
+)
 from repro.errors import ProtocolViolation, SimulationDiverged
-from repro.fame import FameProtocol, Regime, make_config, run_fame
+from repro.fame import (
+    FameProtocol,
+    Regime,
+    make_config,
+    run_byzantine_exchange,
+    run_fame,
+    run_fame_with_digests,
+)
 from repro.fame.config import witness_group_size
 from repro.params import ProtocolParameters
 from repro.rng import RngRegistry
@@ -268,6 +280,45 @@ class TestValidation:
         s = res.summary()
         assert s["pairs"] == 2 and s["n"] == 20 and s["t"] == 1
         assert s["rounds"] == res.rounds
+
+
+EXCHANGES = {
+    "fame": lambda net, edges, messages: run_fame(
+        net, edges, messages, RngRegistry(seed=1)
+    ),
+    "digests": lambda net, edges, messages: run_fame_with_digests(
+        net, edges, messages, RngRegistry(seed=1)
+    ),
+    "byzantine": lambda net, edges, messages: run_byzantine_exchange(
+        net, edges, messages, RngRegistry(seed=1)
+    ),
+    "no-surrogate": lambda net, edges, messages: run_no_surrogate(
+        net, edges, messages, RngRegistry(seed=1)
+    ),
+    "direct": run_direct_exchange,
+    "randomized": lambda net, edges, messages: run_randomized_exchange(
+        net, edges, messages, RngRegistry(seed=1)
+    ),
+}
+
+BAD_INPUTS = {
+    "no-message": ([(0, 1), (2, 3)], {(0, 1): "m"}, "without messages"),
+    "self-loop": ([(0, 1), (3, 3)], None, "self-loop"),
+    "outside": ([(0, 1), (25, 3)], None, "outside the network"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("exchange", sorted(EXCHANGES))
+def test_every_exchange_checks_its_pairs_before_any_round(exchange, bad):
+    # Definition 1's input contract, shared by f-AME, the digest pipeline,
+    # the Byzantine exchange and the three baselines: a bad pair is a
+    # ProtocolViolation before the radio runs a single round.
+    edges, messages, reason = BAD_INPUTS[bad]
+    net = make_network(n=20, channels=2, t=1)
+    with pytest.raises(ProtocolViolation, match=reason):
+        EXCHANGES[exchange](net, edges, messages)
+    assert net.metrics.rounds == 0
 
 
 class TestSurplusChannels:

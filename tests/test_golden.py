@@ -368,13 +368,14 @@ FAME_SQUARED = (
 )
 
 
-# Per-node callers: every protocol that submits per-node action maps
-# through ``execute_round`` — Byzantine f-AME (a corrupt witness voting at
-# random), the Section 5.6 gossip pipeline and the three baselines —
-# under six adversaries; and the share-spray experiment on a
-# RestrictedListeningNetwork under a sticky and a hopping eavesdropper.
-# Recorded from the per-node resolver (``execute_round``'s own decode
-# loop and ``RestrictedListeningNetwork``'s ``execute_round`` override).
+# Per-node callers: the protocols that submitted per-node action maps
+# through ``execute_round`` when these were recorded — Byzantine f-AME (a
+# corrupt witness voting at random), the Section 5.6 gossip pipeline and
+# the three baselines — under six adversaries; and the share-spray
+# experiment on a RestrictedListeningNetwork under a sticky and a hopping
+# eavesdropper.  Recorded from the per-node resolver (``execute_round``'s
+# own decode loop and ``RestrictedListeningNetwork``'s ``execute_round``
+# override); every one of them now compiles its rounds.
 
 PER_NODE_ADVERSARIES = {
     "null": NullAdversary,
