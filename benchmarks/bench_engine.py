@@ -1,15 +1,9 @@
-"""Engine microbenchmark: game moves/sec and Invariant-1 certs/sec.
+"""Engine microbenchmark: game moves/sec.
 
-Measures the two game-layer structures f-AME is gated on, at
-``n ∈ {64, 256, 1024}``, each against its from-scratch reference:
-
-1. **Game moves/sec** — greedy proposal + grant application with the pools
-   re-derived from scratch each move vs the incremental
-   :class:`repro.game.greedy.GreedyPools`.
-
-2. **Invariant-1 certifications/sec** — asserting that all ``n`` replicas
-   agree, by hashing ``n`` full sorted state snapshots vs comparing ``n``
-   incrementally-advanced fingerprints.
+Measures the game-layer structure f-AME is gated on, at
+``n ∈ {64, 256, 1024}``, against its from-scratch reference: greedy
+proposal + grant application with the pools re-derived from scratch each
+move vs the incremental :class:`repro.game.greedy.GreedyPools`.
 
 Radio rounds are timed end to end by ``perfbench/`` (``radio.us_per_round``
 on the ``fame`` and ``groupkey`` workloads), not here.
@@ -32,16 +26,16 @@ from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyPools, GreedyTermination, greedy_proposal
 
 
-def _time(fn, *, min_seconds: float) -> tuple[float, int]:
-    """Run ``fn(iterations)`` long enough to trust the clock; return
-    (seconds, iterations)."""
+def _time(fn, *, min_seconds: float) -> float:
+    """Run ``fn(iterations)`` long enough to trust the clock; return the
+    seconds of the last run."""
     iterations = 64
     while True:
         start = time.perf_counter()
         fn(iterations)
         elapsed = time.perf_counter() - start
         if elapsed >= min_seconds:
-            return elapsed, iterations
+            return elapsed
         iterations *= 4
 
 
@@ -86,39 +80,12 @@ def bench_game(n: int, *, incremental: bool, min_seconds: float) -> float:
             total += _play_game(graph, pools, t=4)
         counted.append(total)
 
-    elapsed, _ = _time(run, min_seconds=min_seconds)
+    elapsed = _time(run, min_seconds=min_seconds)
     return counted[0] / elapsed
 
 
-def bench_invariant1(n: int, *, fingerprints: bool, min_seconds: float) -> float:
-    """Invariant-1 certifications/sec over n replicas of a 2n-edge state."""
-    edges = _bench_edges(n)
-    graph = GameGraph.from_pairs(edges, vertices=range(n))
-
-    if fingerprints:
-        replicas = [graph.fingerprint] * n
-
-        def run(iterations: int) -> None:
-            canonical = graph.fingerprint
-            for _ in range(iterations):
-                assert not any(fp != canonical for fp in replicas)
-
-    else:
-        replicas_g = [graph.copy() for _ in range(n)]
-
-        def run(iterations: int) -> None:
-            for _ in range(iterations):
-                assert len({g.state_key() for g in replicas_g}) == 1
-
-    elapsed, iterations = _time(run, min_seconds=min_seconds)
-    return iterations / elapsed
-
-
 def run_suite(sizes: list[int], min_seconds: float) -> dict:
-    results: dict = {
-        "game_moves_per_sec": {},
-        "invariant1_certs_per_sec": {},
-    }
+    results: dict = {"game_moves_per_sec": {}}
     for n in sizes:
         scratch = bench_game(n, incremental=False, min_seconds=min_seconds)
         pooled = bench_game(n, incremental=True, min_seconds=min_seconds)
@@ -126,15 +93,6 @@ def run_suite(sizes: list[int], min_seconds: float) -> dict:
             "from_scratch": round(scratch, 1),
             "incremental_pools": round(pooled, 1),
             "speedup": round(pooled / scratch, 2),
-        }
-        snapshots = bench_invariant1(
-            n, fingerprints=False, min_seconds=min_seconds
-        )
-        fp = bench_invariant1(n, fingerprints=True, min_seconds=min_seconds)
-        results["invariant1_certs_per_sec"][str(n)] = {
-            "state_key_snapshots": round(snapshots, 1),
-            "fingerprints": round(fp, 1),
-            "speedup": round(fp / snapshots, 2),
         }
     return results
 

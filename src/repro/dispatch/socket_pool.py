@@ -546,11 +546,16 @@ def parse_endpoint(text: str) -> tuple[str, int]:
             f"endpoint {text!r} is not of the form HOST:PORT"
         )
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ConfigurationError(
             f"endpoint {text!r} has a non-integer port"
         ) from None
+    if not 0 <= number <= 65535:
+        raise ConfigurationError(
+            f"endpoint {text!r} has a port outside 0-65535"
+        )
+    return host, number
 
 
 def worker_main(

@@ -51,7 +51,7 @@ from ..experiments.workloads import (
     make_workload,
 )
 from ..radio.metrics import NetworkMetrics
-from ..rng import derive_seed, derive_seeds
+from ..rng import derive_seeds
 from .backend import DispatchBackend, SerialBackend
 from .journal import SweepJournal
 
@@ -163,37 +163,23 @@ class SweepSpec:
         """The point index a global trial index belongs to."""
         return global_index // self.trials
 
-    def trial_spec(self, point: SweepPoint, trial_index: int) -> TrialSpec:
-        """Trial ``trial_index`` of ``point`` — seed from the coordinates."""
-        return self._trial_spec(
-            point,
-            trial_index,
-            derive_seed(self.seed, "spawn", "sweep", point.point_index, trial_index),
-        )
-
-    def _trial_spec(
-        self, point: SweepPoint, trial_index: int, seed: int
-    ) -> TrialSpec:
-        return TrialSpec(
-            workload=point.workload,
-            index=point.point_index * self.trials + trial_index,
-            seed=seed,
-            n=point.n,
-            channels=point.channels,
-            t=point.t,
-            pairs=self.pairs,
-            adversary=point.adversary,
-        )
-
     def specs(self) -> list[TrialSpec]:
         """Every trial of every point, global-index order.
 
         Seeds come from the bulk :func:`repro.rng.derive_seeds` helper —
-        one hashlib loop per grid point, no per-trial registries —
-        identical to the per-call :meth:`trial_spec` path.
+        one hashlib loop per grid point, no per-trial registries.
         """
         return [
-            self._trial_spec(point, j, seed)
+            TrialSpec(
+                workload=point.workload,
+                index=point.point_index * self.trials + j,
+                seed=seed,
+                n=point.n,
+                channels=point.channels,
+                t=point.t,
+                pairs=self.pairs,
+                adversary=point.adversary,
+            )
             for point in self.points()
             for j, seed in enumerate(
                 derive_seeds(

@@ -18,18 +18,20 @@ cover of at most ``t`` for the remaining (failed) pairs — ``t``-disruptability
 
 Implementation note: all nodes deterministically compute identical proposals
 and schedules from identical state, so the driver computes each proposal once
-and *asserts* the per-node state agreement instead of recomputing ``n``
-identical greedy runs per move; the per-node feedback outputs — the only
-place where views can diverge — are tracked individually for every node.
+instead of recomputing ``n`` identical greedy runs per move.  The per-node
+feedback outputs are the only place where views can diverge, so they are
+tracked individually for every node, and :func:`referee_vote` guards
+Invariant 1: replicas that apply the same grants in the same order hold the
+same state, so agreement on each move's grants is what needs checking.
+Strict mode raises :class:`~repro.errors.SimulationDiverged` on any
+disagreement; lenient mode counts it and every node resynchronises to the
+majority (``tests/test_fame_protocol.py::TestDivergenceHandling`` starves
+the feedback to show both).
 
 Engine note: the driver keeps **one** canonical :class:`GameGraph` (with
 incrementally-maintained greedy pools, see
-:class:`~repro.game.greedy.GreedyPools`) instead of ``n`` replicated copies.
-Each node's replica is represented by an O(1) *state fingerprint* advanced
-with every grant it applies (post-resynchronisation); Invariant 1 is
-asserted by fingerprint equality — O(n) per move — rather than by comparing
-``n`` full sorted state snapshots, which dominated the per-move cost at
-scale.  Radio rounds are submitted sparsely (only scheduled nodes) as
+:class:`~repro.game.greedy.GreedyPools`) that stands for every node's
+replica.  Radio rounds are submitted sparsely (only scheduled nodes) as
 compiled schedules; seeded runs match the legacy engine, which padded every
 idle node with an explicit ``Sleep`` and ran the per-round feedback loops —
 ``tests/test_golden.py`` pins digests recorded from it.
@@ -43,14 +45,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..errors import ProtocolViolation, SimulationDiverged
 from ..feedback.parallel import run_parallel_feedback
 from ..feedback.protocol import run_feedback
-from ..game.graph import (
-    EdgeItem,
-    GameGraph,
-    NodeItem,
-    advance_fingerprint,
-    remove_edge_token,
-    star_token,
-)
+from ..game.graph import EdgeItem, GameGraph, NodeItem
 from ..game.greedy import GreedyPools, GreedyTermination
 from ..game.rules import check_proposal
 from ..radio.actions import Transmit
@@ -86,15 +81,6 @@ def vector_frame(
     )
 
 
-def _fold_tokens(
-    fingerprint: int, tokens: Sequence[tuple[int, ...]]
-) -> int:
-    """Advance one replica fingerprint over an ordered grant sequence."""
-    for token in tokens:
-        fingerprint = advance_fingerprint(fingerprint, token)
-    return fingerprint
-
-
 def default_messages(
     edges: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], Any]:
@@ -114,9 +100,21 @@ def check_pairs(
     Raises
     ------
     ProtocolViolation:
-        If a pair leaves the network, is a self-loop, or has no message.
+        If a pair is not a 2-tuple of exact ``int`` ids (``1.7``,
+        ``True`` and ``"1"`` are not coerced), leaves the network, is a
+        self-loop, or has no message.
     """
-    pairs = list(dict.fromkeys((int(v), int(w)) for v, w in edges))
+    edges = list(edges)
+    for pair in edges:
+        if not (
+            type(pair) is tuple
+            and len(pair) == 2
+            and all(type(x) is int for x in pair)
+        ):
+            raise ProtocolViolation(
+                f"pair {pair!r:.80} is not a 2-tuple of int node ids"
+            )
+    pairs = list(dict.fromkeys(edges))
     for v, w in pairs:
         if not (0 <= v < network.n and 0 <= w < network.n):
             raise ProtocolViolation(f"pair ({v}, {w}) outside the network")
@@ -180,8 +178,10 @@ def referee_vote(
 ) -> tuple[frozenset[int], int]:
     """Resolve per-node feedback outputs into one referee response.
 
-    Returns the majority slot set and the number of nodes that disagree
-    with it.  With ``strict`` any disagreement raises
+    This vote is Invariant 1's guard: every node applies the returned
+    grants to its replica, so replicas stay equal exactly when the nodes
+    agree here.  Returns the majority slot set and the number of nodes
+    that disagree with it.  With ``strict`` any disagreement raises
     :class:`~repro.errors.SimulationDiverged` — the event Lemma 5 makes
     improbable; otherwise the caller records it and resynchronises, which
     is what a deployed system would log.
@@ -238,15 +238,12 @@ class FameProtocol:
         # so templates/metadata/hop tables are built once and reused.
         self._shape_cache = ScheduleShapeCache()
 
-        # Game state: one canonical graph with live greedy pools, plus one
-        # O(1) state fingerprint per node standing in for its full replica.
+        # One canonical game state stands for all n replicas: they apply
+        # the same grants, which referee_vote agrees on each move.
         self._graph = GameGraph.from_pairs(
             self.edges, vertices=range(network.n)
         )
         self._pools = GreedyPools(self._graph)
-        self._fingerprints: list[int] = [
-            self._graph.fingerprint for _ in range(network.n)
-        ]
         # knowledge[j][v] = j's copy of v's message vector.
         self._knowledge: list[dict[int, dict[int, Any]]] = [
             {} for _ in range(network.n)
@@ -257,22 +254,6 @@ class FameProtocol:
         self._surrogates: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
-
-    def _assert_invariant1(self) -> None:
-        """Invariant 1: every node's replica matches the canonical state.
-
-        Fingerprints advance once per applied grant, so equality here
-        certifies that all ``n`` replicas applied the same grant sequence —
-        the property the old implementation established by hashing ``n``
-        full sorted state snapshots every move.
-        """
-        canonical = self._graph.fingerprint
-        if any(  # pragma: no cover - grants are applied uniformly
-            fp != canonical for fp in self._fingerprints
-        ):
-            raise SimulationDiverged(
-                "Invariant 1 violated: node-local game states differ"
-            )
 
     def _transmission_round(
         self, schedule: TransmissionSchedule, move_index: int
@@ -355,7 +336,6 @@ class FameProtocol:
         max_moves = 3 * len(self.edges) + self.config.t + 2
 
         while True:
-            self._assert_invariant1()
             canonical = self._graph
             move = self._pools.proposal(
                 self.config.t, max_items=self.config.proposal_size
@@ -381,17 +361,14 @@ class FameProtocol:
                 divergence_events += 1
                 disagreeing_total += disagreeing
 
-            grant_tokens: list[tuple[int, ...]] = []
             for slot in sorted(granted_slots):
                 assignment = schedule.assignment_for_slot(slot)
                 item = assignment.item
                 if isinstance(item, NodeItem):
                     self._pools.star(item.node)
-                    grant_tokens.append(star_token(item.node))
                     self._surrogates[item.node] = schedule.witness_groups[slot]
                 elif isinstance(item, EdgeItem):
                     self._pools.remove_edge(item.pair)
-                    grant_tokens.append(remove_edge_token(item.pair))
                     dest_frame = results.get(item.dest)
                     if dest_frame is None:  # pragma: no cover - D is truthful
                         raise SimulationDiverged(
@@ -406,11 +383,6 @@ class FameProtocol:
                         message=delivered,
                         move=moves,
                     )
-            # Every node applies the agreed (post-resynchronisation) grant
-            # sequence to its replica: advance each fingerprint in lockstep.
-            self._fingerprints = [
-                _fold_tokens(fp, grant_tokens) for fp in self._fingerprints
-            ]
             moves += 1
             if moves > max_moves:
                 raise ProtocolViolation(

@@ -3,6 +3,11 @@
 Items of a proposal are :class:`NodeItem` or :class:`EdgeItem`; keeping them
 as small frozen dataclasses (rather than bare ints/tuples) makes proposals
 self-describing and prevents a node id from being confused with an edge.
+
+f-AME keeps one canonical :class:`GameGraph` for all ``n`` node replicas.
+Invariant 1 of Theorem 6 (every honest node holds the same game state) is
+guarded where replicas could part, by
+:func:`repro.fame.protocol.referee_vote` on each move's grants.
 """
 
 from __future__ import annotations
@@ -42,45 +47,6 @@ class EdgeItem:
 Item = Union[NodeItem, EdgeItem]
 
 
-_FP_SEED = 0x5EED_F1A9
-_FP_STAR = 1
-_FP_REMOVE = 2
-
-
-def initial_fingerprint(
-    state_key: tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
-) -> int:
-    """Fingerprint of a game state with no move history yet.
-
-    Built from int tuples only, so the value is stable across processes
-    (``PYTHONHASHSEED`` perturbs str/bytes hashing, not int tuples).
-    """
-    return hash((_FP_SEED, state_key))
-
-
-def advance_fingerprint(fingerprint: int, token: tuple[int, ...]) -> int:
-    """Chain one granted operation into a running state fingerprint.
-
-    Tokens come from :func:`star_token` / :func:`remove_edge_token`.  The
-    chaining is order-sensitive on purpose: two replicas agree on the
-    fingerprint iff they applied the same grants in the same order, which
-    is exactly Invariant 1 of Theorem 6 (all nodes advance their local game
-    copy in lockstep).  Folding one grant is O(1) — replicas no longer need
-    full sorted state snapshots to certify agreement.
-    """
-    return hash((fingerprint,) + token)
-
-
-def star_token(node: int) -> tuple[int, ...]:
-    """Fingerprint token for granting (starring) ``node``."""
-    return (_FP_STAR, node)
-
-
-def remove_edge_token(edge: tuple[int, int]) -> tuple[int, ...]:
-    """Fingerprint token for granting (removing) ``edge``."""
-    return (_FP_REMOVE, edge[0], edge[1])
-
-
 @dataclass
 class GameGraph:
     """Mutable state of one starred-edge removal game.
@@ -93,24 +59,11 @@ class GameGraph:
         The current edge set ``E`` — shrinks as the referee grants edges.
     starred:
         The starred set ``S`` — grows as the referee grants nodes.
-    fingerprint:
-        Incrementally-maintained hash of the starting state plus the full
-        grant history, advanced in O(1) per :meth:`star` / :meth:`remove_edge`.
-        Replicas that start from the same state and apply the same grants in
-        the same order hold equal fingerprints; comparing them replaces the
-        O(m log m) :meth:`state_key` snapshot when asserting Invariant 1.
     """
 
     vertices: frozenset[int]
     edges: set[tuple[int, int]] = field(default_factory=set)
     starred: set[int] = field(default_factory=set)
-    # compare=False: the fingerprint encodes grant *history*, not state —
-    # two graphs in the same state via different histories must still be ==.
-    fingerprint: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.fingerprint is None:
-            self.fingerprint = initial_fingerprint(self.state_key())
 
     @classmethod
     def from_pairs(
@@ -141,7 +94,6 @@ class GameGraph:
             vertices=self.vertices,
             edges=set(self.edges),
             starred=set(self.starred),
-            fingerprint=self.fingerprint,
         )
 
     # ------------------------------------------------------------------
@@ -153,20 +105,9 @@ class GameGraph:
     def remove_edge(self, edge: tuple[int, int]) -> None:
         """Remove a granted edge; raises KeyError if absent."""
         self.edges.remove(edge)
-        self.fingerprint = advance_fingerprint(
-            self.fingerprint, remove_edge_token(edge)
-        )
 
     def star(self, node: int) -> None:
         """Add a granted node to ``S``."""
         if node not in self.vertices:
             raise ConfigurationError(f"cannot star unknown vertex {node}")
         self.starred.add(node)
-        self.fingerprint = advance_fingerprint(
-            self.fingerprint, star_token(node)
-        )
-
-    def state_key(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-        """Canonical hashable snapshot — used to assert Invariant 1 of
-        Theorem 6 (all nodes hold identical game states)."""
-        return (tuple(sorted(self.edges)), tuple(sorted(self.starred)))

@@ -319,7 +319,7 @@ class Det004StrHash(Rule):
         "the wire, or compared across processes (fingerprints!) silently "
         "diverges. Use hashlib (repro.crypto.hashes / repro.rng."
         "derive_seed) for cross-process identity; hash() of int tuples "
-        "(repro.game.graph fingerprints) is stable and untouched."
+        "is stable and untouched."
     )
 
     _STRINGISH_CALLS = frozenset(("str", "repr", "format", "ascii", "bytes"))

@@ -320,6 +320,26 @@ class TestWorkerCommand:
         assert "HOST:PORT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["99999", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--workers", "2", "--bind"],
+        ["serve", "--bind"],
+        ["worker", "--connect"],
+        ["serve-client", "list", "--connect"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_range_port_exits_2(argv, port, capsys):
+    assert main([*argv, f"127.0.0.1:{port}"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"repro {argv[0]}: endpoint '127.0.0.1:{port}' has a port "
+        "outside 0-65535\n"
+    )
+
+
 class TestLintCommand:
     """Exit-code contract of ``python -m repro lint`` (0 / 1 / 2)."""
 

@@ -99,6 +99,11 @@ class TestFraming:
             parse_endpoint("no-port")
         with pytest.raises(ConfigurationError):
             parse_endpoint("host:nan")
+        assert parse_endpoint("h:0") == ("h", 0)
+        assert parse_endpoint("h:65535") == ("h", 65535)
+        for port in ("65536", "99999", "-1"):
+            with pytest.raises(ConfigurationError, match="outside 0-65535"):
+                parse_endpoint(f"h:{port}")
 
 
 class TestBatching:

@@ -194,17 +194,6 @@ class TestGreedyPoolEquivalence:
                 reference.star(node)
         assert pools.pools() == proposal_pools(reference)
 
-    def test_fingerprints_advance_in_lockstep(self):
-        a = GameGraph.from_pairs([(0, 1), (2, 3), (0, 2)], vertices=range(5))
-        b = a.copy()
-        assert a.fingerprint == b.fingerprint
-        for g in (a, b):
-            g.star(0)
-            g.remove_edge((2, 3))
-        assert a.fingerprint == b.fingerprint
-        b.remove_edge((0, 1))
-        assert a.fingerprint != b.fingerprint
-
 
 class TestFameProtocolEquivalence:
     """End-to-end: f-AME runs match digests recorded from the legacy

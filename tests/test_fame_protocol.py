@@ -305,6 +305,10 @@ BAD_INPUTS = {
     "no-message": ([(0, 1), (2, 3)], {(0, 1): "m"}, "without messages"),
     "self-loop": ([(0, 1), (3, 3)], None, "self-loop"),
     "outside": ([(0, 1), (25, 3)], None, "outside the network"),
+    "float-ids": ([(0.9, 1.7)], None, r"pair \(0\.9, 1\.7\) is not a 2-tuple"),
+    "bool-id": ([(True, 2)], None, r"pair \(True, 2\) is not a 2-tuple"),
+    "str-id": ([("a", 1)], None, r"pair \('a', 1\) is not a 2-tuple"),
+    "triple": ([(0, 1, 2)], None, r"pair \(0, 1, 2\) is not a 2-tuple"),
 }
 
 

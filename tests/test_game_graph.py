@@ -77,22 +77,3 @@ class TestMutation:
     def test_sources(self):
         g = GameGraph.from_pairs([(0, 1), (0, 2), (3, 1)])
         assert g.sources() == {0, 3}
-
-
-class TestStateKey:
-    def test_equal_states_equal_keys(self):
-        a = GameGraph.from_pairs([(0, 1), (2, 3)])
-        b = GameGraph.from_pairs([(2, 3), (0, 1)])
-        assert a.state_key() == b.state_key()
-
-    def test_star_changes_key(self):
-        g = GameGraph.from_pairs([(0, 1)])
-        before = g.state_key()
-        g.star(0)
-        assert g.state_key() != before
-
-    def test_removal_changes_key(self):
-        g = GameGraph.from_pairs([(0, 1), (2, 3)])
-        before = g.state_key()
-        g.remove_edge((2, 3))
-        assert g.state_key() != before
