@@ -8,16 +8,20 @@ applied is requeued with the journalled/applied indices filtered out,
 and even a full redelivery only produces duplicates that replay's
 first-record-wins rule (and the assembler's at-most-once rule) drop.
 The first line is a header carrying the sweep's configuration
-fingerprint;
-``--resume`` replays the journal, refuses a fingerprint mismatch (a
-journal from a *different* sweep must never be merged in), skips every
+fingerprint and the version of the coins its trials drew
+(:data:`~repro.rng.RANDOMNESS_VERSION`);
+``--resume`` replays the journal, refuses a journal recorded on other
+coins (a header without the field predates version 2) or with another
+fingerprint (a journal from a *different* sweep must never be merged
+in), skips every
 completed index, and — because the records reconstruct the exact
 :class:`~repro.experiments.trial.TrialResult`s — the resumed run's report
 is byte-identical to an uninterrupted one.
 
 Record formats (JSON, one object per line):
 
-* ``{"kind": "header", "journal_version": 1, "fingerprint": ...}``
+* ``{"kind": "header", "journal_version": 1, "fingerprint": ...,
+  "randomness": ...}``
 * ``{"kind": "trial", "index": ..., "seed": ..., "success": ...,
   "cover": ..., "result": <base64 pickle>}``
 
@@ -47,6 +51,7 @@ from typing import IO
 
 from ..errors import ConfigurationError, DispatchError
 from ..experiments.trial import TrialResult
+from ..rng import RANDOMNESS_VERSION
 from .wire import FrameRejected, loads_restricted
 
 JOURNAL_VERSION = 1
@@ -136,7 +141,8 @@ class SweepJournal:
 
         A fresh path is created with a header line.  An existing path
         requires ``resume=True`` (guarding against accidentally mixing
-        two sweeps' records) and a matching ``fingerprint``; its trial
+        two sweeps' records), this build's randomness version and a
+        matching ``fingerprint``; its trial
         records are replayed into ``completed`` (first occurrence of an
         index wins — the at-most-once rule applied retroactively).
         """
@@ -151,6 +157,7 @@ class SweepJournal:
                         "kind": "header",
                         "journal_version": JOURNAL_VERSION,
                         "fingerprint": fingerprint,
+                        "randomness": RANDOMNESS_VERSION,
                     },
                     sort_keys=True,
                 )
@@ -185,6 +192,14 @@ class SweepJournal:
                 f"journal {path} is version "
                 f"{header.get('journal_version')!r}, expected "
                 f"{JOURNAL_VERSION}"
+            )
+        # Headers written before the coins were versioned hold version 1.
+        randomness = header.get("randomness", 1)
+        if randomness != RANDOMNESS_VERSION:
+            raise DispatchError(
+                f"journal {path} holds trials drawn with randomness version "
+                f"{randomness!r}, but this build draws version "
+                f"{RANDOMNESS_VERSION}; start a fresh journal"
             )
         if header.get("fingerprint") != fingerprint:
             raise ConfigurationError(

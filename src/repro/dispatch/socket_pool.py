@@ -67,8 +67,8 @@ Every frame is a 4-byte big-endian length prefix followed by a pickled
 dict (``pickle.HIGHEST_PROTOCOL``, capped at :data:`MAX_FRAME_BYTES`
 against malformed prefixes):
 
-* worker → ``{"kind": "hello", "protocol": 3, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome", "protocol": 3}`` or ``{"kind":
+* worker → ``{"kind": "hello", "protocol": 4, "repro": ..., "pid": ...}``
+* coordinator → ``{"kind": "welcome", "protocol": 4}`` or ``{"kind":
   "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
   or any other peer is turned away and the sweep continues with the
   rest);
@@ -134,12 +134,14 @@ from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
 from .wire import loads_restricted
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 """Coordinator/worker wire-protocol version, checked in the handshake.
 
-Bumped whenever a frame changes shape (3: the spec context tuple lost
-its ``options`` field), so a worker of another version is turned away at
-``hello`` instead of failing to unpack a frame."""
+Bumped whenever a frame changes shape or what a trial computes (3: the
+spec context tuple lost its ``options`` field; 4: the honest coins moved
+to :data:`repro.rng.RANDOMNESS_VERSION` 2), so a worker of another
+version is turned away at ``hello`` instead of failing to unpack a frame
+or returning results drawn on other coins."""
 
 MAX_FRAME_BYTES = 1 << 28
 """Upper bound on a single frame; larger prefixes abort the connection."""

@@ -51,7 +51,7 @@ from ..experiments.workloads import (
     make_workload,
 )
 from ..radio.metrics import NetworkMetrics
-from ..rng import derive_seeds
+from ..rng import RANDOMNESS_VERSION, derive_seeds
 from .backend import DispatchBackend, SerialBackend
 from .journal import SweepJournal
 
@@ -191,7 +191,9 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:
-        """Canonical JSON-ready description (the fingerprint's preimage)."""
+        """Canonical JSON-ready description (the fingerprint's preimage),
+        with the version of the coins every trial draws
+        (:data:`repro.rng.RANDOMNESS_VERSION`)."""
         return {
             "workloads": list(self.workloads),
             "ns": list(self.ns),
@@ -201,6 +203,7 @@ class SweepSpec:
             "trials": self.trials,
             "seed": self.seed,
             "pairs": self.pairs,
+            "randomness": RANDOMNESS_VERSION,
         }
 
     def fingerprint(self) -> str:

@@ -225,25 +225,20 @@ class GroupKeyProtocol:
                     pair_key, self.network.channels, label=("part2", v, w)
                 ).sequence(0, epoch_rounds)
                 cipher = AuthenticatedCipher(pair_key)
-                # A complete leader seals its key afresh every round; an
-                # incomplete one seals an empty notice.
+                # A complete leader seals its key once per epoch and
+                # repeats that frame on every hop; an incomplete one seals
+                # an empty notice.
                 tag, plaintext, associated = (
                     ("key", leader_keys[v], b"leader-key")
                     if v in leader_keys
                     else ("incomplete", b"", b"incomplete")
                 )
-                seals = (
-                    cipher.encrypt(
-                        plaintext, nonce_from_counter(epoch_index, r), associated
-                    )
-                    for r in range(epoch_rounds)
+                sealed = cipher.encrypt(
+                    plaintext, nonce_from_counter(epoch_index), associated
                 )
-                frames = [
-                    {v: Message(LEADER_KEY_KIND, v, (tag, s.as_tuple()))}
-                    for s in seals
-                ]
+                frame = Message(LEADER_KEY_KIND, v, (tag, sealed.as_tuple()))
                 heard = run_hopped_epoch(
-                    self.network, hops, frames, (w,), meta
+                    self.network, hops, {v: frame}, (w,), meta
                 )
 
                 def open_key(contents: Any) -> bytes | None:

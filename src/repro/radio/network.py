@@ -27,16 +27,19 @@ benchmark tracer.
 Two kinds of epoch sit on that resolver at the end of this module, each
 submitted as one :meth:`RadioNetwork.execute_schedule` call:
 
-* *keyed epochs* (Sections 6-7): senders repeat AEAD-sealed frames on a
-  key-derived hop pattern the receivers share.  :func:`run_hopped_epoch`
-  runs one, :func:`first_opened` keeps the first frame that
-  authenticates, and :func:`keyed_epoch_rounds` is their length;
+* *keyed epochs* (Sections 6-7): each sender repeats one AEAD-sealed
+  frame, sealed once per epoch, on a key-derived hop pattern the
+  receivers share.  :func:`run_hopped_epoch` runs one as at most ``C``
+  distinct rounds (one per hop channel, reused whenever the hop returns
+  to it), :func:`first_opened` keeps the first frame that authenticates,
+  and :func:`keyed_epoch_rounds` is their length;
 * *private-hop epochs* (every oblivious phase): each node hops on its own
-  private coins, handed out by its :class:`~repro.rng.HopStream`.
-  :func:`private_hop_rows` is the one place they are laid out as hop
-  rows, :func:`hit_row` the one read-back, and :func:`run_gossip_epoch`
-  the epoch of one sender among listeners.  :func:`draw_in_step` is the
-  one other draw: an oblivious jammer's, off a generator it keeps.
+  private counter-mode coins, handed out by its
+  :class:`~repro.rng.HopStream`.  :func:`private_hop_rows` is the one
+  place they are laid out as hop rows, :func:`hit_row` the one read-back,
+  and :func:`run_gossip_epoch` the epoch of one sender among listeners.
+  :func:`draw_in_step` is the one other draw: an oblivious jammer's, off
+  a generator it keeps.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -648,30 +651,35 @@ def keyed_epoch_rounds(
 def run_hopped_epoch(
     network: RadioNetwork,
     hops: Sequence[int],
-    frames: Sequence[Mapping[int, Message]],
+    senders: Mapping[int, Message],
     listeners: tuple[int, ...],
     meta: RoundMeta,
 ) -> list[Message | None]:
     """Run one keyed epoch and return the message decoded on each hop.
 
-    Round ``r`` has every sender of ``frames[r]`` (``sender -> frame``)
-    transmit on ``hops[r]`` and every node of ``listeners`` tuned there.
-    The whole epoch goes to ``network.execute_schedule`` as one schedule,
-    so anything wrapping that method sees it as one unit.  Entry ``r`` of
-    the result is ``None`` when round ``r``'s hop carried silence, a
-    collision or noise.
+    Round ``r`` has every sender of ``senders`` (``sender -> frame``, one
+    frame for the whole epoch) transmit on ``hops[r]`` and every node of
+    ``listeners`` tuned there.  The epoch builds one
+    :class:`CompiledRound` per distinct hop channel and reuses it each
+    time the hop returns there, so
+    :meth:`RadioNetwork.execute_schedule` validates and settles at most
+    ``C`` templates per epoch.  The whole epoch goes to
+    ``network.execute_schedule`` as one schedule, so anything wrapping
+    that method sees it as one unit.  Entry ``r`` of the result is
+    ``None`` when round ``r``'s hop carried silence, a collision or noise.
     """
     width = len(listeners)
-    heard = network.execute_schedule(
-        RoundSchedule(
-            CompiledRound(
-                {s: Transmit(hop, frame) for s, frame in senders.items()},
-                listeners,
-                bytes((hop,)) * width,
-                meta,
-            )
-            for hop, senders in zip(hops, frames)
+    on_channel = {
+        hop: CompiledRound(
+            {s: Transmit(hop, frame) for s, frame in senders.items()},
+            listeners,
+            bytes((hop,)) * width,
+            meta,
         )
+        for hop in dict.fromkeys(hops)
+    }
+    heard = network.execute_schedule(
+        RoundSchedule(map(on_channel.__getitem__, hops))
     )
     return [per_round.get(hop) for hop, per_round in zip(hops, heard)]
 
@@ -713,8 +721,8 @@ def private_hop_rows(
 ) -> list[bytes]:
     """Per-round hop rows for nodes hopping on private coins: each group
     pairs hop streams over ``range(len(channels))`` with the channel ids
-    their values index; each stream hands out ``rounds`` values (byte for
-    byte a ``choice(channels)`` per round; see :mod:`repro.rng`), laid out
+    their values index; each stream hands out its next ``rounds`` values
+    (one uniform channel index per round; see :mod:`repro.rng`), laid out
     stream-major in group order, so row ``r`` is ``matrix[r::rounds]``."""
     matrix = bytearray()
     for streams, channels in groups:
@@ -735,8 +743,8 @@ def private_hop_rows(
 def draw_in_step(rng: random.Random, n: int, count: int) -> bytes:
     """``count`` values of a ``rng.choice(range(n))`` loop, leaving ``rng``
     exactly where that loop would: the draw for a generator its owner
-    keeps using (an oblivious jammer's), which a
-    :class:`~repro.rng.HopStream` could not draw ahead of."""
+    keeps using (an oblivious jammer's, which also feeds ``sample``), so
+    a counter-mode :class:`~repro.rng.HopStream` cannot stand in."""
     return bytes(BlockDrawer(n).draw(rng, count))
 
 

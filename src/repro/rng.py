@@ -12,32 +12,30 @@ end of each round.  Keeping the streams separate in code makes it impossible
 for an adversary implementation to accidentally consume (and thereby observe)
 honest randomness.
 
-Hop streams: private coins drawn ahead
---------------------------------------
+Hop streams: private coins in counter mode
+------------------------------------------
 The protocols here are *oblivious*: every private hop is a coin flip drawn
 independently of anything observed mid-phase, and the adversary of
-Section 3 sees honest coins only after each round.  Drawing a node's hop
-coins early therefore changes no output, as long as each generator's
-values are consumed in the same order.  A :class:`HopStream` owns one
-node's hop generator and one range size ``n``; :meth:`HopStream.take`
-returns the next values a ``choice(range(n))`` loop on that generator
-would return, served from a buffer that bulk passes refill ahead of
-demand.  The registry hands hop streams out (:meth:`RngRegistry.hops`),
-and nothing else ever sees their generators.  The module's invariant:
+Section 3 sees honest coins only after each round.  All the model asks of
+these coins is that they be private and independent of the adversary's.
+A :class:`HopStream` holds one node's hop coins over ``range(n)`` in
+counter mode, keyed by the node's full 32-byte name digest
+(:func:`name_digest`, whose first eight bytes seed a plain
+:meth:`RngRegistry.stream`): block ``k`` of the stream is
+``shake_128(key || k).digest(HOP_BLOCK)``, and one ``translate`` maps each
+block to values that are exactly uniform.
+:meth:`HopStream.take` serves whole blocks from a buffer, so the values a
+stream hands out are one fixed sequence however the takes split it.  The
+registry hands hop streams out (:meth:`RngRegistry.hops`); their one
+consumer is :func:`repro.radio.network.private_hop_rows`, which lays out
+every private hop of every oblivious phase.  The hop values are versioned
+by :data:`RANDOMNESS_VERSION`.
 
-    A hop generator has produced exactly the values its stream handed out
-    plus the values still buffered: its state equals that of a fresh
-    generator after that many ``choice(range(n))`` draws.
-
-The hypothesis properties in ``tests/test_schedule_properties.py`` pin
-values *and* that state rule, and the golden digests of
-``tests/test_golden.py`` (recorded with per-draw ``choice`` hops) pin the
-callers in situ.  Their one consumer is
-:func:`repro.radio.network.private_hop_rows`, which lays out every
-private hop of every oblivious phase.
-
+In-step draws: the interpreter-mirroring invariant
+--------------------------------------------------
 A generator the caller keeps drawing from — an oblivious jammer's, which
-also feeds ``sample`` — cannot be drawn ahead.  :class:`BlockDrawer` is
+also feeds ``sample`` — stays a :class:`random.Random`, and its draws must
+leave it exactly where a ``choice`` loop would.  :class:`BlockDrawer` is
 the in-step primitive for such *borrowed* generators: one uniform draw
 from ``range(n)`` is ``getrandbits(n.bit_length())`` rejection-sampled
 until the value is ``< n`` (CPython's ``_randbelow_with_getrandbits``,
@@ -60,21 +58,38 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable
+from functools import cache
 
 from .errors import ConfigurationError
 
 _MASK_64 = (1 << 64) - 1
 
+RANDOMNESS_VERSION = 2
+"""The version of what a seed yields.  Any change to the hop values or
+frames a seed produces moves it: it is part of every sweep fingerprint
+and journal header, so a journal recorded on other coins is never
+resumed.  (1: Mersenne-Twister hop streams and a fresh seal per keyed
+round; 2: counter-mode hop streams and one seal per keyed epoch.)"""
 
-def derive_seed(master_seed: int, *name_parts: object) -> int:
-    """Derive a 64-bit substream seed from ``master_seed`` and a name.
+HOP_BLOCK = 512
+"""Bytes per counter-mode block of a :class:`HopStream`."""
 
-    The derivation hashes the canonical string representation of the parts
-    with SHA-256, so any hashable/printable identifiers (strings, ints,
-    tuples) may be used as name components.
+
+def name_digest(master_seed: int, *name_parts: object) -> bytes:
+    """The 32-byte SHA-256 digest naming a substream.
+
+    The derivation hashes the canonical string representation of the parts,
+    so any hashable/printable identifiers (strings, ints, tuples) may be
+    used as name components.
     """
     material = repr((master_seed,) + tuple(str(p) for p in name_parts))
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return hashlib.sha256(material.encode("utf-8")).digest()
+
+
+def derive_seed(master_seed: int, *name_parts: object) -> int:
+    """Derive a 64-bit substream seed from ``master_seed`` and a name: the
+    first eight bytes of its :func:`name_digest`."""
+    digest = name_digest(master_seed, *name_parts)
     return int.from_bytes(digest[:8], "big") & _MASK_64
 
 
@@ -168,15 +183,14 @@ class RngRegistry:
         """The hop streams over ``range(n)`` of ``nodes`` under
         ``prefix_parts``, in node order, creating them on demand.
 
-        Node ``v``'s generator is seeded exactly as ``stream(*prefix_parts,
-        v)`` would seed it, and repeated calls return the same
-        :class:`HopStream` objects, so coins advance across calls.  Seeds
-        come from one precomputed name-``repr`` prefix and one SHA-256 per
-        missing node when the prefix is non-empty and every node is a plain
-        ``int`` (``repr`` of a stringified int is always
-        ``'<digits>'``-quoted, so the spliced material equals the full tuple
-        ``repr`` :func:`derive_seed` hashes); anything else derives per
-        node.
+        Node ``v``'s stream is keyed by ``name_digest(seed, *prefix_parts,
+        v)``, and repeated calls return the same :class:`HopStream`
+        objects, so coins advance across calls.  Keys come from one
+        precomputed name-``repr`` prefix and one SHA-256 per missing node
+        when the prefix is non-empty and every node is a plain ``int``
+        (``repr`` of a stringified int is always ``'<digits>'``-quoted, so
+        the spliced material equals the full tuple ``repr``
+        :func:`name_digest` hashes); anything else derives per node.
         """
         items = list(nodes)
         prefix = tuple(str(p) for p in prefix_parts)
@@ -192,10 +206,9 @@ class RngRegistry:
                 if fast:
                     material = f"{opening}, '{v}')".encode("utf-8")
                     digest = hashlib.sha256(material).digest()
-                    seed = int.from_bytes(digest[:8], "big") & _MASK_64
                 else:
-                    seed = derive_seed(self._seed, *key)
-                hop = streams[key] = HopStream(seed, n)
+                    digest = name_digest(self._seed, *key)
+                hop = streams[key] = HopStream(digest, n)
             elif type(hop) is not HopStream or hop.n != n:
                 kind = (
                     f"a hop stream over range({hop.n})"
@@ -353,59 +366,53 @@ class BlockDrawer:
         return [draw(stream, count) for stream in streams]
 
 
-_LOOKAHEAD = 512
-"""Values a :class:`HopStream` draws, on average, past a request its
-buffer cannot serve: enough to serve a dozen epochs of a repeated phase
-from one bulk pass, few enough that the values a stream never hands out
-stay a small share of its draws (3% of a 64-node group-key trial's, 15%
-of a 256-node f-AME trial's)."""
+@cache
+def _block_tables(n: int) -> tuple[bytes, bytes]:
+    """The ``translate`` table and delete set mapping a block's bytes to
+    uniform values over ``range(n)``, ``0 < n <= 256``.  A power of two
+    keeps each byte's high bits and drops nothing; any other ``n`` keeps
+    ``b % n`` for ``b < 256 - 256 % n`` and drops the rest, so every value
+    has exactly ``256 // n`` preimages."""
+    if n & (n - 1) == 0:
+        shift = 9 - n.bit_length()
+        return bytes(b >> shift for b in range(256)), b""
+    keep = 256 - 256 % n
+    return bytes(b % n for b in range(256)), bytes(range(keep, 256))
 
 
 class HopStream:
-    """One node's private hop coins over ``range(n)``, drawn ahead in bulk.
+    """One node's private hop coins over ``range(n)``, in counter mode.
 
-    :meth:`take` returns the next values a ``choice(range(n))`` loop on the
-    stream's generator would return.  The buffer behind it is refilled by
-    bulk ``getrandbits(32 * m)`` passes: each ``getrandbits(k)`` with
-    ``0 < k <= 32`` consumes one 32-bit Mersenne-Twister word and returns
-    its top ``k`` bits, so for ``n < 256`` a draw is the high byte of its
-    word shifted down by ``8 - k``, and one :meth:`bytes.translate` over
-    the ``[3::4]`` high-byte slice maps accepted words to values and drops
-    rejected ones.  A pass pulls enough words for the shortfall plus
-    :data:`_LOOKAHEAD` values, so unlike :class:`BlockDrawer` it never
-    finishes on a per-value tail; if its last word was rejected, the one
-    draw that word began is completed on the spot, which keeps the module
-    invariant: the generator has produced exactly the values handed out
-    plus the values still buffered.  ``n = 256`` (``k = 9``) draws its
-    nine-bit values one word at a time.
-
-    Only the registry makes hop streams (:meth:`RngRegistry.hops`), and the
-    generator is never handed out.
+    Block ``k`` is ``shake_128(key || k).digest(HOP_BLOCK)``, with ``k`` as
+    eight big-endian bytes, mapped to values by one ``translate``
+    (:func:`_block_tables`).  :meth:`take` returns the next values from a
+    buffer of whole blocks, so the sequence never depends on how the takes
+    are split.  Only the registry makes hop streams
+    (:meth:`RngRegistry.hops`), keyed by a node's private name digest.
     """
 
-    __slots__ = ("n", "_rng", "_buffer", "_pos")
+    __slots__ = ("n", "_key", "_table", "_drop", "_blocks", "_buffer", "_pos")
 
-    def __init__(self, seed: int, n: int) -> None:
+    def __init__(self, key: bytes, n: int) -> None:
         if not 0 < n <= 256:
             raise ValueError(
                 f"hop streams draw from range(n), 0 < n <= 256; got n={n}"
             )
         self.n = n
-        self._rng = random.Random(seed)
+        self._key = bytes(key)
+        self._table, self._drop = _block_tables(n)
+        self._blocks = 0
         self._buffer = b""
         self._pos = 0
 
-    @property
-    def buffered(self) -> int:
-        """Values drawn from the generator but not yet handed out."""
-        return len(self._buffer) - self._pos
-
-    def getstate(self) -> object:
-        """The generator's state (:meth:`random.Random.getstate`)."""
-        return self._rng.getstate()
-
     def take(self, count: int) -> bytes:
-        """The next ``count`` values, one byte each."""
+        """The next ``count`` values, one byte each.
+
+        A negative ``count`` raises :class:`ValueError`: it would move the
+        read position back and hand the same coins out twice.
+        """
+        if count < 0:
+            raise ValueError(f"cannot take {count} hop values")
         pos = self._pos
         end = pos + count
         if end > len(self._buffer):
@@ -415,31 +422,17 @@ class HopStream:
         return self._buffer[pos:end]
 
     def _refill(self, count: int) -> None:
-        """Buffer at least ``count`` values, drawing ahead."""
-        buffer = self._buffer[self._pos :]
-        n = self.n
-        k = n.bit_length()
-        grb = self._rng.getrandbits
-        if k > 8:  # n == 256: nine-bit values, one word at a time
-            singles = count - len(buffer) + _LOOKAHEAD
-        else:
-            table, reject = _byte_tables(n, k)
-            while len(buffer) < count:
-                # Words for the shortfall plus the lookahead, on average:
-                # a word yields a value with probability n / 2**k.
-                words = ((count - len(buffer) + _LOOKAHEAD) << k) // n
-                high = grb(32 * words).to_bytes(4 * words, "little")[3::4]
-                buffer += high.translate(table, reject)
-            # A pass ending on a rejected word stopped inside one draw's
-            # rejection chain: finish that draw.
-            singles = int(high[-1] >> (8 - k) >= n)
-        if singles:
-            out = bytearray(buffer)
-            for _ in range(singles):
-                r = grb(k)
-                while r >= n:
-                    r = grb(k)
-                out.append(r)
-            buffer = bytes(out)
-        self._buffer = buffer
+        """Append whole blocks until at least ``count`` values wait."""
+        parts = [self._buffer[self._pos :]]
+        have = len(parts[0])
+        key, table, drop = self._key, self._table, self._drop
+        block = self._blocks
+        while have < count:
+            counter = block.to_bytes(8, "big")
+            raw = hashlib.shake_128(key + counter).digest(HOP_BLOCK)
+            parts.append(raw.translate(table, drop))
+            have += len(parts[-1])
+            block += 1
+        self._blocks = block
+        self._buffer = b"".join(parts)
         self._pos = 0

@@ -159,7 +159,7 @@ class LongLivedChannel:
         heard = run_hopped_epoch(
             self.network,
             hops,
-            [sealed] * epoch,
+            sealed,
             listeners,
             RoundMeta(phase="service", extra={"emulated_round": er}),
         )

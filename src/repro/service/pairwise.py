@@ -124,7 +124,7 @@ class PairwiseChannel:
         heard = run_hopped_epoch(
             self.network,
             hops,
-            [{sender: frame}] * epoch,
+            {sender: frame},
             (receiver,),
             RoundMeta(phase="pairwise", extra={"exchange": exchange}),
         )

@@ -341,9 +341,10 @@ class SecureSession:
         The smallest non-compromised complete leader draws a fresh key and
         sends it to every remaining member over that pair's Part 1
         pairwise key — one ``Θ(t log n)`` keyed epoch per member
-        (:func:`~repro.radio.network.run_hopped_epoch`, a fresh seal every
-        round), so the whole operation costs ``Θ(n t^2 log n)`` rounds (a
-        Part 2 rerun, much cheaper than a full setup).  Compromised
+        (:func:`~repro.radio.network.run_hopped_epoch`, one frame sealed
+        once per epoch and repeated on every hop), so the whole operation
+        costs ``Θ(n t^2 log n)`` rounds (a Part 2 rerun, much cheaper than
+        a full setup).  Compromised
         members have no epoch scheduled and hold none of the other pairs'
         keys, so the new group key is information they never see; the old
         channel is torn down immediately.
@@ -398,26 +399,16 @@ class SecureSession:
                 label=("rekey", generation, distributor, member),
             ).sequence(0, epoch_rounds)
             cipher = AuthenticatedCipher(pair_key)
-            seals = (
-                cipher.encrypt(
-                    new_key,
-                    nonce_from_counter(generation, epoch_index, r),
-                    b"rekey",
-                )
-                for r in range(epoch_rounds)
+            sealed = cipher.encrypt(
+                new_key, nonce_from_counter(generation, epoch_index), b"rekey"
             )
-            frames = [
-                {
-                    distributor: Message(
-                        REKEY_KIND, distributor, (generation, s.as_tuple())
-                    )
-                }
-                for s in seals
-            ]
+            frame = Message(
+                REKEY_KIND, distributor, (generation, sealed.as_tuple())
+            )
             heard = run_hopped_epoch(
                 self.network,
                 hops,
-                frames,
+                {distributor: frame},
                 (member,),
                 RoundMeta(
                     phase="rekey",

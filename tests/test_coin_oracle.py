@@ -37,7 +37,9 @@ listener:
 * the hop-channel histogram is uniform (a chi-square test).
 
 Seeds are fixed and every bound sits at 5 sigma, so a correct change of
-the coins fails a check with probability about 1e-6.  Five negative
+the coins fails a check with probability about 1e-6.  Setting
+``COIN_ORACLE_SCALE=k`` runs every check over ``k`` times its rounds and
+epochs, for finer resolution at the same bounds.  Five negative
 controls must fail: listeners whose hop streams share one seed keep every
 listener's histogram uniform but fail the joint gossip test; hop streams
 that clamp out-of-range draws instead of rejecting them fail every gossip
@@ -49,6 +51,7 @@ survival check while the hops stay uniform.
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import pytest
@@ -73,9 +76,13 @@ from repro.radio.network import (
 )
 from repro.rng import RngRegistry
 
+SCALE = int(os.environ.get("COIN_ORACLE_SCALE", "1"))
+"""Multiplies every check's rounds and epochs (``COIN_ORACLE_SCALE``, read
+by this module only): CI also runs the oracle at ten times its size."""
+
 LISTENERS = 30
 ROUNDS = 64
-EPOCHS = 400
+EPOCHS = 400 * SCALE
 SENDER = 0
 FIVE_SIGMA = math.erfc(5 / math.sqrt(2))
 """Two-sided normal tail beyond 5 sigma (about 5.7e-7)."""
@@ -237,7 +244,7 @@ def test_clamped_hop_coins_fail_the_gossip_checks():
     assert max(checks.values()) < FIVE_SIGMA, checks
 
 
-FEEDBACK_ROUNDS = 12_000
+FEEDBACK_ROUNDS = 12_000 * SCALE
 """Feedback repetitions per check, summed over serial invocations."""
 
 
@@ -318,7 +325,7 @@ def test_a_silent_jammer_fails_the_feedback_checks():
     assert max(checks.values()) < FIVE_SIGMA, checks
 
 
-PARALLEL_ROUNDS = 6_000
+PARALLEL_ROUNDS = 6_000 * SCALE
 """Final-dissemination repetitions per check, summed over invocations."""
 
 
@@ -377,7 +384,7 @@ def test_a_silent_jammer_fails_the_parallel_feedback_checks():
     assert max(checks.values()) < FIVE_SIGMA, checks
 
 
-HOP_ROUNDS = 15_000
+HOP_ROUNDS = 15_000 * SCALE
 """Keyed rounds per check, summed over epochs."""
 
 
@@ -398,13 +405,13 @@ def keyed_hop_checks(channels: int, t: int, adversary, hopper) -> dict:
     hop histogram's uniformity."""
     network = RadioNetwork(2, channels, t, adversary=adversary, keep_trace=False)
     epoch = keyed_epoch_rounds(network)
-    frames = [{0: Message("oracle", 0, None)}] * epoch
+    senders = {0: Message("oracle", 0, None)}
     meta = RoundMeta(phase="oracle")
     hops: list[int] = []
     survived = 0
     while len(hops) < HOP_ROUNDS:
         epoch_hops = hopper.sequence(network.round_index, epoch)
-        heard = run_hopped_epoch(network, epoch_hops, frames, (1,), meta)
+        heard = run_hopped_epoch(network, epoch_hops, senders, (1,), meta)
         hops += epoch_hops
         survived += sum(frame is not None for frame in heard)
     p = 1 - float(hopping_miss_probability(1, channels, t))

@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
-from repro.rng import RngRegistry
+from repro.rng import RANDOMNESS_VERSION, RngRegistry
 
 N = 18  # smallest population comfortably above the f-AME witness bound
 
@@ -280,6 +280,13 @@ class TestSweepSpec:
         assert a.fingerprint() == SweepSpec(seed=1).fingerprint()
 
 
+class ExplodingBackend(SerialBackend):
+    """A backend for runs that must dispatch no trial."""
+
+    def _execute(self, specs, assembler, should_stop):
+        raise AssertionError("no trials should be dispatched")
+
+
 class TestSweepRunnerSerial:
     def test_report_is_backend_shape_free(self):
         report = SweepRunner(small_spec).run().as_dict()
@@ -315,11 +322,6 @@ class TestSweepRunnerSerial:
     def test_resume_with_complete_journal_runs_nothing(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         first = SweepRunner(small_spec, journal_path=str(journal)).run()
-
-        class ExplodingBackend(SerialBackend):
-            def _execute(self, specs, assembler, should_stop):
-                raise AssertionError("no trials should be dispatched")
-
         again = SweepRunner(
             small_spec,
             backend=ExplodingBackend(),
@@ -327,6 +329,40 @@ class TestSweepRunnerSerial:
             resume=True,
         ).run()
         assert again.as_dict() == first.as_dict()
+
+    @pytest.mark.parametrize("recorded", [None, 1])
+    def test_resume_refuses_a_journal_drawn_on_other_coins(
+        self, tmp_path, recorded
+    ):
+        # A header without the randomness field predates version 2 of
+        # the coins: resuming must fail, naming both versions, before any
+        # trial is dispatched.
+        journal = tmp_path / "sweep.jsonl"
+        with pytest.raises(SweepInterrupted):
+            SweepRunner(
+                small_spec, journal_path=str(journal), stop_after=1
+            ).run()
+        header, *records = journal.read_text().splitlines()
+        fields = json.loads(header)
+        fields.pop("randomness", None)
+        if recorded is not None:
+            fields["randomness"] = recorded
+        journal.write_text(
+            "\n".join([json.dumps(fields), *records]) + "\n"
+        )
+        runner = SweepRunner(
+            small_spec,
+            backend=ExplodingBackend(),
+            journal_path=str(journal),
+            resume=True,
+        )
+        with pytest.raises(
+            DispatchError,
+            match=f"randomness version 1.*version {RANDOMNESS_VERSION}",
+        ):
+            runner.run()
+        assert RANDOMNESS_VERSION == 2
+        assert small_spec.as_dict()["randomness"] == RANDOMNESS_VERSION
 
     def test_on_point_complete_streams(self):
         finished = []

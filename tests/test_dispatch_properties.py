@@ -12,7 +12,8 @@ Two families, both load-bearing for the byte-identical-report guarantee:
 * **merge obliviousness** — applying trial results in *any* completion
   order, with duplicate redeliveries interleaved, aggregates
   byte-identically to index order (the at-most-once + index-sort rule);
-* **journal replay** — over any header and record lines (cut short,
+* **journal replay** — over any header (one recorded on other coins
+  included) and record lines (cut short,
   wrong JSON types, missing or mistyped fields, payloads that are not a
   ``TrialResult``, reordered, duplicated or forged indexes), ``--resume``
   replay returns the first record of each index, skips only a cut-short
@@ -41,7 +42,7 @@ from repro.dispatch.journal import decode_record, encode_record
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import TrialResult
 from repro.radio.metrics import NetworkMetrics
-from repro.rng import RngRegistry
+from repro.rng import RANDOMNESS_VERSION, RngRegistry
 
 # Small pools so grids stay a few dozen points; values are arbitrary —
 # expansion/seed properties never execute a trial.
@@ -280,7 +281,12 @@ def _journal_line(draw):
     return json.dumps(record, sort_keys=True), "shape"
 
 
-_HEADER = {"kind": "header", "journal_version": 1, "fingerprint": "fp"}
+_HEADER = {
+    "kind": "header",
+    "journal_version": 1,
+    "fingerprint": "fp",
+    "randomness": RANDOMNESS_VERSION,
+}
 
 
 @st.composite
@@ -288,8 +294,8 @@ def _journal_header(draw):
     """``(line, error)``: a header line and the error replay must raise."""
     kind = draw(
         st.sampled_from(
-            ["good", "good", "json", "kind", "version", "fingerprint",
-             "truncated"]
+            ["good", "good", "json", "kind", "version", "randomness",
+             "fingerprint", "truncated"]
         )
     )
     header = dict(_HEADER)
@@ -302,6 +308,15 @@ def _journal_header(draw):
         header["kind"] = draw(_json_values.filter(lambda v: v != "header"))
     elif kind == "version":
         header["journal_version"] = draw(_json_values.filter(lambda v: v != 1))
+    elif kind == "randomness":
+        # Another version of the coins; a header without the field
+        # predates versioning and holds version 1.
+        if draw(st.booleans()):
+            del header["randomness"]
+        else:
+            header["randomness"] = draw(
+                _json_values.filter(lambda v: v != RANDOMNESS_VERSION)
+            )
     elif kind == "fingerprint":
         header["fingerprint"] = draw(_json_values.filter(lambda v: v != "fp"))
         return json.dumps(header), ConfigurationError

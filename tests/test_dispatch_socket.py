@@ -405,7 +405,8 @@ def _free_port() -> int:
 
 
 class TestHandshake:
-    def test_protocol_mismatch_rejected_but_sweep_continues(self):
+    @staticmethod
+    def _stray_is_refused_and_the_sweep_continues(protocol):
         specs = fame_specs(2)
         serial = SerialBackend().run(specs)
         port = _free_port()
@@ -413,7 +414,7 @@ class TestHandshake:
             workers=1, port=port, spawn_workers=False, accept_timeout=60.0
         )
         thread, out = _run_backend_in_thread(backend, specs)
-        stray = _FakeWorker(port, protocol=PROTOCOL_VERSION + 1)
+        stray = _FakeWorker(port, protocol=protocol)
         stray.start()
         stray.join(timeout=30)
         assert stray.greeting["kind"] == "reject"
@@ -423,6 +424,14 @@ class TestHandshake:
         thread.join(timeout=120)
         assert not thread.is_alive()
         assert out.get("results") == serial
+
+    def test_protocol_mismatch_rejected_but_sweep_continues(self):
+        self._stray_is_refused_and_the_sweep_continues(PROTOCOL_VERSION + 1)
+
+    def test_a_worker_on_the_old_coins_is_refused(self):
+        # Protocol 3 workers draw randomness version 1: their trials would
+        # not be this coordinator's, so the hello turns them away.
+        self._stray_is_refused_and_the_sweep_continues(3)
 
     def test_duplicate_results_from_worker_are_dropped(self):
         specs = fame_specs(3)

@@ -187,9 +187,7 @@ class TestDeltaVersusFullFrame:
         # The counter the encoding exists to shrink, and nothing else.
         assert net.metrics.payload_units < PARALLEL_FULL_FRAME_PAYLOAD_UNITS
 
-    @pytest.mark.parametrize(
-        "adversary", ["none", "random", "schedule-aware", "spoof-delta"]
-    )
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
     def test_compiled_and_per_round_delta_byte_identical(self, adversary):
         out, net = _run(ADVERSARIES[adversary])
         assert network_digest(out, net) == PARALLEL_FEEDBACK[adversary]

@@ -32,6 +32,20 @@ Two kinds of entries live here.
   did: an optimised execution stays indistinguishable from the naive one
   under every adversary.
 
+Randomness version 2 (:data:`repro.rng.RANDOMNESS_VERSION`: counter-mode
+hop streams, and one sealed frame per group-key Part 2 or re-key epoch)
+was one declared re-baseline.  Every entry it moved was re-recorded once,
+on the compiled paths, and the statistical oracle of
+``tests/test_coin_oracle.py`` vouches for the new coins; the naive
+references are gone, so from then on those entries pin the compiled paths
+against themselves.  The entries whose runs draw no private hop and seal
+no such epoch did not move: the direct and randomized baselines, the radio
+oracle tables, the pairwise channels, the session host (but under the
+history-reading jammer, whose trace holds the re-key frames), the
+scenario gauntlet and the examples.  Nor did
+:data:`SERIAL_FEEDBACK_NO_TRACE`, whose ``D`` map and counters come out
+the same on the new coins.
+
 A change that moves any seeded output — a seed scheme, a protocol's coin
 use, a metric, a frame encoding, the report shape — moves these digests,
 so it must re-record them on purpose and declare the re-baseline.
@@ -186,12 +200,12 @@ GOLDEN = {
     "workloads": (
         ["--workloads", "fame,groupkey,gauntlet,scenario:serve.duplicate-open",
          "--nodes", "18", "--trials", "3", "--seed", "7", "--pairs", "4"],
-        "70304139738815aa75b5b6800310579d84cb762643e21408a8b73a996bf6d1a4",
+        "ed6682ade17fefa1f6110400bd66a8bf15650aace7c4930ad79e864e9ca3d063",
     ),
     "adversaries": (
         ["--nodes", "18,24", "--adversaries", "schedule,random,null",
          "--trials", "2", "--seed", "11", "--pairs", "4"],
-        "521b30ab3807a13b816ba3c01263a5070d401dfffd2942155ef129041590427c",
+        "df5068cee64122a562f9f9a1ce9e677b8033dd43d97f53382548476293a6bec1",
     ),
 }
 
@@ -227,26 +241,27 @@ def test_scenario_gauntlet_report_bytes_match_golden(tmp_path, capsys):
 #
 # Serial feedback (Figure 1): n=40, C=3, t=2, three 3-witness slots with
 # flags (true, false, true), seed 7 — TestFeedbackEquivalence's recipe.
-# Recorded from the one-execute_round-per-repetition loop.
+# Recorded from the one-execute_round-per-repetition loop; re-recorded on
+# the compiled path for randomness version 2.
 
 SERIAL_FEEDBACK = {
     "none": (
-        "cc7582ebfd67b9b66d586cabe195aab3a69658116ff8f897c5f0f1b1fe4895f6"
+        "cdb0bcade201c768cce307768044c2bd5e37febf2bde046af9acd8f888e6c18b"
     ),
     "null": (
-        "cc7582ebfd67b9b66d586cabe195aab3a69658116ff8f897c5f0f1b1fe4895f6"
+        "cdb0bcade201c768cce307768044c2bd5e37febf2bde046af9acd8f888e6c18b"
     ),
     "random": (
-        "7d1702ef2bcb4dfb375717073cefa3ade352fb1d56d8fa5e274986c88d8b9bea"
+        "f4dc05502e29cd6588f2b7d147c6bc14c67fb4be70f92cb70c1c424569ee7b0e"
     ),
     "spoof": (
-        "04d66fe29a25f6970817595779e65cf2eb4b7a1aaf8001c7a99743b8108d01d9"
+        "544c4aa3f4005bfca2dc8be07bb7dc04e39b1291d59eef3a65c09521d7ff39b4"
     ),
     "spoof-feedback": (
-        "66b648ad3a9b1ca919a30482f8e05290a9c1d4cb1d06200ae597347708961f58"
+        "99c5c5c9ad907c02133791990e507eca9ac37dfeb12699482fffd4227d1eb95b"
     ),
     "sweep": (
-        "12cf2f1c3b4abbfbf8337d94957741f1d8b01c1822e7e818ef83352d5bd005b9"
+        "79171d1e601df62b347bec4d008dd824cedec16243c5507e19d3e48805c866c9"
     ),
 }
 
@@ -258,35 +273,36 @@ SERIAL_FEEDBACK_NO_TRACE = (
 # Parallel merge (Section 5.5): n=60, C=8, t=2, four 4-witness slots with
 # slot 1 false, seed 9, delta frames — the recipe of
 # TestParallelFeedbackEquivalence and test_feedback_delta.  Recorded from
-# the per-round transfer loop.
+# the per-round transfer loop; re-recorded on the compiled path for
+# randomness version 2.
 
 PARALLEL_FEEDBACK = {
     "budget": (
-        "c92ea58f033cfa3d3f345203eae14c283257bad750d4ae1daafece7cfff5d252"
+        "a18425a25faf205e67feffe85ead9950fc95016a4bda4cd41de1fc4af8bdeae0"
     ),
     "none": (
-        "e45fbea47a63c8ea8a3ae42ccf930fa34d4bea0e058c5b6ba3109c5ce75586db"
+        "69248df489915281ffa82e2ceeee9789bde53c9416522b25dddf979718ad29c2"
     ),
     "null": (
-        "e45fbea47a63c8ea8a3ae42ccf930fa34d4bea0e058c5b6ba3109c5ce75586db"
+        "69248df489915281ffa82e2ceeee9789bde53c9416522b25dddf979718ad29c2"
     ),
     "random": (
-        "cafade8a36131a33212c3af0dacf36775005fbda349cd9983ef01e8c926e37cd"
+        "67cb57aad1942af3bb7e8458b235b97ae057cd974d769ca8c7e23ca082d2d295"
     ),
     "reactive": (
-        "41f339b49b89c741bf663292ba6d4174fbeea51ef439ae0237b54a648105d2fd"
+        "2eefeccc0a3f41b44914cf16ee2857f8dea8940b47c27c472422ce5b508b3e1a"
     ),
     "schedule-aware": (
-        "20995f90821c044c84b4c3837cfa763e56e95750ce728cc22f7b211734bc9ebb"
+        "031516fa7f0a61e730010df8890f5600e91396d60268a818515076608b26657a"
     ),
     "spoof": (
-        "032589b885182bf3adba9a355529851888a14ab0d3d846d59cef6b80c2779558"
+        "497a331e358bd8788d8e3386a99f68192cde7021df3cf22fdd142a74aa9e4a6b"
     ),
     "spoof-delta": (
-        "08f1378041c5006f056872dcfbf28cb945868a54a06e63db2572236eba6ad3ba"
+        "63c7b7f77f5da4773f8c0424b489343738858869bacb86faaddf75f66c224f70"
     ),
     "sweep": (
-        "9c13d2dc9f54d75a749159064e79a9e27525eed77023ddd94f352b6c8ecc1144"
+        "da1b85af2f3937e368d1c4e422effd91a814a78fb57133ff0c8bb07038ed52b5"
     ),
 }
 
@@ -299,31 +315,31 @@ PARALLEL_FEEDBACK = {
 
 PARALLEL_FULL_FRAME_SEMANTIC = {
     "budget": (
-        "d3b03f4faa45f2952a6a3bcebdc9f10564f1385535c51d0bc75481e931a96c84"
+        "0f6d2f2e9bffbfd659d84f7d1231318c3494bbb5bc82874772e46f89543aa4d0"
     ),
     "none": (
-        "f61a895faaf1385cc389d4f8e6cfbb37750337cbd4da93fa67f19308a93a2c26"
+        "c66b898f0a928bf3f817f18ed95d79adf6ce0453b86418fb746e348ab7961c82"
     ),
     "null": (
-        "f61a895faaf1385cc389d4f8e6cfbb37750337cbd4da93fa67f19308a93a2c26"
+        "c66b898f0a928bf3f817f18ed95d79adf6ce0453b86418fb746e348ab7961c82"
     ),
     "random": (
-        "adedc79e6b7c2fd1c98080bbca7c58c34911dcb9033812a5b248b4c36a11ad39"
+        "d44f77be4fafdfcdfa5dd8f3376166b9065b98dcdd743c452f5f1601a2869c0e"
     ),
     "reactive": (
-        "a75a7b91815f02fec701add1159d12df8a42ad5f54f57f59d2e51755db2baf14"
+        "c7b0c7409d9f009040bfca4d1a3ad2527e82019db6a493f00ea182d932eccde3"
     ),
     "schedule-aware": (
-        "3cfbb08c6c199792711189f33fe83a728deb51c11723278f46bd1b6776e18204"
+        "86713531e0449969baee80e966fc41bf9f80497408e91bde95e3810e93171970"
     ),
     "spoof": (
-        "d2cf763ccf6e53a3f784d8482e6cacdc4675e9b9c5355818dc3a2fd0107625bb"
+        "db8bc910824a916e164058512d36eb2faa957a0d89122c01e12ed8d15ba2ebcc"
     ),
     "spoof-delta": (
-        "ae59764d983965a9d13345dbc58a339e7167c22df4ced8fd2e72f7a9dfca1851"
+        "f52842936adba3897a54f03558541000f2f8dce49a6b16d1bc6dfd0afbacc1a4"
     ),
     "sweep": (
-        "a75667d20f1e2b4cee9dd4a7a431a0196a8b3d429fd99cb965e1de07a4416ba0"
+        "a2901be309cf17a4649e9b3da0359aae3835ca924c701d829b502460aed7fdf5"
     ),
 }
 
@@ -331,10 +347,11 @@ PARALLEL_FULL_FRAME_PAYLOAD_UNITS = 6480
 
 # The parallel merge on a RestrictedListeningNetwork (n=24, C=8, t=2,
 # eavesdropper on channels 1 and 3, slot 2 false, seed 13), recorded from
-# the per-round loop; and the full-frame run's payload units.
+# the per-round loop and re-recorded on the compiled path for randomness
+# version 2; and the full-frame run's payload units.
 
 RESTRICTED_PARALLEL_FEEDBACK = (
-    "1b6856f37fa2902e2b0e106d695502111dd706155b94348dc9bbf28e9958952e"
+    "6358dbbbea3a7b14a42861e963f480f72a3bd37846077be261bdc3fd1b7931b9"
 )
 
 RESTRICTED_FULL_FRAME_PAYLOAD_UNITS = 5040
@@ -343,28 +360,29 @@ RESTRICTED_FULL_FRAME_PAYLOAD_UNITS = 5040
 # C=2, t=1 (BASE regime, serial feedback), seed 5, recorded from the
 # Sleep-padded dense rounds with the per-round feedback loop; and a
 # SQUARED-regime run (n=40, C=4, t=1, parallel merge) recorded from the
-# same reference with delta frames.
+# same reference with delta frames.  Both re-recorded on the compiled path
+# for randomness version 2.
 
 FAME = {
     "null": (
-        "3cb53ed229a9c9132ef194cae30e03367bcbdd21f3b7c42ef2e411803ff77245"
+        "07a7167f622259c9f5fd3e8e1c5c2d0e9a12cc3e2bd982f944c790f11b26400d"
     ),
     "random": (
-        "52b078c59ef1002a2e8b13ea07b6158aa3ca306eb5ea49866ee0f9bd6c3624a3"
+        "e4c3b9df39564c066156309dfd6b43dbaaa4c5f5d4e70e642d46623247af9861"
     ),
     "schedule-aware": (
-        "c39b82dbff4a2297f924877147d57de7d0f20105c83765728d2f46328518fc43"
+        "532410bad1c6f7b43b7eda3054654075ce3e7957f37aed63af8e8231e0350803"
     ),
     "spoof": (
-        "0413ff11cca350c98e29e7e8023970eaf8b1e84fdacfe67bdf6c324096b4f8f2"
+        "bc21492bff2df9a5c4fa8d42beae9c1568db8a21174f5a91f149276b7ae117a3"
     ),
     "sweep": (
-        "32eda5a33f2373acbb57db93168e789f988af0ddd1ea118e38b5db33d8936d16"
+        "a5acad699744546a541c1f18f345a79a0e9da128b778f301640df121fb022a9d"
     ),
 }
 
 FAME_SQUARED = (
-    "32f9ba4f60f0710c5fcfb28052fdb7b6cdcf78d41ce55cc7c7675555e76d45b8"
+    "9a4a26d38cce3e0753d40b3c35875d32b212745220e608508324e314fd2192ca"
 )
 
 
@@ -375,7 +393,10 @@ FAME_SQUARED = (
 # experiment on a RestrictedListeningNetwork under a sticky and a hopping
 # eavesdropper.  Recorded from the per-node resolver (``execute_round``'s
 # own decode loop and ``RestrictedListeningNetwork``'s ``execute_round``
-# override); every one of them now compiles its rounds.
+# override); every one of them now compiles its rounds.  The callers that
+# hop on private coins (Byzantine f-AME, the gossip pipeline, the
+# no-surrogate baseline and the share spray) were re-recorded on their
+# compiled paths for randomness version 2.
 
 PER_NODE_ADVERSARIES = {
     "null": NullAdversary,
@@ -442,40 +463,40 @@ PER_NODE_CALLERS = {
 
 PER_NODE = {
     ("byzantine", "null"): (
-        "0b88fe971710f3a83446db4d7cba8eea38e6301dac9097ceef78acf4016c9230"
+        "30153e0f080bf155a383694265fab9373025acf1b12507f764073258a08ea815"
     ),
     ("byzantine", "random"): (
-        "e62c08476c626ca468823a3554ccf11710268744490e9f3b63b0ef2c0ed3ee52"
+        "db5dbf05bc96c6c88ac2f6e8d8ea2f1770570beb8bf7ae351b9414cac9374541"
     ),
     ("byzantine", "reactive"): (
-        "0cd6829b21579d8fd79a1622b2b20a12f82ec66660bd8b3065103711a6644a06"
+        "1e4636516bc359d3b313c424bc77fd042f6749be601ee6eaffe4c71d94e8effa"
     ),
     ("byzantine", "schedule-aware"): (
-        "19f34488579d60da1b3168a3f066580d374c2002496e99527d69fa2222ed75c2"
+        "760e69fa05100ad23068cef74d61169d10a6c8e60e36f05e22d9530b78907eff"
     ),
     ("byzantine", "spoof"): (
-        "b570124973ef7ab058d136d38e3013449b5b8e2777e6d4d87ebdf16e85d6f715"
+        "b2831d6620492150be7f827b12e1c6d0c3a62b5fefe3456db6463d5b6254e081"
     ),
     ("byzantine", "sweep"): (
-        "0a4841e0cb6de922cae239886479dbcd5492b469e8ff687ae3c5dfc60059f411"
+        "f25226419b1410774d528ce536115ae1e95f6b546f825db0d74dd229f45fd127"
     ),
     ("digests", "null"): (
-        "9937ad7779b941a3fbedf65b0a2ae093072359942a8c908b984ec8620b1dc968"
+        "233b69c7eb2450500456e2cd6aa6edf508c31c7418e3d27f576856c547c17f3c"
     ),
     ("digests", "random"): (
-        "20cdf597b5357356529125d2a46929467a1b98b25c4c0fef7067a15c610d9f98"
+        "09194633b1709246deaba5e416b9a2b8263dda5580d9aa83d7a5ac06295a6a17"
     ),
     ("digests", "reactive"): (
-        "f937d5a7613e93c20e4438311c7149cb93ad5b198506527ebb26c9f417e18a23"
+        "03b27ff1780233a6f57f8e4bda7cd4faf024a1b52c228f10fde67060ff7fae4a"
     ),
     ("digests", "schedule-aware"): (
-        "d68f17317a46491c871501a2fe98e5c1b193ac58ecc79fe0359209500e8a3a89"
+        "af62db441cbe3164d8d559c47ab94b7fabe63bc91a4aedf4639df687bba5c8c2"
     ),
     ("digests", "spoof"): (
-        "067c7cb43b2df60e5c13442dc663c5bc391b55f2880dcf565caff33a47bc4ad7"
+        "c3bccfa86bf977f1813fb451999b551d107e78a621fb60f4e3f3f4bafe643c48"
     ),
     ("digests", "sweep"): (
-        "fe9b0214fb50a078eab629b50074391bcd1d50f0d671611425d116c313a57a06"
+        "baca193b7967e9a0809dfb3e1b3f38e09e798c805eb987513d3117331da5cc91"
     ),
     ("direct", "null"): (
         "8d1dcf89b2ca6a7a3dfdfcb8bb07b2797950411f7640a61fb06897bd9aebbf5a"
@@ -496,22 +517,22 @@ PER_NODE = {
         "90af004a0c3c23aa3671db3f2f17e10e76503c3b0787bef57c3a3ae4bb310620"
     ),
     ("no-surrogate", "null"): (
-        "83fc0aa50a7625a6cad5cb343782fb51ae5b4e1497c037f5a9f3d01d80d7cb58"
+        "30f6c7ee604e8de7a2f2efc01a6e252d62c987181c42b903226f3cbd925e66df"
     ),
     ("no-surrogate", "random"): (
-        "9430073f61ea525f83d73fe4867efcd42b7f94a43733f9bf1dda3f4ab195bce2"
+        "69d26442a1b01fe88f68ffbb5c63736b55b843228ca163178423e84a250846e4"
     ),
     ("no-surrogate", "reactive"): (
-        "f2557658ca98c4e690920574a3c04b3dabe6856c0b26fc875f4c8bab40545d17"
+        "6d648f1e14c2fd596fd48652854ca3ca9c1ab93f59e00d0b46a307c0e7ae7c64"
     ),
     ("no-surrogate", "schedule-aware"): (
-        "3b26682a0639a8a6783fe3ac6e698a83e9c0ac3b6ec25dab1c527abe78fa31e0"
+        "6e7da6ffe3ff798fd0bd792bf8f410e2bf53969f895fecc30e407f1d4ca3997f"
     ),
     ("no-surrogate", "spoof"): (
-        "08f13095ce2d416fc265064da730db1b87a20ee1eb1a76b4ad801e29c01e0ff1"
+        "42c2ff31cb8d4d686332a01f8d65bcfe69a6bda2f9181190d9e0b0a4ee6125ec"
     ),
     ("no-surrogate", "sweep"): (
-        "21eef00b9f57105155110905335062ec4707d0412b13b953afdd081fe41f780f"
+        "36a0d18b0dd07348a45db299bef3f4b71cf11b0ba928ce242e38961873c7a050"
     ),
     ("randomized", "null"): (
         "386a6267d30a19245b7ea4013a763936841ce5557f481442d449a5290ce7ba6d"
@@ -540,10 +561,10 @@ EAVESDROPPERS = {
 
 SHARE_SPRAY = {
     "hopping": (
-        "cc233427c1cd472f01c4d6147a843d24da717dfbfedaf901e00009b65e98883d"
+        "75e667d4111017a83a2042e6e3c9b5501fe018a1bf94d0053d68f41bbaaf8488"
     ),
     "sticky": (
-        "58dfe8948f55570f2a6340a4995438b1b7929252790be3253165b87095e307fd"
+        "021bf2b7557d23ba227182eb3607023091b416a49eecbf0de0c0303ead2f6a6b"
     ),
 }
 
@@ -629,21 +650,22 @@ DENSE_ROUNDS = {
 
 
 class TestGroupKeyByteIdentity:
-    """Whole group-key runs are byte-identical to the pre-block-draw tree.
+    """Whole group-key runs, pinned end to end.
 
-    The digests below were recorded on the commit *before* the block-draw
-    engine landed, over (group key, holders, expected leader, round /
+    The digests cover the group key, holders, expected leader, round /
     payload / collision counters, and the full canonical trace — every
-    hop of every node).  Matching them proves the batched samplers and
-    the shape cache reproduce the historical generator consumption
-    exactly, end to end, through all three group-key parts.
+    hop of every node — through all three group-key parts.  First
+    recorded before the block-draw engine landed, they held through every
+    later refactor of the Mersenne-Twister coins; randomness version 2
+    (counter-mode hop streams, one seal per Part 2 epoch) re-recorded
+    both.
     """
 
     PLAIN_DIGEST = (
-        "caf9db3c5f00e2e548a628e4b35526d9ec784d082d79f3a2393139878e7af065"
+        "88edeac0cece0eb6fccaddcb514cf42a71d48e03caf8e7e928079f50944af721"
     )
     JAMMED_DIGEST = (
-        "3ba37cd8357ce3ee46c9649fb172371a080568d5ab34e23f98705bc5c512a777"
+        "dfe7947a90bdee1d42c0562e096d592deef8698dd8e567a6a78572b3ac5d2b5e"
     )
 
     @staticmethod
@@ -691,6 +713,10 @@ class TestGroupKeyByteIdentity:
 # log adds every response of a ``SessionHost`` request sequence over four
 # sessions (scheduled and explicit re-keys, budgeted flushes, drains).
 # Recorded at commit f310022, before these paths shared one epoch helper.
+# Randomness version 2 re-recorded the set-up and preshared sessions (their
+# hops, Part 2 and re-key seals) and the host log under the reactive
+# jammer, whose kept trace holds the re-key frames; the pairwise channels
+# and the other host logs did not move.
 
 KEYED_ADVERSARIES = ("null", "random", "reactive", "spoofer", "sweep")
 
@@ -822,7 +848,7 @@ KEYED = {
         "3295c375940b85cbcdfe937ded7422380eba58fad94d8cf9fc0f79b091098311"
     ),
     ("host", "reactive"): (
-        "49ed3b252ed10e502d47a3f97b7bc37cabe46f89b71845cc28fd9862836764bb"
+        "77ad99639d1e5db0bf7724119a53ff76e5916221032dba30dabef6dc32858152"
     ),
     ("host", "spoofer"): (
         "1d632f24ee878a551a369980944a3c85993e1e964010da35adaa07d84ad53bcf"
@@ -846,34 +872,34 @@ KEYED = {
         "aa80ca90386280724df7158fd7e9204d3a92fc50f61c43698d948d68226d9a21"
     ),
     ("preshared-session", "null"): (
-        "c4c90e5ccb024387c60cf2e949122c2c30e1a506f8e6b5b63cd315bf3fd2a53a"
+        "0b2525b19f34b26fc5d164e3f9e5d62550e799f3a0bfc12ec41cb422d7b36213"
     ),
     ("preshared-session", "random"): (
-        "580b10848c85faa02bb297e955dfb95b7f810888a1b0f6e20b18ec75b1bbb1b6"
+        "b3ec33142768cd9072f10d19306d1c053af4116fe6d2955325481763146f3395"
     ),
     ("preshared-session", "reactive"): (
-        "5c76b11b330e32c246935b60c58ace90665d8c3f77c3e2ac2b039a166c733de3"
+        "443b8852e5a7f2f3483cf2a96dbf6affc1e9ceb41c9f2e099a9b6b8ac36b3604"
     ),
     ("preshared-session", "spoofer"): (
-        "bc8811d7c6adbbf22ed20ad03788bc7672a294b20af8394ffb9a9b0d37956911"
+        "0f9e3627e9114cf22b4ce4c31e104fe82037b69067984c97155823c7ab9129ee"
     ),
     ("preshared-session", "sweep"): (
-        "d03166bc6e5764dbb538ec18da1a20991f01353c0cf0ea648f55197a25b25a0d"
+        "af05d15c5e5f65251e78e976e2e80065b32fa6157e8b80b27bdbc966234e1ee9"
     ),
     ("setup-session", "null"): (
-        "1a236907fdba83aeb9cd30275c09bb4669671bf90b93e723adba54b338015e55"
+        "5d26bc1cf552f3f72d129aeb09f72e919ed4da68fb836e89dc84a9e2b4b97ab0"
     ),
     ("setup-session", "random"): (
-        "565dba1253a50fc52eeefe2446eb24cdbdae52db3fda5cfb763ac2f6dc2dc309"
+        "5d9ca83622373b98ca280bc43a377ae30c282d5c7eef349aad4e41c4cca9bf42"
     ),
     ("setup-session", "reactive"): (
-        "500d6aac29acb3187a2ed866e927fee40fef73b617bf2a8f516185bff26ca579"
+        "05f0f0a1a4c3ca2b65d3bc7e54d1eeb85331f6bfe3348a90676d5676ff71c2cc"
     ),
     ("setup-session", "spoofer"): (
-        "6eb361c09a7021496e1168b70a542bc85f0ffad346d669ea402397bd2bf12aaa"
+        "4238c66eacee91d1a7c70bcc89e9e1b51a751aaf3f9059e8795d7005d2a93365"
     ),
     ("setup-session", "sweep"): (
-        "fb22f865cb080e51c6983a7e69b9424abf3b0a48ef8c5e9b52119cca2ada97bb"
+        "a97770071457ee3a839957aa45fecf50992289c59df53f015ab7e384e0a3ca99"
     ),
 }
 

@@ -13,6 +13,7 @@ from repro.adversary import (
     SweepJammer,
 )
 from repro.crypto.dh import TEST_GROUP_64
+from repro.crypto.stream import AuthenticatedCipher
 from repro.errors import ConfigurationError
 from repro.groupkey import (
     GroupKeyProtocol,
@@ -23,6 +24,7 @@ from repro.groupkey import (
 )
 from repro.groupkey.protocol import REPORT_KIND
 from repro.radio.messages import Message
+from repro.radio.network import keyed_epoch_rounds
 from repro.rng import RngRegistry
 
 from conftest import make_network
@@ -101,6 +103,31 @@ class TestGroupKeyHappyPath:
         a, b = run(7), run(7)
         assert a.group_key == b.group_key
         assert a.summary() == b.summary()
+
+    def test_part2_seals_once_per_epoch(self, monkeypatch):
+        # Each keyed epoch repeats one sealed frame on every hop: one
+        # encrypt per pair that holds a key, each under its own nonce.
+        seals = []
+        encrypt = AuthenticatedCipher.encrypt
+
+        def counted(cipher, plaintext, nonce, associated=b""):
+            seals.append(nonce)
+            return encrypt(cipher, plaintext, nonce, associated)
+
+        monkeypatch.setattr(AuthenticatedCipher, "encrypt", counted)
+        net = make_network(n=18, channels=2, t=1, keep_trace=False)
+        proto = GroupKeyProtocol(net, RngRegistry(seed=1), group=TEST_GROUP_64)
+        res = proto.run()
+        keyed = [
+            (v, w)
+            for v in proto.leaders
+            for w in range(18)
+            if w != v and frozenset((v, w)) in res.pairwise_keys
+        ]
+        assert len(seals) == len(keyed) == len(set(seals))
+        assert res.part2_rounds == 17 * len(proto.leaders) * (
+            keyed_epoch_rounds(net)
+        )
 
 
 class TestGroupKeyUnderAttack:

@@ -20,9 +20,10 @@ from repro.radio.network import (
     RoundSchedule,
     private_hop_rows,
     run_gossip_epoch,
+    run_hopped_epoch,
 )
 from repro.adversary.base import Adversary
-from repro.rng import RngRegistry, derive_seed
+from repro.rng import HopStream, RngRegistry, name_digest
 
 from conftest import make_network
 
@@ -355,17 +356,48 @@ class TestPrivateHopEpochs:
         epoch = run_gossip_epoch(
             net, 0, None, (1, 2, 3), streams, 7, RoundMeta(phase="silent")
         )
-        # The sender's hop stream is untouched: nothing handed out, nothing
-        # drawn ahead, its generator still at its seed.
-        assert streams[0].buffered == 0
-        assert streams[0].getstate() == (
-            random.Random(derive_seed(4, "silent", 0)).getstate()
-        )
-        assert all(hop.buffered > 0 for hop in streams[1:])
+        # The sender's hop stream is untouched: its next values are a
+        # fresh stream's first, while each listener's go on past the
+        # seven it handed out.
+        fresh = [
+            HopStream(name_digest(4, "silent", node), 3).take(12)
+            for node in range(4)
+        ]
+        assert streams[0].take(5) == fresh[0][:5]
+        assert [hop.take(5) for hop in streams[1:]] == [
+            values[7:] for values in fresh[1:]
+        ]
         assert net.metrics.rounds == 7
         assert net.metrics.honest_transmissions == 0
         assert [heard for _row, heard in epoch] == [{}] * 7
         assert all(len(row) == 3 for row, _heard in epoch)
+
+    @pytest.mark.parametrize("channels", [2, 3, 5])
+    def test_a_keyed_epoch_compiles_at_most_c_distinct_rounds(self, channels):
+        # One round per hop channel, reused whenever the hop returns to it:
+        # the engine validates and settles at most C templates per epoch.
+        net = make_network(n=4, channels=channels)
+        submitted: list = []
+        execute = net.execute_schedule
+
+        def spy(schedule):
+            submitted.append(schedule.rounds)
+            return execute(schedule)
+
+        net.execute_schedule = spy
+        draw = random.Random(channels).randrange
+        hops = [draw(channels) for _ in range(40)]
+        frame = msg(payload="sealed once")
+        heard = run_hopped_epoch(
+            net, hops, {0: frame}, (1, 2), RoundMeta(phase="keyed")
+        )
+        (rounds,) = submitted
+        assert [cr.hops for cr in rounds] == [bytes((h, h)) for h in hops]
+        assert len({id(cr) for cr in rounds}) == len(set(hops)) <= channels
+        assert len({id(cr.transmits) for cr in rounds}) == len(set(hops))
+        assert heard == [frame] * 40
+        assert net.metrics.rounds == 40
+        assert net.metrics.honest_transmissions == 40
 
     def test_hop_streams_must_match_their_channels(self):
         streams = RngRegistry(seed=4).hops("rows", nodes=range(2), n=3)

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-import gc
+import hashlib
 import random
-import weakref
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.rng import (
+    HOP_BLOCK,
     BlockDrawer,
     HopStream,
     RngRegistry,
+    _block_tables,
     derive_seed,
     derive_seeds,
     draw_uniform_indices,
+    name_digest,
 )
 
 
@@ -88,14 +90,18 @@ class TestRegistry:
     def test_seed_property(self):
         assert RngRegistry(seed=42).seed == 42
 
-    def test_hops_match_per_call_streams(self):
-        a, b = RngRegistry(seed=13), RngRegistry(seed=13)
+    def test_hops_are_keyed_by_the_name_digest(self):
+        # Node v's key is the full SHA-256 digest whose first eight bytes
+        # would seed stream(*prefix, v).
+        reg = RngRegistry(seed=13)
         nodes = [0, 3, 7, 1024, -2]
-        bulk = a.hops("ns", "listen", nodes=nodes, n=5)
-        per_call = [b.stream("ns", "listen", v) for v in nodes]
-        assert [h.take(9) for h in bulk] == [
-            bytes(s.choice(range(5)) for _ in range(9)) for s in per_call
-        ]
+        bulk = reg.hops("ns", "listen", nodes=nodes, n=5)
+        for v, hop in zip(nodes, bulk):
+            digest = name_digest(13, "ns", "listen", v)
+            assert derive_seed(13, "ns", "listen", v) == int.from_bytes(
+                digest[:8], "big"
+            )
+            assert hop.take(9) == HopStream(digest, 5).take(9)
 
     def test_hops_return_cached_hop_streams(self):
         reg = RngRegistry(seed=13)
@@ -107,20 +113,18 @@ class TestRegistry:
         assert reg.hops("ns", "listen", nodes=[4], n=4) == [bulk[2]]
 
     def test_hops_fallback_paths_match(self):
-        # Empty prefix and non-int nodes derive seeds per node; both must
-        # still seed exactly like stream().
-        a, b = RngRegistry(seed=5), RngRegistry(seed=5)
-        bulk = a.hops(nodes=[1, 2], n=3)
-        per_call = [b.stream(v) for v in (1, 2)]
-        assert [h.take(6) for h in bulk] == [
-            bytes(s.choice(range(3)) for _ in range(6)) for s in per_call
-        ]
-        c, d = RngRegistry(seed=5), RngRegistry(seed=5)
-        bulk = c.hops("ns", nodes=["x", 1], n=3)
-        per_call = [d.stream("ns", v) for v in ("x", 1)]
-        assert [h.take(6) for h in bulk] == [
-            bytes(s.choice(range(3)) for _ in range(6)) for s in per_call
-        ]
+        # Int nodes under a non-empty prefix splice one precomputed repr;
+        # an empty prefix or a non-int node derives per node.  One name
+        # must get one key either way.
+        fast = RngRegistry(seed=5).hops("ns", nodes=[1, 2], n=3)
+        fallback = RngRegistry(seed=5).hops("ns", nodes=["1", "2"], n=3)
+        assert [h.take(40) for h in fast] == [h.take(40) for h in fallback]
+        for nodes, prefix in (([1, 2], ()), (["x", 1], ("ns",))):
+            bulk = RngRegistry(seed=5).hops(*prefix, nodes=nodes, n=3)
+            assert [h.take(40) for h in bulk] == [
+                HopStream(name_digest(5, *prefix, v), 3).take(40)
+                for v in nodes
+            ]
 
     def test_a_name_is_one_kind_of_stream(self):
         reg = RngRegistry(seed=3)
@@ -136,27 +140,56 @@ class TestRegistry:
         assert reg.hops("hop", nodes=[1], n=4)[0].n == 4
         assert isinstance(reg.stream("plain", 1), random.Random)
 
-    def test_dropped_registry_frees_its_hop_generators(self):
-        # No reference cycle keeps a hop generator alive: reference
-        # counting alone frees it with its registry.
+    def test_cached_hop_streams_go_on_where_they_stopped(self):
         reg = RngRegistry(seed=8)
         (hop,) = reg.hops("ns", nodes=[0], n=3)
         hop.take(700)
-        generator = weakref.ref(hop._rng)
-        gc.disable()
-        try:
-            del reg, hop
-            assert generator() is None
-        finally:
-            gc.enable()
+        (again,) = reg.hops("ns", nodes=[0], n=3)
+        assert again.take(50) == (
+            HopStream(name_digest(8, "ns", 0), 3).take(750)[700:]
+        )
 
 
 class TestHopStream:
-    # Values and the state rule: tests/test_schedule_properties.py.
+    # Split and uniformity properties: tests/test_schedule_properties.py.
     @pytest.mark.parametrize("n", [0, -1, 257])
     def test_range_must_fit_a_byte(self, n):
         with pytest.raises(ValueError):
-            HopStream(1, n)
+            HopStream(bytes(32), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 129, 200, 256])
+    def test_block_k_is_shake_of_key_and_counter(self, n):
+        key = bytes(range(32))
+        table, drop = _block_tables(n)
+        blocks = b"".join(
+            hashlib.shake_128(key + k.to_bytes(8, "big"))
+            .digest(HOP_BLOCK)
+            .translate(table, drop)
+            for k in range(3)
+        )
+        assert HopStream(key, n).take(len(blocks)) == blocks
+
+    def test_powers_of_two_keep_the_high_bits(self):
+        key = bytes(32)
+        raw = hashlib.shake_128(key + bytes(8)).digest(HOP_BLOCK)
+        assert HopStream(key, 4).take(HOP_BLOCK) == bytes(b >> 6 for b in raw)
+        assert HopStream(key, 256).take(HOP_BLOCK) == raw
+
+    def test_a_negative_take_is_refused(self):
+        # Moving the read position back would hand out used coins again.
+        hop = HopStream(bytes(32), 4)
+        first = hop.take(5)
+        with pytest.raises(ValueError):
+            hop.take(-2)
+        assert first + hop.take(2) == HopStream(bytes(32), 4).take(7)
+
+    def test_holds_no_mersenne_twister(self):
+        hop = RngRegistry(seed=8).hops("ns", nodes=[0], n=3)[0]
+        hop.take(700)
+        assert not any(
+            isinstance(getattr(hop, slot), random.Random)
+            for slot in HopStream.__slots__
+        )
 
 
 class TestDrawUniformIndices:

@@ -17,14 +17,15 @@ frames: digesting any sequence of (possibly overlapping) slot-set deltas,
 in any order, must equal the digest of the merged set, and disjoint parts
 must combine to the whole.
 
-And to the coin properties: for arbitrary ``(n, count, seed)``, the
+And to the coin properties.  For arbitrary ``(n, count, seed)``, the
 in-step block draws a jammer makes off its own generator ==
 sequential ``draw_uniform_indices`` == a ``choice`` loop, byte-for-byte —
-values AND post-draw generator state; and the hop rows of every
-private-hop epoch (``repro.radio.network.private_hop_rows``), drawn ahead
-by registry hop streams, hold a ``choice`` loop's values while each hop
-generator obeys the state rule of ``repro.rng``: it has made exactly the
-handed-out plus the buffered draws.
+values AND post-draw generator state.  The counter-mode hop streams of
+``repro.rng``: any split of takes concatenates to one sequence, so the
+hop rows of every private-hop epoch
+(``repro.radio.network.private_hop_rows``) hold, column by column, each
+stream's sequence; every value over ``range(n)`` has exactly
+``256 // n`` byte preimages; and distinct names get distinct keys.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ from repro.game.graph import GameGraph
 from repro.game.greedy import GreedyTermination, greedy_proposal
 from repro.radio.network import private_hop_rows
 from repro.rng import (
-    _LOOKAHEAD,
+    HOP_BLOCK,
     BlockDrawer,
+    HopStream,
     RngRegistry,
-    derive_seed,
+    _block_tables,
     draw_uniform_indices,
+    name_digest,
 )
 
 N = 60
@@ -172,9 +175,53 @@ def test_block_draws_equal_loop_draws_equal_choice_loop(n, count, seed):
     assert a.getstate() == b.getstate() == c.getstate()
 
 
-def _reference(seed, name):
-    """A fresh generator seeded like the registry's stream ``name``."""
-    return random.Random(derive_seed(seed, *name))
+@given(
+    n=st.integers(1, 256),
+    takes=st.lists(
+        st.one_of(
+            st.just(0), st.integers(1, 60), st.integers(HOP_BLOCK, 1400)
+        ),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_split_of_takes_concatenates_to_one_sequence(n, takes, seed):
+    """Takes of 0, a few, and past a block, in any order, hand out one
+    prefix of the stream's sequence: a fresh stream's single take."""
+    key = name_digest(seed, "split")
+    hop = HopStream(key, n)
+    values = b"".join(hop.take(count) for count in takes)
+    assert values == HopStream(key, n).take(sum(takes))
+    assert max(values, default=0) < n
+
+
+def test_every_hop_value_has_256_div_n_byte_preimages():
+    """Each block byte either maps to a value or is dropped, and every
+    value over ``range(n)`` keeps exactly ``256 // n`` bytes, so hop
+    values are exactly uniform."""
+    for n in range(1, 257):
+        table, drop = _block_tables(n)
+        kept = bytes(range(256)).translate(table, drop)
+        assert len(kept) == 256 - 256 % n
+        assert all(kept.count(value) == 256 // n for value in range(n))
+
+
+name_parts = st.lists(
+    st.one_of(st.integers(-(10**6), 10**6), st.text(max_size=6)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(seed=st.integers(0, 2**64), a=name_parts, b=name_parts)
+@settings(max_examples=200, deadline=None)
+def test_distinct_names_give_distinct_keys(seed, a, b):
+    """Names are stringified, so ``3`` and ``"3"`` are one name; any two
+    names that differ, or one name under two seeds, get distinct keys."""
+    same = [str(part) for part in a] == [str(part) for part in b]
+    assert (name_digest(seed, *a) == name_digest(seed, *b)) == same
+    assert name_digest(seed, *a) != name_digest(seed + 1, *a)
 
 
 @given(
@@ -190,7 +237,7 @@ def _reference(seed, name):
     ),
     takes=st.lists(
         st.one_of(
-            st.just(0), st.integers(1, 60), st.integers(_LOOKAHEAD, 1400)
+            st.just(0), st.integers(1, 60), st.integers(HOP_BLOCK, 1400)
         ),
         min_size=1,
         max_size=4,
@@ -199,46 +246,44 @@ def _reference(seed, name):
 )
 @example(
     groups=[(1, [7]), (2, list(range(256)))],
-    takes=[0, 3, _LOOKAHEAD + 1],
+    takes=[0, 3, HOP_BLOCK + 1],
     seed=0,
 )
 @settings(max_examples=100, deadline=None)
-def test_private_hop_rows_equal_per_round_choice_loop(groups, takes, seed):
+def test_private_hop_rows_concatenate_each_streams_sequence(
+    groups, takes, seed
+):
     """Repeated row-helper calls off registry hop streams (1-4 per group,
-    ``n`` from 1 to 256, takes of 0, a few, and past the lookahead):
-    the rows, read column by column, are each stream's
-    ``choice(channels)`` per round, and after every call each generator
-    obeys the state rule of ``repro.rng``: it has made exactly the
-    handed-out plus the buffered draws."""
+    ``n`` from 1 to 256, takes of 0, a few, and past a block): the rows,
+    read column by column and call after call, are each stream's one
+    sequence — a fresh stream's single take — mapped onto its channels."""
     registry = RngRegistry(seed)
     hops = [
         registry.hops("rows", g, nodes=range(size), n=len(channels))
         for g, (size, channels) in enumerate(groups)
     ]
-    columns = [
-        (hop, ("rows", g, i), channels)
-        for g, (group, (_, channels)) in enumerate(zip(hops, groups))
-        for i, hop in enumerate(group)
-    ]
-    references = [_reference(seed, name) for _, name, _ in columns]
-    handed_out = 0
+    columns: list[list[int]] = [[] for group in hops for _ in group]
     for rounds in takes:
         rows = private_hop_rows(
             [(group, channels) for group, (_, channels) in zip(hops, groups)],
             rounds,
         )
-        handed_out += rounds
         assert len(rows) == rounds
-        assert all(len(row) == len(columns) for row in rows)
-        for column, ((hop, name, channels), stream) in enumerate(
-            zip(columns, references)
-        ):
-            expected = [stream.choice(channels) for _ in range(rounds)]
-            assert [row[column] for row in rows] == expected
-            state = _reference(seed, name)
-            for _ in range(handed_out + hop.buffered):
-                state.choice(channels)
-            assert hop.getstate() == state.getstate()
+        for row in rows:
+            assert len(row) == len(columns)
+            for column, channel in zip(columns, row):
+                column.append(channel)
+    expected = [
+        [
+            channels[value]
+            for value in HopStream(
+                name_digest(seed, "rows", g, i), len(channels)
+            ).take(sum(takes))
+        ]
+        for g, (size, channels) in enumerate(groups)
+        for i in range(size)
+    ]
+    assert columns == expected
 
 
 @given(

@@ -8,8 +8,10 @@ import pytest
 
 from repro.adversary import RandomJammer, SpoofingAdversary, SweepJammer
 from repro.crypto.dh import TEST_GROUP_64
+from repro.crypto.stream import AuthenticatedCipher
 from repro.errors import ConfigurationError
 from repro.radio.messages import Message
+from repro.radio.network import keyed_epoch_rounds
 from repro.rng import RngRegistry
 from repro.scenarios.injectors import RekeyEpochTap
 from repro.service import LongLivedChannel, SecureSession
@@ -273,6 +275,25 @@ class TestPresharedSession:
         assert keys.get(frozenset((1, 3))) is None
         assert len(keys) == len(list(keys)) == 14
         assert keys.get(frozenset((1, 9))) is None  # not a member pair
+
+    def test_rekey_seals_once_per_epoch(self, monkeypatch):
+        # One sealed frame per member epoch, repeated on every hop.
+        seals = []
+        encrypt = AuthenticatedCipher.encrypt
+
+        def counted(cipher, plaintext, nonce, associated=b""):
+            seals.append((plaintext, nonce, associated))
+            return encrypt(cipher, plaintext, nonce, associated)
+
+        net = make_network(n=6, channels=2, t=1)
+        session = SecureSession.from_preshared(net, KEY, range(6))
+        monkeypatch.setattr(AuthenticatedCipher, "encrypt", counted)
+        report = session.rekey([5])
+        assert report.members == (0, 1, 2, 3, 4)
+        assert report.rounds == 4 * keyed_epoch_rounds(net)
+        assert len(seals) == 4
+        assert {associated for _, _, associated in seals} == {b"rekey"}
+        assert len({nonce for _, nonce, _ in seals}) == 4
 
     def test_same_key_same_traffic(self):
         # Two preshared sessions over the same key and seeds emit
