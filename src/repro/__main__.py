@@ -560,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a sweep's socket pool as a worker process",
         description="Connect to a sweep coordinator, handshake, and pull "
         "trials until it sends shutdown.  Exit codes: 0 shutdown, 1 "
-        "coordinator unreachable/vanished, 2 handshake rejected or "
-        "malformed --connect endpoint.",
+        "coordinator unreachable/vanished or a malformed coordinator "
+        "frame, 2 handshake rejected or malformed --connect endpoint.",
     )
     wk.add_argument(
         "--connect", required=True, help="coordinator HOST:PORT"
@@ -645,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         "directories.  Rules enforce the repository's replayability "
         "invariants (no raw random access, no set-order iteration, no "
         "wall-clock reads in protocol code, no PYTHONHASHSEED-perturbed "
-        "hash()), wire safety (restricted unpickling, metered frames), "
-        "and API discipline (picklable wire dataclasses, registry-derived "
+        "hash()), wire safety (no unpickling, metered frames), "
+        "and API discipline (plain-data wire dataclasses, registry-derived "
         "seeds).  Suppress a justified exception with '# repro-lint: "
         "disable=RULE -- reason'.  Exit codes: 0 clean, 1 findings, 2 "
         "usage error.",

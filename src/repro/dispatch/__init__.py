@@ -1,7 +1,7 @@
 """Cluster-scale trial dispatch: two backends, journal, sweeps.
 
 ROADMAP's remote fan-out item observed that :class:`~repro.experiments.
-trial.TrialSpec` is a plain picklable unit of work whose seed depends
+trial.TrialSpec` is a plain unit of work whose seed depends
 only on its index — so the serial loop, a local worker pool, and a task
 queue spanning machines are the *same* computation dispatched
 differently.  This package makes that literal:
@@ -14,7 +14,7 @@ differently.  This package makes that literal:
   order/duplicate-oblivious merge.
 * :mod:`~repro.dispatch.socket_pool` — the one socket transport and
   :class:`~repro.dispatch.socket_pool.SocketBackend`, the one parallel
-  backend.  The transport is length-prefixed pickle framing, the
+  backend.  The transport is length-prefixed JSON framing, the
   non-blocking :class:`~repro.dispatch.socket_pool.FrameServer` (the
   ``repro serve`` daemon listens through it too) and the dialing end
   :func:`~repro.dispatch.socket_pool.dial`; on both listening ports a
@@ -22,7 +22,7 @@ differently.  This package makes that literal:
   decode closes only its own connection.  The backend is a coordinator
   serving workers it forks locally (``--workers N``) or
   ``python -m repro worker`` processes on other machines, with
-  per-run spec-context tables (shared ``TrialSpec`` fields pickled once
+  per-run spec-context tables (shared ``TrialSpec`` fields sent once
   per worker, not once per trial), batched spec frames sized adaptively
   from observed per-trial cost (``--batch-size`` pins them), a pipelined
   in-flight window of batches per worker, optional warm pools reused
@@ -30,13 +30,14 @@ differently.  This package makes that literal:
   lost-worker detection that requeues in-flight batches with
   already-applied indices filtered out — a killed worker costs time,
   never the sweep.
-* :mod:`~repro.dispatch.wire` — :func:`~repro.dispatch.wire.
-  loads_restricted`, the allowlist unpickler both the socket frames and
-  the journal's pickled records decode through (hostile payloads raise
-  :class:`~repro.dispatch.wire.FrameRejected` instead of executing).
+* :mod:`~repro.dispatch.wire` — the one codec for socket frames and
+  journal records: compact JSON, one typed decoder driven by each
+  dataclass's annotations, and the bounds a trial result must meet; every
+  refusal is one :class:`~repro.dispatch.wire.FrameRejected`.
 * :mod:`~repro.dispatch.journal` — the durable JSONL
   :class:`~repro.dispatch.journal.SweepJournal` (one fsynced record per
-  completed trial; ``--resume`` replays it and skips completed indices).
+  completed trial; ``--resume`` replays it, checks every record like a
+  worker's result and skips completed indices).
 * :mod:`~repro.dispatch.sweep` — :class:`~repro.dispatch.sweep.
   SweepSpec` grid expansion (seeds via ``RngRegistry.spawn("sweep",
   point_index, trial_index)``), :class:`~repro.dispatch.sweep.
@@ -57,12 +58,11 @@ from .sweep import (
     SweepSpec,
     SweepState,
 )
-from .wire import FrameRejected, RestrictedUnpickler, loads_restricted
+from .wire import FrameRejected
 
 __all__ = [
     "DispatchBackend",
     "FrameRejected",
-    "RestrictedUnpickler",
     "ResultAssembler",
     "SerialBackend",
     "SocketBackend",
@@ -72,6 +72,5 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "SweepState",
-    "loads_restricted",
     "worker_main",
 ]

@@ -5,7 +5,7 @@ coordinator binds a TCP port, workers (local processes it forks itself,
 or ``python -m repro worker --connect HOST:PORT`` processes started
 anywhere that can reach the port) connect, handshake, and pull *batches*
 of :class:`~repro.experiments.trial.TrialSpec` coordinates.  ``socket``
-+ ``selectors`` + ``pickle`` only — no third-party queue.
++ ``selectors`` + ``json`` only — no third-party queue.
 
 Transport
 ---------
@@ -31,12 +31,9 @@ The ``hello`` rule: a connection's first frame must be ``{"kind":
 
 Throughput model
 ----------------
-Version 1 of this protocol shipped one fully-pickled spec per frame and
-waited for its result before sending the next — per-trial round-trip
-latency serialised with worker compute, and the shared spec fields
-(workload, n, channels, …) were re-pickled for every trial.  Version 2
-amortises all three costs, the classic message-complexity move of paying
-per *batch* instead of per unit of work:
+Per-trial costs — a round trip serialised with worker compute, and the
+shared spec fields (workload, n, channels, …) sent again for every trial
+— are paid per *batch* instead, the classic message-complexity move:
 
 * **context table once per run** — the distinct ``(workload, n,
   channels, t, pairs, adversary)`` combinations are sent to each worker
@@ -63,19 +60,19 @@ per *batch* instead of per unit of work:
 
 Wire protocol (version :data:`PROTOCOL_VERSION`)
 ------------------------------------------------
-Every frame is a 4-byte big-endian length prefix followed by a pickled
-dict (``pickle.HIGHEST_PROTOCOL``, capped at :data:`MAX_FRAME_BYTES`
-against malformed prefixes):
+Every frame is a 4-byte big-endian length prefix followed by one JSON
+object in the :mod:`~repro.dispatch.wire` codec (capped at
+:data:`MAX_FRAME_BYTES` against malformed prefixes):
 
-* worker → ``{"kind": "hello", "protocol": 4, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome", "protocol": 4}`` or ``{"kind":
+* worker → ``{"kind": "hello", "protocol": 5, "repro": ..., "pid": ...}``
+* coordinator → ``{"kind": "welcome", "protocol": 5}`` or ``{"kind":
   "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
   or any other peer is turned away and the sweep continues with the
   rest);
 * coordinator → ``{"kind": "contexts", "contexts": [ctx, ...]}`` — the
   run's distinct spec contexts, sent once per run per worker (replacing
   any previous table on a warm pool);
-* coordinator → ``{"kind": "batch", "trials": [(ctx_id, index, seed),
+* coordinator → ``{"kind": "batch", "trials": [[ctx_id, index, seed],
   ...]}``; worker → ``{"kind": "results", "results": [TrialResult, ...],
   "elapsed": seconds}`` (one merged frame per batch; ``elapsed`` is the
   worker-side compute time feeding the adaptive batch size) or
@@ -99,28 +96,27 @@ requeued trial re-runs bit-for-bit identically on any worker, so the
 merged report stays byte-identical to serial regardless of batch sizes,
 completion order, retries, or worker count.
 
-Trust model: frames are pickles, but both directions decode through
-:func:`~repro.dispatch.wire.loads_restricted`, whose ``find_class``
-allowlist is exactly {``TrialSpec``, ``TrialResult``,
-``NetworkMetrics``}, so a peer cannot make the pickle layer import or
-call anything else.  One rule holds on both listening ports (the
-coordinator's and the daemon's): any exception raised while decoding a
-peer's bytes — an unpickler error, an oversized prefix, a disallowed
-global (:class:`~repro.dispatch.wire.FrameRejected`) — closes that
-connection alone, and so does a first frame that is not an acceptable
-``hello``.  The owner treats it like any vanished peer: the coordinator
-requeues its in-flight trials, the daemon detaches it from its
-sessions.  A welcomed worker's frame that decodes but breaks the
-protocol costs it the same (:meth:`FrameServer.close_peer`); only an
-``error`` frame aborts a sweep, so bind to localhost or a private
-network you control: frames are neither authenticated nor encrypted.
+Trust model: frames are JSON in the :mod:`~repro.dispatch.wire` codec,
+so decoding a peer's bytes builds plain values and nothing else.  One
+rule holds on both listening ports (the coordinator's and the daemon's):
+any exception raised while decoding a peer's bytes — not JSON, ``NaN``,
+runaway nesting, an oversized prefix — closes that connection alone,
+and so does a first frame that is not an acceptable ``hello``.  The
+owner treats it like any vanished peer: the coordinator requeues its
+in-flight trials, the daemon detaches it from its sessions.  A welcomed
+worker's frame that decodes but breaks the protocol — a mistyped field,
+an ``elapsed`` that is not a finite ``>= 0``, a result failing
+:func:`~repro.dispatch.wire.check_result` against the spec dispatched
+for its index — costs it the same (:meth:`FrameServer.close_peer`);
+only an ``error`` frame aborts a sweep.  A well-typed, in-bounds forgery
+still lands, so bind to localhost or a private network you control:
+frames are neither authenticated nor encrypted.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import selectors
 import socket
 import sys
@@ -132,16 +128,16 @@ from ..errors import ConfigurationError, DispatchError
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
-from .wire import loads_restricted
+from .wire import FrameRejected, check_result, decode, dumps, loads
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 """Coordinator/worker wire-protocol version, checked in the handshake.
 
 Bumped whenever a frame changes shape or what a trial computes (3: the
 spec context tuple lost its ``options`` field; 4: the honest coins moved
-to :data:`repro.rng.RANDOMNESS_VERSION` 2), so a worker of another
-version is turned away at ``hello`` instead of failing to unpack a frame
-or returning results drawn on other coins."""
+to :data:`repro.rng.RANDOMNESS_VERSION` 2; 5: JSON, not pickle), so a
+worker of another version is turned away at ``hello`` instead of failing
+to unpack a frame or returning results drawn on other coins."""
 
 MAX_FRAME_BYTES = 1 << 28
 """Upper bound on a single frame; larger prefixes abort the connection."""
@@ -194,9 +190,10 @@ def _check_frame_length(length: int) -> None:
 
 
 def frame_bytes(obj: Any) -> bytes:
-    """``obj`` pickled (``HIGHEST_PROTOCOL``) and length-prefixed: the
-    one encoder, so every outbound frame obeys :data:`MAX_FRAME_BYTES`."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """``obj`` encoded (:func:`~repro.dispatch.wire.dumps`) and
+    length-prefixed: the one encoder, so every outbound frame obeys
+    :data:`MAX_FRAME_BYTES`."""
+    data = dumps(obj)
     _check_frame_length(len(data))
     return len(data).to_bytes(4, "big") + data
 
@@ -220,13 +217,13 @@ def recv_frame(sock: socket.socket) -> Any:
     """Blocking read of one length-prefixed frame (the worker side)."""
     length = int.from_bytes(_recv_exact(sock, 4), "big")
     _check_frame_length(length)
-    return loads_restricted(_recv_exact(sock, length))
+    return loads(_recv_exact(sock, length))
 
 
 class FrameDecoder:
     """Incremental decoder for :class:`FrameServer`'s non-blocking reads.
 
-    One ``bytearray`` feed buffer; completed frames are unpickled through
+    One ``bytearray`` feed buffer; completed frames are decoded through
     a ``memoryview`` so the payload is never copied out first.
     """
 
@@ -246,7 +243,7 @@ class FrameDecoder:
             # buffer (a live export would raise BufferError).
             with memoryview(self._buffer) as view, \
                     view[4 : 4 + length] as payload:
-                frames.append(loads_restricted(payload))
+                frames.append(loads(payload))
             del self._buffer[: 4 + length]
         return frames
 
@@ -393,9 +390,9 @@ class FrameServer:
         try:
             frames = peer.decoder.feed(chunk)
         except Exception:
-            # Bytes that do not decode — any unpickler error, an
-            # oversized prefix, a disallowed global — are this peer's
-            # fault alone: its connection closes, every other one stays.
+            # Bytes that do not decode — not JSON, NaN, runaway nesting,
+            # an oversized prefix — are this peer's fault alone: its
+            # connection closes, every other one stays.
             self._close(peer)
             return
         for frame in frames:
@@ -497,11 +494,15 @@ def dial(
 
 
 # ----------------------------------------------------------------------
-# Spec contexts: the shared fields, pickled once per run per worker
+# Spec contexts: the shared fields, sent once per run per worker
 # ----------------------------------------------------------------------
 
 
-def spec_context(spec: TrialSpec) -> tuple:
+SpecContext = tuple[str, int, int, int, int, str]
+"""``(workload, n, channels, t, pairs, adversary)``: a ``contexts`` entry."""
+
+
+def spec_context(spec: TrialSpec) -> SpecContext:
     """The spec's shared fields — everything but ``(index, seed)``."""
     return (
         spec.workload, spec.n, spec.channels, spec.t, spec.pairs,
@@ -509,7 +510,7 @@ def spec_context(spec: TrialSpec) -> tuple:
     )
 
 
-def spec_from_context(ctx: tuple, index: int, seed: int) -> TrialSpec:
+def spec_from_context(ctx: SpecContext, index: int, seed: int) -> TrialSpec:
     """Rebuild the exact :class:`TrialSpec` a batch triple refers to."""
     workload, n, channels, t, pairs, adversary = ctx
     return TrialSpec(
@@ -571,7 +572,8 @@ def worker_main(
     every trial of a batch back to back, one merged ``results`` frame
     (with the batch's compute time) back — until the coordinator sends
     ``shutdown`` (exit 0).  A rejected handshake exits 2; an unreachable
-    coordinator, or one that vanishes mid-run, exits 1.
+    coordinator, one that vanishes mid-run, or a malformed frame exits 1
+    with one line on stderr.
     """
     from .. import __version__
 
@@ -590,32 +592,32 @@ def worker_main(
         print(f"repro worker: cannot reach {host}:{port}: {exc}",
               file=sys.stderr)
         return 1
-    contexts: list[tuple] | None = None
+    contexts: tuple[SpecContext, ...] | None = None
     try:
         while True:
             frame = recv_frame(sock)
-            kind = frame.get("kind")
+            kind = frame.get("kind") if isinstance(frame, dict) else None
             if kind == "shutdown":
                 return 0
             if kind == "contexts":
-                contexts = frame["contexts"]
+                contexts = decode(
+                    tuple[SpecContext, ...], frame.get("contexts"), "contexts"
+                )
                 continue
             if kind != "batch":
-                print(
-                    f"repro worker: unexpected frame {kind!r}",
-                    file=sys.stderr,
-                )
-                return 1
+                raise FrameRejected(f"unexpected frame kind {kind!r:.40}")
             if contexts is None:
-                print(
-                    "repro worker: batch before contexts", file=sys.stderr
-                )
-                return 1
+                raise FrameRejected("batch before contexts")
+            trials = decode(
+                tuple[tuple[int, int, int], ...], frame.get("trials"), "trials"
+            )
+            if any(not 0 <= ctx_id < len(contexts) for ctx_id, _, _ in trials):
+                raise FrameRejected("a row names no context", "trials")
+            specs = [spec_from_context(contexts[c], i, s) for c, i, s in trials]
             results = []
             failed = False
             start = time.perf_counter()
-            for ctx_id, index, seed in frame["trials"]:
-                spec = spec_from_context(contexts[ctx_id], index, seed)
+            for spec in specs:
                 try:
                     results.append(run_trial(spec))
                 except Exception as exc:  # deterministic failure: report
@@ -623,7 +625,7 @@ def worker_main(
                         sock,
                         {
                             "kind": "error",
-                            "index": index,
+                            "index": spec.index,
                             "error": f"{type(exc).__name__}: {exc}",
                         },
                     )
@@ -638,6 +640,10 @@ def worker_main(
                         "elapsed": time.perf_counter() - start,
                     },
                 )
+    except FrameRejected as exc:
+        print(f"repro worker: malformed coordinator frame: {exc}",
+              file=sys.stderr)
+        return 1
     except (EOFError, OSError):
         print("repro worker: coordinator vanished", file=sys.stderr)
         return 1
@@ -908,10 +914,11 @@ class SocketBackend(DispatchBackend):
 
     def _execute(self, specs, assembler, should_stop):
         pending: deque[TrialSpec] = deque(specs)
-        # The run's context table: shared spec fields, pickled once per
+        dispatched = {spec.index: spec for spec in specs}
+        # The run's context table: shared spec fields, sent once per
         # run instead of once per trial.
-        contexts: list[tuple] = []
-        ctx_ids: dict[tuple, int] = {}
+        contexts: list[SpecContext] = []
+        ctx_ids: dict[SpecContext, int] = {}
         for spec in specs:
             ctx = spec_context(spec)
             if ctx not in ctx_ids:
@@ -987,15 +994,18 @@ class SocketBackend(DispatchBackend):
                     f"pid={worker.peer.hello.get('pid')}: "
                     f"{frame.get('error')}"
                 )
-            results = frame.get("results") if kind == "results" else None
-            if not (
-                isinstance(results, list)
-                and type(frame.get("elapsed")) in (int, float, type(None))
-                and all(
-                    isinstance(r, TrialResult) and type(r.index) is int
-                    for r in results
+            try:
+                if kind != "results":
+                    raise FrameRejected(f"unexpected frame kind {kind!r:.40}")
+                elapsed = decode(float, frame.get("elapsed"), "elapsed")
+                if elapsed < 0:
+                    raise FrameRejected(f"{elapsed} is negative", "elapsed")
+                results = decode(
+                    tuple[TrialResult, ...], frame.get("results"), "results"
                 )
-            ):
+                for row, result in enumerate(results):
+                    check_result(result, dispatched, f"results[{row}]")
+            except FrameRejected:
                 # Like undecodable bytes, a protocol break costs only its
                 # connection, whose CLOSED event requeues its trials.
                 server.close_peer(worker.peer)
@@ -1003,7 +1013,7 @@ class SocketBackend(DispatchBackend):
             # Guard against a misbehaving worker's extra frames.
             if worker.outstanding > 0:
                 worker.outstanding -= 1
-            self._observe_batch(frame.get("elapsed"), len(results))
+            self._observe_batch(elapsed, len(results))
             for result in results:
                 worker.in_flight.pop(result.index, None)
                 assembler.apply(result)  # duplicates dropped by index

@@ -527,10 +527,14 @@ class SweepRunner:
             check = WORKLOAD_MODEL_CHECKS.get(point.workload)
             if check is not None:
                 check(point.n, point.channels, point.t)
+        specs = spec.specs()
         journal: SweepJournal | None = None
         if self.journal_path is not None:
             journal, completed = SweepJournal.attach(
-                self.journal_path, spec.fingerprint(), resume=self.resume
+                self.journal_path,
+                spec.fingerprint(),
+                resume=self.resume,
+                specs={s.index: s for s in specs},
             )
             for result in completed.values():
                 if self.state.add(result) and self.on_point_complete:
@@ -539,9 +543,7 @@ class SweepRunner:
                         point, self.state.point_report(point)
                     )
         already_done = {r.index for r in self.state.ordered()}
-        remaining = [
-            s for s in spec.specs() if s.index not in already_done
-        ]
+        remaining = [s for s in specs if s.index not in already_done]
         newly_done = 0
 
         def on_result(result: TrialResult) -> None:

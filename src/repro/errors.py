@@ -69,6 +69,13 @@ class DispatchError(ReproError):
     """
 
 
+class JournalRejected(DispatchError, ConfigurationError):
+    """Raised when ``--resume`` refuses a sweep journal: another journal or
+    randomness version, a corrupt interior line, or a record of the wrong
+    shape or bounds (the message names the line).  A
+    :class:`ConfigurationError` too, so the CLI exits 2 with one line."""
+
+
 class SweepInterrupted(ReproError):
     """Raised when a dispatch run is stopped early on purpose.
 

@@ -7,7 +7,7 @@ not one.  This package turns that into a subsystem:
 
 * :class:`~repro.experiments.trial.TrialSpec` /
   :class:`~repro.experiments.trial.TrialResult` — one execution as a
-  picklable unit of work and its outcome;
+  plain-data unit of work and its outcome;
 * :mod:`~repro.experiments.workloads` — ready-made factories for the
   headline workloads (f-AME delivery, group-key establishment, the
   adversary gauntlet) plus the shared adversary gallery.

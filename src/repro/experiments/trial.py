@@ -3,13 +3,15 @@
 The paper's guarantees are "with high probability" statements, so checking
 them empirically means running many *independent* seeded executions and
 aggregating.  A :class:`TrialSpec` describes exactly one such execution as a
-plain picklable value — workload name, model parameters, and a per-trial
-master seed derived via :meth:`repro.rng.RngRegistry.spawn` — so trials can
-ship to ``multiprocessing`` workers as self-contained units of work.  A
-:class:`TrialResult` is the symmetric return value: the headline success
-flag, the failed pairs (the disruption graph's edges, Definition 1), and the
-run's :class:`~repro.radio.metrics.NetworkMetrics` so counters can be merged
-across trials regardless of which worker executed them.
+plain value — workload name, model parameters, and a per-trial master seed
+derived via :meth:`repro.rng.RngRegistry.spawn` — so trials can ship to
+socket workers as self-contained units of work.  A :class:`TrialResult` is
+the symmetric return value: the headline success flag, the failed pairs
+(the disruption graph's edges, Definition 1), and the run's
+:class:`~repro.radio.metrics.NetworkMetrics` so counters can be merged
+across trials regardless of which worker executed them.  Both travel as
+JSON in the :mod:`repro.dispatch.wire` codec, rebuilt from the annotations
+below, so every field holds plain data.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One independent seeded execution, as a picklable value.
+    """One independent seeded execution, as a plain value.
 
     Attributes
     ----------

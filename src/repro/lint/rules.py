@@ -10,11 +10,11 @@ Each rule is a small AST check with a stable id, grouped in three families
   that quietly break it: ad-hoc ``random`` access, unordered-set
   iteration, wall-clock/environment reads, ``PYTHONHASHSEED``-perturbed
   ``hash()``.
-* ``WIRE0xx`` — wire safety: frames that cross a process boundary must go
-  through the restricted unpickler (:mod:`repro.dispatch.wire`) and carry
-  honest payload metering.
-* ``API0xx`` — API discipline: the picklable dataclasses that ride the
-  wire must stay picklable and hashable, and seeds must be derived through
+* ``WIRE0xx`` — wire safety: nothing unpickles (frames and journal
+  records go through the typed codec in :mod:`repro.dispatch.wire`),
+  and frames carry honest payload metering.
+* ``API0xx`` — API discipline: the plain-data dataclasses that ride the
+  wire must stay plain and hashable, and seeds must be derived through
   :class:`repro.rng.RngRegistry`, never ad-hoc arithmetic.
 * ``SCN0xx`` — scenario-registry discipline: every
   :mod:`repro.scenarios` registration must declare the typed outcome it
@@ -371,16 +371,17 @@ class Det004StrHash(Rule):
 # ----------------------------------------------------------------------
 
 
-class Wire001BarePickle(Rule):
+class Wire001Unpickling(Rule):
     id = "WIRE001"
-    title = "bare pickle deserialization of untrusted bytes"
+    title = "unpickling"
     rationale = (
         "pickle.loads on socket or journal input executes arbitrary "
-        "constructors chosen by whoever wrote the bytes. Untrusted "
-        "frames must go through repro.dispatch.wire.loads_restricted, "
-        "whose find_class allowlist admits only the repro dataclasses "
-        "that legitimately ride frames. The self-evidently-trusted "
-        "round-trip idiom pickle.loads(pickle.dumps(x)) is exempt."
+        "constructors chosen by whoever wrote the bytes. Nothing "
+        "unpickles: frames and journal records are JSON read "
+        "through repro.dispatch.wire, whose typed decoder rebuilds only "
+        "what a dataclass's annotations admit. The ban is flat: no "
+        "module and no idiom is exempt; a test that unpickles its own "
+        "bytes says so with a pragma."
     )
 
     _ENTRY_POINTS = frozenset(
@@ -390,22 +391,13 @@ class Wire001BarePickle(Rule):
     def check(self, ctx: "FileContext") -> Iterator[RawFinding]:
         for node in ctx.walk(ast.Call):
             resolved = ctx.resolve(node.func)
-            if resolved not in self._ENTRY_POINTS:
-                continue
-            if (
-                resolved == "pickle.loads"
-                and node.args
-                and isinstance(node.args[0], ast.Call)
-                and ctx.resolve(node.args[0].func) == "pickle.dumps"
-            ):
-                continue  # pickle.loads(pickle.dumps(x)): trusted by construction
-            yield (
-                node.lineno,
-                node.col_offset,
-                f"{resolved} on externally-supplied bytes executes "
-                "attacker-chosen constructors; use "
-                "repro.dispatch.wire.loads_restricted",
-            )
+            if resolved in self._ENTRY_POINTS:
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"{resolved} executes constructors chosen by whoever "
+                    "wrote the bytes; decode with repro.dispatch.wire",
+                )
 
 
 class Wire002FrameMetering(Rule):
@@ -455,7 +447,7 @@ class Wire002FrameMetering(Rule):
 # ----------------------------------------------------------------------
 
 #: Dataclasses that cross process boundaries (socket frames, journal
-#: records, multiprocessing args) and must stay picklable + hashable.
+#: records, multiprocessing args) and must stay plain data + hashable.
 WIRE_DATACLASS_NAMES = frozenset(
     ("TrialSpec", "TrialResult", "Message", "DeltaFrame", "Jam",
      "Transmission")
@@ -470,19 +462,20 @@ WIRE_DATACLASS_MODULES = frozenset(
 
 class Api001WireDataclassFields(Rule):
     id = "API001"
-    title = "wire dataclass field is default-mutable or non-picklable"
+    title = "wire dataclass field is default-mutable or not plain data"
     rationale = (
-        "TrialSpec/TrialResult/frame dataclasses ship through pickle to "
-        "workers, sockets, and the journal, and the frozen ones are "
-        "dict keys. A shared mutable default aliases state across "
-        "instances; a callable/handle-typed field breaks pickling the "
-        "moment it is populated. Use immutable defaults (or "
+        "TrialSpec/TrialResult/frame dataclasses cross process "
+        "boundaries (workers, sockets, the journal) as plain data, and "
+        "the frozen ones are dict keys. A shared mutable default "
+        "aliases state across instances; a callable/handle-typed field "
+        "cannot be encoded or sent to another process the moment it is "
+        "populated. Use immutable defaults (or "
         "field(default_factory=...)) and plain-data field types."
     )
     protocol_only = True
 
     _MUTABLE_CALLS = frozenset(("list", "dict", "set", "bytearray"))
-    _UNPICKLABLE_TYPES = frozenset(
+    _HANDLE_TYPES = frozenset(
         ("Callable", "Generator", "Iterator", "IO", "TextIO", "BinaryIO",
          "Random", "socket", "Thread", "Lock")
     )
@@ -543,19 +536,18 @@ class Api001WireDataclassFields(Rule):
                     default.lineno,
                     default.col_offset,
                     f"wire dataclass {class_name}.{field_name} defaults "
-                    "to a lambda, which cannot be pickled",
+                    "to a lambda, which is not plain data",
                 )
         for sub in ast.walk(item.annotation):
             name = sub.attr if isinstance(sub, ast.Attribute) else (
                 sub.id if isinstance(sub, ast.Name) else None
             )
-            if name in self._UNPICKLABLE_TYPES:
+            if name in self._HANDLE_TYPES:
                 yield (
                     item.annotation.lineno,
                     item.annotation.col_offset,
                     f"wire dataclass {class_name}.{field_name} is typed "
-                    f"{name}, which does not survive pickling to "
-                    "workers/journal",
+                    f"{name}, which cannot cross to workers/journal",
                 )
 
 
@@ -660,7 +652,7 @@ RULES: dict[str, Rule] = {
         Det002SetIteration(),
         Det003WallClock(),
         Det004StrHash(),
-        Wire001BarePickle(),
+        Wire001Unpickling(),
         Wire002FrameMetering(),
         Api001WireDataclassFields(),
         Api002AdHocSeed(),
@@ -692,12 +684,6 @@ MODULE_ALLOWLIST: dict[str, dict[str, str]] = {
             "pace the event loop only; the SessionHost it drives is "
             "clock-free, so daemon-served sessions stay byte-identical "
             "to synchronously driven ones"
-        ),
-    },
-    "WIRE001": {
-        "repro.dispatch.wire": (
-            "the restricted unpickler: the one module allowed to open "
-            "pickle bytes, through its find_class allowlist"
         ),
     },
 }

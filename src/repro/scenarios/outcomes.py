@@ -29,8 +29,10 @@ cover instead.
 
 Outcomes are frozen dataclasses with value equality, and they round-trip
 through :func:`encode_outcome`/:func:`decode_outcome` as plain tuples of
-scalars so they can ride the serve wire protocol and sweep
-``TrialResult.detail`` without widening any pickle allowlist.
+scalars, so they ride the serve wire protocol and sweep
+``TrialResult.detail`` as ``Any`` values of the :mod:`repro.dispatch.wire`
+codec (scalars, ``bytes`` and tuples of them), which no scenario class
+has to be known to decode.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ frames.
 Layers:
 
 * :mod:`~repro.serve.protocol` — frozen request/response dataclasses
-  and their plain-dict wire encoding (the restricted unpickler's
-  allowlist is never widened);
+  and their plain-dict wire encoding, decoded field by field through
+  the :mod:`repro.dispatch.wire` codec;
 * :mod:`~repro.serve.host` — :class:`~repro.serve.host.SessionHost`,
   the clock-free session registry and request dispatcher (drive it
   directly for byte-identical synchronous replays);

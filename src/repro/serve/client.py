@@ -173,7 +173,7 @@ class ServiceClient:
         return self.request(p.SessionStatsReq(name=name))
 
     def run_scenario(self, name: str, seed: int = 0) -> p.ScenarioOutcome:
-        return self.request(p.RunScenario(name=name, seed=int(seed)))
+        return self.request(p.RunScenario(name=name, seed=seed))
 
     def list_sessions(self) -> tuple[str, ...]:
         return self.request(p.ListSessions()).names

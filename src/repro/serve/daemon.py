@@ -2,12 +2,11 @@
 
 The daemon runs on the sweep coordinator's transport,
 :class:`~repro.dispatch.socket_pool.FrameServer` (its framing: 4-byte
-length prefix + pickle, decoded through
-:func:`~repro.dispatch.wire.loads_restricted`), which multiplexes any
-number of client connections over one :class:`~repro.serve.host.
-SessionHost`.  Frames carry only dicts/tuples/scalars — see
-:mod:`repro.serve.protocol` — so the restricted unpickler's class
-allowlist is never widened for this daemon.
+length prefix + JSON in the :mod:`repro.dispatch.wire` codec), which
+multiplexes any number of client connections over one
+:class:`~repro.serve.host.SessionHost`.  Frames carry only plain values;
+:mod:`repro.serve.protocol` rebuilds each request from its dataclass's
+annotations, so a peer can send nothing a request type does not admit.
 
 Division of labour: the server owns sockets, buffers and the ``hello``
 handshake; the daemon maps request frames onto the host and back; every
@@ -16,7 +15,8 @@ daemon's only time source paces the *event loop* (select timeouts, the
 idle watchdog) and can never influence a session's traffic, keeping
 daemon-served sessions byte-identical to synchronously driven ones.
 
-A bad peer costs only its own connection: bytes that do not decode, or
+A bad peer costs only its own connection: bytes that do not decode
+(not JSON, ``NaN``, runaway nesting, an oversized prefix), or
 a first frame that is not a ``hello`` with :data:`~repro.serve.protocol.
 SERVE_PROTOCOL` (answered with ``reject``), close that connection, and
 the daemon detaches it from its sessions like any client that left.
@@ -28,9 +28,10 @@ buffer — a client that stops reading its responses gets ``busy``
 failures for new requests until it drains, rather than growing the
 buffer without limit.
 
-Trust model matches the dispatch pool: restricted unpickling caps what a
-hostile peer can make the daemon *construct*, but frames are neither
-authenticated nor encrypted — bind to localhost or a private network.
+Trust model matches the dispatch pool: decoding constructs only plain
+values and the typed requests they spell, and a well-typed request that
+breaks a rule is a typed failure, but frames are neither authenticated
+nor encrypted — bind to localhost or a private network.
 """
 
 from __future__ import annotations

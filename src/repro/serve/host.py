@@ -21,9 +21,10 @@ effect, so a refused request is always safely retryable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..adversary import NullAdversary
+from ..dispatch.wire import FrameRejected, check_fields
 from ..errors import (
     ConfigurationError,
     ReproError,
@@ -39,18 +40,6 @@ DEFAULT_MAX_SESSIONS = 4096
 """Default bound on the host's session table (the host-level ``busy``)."""
 
 SESSION_MODES = ("preshared", "group")
-
-# Integer request fields must hold exactly ``int``: ``bool`` and
-# ``float`` compare equal to ints, so a coerced or accepted ``1.0`` would
-# slip past membership checks and fail deep in the crypto, and ``int()``
-# would turn ``2.9`` or ``"1"`` into ids the client never named.
-_INT_CHECKS = {
-    "int": lambda v: type(v) is int,
-    "int | None": lambda v: v is None or type(v) is int,
-    "tuple[int, ...]": lambda v: (
-        type(v) is tuple and all(type(x) is int for x in v)
-    ),
-}
 
 
 @dataclass
@@ -113,7 +102,7 @@ class SessionHost:
     def open_session(self, token: object, req: p.OpenSession) -> p.SessionOpened:
         if self.shutting_down:
             raise ServiceError(p.SHUTTING_DOWN, "host is shutting down")
-        if not req.name or not isinstance(req.name, str):
+        if not req.name:
             raise ServiceError(p.INVALID_CONFIG, "session name must be a non-empty string")
         if req.name in self.sessions:
             raise ServiceError(
@@ -229,8 +218,6 @@ class SessionHost:
                 p.NOT_A_MEMBER,
                 f"node {req.sender} is not a member of {req.name!r}",
             )
-        if not isinstance(req.payload, (bytes, bytearray)):
-            raise ServiceError(p.BAD_REQUEST, "payload must be bytes")
         session.send(req.sender, req.payload)
         return p.Sent(name=req.name, pending=session.pending())
 
@@ -403,35 +390,23 @@ class SessionHost:
         p.Shutdown: shutdown,
     }
 
-    # Per request class, its integer fields and their exactness checks.
-    _INT_FIELDS = {
-        cls: tuple(
-            (f.name, _INT_CHECKS[f.type])
-            for f in fields(cls)
-            if f.type in _INT_CHECKS
-        )
-        for cls in _HANDLERS
-    }
-
     def handle(self, token: object, request):
         """Service one decoded request; always returns a response
         dataclass (:class:`~repro.serve.protocol.Failure` on refusal) —
-        raw exceptions never escape to the transport.  A request whose
-        integer field holds anything but an ``int`` is refused
-        ``bad-request`` before any handler runs."""
+        raw exceptions never escape to the transport.  A request with a
+        field its annotation does not admit (the wire codec's
+        :func:`~repro.dispatch.wire.check_fields`, so ``True``, ``1.0``,
+        ``"1"`` or a list never stands for an id or a tuple of ids) is
+        refused ``bad-request`` before any handler runs."""
         handler = self._HANDLERS.get(type(request))
         if handler is None:
             return p.Failure(
                 p.BAD_REQUEST, f"unhandled request type {type(request).__name__}"
             )
-        for name, exact in self._INT_FIELDS[type(request)]:
-            value = getattr(request, name)
-            if not exact(value):
-                return p.Failure(
-                    p.BAD_REQUEST,
-                    f"{request.KIND} field {name!r} must be an int, "
-                    f"got {value!r:.60}",
-                )
+        try:
+            check_fields(request, request.KIND)
+        except FrameRejected as exc:
+            return p.Failure(p.BAD_REQUEST, str(exc))
         try:
             return handler(self, token, request)
         except ServiceError as exc:
@@ -439,11 +414,8 @@ class SessionHost:
         except ReproError as exc:
             return p.Failure(p.INTERNAL, f"{type(exc).__name__}: {exc}")
         except (TypeError, ValueError, KeyError) as exc:
-            # A frame can decode into the right dataclass with ill-typed
-            # fields (max_rounds="soon"); the comparison blows up deep in
-            # a handler.  That is the *client's* malformation, and it
-            # must come back as a typed failure — an escaping TypeError
-            # would kill the daemon's whole select loop.
+            # A backstop behind the field check: an error escaping a
+            # handler would kill the daemon's whole select loop.
             return p.Failure(
                 p.BAD_REQUEST, f"{type(exc).__name__}: {exc}"
             )

@@ -1,23 +1,21 @@
 """Typed request/response wire protocol for the key-service daemon.
 
 Every frame on a ``repro serve`` connection is the dispatch layer's
-length-prefixed pickle (:func:`repro.dispatch.socket_pool.send_frame` /
-:class:`~repro.dispatch.socket_pool.FrameDecoder`, decoded through
-:func:`repro.dispatch.wire.loads_restricted`), but the *payload* is a
-plain dict of containers and scalars only — no class ever rides the
-wire, so the restricted unpickler's ``find_class`` allowlist stays
-exactly as small as the sweep dispatcher left it.  The typing lives at
-both endpoints instead: requests and responses are frozen dataclasses
-that :func:`encode_request`/:func:`decode_request` and
+length-prefixed JSON (:mod:`repro.dispatch.wire`): plain values only.
+The typing lives at both endpoints: requests and responses are frozen
+dataclasses that :func:`encode_request`/:func:`decode_request` and
 :func:`encode_response`/:func:`decode_response` map onto those dicts,
-validating shape on the way in and surfacing every malformation as a
-typed ``bad-request`` failure, never a raw exception.
+rebuilding every field from its annotation on the way in and surfacing
+every malformation as a typed ``bad-request`` failure, never a raw
+exception.  The encoders return exactly what the wire decodes (lists for
+tuples, ``bytes`` kept), so an in-process answer equals the one a client
+reads off the socket.
 
 Frame shapes
 ------------
-* client → ``{"kind": "hello", "protocol": 1, "repro": ..., "client": ...}``
-* daemon → ``{"kind": "welcome", "protocol": 1}`` or ``{"kind":
-  "reject", "reason": ...}`` (any first frame but a protocol-1 hello:
+* client → ``{"kind": "hello", "protocol": 2, "repro": ..., "client": ...}``
+* daemon → ``{"kind": "welcome", "protocol": 2}`` or ``{"kind":
+  "reject", "reason": ...}`` (any first frame but a protocol-2 hello:
   the reject is flushed and that connection closed, the daemon keeps
   serving everyone else);
 * client → ``{"kind": <request kind>, "req": <id>, ...fields}`` — the
@@ -37,14 +35,16 @@ refused *without* side effects — retry after draining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar, Mapping
+from dataclasses import dataclass
+from typing import Any, ClassVar, Mapping
 
+from ..dispatch.wire import FrameRejected, as_dict, decode
 from ..errors import ServiceError
 from ..service.emulated_channel import Delivery
 
-SERVE_PROTOCOL = 1
-"""Daemon/client wire-protocol version, checked in the handshake."""
+SERVE_PROTOCOL = 2
+"""Daemon/client wire-protocol version, checked in the handshake (1 was
+restricted pickle)."""
 
 DEFAULT_MAX_PENDING = 64
 """Default bound on a session's unflushed send queue (the ``busy``
@@ -77,11 +77,6 @@ FAILURE_CODES = frozenset(
         INTERNAL,
     }
 )
-
-
-def _as_dict(obj) -> dict:
-    """Field dict of a protocol dataclass (shallow: fields are plain)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 # ----------------------------------------------------------------------
@@ -395,65 +390,47 @@ RESPONSE_TYPES: dict[str, type] = {
 # ----------------------------------------------------------------------
 
 
-def _normalise(value):
-    """Round pickled containers back to the dataclass field shapes.
-
-    Tuples of tuples survive pickling as-is; this only guards the
-    boundary cases (a list-typed axis from a hand-built client) so the
-    dataclasses always hold hashable tuples.
-    """
-    if isinstance(value, list):
-        return tuple(_normalise(v) for v in value)
-    if isinstance(value, tuple):
-        return tuple(_normalise(v) for v in value)
-    return value
-
-
-def _decode(types: Mapping[str, type], frame: object):
+def _decode(types: Mapping[str, type], frame: object) -> tuple[Any, Any]:
     if not isinstance(frame, dict):
-        raise ServiceError(BAD_REQUEST, f"frame is not a dict: {frame!r}")
+        raise ServiceError(BAD_REQUEST, f"frame is not a dict: {frame!r:.60}")
     kind = frame.get("kind")
-    cls = types.get(kind)
+    cls = types.get(kind) if type(kind) is str else None
     if cls is None:
-        raise ServiceError(BAD_REQUEST, f"unknown frame kind {kind!r}")
+        raise ServiceError(BAD_REQUEST, f"unknown frame kind {kind!r:.40}")
     payload = {
-        key: _normalise(value)
-        for key, value in frame.items()
-        if key not in ("kind", "req")
+        key: value for key, value in frame.items() if key not in ("kind", "req")
     }
     try:
-        return cls(**payload)
-    except TypeError as exc:
+        return frame.get("req"), decode(cls, payload)
+    except FrameRejected as exc:
         raise ServiceError(
             BAD_REQUEST, f"malformed {kind!r} frame: {exc}"
         ) from None
 
 
-def encode_request(req_id: int, request) -> dict:
-    """Wire dict for ``request``, tagged with the client's ``req`` id."""
-    return {"kind": request.KIND, "req": req_id, **_as_dict(request)}
+def encode_request(req_id: object, request) -> dict:
+    """Wire dict for ``request``, tagged with the client's ``req`` id: its
+    kind and :func:`~repro.dispatch.wire.as_dict` fields."""
+    return {"kind": request.KIND, "req": req_id, **as_dict(request)}
 
 
 def decode_request(frame: object) -> tuple[object, object]:
     """``(req_id, request)``; malformation raises a ``bad-request``
     :class:`~repro.errors.ServiceError` (the daemon answers it as a
     typed failure frame — raw exceptions never reach the wire)."""
-    request = _decode(REQUEST_TYPES, frame)
-    req_id = frame.get("req") if isinstance(frame, dict) else None
-    return req_id, request
+    return _decode(REQUEST_TYPES, frame)
 
 
 def encode_response(req_id: object, response) -> dict:
-    """Wire dict for ``response``, echoing the request's ``req`` id."""
-    return {"kind": response.KIND, "req": req_id, **_as_dict(response)}
+    """Wire dict for ``response``, echoing the request's ``req`` id (laid
+    out as :func:`encode_request` lays out a request)."""
+    return encode_request(req_id, response)
 
 
 def decode_response(frame: object) -> tuple[object, object]:
     """``(req_id, response)`` — the client-side mirror of
     :func:`decode_request`."""
-    response = _decode(RESPONSE_TYPES, frame)
-    req_id = frame.get("req") if isinstance(frame, dict) else None
-    return req_id, response
+    return _decode(RESPONSE_TYPES, frame)
 
 
 # ----------------------------------------------------------------------
@@ -474,12 +451,7 @@ def inbox_row(delivery: Delivery) -> tuple[int, int, bytes]:
 def row_delivery(row: tuple[int, int, bytes]) -> Delivery:
     """Rebuild a typed :class:`~repro.service.emulated_channel.Delivery`
     from an :func:`inbox_row` tuple (the client-side view)."""
-    emulated_round, sender, payload = row
-    return Delivery(
-        emulated_round=int(emulated_round),
-        sender=int(sender),
-        payload=bytes(payload),
-    )
+    return Delivery(*row)
 
 
 def rekey_tuple(report) -> tuple:

@@ -289,6 +289,42 @@ class TestSweepCommand:
         assert main(grid) == 2
         assert "--resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "tampered-field",
+            "other-randomness",
+            "journal-version-1",
+            "corrupt-interior-line",
+        ],
+    )
+    def test_refused_journal_exits_2_with_one_line(
+        self, capsys, tmp_path, tamper
+    ):
+        grid = ["sweep", "--nodes", "18", "--trials", "3", "--seed", "7",
+                "--pairs", "4"]
+        journal = tmp_path / "sweep.jsonl"
+        assert main(grid + ["--journal", str(journal), "--stop-after", "2"]) == 3
+        capsys.readouterr()
+        header, first, second = journal.read_text().splitlines()
+        fields = json.loads(header)
+        if tamper == "tampered-field":
+            record = json.loads(first)
+            record["cover"] = len(record["failed_pairs"]) + 1
+            first, named = json.dumps(record), "line 2 record.cover"
+        elif tamper == "other-randomness":
+            fields["randomness"], named = 1, "randomness version 1"
+        elif tamper == "journal-version-1":
+            fields["journal_version"], named = 1, "is version 1"
+        else:
+            first, named = first[:-5], "line 2 is corrupt"
+        journal.write_text(
+            "\n".join([json.dumps(fields), first, second]) + "\n"
+        )
+        assert main(grid + ["--journal", str(journal), "--resume"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro sweep: journal ") and named in line
+
     def test_progress_lines_on_stderr(self, capsys, tmp_path):
         assert main(
             ["sweep", "--nodes", "18", "--trials", "2", "--seed", "7",

@@ -7,9 +7,7 @@ in ``tests/test_dispatch_properties.py``.
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 
 import pytest
 
@@ -29,7 +27,7 @@ from repro.errors import (
     DispatchError,
     SweepInterrupted,
 )
-from repro.experiments import TrialResult
+from repro.experiments import TrialResult, TrialSpec
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RANDOMNESS_VERSION, RngRegistry
 
@@ -46,6 +44,9 @@ def fake_result(index: int, success: bool = True) -> TrialResult:
         cover=0 if success else 1,
     )
 
+
+SPECS = {i: TrialSpec("fame", i, i * 11) for i in range(8)}
+"""The specs :func:`fake_result` answers, by index (n=20)."""
 
 small_spec = SweepSpec(ns=(N,), trials=2, seed=7, pairs=4)
 four_trials = SweepSpec(ns=(N,), trials=4, seed=7, pairs=4)
@@ -119,52 +120,52 @@ class TestJournal:
         result = fake_result(3, success=False)
         record = json.loads(encode_record(result))
         assert record["index"] == 3 and record["success"] is False
-        assert decode_record(record) == result
+        assert decode_record(record, SPECS) == result
 
     def test_attach_fresh_then_resume(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal, completed = SweepJournal.attach(path, "fp", resume=False)
+        journal, completed = SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
         assert completed == {}
         journal.append(fake_result(0))
         journal.append(fake_result(2))
         journal.close()
-        journal, completed = SweepJournal.attach(path, "fp", resume=True)
+        journal, completed = SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
         journal.close()
         assert sorted(completed) == [0, 2]
         assert completed[2] == fake_result(2)
 
     def test_existing_journal_requires_resume(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        SweepJournal.attach(path, "fp", resume=False)[0].close()
+        SweepJournal.attach(path, "fp", resume=False, specs=SPECS)[0].close()
         with pytest.raises(ConfigurationError):
-            SweepJournal.attach(path, "fp", resume=False)
+            SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        SweepJournal.attach(path, "fp-a", resume=False)[0].close()
+        SweepJournal.attach(path, "fp-a", resume=False, specs=SPECS)[0].close()
         with pytest.raises(ConfigurationError):
-            SweepJournal.attach(path, "fp-b", resume=True)
+            SweepJournal.attach(path, "fp-b", resume=True, specs=SPECS)
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal, _ = SweepJournal.attach(path, "fp", resume=False)
+        journal, _ = SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
         journal.append(fake_result(0))
         journal.close()
         with path.open("a", encoding="utf-8") as fh:
             fh.write(encode_record(fake_result(1))[: 40])  # crash mid-write
-        _journal, completed = SweepJournal.attach(path, "fp", resume=True)
+        _journal, completed = SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
         _journal.close()
         assert sorted(completed) == [0]
 
     def test_corrupt_interior_line_is_an_error(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal, _ = SweepJournal.attach(path, "fp", resume=False)
+        journal, _ = SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
         journal.close()
         with path.open("a", encoding="utf-8") as fh:
             fh.write("{broken\n")
             fh.write(encode_record(fake_result(1)) + "\n")
         with pytest.raises(DispatchError):
-            SweepJournal.attach(path, "fp", resume=True)
+            SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
 
     @pytest.mark.parametrize(
         "line",
@@ -181,12 +182,11 @@ class TestJournal:
     def test_wrong_shaped_record_is_a_typed_error(self, tmp_path, line, final):
         # Well-formed JSON is never a crash artifact: fatal on any line,
         # and the error names the line.
-        if not isinstance(line, str):  # a record whose payload is ``line``
+        if not isinstance(line, str):  # a record whose metrics are ``line``
             record = json.loads(encode_record(fake_result(0)))
-            payload = base64.b64encode(pickle.dumps(line)).decode("ascii")
-            line = json.dumps({**record, "result": payload})
+            line = json.dumps({**record, "metrics": line})
         path = tmp_path / "j.jsonl"
-        journal, _ = SweepJournal.attach(path, "fp", resume=False)
+        journal, _ = SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
         journal.close()
         lines = [line, encode_record(fake_result(1))]
         if final:
@@ -196,30 +196,30 @@ class TestJournal:
         )
         bad_line = 3 if final else 2
         with pytest.raises(DispatchError, match=f"line {bad_line} "):
-            SweepJournal.attach(path, "fp", resume=True)
+            SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
 
     @pytest.mark.parametrize("header", ["[1]", '"x"'])
     def test_wrong_shaped_header_is_a_typed_error(self, tmp_path, header):
         path = tmp_path / "j.jsonl"
         path.write_text(header + "\n", encoding="utf-8")
         with pytest.raises(DispatchError, match="header"):
-            SweepJournal.attach(path, "fp", resume=True)
+            SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
 
     def test_non_utf8_journal_is_a_typed_error(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        SweepJournal.attach(path, "fp", resume=False)[0].close()
+        SweepJournal.attach(path, "fp", resume=False, specs=SPECS)[0].close()
         with path.open("ab") as fh:
             fh.write(b"\xff\xfe\n")
         with pytest.raises(DispatchError, match="UTF-8"):
-            SweepJournal.attach(path, "fp", resume=True)
+            SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
 
     def test_duplicate_records_keep_first(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal, _ = SweepJournal.attach(path, "fp", resume=False)
+        journal, _ = SweepJournal.attach(path, "fp", resume=False, specs=SPECS)
         journal.append(fake_result(0, success=True))
         journal.append(fake_result(0, success=False))  # redelivery
         journal.close()
-        _journal, completed = SweepJournal.attach(path, "fp", resume=True)
+        _journal, completed = SweepJournal.attach(path, "fp", resume=True, specs=SPECS)
         _journal.close()
         assert completed[0].success is True
 

@@ -13,19 +13,21 @@ Two families, both load-bearing for the byte-identical-report guarantee:
   order, with duplicate redeliveries interleaved, aggregates
   byte-identically to index order (the at-most-once + index-sort rule);
 * **journal replay** — over any header (one recorded on other coins
-  included) and record lines (cut short,
-  wrong JSON types, missing or mistyped fields, payloads that are not a
-  ``TrialResult``, reordered, duplicated or forged indexes), ``--resume``
-  replay returns the first record of each index, skips only a cut-short
-  final line, or raises ``DispatchError`` / ``ConfigurationError``.
+  or in another journal version included) and record lines (cut short,
+  wrong JSON types, missing, unknown or mistyped fields, reordered,
+  duplicated or forged indexes, and records out of bounds for their
+  trial: no metrics, no cover over a K20 of failed pairs, a pair outside
+  ``[0, n)``, a negative counter, a cover above the pair count, a forged
+  seed), ``--resume`` replay returns the first record of each index,
+  skips only a cut-short final line, or raises ``DispatchError`` /
+  ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
-import base64
+import dataclasses
 import itertools
 import json
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -38,9 +40,9 @@ from repro.dispatch import (
     SweepReport,
     SweepSpec,
 )
-from repro.dispatch.journal import decode_record, encode_record
+from repro.dispatch.journal import JOURNAL_VERSION, decode_record, encode_record
 from repro.errors import ConfigurationError, DispatchError
-from repro.experiments import TrialResult
+from repro.experiments import TrialResult, TrialSpec
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RANDOMNESS_VERSION, RngRegistry
 
@@ -209,14 +211,35 @@ def _journal_result(index: int) -> TrialResult:
     )
 
 
+_SPECS = {i: TrialSpec("fame", i, i * 7 + 3, n=24) for i in range(6)}
+"""The specs :func:`_journal_result` answers, by index."""
+
+
 def _record(index: int) -> dict:
     return json.loads(encode_record(_journal_result(index)))
 
 
-def _blob(payload: object) -> str:
-    return base64.b64encode(pickle.dumps(payload)).decode("ascii")
+def _out_of_bounds(index: int, fault: str) -> TrialResult:
+    """A well-typed result that does not answer ``_SPECS[index]``."""
+    result = _journal_result(index)
+    if fault == "no-metrics":
+        return dataclasses.replace(result, metrics=None)
+    if fault == "no-cover-k20":
+        k20 = tuple(itertools.combinations(range(20), 2))
+        return dataclasses.replace(result, failed_pairs=k20, cover=None)
+    if fault == "pair-outside-n":
+        return dataclasses.replace(result, failed_pairs=((0, 24),), cover=1)
+    if fault == "negative-counter":
+        return dataclasses.replace(result, metrics=NetworkMetrics(rounds=-1))
+    if fault == "cover-above-pairs":
+        return dataclasses.replace(result, cover=len(result.failed_pairs) + 1)
+    return dataclasses.replace(result, seed=result.seed + 1)  # forged seed
 
 
+_BOUND_FAULTS = (
+    "no-metrics", "no-cover-k20", "pair-outside-n", "negative-counter",
+    "cover-above-pairs", "forged-seed",
+)
 _indexes = st.integers(0, 5)
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
@@ -224,28 +247,18 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4,
 )
-_not_trial_results = (
-    st.integers()
-    | st.text(max_size=4)
-    | st.none()
-    | st.tuples(st.integers(), st.integers())
-    | st.lists(st.integers(), max_size=3)
-    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_REQUIRED = (
+    "kind", "index", "seed", "success", "failed_pairs", "metrics", "cover",
 )
-_FIELDS = ("kind", "index", "seed", "success", "cover", "result")
+"""Record fields replay cannot do without (``detail`` defaults to ``()``;
+a record without ``cover`` has none, which is out of bounds)."""
 
 
 def _mistyped(field: str, value: object):
     """Values of another JSON type than ``value`` (a ``kind`` other than
-    ``"trial"``, a ``result`` that is no pickle's base64)."""
+    ``"trial"``)."""
     if field == "kind":
         return _json_values.filter(lambda v: v != "trial")
-    if field == "result":
-        return _json_values.filter(lambda v: not isinstance(v, str)) | st.just(
-            "not base64!"
-        ) | st.binary(max_size=24).map(
-            lambda raw: base64.b64encode(raw).decode("ascii")
-        )
     return _json_values.filter(lambda v: type(v) is not type(value))
 
 
@@ -258,7 +271,7 @@ def _journal_line(draw):
     kind = draw(
         st.sampled_from(
             ["good", "good", "truncated", "json", "missing", "mistyped",
-             "foreign", "forged"]
+             "unknown", "forged", "bounds"]
         )
     )
     if kind == "good":
@@ -269,13 +282,16 @@ def _journal_line(draw):
     if kind == "json":
         value = draw(_json_values.filter(lambda v: not isinstance(v, dict)))
         return json.dumps(value), "shape"
+    if kind == "bounds":
+        fault = draw(st.sampled_from(_BOUND_FAULTS))
+        return encode_record(_out_of_bounds(index, fault)), "shape"
     if kind == "missing":
-        del record[draw(st.sampled_from(_FIELDS))]
+        del record[draw(st.sampled_from(_REQUIRED))]
     elif kind == "mistyped":
-        field = draw(st.sampled_from(_FIELDS))
+        field = draw(st.sampled_from(sorted(record)))
         record[field] = draw(_mistyped(field, record[field]))
-    elif kind == "foreign":
-        record["result"] = _blob(draw(_not_trial_results))
+    elif kind == "unknown":
+        record[draw(st.sampled_from(["result", "extra", ""]))] = 0
     else:
         record["index"] = draw(_indexes.filter(lambda i: i != index))
     return json.dumps(record, sort_keys=True), "shape"
@@ -283,7 +299,7 @@ def _journal_line(draw):
 
 _HEADER = {
     "kind": "header",
-    "journal_version": 1,
+    "journal_version": JOURNAL_VERSION,
     "fingerprint": "fp",
     "randomness": RANDOMNESS_VERSION,
 }
@@ -307,7 +323,9 @@ def _journal_header(draw):
     if kind == "kind":
         header["kind"] = draw(_json_values.filter(lambda v: v != "header"))
     elif kind == "version":
-        header["journal_version"] = draw(_json_values.filter(lambda v: v != 1))
+        header["journal_version"] = draw(
+            _json_values.filter(lambda v: v != JOURNAL_VERSION)
+        )
     elif kind == "randomness":
         # Another version of the coins; a header without the field
         # predates versioning and holds version 1.
@@ -341,7 +359,7 @@ def test_journal_replay_returns_skips_a_cut_tail_or_raises_typed(
     else:
         for position, (line, fault) in enumerate(lines):
             if fault is None:
-                result = decode_record(json.loads(line))
+                result = decode_record(json.loads(line), _SPECS)
                 expected.setdefault(result.index, result)
             elif fault == "truncated" and position == len(lines) - 1:
                 break
@@ -353,9 +371,11 @@ def test_journal_replay_returns_skips_a_cut_tail_or_raises_typed(
         text = "\n".join([header_line] + [line for line, _ in lines])
         path.write_text(text + "\n", encoding="utf-8")
         if isinstance(expected, dict):
-            journal, completed = SweepJournal.attach(path, "fp", resume=True)
+            journal, completed = SweepJournal.attach(
+                path, "fp", resume=True, specs=_SPECS
+            )
             journal.close()
             assert completed == expected
         else:
             with pytest.raises(expected):
-                SweepJournal.attach(path, "fp", resume=True)
+                SweepJournal.attach(path, "fp", resume=True, specs=_SPECS)

@@ -10,6 +10,8 @@ CI runs this module as its sweep smoke job.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import multiprocessing
 import signal
@@ -41,8 +43,10 @@ from repro.dispatch.socket_pool import (
     unapplied_specs,
     worker_main,
 )
+from repro.dispatch.wire import decode
 from repro.errors import ConfigurationError, DispatchError, SweepInterrupted
-from repro.experiments import TrialSpec
+from repro.experiments import TrialResult, TrialSpec
+from repro.radio.metrics import NetworkMetrics
 
 from test_transport import BAD_FRAMES, assert_closed_by_peer
 
@@ -75,13 +79,8 @@ class TestFraming:
             b.close()
 
     def test_decoder_reassembles_byte_by_byte(self):
-        import pickle
-
         frames = [{"kind": "hello", "i": i} for i in range(3)]
-        wire = b""
-        for frame in frames:
-            data = pickle.dumps(frame)
-            wire += len(data).to_bytes(4, "big") + data
+        wire = b"".join(frame_bytes(frame) for frame in frames)
         decoder = FrameDecoder()
         out = []
         for i in range(len(wire)):  # worst case: one byte per feed
@@ -494,7 +493,30 @@ def _sweep_with(spec: SweepSpec, on_first_result) -> tuple[dict, object]:
     return report, fired[0]
 
 
+MID_SWEEP = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)
+"""The sweep a bad peer joins; its report must stay ``--workers 1``'s."""
+
+_LAST = MID_SWEEP.specs()[-1]
+_FORGED = TrialResult(
+    index=_LAST.index,
+    seed=_LAST.seed,
+    success=False,
+    failed_pairs=((0, 9),),
+    metrics=NetworkMetrics(rounds=1),
+    cover=1,
+)
+"""A well-typed, in-bounds forgery of the last trial (which lands: peers
+are not authenticated); each break below spoils it in one field."""
+
+
+def _results(elapsed: float = 0.1, **change) -> dict:
+    """A results frame carrying :data:`_FORGED` with ``change`` applied."""
+    forged = dataclasses.replace(_FORGED, **change)
+    return {"kind": "results", "results": [forged], "elapsed": elapsed}
+
+
 PROTOCOL_BREAKS = {
+    "not-an-object": [{"kind": "results"}],
     "unknown-kind": {"kind": "bogus"},
     "results-missing": {"kind": "results"},
     "results-not-trial-results": {
@@ -502,6 +524,16 @@ PROTOCOL_BREAKS = {
         "results": [1],
         "elapsed": 0.1,
     },
+    "metrics-null": _results(metrics=None),
+    "cover-null-k20": _results(
+        failed_pairs=tuple(itertools.combinations(range(20), 2)), cover=None
+    ),
+    "pair-outside-n": _results(failed_pairs=((0, N),)),
+    "negative-counter": _results(metrics=NetworkMetrics(rounds=-1)),
+    "cover-above-pairs": _results(cover=2),
+    "forged-seed": _results(seed=_LAST.seed + 1),
+    "elapsed-nan": _results(elapsed=float("nan")),
+    "elapsed-huge-int": _results(elapsed=10**400),
 }
 """Frames that decode but that no worker sends."""
 
@@ -515,7 +547,7 @@ class TestBadPeersMidSweep:
     def _intrude_mid_sweep(bad: bytes) -> None:
         """A welcomed intruder sends ``bad`` once the first result lands;
         the report must still be the ``--workers 1`` report."""
-        spec = SweepSpec(ns=(N,), trials=12, seed=7, pairs=4)
+        spec = MID_SWEEP
         reference = SweepRunner(spec).run().as_dict()
 
         def intrude(address):
@@ -618,8 +650,51 @@ class TestWorkerMain:
         assert got["hello"]["protocol"] == PROTOCOL_VERSION
         assert got["results"]["kind"] == "results"
         # One merged frame for the whole batch, with its compute time.
-        assert got["results"]["results"] == expected
+        results = decode(tuple[TrialResult, ...], got["results"]["results"])
+        assert list(results) == expected
         assert got["results"]["elapsed"] > 0
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            [{"kind": "contexts"}],
+            [
+                {"kind": "contexts", "contexts": []},
+                {"kind": "batch", "trials": [(0, 0, 1)]},
+            ],
+            [["not", "a", "dict"]],
+        ],
+        ids=["contexts-missing", "unknown-context", "not-a-dict"],
+    )
+    def test_malformed_coordinator_frame_exits_1_with_one_line(
+        self, frames, capsys
+    ):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        port = listener.getsockname()[1]
+
+        def coordinator() -> None:
+            conn, _ = listener.accept()
+            recv_frame(conn)
+            send_frame(conn, {"kind": "welcome"})
+            for frame in frames:
+                send_frame(conn, frame)
+            try:
+                conn.recv(1)  # until the worker hangs up
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        try:
+            assert worker_main("127.0.0.1", port, retry_seconds=5.0) == 1
+        finally:
+            thread.join(timeout=30)
+            listener.close()
+        assert not thread.is_alive()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro worker: malformed coordinator frame: ")
 
     def test_worker_batch_before_contexts_exits_1(self):
         spec = fame_specs(1)[0]

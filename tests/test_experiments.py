@@ -130,10 +130,12 @@ class TestSerialParallelEquivalence:
 class TestPickling:
     def test_trial_spec_round_trips(self):
         spec = one_point().specs()[0]
+        # repro-lint: disable=WIRE001 -- unpickles what this test pickled
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_trial_result_round_trips(self):
         result = run_trial(one_point().specs()[0])
+        # repro-lint: disable=WIRE001 -- unpickles what this test pickled
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.metrics == result.metrics
@@ -149,6 +151,7 @@ class TestPickling:
                 )
             ]
         )
+        # repro-lint: disable=WIRE001 -- unpickles what this test pickled
         clone = pickle.loads(pickle.dumps(schedule))
         assert len(clone) == 1
         (cr_clone,), (cr,) = clone.rounds, schedule.rounds

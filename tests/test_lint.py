@@ -236,7 +236,7 @@ class TestDet004:
 
 
 # ----------------------------------------------------------------------
-# WIRE001 — bare pickle deserialization
+# WIRE001 — unpickling: a flat ban
 # ----------------------------------------------------------------------
 
 
@@ -248,6 +248,7 @@ class TestWire001:
         def decode(data):
             return pickle.loads(data)
         """
+        assert hits(src, "WIRE001") == [(4, 11)]
         assert hits(src, "WIRE001", module="tests.test_x") == [(4, 11)]
 
     def test_unpickler_construction_fires(self):
@@ -257,21 +258,22 @@ class TestWire001:
         """
         assert hits(src, "WIRE001") == [(2, 6)]
 
-    def test_round_trip_idiom_is_exempt(self):
+    def test_round_trip_idiom_fires_too(self):
         src = """
         import pickle
         clone = pickle.loads(pickle.dumps(spec))
         """
-        assert check(src).findings == []
+        assert hits(src, "WIRE001") == [(2, 8)]
 
-    def test_wire_module_is_allowlisted(self):
+    def test_wire_module_is_not_exempt(self):
         src = """
         import pickle
         value = pickle.loads(data)
         """
         result = check(src, module="repro.dispatch.wire")
-        assert result.findings == []
-        assert result.allowlisted == 1
+        assert [f.rule for f in result.findings] == ["WIRE001"]
+        assert result.allowlisted == 0
+        assert "WIRE001" not in MODULE_ALLOWLIST
 
 
 # ----------------------------------------------------------------------

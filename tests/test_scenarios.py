@@ -451,6 +451,12 @@ class TestDaemonRunScenario:
             with pytest.raises(ServiceError) as info:
                 client.run_scenario("no.such")
             assert info.value.code == p.BAD_REQUEST
+            # A float seed reaches the daemon as sent and is refused, not
+            # truncated to another scenario run on the way out.
+            with pytest.raises(ServiceError) as info:
+                client.run_scenario("serve.duplicate-open", seed=1.9)
+            assert info.value.code == p.BAD_REQUEST
+            assert "seed" in info.value.detail
             assert client.run_scenario("channel.tampered-ciphertext").matched
 
     def test_malformed_flush_does_not_kill_daemon(self, daemon):

@@ -69,8 +69,8 @@ class TestProtocol:
             assert decoded == response
 
     def test_wire_frames_are_plain_dicts(self):
-        # The restricted unpickler's allowlist is never widened for
-        # serve: nothing but containers and scalars may hit the wire.
+        # Nothing but containers and scalars may hit the wire: the codec
+        # encodes no class.
         def assert_plain(value):
             if isinstance(value, (list, tuple)):
                 for item in value:
@@ -106,7 +106,12 @@ class TestProtocol:
         for frame in (
             "not-a-dict",
             {"kind": "no-such-kind", "req": 1},
+            {"kind": ["send"], "req": 1},
             {"kind": "send", "req": 1, "bogus_field": 1},
+            {"kind": "send", "req": 1, "name": "s", "sender": True,
+             "payload": b"x"},
+            {"kind": "send", "req": 1, "name": "s", "sender": 0,
+             "payload": "x"},
         ):
             with pytest.raises(ServiceError) as err:
                 p.decode_request(frame)
@@ -562,10 +567,14 @@ class TestDaemonEndToEnd:
         with socket.create_connection((host, port), timeout=10) as sock:
             send_frame(sock, {"kind": "hello", "protocol": p.SERVE_PROTOCOL})
             assert recv_frame(sock)["kind"] == "welcome"
-            send_frame(sock, {"kind": "no-such-kind", "req": 5})
-            reply = recv_frame(sock)
-            assert reply["kind"] == "fail" and reply["req"] == 5
-            assert reply["code"] == p.BAD_REQUEST
+            for bad in (
+                {"kind": "no-such-kind", "req": 5},
+                {"kind": ["list-sessions"], "req": 5},
+            ):
+                send_frame(sock, bad)
+                reply = recv_frame(sock)
+                assert reply["kind"] == "fail" and reply["req"] == 5
+                assert reply["code"] == p.BAD_REQUEST
             # the connection survives a bad request
             send_frame(sock, {"kind": "list-sessions", "req": 6})
             assert recv_frame(sock)["kind"] == "session-list"

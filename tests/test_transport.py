@@ -37,12 +37,16 @@ def _prefixed(payload: bytes) -> bytes:
 
 
 #: One undecodable frame of each kind; each must close only its own
-#: connection, on either port.
+#: connection, on either port.  Pickles among them are refused like any
+#: other bytes that are not JSON; NaN and runaway nesting are JSON that
+#: Python's parser would accept or crash on.
 BAD_FRAMES = {
     "truncated-pickle": _prefixed(b"\x80\x05garbage-not-a-pickle"),
     "random-bytes": _prefixed(hashlib.sha256(b"random").digest() * 2),
     "disallowed-global": _prefixed(pickle.dumps(os.system)),
     "oversized-prefix": (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x",
+    "nan": _prefixed(b'{"kind": "results", "elapsed": NaN}'),
+    "deep-nesting": _prefixed(b"[" * 100_000 + b"]" * 100_000),
 }
 
 
@@ -77,7 +81,7 @@ MANGLED = st.one_of(
         st.sampled_from(VALID),
         st.integers(0, 80),
     ),
-    # a valid payload cut short under a matching prefix (unpickler error)
+    # a valid payload cut short under a matching prefix (a decode error)
     st.builds(
         lambda frame, keep: _prefixed(frame[4 : 4 + keep]),
         st.sampled_from(VALID),
