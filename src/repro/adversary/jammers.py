@@ -110,9 +110,11 @@ class ReactiveJammer(Adversary):
 
     Implements the one-round-delayed eavesdropper the model allows: it
     inspects the last ``window`` completed rounds, scores channels by how
-    many honest transmissions they carried, and jams the top ``t``.  Ties
-    are broken by preferring lower channel ids, then filled with random
-    channels so the budget is never wasted.
+    many honest transmissions they carried, and jams the top ``t``, ties
+    broken by preferring lower channel ids.  Only when none of those
+    ``t`` channels scored at all (no activity in the window) does it jam
+    ``t`` random channels instead.  Scoring reads each record's
+    transmitter template, so a move costs O(window × transmitters).
     """
 
     needs_history = True
@@ -128,9 +130,8 @@ class ReactiveJammer(Adversary):
         history = view.history
         start = max(0, len(history) - self._window)
         for idx in range(start, len(history)):
-            record = history[idx]
-            for channel in range(view.channels):
-                scores[channel] += len(record.honest_transmitters(channel))
+            for action in history[idx].round.transmits.values():
+                scores[action.channel] += 1
         ranked = sorted(range(view.channels), key=lambda c: (-scores[c], c))
         budget = min(view.t, view.channels)
         targets = ranked[:budget]

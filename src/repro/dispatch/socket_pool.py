@@ -124,7 +124,7 @@ import time
 from collections import deque
 from typing import Any, Iterable, Mapping
 
-from ..errors import ConfigurationError, DispatchError
+from ..errors import ConfigurationError, DispatchError, SweepInterrupted
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
@@ -162,7 +162,8 @@ journal flushes."""
 
 _CONNECT_RETRY_SECONDS = 10.0
 """How long a worker keeps retrying its connection by default — and so
-how long a graceful close waits for a spawned worker still connecting."""
+how long a graceful close waits for a spawned worker still connecting
+or still running a batch."""
 
 DRAIN_SECONDS = 5.0
 """How long a graceful :meth:`FrameServer.close` lets buffered frames
@@ -796,7 +797,7 @@ class SocketBackend(DispatchBackend):
         if server is None:
             return
         if not force:
-            self._await_spawned_handshakes()
+            self._await_quiet()
             goodbye = frame_bytes({"kind": "shutdown"})
             for peer in self._workers:
                 server.send(peer, goodbye)
@@ -806,13 +807,16 @@ class SocketBackend(DispatchBackend):
         # Workers exit on shutdown/EOF; force only the stragglers.
         self._reap_spawned(force=force)
 
-    def _await_spawned_handshakes(self) -> None:
-        """Keep the listener up until every live spawned worker is greeted.
+    def _await_quiet(self) -> None:
+        """Keep the listener up until every live spawned worker is greeted
+        and every batch in flight has answered (its results are dropped).
 
         A worker forked late — still starting, or inside its connect
         retry loop — would otherwise find the listener closed, retry for
-        its whole window and then be killed.  Waiting for its handshake
-        lets the shutdown below reach it, so it exits 0.
+        its whole window and then be killed; one with a batch queued
+        ahead of its shutdown frame (a stopped run's) would run it and
+        find the coordinator gone.  Waiting lets the shutdown below reach
+        both, so they exit 0.
         """
         deadline = time.monotonic() + _CONNECT_RETRY_SECONDS
         while True:
@@ -820,7 +824,7 @@ class SocketBackend(DispatchBackend):
             waiting = any(
                 proc.is_alive() and proc.pid not in greeted
                 for proc in self.spawned
-            )
+            ) or any(w.outstanding for w in self._workers.values())
             remaining = deadline - time.monotonic()
             if not waiting or remaining <= 0:
                 return
@@ -858,13 +862,16 @@ class SocketBackend(DispatchBackend):
 
     def _pump_handshakes(self, timeout: float) -> None:
         """One server pass outside a run: track welcomed and closed
-        workers (frames from greeted workers are dropped — no run is in
-        progress to claim them)."""
+        workers.  No run is in progress to claim a greeted worker's
+        frame, so it only answers one of that worker's batches and is
+        dropped."""
         for peer, frame in self._server.poll(timeout):
             if frame is WELCOMED:
                 self._welcome(peer)
             elif frame is CLOSED:
                 self._workers.pop(peer, None)
+            elif (worker := self._workers.get(peer)) and worker.outstanding:
+                worker.outstanding -= 1
 
     def _welcome(self, peer: FramePeer) -> _Worker:
         worker = self._workers[peer] = _Worker(peer)
@@ -1040,9 +1047,15 @@ class SocketBackend(DispatchBackend):
                     self._check_liveness(
                         assembler, started, last_activity, time.monotonic()
                     )
+        except SweepInterrupted:
+            # An intentional stop closes as a finished run does: the
+            # batches in flight answer, then every worker is told to shut
+            # down and exits 0.
+            self._close_pool(force=False)
+            raise
         except BaseException:
-            # Interrupts and dispatch errors always tear the pool down —
-            # journalled trials survive; a fresh backend resumes them.
+            # Dispatch errors and signals tear the pool down — journalled
+            # trials survive; a fresh backend resumes them.
             self._close_pool(force=True)
             raise
         if not self.keep_alive:

@@ -34,14 +34,15 @@ probabilities.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError, ProtocolViolation
-from ..radio.actions import Transmit
 from ..radio.messages import Message, Transmission, payload_fields
 from ..radio.network import (
     AdversaryView,
+    CompiledRound,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
@@ -92,11 +93,14 @@ class _Committed:
 class RestrictedListeningNetwork(RadioNetwork):
     """A radio network whose adversary sees only monitored channels.
 
-    The adversary's history is rebuilt per round: a redacted
-    :class:`RoundRecord` keeps only the actions, deliveries, and its own
-    transmissions on the channels it monitored.  The Section 3 assumption
-    that "the adversary learns all random choices of completed rounds" is
-    deliberately dropped — that is the whole point of the Q2 model.
+    The adversary's history is rebuilt per round.  A redacted
+    :class:`RoundRecord` holds a redacted round — the honest transmitters
+    on the channels it monitored, no listeners, and ``monitored`` added to
+    ``meta.extra`` — plus its own transmissions and the deliveries on
+    monitored channels only; every other channel reads as silence.  The
+    Section 3 assumption that "the adversary learns all random choices of
+    completed rounds" is deliberately dropped — that is the whole point of
+    the Q2 model.
 
     The adversary may monitor at most ``t`` channels per round, as the Q2
     model states; both gallery eavesdroppers size their monitor set by
@@ -170,21 +174,29 @@ class RestrictedListeningNetwork(RadioNetwork):
             full = self.trace[len(self.trace) - 1]
             self.observed_channel_rounds += len(monitored)
             monitored_set = set(monitored)
+            meta = full.round.meta
+            seen = CompiledRound.make(
+                {
+                    node: action
+                    for node, action in full.round.transmits.items()
+                    if action.channel in monitored_set
+                },
+                {},
+                replace(
+                    meta, extra={**meta.extra, "monitored": tuple(monitored)}
+                ),
+            )
+            delivered = {
+                channel: msg
+                for channel, msg in full.delivered.items()
+                if channel in monitored_set
+            }
             self.redacted_trace.append(
                 RoundRecord(
-                    index=full.index,
-                    actions={
-                        node: action
-                        for node, action in full.actions.items()
-                        if isinstance(action, Transmit)
-                        and action.channel in monitored_set
-                    },
-                    adversary_transmissions=full.adversary_transmissions,
-                    delivered={
-                        channel: (msg if channel in monitored_set else None)
-                        for channel, msg in full.delivered.items()
-                    },
-                    meta=dict(full.meta, monitored=tuple(monitored)),
+                    full.index,
+                    seen,
+                    full.adversary_transmissions,
+                    MappingProxyType(delivered),
                 )
             )
         return heard

@@ -28,7 +28,7 @@ from .network import (
     run_hopped_epoch,
 )
 from .shapes import ScheduleShapeCache
-from .trace import ExecutionTrace, RoundRecord, SparseDelivered
+from .trace import ExecutionTrace, RoundRecord
 from .metrics import NetworkMetrics, frame_size, payload_size
 from .export import channel_occupancy, dump_trace, trace_to_records
 
@@ -51,7 +51,6 @@ __all__ = [
     "SLEEP",
     "ScheduleShapeCache",
     "Sleep",
-    "SparseDelivered",
     "Transmit",
     "channel_occupancy",
     "dump_trace",

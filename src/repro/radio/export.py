@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .actions import Listen, Sleep, Transmit
+from .actions import Transmit
 from .messages import Jam
 from .trace import ExecutionTrace, RoundRecord
 
@@ -34,7 +34,10 @@ def _payload_repr(payload: Any) -> Any:
 
 
 def record_to_dict(record: RoundRecord) -> dict[str, Any]:
-    """One round as a JSON-serializable dict."""
+    """One round as a JSON-serializable dict.  ``actions`` lists the
+    transmitters and listeners (a node absent from it slept) and
+    ``delivered`` the touched channels (a channel absent from it was
+    silent)."""
     actions: dict[str, Any] = {}
     for node, action in record.actions.items():
         if isinstance(action, Transmit):
@@ -45,10 +48,8 @@ def record_to_dict(record: RoundRecord) -> dict[str, Any]:
                 "sender": action.message.sender,
                 "payload": _payload_repr(action.message.payload),
             }
-        elif isinstance(action, Listen):
+        else:
             actions[str(node)] = {"op": "listen", "channel": action.channel}
-        elif isinstance(action, Sleep):
-            actions[str(node)] = {"op": "sleep"}
     adversary = [
         {
             "channel": tx.channel,
@@ -59,11 +60,11 @@ def record_to_dict(record: RoundRecord) -> dict[str, Any]:
     ]
     delivered = {
         str(channel): (None if msg is None else msg.kind)
-        for channel, msg in record.delivered.items()
+        for channel, msg in sorted(record.delivered.items())
     }
     return {
         "round": record.index,
-        "meta": _payload_repr(dict(record.meta)),
+        "meta": _payload_repr(record.meta),
         "actions": actions,
         "adversary": adversary,
         "delivered": delivered,

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -75,7 +76,7 @@ from ..rng import BlockDrawer, HopStream
 from .actions import Action, Listen, Sleep, Transmit
 from .messages import Jam, Message, Transmission
 from .metrics import NetworkMetrics, frame_size
-from .trace import ExecutionTrace, RoundRecord, SparseDelivered
+from .trace import ExecutionTrace, RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..adversary.base import Adversary
@@ -143,7 +144,7 @@ _Settled = tuple[
 
 _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
 """One prebuilt ``Listen`` per byte-sized channel id, which row expansion
-(:meth:`CompiledRound.as_actions`, for trace records) shares."""
+(:meth:`CompiledRound.as_actions`) shares."""
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,8 @@ class CompiledRound:
 
     def as_actions(self) -> dict[int, Action]:
         """Expand into the per-node action map of the classic interface:
-        transmitters, then listeners in row order."""
+        transmitters, then listeners in row order, built afresh per call
+        (:attr:`RoundRecord.actions` reads it; the resolver never does)."""
         actions: dict[int, Action] = dict(self.transmits)
         actions.update(
             zip(self.listeners, map(_LISTEN_ON.__getitem__, self.hops))
@@ -229,7 +231,7 @@ class RoundSchedule:
     :meth:`RadioNetwork.execute_schedule`.  The engine then resolves each
     round at a cost proportional to the transmitters and the *touched*
     channels, plus a few C-level passes over the hop row: no listener
-    costs a Python-level step unless a trace record is being built.
+    costs a Python-level step, and a trace record holds the round itself.
 
     A schedule is a plain value (picklable when its messages are), which is
     what makes it a unit of work that can later be fanned out to worker
@@ -266,8 +268,10 @@ class RadioNetwork:
         Protocol constants (used here only for the round cap).
     keep_trace:
         When ``False``, round records are not retained (metrics still are);
-        long benchmark runs use this to bound memory.  Note that adversaries
-        needing history force ``keep_trace=True``.
+        long benchmark runs use this to bound memory.  An adversary that
+        reads history (``needs_history``) needs ``keep_trace=True``: with
+        ``False`` the constructor raises
+        :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -514,9 +518,9 @@ class RadioNetwork:
         message.  Callers fan results out to their listeners themselves
         (they compiled the rows, so they know them) — this is what lets a
         round with ``n`` listeners on silent or collided channels resolve
-        without any per-listener work.  Retained records hold the per-node
-        action map of :meth:`CompiledRound.as_actions`, built only when
-        records are kept.
+        without any per-listener work.  A retained :class:`RoundRecord`
+        holds the compiled round itself and a read-only view of the
+        round's touched-channel map: keeping records copies neither.
         """
         validated: set[object] = set()
         listener_sets: dict[int, set[int]] = {}
@@ -606,11 +610,10 @@ class RadioNetwork:
             if keep_records:
                 self.trace.append(
                     RoundRecord(
-                        index=self._round_index,
-                        actions=cr.as_actions(),
-                        adversary_transmissions=tuple(adversary_txs),
-                        delivered=SparseDelivered(delivered, self.channels),
-                        meta=cr.meta.as_dict(),
+                        self._round_index,
+                        cr,
+                        tuple(adversary_txs),
+                        MappingProxyType(delivered),
                     )
                 )
             self._round_index += 1

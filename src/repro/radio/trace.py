@@ -1,4 +1,13 @@
-"""Execution traces: a complete, queryable record of every simulated round.
+"""Execution traces: a queryable record of every completed round.
+
+A :class:`RoundRecord` is the :class:`~repro.radio.network.CompiledRound`
+the engine resolved — the very object its schedule submitted, never
+copied — plus what happened to it: the adversary's transmissions and the
+engine's read-only map of the channels that carried anything.  The
+per-node action map, the metadata dict, who transmitted or listened
+where and what a node received are all derived from those on read, so
+keeping every round costs a few small objects per round, not one entry
+per node.
 
 Traces serve three purposes:
 
@@ -7,91 +16,23 @@ Traces serve three purposes:
    trace;
 2. they let tests assert low-level radio behaviour (who collided with whom,
    which spoofs were delivered);
-3. they feed the benchmark harness (round counts per phase, energy, etc.).
+3. they feed offline inspection (:mod:`repro.radio.export`) and per-phase
+   round counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from .actions import Action, Listen, Sleep, Transmit
+from .actions import Action
 from .messages import Jam, Message, Transmission
 
-
-class SparseDelivered(Mapping):
-    """A dense-compatible view over a sparse per-channel delivery map.
-
-    Only *touched* channels (those carrying at least one transmission) are
-    stored; every untouched channel reads as ``None`` (silence), which is
-    exactly what the round resolution would have recorded for it.  The view
-    therefore behaves like the dense ``{channel: message-or-None}`` dict the
-    trace historically stored — same ``len`` (``C``), same iteration order
-    (channel ids ascending), same lookups — while costing O(touched) memory
-    per round instead of O(C).  Long-lived traced runs thus scale in the
-    channel count.
-    """
-
-    __slots__ = ("_touched", "_channels")
-
-    def __init__(
-        self, touched: Mapping[int, Message | None], channels: int
-    ) -> None:
-        self._touched = dict(touched)
-        self._channels = channels
-
-    def __getitem__(self, channel: int) -> Message | None:
-        if isinstance(channel, int) and 0 <= channel < self._channels:
-            return self._touched.get(channel)
-        raise KeyError(channel)
-
-    def get(self, channel: int, default: Any = None) -> Message | None:
-        """O(1) lookup; untouched in-range channels read as ``None``."""
-        if isinstance(channel, int) and 0 <= channel < self._channels:
-            return self._touched.get(channel)
-        return default
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._channels))
-
-    def __len__(self) -> int:
-        return self._channels
-
-    def __contains__(self, channel: object) -> bool:
-        return isinstance(channel, int) and 0 <= channel < self._channels
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SparseDelivered):
-            if self._channels != other._channels:
-                return False
-            a = {c: m for c, m in self._touched.items() if m is not None}
-            b = {c: m for c, m in other._touched.items() if m is not None}
-            return a == b
-        if isinstance(other, Mapping):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable-dict semantics, like the dense dict it replaces
-
-    def sparse_items(self) -> Iterator[tuple[int, Message]]:
-        """Iterate only the channels that decoded a message — O(touched)."""
-        return (
-            (channel, msg)
-            for channel, msg in self._touched.items()
-            if msg is not None
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SparseDelivered({self._touched!r}, channels={self._channels})"
-        )
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .network import CompiledRound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Everything that happened in one synchronous round.
 
@@ -99,42 +40,58 @@ class RoundRecord:
     ----------
     index:
         0-based round number.
-    actions:
-        Each honest node's action this round (absent ⇒ slept).
+    round:
+        The :class:`~repro.radio.network.CompiledRound` that was resolved,
+        shared with its schedule: its transmitter template and hop row say
+        who transmitted and who listened where (every other node slept),
+        and its ``meta`` holds the round's public, deterministic
+        annotations — information the adversary is entitled to because it
+        can derive it from the protocol code and past history.
     adversary_transmissions:
         The adversary's (channel, payload) pairs, at most ``t`` of them.
     delivered:
-        Per channel, the message successfully decoded on that channel (or
-        ``None`` for silence/collision/jam).  A delivered message whose only
-        transmitter was the adversary is a successful *spoof*.
-    meta:
-        Public, deterministic protocol annotations for this round (phase
-        label, schedule) — information the adversary is entitled to because
-        it can derive it from the protocol code and past history.
+        Per *touched* channel (one that carried at least one
+        transmission), the message decoded there, or ``None`` for a
+        collision or noise.  Untouched channels are absent, which means
+        silence.  A delivered message whose only transmitter was the
+        adversary is a successful *spoof*.  The engine hands out a
+        read-only view: rounds of one transmitter template share the map
+        underneath.
     """
 
     index: int
-    actions: Mapping[int, Action]
+    round: CompiledRound
     adversary_transmissions: tuple[Transmission, ...]
     delivered: Mapping[int, Message | None]
-    meta: Mapping[str, Any] = field(default_factory=dict)
 
-    # -- convenience queries -------------------------------------------
+    # -- derived on read -------------------------------------------------
+
+    @property
+    def actions(self) -> dict[int, Action]:
+        """Each honest node's action this round (absent ⇒ slept), expanded
+        afresh from the compiled round on every read."""
+        return self.round.as_actions()
+
+    @property
+    def meta(self) -> dict[str, Any]:
+        """The round's metadata flattened into a fresh dict (phase,
+        schedule, extras)."""
+        return self.round.meta.as_dict()
 
     def honest_transmitters(self, channel: int) -> list[int]:
         """Node ids that transmitted on ``channel`` this round."""
         return [
             node
-            for node, action in self.actions.items()
-            if isinstance(action, Transmit) and action.channel == channel
+            for node, action in self.round.transmits.items()
+            if action.channel == channel
         ]
 
     def listeners(self, channel: int) -> list[int]:
         """Node ids that listened on ``channel`` this round."""
         return [
             node
-            for node, action in self.actions.items()
-            if isinstance(action, Listen) and action.channel == channel
+            for node, hop in zip(self.round.listeners, self.round.hops)
+            if hop == channel
         ]
 
     def adversary_channels(self) -> set[int]:
@@ -163,41 +120,30 @@ class RoundRecord:
     def received_by(self, node: int) -> Message | None:
         """What ``node`` received this round (``None`` if it was not
         listening, or heard silence/collision)."""
-        action = self.actions.get(node)
-        if not isinstance(action, Listen):
+        try:
+            position = self.round.listeners.index(node)
+        except ValueError:
             return None
-        return self.delivered.get(action.channel)
+        return self.delivered.get(self.round.hops[position])
 
     def canonical_form(self) -> dict:
         """A semantics-preserving normal form for record comparison.
 
         Two executions are behaviourally identical iff their records agree
-        on this form.  Explicit :class:`~repro.radio.actions.Sleep` entries
-        are dropped (a sleeping node is indistinguishable from an absent
-        one) and silent channels are dropped from ``delivered`` (silence on
-        an untouched channel carries no information) — which makes the form
-        invariant under dense vs. sparse action submission.
+        on this form.  Nodes appear in id order and channels that
+        delivered nothing are dropped (silence carries no information), so
+        the form does not depend on listener order or channel grouping.
         """
-        delivered = self.delivered
-        if isinstance(delivered, SparseDelivered):
-            delivered_items = list(delivered.sparse_items())
-        else:
-            delivered_items = [
-                (channel, msg)
-                for channel, msg in delivered.items()
-                if msg is not None
-            ]
-        delivered_items.sort(key=lambda item: item[0])
         return {
             "index": self.index,
-            "actions": {
-                node: action
-                for node, action in sorted(self.actions.items())
-                if not isinstance(action, Sleep)
-            },
+            "actions": dict(sorted(self.actions.items())),
             "adversary": self.adversary_transmissions,
-            "delivered": dict(delivered_items),
-            "meta": dict(self.meta),
+            "delivered": {
+                channel: msg
+                for channel, msg in sorted(self.delivered.items())
+                if msg is not None
+            },
+            "meta": self.meta,
         }
 
 
@@ -237,21 +183,14 @@ class ExecutionTrace:
         """Number of rounds, optionally restricted to a phase label."""
         if phase is None:
             return len(self._rounds)
-        return sum(1 for r in self._rounds if r.meta.get("phase") == phase)
+        return sum(1 for r in self._rounds if r.round.meta.phase == phase)
 
     def spoofed_deliveries(self) -> list[tuple[int, int, Message]]:
         """All successful spoofs as ``(round, channel, message)`` triples."""
         out: list[tuple[int, int, Message]] = []
         for record in self._rounds:
-            delivered = record.delivered
-            if isinstance(delivered, SparseDelivered):
-                items = delivered.sparse_items()
-            else:
-                items = (
-                    (c, m) for c, m in delivered.items() if m is not None
-                )
-            for channel, msg in items:
-                if record.was_spoofed(channel):
+            for channel, msg in record.delivered.items():
+                if msg is not None and record.was_spoofed(channel):
                     out.append((record.index, channel, msg))
         return out
 
@@ -263,6 +202,6 @@ class ExecutionTrace:
         """Round counts keyed by phase label (unlabelled rounds under '')."""
         out: dict[str, int] = {}
         for record in self._rounds:
-            key = str(record.meta.get("phase", ""))
+            key = record.round.meta.phase
             out[key] = out.get(key, 0) + 1
         return out

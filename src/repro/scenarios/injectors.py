@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 from ..adversary.base import Adversary
 from ..fame.byzantine import BYZANTINE_REPORT_KIND
-from ..radio.actions import Transmit
 from ..radio.messages import Message, Transmission
 from ..radio.network import RadioNetwork, RoundSchedule
 
@@ -66,10 +65,8 @@ def captured_transmits(network: RadioNetwork) -> list[Message]:
     """
     frames: list[Message] = []
     for record in network.trace:
-        for node in sorted(record.actions):
-            action = record.actions[node]
-            if isinstance(action, Transmit):
-                frames.append(action.message)
+        transmits = record.round.transmits
+        frames += (transmits[node].message for node in sorted(transmits))
     return frames
 
 
@@ -168,11 +165,9 @@ class CollusionTracker:
     def scan(self, trace: Iterable) -> "CollusionTracker":
         """Consume a network trace (chainable)."""
         for record in trace:
-            for node in sorted(record.actions):
-                action = record.actions[node]
-                if not isinstance(action, Transmit):
-                    continue
-                message = action.message
+            transmits = record.round.transmits
+            for node in sorted(transmits):
+                message = transmits[node].message
                 if message.kind != BYZANTINE_REPORT_KIND:
                     continue
                 slot, flag, witness = message.payload

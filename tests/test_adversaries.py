@@ -122,10 +122,11 @@ class TestReactiveJammer:
         tr.append(
             RoundRecord(
                 index=0,
-                actions={0: Transmit(channel, Message("d"))},
+                round=CompiledRound.make(
+                    {0: Transmit(channel, Message("d"))}, {}
+                ),
                 adversary_transmissions=(),
                 delivered={channel: Message("d")},
-                meta={},
             )
         )
         return tr

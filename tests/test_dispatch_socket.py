@@ -245,6 +245,22 @@ class TestSocketBackendEndToEnd:
         with pytest.raises(DispatchError):
             backend.run(specs, on_result=kill_all)
 
+    def test_stop_after_shuts_workers_down_gracefully(self):
+        """An intentional stop ends as a finished run does: the batches
+        still in flight answer, then every worker reads its shutdown
+        frame and exits 0 instead of being terminated mid-recv."""
+        specs = fame_specs(8)
+        backend = SocketBackend(workers=2, batch_size=1, accept_timeout=60.0)
+        applied: list[TrialResult] = []
+        with pytest.raises(SweepInterrupted):
+            backend.run(
+                specs,
+                on_result=applied.append,
+                should_stop=lambda: len(applied) >= 2,
+            )
+        assert not backend.pool_open
+        assert exit_codes(backend.spawned) == [0, 0]
+
     def test_warm_pool_reused_across_runs(self):
         specs_a = fame_specs(4)
         specs_b = fame_specs(4, seed=11)

@@ -37,7 +37,6 @@ from repro.feedback.witness import WitnessAssignment
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import Message, Transmission
 from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
-from repro.radio.trace import SparseDelivered
 from repro.rng import RngRegistry
 
 from test_golden import (
@@ -324,50 +323,27 @@ class TestExecuteSchedule:
         )
 
 
-class TestSparseDelivered:
-    """The sparse record view is indistinguishable from the dense dict."""
+class TestRecordedDeliveries:
+    """A record's ``delivered`` lists the touched channels only."""
 
-    def _view(self):
-        msg = Message(kind="m", sender=1, payload=("x",))
-        return msg, SparseDelivered({2: msg, 5: None}, channels=8)
-
-    def test_dense_compatible_reads(self):
-        msg, view = self._view()
-        assert len(view) == 8
-        assert list(view) == list(range(8))
-        assert view[2] is msg
-        assert view[5] is None  # collided: touched but silent
-        assert view[0] is None  # untouched: silent
-        assert view.get(2) is msg and view.get(0) is None
-        assert view.get(99, "default") == "default"
-        with pytest.raises(KeyError):
-            view[99]
-        assert 7 in view and 8 not in view
-
-    def test_equality_with_dense_dict_and_other_views(self):
-        msg, view = self._view()
-        dense = {c: None for c in range(8)}
-        dense[2] = msg
-        assert view == dense
-        assert dense == dict(view)
-        assert view == SparseDelivered({2: msg}, channels=8)
-        assert view != SparseDelivered({2: msg}, channels=9)
-        assert view != SparseDelivered({3: msg}, channels=8)
-
-    def test_sparse_items_skips_silence(self):
-        msg, view = self._view()
-        assert list(view.sparse_items()) == [(2, msg)]
-
-    def test_round_records_carry_the_sparse_view(self):
-        net = RadioNetwork(6, 4, 0)
+    def test_round_records_carry_the_touched_channel_map(self):
+        msg = Message(kind="m", sender=0)
+        net = RadioNetwork(6, 4, 1, adversary=SweepJammer())
         net.execute_round(
-            {0: Transmit(1, Message(kind="m", sender=0)), 1: Listen(1)}
+            {
+                0: Transmit(1, msg),
+                1: Listen(1),
+                2: Transmit(3, msg),
+                3: Transmit(3, msg),
+            }
         )
         record = net.trace[0]
-        assert isinstance(record.delivered, SparseDelivered)
-        assert len(record.delivered) == 4
-        assert record.delivered[1] == Message(kind="m", sender=0)
-        assert record.delivered[3] is None
+        # A delivery on 1, a collision on 3 and the jammer's noise on 0;
+        # channel 2 carried nothing, so it is absent (silent).
+        assert dict(record.delivered) == {0: None, 1: msg, 3: None}
+        assert 2 not in record.delivered
+        assert record.delivered.get(2) is None
+        assert record.received_by(1) == msg
 
 
 class _ViewProbe(Adversary):

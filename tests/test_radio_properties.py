@@ -78,7 +78,7 @@ def test_medium_resolution_invariants(actions, plan):
     for channel in range(C):
         honest = record.honest_transmitters(channel)
         total = len(honest) + (1 if channel in adversary_channels else 0)
-        delivered = record.delivered[channel]
+        delivered = record.delivered.get(channel)
         if total == 1:
             if honest:
                 sender = honest[0]
@@ -95,7 +95,7 @@ def test_medium_resolution_invariants(actions, plan):
     # Listeners: present in results, consistent per channel.
     for node, action in actions.items():
         if isinstance(action, Listen):
-            assert results[node] == record.delivered[action.channel]
+            assert results[node] == record.delivered.get(action.channel)
         else:
             assert node not in results
 
@@ -119,7 +119,7 @@ def test_no_adversary_only_collisions_block(actions):
         if len(honest) == 1:
             assert record.delivered[channel] is not None
         else:
-            assert record.delivered[channel] is None
+            assert record.delivered.get(channel) is None
     for node, received in results.items():
         action = actions[node]
         assert isinstance(action, Listen)

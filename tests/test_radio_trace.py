@@ -7,32 +7,52 @@ import pytest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import JAM, Message, Transmission
 from repro.radio.trace import ExecutionTrace, RoundRecord
-from repro.radio.network import RoundMeta
+from repro.radio.network import (
+    CompiledRound,
+    RadioNetwork,
+    RoundMeta,
+    RoundSchedule,
+)
+from repro.adversary import ReactiveJammer
 from repro.adversary.base import Adversary
+from repro.experiments import workloads
+from repro.extensions.restricted_listening import (
+    RestrictedListeningNetwork,
+    StickyEavesdropper,
+    run_share_spray,
+)
+from repro.fame import run_fame
+from repro.rng import RngRegistry
 
 from conftest import make_network
 
 
-def _record(**kwargs) -> RoundRecord:
-    defaults = dict(
-        index=0,
-        actions={},
-        adversary_transmissions=(),
-        delivered={},
-        meta={},
+def _record(
+    index=0,
+    transmits=None,
+    groups=None,
+    adversary_transmissions=(),
+    delivered=None,
+    meta=None,
+) -> RoundRecord:
+    """A hand-built record of one compiled round: ``groups`` maps a
+    channel to its listeners."""
+    return RoundRecord(
+        index,
+        CompiledRound.make(transmits or {}, groups or {}, meta),
+        adversary_transmissions,
+        delivered or {},
     )
-    defaults.update(kwargs)
-    return RoundRecord(**defaults)
 
 
 class TestRoundRecordQueries:
     def test_honest_transmitters_and_listeners(self):
         rec = _record(
-            actions={
+            transmits={
                 0: Transmit(0, Message("d")),
                 1: Transmit(1, Message("d")),
-                2: Listen(0),
-            }
+            },
+            groups={0: [2]},
         )
         assert rec.honest_transmitters(0) == [0]
         assert rec.honest_transmitters(1) == [1]
@@ -50,7 +70,7 @@ class TestRoundRecordQueries:
     def test_was_spoofed_true_only_for_sole_adversary_delivery(self):
         fake = Message("spoof", sender=3)
         rec = _record(
-            actions={2: Listen(0)},
+            groups={0: [2]},
             adversary_transmissions=(Transmission(0, fake),),
             delivered={0: fake},
         )
@@ -59,7 +79,7 @@ class TestRoundRecordQueries:
     def test_was_spoofed_false_when_honest_transmitter_present(self):
         real = Message("data", sender=0)
         rec = _record(
-            actions={0: Transmit(0, real)},
+            transmits={0: Transmit(0, real)},
             delivered={0: real},
         )
         assert not rec.was_spoofed(0)
@@ -70,9 +90,92 @@ class TestRoundRecordQueries:
 
     def test_received_by(self):
         m = Message("d", payload=1)
-        rec = _record(actions={2: Listen(0)}, delivered={0: m})
+        rec = _record(groups={0: [2]}, delivered={0: m})
         assert rec.received_by(2) == m
         assert rec.received_by(0) is None  # was not listening
+
+
+def _submitted_rounds(network) -> list[CompiledRound]:
+    """Every compiled round submitted to ``network`` from now on, in
+    submission order (an instance-level wrapper, as the injectors use)."""
+    rounds: list[CompiledRound] = []
+    resolve = network.execute_schedule
+
+    def recording(schedule):
+        rounds.extend(schedule.rounds)
+        return resolve(schedule)
+
+    network.execute_schedule = recording
+    return rounds
+
+
+class _Vandal(Adversary):
+    """Reads history and tries to overwrite the last round's deliveries
+    before each move; moves nothing."""
+
+    needs_history = True
+
+    def __init__(self) -> None:
+        self.refused = 0
+
+    def act(self, view):
+        if len(view.history):
+            try:
+                view.history[len(view.history) - 1].delivered[1] = None
+            except TypeError:
+                self.refused += 1
+        return ()
+
+
+class TestRecordsShareTheirRounds:
+    def test_history_runs_copy_nothing(self, monkeypatch):
+        """A history-reading f-AME run and a redacting share spray keep
+        every round without expanding one into per-node actions: each
+        record holds the very compiled round its schedule submitted."""
+
+        def expanded(_round):
+            raise AssertionError("a kept round was expanded per node")
+
+        monkeypatch.setattr(CompiledRound, "as_actions", expanded)
+
+        registry = RngRegistry(seed=3)
+        fame_net = workloads.make_network(
+            24, 4, 1, ReactiveJammer(registry.stream("adversary"))
+        )
+        fame_rounds = _submitted_rounds(fame_net)
+        run_fame(
+            fame_net,
+            workloads.default_pairs(24, 4),
+            rng=registry.spawn("fame"),
+        )
+
+        spray_net = RestrictedListeningNetwork(8, 3, 1, StickyEavesdropper([0]))
+        spray_rounds = _submitted_rounds(spray_net)
+        run_share_spray(spray_net, 0, 1, RngRegistry(seed=3))
+        assert len(spray_net.redacted_trace) == len(spray_rounds)
+
+        for net, rounds in ((fame_net, fame_rounds), (spray_net, spray_rounds)):
+            assert len(net.trace) == len(rounds) > 0
+            assert all(
+                record.round is cr for record, cr in zip(net.trace, rounds)
+            )
+
+    def test_records_are_read_only(self):
+        """Rounds of one template share their settled deliveries, so a
+        reader that writes into a record is refused and the template's
+        later rounds resolve as the first did."""
+        msg = Message("d", sender=0)
+        cr = CompiledRound.make({0: Transmit(1, msg)}, {1: [2]})
+        vandal = _Vandal()
+        net = RadioNetwork(4, 2, 1, adversary=vandal)
+        heard = net.execute_schedule(RoundSchedule([cr] * 3))
+        assert heard == [{1: msg}] * 3
+        assert vandal.refused == 2
+        assert [dict(record.delivered) for record in net.trace] == [{1: msg}] * 3
+        with pytest.raises(TypeError):
+            net.trace[2].delivered[0] = msg
+        assert net.execute_schedule(RoundSchedule([cr])) == [{1: msg}]
+        assert dict(net.trace[3].delivered) == {1: msg}
 
 
 class TestExecutionTrace:
@@ -88,16 +191,16 @@ class TestExecutionTrace:
 
     def test_count_rounds_by_phase(self):
         tr = ExecutionTrace()
-        tr.append(_record(index=0, meta={"phase": "a"}))
-        tr.append(_record(index=1, meta={"phase": "b"}))
-        tr.append(_record(index=2, meta={"phase": "a"}))
+        tr.append(_record(index=0, meta=RoundMeta(phase="a")))
+        tr.append(_record(index=1, meta=RoundMeta(phase="b")))
+        tr.append(_record(index=2, meta=RoundMeta(phase="a")))
         assert tr.count_rounds() == 3
         assert tr.count_rounds("a") == 2
         assert tr.count_rounds("missing") == 0
 
     def test_phase_breakdown(self):
         tr = ExecutionTrace()
-        tr.append(_record(index=0, meta={"phase": "a"}))
+        tr.append(_record(index=0, meta=RoundMeta(phase="a")))
         tr.append(_record(index=1))
         assert tr.phase_breakdown() == {"a": 1, "": 1}
 

@@ -25,8 +25,9 @@ from repro.experiments import (
     make_workload,
 )
 from repro.fame.byzantine import BYZANTINE_REPORT_KIND
-from repro.radio.actions import Listen, Transmit
+from repro.radio.actions import Transmit
 from repro.radio.messages import Message
+from repro.radio.network import CompiledRound
 from repro.radio.trace import RoundRecord
 from repro.scenarios import (
     LAYERS,
@@ -239,7 +240,7 @@ class TestGauntlet:
 
 def _report_round(index, votes):
     """A fake trace round: ``votes`` is {witness: (slot, flag)}."""
-    actions = {
+    transmits = {
         witness: Transmit(
             channel=0,
             message=Message(
@@ -250,10 +251,9 @@ def _report_round(index, votes):
         )
         for witness, (slot, flag) in votes.items()
     }
-    actions[99] = Listen(channel=0)
     return RoundRecord(
         index=index,
-        actions=actions,
+        round=CompiledRound.make(transmits, {0: [99]}),
         adversary_transmissions=(),
         delivered={0: None},
     )
