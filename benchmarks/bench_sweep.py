@@ -15,6 +15,10 @@ pre-warmed via :meth:`SocketBackend.warm_up`, measuring dispatch
 throughput alone — what a long-lived cluster pool looks like in steady
 state, and the number the protocol-v2 batching work targets).  The
 ``socket`` entry is the warm one; ``socket_cold`` is recorded alongside.
+Timing runs in :data:`SAMPLES` passes, each timing serial, the cold pool
+and the warm pool back to back, and every sample is printed: each
+speedup is the median of its per-pass ratios, so one slow pass on a
+shared box does not decide a floor.
 
 The full run times two grids: ``short`` (n=24 trials of a few ms,
 where per-dispatch overhead shows) and ``long`` (n=256 with 16 pairs,
@@ -24,10 +28,10 @@ Run ``PYTHONPATH=src python benchmarks/bench_sweep.py`` to regenerate
 ``benchmarks/BENCH_sweep.json``; ``--quick`` is the CI smoke mode (one
 tiny grid, no JSON unless ``--json`` is given).  ``os.cpu_count()`` is
 recorded and the floors are enforced, on every grid, only when the
-machine has at least ``--workers`` cores: the cold pool — what
-``--workers N`` runs — must beat ``--min-speedup``, and the warm pool
-must beat the protocol-v1 baseline of 0.13x serial by at least
-``--min-socket-improvement`` (default 3x).
+machine has at least ``--workers`` cores, on the median speedups: the
+cold pool — what ``--workers N`` runs — must beat ``--min-speedup``, and
+the warm pool must beat the protocol-v1 baseline of 0.13x serial by at
+least ``--min-socket-improvement`` (default 3x).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -46,6 +51,9 @@ from repro.errors import SweepInterrupted
 
 SOCKET_V1_BASELINE = 0.13
 """Recorded speedup-vs-serial of the one-spec-per-frame protocol v1."""
+
+SAMPLES = 5
+"""Timed passes per grid (serial, cold pool, warm pool in each)."""
 
 
 def run_sweep(spec: SweepSpec, backend) -> tuple[dict, float]:
@@ -120,51 +128,71 @@ def assert_equivalent(reports: dict[str, dict]) -> None:
             )
 
 
-def bench_grid(spec: SweepSpec, workers: int, batch_size) -> dict[str, float]:
-    """Every side on ``spec``; reports asserted identical, then timed.
+def bench_grid(
+    spec: SweepSpec, workers: int, batch_size
+) -> dict[str, list[float]]:
+    """Every side on ``spec``: reports asserted identical, then timed in
+    :data:`SAMPLES` passes (each pass's reports asserted identical too).
 
-    Returns trials/sec per side.
+    Returns trials/sec per side, one sample per pass.
     """
     reports: dict[str, dict] = {}
-    throughput: dict[str, float] = {}
-    reports["serial"], throughput["serial"] = run_sweep(spec, SerialBackend())
-    # Cold socket: one-shot pool, fork + handshake on the clock.
-    reports["socket_cold"], throughput["socket_cold"] = run_sweep(
+    reports["serial"], _ = run_sweep(spec, SerialBackend())
+    reports["socket_cold"], _ = run_sweep(
         spec, SocketBackend(workers=workers, batch_size=batch_size)
     )
     # Warm socket: pool pre-warmed off the clock, dispatch alone timed.
     warm = SocketBackend(workers=workers, batch_size=batch_size, keep_alive=True)
     try:
         warm.warm_up(timeout=60.0)
-        reports["socket"], throughput["socket"] = run_sweep(spec, warm)
+        reports["socket"], _ = run_sweep(spec, warm)
+        # Fault injection: kill one worker + stop halfway + journal
+        # resume must still reproduce the serial report byte-for-byte.
+        reports["socket_kill_resume"] = run_kill_and_resume(
+            spec, workers, batch_size
+        )
+        assert_equivalent(reports)
+        rates: dict[str, list[float]] = {
+            "serial": [], "socket_cold": [], "socket": []
+        }
+        for _ in range(SAMPLES):
+            for name, backend in (
+                ("serial", SerialBackend()),
+                # Cold socket: one-shot pool, fork + handshake on the clock.
+                ("socket_cold", SocketBackend(workers=workers, batch_size=batch_size)),
+                ("socket", warm),
+            ):
+                reports[name], rate = run_sweep(spec, backend)
+                rates[name].append(rate)
+            assert_equivalent(reports)
     finally:
         warm.close()
-    # Fault injection: kill one worker + stop halfway + journal resume
-    # must still reproduce the serial report byte-for-byte.
-    reports["socket_kill_resume"] = run_kill_and_resume(
-        spec, workers, batch_size
-    )
-    assert_equivalent(reports)
-    return throughput
+    return rates
+
+
+def ratios(rates: dict[str, list[float]], name: str) -> list[float]:
+    """``name``'s trials/sec over serial's, pass by pass."""
+    return [rate / serial for rate, serial in zip(rates[name], rates["serial"])]
 
 
 def floor_failures(
-    label: str, throughput: dict[str, float], args: argparse.Namespace
+    label: str, rates: dict[str, list[float]], args: argparse.Namespace
 ) -> list[str]:
-    """The floors one grid's throughput misses."""
-    speedup = throughput["socket_cold"] / throughput["serial"]
-    socket_speedup = throughput["socket"] / throughput["serial"]
+    """The floors one grid's median speedups miss."""
+    speedup = statistics.median(ratios(rates, "socket_cold"))
+    socket_speedup = statistics.median(ratios(rates, "socket"))
     improvement = socket_speedup / SOCKET_V1_BASELINE
     failures = []
     if speedup < args.min_speedup:
         failures.append(
-            f"{label}: cold-pool speedup is {speedup:.2f}x "
-            f"(< {args.min_speedup}x floor)"
+            f"{label}: cold-pool speedup is {speedup:.2f}x, the median of "
+            f"{SAMPLES} passes (< {args.min_speedup}x floor)"
         )
     if improvement < args.min_socket_improvement:
         failures.append(
-            f"{label}: warm socket speedup {socket_speedup:.2f}x is only "
-            f"{improvement:.1f}x the {SOCKET_V1_BASELINE}x v1 baseline "
+            f"{label}: warm socket speedup {socket_speedup:.2f}x (median of "
+            f"{SAMPLES} passes) is only {improvement:.1f}x the "
+            f"{SOCKET_V1_BASELINE}x v1 baseline "
             f"(< {args.min_socket_improvement}x floor)"
         )
     return failures
@@ -229,14 +257,24 @@ def main(argv: list[str] | None = None) -> int:
             "long": SweepSpec(ns=(256,), trials=32, seed=7, pairs=16),
         }
 
-    throughputs: dict[str, dict[str, float]] = {}
+    samples: dict[str, dict[str, list[float]]] = {}
     for label, spec in grids.items():
-        throughput = bench_grid(spec, workers, args.batch_size)
-        throughputs[label] = throughput
-        for name, rate in throughput.items():
+        rates = bench_grid(spec, workers, args.batch_size)
+        samples[label] = rates
+        for k in range(SAMPLES):
             print(
-                f"{label:>5} {name:>12}: {rate:8.2f} trials/s  "
-                f"({rate / throughput['serial']:.2f}x vs serial)"
+                f"{label:>5} pass {k}: "
+                + ", ".join(
+                    f"{name} {rates[name][k]:.2f} trials/s"
+                    + ("" if name == "serial" else f" ({ratios(rates, name)[k]:.2f}x)")
+                    for name in rates
+                )
+            )
+        for name in rates:
+            print(
+                f"{label:>5} {name:>12}: {statistics.median(rates[name]):8.2f} "
+                f"trials/s  ({statistics.median(ratios(rates, name)):.2f}x vs "
+                f"serial, median of {SAMPLES} passes)"
             )
         print(
             f"{label:>5} {'equivalence':>12}: serial == socket_cold == "
@@ -256,17 +294,19 @@ def main(argv: list[str] | None = None) -> int:
             "batch_size": args.batch_size or "adaptive",
             "socket_v1_baseline_speedup": SOCKET_V1_BASELINE,
             "speedup_floor_enforced": enforceable,
+            "passes": SAMPLES,
             "grids": {
                 label: {
                     "sweep": spec.as_dict(),
                     "results": {
                         name: {
-                            "trials_per_sec": round(rate, 2),
+                            "trials_per_sec": round(statistics.median(rates), 2),
                             "speedup_vs_serial": round(
-                                rate / throughputs[label]["serial"], 2
+                                statistics.median(ratios(samples[label], name)), 2
                             ),
+                            "samples": [round(rate, 2) for rate in rates],
                         }
-                        for name, rate in throughputs[label].items()
+                        for name, rates in samples[label].items()
                     },
                 }
                 for label, spec in grids.items()
@@ -284,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     failures = [
         failure
-        for label, throughput in throughputs.items()
-        for failure in floor_failures(label, throughput, args)
+        for label, rates in samples.items()
+        for failure in floor_failures(label, rates, args)
     ]
     if failures:
         for failure in failures:

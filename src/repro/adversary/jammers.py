@@ -19,6 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..radio.network import AdversaryView, RoundMeta
 
 
+_JAM_ON = tuple(Transmission(channel, JAM) for channel in range(256))
+"""One prebuilt jam per byte-sized channel id: :class:`ReactiveJammer`'s
+moves share them, so an acted round allocates no transmission."""
+
+
 def sample_jams(
     rng: random.Random, population: Sequence[int], count: int, rounds: int
 ) -> list[tuple[Transmission, ...]]:
@@ -29,17 +34,28 @@ def sample_jams(
     draw under ``choice``, so a one-channel schedule is one
     :func:`~repro.radio.network.draw_in_step` block draw of indices (same
     values, same final generator state) with one shared move per index;
-    from two rounds on that beats a ``sample`` call per round.
+    from two rounds on that beats a ``sample`` call per round.  Wider
+    moves draw a ``sample`` per round, and rounds that draw the same
+    channels in the same order share one move object, so the network
+    folds each distinct move once.
     """
     if count == 0:
         return [()] * rounds
     if count == 1 and rounds > 1 and len(population) <= 256:
         singles = [(Transmission(c, JAM),) for c in population]
-        return [singles[i] for i in draw_in_step(rng, len(singles), rounds)]
-    return [
-        tuple(Transmission(c, JAM) for c in rng.sample(population, count))
-        for _ in range(rounds)
-    ]
+        drawn = draw_in_step(rng, len(singles), rounds)
+        return list(map(singles.__getitem__, drawn))
+    shared: dict[tuple[int, ...], tuple[Transmission, ...]] = {}
+    moves = []
+    for _ in range(rounds):
+        channels = tuple(rng.sample(population, count))
+        move = shared.get(channels)
+        if move is None:
+            move = shared[channels] = tuple(
+                Transmission(c, JAM) for c in channels
+            )
+        moves.append(move)
+    return moves
 
 
 class RandomJammer(Adversary):
@@ -138,4 +154,4 @@ class ReactiveJammer(Adversary):
         # If there has been no activity, fall back to random jamming.
         if all(scores[c] == 0 for c in targets):
             targets = self._rng.sample(range(view.channels), budget)
-        return tuple(Transmission(c, JAM) for c in targets)
+        return tuple(map(_JAM_ON.__getitem__, targets))

@@ -16,6 +16,8 @@ witness occupancy argument of Lemma 5).
 from __future__ import annotations
 
 import random
+from itertools import repeat
+from operator import is_
 from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from ..errors import ConfigurationError
@@ -110,7 +112,7 @@ class ScheduleAwareJammer(Adversary):
         """Plans a schedule whose rounds share one meta object; rounds
         with differing metas keep acting round by round."""
         meta = metas[0]
-        if any(other is not meta for other in metas):
+        if not all(map(is_, metas, repeat(meta))):
             return None
         rounds = len(metas)
         schedule = meta.schedule or {}

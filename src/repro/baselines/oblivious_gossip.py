@@ -107,7 +107,7 @@ def run_oblivious_gossip(
         row = bytes(hops)
         [heard] = network.execute_schedule(
             RoundSchedule(
-                [CompiledRound(transmits, tuple(listeners), row, meta)]
+                [CompiledRound(transmits, tuple(listeners), (row,), meta)]
             )
         )
         rounds += 1

@@ -101,7 +101,7 @@ def run_randomized_exchange(
             hop = rng.stream("rand-exchange", v).randrange(network.channels)
             tuned = rng.stream("rand-exchange", w).randrange(network.channels)
             compiled = CompiledRound(
-                {v: Transmit(hop, frame)}, (w,), bytes((tuned,)), meta
+                {v: Transmit(hop, frame)}, (w,), (bytes((tuned,)),), meta
             )
             [heard] = network.execute_schedule(RoundSchedule([compiled]))
             got = heard.get(tuned)

@@ -43,6 +43,7 @@ from ..radio.messages import Message, Transmission, payload_fields
 from ..radio.network import (
     AdversaryView,
     CompiledRound,
+    Heard,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
@@ -141,17 +142,19 @@ class RestrictedListeningNetwork(RadioNetwork):
             meta=meta,
         )
 
-    def execute_schedule(
-        self, schedule: RoundSchedule
-    ) -> list[dict[int, Message]]:
+    def execute_schedule(self, schedule: RoundSchedule) -> Heard:
         """Resolve each round with monitoring-before-acting semantics.
 
-        Per round, the adversary picks the channels to monitor and commits
-        its transmissions on the redacted history; one ``super()`` call
-        resolves the round, and its redacted record is appended.
+        Per round (each row of each loop), the adversary picks the
+        channels to monitor and commits its transmissions on the redacted
+        history; one ``super()`` call resolves the round, and its redacted
+        record is appended.
         """
-        heard: list[dict[int, Message]] = []
-        for cr in schedule.rounds:
+        parts: list[Heard] = []
+        rounds = [
+            loop.repetition(row) for loop in schedule.rounds for row in loop.rows
+        ]
+        for cr in rounds:
             view = self._redacted_view(cr.meta)
             monitored = sorted(set(self._monitoring_adversary.monitor(view)))
             if len(monitored) > self.t:
@@ -166,7 +169,7 @@ class RestrictedListeningNetwork(RadioNetwork):
                 tuple(self._monitoring_adversary.act(view))
             )
             try:
-                heard += super().execute_schedule(RoundSchedule((cr,)))
+                parts.append(super().execute_schedule(RoundSchedule((cr,))))
             finally:
                 self.adversary = None
 
@@ -199,7 +202,7 @@ class RestrictedListeningNetwork(RadioNetwork):
                     MappingProxyType(delivered),
                 )
             )
-        return heard
+        return Heard.joined(schedule.rounds, parts)
 
 
 class StickyEavesdropper(MonitoringAdversary):

@@ -205,7 +205,7 @@ def _byzantine_feedback(
                     template[witness] = Transmit(
                         rank, Message(BYZANTINE_REPORT_KIND, witness, report)
                     )
-                rounds.append(CompiledRound(template, listeners, row, meta))
+                rounds.append(CompiledRound(template, listeners, (row,), meta))
         heard = network.execute_schedule(RoundSchedule(rounds))
         for cr, per_round in zip(rounds, heard):
             for channel, frame in per_round.items():

@@ -23,18 +23,24 @@ witness of rank ``i`` occupies feedback channel ``i`` in every repetition
 (a static transmitter template), and each listener's channel hops are
 private coin flips fixed by its RNG stream — so the entire
 ``slots × repetitions`` loop (and each level of the parallel merge tree)
-can be precomputed into a :class:`~repro.radio.network.RoundSchedule` and
-submitted to :meth:`~repro.radio.network.RadioNetwork.execute_schedule`
-in one call.  The engine then settles listeners *lazily*, per channel
-group: a silent or collided channel costs no per-listener work at all.
+can be precomputed into a :class:`~repro.radio.network.RoundSchedule` of
+repetition loops (one :class:`~repro.radio.network.CompiledRound` per
+slot or transfer, one hop row per repetition) and submitted to
+:meth:`~repro.radio.network.RadioNetwork.execute_schedule` in one call.
+Against a planning adversary (or none) the engine resolves each loop in
+one step, and the routines read who heard what over the loop in bulk
+(:meth:`~repro.radio.network.Heard.reached`): a silent or collided
+channel costs no per-listener work, and a repetition no engine step.
 
 Lemma 5 fidelity: compilation changes no observable of the execution.
-The adversary is still consulted every round with the same view (public
-metadata plus the trace of completed rounds — the one-round observation
-delay is preserved because compiled rounds resolve strictly in sequence),
-honest randomness is drawn from the same streams in the same per-stream
-order, and per-round resolution follows the identical single-transmitter
-decode rule.  Every probabilistic event in Lemma 5's Chernoff argument —
+An acting adversary is still consulted every round with the same view
+(public metadata plus the trace of completed rounds — the one-round
+observation delay is preserved because its rounds resolve strictly in
+sequence), and a planning one draws every move from the same metas and
+coins, in the order per-round calls would; honest randomness is drawn
+from the same streams in the same per-stream order, and resolution
+follows the identical single-transmitter decode rule.  Every
+probabilistic event in Lemma 5's Chernoff argument —
 "listener hears the active slot's witness in one repetition with
 probability ``>= (C-t)/C``" — therefore has exactly the same distribution,
 and seeded runs are byte-identical to the historical

@@ -33,21 +33,23 @@ true slots hash to its digest; any other frame is dropped whole.
 Execution
 ---------
 Each transfer phase's repetition loop is oblivious, so it runs as one
-compiled :class:`~repro.radio.network.RoundSchedule` with one transmitter
-template, one listener tuple and hop rows laid out by
-:func:`~repro.radio.network.private_hop_rows` (one ``(hop streams,
-block)`` group per transfer).  The fold works like serial feedback's: per
-distinct frame, it ORs together the :func:`~repro.radio.network.hit_row`
-masks of the channel-rounds that delivered it, checks the frame once, and
-adds its true slots once to each listener it reached; a node's knowledge
-is its set of true slots.  Seeded runs are byte-identical to the
-historical per-node, one-round-per-repetition loop, and match the
-historical full-frame encoding (which shipped the whole ``slot -> flag``
-map) on ``D`` maps, every radio metric but the payload-size counter the
-delta shrinks, and semantic traces under every adversary:
-``tests/test_golden.py`` pins digests recorded from both references, and
-``tests/test_feedback_delta.py`` is the differential gauntlet checking
-them.
+compiled loop (:class:`~repro.radio.network.CompiledRound`) with one
+transmitter template, one listener tuple and one hop row per repetition,
+laid out by :func:`~repro.radio.network.private_hop_rows` (one ``(hop
+streams, block)`` group per transfer).  Against a planned adversary (or
+none) the engine resolves the loop in bulk, and its result's fold
+(:meth:`~repro.radio.network.Heard.reached`) gives each delivered message
+with the OR of the :func:`~repro.radio.network.hit_row` masks of the
+listeners it reached.  The merge ORs those per distinct frame, checks the
+frame once, and adds its true slots once to each listener it reached; a
+node's knowledge is its set of true slots.  Seeded runs are
+byte-identical to the historical per-node, one-round-per-repetition loop,
+and match the historical full-frame encoding (which shipped the whole
+``slot -> flag`` map) on ``D`` maps, every radio metric but the
+payload-size counter the delta shrinks, and semantic traces under every
+adversary: ``tests/test_golden.py`` pins digests recorded from both
+references, and ``tests/test_feedback_delta.py`` is the differential
+gauntlet checking them.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from ..radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundSchedule,
-    hit_row,
     private_hop_rows,
 )
 from ..radio.shapes import ScheduleShapeCache
@@ -118,9 +119,10 @@ def _run_transfer_rounds(
     block and add the true slots of any valid knowledge frame with a
     matching tag to ``knowledge``.
 
-    The loop compiles into one :class:`RoundSchedule`: the frames of one
-    transfer are identical across rounds, so the broadcasters form one
-    static template, and every transfer's listeners one tuple.
+    The transfers compile into one loop of ``repetitions`` rounds: the
+    frames of one transfer are identical across rounds, so the
+    broadcasters form one static template, and every transfer's
+    listeners one tuple.
     """
     from ..fame.digests import slot_set_digest
 
@@ -138,7 +140,6 @@ def _run_transfer_rounds(
                 f"{len(block)}-channel block"
             )
 
-    meta = shapes.meta("feedback-parallel", tag=tag)
     template: dict[int, Transmit] = {}
     listeners: list[int] = []
     groups = []
@@ -154,44 +155,32 @@ def _run_transfer_rounds(
         groups.append((streams, block))
         listeners += block_listeners
 
-    # Every round shares the template and one listener tuple.
-    listener_tuple = tuple(listeners)
-    rows = private_hop_rows(groups, repetitions)
-    heard_per_round = network.execute_schedule(
-        RoundSchedule(
-            CompiledRound(template, listener_tuple, row, meta) for row in rows
-        )
+    loop = CompiledRound(
+        template,
+        tuple(listeners),
+        private_hop_rows(groups, repetitions),
+        shapes.meta("feedback-parallel", tag=tag),
     )
+    heard = network.execute_schedule(RoundSchedule((loop,)))
 
-    # A decoded message is a template object, the same every repetition:
-    # OR together the listeners each one reached, over all its rounds.
-    reached: dict[int, list] = {}  # id(message) -> [message, listener mask]
-    for row, heard in zip(rows, heard_per_round):
-        for channel, received in heard.items():
-            hits = int.from_bytes(hit_row(row, channel), "little")
-            entry = reached.get(id(received))
-            if entry is None:
-                reached[id(received)] = [received, hits]
-            else:
-                entry[1] |= hits
-    # The broadcasters of one transfer share its frame: merge their masks,
-    # check each distinct frame once, and add its true slots once to each
-    # listener it reached.  A frame that fails a check is dropped whole.
+    # The broadcasters of one transfer share its frame: merge the masks
+    # of the messages carrying it, check each distinct frame once, and
+    # add its true slots once to each listener it reached.  A frame that
+    # fails a check is dropped whole.
     frames: dict[int, list] = {}  # id(frame) -> [frame, listener mask]
-    for received, hits in reached.values():
+    for received, reached in heard.reached(0):
         frame = received.payload
         if (
-            hits
-            and received.kind == DELTA_KIND
+            received.kind == DELTA_KIND
             and isinstance(frame, DeltaFrame)
             and frame.tag == tag
         ):
-            frames.setdefault(id(frame), [frame, 0])[1] |= hits
-    width = len(listener_tuple)
+            frames.setdefault(id(frame), [frame, 0])[1] |= reached
+    width = len(loop.listeners)
     for frame, hits in frames.values():
         if slot_set_digest(frame.true_slots) != frame.digest:
             continue
-        for node in compress(listener_tuple, hits.to_bytes(width, "little")):
+        for node in compress(loop.listeners, hits.to_bytes(width, "little")):
             knowledge[node].update(frame.true_slots)
 
 

@@ -19,14 +19,19 @@ Execution strategy
 ------------------
 The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hops are private coins.
-:func:`run_feedback` therefore compiles the whole ``slots × repetitions``
-loop into one :class:`~repro.radio.network.RoundSchedule`: per slot, one
-static transmitter template and one listener tuple, with hop rows laid
-out by :func:`~repro.radio.network.private_hop_rows` from each
-listener's :class:`~repro.rng.HopStream`.  The fold ORs together,
-per slot, the :func:`~repro.radio.network.hit_row` masks of the
-channel-rounds that delivered ``<true, r>`` and adds the slot to each
-marked listener once.  Shapes come from a
+:func:`run_feedback` therefore compiles each slot's repetitions into one
+loop (:class:`~repro.radio.network.CompiledRound`): one static
+transmitter template, one listener tuple and one hop row per repetition,
+laid out by :func:`~repro.radio.network.private_hop_rows` from each
+listener's :class:`~repro.rng.HopStream`, and submits every slot's loop in
+one :class:`~repro.radio.network.RoundSchedule`, so the adversary is asked
+to plan once per invocation.  Against a planned adversary (or none) the
+engine resolves each loop in bulk, without a step per repetition.  The
+result's bulk fold (:meth:`~repro.radio.network.Heard.reached`) gives, per
+slot, each delivered frame with the OR of the
+:func:`~repro.radio.network.hit_row` masks of its listeners; the routine
+ORs those of the ``<true, r>`` frames and adds the slot to each marked
+listener once.  Shapes come from a
 :class:`~repro.radio.ScheduleShapeCache`.  Seeded runs are byte-identical
 to the historical per-node, one-round-per-repetition loop:
 ``tests/test_golden.py`` pins digests recorded from it.
@@ -44,7 +49,6 @@ from ..radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundSchedule,
-    hit_row,
     private_hop_rows,
 )
 from ..radio.shapes import ScheduleShapeCache
@@ -149,9 +153,7 @@ def run_feedback(
         rng, rng_namespace, "listen", participants, len(channels)
     )
 
-    compiled_rounds: list[CompiledRound] = []
-    # (slot, listeners, hop rows) per slot, for the result fold.
-    slot_rows: list[tuple[int, tuple[int, ...], list[bytes]]] = []
+    loops: list[CompiledRound] = []
     for slot in range(assignment.slots):
         witnesses = assignment.witnesses_of(slot)
         witness_set = set(witnesses)
@@ -167,36 +169,30 @@ def run_feedback(
                 for rank, w in enumerate(witnesses)
             },
         )
-        meta = shapes.meta("feedback", slot=slot)
         listening = [node not in witness_set for node in participants]
-        listeners = tuple(compress(participants, listening))
-        rows = private_hop_rows(
-            [(compress(streams, listening), channels)], repetitions
+        loops.append(
+            CompiledRound(
+                template,
+                tuple(compress(participants, listening)),
+                private_hop_rows(
+                    [(compress(streams, listening), channels)], repetitions
+                ),
+                shapes.meta("feedback", slot=slot),
+            )
         )
-        compiled_rounds += [
-            CompiledRound(template, listeners, row, meta) for row in rows
-        ]
-        slot_rows.append((slot, listeners, rows))
 
-    heard_per_round = iter(
-        network.execute_schedule(RoundSchedule(compiled_rounds))
-    )
+    heard = network.execute_schedule(RoundSchedule(loops))
 
-    # Fold per slot: OR together, over the slot's rounds, the listeners
-    # sitting on a channel that delivered <true, slot>, then add the slot
-    # to each marked listener once.
-    for slot, listeners, rows in slot_rows:
+    # Per slot: OR the masks of the listeners each <true, slot> frame
+    # reached, then add the slot to each marked listener once.
+    for slot, loop in enumerate(loops):
         wanted = ("true", slot)
         hits = 0
-        for row, heard in zip(rows, heard_per_round):
-            for channel, received in heard.items():
-                if (
-                    received.kind == FEEDBACK_KIND
-                    and received.payload == wanted
-                ):
-                    hits |= int.from_bytes(hit_row(row, channel), "little")
+        for received, reached in heard.reached(slot):
+            if received.kind == FEEDBACK_KIND and received.payload == wanted:
+                hits |= reached
         if hits:
-            marks = hits.to_bytes(len(listeners), "little")
-            for node in compress(listeners, marks):
+            marks = hits.to_bytes(len(loop.listeners), "little")
+            for node in compress(loop.listeners, marks):
                 outputs[node].add(slot)
     return outputs

@@ -215,10 +215,8 @@ class GroupKeyProtocol:
                 if pair_key is None:
                     # The epoch still burns its rounds in lockstep (the
                     # adversary acts; nothing is sent on this pair's behalf).
-                    idle = CompiledRound({}, (), b"", meta)
-                    self.network.execute_schedule(
-                        RoundSchedule([idle] * epoch_rounds)
-                    )
+                    idle = CompiledRound({}, (), (b"",) * epoch_rounds, meta)
+                    self.network.execute_schedule(RoundSchedule([idle]))
                     epoch_index += 1
                     continue
                 hops = ChannelHopper(

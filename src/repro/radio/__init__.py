@@ -20,6 +20,7 @@ from .messages import DELTA_KIND, JAM, DeltaFrame, Jam, Message
 from .network import (
     AdversaryView,
     CompiledRound,
+    Heard,
     RadioNetwork,
     RoundMeta,
     RoundSchedule,
@@ -39,6 +40,7 @@ __all__ = [
     "DELTA_KIND",
     "DeltaFrame",
     "ExecutionTrace",
+    "Heard",
     "JAM",
     "Jam",
     "Listen",

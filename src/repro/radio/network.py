@@ -12,17 +12,29 @@ paper:
   Listeners cannot distinguish silence, collision, and pure noise.
 
 One method implements that rule: :meth:`RadioNetwork.execute_schedule`,
-which takes precompiled rounds (:class:`CompiledRound`).  A round carries
-its listeners in one form only: a node tuple plus a ``bytes`` *hop row*
-whose ``i``-th byte is the channel the ``i``-th listener tunes to, so a
-compiler can slice whole rows out of a hop matrix and the engine checks and
-settles a row with a few C-level ``bytes`` operations instead of a visit
-per listener.  Channel ids are therefore bytes, and
-:func:`~repro.params.validate_model` caps ``C`` at 256.  Every protocol
-compiles its rounds; :meth:`RadioNetwork.execute_round`, which compiles a
-per-node action map into one round, resolves it there and fans the result
-out per listener, serves only the tests' per-node oracle and the
-benchmark tracer.
+which takes precompiled repetition loops (:class:`CompiledRound`).  A
+loop is one transmitter template heard by one listener tuple for
+``len(rows)`` rounds, and a single round is a loop of one.  Listeners
+come in one form only: a node tuple plus, per round, a ``bytes`` *hop
+row* whose ``i``-th byte is the channel the ``i``-th listener tunes to, so
+a compiler can slice whole rows out of a hop matrix and the engine checks
+and folds rows with C-level ``bytes`` operations instead of a visit per
+listener.  Channel ids are therefore bytes, and
+:func:`~repro.params.validate_model` caps ``C`` at 256.
+
+When the adversary has planned its moves, or there is none, a schedule
+resolves in bulk: each distinct template is settled once, each distinct
+(template, move) pair is folded once, and the counters of each distinct
+(loop, move) pair are added once, times its number of rounds.  An
+adversary that acts sees every completed round before its move, so its
+schedules resolve round by round through the same settle-and-fold code.  Either way the result (:class:`Heard`) builds a
+round's ``channel -> message`` map only when it is read, and folds who
+heard what over a whole loop in bulk (:meth:`Heard.reached`).
+
+Every protocol compiles its rounds; :meth:`RadioNetwork.execute_round`,
+which compiles a per-node action map into one round, resolves it there
+and fans the result out per listener, serves only the tests' per-node
+oracle and the benchmark tracer.
 
 Two kinds of epoch sit on that resolver at the end of this module, each
 submitted as one :meth:`RadioNetwork.execute_schedule` call:
@@ -36,10 +48,10 @@ submitted as one :meth:`RadioNetwork.execute_schedule` call:
 * *private-hop epochs* (every oblivious phase): each node hops on its own
   private counter-mode coins, handed out by its
   :class:`~repro.rng.HopStream`.  :func:`private_hop_rows` is the one
-  place they are laid out as hop rows, :func:`hit_row` the one read-back,
-  and :func:`run_gossip_epoch` the epoch of one sender among listeners.
-  :func:`draw_in_step` is the one other draw: an oblivious jammer's, off
-  a generator it keeps.
+  place they are laid out as hop rows, :func:`hit_row` the one per-round
+  read-back, and :func:`run_gossip_epoch` the epoch of one sender among
+  listeners.  :func:`draw_in_step` is the one other draw: an oblivious
+  jammer's, off a generator it keeps.
 
 The adversary's one-round observation delay is enforced structurally: the
 view object handed to the adversary contains the trace of *completed* rounds
@@ -57,7 +69,11 @@ planned run is byte-identical to one that acts round by round.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -142,41 +158,52 @@ _Settled = tuple[
 ]
 """A template resolved on its own (:meth:`RadioNetwork._settle_template`)."""
 
+_Folded = tuple[dict[int, "Message | None"], int, int, int]
+"""A settled template with one adversary move folded in
+(:meth:`RadioNetwork._fold_move`)."""
+
 _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
 """One prebuilt ``Listen`` per byte-sized channel id, which row expansion
 (:meth:`CompiledRound.as_actions`) shares."""
 
+_ROWS = attrgetter("rows")
+_META = attrgetter("meta")
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class CompiledRound:
-    """One precompiled round of a :class:`RoundSchedule`.
+    """One precompiled repetition loop of a :class:`RoundSchedule`:
+    ``len(rows)`` rounds of one transmitter template, one listener tuple
+    and one meta.  A single round is a loop of one row.
 
     Attributes
     ----------
     transmits:
-        ``node -> Transmit``.  Rounds that share a *static transmitter
-        template* (e.g. the witnesses of one feedback slot, identical over
-        every repetition) may reference the **same** mapping object — the
-        engine validates each distinct mapping once, not once per round.
+        ``node -> Transmit``, the same in every round of the loop.  Loops
+        that share a *static transmitter template* may reference the
+        **same** mapping object — the engine validates and settles each
+        distinct mapping once per call.
     listeners:
-        The listening node ids.  Rounds of one repetition loop share one
-        tuple, so the engine validates it (ids in range, no duplicates,
-        disjoint from the template) once per
+        The listening node ids.  The engine validates a tuple (ids in
+        range, no duplicates, disjoint from the template) once per
         :meth:`RadioNetwork.execute_schedule` call.
-    hops:
-        The *hop row*: ``hops[i]`` is the channel ``listeners[i]`` listens
-        on.  A row is plain ``bytes``, so :func:`private_hop_rows` slices
-        whole rows out of a hop matrix in C; settlement is ``channel in
-        hops`` and a fold marks hitting listeners with one
-        :func:`hit_row`.
+    rows:
+        One *hop row* per round: ``rows[r][i]`` is the channel
+        ``listeners[i]`` listens on in round ``r``.  A row is plain
+        ``bytes``, so :func:`private_hop_rows` slices whole rows out of a
+        hop matrix in C, and the engine checks them (``channel in row``,
+        one ``translate`` over the joined rows) and folds their hearers
+        (:meth:`Heard.reached`) without a visit per listener.
     meta:
-        Round metadata (:class:`RoundMeta`): its phase, the published
-        schedule and extras.
+        Round metadata (:class:`RoundMeta`), the same in every round of
+        the loop: its phase, the published schedule and extras.
     """
 
     transmits: Mapping[int, Transmit]
     listeners: tuple[int, ...]
-    hops: bytes
+    rows: Sequence[bytes]
     meta: RoundMeta
 
     @classmethod
@@ -186,8 +213,8 @@ class CompiledRound:
         groups: Mapping[int, Sequence[int]],
         meta: RoundMeta | None = None,
     ) -> "CompiledRound":
-        """Build a round from ``channel -> listeners`` groups, flattened in
-        group order."""
+        """Build a single round from ``channel -> listeners`` groups,
+        flattened in group order."""
         listeners: list[int] = []
         hops = bytearray()
         for channel, group in groups.items():
@@ -199,22 +226,38 @@ class CompiledRound:
             listeners += group
             hops += bytes((channel,)) * len(group)
         return cls(
-            transmits, tuple(listeners), bytes(hops), meta or RoundMeta()
+            transmits, tuple(listeners), (bytes(hops),), meta or RoundMeta()
         )
 
     @property
+    def hops(self) -> bytes:
+        """The hop row of a single round (a loop of one)."""
+        (row,) = self.rows
+        return row
+
+    def repetition(self, row: bytes) -> "CompiledRound":
+        """The single round of this loop that hops on ``row`` (one of its
+        :attr:`rows`): the loop itself when it is one round, else a new
+        one-row round sharing its template, listeners and meta."""
+        if len(self.rows) == 1:
+            return self
+        return CompiledRound(self.transmits, self.listeners, (row,), self.meta)
+
+    @property
     def listens(self) -> dict[int, list[int]]:
-        """Read-only view: ``channel -> listeners`` in row order (a fresh
-        dict per access; channels without listeners are absent)."""
+        """Read-only view of a single round: ``channel -> listeners`` in
+        row order (a fresh dict per access; channels without listeners are
+        absent)."""
         groups: dict[int, list[int]] = {}
         for node, channel in zip(self.listeners, self.hops):
             groups.setdefault(channel, []).append(node)
         return groups
 
     def as_actions(self) -> dict[int, Action]:
-        """Expand into the per-node action map of the classic interface:
-        transmitters, then listeners in row order, built afresh per call
-        (:attr:`RoundRecord.actions` reads it; the resolver never does)."""
+        """Expand a single round into the per-node action map of the
+        classic interface: transmitters, then listeners in row order, built
+        afresh per call (:attr:`RoundRecord.actions` reads it; the resolver
+        never does)."""
         actions: dict[int, Action] = dict(self.transmits)
         actions.update(
             zip(self.listeners, map(_LISTEN_ON.__getitem__, self.hops))
@@ -223,15 +266,18 @@ class CompiledRound:
 
 
 class RoundSchedule:
-    """A precompiled, data-independent batch of rounds.
+    """A precompiled, data-independent batch of repetition loops.
 
     Protocols whose round structure is *oblivious* — fixed repetition
     loops, deterministic sweeps, precomputed random hop sequences — compile
-    the whole loop once and submit it through
-    :meth:`RadioNetwork.execute_schedule`.  The engine then resolves each
-    round at a cost proportional to the transmitters and the *touched*
-    channels, plus a few C-level passes over the hop row: no listener
-    costs a Python-level step, and a trace record holds the round itself.
+    the whole batch once and submit it through
+    :meth:`RadioNetwork.execute_schedule`.  ``rounds`` holds its
+    :class:`CompiledRound` loops in order; their rounds run back to back.
+    Against a planning adversary (or none) the engine resolves the batch
+    at a cost proportional to its distinct (loop, move) pairs plus a few
+    C-level passes over its hop rows: no round and no listener costs a
+    Python-level step, and a trace record, when one is kept, holds the
+    round itself.
 
     A schedule is a plain value (picklable when its messages are), which is
     what makes it a unit of work that can later be fanned out to worker
@@ -248,6 +294,166 @@ class RoundSchedule:
 
     def __iter__(self) -> Iterator[CompiledRound]:
         return iter(self.rounds)
+
+
+def _each_round(values: Iterable[T], counts: list[int]) -> list[T]:
+    """``values[i]`` once per round of loop ``i`` (``counts[i]`` times),
+    in order; a schedule of one-round loops takes them as they are."""
+    if counts.count(1) == len(counts):
+        return list(values)
+    return list(chain.from_iterable(map(repeat, values, counts)))
+
+
+def _heard(delivered: Mapping[int, Message | None], row: bytes) -> dict[int, Message]:
+    """One round's ``channel -> message``: the channels that delivered a
+    message and that some listener of ``row`` sat on."""
+    heard: dict[int, Message] = {}
+    for channel, message in delivered.items():
+        if message is not None and channel in row:
+            heard[channel] = message
+    return heard
+
+
+def _or_rows(joined: bytes, width: int) -> int:
+    """The bitwise OR of the ``width``-byte rows joined back to back in
+    ``joined``, as a little-endian ``int``: the rows' big int is folded
+    onto its lowest row by halving, a few C-level passes in all."""
+    bits = int.from_bytes(joined, "little")
+    span = 8 * width
+    count = len(joined) // width
+    while count > 1:
+        half = count // 2
+        bits = (bits & ((1 << half * span) - 1)) | (bits >> half * span)
+        count -= half
+    return bits
+
+
+class Heard(Sequence[dict[int, Message]]):
+    """What one :meth:`RadioNetwork.execute_schedule` call delivered.
+
+    As a sequence it holds one ``channel -> message`` map per round, in
+    round order, built when read: a channel is present when it delivered
+    a message and at least one of the round's listeners sat on it.
+    Callers fan results out to their listeners themselves (they compiled
+    the rows, so they know them), which is what lets a round whose
+    listeners sit on silent or collided channels resolve without any
+    per-listener work.  :meth:`reached` folds a whole loop at once.  It
+    compares equal to a list of the same maps.
+
+    It keeps one outcome key per round and each key's delivery map:
+    rounds of one loop with one planned move (or one template and move
+    when acting) share a key and a map.
+    """
+
+    __slots__ = ("_loops", "_keys", "_outcomes", "_starts")
+
+    def __init__(
+        self,
+        loops: Sequence[CompiledRound],
+        keys: list[object],
+        outcomes: dict[object, Mapping[int, Message | None]],
+        starts: list[int] | None = None,
+    ) -> None:
+        self._loops = loops
+        self._keys = keys
+        self._outcomes = outcomes
+        if starts is None:
+            starts = list(accumulate(map(len, map(_ROWS, loops)), initial=0))
+        self._starts = starts
+
+    @classmethod
+    def joined(
+        cls, loops: Sequence[CompiledRound], parts: Iterable["Heard"]
+    ) -> "Heard":
+        """The result of ``loops`` from ``parts``: the results of their
+        rounds, resolved in order by one call or more."""
+        maps: list[Mapping[int, Message | None]] = []
+        for part in parts:
+            maps += map(part._outcomes.__getitem__, part._keys)
+        keys = list(map(id, maps))
+        return cls(loops, keys, dict(zip(keys, maps)))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[dict[int, Message]]:
+        return map(
+            _heard,
+            map(self._outcomes.__getitem__, self._keys),
+            chain.from_iterable(map(_ROWS, self._loops)),
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("round index out of range")
+        loop = bisect_right(self._starts, index) - 1
+        row = self._loops[loop].rows[index - self._starts[loop]]
+        return _heard(self._outcomes[self._keys[index]], row)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Heard, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Heard({list(self)!r})"
+
+    def reached(self, loop: int) -> list[tuple[Message, int]]:
+        """Who heard what over the rounds of ``loop`` (its index in the
+        schedule): each message delivered to at least one of its
+        listeners, with the OR of the :func:`hit_row` masks of the rounds
+        and channels that delivered it, as a little-endian ``int`` (byte
+        ``i`` is ``1`` when ``listeners[i]`` heard it at least once).
+
+        Each delivered (channel, message) pair of the loop's outcomes
+        gets one bit of a listener's byte, eight pairs per pass: each row
+        is translated by its outcome's table (one ``translate`` over the
+        joined rows when the loop has one outcome), and the rows are
+        OR-folded at once (:func:`_or_rows`).
+        """
+        cr = self._loops[loop]
+        width = len(cr.listeners)
+        keys = self._keys[self._starts[loop] : self._starts[loop + 1]]
+        if not width or not keys:
+            return []
+        outcomes = {key: self._outcomes[key] for key in dict.fromkeys(keys)}
+        delivering: dict[tuple[int, int], Message] = {}
+        for outcome in outcomes.values():
+            for channel, message in outcome.items():
+                if message is not None:
+                    delivering.setdefault((channel, id(message)), message)
+        pairs = [(channel, message) for (channel, _), message in delivering.items()]
+        ones = int.from_bytes(b"\x01" * width, "little")
+        reached: dict[int, list] = {}  # id(message) -> [message, mask]
+        for first in range(0, len(pairs), 8):
+            batch = pairs[first : first + 8]
+            tables: dict[object, bytearray] = {}
+            for key, outcome in outcomes.items():
+                table = tables[key] = bytearray(256)
+                for bit, (channel, message) in enumerate(batch):
+                    if outcome.get(channel) is message:
+                        table[channel] = 1 << bit
+            if len(tables) == 1:
+                (table,) = tables.values()
+                joined = b"".join(cr.rows).translate(table)
+            else:
+                joined = b"".join(
+                    map(bytes.translate, cr.rows, map(tables.__getitem__, keys))
+                )
+            bits = _or_rows(joined, width)
+            for bit, (_, message) in enumerate(batch):
+                mask = (bits >> bit) & ones
+                if mask:
+                    entry = reached.get(id(message))
+                    if entry is None:
+                        reached[id(message)] = [message, mask]
+                    else:
+                        entry[1] |= mask
+        return [(message, mask) for message, mask in reached.values()]
 
 
 class RadioNetwork:
@@ -441,26 +647,50 @@ class RadioNetwork:
         validated.add((id(transmits), id(listeners)))
 
     def _plan(
-        self, rounds: Sequence[CompiledRound]
+        self, loops: Sequence[CompiledRound], counts: list[int]
     ) -> Sequence[Sequence[Transmission]] | None:
-        """The adversary's moves for the rounds of ``rounds`` that run
-        before the round cap, from its ``plan_schedule`` hook (looked up by
-        name, so duck-typed adversaries without one simply act), or
-        ``None`` when it acts round by round."""
+        """The adversary's moves, one per round, for the rounds of
+        ``loops`` (``counts[i]`` rounds each) that run before the round
+        cap, from its ``plan_schedule`` hook (looked up by name, so
+        duck-typed adversaries without one simply act), or ``None`` when
+        it acts round by round."""
         plan = getattr(self.adversary, "plan_schedule", None)
-        cap = self.params.max_rounds
-        runnable = len(rounds)
-        if cap is not None:
-            runnable = min(runnable, cap - self._round_index)
-        if plan is None or runnable <= 0:
+        if plan is None:
             return None
-        metas = [cr.meta for cr in rounds[:runnable]]
+        metas = _each_round(map(_META, loops), counts)
+        cap = self.params.max_rounds
+        if cap is not None:
+            del metas[max(cap - self._round_index, 0) :]
+        if not metas:
+            return None
         moves = plan(self._adversary_view(metas[0]), metas)
-        if moves is not None and len(moves) != runnable:
+        if moves is not None and len(moves) != len(metas):
             raise ProtocolViolation(
-                f"adversary planned {len(moves)} moves for {runnable} rounds"
+                f"adversary planned {len(moves)} moves for {len(metas)} rounds"
             )
         return moves
+
+    def _cap_fault(self) -> ProtocolViolation:
+        return ProtocolViolation(
+            f"round cap exceeded ({self.params.max_rounds} rounds); "
+            "likely a non-terminating configuration"
+        )
+
+    def _row_fault(
+        self, row: bytes, width: int, on_air: bytes
+    ) -> ProtocolViolation | None:
+        """What is wrong with one hop row for ``width`` listeners, if
+        anything: its length first, then a channel off the air."""
+        if len(row) != width:
+            return ProtocolViolation(
+                f"hop row holds {len(row)} hops for {width} listeners"
+            )
+        if row.translate(None, on_air):
+            return ProtocolViolation(
+                f"listener hops to invalid channel {max(row)} "
+                f"(C={self.channels})"
+            )
+        return None
 
     @staticmethod
     def _settle_template(transmits: Mapping[int, Transmit]) -> _Settled:
@@ -486,154 +716,309 @@ class RadioNetwork:
                     collisions += 1
         return senders, delivered, deliveries, collisions, units
 
-    def execute_schedule(
-        self, schedule: "RoundSchedule"
-    ) -> list[dict[int, Message]]:
-        """Resolve a precompiled :class:`RoundSchedule`, round by round.
+    @staticmethod
+    def _fold_move(
+        settled: _Settled, transmissions: Sequence[Transmission]
+    ) -> _Folded:
+        """Fold one adversary move (distinct, validated channels) into a
+        settled template: ``(delivered, deliveries, collisions, spoofs)``.
+
+        Alone on a channel the adversary delivers a spoof or noise; next
+        to one honest payload it makes a new collision; on a collided
+        channel it changes nothing.  An empty move returns the template's
+        own delivery map, which is why a round's map is read-only.
+        """
+        senders, delivered, deliveries, collisions, _units = settled
+        spoofs = 0
+        if transmissions:
+            delivered = dict(delivered)
+            for tx in transmissions:
+                channel = tx.channel
+                honest = senders.get(channel)
+                if honest is None:
+                    if isinstance(tx.payload, Message):
+                        delivered[channel] = tx.payload
+                        deliveries += 1
+                        spoofs += 1
+                    else:
+                        delivered[channel] = None
+                elif len(honest) == 1:
+                    if delivered[channel] is not None:
+                        deliveries -= 1
+                        delivered[channel] = None
+                    collisions += 1
+        return delivered, deliveries, collisions, spoofs
+
+    def execute_schedule(self, schedule: "RoundSchedule") -> Heard:
+        """Resolve a precompiled :class:`RoundSchedule`.
 
         This is the one place a round is resolved: the round cap,
         validation, adversary interaction, the single-transmitter rule,
         metrics (payloads included) and trace records all live here;
         :meth:`execute_round` submits one-round schedules.
 
-        Work is split by what varies.  Each distinct transmitter template,
-        listener tuple and (template, listeners) pair is validated once per
-        call (:meth:`_validate_shared`), and each template is resolved once
-        (:meth:`_settle_template`); per round the hop row is checked with
-        one length comparison and one C-level ``translate``, and only the
-        adversary's channels are folded into the template's resolution,
-        on a copy.
+        The adversary is asked once per call first: its
+        :meth:`~repro.adversary.base.Adversary.plan_schedule` gets the
+        public metas of the rounds that run before the round cap (never
+        the compiled rounds).  If it returns their moves, or there is no
+        adversary, the schedule resolves in bulk
+        (:meth:`_resolve_planned`): work per loop and per distinct (loop,
+        move) pair, plus C-level passes over the hop rows, and no step
+        per round.  Otherwise the adversary acts before each round, shown
+        every completed one, and the schedule resolves round by round
+        (:meth:`_resolve_each`).  Both paths validate each distinct
+        template, listener tuple and (template, listeners) pair once per
+        call (:meth:`_validate_shared`), settle each template once
+        (:meth:`_settle_template`), fold moves with :meth:`_fold_move`,
+        and raise a fault at the round that meets it — a round over the
+        cap, a bad shared part, a malformed row, a bad move — after
+        counting every round before it.
 
-        The adversary is asked once per call first: if its
-        :meth:`~repro.adversary.base.Adversary.plan_schedule` returns the
-        moves of every round that runs before the round cap (given their
-        public metas only, never the compiled rounds), no round asks it
-        again; each distinct planned move is validated the first time a
-        round uses it, so a bad move raises at the same round as when
-        acting.  Otherwise it acts once per round.
-
-        Returns one dict per round mapping **channel** to the message
-        decoded on it, containing entries only for channels that (a) had at
-        least one listener (``channel in hops``) and (b) delivered a
-        message.  Callers fan results out to their listeners themselves
-        (they compiled the rows, so they know them) — this is what lets a
-        round with ``n`` listeners on silent or collided channels resolve
-        without any per-listener work.  A retained :class:`RoundRecord`
-        holds the compiled round itself and a read-only view of the
-        round's touched-channel map: keeping records copies neither.
+        Returns a :class:`Heard`: per round, in order, the
+        ``channel -> message`` map of the channels that delivered a
+        message and had a listener, built when read; and per loop, in
+        bulk, who heard what (:meth:`Heard.reached`).  A retained
+        :class:`RoundRecord`, built only when records are kept, holds the
+        submitted round itself (a repetition of a longer loop gets its own
+        one-row round, :meth:`CompiledRound.repetition`) and a read-only
+        view of the round's touched-channel map.
         """
+        loops = schedule.rounds
+        counts = list(map(len, map(_ROWS, loops)))
+        moves = None
+        if self.adversary is not None:
+            moves = self._plan(loops, counts)
+            if moves is None:
+                return self._resolve_each(loops)
+        return self._resolve_planned(loops, counts, moves)
+
+    def _resolve_each(self, loops: Sequence[CompiledRound]) -> Heard:
+        """Resolve every round of ``loops`` one at a time, the adversary
+        acting before each.  Rounds whose template and move (the same
+        transmission objects) repeat share one folded delivery map."""
+        adversary = self.adversary
         validated: set[object] = set()
         listener_sets: dict[int, set[int]] = {}
         settled: dict[int, _Settled] = {}
-        adversary = self.adversary
-        keep_records = self._keep_trace or (
-            adversary is not None and adversary.needs_history
-        )
+        folds: dict[tuple[int, ...], tuple] = {}
+        keep_records = self._keep_trace or adversary.needs_history
         max_rounds = self.params.max_rounds
         metrics = self.metrics
         on_air = bytes(range(self.channels))
-        rounds = schedule.rounds
-        moves = None if adversary is None else self._plan(rounds)
-        checked_moves: set[int] = set()
-        outputs: list[dict[int, Message]] = []
+        keys: list[object] = []
+        outcomes: dict[object, Mapping[int, Message | None]] = {}
+        for cr in loops:
+            transmits, listeners, meta = cr.transmits, cr.listeners, cr.meta
+            for row in cr.rows:
+                if max_rounds is not None and self._round_index >= max_rounds:
+                    raise self._cap_fault()
+                if (id(transmits), id(listeners)) not in validated:
+                    self._validate_shared(cr, validated, listener_sets)
+                fault = self._row_fault(row, len(listeners), on_air)
+                if fault is not None:
+                    raise fault
+                move = tuple(adversary.act(self._adversary_view(meta)))
+                self._validate_adversary(move)
+                resolution = settled.get(id(transmits))
+                if resolution is None:
+                    resolution = settled[id(transmits)] = (
+                        self._settle_template(transmits)
+                    )
+                # The cached entry keeps its move alive, so the ids in its
+                # key name the same objects for the whole call.
+                fold_key = (id(transmits), *map(id, move))
+                entry = folds.get(fold_key)
+                if entry is None:
+                    folded = self._fold_move(resolution, move)
+                    entry = folds[fold_key] = (
+                        folded,
+                        MappingProxyType(folded[0]),
+                        move,
+                    )
+                (delivered, deliveries, collisions, spoofs), view, _ = entry
+                metrics.rounds += 1
+                metrics.honest_transmissions += len(transmits)
+                metrics.listens += len(listeners)
+                metrics.payload_units += resolution[4]
+                metrics.adversary_transmissions += len(move)
+                metrics.deliveries += deliveries
+                metrics.collisions += collisions
+                metrics.spoofs_delivered += spoofs
+                if meta.phase:
+                    metrics.note_phase(meta.phase)
+                if keep_records:
+                    self.trace.append(
+                        RoundRecord(
+                            self._round_index, cr.repetition(row), move, view
+                        )
+                    )
+                self._round_index += 1
+                keys.append(fold_key)
+                outcomes[fold_key] = delivered
+        return Heard(loops, keys, outcomes)
 
-        for index, cr in enumerate(rounds):
-            if max_rounds is not None and self._round_index >= max_rounds:
-                raise ProtocolViolation(
-                    f"round cap exceeded ({max_rounds} rounds); "
-                    "likely a non-terminating configuration"
-                )
-            transmits, listeners, hops = cr.transmits, cr.listeners, cr.hops
-            if (id(transmits), id(listeners)) not in validated:
-                self._validate_shared(cr, validated, listener_sets)
-            if len(hops) != len(listeners):
-                raise ProtocolViolation(
-                    f"hop row holds {len(hops)} hops for "
-                    f"{len(listeners)} listeners"
-                )
-            if hops.translate(None, on_air):
-                raise ProtocolViolation(
-                    f"listener hops to invalid channel {max(hops)} "
-                    f"(C={self.channels})"
-                )
+    def _first_fault(
+        self,
+        loops: Sequence[CompiledRound],
+        distinct: Iterable[CompiledRound],
+        starts: list[int],
+        ids: list[int] | None,
+        move_of: dict[int, Sequence[Transmission]],
+    ) -> tuple[int, ProtocolViolation | None]:
+        """The first round a bulk resolution must not resolve, and the
+        error it raises there, in the order a round makes its checks
+        (round cap, shared parts, row length, row channels, the
+        adversary's move); ``(rounds, None)`` when every round resolves.
+        Each ``distinct`` loop is checked once (every round a schedule
+        repeats it for hops on the same rows), and a tie goes to the
+        earlier check.  ``starts`` are the loops' first rounds, and
+        ``ids`` names each runnable round's move by its key in
+        ``move_of``."""
+        stop, error = starts[-1], None
+        cap = self.params.max_rounds
+        if cap is not None and self._round_index + stop > cap:
+            stop, error = max(cap - self._round_index, 0), self._cap_fault()
+        validated: set[object] = set()
+        listener_sets: dict[int, set[int]] = {}
+        on_air = bytes(range(self.channels))
+        for cr in distinct:
+            rows, offset, fault = cr.rows, 0, None
+            if not rows:
+                continue
+            try:
+                if (id(cr.transmits), id(cr.listeners)) not in validated:
+                    self._validate_shared(cr, validated, listener_sets)
+            except ProtocolViolation as exc:
+                fault = exc
+            else:
+                width = len(cr.listeners)
+                joined = b"".join(rows)
+                if (
+                    len(joined) != width * len(rows)
+                    or max(map(len, rows)) != width
+                    or joined.translate(None, on_air)
+                ):
+                    for offset, row in enumerate(rows):
+                        fault = self._row_fault(row, width, on_air)
+                        if fault is not None:
+                            break
+            if fault is not None:
+                loop = next(i for i, other in enumerate(loops) if other is cr)
+                if starts[loop] + offset < stop:
+                    stop, error = starts[loop] + offset, fault
+        for key, move in move_of.items():
+            try:
+                self._validate_adversary(move)
+            except ProtocolViolation as exc:
+                first = ids.index(key)
+                if first < stop:
+                    stop, error = first, exc
+                break
+        return stop, error
 
-            adversary_txs: Sequence[Transmission] = ()
-            if moves is not None:
-                adversary_txs = moves[index]
-                if id(adversary_txs) not in checked_moves:
-                    self._validate_adversary(adversary_txs)
-                    checked_moves.add(id(adversary_txs))
-            elif adversary is not None:
-                adversary_txs = tuple(
-                    adversary.act(self._adversary_view(cr.meta))
-                )
-                self._validate_adversary(adversary_txs)
+    def _resolve_planned(
+        self,
+        loops: Sequence[CompiledRound],
+        counts: list[int],
+        moves: Sequence[Sequence[Transmission]] | None,
+    ) -> Heard:
+        """Resolve ``loops`` (``counts[i]`` rounds each) in bulk, the
+        adversary's ``moves`` (one per round) known up front (``None``:
+        no adversary).
 
+        Rounds are counted per distinct (loop, move) pair at C level;
+        each pair's template and move are folded once, and every counter
+        is added once, times the pair's rounds (``rounds_by_phase`` in
+        the order of the rounds).  Records are built only when kept.  A
+        fault at round ``k`` (:meth:`_first_fault`) raises after rounds
+        ``0 .. k-1`` have resolved and counted.
+        """
+        starts = list(accumulate(counts, initial=0))
+        loop_of = dict(zip(map(id, loops), loops))
+        ids, move_of = None, {}
+        if moves is not None:
+            ids = list(map(id, moves))
+            move_of = dict(zip(ids, moves))
+        stop, error = self._first_fault(
+            loops, loop_of.values(), starts, ids, move_of
+        )
+        run = loops
+        if stop < starts[-1]:
+            cut = bisect_right(starts, stop) - 1
+            run = loops[: cut + 1]
+            counts = counts[:cut] + [stop - starts[cut]]
+        keys: list = _each_round(map(id, run), counts)
+        if ids is not None:
+            keys = list(zip(keys, ids))
+        settled: dict[int, _Settled] = {}
+        folds: dict[tuple[int, int], _Folded] = {}
+        outcomes: dict[object, Mapping[int, Message | None]] = {}
+        phases = self.metrics.rounds_by_phase
+        honest = listens = units = jams = 0
+        deliveries = collisions = spoofs = 0
+        for key, count in Counter(keys).items():
+            if ids is None:
+                cr, move_key, move = loop_of[key], 0, ()
+            else:
+                cr, move_key = loop_of[key[0]], key[1]
+                move = move_of[move_key]
+            transmits = cr.transmits
             resolution = settled.get(id(transmits))
             if resolution is None:
                 resolution = settled[id(transmits)] = self._settle_template(
                     transmits
                 )
-            senders, delivered, deliveries, collisions, units = resolution
-            # Fold the adversary's channels (distinct, validated) into the
-            # template's resolution: alone on a channel it delivers a
-            # spoof or noise; next to one honest payload it makes a new
-            # collision; on a collided channel it changes nothing.
-            if adversary_txs:
-                delivered = dict(delivered)
-                for tx in adversary_txs:
-                    channel = tx.channel
-                    honest = senders.get(channel)
-                    if honest is None:
-                        if isinstance(tx.payload, Message):
-                            delivered[channel] = tx.payload
-                            deliveries += 1
-                            metrics.spoofs_delivered += 1
-                        else:
-                            delivered[channel] = None
-                    elif len(honest) == 1:
-                        if delivered[channel] is not None:
-                            deliveries -= 1
-                            delivered[channel] = None
-                        collisions += 1
-
-            metrics.rounds += 1
-            metrics.honest_transmissions += len(transmits)
-            metrics.listens += len(listeners)
-            metrics.payload_units += units
-            metrics.adversary_transmissions += len(adversary_txs)
-            metrics.deliveries += deliveries
-            metrics.collisions += collisions
+            folded = folds.get((id(transmits), move_key))
+            if folded is None:
+                folded = folds[id(transmits), move_key] = self._fold_move(
+                    resolution, move
+                )
+            outcomes[key] = folded[0]
+            honest += len(transmits) * count
+            listens += len(cr.listeners) * count
+            units += resolution[4] * count
+            jams += len(move) * count
+            deliveries += folded[1] * count
+            collisions += folded[2] * count
+            spoofs += folded[3] * count
             if cr.meta.phase:
-                metrics.note_phase(cr.meta.phase)
-
-            if keep_records:
+                phases[cr.meta.phase] = phases.get(cr.meta.phase, 0) + count
+        metrics = self.metrics
+        metrics.rounds += len(keys)
+        metrics.honest_transmissions += honest
+        metrics.listens += listens
+        metrics.payload_units += units
+        metrics.adversary_transmissions += jams
+        metrics.deliveries += deliveries
+        metrics.collisions += collisions
+        metrics.spoofs_delivered += spoofs
+        if self._keep_trace or (
+            self.adversary is not None and self.adversary.needs_history
+        ):
+            views = {key: MappingProxyType(d) for key, d in outcomes.items()}
+            rounds = zip(
+                _each_round(run, counts),
+                chain.from_iterable(map(_ROWS, run)),
+                keys,
+            )
+            for offset, (cr, row, key) in enumerate(rounds):
                 self.trace.append(
                     RoundRecord(
-                        self._round_index,
-                        cr,
-                        tuple(adversary_txs),
-                        MappingProxyType(delivered),
+                        self._round_index + offset,
+                        cr.repetition(row),
+                        () if ids is None else tuple(move_of[key[1]]),
+                        views[key],
                     )
                 )
-            self._round_index += 1
-
-            # Lazy listener settlement: only channels that both carried a
-            # decodable message and have listeners produce an entry.
-            heard: dict[int, Message] = {}
-            if deliveries:
-                for channel, msg in delivered.items():
-                    if msg is not None and channel in hops:
-                        heard[channel] = msg
-            outputs.append(heard)
-        return outputs
+        self._round_index += len(keys)
+        if error is not None:
+            raise error
+        return Heard(loops, keys, outcomes, starts)
 
 
 # ----------------------------------------------------------------------
 # Epochs: keyed (Sections 6-7), then private-hop (Sections 5, 6 and 8).
 # ----------------------------------------------------------------------
-
-T = TypeVar("T")
 
 
 def keyed_epoch_rounds(
@@ -676,7 +1061,7 @@ def run_hopped_epoch(
         hop: CompiledRound(
             {s: Transmit(hop, frame) for s, frame in senders.items()},
             listeners,
-            bytes((hop,)) * width,
+            (bytes((hop,)) * width,),
             meta,
         )
         for hop in dict.fromkeys(hops)
@@ -775,16 +1160,13 @@ def run_gossip_epoch(
     rows = private_hop_rows(
         [([streams[node] for node in listeners], channels)], rounds
     )
-    templates: list[dict[int, Transmit]] = [{}] * rounds
-    if frame is not None:
-        templates = [
-            {sender: Transmit(hop[0], frame)}
-            for hop in private_hop_rows([([streams[sender]], channels)], rounds)
+    if frame is None:
+        loops = [CompiledRound({}, listeners, rows, meta)]
+    else:
+        sends = private_hop_rows([([streams[sender]], channels)], rounds)
+        loops = [
+            CompiledRound({sender: Transmit(hop[0], frame)}, listeners, (row,), meta)
+            for hop, row in zip(sends, rows)
         ]
-    heard = network.execute_schedule(
-        RoundSchedule(
-            CompiledRound(template, listeners, row, meta)
-            for template, row in zip(templates, rows)
-        )
-    )
+    heard = network.execute_schedule(RoundSchedule(loops))
     return list(zip(rows, heard))

@@ -22,7 +22,7 @@ from repro.adversary.schedule_aware import VICTIM_POLICIES
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.params import ProtocolParameters
 from repro.radio.actions import Listen, Transmit
-from repro.radio.messages import Jam, Message, Transmission
+from repro.radio.messages import JAM, Jam, Message, Transmission
 from repro.radio.network import (
     AdversaryView,
     CompiledRound,
@@ -144,6 +144,16 @@ class TestReactiveJammer:
 
     def test_needs_history_flag(self):
         assert ReactiveJammer(random.Random(0)).needs_history is True
+
+    def test_equal_targets_share_their_jams(self):
+        # Acted rounds (and the records that keep them) hold prebuilt
+        # jams, not a fresh transmission per target per round.
+        adv = ReactiveJammer(random.Random(0))
+        history = self._history_with_activity(2)
+        first = adv.act(view(t=1, channels=3, history=history))
+        again = adv.act(view(t=1, channels=3, history=history))
+        assert first == again == (Transmission(2, JAM),)
+        assert first[0] is again[0]
 
     def test_window_validated(self):
         with pytest.raises(ConfigurationError):
@@ -421,7 +431,7 @@ def _build_schedules(channels, schedules, seed):
                 CompiledRound(
                     layout.choice(templates),
                     LISTENERS,
-                    bytes(layout.randrange(channels) for _ in LISTENERS),
+                    (bytes(layout.randrange(channels) for _ in LISTENERS),),
                     meta if shared else layout.choice(pool),
                 )
                 for _ in range(rounds)

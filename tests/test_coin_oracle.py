@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from itertools import chain
 
 import pytest
 
@@ -274,6 +275,12 @@ def hearing_checks(counts: list[int], channels: int, t: int) -> dict:
     }
 
 
+def loop_rounds(schedule, heard):
+    """Each round of ``schedule`` as ``(hop row, channel -> message)``:
+    the rows of its loops in order beside the result's per-round maps."""
+    return zip(chain.from_iterable(loop.rows for loop in schedule.rounds), heard)
+
+
 def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
     """Run serial feedback invocations until ``FEEDBACK_ROUNDS``
     repetitions have run, witnesses ``0..C-1`` reporting one true slot on
@@ -292,7 +299,7 @@ def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
 
     def spy(schedule):
         heard = execute(schedule)
-        rounds.extend(zip((cr.hops for cr in schedule.rounds), heard))
+        rounds.extend(loop_rounds(schedule, heard))
         return heard
 
     network.execute_schedule = spy
@@ -351,7 +358,7 @@ def parallel_feedback_checks(t: int, adversary, seed: int) -> dict:
     def spy(schedule):
         heard = execute(schedule)
         if schedule.rounds[0].meta.extra["tag"][0] == "final":
-            rounds.extend(zip((cr.hops for cr in schedule.rounds), heard))
+            rounds.extend(loop_rounds(schedule, heard))
         return heard
 
     network.execute_schedule = spy

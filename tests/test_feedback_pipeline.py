@@ -255,7 +255,7 @@ class TestExecuteSchedule:
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([duplicated]))
         miscounted = CompiledRound(
-            transmits={}, listeners=(1, 2), hops=b"\x00", meta=RoundMeta()
+            transmits={}, listeners=(1, 2), rows=(b"\x00",), meta=RoundMeta()
         )
         with pytest.raises(ProtocolViolation):
             net.execute_schedule(RoundSchedule([miscounted]))

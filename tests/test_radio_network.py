@@ -184,32 +184,46 @@ class ScriptedPlanner(Adversary):
 
 
 def listening_rounds(count):
-    return RoundSchedule([CompiledRound({}, (1,), b"\0", RoundMeta())] * count)
+    return RoundSchedule([CompiledRound({}, (1,), (b"\0",), RoundMeta())] * count)
+
+
+def listening_loop(count):
+    """One loop of ``count`` rounds: the loop form of ``listening_rounds``."""
+    return RoundSchedule([CompiledRound({}, (1,), (b"\0",) * count, RoundMeta())])
 
 
 class TestPlannedMoves:
     def test_bad_planned_channel_raises_at_its_round(self):
-        ok = (Transmission(0, JAM),)
-        planner = ScriptedPlanner([ok, ok, (Transmission(5, JAM),), ok])
-        net = make_network(n=4, adversary=planner)
-        with pytest.raises(ProtocolViolation, match="invalid channel 5"):
-            net.execute_schedule(listening_rounds(4))
-        assert net.metrics.rounds == 2
-        assert net.metrics.adversary_transmissions == 2
-        assert (planner.plans, planner.acts) == ([4], 0)
+        # A bad move at round (repetition) 2 raises there, after rounds 0
+        # and 1 have counted, whether the rounds are submitted one by one
+        # or as one loop.
+        for schedule in (listening_rounds(4), listening_loop(4)):
+            ok = (Transmission(0, JAM),)
+            planner = ScriptedPlanner([ok, ok, (Transmission(5, JAM),), ok])
+            net = make_network(n=4, adversary=planner)
+            with pytest.raises(ProtocolViolation, match="invalid channel 5"):
+                net.execute_schedule(schedule)
+            assert net.metrics.rounds == net.round_index == 2
+            assert net.metrics.adversary_transmissions == 2
+            assert len(net.trace) == 2
+            assert (planner.plans, planner.acts) == ([4], 0)
 
     def test_plan_covers_only_rounds_before_the_cap(self):
-        planner = ScriptedPlanner([()] * 5)
-        net = make_network(
-            n=4,
-            adversary=planner,
-            params=ProtocolParameters(max_rounds=3).validate(),
-        )
-        net.execute_schedule(listening_rounds(1))
-        with pytest.raises(ProtocolViolation, match="round cap"):
-            net.execute_schedule(listening_rounds(5))
-        assert planner.plans == [1, 2]
-        assert net.metrics.rounds == 3
+        # The second schedule (five rounds, or one loop of five) crosses
+        # the cap at its repetition 2: two rounds run and count.
+        for build in (listening_rounds, listening_loop):
+            planner = ScriptedPlanner([()] * 5)
+            net = make_network(
+                n=4,
+                adversary=planner,
+                params=ProtocolParameters(max_rounds=3).validate(),
+            )
+            net.execute_schedule(build(1))
+            with pytest.raises(ProtocolViolation, match="round cap"):
+                net.execute_schedule(build(5))
+            assert planner.plans == [1, 2]
+            assert net.metrics.rounds == net.round_index == 3
+            assert len(net.trace) == 3
 
     def test_wrong_number_of_moves_rejected(self):
         class Short(ScriptedPlanner):
@@ -297,23 +311,47 @@ class TestHopRows:
             ((1, 2), b"\x00\x03", "invalid channel 3"),
             ((1, 2), b"\x00", "2 listeners"),
             ((1,), b"\x00\x00", "1 listeners"),
+            # Loops: the last row is malformed, at repetition 2.
+            pytest.param(
+                (1, 2),
+                (b"\x00\x01", b"\x02\x02", b"\x01"),
+                "holds 1 hops for 2 listeners",
+                id="loop-short-row-at-2",
+            ),
+            pytest.param(
+                (1, 2),
+                (b"\x00\x01", b"\x02\x02", b"\x01\x00\x02"),
+                "holds 3 hops for 2 listeners",
+                id="loop-long-row-at-2",
+            ),
+            pytest.param(
+                (1, 2),
+                (b"\x00\x01", b"\x02\x02", b"\x00\x03"),
+                "invalid channel 3",
+                id="loop-channel-off-air-at-2",
+            ),
         ],
     )
     def test_malformed_row_rejected(self, listeners, hops, match):
-        cr = CompiledRound(
-            {0: Transmit(0, self.MSG)}, listeners, hops, RoundMeta()
-        )
-        with pytest.raises(ProtocolViolation, match=match):
-            self._resolve(cr)
+        # ``hops`` is one round's row, or a loop's rows.  Resolved in bulk
+        # (no adversary) and round by round (an acting one), the bad row
+        # raises at its own round, after every earlier round counted.
+        rows = hops if isinstance(hops, tuple) else (hops,)
+        cr = CompiledRound({0: Transmit(0, self.MSG)}, listeners, rows, RoundMeta())
+        for adversary in (None, FixedAdversary(())):
+            net = RadioNetwork(8, 3, 1, adversary=adversary)
+            with pytest.raises(ProtocolViolation, match=match):
+                net.execute_schedule(RoundSchedule([cr]))
+            assert net.metrics.rounds == len(net.trace) == len(rows) - 1
 
     def test_row_settles_listeners_by_channel(self):
         cr = CompiledRound(
-            {0: Transmit(1, self.MSG)}, (4, 2, 3), b"\x01\x00\x01", RoundMeta()
+            {0: Transmit(1, self.MSG)}, (4, 2, 3), (b"\x01\x00\x01",), RoundMeta()
         )
         assert self._resolve(cr) == [{1: self.MSG}]
         # A delivering channel nobody listens on is not in the result.
         lonely = CompiledRound(
-            {0: Transmit(1, self.MSG)}, (2,), b"\x00", RoundMeta()
+            {0: Transmit(1, self.MSG)}, (2,), (b"\x00",), RoundMeta()
         )
         assert self._resolve(lonely) == [{}]
 

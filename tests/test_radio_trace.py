@@ -95,14 +95,15 @@ class TestRoundRecordQueries:
         assert rec.received_by(0) is None  # was not listening
 
 
-def _submitted_rounds(network) -> list[CompiledRound]:
-    """Every compiled round submitted to ``network`` from now on, in
-    submission order (an instance-level wrapper, as the injectors use)."""
-    rounds: list[CompiledRound] = []
+def _submitted_rounds(network) -> list[tuple[CompiledRound, bytes]]:
+    """Every round submitted to ``network`` from now on, as its loop and
+    hop row, in submission order (an instance-level wrapper, as the
+    injectors use)."""
+    rounds: list[tuple[CompiledRound, bytes]] = []
     resolve = network.execute_schedule
 
     def recording(schedule):
-        rounds.extend(schedule.rounds)
+        rounds.extend((loop, row) for loop in schedule.rounds for row in loop.rows)
         return resolve(schedule)
 
     network.execute_schedule = recording
@@ -131,7 +132,9 @@ class TestRecordsShareTheirRounds:
     def test_history_runs_copy_nothing(self, monkeypatch):
         """A history-reading f-AME run and a redacting share spray keep
         every round without expanding one into per-node actions: each
-        record holds the very compiled round its schedule submitted."""
+        record holds the very compiled round its schedule submitted, or,
+        for one repetition of a longer loop, a one-row round sharing the
+        loop's template, listeners and meta and holding its very row."""
 
         def expanded(_round):
             raise AssertionError("a kept round was expanded per node")
@@ -154,11 +157,21 @@ class TestRecordsShareTheirRounds:
         run_share_spray(spray_net, 0, 1, RngRegistry(seed=3))
         assert len(spray_net.redacted_trace) == len(spray_rounds)
 
+        loops = 0
         for net, rounds in ((fame_net, fame_rounds), (spray_net, spray_rounds)):
             assert len(net.trace) == len(rounds) > 0
-            assert all(
-                record.round is cr for record, cr in zip(net.trace, rounds)
-            )
+            for record, (loop, row) in zip(net.trace, rounds):
+                kept = record.round
+                if len(loop.rows) == 1:
+                    assert kept is loop
+                    continue
+                loops += 1
+                assert kept.transmits is loop.transmits
+                assert kept.listeners is loop.listeners
+                assert kept.meta is loop.meta
+                (kept_row,) = kept.rows
+                assert kept_row is row
+        assert loops > 0  # the feedback loops ran as loops
 
     def test_records_are_read_only(self):
         """Rounds of one template share their settled deliveries, so a
