@@ -34,28 +34,17 @@ def sample_jams(
     draw under ``choice``, so a one-channel schedule is one
     :func:`~repro.radio.network.draw_in_step` block draw of indices (same
     values, same final generator state) with one shared move per index;
-    from two rounds on that beats a ``sample`` call per round.  Wider
-    moves draw a ``sample`` per round, and rounds that draw the same
-    channels in the same order share one move object, so the network
-    folds each distinct move once.
+    from two rounds on that beats a ``sample`` call per round.
     """
     if count == 0:
         return [()] * rounds
     if count == 1 and rounds > 1 and len(population) <= 256:
         singles = [(Transmission(c, JAM),) for c in population]
-        drawn = draw_in_step(rng, len(singles), rounds)
-        return list(map(singles.__getitem__, drawn))
-    shared: dict[tuple[int, ...], tuple[Transmission, ...]] = {}
-    moves = []
-    for _ in range(rounds):
-        channels = tuple(rng.sample(population, count))
-        move = shared.get(channels)
-        if move is None:
-            move = shared[channels] = tuple(
-                Transmission(c, JAM) for c in channels
-            )
-        moves.append(move)
-    return moves
+        return [singles[i] for i in draw_in_step(rng, len(singles), rounds)]
+    return [
+        tuple(Transmission(c, JAM) for c in rng.sample(population, count))
+        for _ in range(rounds)
+    ]
 
 
 class RandomJammer(Adversary):

@@ -27,9 +27,11 @@ resolves in bulk: each distinct template is settled once, each distinct
 (template, move) pair is folded once, and the counters of each distinct
 (loop, move) pair are added once, times its number of rounds.  An
 adversary that acts sees every completed round before its move, so its
-schedules resolve round by round through the same settle-and-fold code.  Either way the result (:class:`Heard`) builds a
-round's ``channel -> message`` map only when it is read, and folds who
-heard what over a whole loop in bulk (:meth:`Heard.reached`).
+schedules resolve round by round through the same settle-and-fold code,
+and so does a schedule that would fault, which raises at the faulting
+round.  Either way the result (:class:`Heard`) builds a round's
+``channel -> message`` map only when it is read, and folds who heard
+what over a whole loop in bulk (:meth:`Heard.reached`).
 
 Every protocol compiles its rounds; :meth:`RadioNetwork.execute_round`,
 which compiles a per-node action map into one round, resolves it there
@@ -69,7 +71,6 @@ planned run is byte-identical to one that acts round by round.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -328,38 +329,32 @@ def _or_rows(joined: bytes, width: int) -> int:
     return bits
 
 
-class Heard(Sequence[dict[int, Message]]):
+class Heard:
     """What one :meth:`RadioNetwork.execute_schedule` call delivered.
 
-    As a sequence it holds one ``channel -> message`` map per round, in
-    round order, built when read: a channel is present when it delivered
-    a message and at least one of the round's listeners sat on it.
-    Callers fan results out to their listeners themselves (they compiled
-    the rows, so they know them), which is what lets a round whose
-    listeners sit on silent or collided channels resolve without any
-    per-listener work.  :meth:`reached` folds a whole loop at once.  It
-    compares equal to a list of the same maps.
+    Iterating it yields one ``channel -> message`` map per round, in round
+    order, built when read: a channel is present when it delivered a
+    message and at least one of the round's listeners sat on it.  Callers
+    fan results out to their listeners themselves (they compiled the rows,
+    so they know them), which is what lets a round whose listeners sit on
+    silent or collided channels resolve without any per-listener work.
+    :meth:`reached` folds a whole loop at once.  ``len`` is the number of
+    rounds, and it compares equal to a list of the same maps.
 
-    It keeps one outcome key per round and each key's delivery map:
-    rounds of one loop with one planned move (or one template and move
-    when acting) share a key and a map.
+    It keeps each round's touched-channel delivery map, the engine's own:
+    rounds that share a template and a move share one.
     """
 
-    __slots__ = ("_loops", "_keys", "_outcomes", "_starts")
+    __slots__ = ("_loops", "_maps", "_starts")
 
     def __init__(
         self,
         loops: Sequence[CompiledRound],
-        keys: list[object],
-        outcomes: dict[object, Mapping[int, Message | None]],
-        starts: list[int] | None = None,
+        maps: list[Mapping[int, Message | None]],
     ) -> None:
         self._loops = loops
-        self._keys = keys
-        self._outcomes = outcomes
-        if starts is None:
-            starts = list(accumulate(map(len, map(_ROWS, loops)), initial=0))
-        self._starts = starts
+        self._maps = maps
+        self._starts: list[int] | None = None
 
     @classmethod
     def joined(
@@ -367,40 +362,19 @@ class Heard(Sequence[dict[int, Message]]):
     ) -> "Heard":
         """The result of ``loops`` from ``parts``: the results of their
         rounds, resolved in order by one call or more."""
-        maps: list[Mapping[int, Message | None]] = []
-        for part in parts:
-            maps += map(part._outcomes.__getitem__, part._keys)
-        keys = list(map(id, maps))
-        return cls(loops, keys, dict(zip(keys, maps)))
+        return cls(loops, [m for part in parts for m in part._maps])
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._maps)
 
     def __iter__(self) -> Iterator[dict[int, Message]]:
-        return map(
-            _heard,
-            map(self._outcomes.__getitem__, self._keys),
-            chain.from_iterable(map(_ROWS, self._loops)),
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("round index out of range")
-        loop = bisect_right(self._starts, index) - 1
-        row = self._loops[loop].rows[index - self._starts[loop]]
-        return _heard(self._outcomes[self._keys[index]], row)
+        rows = chain.from_iterable(map(_ROWS, self._loops))
+        return map(_heard, self._maps, rows)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Heard, list, tuple)):
+        if isinstance(other, (Heard, list)):
             return list(self) == list(other)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Heard({list(self)!r})"
 
     def reached(self, loop: int) -> list[tuple[Message, int]]:
         """Who heard what over the rounds of ``loop`` (its index in the
@@ -409,18 +383,23 @@ class Heard(Sequence[dict[int, Message]]):
         and channels that delivered it, as a little-endian ``int`` (byte
         ``i`` is ``1`` when ``listeners[i]`` heard it at least once).
 
-        Each delivered (channel, message) pair of the loop's outcomes
-        gets one bit of a listener's byte, eight pairs per pass: each row
-        is translated by its outcome's table (one ``translate`` over the
-        joined rows when the loop has one outcome), and the rows are
+        Each delivered (channel, message) pair of the loop's distinct
+        delivery maps gets one bit of a listener's byte, eight pairs per
+        pass: each row is translated by its map's table (one ``translate``
+        over the joined rows when the loop has one map), and the rows are
         OR-folded at once (:func:`_or_rows`).
         """
         cr = self._loops[loop]
         width = len(cr.listeners)
-        keys = self._keys[self._starts[loop] : self._starts[loop + 1]]
-        if not width or not keys:
+        if self._starts is None:
+            self._starts = list(
+                accumulate(map(len, map(_ROWS, self._loops)), initial=0)
+            )
+        maps = self._maps[self._starts[loop] : self._starts[loop + 1]]
+        if not width or not maps:
             return []
-        outcomes = {key: self._outcomes[key] for key in dict.fromkeys(keys)}
+        ids = list(map(id, maps))
+        outcomes = dict(zip(ids, maps))
         delivering: dict[tuple[int, int], Message] = {}
         for outcome in outcomes.values():
             for channel, message in outcome.items():
@@ -431,7 +410,7 @@ class Heard(Sequence[dict[int, Message]]):
         reached: dict[int, list] = {}  # id(message) -> [message, mask]
         for first in range(0, len(pairs), 8):
             batch = pairs[first : first + 8]
-            tables: dict[object, bytearray] = {}
+            tables: dict[int, bytearray] = {}
             for key, outcome in outcomes.items():
                 table = tables[key] = bytearray(256)
                 for bit, (channel, message) in enumerate(batch):
@@ -442,7 +421,7 @@ class Heard(Sequence[dict[int, Message]]):
                 joined = b"".join(cr.rows).translate(table)
             else:
                 joined = b"".join(
-                    map(bytes.translate, cr.rows, map(tables.__getitem__, keys))
+                    map(bytes.translate, cr.rows, map(tables.__getitem__, ids))
                 )
             bits = _or_rows(joined, width)
             for bit, (_, message) in enumerate(batch):
@@ -670,28 +649,6 @@ class RadioNetwork:
             )
         return moves
 
-    def _cap_fault(self) -> ProtocolViolation:
-        return ProtocolViolation(
-            f"round cap exceeded ({self.params.max_rounds} rounds); "
-            "likely a non-terminating configuration"
-        )
-
-    def _row_fault(
-        self, row: bytes, width: int, on_air: bytes
-    ) -> ProtocolViolation | None:
-        """What is wrong with one hop row for ``width`` listeners, if
-        anything: its length first, then a channel off the air."""
-        if len(row) != width:
-            return ProtocolViolation(
-                f"hop row holds {len(row)} hops for {width} listeners"
-            )
-        if row.translate(None, on_air):
-            return ProtocolViolation(
-                f"listener hops to invalid channel {max(row)} "
-                f"(C={self.channels})"
-            )
-        return None
-
     @staticmethod
     def _settle_template(transmits: Mapping[int, Transmit]) -> _Settled:
         """Resolve a transmitter template on its own: ``(senders,
@@ -761,18 +718,19 @@ class RadioNetwork:
         :meth:`~repro.adversary.base.Adversary.plan_schedule` gets the
         public metas of the rounds that run before the round cap (never
         the compiled rounds).  If it returns their moves, or there is no
-        adversary, the schedule resolves in bulk
-        (:meth:`_resolve_planned`): work per loop and per distinct (loop,
-        move) pair, plus C-level passes over the hop rows, and no step
-        per round.  Otherwise the adversary acts before each round, shown
-        every completed one, and the schedule resolves round by round
-        (:meth:`_resolve_each`).  Both paths validate each distinct
-        template, listener tuple and (template, listeners) pair once per
-        call (:meth:`_validate_shared`), settle each template once
-        (:meth:`_settle_template`), fold moves with :meth:`_fold_move`,
-        and raise a fault at the round that meets it — a round over the
-        cap, a bad shared part, a malformed row, a bad move — after
-        counting every round before it.
+        adversary, and no round would fault (:meth:`_resolves_whole`),
+        the schedule resolves in bulk (:meth:`_resolve_planned`): work
+        per loop and per distinct (loop, move) pair, plus C-level passes
+        over the hop rows, and no step per round.  Otherwise it resolves
+        round by round (:meth:`_resolve_each`), the adversary taking its
+        planned moves or acting before each round, shown every completed
+        one; a fault — a round over the cap, a bad shared part, a
+        malformed row, a bad move — then raises at the round that meets
+        it, after every round before it counted.  Both paths validate
+        each distinct template, listener tuple and (template, listeners)
+        pair once per call (:meth:`_validate_shared`), settle each
+        template once (:meth:`_settle_template`) and fold moves with
+        :meth:`_fold_move`.
 
         Returns a :class:`Heard`: per round, in order, the
         ``channel -> message`` map of the channels that delivered a
@@ -790,42 +748,75 @@ class RadioNetwork:
             moves = self._plan(loops, counts)
             if moves is None:
                 return self._resolve_each(loops)
-        return self._resolve_planned(loops, counts, moves)
+        heard = self._resolve_planned(loops, counts, moves)
+        if heard is None:
+            heard = self._resolve_each(loops, moves)
+        return heard
 
-    def _resolve_each(self, loops: Sequence[CompiledRound]) -> Heard:
-        """Resolve every round of ``loops`` one at a time, the adversary
-        acting before each.  Rounds whose template and move (the same
-        transmission objects) repeat share one folded delivery map."""
+    def _resolve_each(
+        self,
+        loops: Sequence[CompiledRound],
+        moves: Sequence[Sequence[Transmission]] | None = None,
+    ) -> Heard:
+        """Resolve every round of ``loops`` one at a time, the reference
+        resolution.  The adversary's move for each round is its planned
+        one from ``moves`` (each distinct move validated the first time a
+        round uses it), or, without a plan, its ``act`` shown every
+        completed round; with no adversary it is empty.  Each check runs
+        at its round, so a fault raises there, after every earlier round
+        counted.  Rounds with the same template and move share one folded
+        delivery map."""
         adversary = self.adversary
         validated: set[object] = set()
         listener_sets: dict[int, set[int]] = {}
         settled: dict[int, _Settled] = {}
+        checked_moves: set[int] = set()
         folds: dict[tuple[int, ...], tuple] = {}
-        keep_records = self._keep_trace or adversary.needs_history
+        keep_records = self._keep_trace or (
+            adversary is not None and adversary.needs_history
+        )
         max_rounds = self.params.max_rounds
         metrics = self.metrics
         on_air = bytes(range(self.channels))
-        keys: list[object] = []
-        outcomes: dict[object, Mapping[int, Message | None]] = {}
+        maps: list[Mapping[int, Message | None]] = []
         for cr in loops:
             transmits, listeners, meta = cr.transmits, cr.listeners, cr.meta
             for row in cr.rows:
                 if max_rounds is not None and self._round_index >= max_rounds:
-                    raise self._cap_fault()
+                    raise ProtocolViolation(
+                        f"round cap exceeded ({max_rounds} rounds); "
+                        "likely a non-terminating configuration"
+                    )
                 if (id(transmits), id(listeners)) not in validated:
                     self._validate_shared(cr, validated, listener_sets)
-                fault = self._row_fault(row, len(listeners), on_air)
-                if fault is not None:
-                    raise fault
-                move = tuple(adversary.act(self._adversary_view(meta)))
-                self._validate_adversary(move)
+                if len(row) != len(listeners):
+                    raise ProtocolViolation(
+                        f"hop row holds {len(row)} hops for "
+                        f"{len(listeners)} listeners"
+                    )
+                if row.translate(None, on_air):
+                    raise ProtocolViolation(
+                        f"listener hops to invalid channel {max(row)} "
+                        f"(C={self.channels})"
+                    )
+                move: Sequence[Transmission] = ()
+                if moves is not None:
+                    move = moves[len(maps)]
+                    if id(move) not in checked_moves:
+                        self._validate_adversary(move)
+                        checked_moves.add(id(move))
+                elif adversary is not None:
+                    move = tuple(adversary.act(self._adversary_view(meta)))
+                    self._validate_adversary(move)
                 resolution = settled.get(id(transmits))
                 if resolution is None:
                     resolution = settled[id(transmits)] = (
                         self._settle_template(transmits)
                     )
-                # The cached entry keeps its move alive, so the ids in its
-                # key name the same objects for the whole call.
+                # Rounds that repeat a template and a move (the same
+                # transmission objects) share one fold.  Its entry keeps
+                # the move alive, so the ids in its key name the same
+                # objects for the whole call.
                 fold_key = (id(transmits), *map(id, move))
                 entry = folds.get(fold_key)
                 if entry is None:
@@ -849,48 +840,39 @@ class RadioNetwork:
                 if keep_records:
                     self.trace.append(
                         RoundRecord(
-                            self._round_index, cr.repetition(row), move, view
+                            self._round_index,
+                            cr.repetition(row),
+                            tuple(move),
+                            view,
                         )
                     )
                 self._round_index += 1
-                keys.append(fold_key)
-                outcomes[fold_key] = delivered
-        return Heard(loops, keys, outcomes)
+                maps.append(delivered)
+        return Heard(loops, maps)
 
-    def _first_fault(
+    def _resolves_whole(
         self,
-        loops: Sequence[CompiledRound],
-        distinct: Iterable[CompiledRound],
-        starts: list[int],
-        ids: list[int] | None,
-        move_of: dict[int, Sequence[Transmission]],
-    ) -> tuple[int, ProtocolViolation | None]:
-        """The first round a bulk resolution must not resolve, and the
-        error it raises there, in the order a round makes its checks
-        (round cap, shared parts, row length, row channels, the
-        adversary's move); ``(rounds, None)`` when every round resolves.
-        Each ``distinct`` loop is checked once (every round a schedule
-        repeats it for hops on the same rows), and a tie goes to the
-        earlier check.  ``starts`` are the loops' first rounds, and
-        ``ids`` names each runnable round's move by its key in
-        ``move_of``."""
-        stop, error = starts[-1], None
+        loops: Iterable[CompiledRound],
+        rounds: int,
+        moves: Iterable[Sequence[Transmission]],
+    ) -> bool:
+        """Whether ``rounds`` rounds of the distinct ``loops`` and
+        ``moves`` would resolve without a fault: none crosses the round
+        cap, and each loop (its shared parts, then its rows, in C-level
+        passes) and each move passes its checks."""
         cap = self.params.max_rounds
-        if cap is not None and self._round_index + stop > cap:
-            stop, error = max(cap - self._round_index, 0), self._cap_fault()
+        if cap is not None and self._round_index + rounds > cap:
+            return False
         validated: set[object] = set()
         listener_sets: dict[int, set[int]] = {}
         on_air = bytes(range(self.channels))
-        for cr in distinct:
-            rows, offset, fault = cr.rows, 0, None
-            if not rows:
-                continue
-            try:
+        try:
+            for cr in loops:
+                rows = cr.rows
+                if not rows:
+                    continue
                 if (id(cr.transmits), id(cr.listeners)) not in validated:
                     self._validate_shared(cr, validated, listener_sets)
-            except ProtocolViolation as exc:
-                fault = exc
-            else:
                 width = len(cr.listeners)
                 joined = b"".join(rows)
                 if (
@@ -898,58 +880,40 @@ class RadioNetwork:
                     or max(map(len, rows)) != width
                     or joined.translate(None, on_air)
                 ):
-                    for offset, row in enumerate(rows):
-                        fault = self._row_fault(row, width, on_air)
-                        if fault is not None:
-                            break
-            if fault is not None:
-                loop = next(i for i, other in enumerate(loops) if other is cr)
-                if starts[loop] + offset < stop:
-                    stop, error = starts[loop] + offset, fault
-        for key, move in move_of.items():
-            try:
+                    return False
+            for move in moves:
                 self._validate_adversary(move)
-            except ProtocolViolation as exc:
-                first = ids.index(key)
-                if first < stop:
-                    stop, error = first, exc
-                break
-        return stop, error
+        except ProtocolViolation:
+            return False
+        return True
 
     def _resolve_planned(
         self,
         loops: Sequence[CompiledRound],
         counts: list[int],
         moves: Sequence[Sequence[Transmission]] | None,
-    ) -> Heard:
+    ) -> Heard | None:
         """Resolve ``loops`` (``counts[i]`` rounds each) in bulk, the
         adversary's ``moves`` (one per round) known up front (``None``:
-        no adversary).
+        no adversary), or return ``None``, having changed nothing, when
+        some round would fault (:meth:`_resolves_whole`).
 
         Rounds are counted per distinct (loop, move) pair at C level;
         each pair's template and move are folded once, and every counter
         is added once, times the pair's rounds (``rounds_by_phase`` in
-        the order of the rounds).  Records are built only when kept.  A
-        fault at round ``k`` (:meth:`_first_fault`) raises after rounds
-        ``0 .. k-1`` have resolved and counted.
+        the order of the rounds).  Records are built only when kept.
         """
-        starts = list(accumulate(counts, initial=0))
         loop_of = dict(zip(map(id, loops), loops))
-        ids, move_of = None, {}
+        keys: list = _each_round(map(id, loops), counts)
+        move_of: dict[int, Sequence[Transmission]] = {}
         if moves is not None:
             ids = list(map(id, moves))
             move_of = dict(zip(ids, moves))
-        stop, error = self._first_fault(
-            loops, loop_of.values(), starts, ids, move_of
-        )
-        run = loops
-        if stop < starts[-1]:
-            cut = bisect_right(starts, stop) - 1
-            run = loops[: cut + 1]
-            counts = counts[:cut] + [stop - starts[cut]]
-        keys: list = _each_round(map(id, run), counts)
-        if ids is not None:
             keys = list(zip(keys, ids))
+        if not self._resolves_whole(
+            loop_of.values(), sum(counts), move_of.values()
+        ):
+            return None
         settled: dict[int, _Settled] = {}
         folds: dict[tuple[int, int], _Folded] = {}
         outcomes: dict[object, Mapping[int, Message | None]] = {}
@@ -957,7 +921,7 @@ class RadioNetwork:
         honest = listens = units = jams = 0
         deliveries = collisions = spoofs = 0
         for key, count in Counter(keys).items():
-            if ids is None:
+            if moves is None:
                 cr, move_key, move = loop_of[key], 0, ()
             else:
                 cr, move_key = loop_of[key[0]], key[1]
@@ -997,8 +961,8 @@ class RadioNetwork:
         ):
             views = {key: MappingProxyType(d) for key, d in outcomes.items()}
             rounds = zip(
-                _each_round(run, counts),
-                chain.from_iterable(map(_ROWS, run)),
+                _each_round(loops, counts),
+                chain.from_iterable(map(_ROWS, loops)),
                 keys,
             )
             for offset, (cr, row, key) in enumerate(rounds):
@@ -1006,14 +970,12 @@ class RadioNetwork:
                     RoundRecord(
                         self._round_index + offset,
                         cr.repetition(row),
-                        () if ids is None else tuple(move_of[key[1]]),
+                        () if moves is None else tuple(move_of[key[1]]),
                         views[key],
                     )
                 )
         self._round_index += len(keys)
-        if error is not None:
-            raise error
-        return Heard(loops, keys, outcomes, starts)
+        return Heard(loops, list(map(outcomes.__getitem__, keys)))
 
 
 # ----------------------------------------------------------------------
@@ -1042,8 +1004,9 @@ def run_hopped_epoch(
     senders: Mapping[int, Message],
     listeners: tuple[int, ...],
     meta: RoundMeta,
-) -> list[Message | None]:
-    """Run one keyed epoch and return the message decoded on each hop.
+) -> Iterator[Message | None]:
+    """Run one keyed epoch; the result yields the message decoded on each
+    hop, in round order.
 
     Round ``r`` has every sender of ``senders`` (``sender -> frame``, one
     frame for the whole epoch) transmit on ``hops[r]`` and every node of
@@ -1055,6 +1018,11 @@ def run_hopped_epoch(
     ``network.execute_schedule`` as one schedule, so anything wrapping
     that method sees it as one unit.  Entry ``r`` of the result is
     ``None`` when round ``r``'s hop carried silence, a collision or noise.
+
+    The epoch resolves before this returns, but a round's entry is read
+    only when the result reaches it, so a reader that stops at the first
+    frame it accepts (:func:`first_opened`) builds no per-round map for
+    the rounds after it.
     """
     width = len(listeners)
     on_channel = {
@@ -1069,7 +1037,7 @@ def run_hopped_epoch(
     heard = network.execute_schedule(
         RoundSchedule(map(on_channel.__getitem__, hops))
     )
-    return [per_round.get(hop) for hop, per_round in zip(hops, heard)]
+    return (per_round.get(hop) for hop, per_round in zip(hops, heard))
 
 
 def first_opened(

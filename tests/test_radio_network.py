@@ -333,8 +333,8 @@ class TestHopRows:
         ],
     )
     def test_malformed_row_rejected(self, listeners, hops, match):
-        # ``hops`` is one round's row, or a loop's rows.  Resolved in bulk
-        # (no adversary) and round by round (an acting one), the bad row
+        # ``hops`` is one round's row, or a loop's rows.  With no
+        # adversary (the planned path) and with an acting one, the bad row
         # raises at its own round, after every earlier round counted.
         rows = hops if isinstance(hops, tuple) else (hops,)
         cr = CompiledRound({0: Transmit(0, self.MSG)}, listeners, rows, RoundMeta())
@@ -433,7 +433,7 @@ class TestPrivateHopEpochs:
         assert [cr.hops for cr in rounds] == [bytes((h, h)) for h in hops]
         assert len({id(cr) for cr in rounds}) == len(set(hops)) <= channels
         assert len({id(cr.transmits) for cr in rounds}) == len(set(hops))
-        assert heard == [frame] * 40
+        assert list(heard) == [frame] * 40
         assert net.metrics.rounds == 40
         assert net.metrics.honest_transmissions == 40
 
