@@ -37,7 +37,6 @@ from ..fame.schedule import recruit_witnesses
 from ..feedback.protocol import run_feedback
 from ..feedback.witness import WitnessAssignment
 from ..radio.network import RadioNetwork
-from ..radio.shapes import ScheduleShapeCache
 from ..rng import RngRegistry
 
 NOSURROGATE_KIND = "nosurrogate-data"
@@ -83,8 +82,6 @@ def run_no_surrogate(
     moves = 0
     divergence_events = 0
     max_moves = 3 * len(edges) + t + 2
-    # Every move's feedback phase shares one geometry; reuse its shape.
-    shape_cache = ScheduleShapeCache()
 
     while True:
         batch = greedy_matching(sorted(pending), network.channels)
@@ -118,7 +115,6 @@ def run_no_surrogate(
             list(range(network.n)),
             rng,
             rng_namespace="nosurrogate-feedback",
-            shape_cache=shape_cache,
         )
         majority, disagreeing = referee_vote(
             outputs, network.params.strict_consistency

@@ -28,7 +28,6 @@ from ..radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     hit_row,
 )
 from ..rng import RngRegistry
@@ -106,9 +105,7 @@ def run_oblivious_gossip(
                 hops.append(channel)
         row = bytes(hops)
         [heard] = network.execute_schedule(
-            RoundSchedule(
-                [CompiledRound(transmits, tuple(listeners), (row,), meta)]
-            )
+            [CompiledRound(transmits, tuple(listeners), (row,), meta)]
         )
         rounds += 1
         for channel, frame in heard.items():

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 from ..fame.protocol import check_pairs
 from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from ..radio.network import CompiledRound, RadioNetwork, RoundMeta
 from ..rng import RngRegistry
 
 RANDOM_EXCHANGE_KIND = "rand-exchange"
@@ -103,7 +103,7 @@ def run_randomized_exchange(
             compiled = CompiledRound(
                 {v: Transmit(hop, frame)}, (w,), (bytes((tuned,)),), meta
             )
-            [heard] = network.execute_schedule(RoundSchedule([compiled]))
+            [heard] = network.execute_schedule([compiled])
             got = heard.get(tuned)
             if got is not None and got.kind == RANDOM_EXCHANGE_KIND:
                 try:

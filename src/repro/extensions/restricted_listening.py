@@ -46,7 +46,6 @@ from ..radio.network import (
     Heard,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     run_gossip_epoch,
 )
 from ..radio.trace import ExecutionTrace, RoundRecord
@@ -142,7 +141,7 @@ class RestrictedListeningNetwork(RadioNetwork):
             meta=meta,
         )
 
-    def execute_schedule(self, schedule: RoundSchedule) -> Heard:
+    def execute_schedule(self, loops: Iterable[CompiledRound]) -> Heard:
         """Resolve each round with monitoring-before-acting semantics.
 
         Per round (each row of each loop), the adversary picks the
@@ -150,10 +149,9 @@ class RestrictedListeningNetwork(RadioNetwork):
         history; one ``super()`` call resolves the round, and its redacted
         record is appended.
         """
+        loops = tuple(loops)
         parts: list[Heard] = []
-        rounds = [
-            loop.repetition(row) for loop in schedule.rounds for row in loop.rows
-        ]
+        rounds = [loop.repetition(row) for loop in loops for row in loop.rows]
         for cr in rounds:
             view = self._redacted_view(cr.meta)
             monitored = sorted(set(self._monitoring_adversary.monitor(view)))
@@ -169,7 +167,7 @@ class RestrictedListeningNetwork(RadioNetwork):
                 tuple(self._monitoring_adversary.act(view))
             )
             try:
-                parts.append(super().execute_schedule(RoundSchedule((cr,))))
+                parts.append(super().execute_schedule((cr,)))
             finally:
                 self.adversary = None
 
@@ -202,7 +200,7 @@ class RestrictedListeningNetwork(RadioNetwork):
                     MappingProxyType(delivered),
                 )
             )
-        return Heard.joined(schedule.rounds, parts)
+        return Heard.joined(loops, parts)
 
 
 class StickyEavesdropper(MonitoringAdversary):

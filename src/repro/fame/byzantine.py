@@ -60,7 +60,6 @@ from ..radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     hit_row,
     private_hop_rows,
 )
@@ -206,7 +205,7 @@ def _byzantine_feedback(
                         rank, Message(BYZANTINE_REPORT_KIND, witness, report)
                     )
                 rounds.append(CompiledRound(template, listeners, (row,), meta))
-        heard = network.execute_schedule(RoundSchedule(rounds))
+        heard = network.execute_schedule(rounds)
         for cr, per_round in zip(rounds, heard):
             for channel, frame in per_round.items():
                 if frame.kind != BYZANTINE_REPORT_KIND:

@@ -50,13 +50,7 @@ from ..game.greedy import GreedyPools, GreedyTermination
 from ..game.rules import check_proposal
 from ..radio.actions import Transmit
 from ..radio.messages import Message
-from ..radio.network import (
-    CompiledRound,
-    RadioNetwork,
-    RoundMeta,
-    RoundSchedule,
-)
-from ..radio.shapes import ScheduleShapeCache
+from ..radio.network import CompiledRound, RadioNetwork, RoundMeta
 from ..rng import RngRegistry
 from .config import FameConfig, make_config
 from .result import FameResult, PairOutcome
@@ -168,7 +162,7 @@ def direct_round(
         extra=extra or {},
     )
     [heard] = network.execute_schedule(
-        RoundSchedule([CompiledRound.make(transmits, groups, meta)])
+        [CompiledRound.make(transmits, groups, meta)]
     )
     return [heard.get(channel) for channel in range(len(batch))]
 
@@ -233,10 +227,6 @@ class FameProtocol:
         )
         self.edges, self.messages = check_pairs(network, edges, messages)
         self.rng = rng or RngRegistry(seed=0)
-        # One schedule-shape cache for the whole run: every move's feedback
-        # phase has the same (participants, channels, repetitions) geometry,
-        # so templates/metadata/hop tables are built once and reused.
-        self._shape_cache = ScheduleShapeCache()
 
         # One canonical game state stands for all n replicas: they apply
         # the same grants, which referee_vote agrees on each move.
@@ -279,7 +269,7 @@ class FameProtocol:
         for listener, channel in listener_channels.items():
             by_channel.setdefault(channel, []).append(listener)
         [heard] = self.network.execute_schedule(
-            RoundSchedule([CompiledRound.make(transmits, by_channel, meta)])
+            [CompiledRound.make(transmits, by_channel, meta)]
         )
         results = {
             listener: heard.get(channel)
@@ -313,7 +303,6 @@ class FameProtocol:
                 flags,
                 participants,
                 self.rng,
-                shape_cache=self._shape_cache,
             )
         return run_feedback(
             self.network,
@@ -321,7 +310,6 @@ class FameProtocol:
             {w: flags[w] for s in schedule.feedback_sets for w in s},
             participants,
             self.rng,
-            shape_cache=self._shape_cache,
         )
 
     # ------------------------------------------------------------------

@@ -23,10 +23,13 @@ witness of rank ``i`` occupies feedback channel ``i`` in every repetition
 (a static transmitter template), and each listener's channel hops are
 private coin flips fixed by its RNG stream — so the entire
 ``slots × repetitions`` loop (and each level of the parallel merge tree)
-can be precomputed into a :class:`~repro.radio.network.RoundSchedule` of
-repetition loops (one :class:`~repro.radio.network.CompiledRound` per
-slot or transfer, one hop row per repetition) and submitted to
+can be precomputed into a list of repetition loops (one
+:class:`~repro.radio.network.CompiledRound` per slot or transfer, one hop
+row per repetition) and submitted to
 :meth:`~repro.radio.network.RadioNetwork.execute_schedule` in one call.
+Templates and metas are built where each loop is compiled; the listener
+hop tables are the registry's (:meth:`~repro.rng.RngRegistry.hops` builds
+each one once and keeps it).
 Against a planning adversary (or none) the engine resolves each loop in
 one step, and the routines read who heard what over the loop in bulk
 (:meth:`~repro.radio.network.Heard.reached`): a silent or collided

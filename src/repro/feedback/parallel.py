@@ -64,10 +64,9 @@ from ..radio.messages import DELTA_KIND, DeltaFrame, Message
 from ..radio.network import (
     CompiledRound,
     RadioNetwork,
-    RoundSchedule,
+    RoundMeta,
     private_hop_rows,
 )
-from ..radio.shapes import ScheduleShapeCache
 from ..rng import RngRegistry
 from .protocol import check_witness_flags
 from .witness import check_disjoint
@@ -108,7 +107,6 @@ def _run_transfer_rounds(
     repetitions: int,
     rng: RngRegistry,
     rng_namespace: object,
-    shapes: ScheduleShapeCache,
 ) -> None:
     """Run ``repetitions`` rounds of simultaneous directed transfers.
 
@@ -149,8 +147,8 @@ def _run_transfer_rounds(
             template[sender] = Transmit(
                 channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
-        streams = shapes.hops(
-            rng, rng_namespace, "merge-listen", block_listeners, len(block)
+        streams = rng.hops(
+            rng_namespace, "merge-listen", nodes=block_listeners, n=len(block)
         )
         groups.append((streams, block))
         listeners += block_listeners
@@ -159,9 +157,9 @@ def _run_transfer_rounds(
         template,
         tuple(listeners),
         private_hop_rows(groups, repetitions),
-        shapes.meta("feedback-parallel", tag=tag),
+        RoundMeta(phase="feedback-parallel", extra={"tag": tag}),
     )
-    heard = network.execute_schedule(RoundSchedule((loop,)))
+    heard = network.execute_schedule((loop,))
 
     # The broadcasters of one transfer share its frame: merge the masks
     # of the messages carrying it, check each distinct frame once, and
@@ -190,8 +188,6 @@ def run_parallel_feedback(
     flags: Mapping[int, bool],
     participants: Sequence[int],
     rng: RngRegistry,
-    *,
-    shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Merge per-slot flags through a parallel-prefix tree; return each
     participant's ``D`` (slot indices whose flag is true).
@@ -201,10 +197,9 @@ def run_parallel_feedback(
     agreeing on its flag); here ``witness_sets[r]`` must contain at least
     ``2t`` members, and the network must offer enough channels for the
     first level's simultaneous blocks (guaranteed by ``C >= 2t^2`` when
-    ``len(witness_sets) <= C/t``).  ``shape_cache`` is an optional
-    cross-invocation shape cache; within one invocation the merge tree
-    always shares one cache, so the per-level transfer rounds reuse
-    metadata and hop tables even when the caller passes none.
+    ``len(witness_sets) <= C/t``).  Each transfer's listener hop table
+    is the registry's own (:meth:`~repro.rng.RngRegistry.hops`), built on
+    the first invocation with that geometry and kept.
     """
     from ..fame.digests import combine_digests, slot_set_digest
 
@@ -216,7 +211,6 @@ def run_parallel_feedback(
     knowledge: dict[int, set[int]] = {node: set() for node in participants}
     if slots == 0:
         return knowledge
-    shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
 
     groups: list[_Group] = []
     for r, witness_set in enumerate(witness_sets):
@@ -270,7 +264,6 @@ def run_parallel_feedback(
                 repetitions=repetitions,
                 rng=rng,
                 rng_namespace=("feedback-parallel", level, direction),
-                shapes=shapes,
             )
         # Adjacent pairs cover adjacent slot ranges, so the concatenation
         # stays sorted and the disjoint-union digest combines in O(1).
@@ -299,6 +292,5 @@ def run_parallel_feedback(
             repetitions=repetitions,
             rng=rng,
             rng_namespace=("feedback-parallel", "final"),
-            shapes=shapes,
         )
     return knowledge

@@ -20,20 +20,20 @@ Execution strategy
 The repetition loop is *oblivious*: who transmits where is fixed by the
 witness ranks, and each listener's hops are private coins.
 :func:`run_feedback` therefore compiles each slot's repetitions into one
-loop (:class:`~repro.radio.network.CompiledRound`): one static
-transmitter template, one listener tuple and one hop row per repetition,
+loop (:class:`~repro.radio.network.CompiledRound`): one transmitter
+template, one listener tuple, one meta and one hop row per repetition,
 laid out by :func:`~repro.radio.network.private_hop_rows` from each
-listener's :class:`~repro.rng.HopStream`, and submits every slot's loop in
-one :class:`~repro.radio.network.RoundSchedule`, so the adversary is asked
-to plan once per invocation.  Against a planned adversary (or none) the
-engine resolves each loop in bulk, without a step per repetition.  The
-result's bulk fold (:meth:`~repro.radio.network.Heard.reached`) gives, per
-slot, each delivered frame with the OR of the
-:func:`~repro.radio.network.hit_row` masks of its listeners; the routine
-ORs those of the ``<true, r>`` frames and adds the slot to each marked
-listener once.  Shapes come from a
-:class:`~repro.radio.ScheduleShapeCache`.  Seeded runs are byte-identical
-to the historical per-node, one-round-per-repetition loop:
+listener's :class:`~repro.rng.HopStream` (the registry keeps the hop
+table, :meth:`~repro.rng.RngRegistry.hops`), and submits every slot's
+loop in one :meth:`~repro.radio.network.RadioNetwork.execute_schedule`
+call, so the adversary is asked to plan once per invocation.  Against a
+planned adversary (or none) the engine resolves each loop in bulk,
+without a step per repetition.  The result's bulk fold
+(:meth:`~repro.radio.network.Heard.reached`) gives, per slot, each
+delivered frame with the OR of the :func:`~repro.radio.network.hit_row`
+masks of its listeners; the routine ORs those of the ``<true, r>``
+frames and adds the slot to each marked listener once.  Seeded runs are
+byte-identical to the historical per-node, one-round-per-repetition loop:
 ``tests/test_golden.py`` pins digests recorded from it.
 """
 
@@ -48,10 +48,9 @@ from ..radio.messages import Message
 from ..radio.network import (
     CompiledRound,
     RadioNetwork,
-    RoundSchedule,
+    RoundMeta,
     private_hop_rows,
 )
-from ..radio.shapes import ScheduleShapeCache
 from ..rng import RngRegistry
 from .witness import WitnessAssignment
 
@@ -106,7 +105,6 @@ def run_feedback(
     rng: RngRegistry,
     *,
     rng_namespace: object = "feedback",
-    shape_cache: ScheduleShapeCache | None = None,
 ) -> dict[int, set[int]]:
     """Execute one communication-feedback invocation.
 
@@ -123,15 +121,10 @@ def run_feedback(
         Every node taking part (witnesses and listeners alike).  Witnesses
         of slots other than the active one listen like everyone else.
     rng:
-        Registry supplying each listener's private hop stream.
+        Registry supplying each listener's private hop stream (its hop
+        table is built on the first invocation and kept by the registry).
     rng_namespace:
         Disambiguates listener hop streams across multiple invocations.
-    shape_cache:
-        Optional :class:`~repro.radio.shapes.ScheduleShapeCache` shared
-        across invocations with the same geometry (templates, round
-        metadata and hop tables are then reused instead of rebuilt).
-        Defaults to a fresh per-invocation cache; observable behaviour is
-        identical either way.
 
     Returns
     -------
@@ -145,12 +138,10 @@ def run_feedback(
     )
 
     outputs: dict[int, set[int]] = {node: set() for node in participants}
-    shapes = shape_cache if shape_cache is not None else ScheduleShapeCache()
     # Listener coins are consumed slot-major, then by repetition (the
-    # historical per-round loop's order); templates, metadata and the
-    # hop table come from ``shapes``.
-    streams = shapes.hops(
-        rng, rng_namespace, "listen", participants, len(channels)
+    # historical per-round loop's order).
+    streams = rng.hops(
+        rng_namespace, "listen", nodes=participants, n=len(channels)
     )
 
     loops: list[CompiledRound] = []
@@ -162,13 +153,10 @@ def run_feedback(
             for w in witnesses:
                 outputs[w].add(slot)  # Figure 1 line 14
         frame_of = feedback_true if slot_flag else feedback_false
-        template = shapes.memo(
-            ("feedback-template", channels, slot, witnesses, slot_flag),
-            lambda: {
-                w: Transmit(channels[rank], frame_of(w, slot))
-                for rank, w in enumerate(witnesses)
-            },
-        )
+        template = {
+            w: Transmit(channels[rank], frame_of(w, slot))
+            for rank, w in enumerate(witnesses)
+        }
         listening = [node not in witness_set for node in participants]
         loops.append(
             CompiledRound(
@@ -177,11 +165,11 @@ def run_feedback(
                 private_hop_rows(
                     [(compress(streams, listening), channels)], repetitions
                 ),
-                shapes.meta("feedback", slot=slot),
+                RoundMeta(phase="feedback", extra={"slot": slot}),
             )
         )
 
-    heard = network.execute_schedule(RoundSchedule(loops))
+    heard = network.execute_schedule(loops)
 
     # Per slot: OR the masks of the listeners each <true, slot> frame
     # reached, then add the slot to each marked listener once.

@@ -51,7 +51,6 @@ from ..radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     first_opened,
     hit_row,
     keyed_epoch_rounds,
@@ -216,7 +215,7 @@ class GroupKeyProtocol:
                     # The epoch still burns its rounds in lockstep (the
                     # adversary acts; nothing is sent on this pair's behalf).
                     idle = CompiledRound({}, (), (b"",) * epoch_rounds, meta)
-                    self.network.execute_schedule(RoundSchedule([idle]))
+                    self.network.execute_schedule([idle])
                     epoch_index += 1
                     continue
                 hops = ChannelHopper(

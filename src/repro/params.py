@@ -157,7 +157,13 @@ def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = F
     require_witnesses:
         when ``True`` additionally enforce the f-AME population bound
         ``n > 3(t+1)^2 + 2(t+1)`` from Section 5.4.
+
+    Each size must be exactly an ``int``: ``8.0``, ``"8"`` and ``True``
+    are refused, never coerced.
     """
+    for name, value in (("n", n), ("C", channels), ("t", t)):
+        if type(value) is not int:
+            raise ConfigurationError(f"{name} must be an int, got {value!r}")
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got n={n}")
     if channels < 2:

@@ -23,12 +23,10 @@ from .network import (
     Heard,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     first_opened,
     keyed_epoch_rounds,
     run_hopped_epoch,
 )
-from .shapes import ScheduleShapeCache
 from .trace import ExecutionTrace, RoundRecord
 from .metrics import NetworkMetrics, frame_size, payload_size
 from .export import channel_occupancy, dump_trace, trace_to_records
@@ -49,9 +47,7 @@ __all__ = [
     "RadioNetwork",
     "RoundMeta",
     "RoundRecord",
-    "RoundSchedule",
     "SLEEP",
-    "ScheduleShapeCache",
     "Sleep",
     "Transmit",
     "channel_occupancy",

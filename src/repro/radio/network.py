@@ -175,9 +175,10 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class CompiledRound:
-    """One precompiled repetition loop of a :class:`RoundSchedule`:
-    ``len(rows)`` rounds of one transmitter template, one listener tuple
-    and one meta.  A single round is a loop of one row.
+    """One precompiled repetition loop: ``len(rows)`` rounds of one
+    transmitter template, one listener tuple and one meta.  A single round
+    is a loop of one row, and a schedule is the list of its loops
+    (:meth:`RadioNetwork.execute_schedule`).
 
     Attributes
     ----------
@@ -264,37 +265,6 @@ class CompiledRound:
             zip(self.listeners, map(_LISTEN_ON.__getitem__, self.hops))
         )
         return actions
-
-
-class RoundSchedule:
-    """A precompiled, data-independent batch of repetition loops.
-
-    Protocols whose round structure is *oblivious* — fixed repetition
-    loops, deterministic sweeps, precomputed random hop sequences — compile
-    the whole batch once and submit it through
-    :meth:`RadioNetwork.execute_schedule`.  ``rounds`` holds its
-    :class:`CompiledRound` loops in order; their rounds run back to back.
-    Against a planning adversary (or none) the engine resolves the batch
-    at a cost proportional to its distinct (loop, move) pairs plus a few
-    C-level passes over its hop rows: no round and no listener costs a
-    Python-level step, and a trace record, when one is kept, holds the
-    round itself.
-
-    A schedule is a plain value (picklable when its messages are), which is
-    what makes it a unit of work that can later be fanned out to worker
-    processes.
-    """
-
-    __slots__ = ("rounds",)
-
-    def __init__(self, rounds: Iterable[CompiledRound]) -> None:
-        self.rounds = tuple(rounds)
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    def __iter__(self) -> Iterator[CompiledRound]:
-        return iter(self.rounds)
 
 
 def _each_round(values: Iterable[T], counts: list[int]) -> list[T]:
@@ -556,7 +526,7 @@ class RadioNetwork:
             elif not 0 <= node < self.n:
                 raise ProtocolViolation(f"unknown node id {node}")
         compiled = CompiledRound.make(transmits, groups, meta)
-        (heard,) = self.execute_schedule(RoundSchedule((compiled,)))
+        (heard,) = self.execute_schedule((compiled,))
         return {
             node: heard.get(channel)
             for node, channel in zip(compiled.listeners, compiled.hops)
@@ -706,8 +676,10 @@ class RadioNetwork:
                     collisions += 1
         return delivered, deliveries, collisions, spoofs
 
-    def execute_schedule(self, schedule: "RoundSchedule") -> Heard:
-        """Resolve a precompiled :class:`RoundSchedule`.
+    def execute_schedule(self, loops: Iterable[CompiledRound]) -> Heard:
+        """Resolve a precompiled schedule: ``loops``, its
+        :class:`CompiledRound` repetition loops in order, whose rounds run
+        back to back (any iterable; it is read once).
 
         This is the one place a round is resolved: the round cap,
         validation, adversary interaction, the single-transmitter rule,
@@ -741,7 +713,7 @@ class RadioNetwork:
         one-row round, :meth:`CompiledRound.repetition`) and a read-only
         view of the round's touched-channel map.
         """
-        loops = schedule.rounds
+        loops = tuple(loops)
         counts = list(map(len, map(_ROWS, loops)))
         moves = None
         if self.adversary is not None:
@@ -1015,9 +987,10 @@ def run_hopped_epoch(
     time the hop returns there, so
     :meth:`RadioNetwork.execute_schedule` validates and settles at most
     ``C`` templates per epoch.  The whole epoch goes to
-    ``network.execute_schedule`` as one schedule, so anything wrapping
-    that method sees it as one unit.  Entry ``r`` of the result is
-    ``None`` when round ``r``'s hop carried silence, a collision or noise.
+    ``network.execute_schedule`` as one list of loops, so anything
+    wrapping that method sees it as one unit it can index and re-read.
+    Entry ``r`` of the result is ``None`` when round ``r``'s hop carried
+    silence, a collision or noise.
 
     The epoch resolves before this returns, but a round's entry is read
     only when the result reaches it, so a reader that stops at the first
@@ -1034,9 +1007,7 @@ def run_hopped_epoch(
         )
         for hop in dict.fromkeys(hops)
     }
-    heard = network.execute_schedule(
-        RoundSchedule(map(on_channel.__getitem__, hops))
-    )
+    heard = network.execute_schedule(list(map(on_channel.__getitem__, hops)))
     return (per_round.get(hop) for hop, per_round in zip(hops, heard))
 
 
@@ -1136,5 +1107,5 @@ def run_gossip_epoch(
             CompiledRound({sender: Transmit(hop[0], frame)}, listeners, (row,), meta)
             for hop, row in zip(sends, rows)
         ]
-    heard = network.execute_schedule(RoundSchedule(loops))
+    heard = network.execute_schedule(loops)
     return list(zip(rows, heard))

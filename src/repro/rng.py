@@ -136,6 +136,7 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._streams: dict[tuple[str, ...], random.Random | HopStream] = {}
+        self._tables: dict[tuple, list[HopStream]] = {}
 
     @property
     def seed(self) -> int:
@@ -185,15 +186,23 @@ class RngRegistry:
 
         Node ``v``'s stream is keyed by ``name_digest(seed, *prefix_parts,
         v)``, and repeated calls return the same :class:`HopStream`
-        objects, so coins advance across calls.  Keys come from one
+        objects, so coins advance across calls.  The registry keeps each
+        table it hands out under ``(prefix, tuple(nodes), n)`` and returns
+        that same list on a repeated call (do not mutate it): protocols
+        ask for the same table once per invocation, hundreds of times a
+        run.  The tuple compares node ids by value, as ``==`` does, so
+        give them as plain ints.  On the first call, keys come from one
         precomputed name-``repr`` prefix and one SHA-256 per missing node
         when the prefix is non-empty and every node is a plain ``int``
         (``repr`` of a stringified int is always ``'<digits>'``-quoted, so
         the spliced material equals the full tuple ``repr``
         :func:`name_digest` hashes); anything else derives per node.
         """
-        items = list(nodes)
         prefix = tuple(str(p) for p in prefix_parts)
+        items = tuple(nodes)
+        table = self._tables.get((prefix, items, n))
+        if table is not None:
+            return table
         fast = bool(prefix) and all(type(v) is int for v in items)
         opening = repr((self._seed,) + prefix)[:-1]
         streams = self._streams
@@ -220,6 +229,7 @@ class RngRegistry:
                     f"range({n})"
                 )
             append(hop)
+        self._tables[(prefix, items, n)] = out
         return out
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from ..adversary.base import Adversary
 from ..fame.byzantine import BYZANTINE_REPORT_KIND
 from ..radio.messages import Message, Transmission
-from ..radio.network import RadioNetwork, RoundSchedule
+from ..radio.network import CompiledRound, RadioNetwork
 
 __all__ = [
     "FrameInjector",
@@ -80,12 +80,8 @@ def crashed_sender(network: RadioNetwork):
     """
     original = network.execute_schedule
 
-    def stripped(schedule: RoundSchedule):
-        return original(
-            RoundSchedule(
-                [dataclasses.replace(r, transmits={}) for r in schedule.rounds]
-            )
-        )
+    def stripped(loops: Iterable[CompiledRound]):
+        return original([dataclasses.replace(r, transmits={}) for r in loops])
 
     network.execute_schedule = stripped
     try:
@@ -115,17 +111,17 @@ class RekeyEpochTap:
         self._original = network.execute_schedule
         network.execute_schedule = self._run
 
-    def _run(self, schedule: RoundSchedule):
-        meta = schedule.rounds[0].meta
+    def _run(self, loops: Sequence[CompiledRound]):
+        meta = loops[0].meta
         if meta.phase != "rekey" or meta.extra.get("member") != self.member:
-            return self._original(schedule)
+            return self._original(loops)
         if self._mode == "replay":
-            self._original(schedule)  # burn the epoch's real rounds
+            self._original(loops)  # burn the epoch's real rounds
             return self.captured[self._replay_generation]
         if self._mode == "suppress":
-            self._original(schedule)
-            return [{} for _ in schedule.rounds]
-        heard = self._original(schedule)
+            self._original(loops)
+            return [{} for _ in loops]
+        heard = self._original(loops)
         self.captured[meta.extra["generation"]] = heard
         return heard
 

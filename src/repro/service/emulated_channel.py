@@ -31,7 +31,7 @@ opened once, and the first that authenticates is the one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..crypto.hashes import canonical_encode
 from ..crypto.hopping import ChannelHopper
@@ -47,6 +47,16 @@ from ..radio.network import (
 )
 
 SERVICE_KIND = "service-frame"
+
+
+def int_ids(ids: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``ids`` as a tuple, each exactly an ``int`` — ``"1"``, ``True``
+    and ``2.9`` raise :class:`ConfigurationError` instead of being
+    coerced into (or compared equal to) a node nobody named."""
+    ids = tuple(ids)
+    if any(type(v) is not int for v in ids):
+        raise ConfigurationError(f"{what} must be int, got {ids!r:.80}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class LongLivedChannel:
         if not isinstance(group_key, (bytes, bytearray)) or len(group_key) < 16:
             raise ConfigurationError("group key must be at least 16 bytes")
         self.network = network
-        self.members = sorted(set(int(m) for m in members))
+        self.members = sorted(set(int_ids(members, "member ids")))
         if not all(0 <= m < network.n for m in self.members):
             raise ConfigurationError("member id out of range")
         if len(self.members) < 2:

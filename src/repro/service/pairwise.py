@@ -30,6 +30,7 @@ from ..radio.network import (
     keyed_epoch_rounds,
     run_hopped_epoch,
 )
+from .emulated_channel import int_ids
 
 PAIRWISE_KIND = "pairwise-frame"
 
@@ -71,6 +72,7 @@ class PairwiseChannel:
     ) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) < 16:
             raise ConfigurationError("pairwise key must be at least 16 bytes")
+        int_ids((a, b), "endpoints")
         if a == b:
             raise ConfigurationError("a pairwise channel needs two endpoints")
         for node in (a, b):

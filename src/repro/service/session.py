@@ -42,19 +42,9 @@ from ..radio.network import (
     run_hopped_epoch,
 )
 from ..rng import RngRegistry
-from .emulated_channel import Delivery, LongLivedChannel
+from .emulated_channel import Delivery, LongLivedChannel, int_ids
 
 REKEY_KIND = "rekey-frame"
-
-
-def _int_ids(ids: Iterable[Any], what: str) -> tuple[int, ...]:
-    """``ids`` as a tuple, each exactly an ``int`` — ``"1"``, ``True``
-    and ``2.9`` raise :class:`ConfigurationError` instead of being
-    coerced into (or compared equal to) a member nobody named."""
-    ids = tuple(ids)
-    if any(type(v) is not int for v in ids):
-        raise ConfigurationError(f"{what} must be int, got {ids!r:.80}")
-    return ids
 
 
 @dataclass(frozen=True)
@@ -225,7 +215,7 @@ class SecureSession:
         semantics are identical to a set-up session.  A member id that is
         not an ``int`` raises :class:`ConfigurationError`.
         """
-        member_ids = tuple(sorted(set(_int_ids(members, "member ids"))))
+        member_ids = tuple(sorted(set(int_ids(members, "member ids"))))
         secret = bytes(group_key)
         self = cls.__new__(cls)
         self.network = network
@@ -256,7 +246,7 @@ class SecureSession:
 
     def send(self, sender: int, payload: bytes) -> None:
         """Enqueue a broadcast from ``sender`` (one emulated round each)."""
-        _int_ids((sender,), "sender id")
+        int_ids((sender,), "sender id")
         if sender not in self.channel.members:
             raise ConfigurationError(f"node {sender} is not a member")
         if not isinstance(payload, (bytes, bytearray)):
@@ -359,7 +349,7 @@ class SecureSession:
         that is not an ``int`` (``"1"``, ``True``, ``2.9``) raises
         :class:`ConfigurationError` before any side effect.
         """
-        compromised = _int_ids(compromised, "compromised node ids")
+        compromised = int_ids(compromised, "compromised node ids")
         excluded = frozenset(compromised)
         pair_keys = self.setup.pairwise_keys
         candidates = [

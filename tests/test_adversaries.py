@@ -28,7 +28,6 @@ from repro.radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
 )
 from repro.radio.trace import ExecutionTrace, RoundRecord
 
@@ -427,7 +426,7 @@ def _build_schedules(channels, schedules, seed):
     for rounds, shared in schedules:
         meta = layout.choice(pool)
         built.append(
-            RoundSchedule(
+            [
                 CompiledRound(
                     layout.choice(templates),
                     LISTENERS,
@@ -435,7 +434,7 @@ def _build_schedules(channels, schedules, seed):
                     meta if shared else layout.choice(pool),
                 )
                 for _ in range(rounds)
-            )
+            ]
         )
     return built
 

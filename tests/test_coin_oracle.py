@@ -143,9 +143,9 @@ def gossip_checks(channels: int, t: int, hops: list, seed: int) -> dict:
     sent: list[int] = []
     execute = network.execute_schedule
 
-    def spy(schedule):
-        sent.extend(cr.transmits[SENDER].channel for cr in schedule.rounds)
-        return execute(schedule)
+    def spy(loops):
+        sent.extend(cr.transmits[SENDER].channel for cr in loops)
+        return execute(loops)
 
     network.execute_schedule = spy
     listeners = tuple(range(1, LISTENERS + 1))
@@ -275,10 +275,10 @@ def hearing_checks(counts: list[int], channels: int, t: int) -> dict:
     }
 
 
-def loop_rounds(schedule, heard):
-    """Each round of ``schedule`` as ``(hop row, channel -> message)``:
-    the rows of its loops in order beside the result's per-round maps."""
-    return zip(chain.from_iterable(loop.rows for loop in schedule.rounds), heard)
+def loop_rounds(loops, heard):
+    """Each round of a schedule's ``loops`` as ``(hop row, channel ->
+    message)``: their rows in order beside the result's per-round maps."""
+    return zip(chain.from_iterable(loop.rows for loop in loops), heard)
 
 
 def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
@@ -297,9 +297,9 @@ def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
     rounds: list[tuple[bytes, dict]] = []
     execute = network.execute_schedule
 
-    def spy(schedule):
-        heard = execute(schedule)
-        rounds.extend(loop_rounds(schedule, heard))
+    def spy(loops):
+        heard = execute(loops)
+        rounds.extend(loop_rounds(loops, heard))
         return heard
 
     network.execute_schedule = spy
@@ -355,10 +355,10 @@ def parallel_feedback_checks(t: int, adversary, seed: int) -> dict:
     rounds: list[tuple[bytes, dict]] = []
     execute = network.execute_schedule
 
-    def spy(schedule):
-        heard = execute(schedule)
-        if schedule.rounds[0].meta.extra["tag"][0] == "final":
-            rounds.extend(loop_rounds(schedule, heard))
+    def spy(loops):
+        heard = execute(loops)
+        if loops[0].meta.extra["tag"][0] == "final":
+            rounds.extend(loop_rounds(loops, heard))
         return heard
 
     network.execute_schedule = spy

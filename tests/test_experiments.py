@@ -33,7 +33,7 @@ from repro.experiments import (
 from repro.radio.actions import Transmit
 from repro.radio.messages import Message
 from repro.radio.metrics import NetworkMetrics
-from repro.radio.network import CompiledRound, RoundMeta, RoundSchedule
+from repro.radio.network import CompiledRound, RoundMeta
 from repro.rng import RngRegistry
 
 N = 18  # smallest population comfortably above the f-AME witness bound
@@ -142,19 +142,16 @@ class TestPickling:
 
     def test_round_schedule_round_trips(self):
         msg = Message(kind="k", sender=1, payload=("x", 2))
-        schedule = RoundSchedule(
-            [
-                CompiledRound.make(
-                    {1: Transmit(0, msg)},
-                    {0: (2, 3)},
-                    RoundMeta(phase="p", extra={"slot": 4}),
-                )
-            ]
-        )
+        loops = [
+            CompiledRound.make(
+                {1: Transmit(0, msg)},
+                {0: (2, 3)},
+                RoundMeta(phase="p", extra={"slot": 4}),
+            )
+        ]
         # repro-lint: disable=WIRE001 -- unpickles what this test pickled
-        clone = pickle.loads(pickle.dumps(schedule))
-        assert len(clone) == 1
-        (cr_clone,), (cr,) = clone.rounds, schedule.rounds
+        clone = pickle.loads(pickle.dumps(loops))
+        (cr_clone,), (cr,) = clone, loops
         assert cr_clone.transmits == cr.transmits
         assert cr_clone.listeners == cr.listeners == (2, 3)
         assert cr_clone.hops == cr.hops == b"\x00\x00"

@@ -2,8 +2,7 @@
 per-round loop it replaced.
 
 The oblivious feedback loops (Figure 1 repetitions, parallel-merge
-transfer rounds) run as precompiled
-:class:`~repro.radio.network.RoundSchedule` batches resolved by
+transfer rounds) run as precompiled lists of repetition loops resolved by
 :meth:`~repro.radio.network.RadioNetwork.execute_schedule` with lazy,
 channel-grouped listener settlement and a sparse per-round delivery
 record.  These tests are the safety net: for seeded runs — including
@@ -36,7 +35,7 @@ from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
 from repro.feedback.witness import WitnessAssignment
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import Message, Transmission
-from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta, RoundSchedule
+from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta
 from repro.rng import RngRegistry
 
 from test_golden import (
@@ -77,7 +76,7 @@ ADVERSARIES = {
 class TestFeedbackEquivalence:
     """Seeded `run_feedback` against the per-round reference's digests."""
 
-    def _run(self, adversary_factory, *, keep_trace=True, seed=7, **kwargs):
+    def _run(self, adversary_factory, *, keep_trace=True, seed=7):
         n, channels, t = 40, 3, 2
         net = RadioNetwork(
             n, channels, t, adversary=adversary_factory(), keep_trace=keep_trace
@@ -91,7 +90,6 @@ class TestFeedbackEquivalence:
             flags,
             list(range(n)),
             RngRegistry(seed=seed),
-            **kwargs,
         )
         return out, net
 
@@ -114,7 +112,7 @@ class TestParallelFeedbackEquivalence:
         k: v for k, v in ADVERSARIES.items() if k != "spoof-feedback"
     }
 
-    def _run(self, adversary_factory, *, seed=9, **kwargs):
+    def _run(self, adversary_factory, *, seed=9):
         n, channels, t = 60, 8, 2
         net = RadioNetwork(n, channels, t, adversary=adversary_factory())
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
@@ -127,7 +125,6 @@ class TestParallelFeedbackEquivalence:
             flags,
             list(range(n)),
             RngRegistry(seed=seed),
-            **kwargs,
         )
         return out, net
 
@@ -140,58 +137,6 @@ class TestParallelFeedbackEquivalence:
         out, _net = self._run(ADVERSARIES["random"])
         expected = {0, 2, 3}
         assert all(d == expected for d in out.values())
-
-
-class TestBlockDrawEquivalence:
-    """The block-draw hop sampler and the shape cache are invisible.
-
-    Block draws reproduce the per-draw ``stream.choice`` chain byte for
-    byte: the hypothesis property in ``test_schedule_properties.py``
-    checks the sampler alone, and the golden digests above (recorded with
-    per-draw hops) check it in situ, since the traces embed every hop.
-    Likewise a shared ``ScheduleShapeCache`` must be pure behaviour-wise:
-    cached templates, metas, and stream tables change allocation, never
-    results.
-    """
-
-    serial = TestFeedbackEquivalence()
-    parallel = TestParallelFeedbackEquivalence()
-
-    def test_serial_shared_shape_cache_is_pure(self):
-        from repro.radio import ScheduleShapeCache
-
-        cache = ScheduleShapeCache()
-        for seed in (7, 8, 9, 7):  # repeat seed 7: warm-cache re-run
-            fresh_out, fresh_net = self.serial._run(
-                ADVERSARIES["random"], seed=seed
-            )
-            cached_out, cached_net = self.serial._run(
-                ADVERSARIES["random"], seed=seed, shape_cache=cache
-            )
-            assert cached_out == fresh_out
-            assert cached_net.metrics == fresh_net.metrics
-            assert (
-                cached_net.trace.canonical_forms()
-                == fresh_net.trace.canonical_forms()
-            )
-
-    def test_parallel_shared_shape_cache_is_pure(self):
-        from repro.radio import ScheduleShapeCache
-
-        cache = ScheduleShapeCache()
-        for seed in (9, 10, 9):
-            fresh_out, fresh_net = self.parallel._run(
-                ADVERSARIES["sweep"], seed=seed
-            )
-            cached_out, cached_net = self.parallel._run(
-                ADVERSARIES["sweep"], seed=seed, shape_cache=cache
-            )
-            assert cached_out == fresh_out
-            assert cached_net.metrics == fresh_net.metrics
-            assert (
-                cached_net.trace.canonical_forms()
-                == fresh_net.trace.canonical_forms()
-            )
 
 
 def _random_compiled_round(rng, n, channels):
@@ -226,17 +171,15 @@ class TestExecuteSchedule:
     def test_matches_execute_round_expansion(self, adversary):
         n, channels, t = 16, 4, 2
         rng = random.Random(321)
-        schedule = RoundSchedule(
-            _random_compiled_round(rng, n, channels) for _ in range(30)
-        )
+        loops = [_random_compiled_round(rng, n, channels) for _ in range(30)]
         fast = RadioNetwork(
             n, channels, t, adversary=self.ADVERSARIES[adversary]()
         )
         ref = RadioNetwork(
             n, channels, t, adversary=self.ADVERSARIES[adversary]()
         )
-        heard = fast.execute_schedule(schedule)
-        expected = per_round_expansion(ref, schedule)
+        heard = fast.execute_schedule(loops)
+        expected = per_round_expansion(ref, loops)
         assert heard == expected
         assert fast.metrics == ref.metrics
         assert fast.trace.canonical_forms() == ref.trace.canonical_forms()
@@ -247,18 +190,18 @@ class TestExecuteSchedule:
         net = RadioNetwork(8, 2, 1)
         both = CompiledRound.make({0: Transmit(0, msg)}, {1: [0]}, None)
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([both]))
+            net.execute_schedule([both])
         twice = CompiledRound.make({}, {0: [1], 1: [1]}, None)
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([twice]))
+            net.execute_schedule([twice])
         duplicated = CompiledRound.make({}, {0: [1, 1]}, None)
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([duplicated]))
+            net.execute_schedule([duplicated])
         miscounted = CompiledRound(
             transmits={}, listeners=(1, 2), rows=(b"\x00",), meta=RoundMeta()
         )
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([miscounted]))
+            net.execute_schedule([miscounted])
 
     def test_validation_rejects_bad_template_and_listeners(self):
         net = RadioNetwork(8, 2, 1)
@@ -266,13 +209,13 @@ class TestExecuteSchedule:
             {0: Transmit(9, Message(kind="x"))}, {}, None
         )
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([bad_tx]))
+            net.execute_schedule([bad_tx])
         bad_listener = CompiledRound.make({}, {0: [99]}, None)
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([bad_listener]))
+            net.execute_schedule([bad_listener])
         bad_channel = CompiledRound.make({}, {7: [1]}, None)
         with pytest.raises(ProtocolViolation):
-            net.execute_schedule(RoundSchedule([bad_channel]))
+            net.execute_schedule([bad_channel])
 
     def test_template_validated_once_per_call(self):
         # A shared template mapping must not defeat validation on the
@@ -283,7 +226,7 @@ class TestExecuteSchedule:
         rounds = [
             CompiledRound.make(template, {0: [1]}, None) for _ in range(4)
         ]
-        heard = net.execute_schedule(RoundSchedule(rounds))
+        heard = net.execute_schedule(rounds)
         assert len(heard) == 4
         assert all(h[0].kind == "x" for h in heard)
         assert net.metrics.rounds == 4
@@ -301,13 +244,11 @@ class TestExecuteSchedule:
             )
 
         rng = random.Random(77)
-        schedule = RoundSchedule(
-            _random_compiled_round(rng, 8, 3) for _ in range(12)
-        )
+        loops = [_random_compiled_round(rng, 8, 3) for _ in range(12)]
         via_schedule = build()
         via_rounds = build()
-        heard = via_schedule.execute_schedule(schedule)
-        expected = per_round_expansion(via_rounds, schedule)
+        heard = via_schedule.execute_schedule(loops)
+        expected = per_round_expansion(via_rounds, loops)
         assert heard == expected
         assert via_schedule.metrics == via_rounds.metrics
         assert (

@@ -585,13 +585,13 @@ def test_share_spray_matches_golden(eavesdropper):
     assert result_digest(result, net) == SHARE_SPRAY[eavesdropper]
 
 
-def per_round_expansion(net, schedule) -> list[dict]:
-    """Resolve a :class:`RoundSchedule` one ``execute_round`` at a time,
-    reading each channel's result off its first listener (via the
+def per_round_expansion(net, loops) -> list[dict]:
+    """Resolve a schedule's one-round ``loops`` one ``execute_round`` at a
+    time, reading each channel's result off its first listener (via the
     derived ``channel -> listeners`` view of the round's hop row): the
     per-node side of the ``execute_schedule`` oracle tests."""
     out = []
-    for cr in schedule.rounds:
+    for cr in loops:
         results = net.execute_round(cr.as_actions(), cr.meta)
         out.append(
             {

@@ -14,6 +14,7 @@ from repro.params import (
     min_population,
     validate_model,
 )
+from repro.radio.network import RadioNetwork
 
 
 class TestMinPopulation:
@@ -144,3 +145,19 @@ class TestModelValidation:
         with pytest.raises(ConfigurationError):
             validate_model(16, 2, 1, require_witnesses=True)
         validate_model(17, 2, 1, require_witnesses=True)
+
+    @pytest.mark.parametrize(
+        "n, channels, t, field",
+        [
+            (8, 2.0, 1, "C"),
+            (8.5, 2, 1, "n"),
+            (8, 2, 0.5, "t"),
+            ("8", 2, 1, "n"),
+            (True, 2, 1, "n"),
+            (8, True, 0, "C"),
+            (8, 2, True, "t"),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_exact_ints(self, n, channels, t, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an int"):
+            RadioNetwork(n, channels, t)

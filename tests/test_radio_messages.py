@@ -62,17 +62,13 @@ class TestPayloadSize:
 
     def test_network_meters_honest_payloads_unless_gated_off(self):
         from repro.radio.actions import Listen, Transmit
-        from repro.radio.network import (
-            CompiledRound,
-            RadioNetwork,
-            RoundSchedule,
-        )
+        from repro.radio.network import CompiledRound, RadioNetwork
 
         msg = Message("k", sender=0, payload=("a", 1))  # frame size 3
         metered = RadioNetwork(4, 2, 0)
         metered.execute_round({0: Transmit(0, msg), 1: Listen(0)})
         metered.execute_schedule(
-            RoundSchedule([CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})])
+            [CompiledRound.make({0: Transmit(0, msg)}, {0: [1]})]
         )
         assert metered.metrics.payload_units == 6
         assert metered.metrics.honest_transmissions == 2

@@ -17,7 +17,6 @@ from repro.radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     private_hop_rows,
     run_gossip_epoch,
     run_hopped_epoch,
@@ -184,12 +183,12 @@ class ScriptedPlanner(Adversary):
 
 
 def listening_rounds(count):
-    return RoundSchedule([CompiledRound({}, (1,), (b"\0",), RoundMeta())] * count)
+    return [CompiledRound({}, (1,), (b"\0",), RoundMeta())] * count
 
 
 def listening_loop(count):
     """One loop of ``count`` rounds: the loop form of ``listening_rounds``."""
-    return RoundSchedule([CompiledRound({}, (1,), (b"\0",) * count, RoundMeta())])
+    return [CompiledRound({}, (1,), (b"\0",) * count, RoundMeta())]
 
 
 class TestPlannedMoves:
@@ -299,7 +298,7 @@ class TestHopRows:
 
     def _resolve(self, cr, *, n=8, channels=3):
         net = RadioNetwork(n, channels, 1)
-        return net.execute_schedule(RoundSchedule([cr]))
+        return net.execute_schedule([cr])
 
     @pytest.mark.parametrize(
         "listeners, hops, match",
@@ -341,7 +340,7 @@ class TestHopRows:
         for adversary in (None, FixedAdversary(())):
             net = RadioNetwork(8, 3, 1, adversary=adversary)
             with pytest.raises(ProtocolViolation, match=match):
-                net.execute_schedule(RoundSchedule([cr]))
+                net.execute_schedule([cr])
             assert net.metrics.rounds == len(net.trace) == len(rows) - 1
 
     def test_row_settles_listeners_by_channel(self):
@@ -418,9 +417,9 @@ class TestPrivateHopEpochs:
         submitted: list = []
         execute = net.execute_schedule
 
-        def spy(schedule):
-            submitted.append(schedule.rounds)
-            return execute(schedule)
+        def spy(loops):
+            submitted.append(loops)
+            return execute(loops)
 
         net.execute_schedule = spy
         draw = random.Random(channels).randrange

@@ -27,7 +27,6 @@ from repro.radio.network import (
     CompiledRound,
     RadioNetwork,
     RoundMeta,
-    RoundSchedule,
     hit_row,
 )
 
@@ -244,7 +243,7 @@ def _resolve_loops(channels, t, adversary, keep, cap, loops):
     )
     heard, error = None, None
     try:
-        heard = net.execute_schedule(RoundSchedule(loops))
+        heard = net.execute_schedule(loops)
     except ProtocolViolation as exc:
         error = str(exc)
     return net, heard, error

@@ -7,12 +7,7 @@ import pytest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import JAM, Message, Transmission
 from repro.radio.trace import ExecutionTrace, RoundRecord
-from repro.radio.network import (
-    CompiledRound,
-    RadioNetwork,
-    RoundMeta,
-    RoundSchedule,
-)
+from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta
 from repro.adversary import ReactiveJammer
 from repro.adversary.base import Adversary
 from repro.experiments import workloads
@@ -102,9 +97,9 @@ def _submitted_rounds(network) -> list[tuple[CompiledRound, bytes]]:
     rounds: list[tuple[CompiledRound, bytes]] = []
     resolve = network.execute_schedule
 
-    def recording(schedule):
-        rounds.extend((loop, row) for loop in schedule.rounds for row in loop.rows)
-        return resolve(schedule)
+    def recording(loops):
+        rounds.extend((loop, row) for loop in loops for row in loop.rows)
+        return resolve(loops)
 
     network.execute_schedule = recording
     return rounds
@@ -181,13 +176,13 @@ class TestRecordsShareTheirRounds:
         cr = CompiledRound.make({0: Transmit(1, msg)}, {1: [2]})
         vandal = _Vandal()
         net = RadioNetwork(4, 2, 1, adversary=vandal)
-        heard = net.execute_schedule(RoundSchedule([cr] * 3))
+        heard = net.execute_schedule([cr] * 3)
         assert heard == [{1: msg}] * 3
         assert vandal.refused == 2
         assert [dict(record.delivered) for record in net.trace] == [{1: msg}] * 3
         with pytest.raises(TypeError):
             net.trace[2].delivered[0] = msg
-        assert net.execute_schedule(RoundSchedule([cr])) == [{1: msg}]
+        assert net.execute_schedule([cr]) == [{1: msg}]
         assert dict(net.trace[3].delivered) == {1: msg}
 
 

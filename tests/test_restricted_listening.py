@@ -18,7 +18,7 @@ from repro.extensions.restricted_listening import SHARE_KIND
 from repro.fame.digests import slot_set_digest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import DELTA_KIND, JAM, DeltaFrame, Message, Transmission
-from repro.radio.network import CompiledRound, RoundMeta, RoundSchedule
+from repro.radio.network import CompiledRound, RoundMeta
 from repro.rng import RngRegistry
 
 from test_golden import (
@@ -56,7 +56,7 @@ class TestCompiledDeltaFallback:
                     transmits, listens, RoundMeta(phase="feedback-parallel")
                 )
             )
-        return RoundSchedule(rounds)
+        return rounds
 
     def test_schedule_matches_per_round_expansion(self):
         def build():

@@ -149,6 +149,41 @@ class TestRegistry:
             HopStream(name_digest(8, "ns", 0), 3).take(750)[700:]
         )
 
+    def test_the_registry_keeps_each_table(self):
+        reg = RngRegistry(seed=21)
+        table = reg.hops("ns", "listen", nodes=[4, 1, 9], n=3)
+        assert reg.hops("ns", "listen", nodes=[4, 1, 9], n=3) is table
+        # Another prefix or node order is another table of the same streams.
+        other = reg.hops("ns", "listen", nodes=[1, 4, 9], n=3)
+        assert other is not table and other == [table[1], table[0], table[2]]
+        assert reg.hops("ns", "other", nodes=[4, 1, 9], n=3) is not table
+
+    def test_a_range_a_list_and_a_tuple_share_one_table(self):
+        reg = RngRegistry(seed=21)
+        table = reg.hops("ns", nodes=range(5), n=4)
+        assert reg.hops("ns", nodes=[0, 1, 2, 3, 4], n=4) is table
+        assert reg.hops("ns", nodes=(0, 1, 2, 3, 4), n=4) is table
+
+    def test_coins_continue_through_a_kept_table(self):
+        nodes = [2, 5, 7]
+        reg = RngRegistry(seed=22)
+        first = [hop.take(300) for hop in reg.hops("ns", nodes=nodes, n=5)]
+        then = [hop.take(400) for hop in reg.hops("ns", nodes=nodes, n=5)]
+        fresh = RngRegistry(seed=22).hops("ns", nodes=nodes, n=5)
+        assert [a + b for a, b in zip(first, then)] == [
+            hop.take(700) for hop in fresh
+        ]
+
+    def test_a_kept_table_keeps_a_name_one_kind_of_stream(self):
+        reg = RngRegistry(seed=23)
+        table = reg.hops("hop", nodes=[1, 2], n=4)
+        assert reg.hops("hop", nodes=[1, 2], n=4) is table
+        with pytest.raises(ConfigurationError, match=r"range\(4\)"):
+            reg.hops("hop", nodes=[1, 2], n=3)
+        with pytest.raises(ConfigurationError, match="hop stream"):
+            reg.stream("hop", 2)
+        assert reg.hops("hop", nodes=[1, 2], n=4) is table
+
 
 class TestHopStream:
     # Split and uniformity properties: tests/test_schedule_properties.py.

@@ -174,6 +174,16 @@ class TestChannelValidation:
         with pytest.raises(ConfigurationError):
             LongLivedChannel(net, KEY, [0])
 
+    @pytest.mark.parametrize(
+        "members", [[0, 1.9, 3], [0, "x"], [0, True, 3]], ids=repr
+    )
+    def test_non_int_member_rejected(self, members):
+        # int() used to turn 1.9 into member 1 and raise a bare
+        # ValueError on "x".
+        net = make_network(n=12, channels=2, t=1)
+        with pytest.raises(ConfigurationError, match="must be int"):
+            LongLivedChannel(net, KEY, members)
+
 
 class TestSecureSession:
     @pytest.fixture(scope="class")
@@ -368,9 +378,9 @@ class TestSessionBugfixRegressions:
         victim = 2
         original = net.execute_schedule
 
-        def jam_victims_epoch(schedule):
-            heard = original(schedule)
-            meta = schedule.rounds[0].meta
+        def jam_victims_epoch(loops):
+            heard = original(loops)
+            meta = loops[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 return [{} for _ in heard]
             return heard
@@ -391,9 +401,9 @@ class TestSessionBugfixRegressions:
         victim = 1
         original = net.execute_schedule
 
-        def stale_gen(schedule):
-            heard = original(schedule)
-            meta = schedule.rounds[0].meta
+        def stale_gen(loops):
+            heard = original(loops)
+            meta = loops[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 gen = meta.extra["generation"]
                 rewritten = []
@@ -513,7 +523,6 @@ class TestServiceAdversaryGauntlet:
         from repro.radio.messages import Transmission
         import dataclasses
 
-        from repro.radio.network import RoundSchedule
         from repro.service import PairwiseChannel
 
         net = make_network(n=12, channels=2, t=1, keep_trace=True)
@@ -542,14 +551,9 @@ class TestServiceAdversaryGauntlet:
         # the adversary's replayed exchange-0 frames are in the air.
         original = net.execute_schedule
 
-        def crashed_sender(schedule):
+        def crashed_sender(loops):
             return original(
-                RoundSchedule(
-                    [
-                        dataclasses.replace(r, transmits={})
-                        for r in schedule.rounds
-                    ]
-                )
+                [dataclasses.replace(r, transmits={}) for r in loops]
             )
 
         net.execute_schedule = crashed_sender
@@ -598,9 +602,9 @@ class TestServiceAdversaryGauntlet:
         original = net.execute_schedule
         captured = {}
 
-        def capture(schedule):
-            heard = original(schedule)
-            meta = schedule.rounds[0].meta
+        def capture(loops):
+            heard = original(loops)
+            meta = loops[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
                 captured[meta.extra["generation"]] = heard
             return heard
@@ -609,12 +613,12 @@ class TestServiceAdversaryGauntlet:
         first = session.rekey([5])
         assert victim in first.members and 1 in captured
 
-        def replay_gen1(schedule):
-            meta = schedule.rounds[0].meta
+        def replay_gen1(loops):
+            meta = loops[0].meta
             if meta.phase == "rekey" and meta.extra.get("member") == victim:
-                original(schedule)  # burn the epoch's real rounds
+                original(loops)  # burn the epoch's real rounds
                 return captured[1]
-            return original(schedule)
+            return original(loops)
 
         net.execute_schedule = replay_gen1
         second = session.rekey([])
@@ -636,9 +640,9 @@ class TestServiceAdversaryGauntlet:
         tap.restore()
         original = net.execute_schedule
 
-        def relabelled_gen1(schedule):
-            heard = original(schedule)  # burn the epoch's real rounds
-            meta = schedule.rounds[0].meta
+        def relabelled_gen1(loops):
+            heard = original(loops)  # burn the epoch's real rounds
+            meta = loops[0].meta
             if meta.phase != "rekey" or meta.extra.get("member") != victim:
                 return heard
             return [

@@ -136,6 +136,16 @@ class TestPairwiseChannel:
         with pytest.raises(ConfigurationError):
             ch.send(3, "not bytes")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "a, b", [(0, 1.5), (0, "1"), (True, 3), (2.0, 3)], ids=repr
+    )
+    def test_non_int_endpoint_rejected(self, a, b):
+        # (0, 1.5) used to be accepted as is, and (0, "1") raised a bare
+        # TypeError from the range check.
+        net = make_network(n=20, channels=2, t=1)
+        with pytest.raises(ConfigurationError, match="must be int"):
+            PairwiseChannel(net, KEY, a, b)
+
     def test_exchanges_use_distinct_patterns(self):
         # Two channels over different keys must hop differently.
         net = make_network(n=20, channels=2, t=1)
