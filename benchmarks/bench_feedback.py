@@ -135,7 +135,7 @@ def run_draw_suite(sizes: list[int], t: int, min_seconds: float) -> dict:
     stream copies before anything is timed.  Then each size times
     :data:`DRAW_PASSES` passes, each a loop timing and a block timing of
     ``min_seconds``, the first side alternating, and prints every pass;
-    its ``speedup`` is the median of the per-pass ratios.
+    a size's ``speedup`` is the median of its per-pass ratios.
     """
     nchan = t + 1
     count = 64

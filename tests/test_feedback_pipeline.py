@@ -76,7 +76,7 @@ ADVERSARIES = {
 class TestFeedbackEquivalence:
     """Seeded `run_feedback` against the per-round reference's digests."""
 
-    def _run(self, adversary_factory, *, keep_trace=True, seed=7):
+    def _run(self, adversary_factory, *, keep_trace=True):
         n, channels, t = 40, 3, 2
         net = RadioNetwork(
             n, channels, t, adversary=adversary_factory(), keep_trace=keep_trace
@@ -89,7 +89,7 @@ class TestFeedbackEquivalence:
             wa,
             flags,
             list(range(n)),
-            RngRegistry(seed=seed),
+            RngRegistry(seed=7),
         )
         return out, net
 
@@ -112,7 +112,7 @@ class TestParallelFeedbackEquivalence:
         k: v for k, v in ADVERSARIES.items() if k != "spoof-feedback"
     }
 
-    def _run(self, adversary_factory, *, seed=9):
+    def _run(self, adversary_factory):
         n, channels, t = 60, 8, 2
         net = RadioNetwork(n, channels, t, adversary=adversary_factory())
         witness_sets = [tuple(range(s * 4, s * 4 + 4)) for s in range(4)]
@@ -124,7 +124,7 @@ class TestParallelFeedbackEquivalence:
             witness_sets,
             flags,
             list(range(n)),
-            RngRegistry(seed=seed),
+            RngRegistry(seed=9),
         )
         return out, net
 
