@@ -71,16 +71,6 @@ class Prg:
         value = int.from_bytes(self.read(nbytes), "big")
         return value >> (nbytes * 8 - k)
 
-    def randbelow(self, bound: int) -> int:
-        """A uniform integer in ``[0, bound)`` via rejection sampling."""
-        if bound <= 0:
-            raise CryptoError("bound must be positive")
-        k = bound.bit_length()
-        while True:
-            value = self.randbits(k)
-            if value < bound:
-                return value
-
 
 def keystream(seed: bytes, label: str, nbytes: int) -> bytes:
     """One-shot keystream of ``nbytes`` (stateless convenience)."""

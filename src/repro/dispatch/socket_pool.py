@@ -64,8 +64,8 @@ Every frame is a 4-byte big-endian length prefix followed by one JSON
 object in the :mod:`~repro.dispatch.wire` codec (capped at
 :data:`MAX_FRAME_BYTES` against malformed prefixes):
 
-* worker → ``{"kind": "hello", "protocol": 5, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome", "protocol": 5}`` or ``{"kind":
+* worker → ``{"kind": "hello", "protocol": 6, "repro": ..., "pid": ...}``
+* coordinator → ``{"kind": "welcome", "protocol": 6}`` or ``{"kind":
   "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
   or any other peer is turned away and the sweep continues with the
   rest);
@@ -130,14 +130,16 @@ from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
 from .wire import FrameRejected, check_result, decode, dumps, loads
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 """Coordinator/worker wire-protocol version, checked in the handshake.
 
 Bumped whenever a frame changes shape or what a trial computes (3: the
 spec context tuple lost its ``options`` field; 4: the honest coins moved
-to :data:`repro.rng.RANDOMNESS_VERSION` 2; 5: JSON, not pickle), so a
-worker of another version is turned away at ``hello`` instead of failing
-to unpack a frame or returning results drawn on other coins."""
+to :data:`repro.rng.RANDOMNESS_VERSION` 2; 5: JSON, not pickle; 6: a
+group-key reporter counts its own Part 3 report, which changes t = 0
+runs), so a worker of another version is turned away at ``hello``
+instead of failing to unpack a frame or returning results drawn on other
+coins."""
 
 MAX_FRAME_BYTES = 1 << 28
 """Upper bound on a single frame; larger prefixes abort the connection."""

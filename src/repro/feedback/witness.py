@@ -80,7 +80,3 @@ class WitnessAssignment:
     def witnesses_of(self, slot: int) -> tuple[int, ...]:
         """The witness tuple for ``slot``."""
         return self.sets[slot]
-
-    def all_witnesses(self) -> set[int]:
-        """Union of all witness sets."""
-        return {w for ws in self.sets for w in ws}

@@ -298,6 +298,9 @@ class GroupKeyProtocol:
                 key_hash = h2("leader-key", known[smallest])
                 report = (reporter, smallest, key_hash)
                 frame = Message(REPORT_KIND, reporter, report)
+                # Its own epoch has it transmitting, not listening, so
+                # the reporter counts its own report here.
+                reports[reporter][(smallest, key_hash)].add(reporter)
             # Each reporter's epoch is pure private coin flips: the
             # reporter on its hop, everyone else on theirs.  A reporter
             # that knows no leader key stays silent and draws nothing.

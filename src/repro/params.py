@@ -15,8 +15,7 @@ assignment needs ``n > 3(t+1)^2 + 2(t+1)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -80,10 +79,6 @@ class ProtocolParameters:
         if self.max_rounds is not None and self.max_rounds <= 0:
             raise ConfigurationError("max_rounds must be positive or None")
         return self
-
-    def with_overrides(self, **overrides: Any) -> "ProtocolParameters":
-        """Return a copy with the given fields replaced (and re-validated)."""
-        return replace(self, **overrides).validate()
 
     # ------------------------------------------------------------------
     # Concrete round counts

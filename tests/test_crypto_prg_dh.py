@@ -47,19 +47,12 @@ class TestPrg:
             v = p.randbits(k)
             assert 0 <= v < 2**k
 
-    def test_randbelow_uniform_support(self):
-        p = Prg(b"seed", "x")
-        seen = {p.randbelow(5) for _ in range(200)}
-        assert seen == {0, 1, 2, 3, 4}
-
     def test_bad_inputs(self):
         p = Prg(b"seed")
         with pytest.raises(CryptoError):
             p.read(-1)
         with pytest.raises(CryptoError):
             p.randbits(0)
-        with pytest.raises(CryptoError):
-            p.randbelow(0)
         with pytest.raises(CryptoError):
             p.block(-1)
         with pytest.raises(CryptoError):

@@ -16,6 +16,7 @@ from repro.radio.messages import Message
 from repro.rng import RngRegistry
 
 from conftest import make_network
+from oracles import spoofed_deliveries
 
 EDGES = [(0, 1), (0, 2), (3, 4), (5, 6)]
 MESSAGES = {p: ("m", p) for p in EDGES}
@@ -147,7 +148,7 @@ class TestPipeline:
         res = run_fame_with_digests(net, EDGES, MESSAGES, rng=rng)
         assert any(
             net.trace[index].meta["phase"] == "gossip"
-            for index, _channel, _msg in net.trace.spoofed_deliveries()
+            for index, _channel, _msg in spoofed_deliveries(net.trace)
         )
         # No receiver stored the forgery: every source's candidates are
         # its honest levels only.

@@ -284,7 +284,9 @@ class TestRecordedDeliveries:
         assert dict(record.delivered) == {0: None, 1: msg, 3: None}
         assert 2 not in record.delivered
         assert record.delivered.get(2) is None
-        assert record.received_by(1) == msg
+        # Node 1 listened on channel 1 and heard the frame.
+        hop = dict(zip(record.round.listeners, record.round.hops))[1]
+        assert record.delivered[hop] == msg
 
 
 class _ViewProbe(Adversary):

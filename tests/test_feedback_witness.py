@@ -23,7 +23,6 @@ class TestWitnessAssignment:
         wa = WitnessAssignment(sets=((0, 1), (2, 3)), channels=(0, 1))
         assert wa.slots == 2
         assert wa.witnesses_of(1) == (2, 3)
-        assert wa.all_witnesses() == {0, 1, 2, 3}
 
     def test_set_size_must_match_channels(self):
         with pytest.raises(ConfigurationError, match="needs exactly"):

@@ -97,7 +97,7 @@ class TestGossipPhaseDirect:
 
 class TestGraphConversion:
     def test_to_undirected_graph(self):
-        from repro.analysis.graphs import to_undirected_graph
+        from oracles import to_undirected_graph
 
         g = to_undirected_graph([(0, 1), (1, 0), (1, 2)])
         assert g.number_of_edges() == 2

@@ -42,7 +42,6 @@ from repro.adversary import (
     SweepJammer,
     TriangleIsolationAdversary,
 )
-from repro.analysis.complexity import fit_power_law, normalized_cost
 from repro.baselines import (
     run_direct_exchange,
     run_no_surrogate,
@@ -79,6 +78,8 @@ from repro.radio.messages import Message, Transmission
 from repro.radio.network import RadioNetwork
 from repro.rng import RngRegistry
 from repro.service import LongLivedChannel, SecureSession
+
+from oracles import fit_power_law, normalized_cost
 
 
 def report(title: str, headers: list[str], rows: list[list]) -> None:

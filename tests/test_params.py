@@ -60,15 +60,6 @@ class TestValidation:
     def test_none_round_cap_allowed(self):
         assert ProtocolParameters(max_rounds=None).validate().max_rounds is None
 
-    def test_with_overrides_returns_new_validated_copy(self):
-        p = DEFAULT_PARAMETERS.with_overrides(feedback_factor=5.0)
-        assert p.feedback_factor == 5.0
-        assert DEFAULT_PARAMETERS.feedback_factor != 5.0
-
-    def test_with_overrides_validates(self):
-        with pytest.raises(ConfigurationError):
-            DEFAULT_PARAMETERS.with_overrides(feedback_factor=-1)
-
 
 class TestFeedbackRepetitions:
     def test_base_regime_scales_with_t(self):

@@ -175,14 +175,19 @@ class TestChannelValidation:
             LongLivedChannel(net, KEY, [0])
 
     @pytest.mark.parametrize(
-        "members", [[0, 1.9, 3], [0, "x"], [0, True, 3]], ids=repr
+        "members", [[0, 1.9, 3], [0, "x"], [0, True, 3], [0, 1.0, 3]], ids=repr
     )
     def test_non_int_member_rejected(self, members):
         # int() used to turn 1.9 into member 1 and raise a bare
-        # ValueError on "x".
+        # ValueError on "x"; run_round delivered from sender True and
+        # raised a bare AttributeError on sender 1.0.
         net = make_network(n=12, channels=2, t=1)
         with pytest.raises(ConfigurationError, match="must be int"):
             LongLivedChannel(net, KEY, members)
+        (bad,) = (m for m in members if type(m) is not int)
+        channel = LongLivedChannel(net, KEY, [0, 1, 3])
+        with pytest.raises(ConfigurationError, match="must be int"):
+            channel.run_round({bad: b"x"})
 
 
 class TestSecureSession:
@@ -479,6 +484,8 @@ class TestSessionBugfixRegressions:
         with pytest.raises(ConfigurationError, match="must be int"):
             session.send(bad, b"x")
         assert session.pending() == 0 and session.stats.sent == 0
+        with pytest.raises(ConfigurationError, match="must be int"):
+            session.channel.run_round({bad: b"x"})
 
     def test_inbox_former_member_needs_explicit_flag(self):
         # A rekey-excluded member keeps its historical inbox but is no

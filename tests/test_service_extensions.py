@@ -141,10 +141,15 @@ class TestPairwiseChannel:
     )
     def test_non_int_endpoint_rejected(self, a, b):
         # (0, 1.5) used to be accepted as is, and (0, "1") raised a bare
-        # TypeError from the range check.
+        # TypeError from the range check; send took sender True as
+        # endpoint 1 and raised a bare AttributeError on sender 2.0.
         net = make_network(n=20, channels=2, t=1)
         with pytest.raises(ConfigurationError, match="must be int"):
             PairwiseChannel(net, KEY, a, b)
+        bad = a if type(a) is not int else b
+        ch = PairwiseChannel(net, KEY, int(a), int(b))
+        with pytest.raises(ConfigurationError, match="must be int"):
+            ch.send(bad, b"y")
 
     def test_exchanges_use_distinct_patterns(self):
         # Two channels over different keys must hop differently.
