@@ -8,7 +8,7 @@ claims without needing any protocol-specific knowledge.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import ConfigurationError
 from ..radio.messages import JAM, Transmission
@@ -20,31 +20,46 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _JAM_ON = tuple(Transmission(channel, JAM) for channel in range(256))
-"""One prebuilt jam per byte-sized channel id: :class:`ReactiveJammer`'s
-moves share them, so an acted round allocates no transmission."""
+"""One prebuilt jam per byte-sized channel id: planned and acted moves
+share them, so a move allocates no transmission."""
+
+
+def jam_move(channels: Iterable[int]) -> tuple[Transmission, ...]:
+    """The move jamming ``channels``, in order, from the prebuilt jams (a
+    channel id outside ``range(256)`` gets its own, for the network to
+    refuse)."""
+    return tuple(
+        _JAM_ON[c] if 0 <= c < 256 else Transmission(c, JAM) for c in channels
+    )
 
 
 def sample_jams(
     rng: random.Random, population: Sequence[int], count: int, rounds: int
 ) -> list[tuple[Transmission, ...]]:
     """``rounds`` moves, move ``r`` jamming ``rng.sample(population,
-    count)`` as drawn in round ``r`` of a per-round loop.
+    count)`` as drawn in round ``r`` of a per-round loop; rounds that jam
+    the same channels in the same order share one move.
 
     ``sample(population, 1)`` is one ``_randbelow(len(population))``, the
     draw under ``choice``, so a one-channel schedule is one
     :func:`~repro.radio.network.draw_in_step` block draw of indices (same
-    values, same final generator state) with one shared move per index;
-    from two rounds on that beats a ``sample`` call per round.
+    values, same final generator state); from two rounds on that beats a
+    ``sample`` call per round.
     """
     if count == 0:
         return [()] * rounds
     if count == 1 and rounds > 1 and len(population) <= 256:
-        singles = [(Transmission(c, JAM),) for c in population]
+        singles = [jam_move((c,)) for c in population]
         return [singles[i] for i in draw_in_step(rng, len(singles), rounds)]
-    return [
-        tuple(Transmission(c, JAM) for c in rng.sample(population, count))
-        for _ in range(rounds)
-    ]
+    moves: dict[tuple[int, ...], tuple[Transmission, ...]] = {}
+    out = []
+    for _ in range(rounds):
+        key = tuple(rng.sample(population, count))
+        move = moves.get(key)
+        if move is None:
+            move = moves[key] = jam_move(key)
+        out.append(move)
+    return out
 
 
 class RandomJammer(Adversary):

@@ -16,14 +16,13 @@ witness occupancy argument of Lemma 5).
 from __future__ import annotations
 
 import random
-from itertools import repeat
-from operator import is_
+from itertools import groupby
 from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..radio.messages import JAM, Transmission
+from ..radio.messages import Transmission
 from .base import Adversary
-from .jammers import sample_jams
+from .jammers import jam_move, sample_jams
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..radio.network import AdversaryView, RoundMeta
@@ -55,7 +54,9 @@ class ScheduleAwareJammer(Adversary):
         phase starts with ``"feedback"``, maximising listener delay.
 
     Its moves depend on its coins and the round's meta alone, so it plans
-    any schedule whose rounds share one meta object.
+    every schedule: each run of rounds that share one meta object at once,
+    the runs in order (an oblivious strategy may fix its moves in
+    advance).
     """
 
     def __init__(
@@ -104,17 +105,27 @@ class ScheduleAwareJammer(Adversary):
         return (preferred + rest)[:budget]
 
     def act(self, view: "AdversaryView") -> Sequence[Transmission]:
-        return self.plan_schedule(view, (view.meta,))[0]
+        return self._run(view, view.meta, 1)[0]
 
     def plan_schedule(
         self, view: "AdversaryView", metas: Sequence["RoundMeta"]
-    ) -> list[tuple[Transmission, ...]] | None:
-        """Plans a schedule whose rounds share one meta object; rounds
-        with differing metas keep acting round by round."""
-        meta = metas[0]
-        if not all(map(is_, metas, repeat(meta))):
-            return None
-        rounds = len(metas)
+    ) -> list[tuple[Transmission, ...]]:
+        """Plans each run of rounds that share one meta object in turn.
+
+        A move depends on its round's meta and the jammer's coins alone,
+        so a run's moves are drawn at once, consuming exactly the coins
+        that many :meth:`act` calls would, and runs follow in order; a
+        schedule of several metas plans like one of a single meta."""
+        moves: list[tuple[Transmission, ...]] = []
+        for _, same in groupby(metas, id):
+            run = list(same)
+            moves += self._run(view, run[0], len(run))
+        return moves
+
+    def _run(
+        self, view: "AdversaryView", meta: "RoundMeta", rounds: int
+    ) -> list[tuple[Transmission, ...]]:
+        """The moves of ``rounds`` rounds of ``meta``."""
         schedule = meta.schedule or {}
         in_use = list(schedule.get("channels_in_use", ()))
         if in_use:
@@ -122,7 +133,7 @@ class ScheduleAwareJammer(Adversary):
                 budget = min(view.t, len(in_use))
                 return sample_jams(self._rng, in_use, budget, rounds)
             targets = self._pick_scheduled(view, schedule, in_use)
-            return [tuple(Transmission(c, JAM) for c in targets)] * rounds
+            return [jam_move(targets)] * rounds
         if self._jam_feedback and str(meta.phase).startswith("feedback"):
             budget = min(view.t, view.channels)
             return sample_jams(self._rng, range(view.channels), budget, rounds)

@@ -63,14 +63,6 @@ class Prg:
         out, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
         return out
 
-    def randbits(self, k: int) -> int:
-        """The next ``k``-bit integer from the stream."""
-        if k <= 0:
-            raise CryptoError("k must be positive")
-        nbytes = (k + 7) // 8
-        value = int.from_bytes(self.read(nbytes), "big")
-        return value >> (nbytes * 8 - k)
-
 
 def keystream(seed: bytes, label: str, nbytes: int) -> bytes:
     """One-shot keystream of ``nbytes`` (stateless convenience)."""

@@ -234,13 +234,16 @@ class FameProtocol:
             self.edges, vertices=range(network.n)
         )
         self._pools = GreedyPools(self._graph)
-        # knowledge[j][v] = j's copy of v's message vector.
-        self._knowledge: list[dict[int, dict[int, Any]]] = [
-            {} for _ in range(network.n)
-        ]
+        vectors: dict[int, dict[int, Any]] = {}
         for v, w in self.edges:
-            vector = self._knowledge[v].setdefault(v, {})
-            vector[w] = self.messages[(v, w)]
+            vectors.setdefault(v, {})[w] = self.messages[(v, w)]
+        # held[j][v] = j's copy of v's message vector, as the payload that
+        # carries it.  A vector never changes, and every frame decoded on
+        # an in-use channel is authentic, so each source's payload is built
+        # once and every copy shares it.
+        self._held: list[dict[int, tuple]] = [{} for _ in range(network.n)]
+        for v, vector in vectors.items():
+            self._held[v][v] = vector_frame(v, v, vector).payload
         self._surrogates: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -251,13 +254,13 @@ class FameProtocol:
         """Execute the message-transmission phase of one move."""
         transmits: dict[int, Transmit] = {}
         for a in schedule.assignments:
-            vector = self._knowledge[a.broadcaster].get(a.source)
-            if vector is None:  # pragma: no cover - schedule picks holders
+            payload = self._held[a.broadcaster].get(a.source)
+            if payload is None:  # pragma: no cover - schedule picks holders
                 raise SimulationDiverged(
                     f"broadcaster {a.broadcaster} lacks vector of {a.source}"
                 )
             transmits[a.broadcaster] = Transmit(
-                a.channel, vector_frame(a.broadcaster, a.source, vector)
+                a.channel, Message(AME_DATA_KIND, a.broadcaster, payload)
             )
         listener_channels = schedule.listeners()
         meta = RoundMeta(
@@ -280,15 +283,15 @@ class FameProtocol:
         # can only collide (the paper's first insight).  Record the vectors.
         for node, frame in results.items():
             if frame is not None and frame.kind == AME_DATA_KIND:
-                source, items = frame.payload
-                self._knowledge[node][source] = dict(items)
+                source, _items = frame.payload
+                self._held[node][source] = frame.payload
         return results
 
     def _feedback_phase(
         self,
         schedule: TransmissionSchedule,
         results: Mapping[int, Message | None],
-    ) -> dict[int, set[int]]:
+    ) -> dict[int, frozenset[int]]:
         """Run the feedback routine; return every node's slot set ``D_j``."""
         flags: dict[int, bool] = {}
         for group in schedule.witness_groups:

@@ -9,7 +9,7 @@ and the divergence events the w.h.p. analysis permits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from ..analysis.disruption import disruptability, is_d_disruptable
 from .config import FameConfig
@@ -94,12 +94,6 @@ class FameResult:
         """Check Definition 1's property 3 for ``d``."""
         return is_d_disruptable(self.failed, d)
 
-    def delivered_messages(self) -> dict[tuple[int, int], Any]:
-        """Map of successful pair -> decoded message."""
-        return {
-            p: o.message for p, o in self.outcomes.items() if o.success
-        }
-
     def sender_report(self, sender: int) -> dict[tuple[int, int], bool]:
         """Sender awareness (Definition 1, property 2).
 
@@ -125,17 +119,3 @@ class FameResult:
             "rounds": self.rounds,
             "divergence_events": self.divergence_events,
         }
-
-
-def outcomes_from_pairs(
-    pairs: Iterable[tuple[int, int]],
-    delivered: Mapping[tuple[int, int], Any],
-) -> dict[tuple[int, int], PairOutcome]:
-    """Build an outcome table from a delivered-message map (test helper)."""
-    out: dict[tuple[int, int], PairOutcome] = {}
-    for pair in pairs:
-        if pair in delivered:
-            out[pair] = PairOutcome(pair=pair, success=True, message=delivered[pair])
-        else:
-            out[pair] = PairOutcome(pair=pair, success=False)
-    return out

@@ -58,11 +58,6 @@ class ChannelAssignment:
     source: int
     listener: int | None
 
-    @property
-    def uses_surrogate(self) -> bool:
-        """True when a surrogate broadcasts on the source's behalf."""
-        return self.broadcaster != self.source
-
 
 @dataclass(frozen=True)
 class TransmissionSchedule:

@@ -22,18 +22,25 @@ during the phase depends on anything observed during the phase.  The
 witness of rank ``i`` occupies feedback channel ``i`` in every repetition
 (a static transmitter template), and each listener's channel hops are
 private coin flips fixed by its RNG stream — so the entire
-``slots × repetitions`` loop (and each level of the parallel merge tree)
-can be precomputed into a list of repetition loops (one
-:class:`~repro.radio.network.CompiledRound` per slot or transfer, one hop
-row per repetition) and submitted to
-:meth:`~repro.radio.network.RadioNetwork.execute_schedule` in one call.
-Templates and metas are built where each loop is compiled; the listener
-hop tables are the registry's (:meth:`~repro.rng.RngRegistry.hops` builds
-each one once and keeps it).
+``slots × repetitions`` loop (and the whole parallel merge tree: every
+level, then the final dissemination, since each frame follows from the
+flags alone) can be precomputed into a list of repetition loops (one
+:class:`~repro.radio.network.CompiledRound` per slot or transfer phase,
+one hop row per repetition) and submitted to
+:meth:`~repro.radio.network.RadioNetwork.execute_schedule` in one call:
+one invocation is one schedule, which the adversary is asked to plan
+once.  Templates and metas are built where each loop is compiled; the
+listener hop tables are the registry's
+(:meth:`~repro.rng.RngRegistry.hops` builds each one once and keeps it).
 Against a planning adversary (or none) the engine resolves each loop in
 one step, and the routines read who heard what over the loop in bulk
 (:meth:`~repro.radio.network.Heard.reached`): a silent or collided
 channel costs no per-listener work, and a repetition no engine step.
+Both fold what was heard into one mask per slot (a byte lane per
+participant) and return ``node -> frozenset`` in participant order,
+nodes with equal output sets sharing one frozenset
+(:func:`~repro.feedback.protocol.slot_outputs`), so the f-AME referee
+vote hashes each distinct set once.
 
 Lemma 5 fidelity: compilation changes no observable of the execution.
 An acting adversary is still consulted every round with the same view

@@ -32,17 +32,28 @@ true slots hash to its digest; any other frame is dropped whole.
 
 Execution
 ---------
-Each transfer phase's repetition loop is oblivious, so it runs as one
-compiled loop (:class:`~repro.radio.network.CompiledRound`) with one
-transmitter template, one listener tuple and one hop row per repetition,
-laid out by :func:`~repro.radio.network.private_hop_rows` (one ``(hop
-streams, block)`` group per transfer).  Against a planned adversary (or
-none) the engine resolves the loop in bulk, and its result's fold
-(:meth:`~repro.radio.network.Heard.reached`) gives each delivered message
-with the OR of the :func:`~repro.radio.network.hit_row` masks of the
-listeners it reached.  The merge ORs those per distinct frame, checks the
-frame once, and adds its true slots once to each listener it reached; a
-node's knowledge is its set of true slots.  Seeded runs are
+The merge is oblivious: every frame follows from the flags, never from
+what a listener heard (a group's frame carries its members' true slots,
+and a node's knowledge only collects the output).  So one invocation is
+one schedule: each level's two directed transfer phases compile into one
+loop each (:class:`~repro.radio.network.CompiledRound`: one transmitter
+template, one listener tuple, one hop row per repetition, laid out by
+:func:`~repro.radio.network.private_hop_rows` with one ``(hop streams,
+block)`` group per transfer), the final dissemination into one more, and
+all of them go to :meth:`~repro.radio.network.RadioNetwork.execute_schedule`
+in one call, after every check has passed.  Each transfer phase draws its
+listeners' hops from its own ``("feedback-parallel", level, direction)``
+namespace and the final from ``("feedback-parallel", "final")``, whose
+table spans every participant and is compressed to the outsiders, so the
+coins are those of one call per phase.  Against a planned adversary (or
+none) the engine resolves the schedule in bulk, and its fold
+(:meth:`~repro.radio.network.Heard.reached`) gives each loop's delivered
+messages with the OR of the :func:`~repro.radio.network.hit_row` masks of
+the listeners they reached.  The merge ORs those per distinct frame,
+checks the frame once, and ORs the participant lanes it reached into the
+mask of each of its true slots; the per-slot masks become each node's
+output set at the end
+(:func:`~repro.feedback.protocol.slot_outputs`).  Seeded runs are
 byte-identical to the historical per-node, one-round-per-repetition loop,
 and match the historical full-frame encoding (which shipped the whole
 ``slot -> flag`` map) on ``D`` maps, every radio metric but the
@@ -67,8 +78,8 @@ from ..radio.network import (
     RoundMeta,
     private_hop_rows,
 )
-from ..rng import RngRegistry
-from .protocol import check_witness_flags
+from ..rng import HopStream, RngRegistry
+from .protocol import check_witness_flags, slot_outputs, widen
 from .witness import check_disjoint
 
 
@@ -97,35 +108,34 @@ def _delta_payload(group: _Group, tag: object) -> DeltaFrame:
     return DeltaFrame(tag=tag, digest=group.digest, true_slots=group.true_slots)
 
 
-def _run_transfer_rounds(
-    network: RadioNetwork,
+def _compile_transfers(
     transfers: Sequence[
-        tuple[Sequence[int], Sequence[int], Sequence[int], DeltaFrame]
+        tuple[
+            Sequence[int],
+            Sequence[int],
+            Sequence[HopStream],
+            Sequence[int],
+            DeltaFrame,
+        ]
     ],
-    knowledge: dict[int, set[int]],
     tag: object,
     repetitions: int,
-    rng: RngRegistry,
-    rng_namespace: object,
-) -> None:
-    """Run ``repetitions`` rounds of simultaneous directed transfers.
+) -> CompiledRound:
+    """Compile ``repetitions`` rounds of simultaneous directed transfers
+    into one loop.
 
-    Each transfer is ``(broadcasters, listeners, block_channels, frame)``;
-    blocks must be channel-disjoint (validated).  Every block channel is
-    occupied by an honest broadcaster each round, so adversarial frames can
-    only collide, never be decoded.  Listeners hop uniformly within their
-    block and add the true slots of any valid knowledge frame with a
-    matching tag to ``knowledge``.
+    Each transfer is ``(broadcasters, listeners, hop streams,
+    block_channels, frame)``; blocks must be channel-disjoint (validated).
+    Every block channel is occupied by an honest broadcaster each round,
+    so adversarial frames can only collide, never be decoded.  Listeners
+    hop uniformly within their block, each on its hop stream.
 
-    The transfers compile into one loop of ``repetitions`` rounds: the
-    frames of one transfer are identical across rounds, so the
+    The frames of one transfer are identical across rounds, so the
     broadcasters form one static template, and every transfer's
     listeners one tuple.
     """
-    from ..fame.digests import slot_set_digest
-
     used_channels: set[int] = set()
-    for broadcasters, _, block, _ in transfers:
+    for broadcasters, _, _, block, _ in transfers:
         overlap = used_channels & set(block)
         if overlap:
             raise ConfigurationError(
@@ -141,45 +151,21 @@ def _run_transfer_rounds(
     template: dict[int, Transmit] = {}
     listeners: list[int] = []
     groups = []
-    for broadcasters, block_listeners, block, frame in transfers:
+    for broadcasters, block_listeners, streams, block, frame in transfers:
         for idx, channel in enumerate(block):
             sender = broadcasters[idx]
             template[sender] = Transmit(
                 channel, Message(kind=DELTA_KIND, sender=sender, payload=frame)
             )
-        streams = rng.hops(
-            rng_namespace, "merge-listen", nodes=block_listeners, n=len(block)
-        )
         groups.append((streams, block))
         listeners += block_listeners
 
-    loop = CompiledRound(
+    return CompiledRound(
         template,
         tuple(listeners),
         private_hop_rows(groups, repetitions),
         RoundMeta(phase="feedback-parallel", extra={"tag": tag}),
     )
-    heard = network.execute_schedule((loop,))
-
-    # The broadcasters of one transfer share its frame: merge the masks
-    # of the messages carrying it, check each distinct frame once, and
-    # add its true slots once to each listener it reached.  A frame that
-    # fails a check is dropped whole.
-    frames: dict[int, list] = {}  # id(frame) -> [frame, listener mask]
-    for received, reached in heard.reached(0):
-        frame = received.payload
-        if (
-            received.kind == DELTA_KIND
-            and isinstance(frame, DeltaFrame)
-            and frame.tag == tag
-        ):
-            frames.setdefault(id(frame), [frame, 0])[1] |= reached
-    width = len(loop.listeners)
-    for frame, hits in frames.values():
-        if slot_set_digest(frame.true_slots) != frame.digest:
-            continue
-        for node in compress(loop.listeners, hits.to_bytes(width, "little")):
-            knowledge[node].update(frame.true_slots)
 
 
 def run_parallel_feedback(
@@ -188,29 +174,32 @@ def run_parallel_feedback(
     flags: Mapping[int, bool],
     participants: Sequence[int],
     rng: RngRegistry,
-) -> dict[int, set[int]]:
+) -> dict[int, frozenset[int]]:
     """Merge per-slot flags through a parallel-prefix tree; return each
-    participant's ``D`` (slot indices whose flag is true).
+    participant's ``D`` (slot indices whose flag is true), in participant
+    order, nodes with equal sets sharing one frozenset.
 
     Parameters mirror :func:`repro.feedback.protocol.run_feedback`, and are
-    validated the same way (disjoint witness sets of distinct nodes, each
-    agreeing on its flag); here ``witness_sets[r]`` must contain at least
-    ``2t`` members, and the network must offer enough channels for the
-    first level's simultaneous blocks (guaranteed by ``C >= 2t^2`` when
-    ``len(witness_sets) <= C/t``).  Each transfer's listener hop table
-    is the registry's own (:meth:`~repro.rng.RngRegistry.hops`), built on
-    the first invocation with that geometry and kept.
+    validated the same way (distinct participants; disjoint witness sets
+    of distinct nodes, each agreeing on its flag); here
+    ``witness_sets[r]`` must contain at least ``2t`` members, and the
+    network must offer enough channels for the first level's simultaneous
+    blocks (guaranteed by ``C >= 2t^2`` when ``len(witness_sets) <=
+    C/t``).  Every check runs before any round.  Each transfer's listener
+    hop table is the registry's own (:meth:`~repro.rng.RngRegistry.hops`),
+    built on the first invocation with that geometry and kept; the final
+    dissemination draws from one participants-wide table.
     """
     from ..fame.digests import combine_digests, slot_set_digest
 
     t = network.t
     block_size = max(1, 2 * t)
-    slots = len(witness_sets)
     check_disjoint(witness_sets)
     check_witness_flags(witness_sets, flags, participants)
-    knowledge: dict[int, set[int]] = {node: set() for node in participants}
-    if slots == 0:
-        return knowledge
+    lane = dict(zip(participants, range(len(participants))))
+    masks: dict[int, int] = {}  # slot -> its participant-lane mask
+    if not witness_sets:
+        return slot_outputs(participants, masks)
 
     groups: list[_Group] = []
     for r, witness_set in enumerate(witness_sets):
@@ -222,8 +211,8 @@ def run_parallel_feedback(
             )
         true_slots = (r,) if flags[members[0]] else ()
         groups.append(_Group(members, true_slots, slot_set_digest(true_slots)))
-        for w in members:
-            knowledge[w].update(true_slots)
+        if true_slots:
+            masks[r] = sum(1 << 8 * lane[w] for w in members)
 
     # Block of 2t channels with at most t jammed: success probability
     # >= 1/2 per round, matching the C = 2t feedback formula.
@@ -231,6 +220,11 @@ def run_parallel_feedback(
         network.n, max(2, block_size), min(t, max(2, block_size) - 1)
     )
 
+    # Every frame follows from the flags alone, so the whole tree compiles
+    # before any round runs: one loop per level and direction, then the
+    # final dissemination, each with its tag and, for the final, the lanes
+    # of the participants that do not listen.
+    compiled: list[tuple[CompiledRound, object, list[int] | None]] = []
     level = 0
     while len(groups) > 1:
         pairs = [
@@ -247,23 +241,27 @@ def run_parallel_feedback(
         # on disjoint channel blocks.
         for direction in (0, 1):
             tag = (level, direction)
+            namespace = ("feedback-parallel", level, direction)
             transfers = []
             for pair_idx, (left, right) in enumerate(pairs):
                 src, dst = (left, right) if direction == 0 else (right, left)
                 block = tuple(
                     range(pair_idx * block_size, (pair_idx + 1) * block_size)
                 )
-                transfers.append(
-                    (src.members, dst.members, block, _delta_payload(src, tag))
+                streams = rng.hops(
+                    namespace, "merge-listen", nodes=dst.members, n=block_size
                 )
-            _run_transfer_rounds(
-                network,
-                transfers,
-                knowledge,
-                tag=tag,
-                repetitions=repetitions,
-                rng=rng,
-                rng_namespace=("feedback-parallel", level, direction),
+                transfers.append(
+                    (
+                        src.members,
+                        dst.members,
+                        streams,
+                        block,
+                        _delta_payload(src, tag),
+                    )
+                )
+            compiled.append(
+                (_compile_transfers(transfers, tag, repetitions), tag, None)
             )
         # Adjacent pairs cover adjacent slot ranges, so the concatenation
         # stays sorted and the disjoint-union digest combines in O(1).
@@ -279,18 +277,57 @@ def run_parallel_feedback(
 
     # Final dissemination: the root group broadcasts to everyone else.
     root = groups[0]
-    root_members = set(root.members)
-    outsiders = [p for p in participants if p not in root_members]
-    if outsiders:
+    root_lanes = sorted(map(lane.__getitem__, root.members))
+    outside = widen(
+        b"\x01" * (len(participants) - len(root_lanes)), root_lanes, b"\x00"
+    )
+    if any(outside):
         tag = ("final", level)
-        block = tuple(range(block_size))
-        _run_transfer_rounds(
-            network,
-            [(root.members, outsiders, block, _delta_payload(root, tag))],
-            knowledge,
-            tag=tag,
-            repetitions=repetitions,
-            rng=rng,
-            rng_namespace=("feedback-parallel", "final"),
+        streams = rng.hops(
+            ("feedback-parallel", "final"),
+            "merge-listen",
+            nodes=participants,
+            n=block_size,
         )
-    return knowledge
+        final = (
+            root.members,
+            tuple(compress(participants, outside)),
+            list(compress(streams, outside)),
+            tuple(range(block_size)),
+            _delta_payload(root, tag),
+        )
+        compiled.append(
+            (_compile_transfers([final], tag, repetitions), tag, root_lanes)
+        )
+
+    heard = network.execute_schedule([loop for loop, _, _ in compiled])
+
+    # The broadcasters of one transfer share its frame: merge the masks
+    # of the messages carrying it, check each distinct frame once, and OR
+    # the participant lanes it reached into the mask of each of its true
+    # slots (a level's few listeners one lane each, the final's everyone
+    # but the root at once).  A frame that fails a check is dropped whole.
+    for index, (loop, tag, skipped) in enumerate(compiled):
+        frames: dict[int, list] = {}  # id(frame) -> [frame, listener mask]
+        for received, reached in heard.reached(index):
+            frame = received.payload
+            if (
+                received.kind == DELTA_KIND
+                and isinstance(frame, DeltaFrame)
+                and frame.tag == tag
+            ):
+                frames.setdefault(id(frame), [frame, 0])[1] |= reached
+        width = len(loop.listeners)
+        if skipped is None:
+            lane_bits = [1 << 8 * lane[node] for node in loop.listeners]
+        for frame, hits in frames.values():
+            if slot_set_digest(frame.true_slots) != frame.digest:
+                continue
+            marks = hits.to_bytes(width, "little")
+            if skipped is None:
+                bits = sum(compress(lane_bits, marks))
+            else:
+                bits = int.from_bytes(widen(marks, skipped, b"\x00"), "little")
+            for slot in frame.true_slots:
+                masks[slot] = masks.get(slot, 0) | bits
+    return slot_outputs(participants, masks)

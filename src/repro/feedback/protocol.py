@@ -32,7 +32,10 @@ without a step per repetition.  The result's bulk fold
 (:meth:`~repro.radio.network.Heard.reached`) gives, per slot, each
 delivered frame with the OR of the :func:`~repro.radio.network.hit_row`
 masks of its listeners; the routine ORs those of the ``<true, r>``
-frames and adds the slot to each marked listener once.  Seeded runs are
+frames into one mask per slot, laid out over the participants with the
+slot's witnesses holding their own flag (:func:`widen`), and
+:func:`slot_outputs` turns the per-slot masks into each node's output
+set, nodes with equal sets sharing one frozenset.  Seeded runs are
 byte-identical to the historical per-node, one-round-per-repetition loop:
 ``tests/test_golden.py`` pins digests recorded from it.
 """
@@ -73,14 +76,17 @@ def check_witness_flags(
     flags: Mapping[int, bool],
     participants: Sequence[int],
 ) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError` unless every witness
-    is a participant holding a flag and each slot's witnesses agree on it.
+    """Raise :class:`~repro.errors.ConfigurationError` unless the
+    participants are distinct, every witness is a participant holding a
+    flag and each slot's witnesses agree on it.
 
     Figure 1 assumes all witnesses of a slot hold the same flag; a
     mismatch means the caller's transmission round already violated the
     model.  Both feedback routines validate their inputs here.
     """
     participant_set = set(participants)
+    if len(participant_set) != len(participants):
+        raise ConfigurationError("a participant is listed twice")
     for witness_set in witness_sets:
         flag_values = {flags[w] for w in witness_set if w in flags}
         if len(flag_values) > 1:
@@ -97,6 +103,54 @@ def check_witness_flags(
             raise ConfigurationError("witness outside participant set")
 
 
+def widen(marks: bytes, lanes: Sequence[int], fill: bytes) -> bytes:
+    """``marks``, one byte per listener of a loop whose listeners are the
+    participants but those at the ascending participant ``lanes``, laid
+    out over every participant: ``fill`` at each of ``lanes``."""
+    parts = []
+    start = 0
+    for skipped, lane in enumerate(lanes):
+        parts.append(marks[start : lane - skipped])
+        start = lane - skipped
+    parts.append(marks[start:])
+    return fill.join(parts)
+
+
+def slot_outputs(
+    participants: Sequence[int], masks: Mapping[int, int]
+) -> dict[int, frozenset[int]]:
+    """Each participant's output set ``D`` from per-slot masks: byte ``i``
+    of ``masks[slot]`` (a little-endian ``int``) is ``1`` when
+    ``participants[i]`` outputs ``slot``.  Nodes with equal sets share one
+    frozenset.
+
+    Eight slots at a time are packed into one byte per participant (slot
+    ``8k + b`` of ``masks``, in order, is bit ``b`` of column ``k``), so a
+    node's key is its byte (its tuple of bytes past eight slots), and one
+    frozenset is built per distinct key.
+    """
+    slots = list(masks)
+    if not slots:
+        return dict.fromkeys(participants, frozenset())
+    width = len(participants)
+    columns = []
+    for first in range(0, len(slots), 8):
+        column = 0
+        for bit, slot in enumerate(slots[first : first + 8]):
+            column |= masks[slot] << bit
+        columns.append(column.to_bytes(width, "little"))
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    sets: dict[object, frozenset[int]] = {}
+    for key in dict.fromkeys(keys):
+        bytes_of = key if type(key) is tuple else (key,)
+        sets[key] = frozenset(
+            slot
+            for i, slot in enumerate(slots)
+            if bytes_of[i >> 3] >> (i & 7) & 1
+        )
+    return dict(zip(participants, map(sets.__getitem__, keys)))
+
+
 def run_feedback(
     network: RadioNetwork,
     assignment: WitnessAssignment,
@@ -105,7 +159,7 @@ def run_feedback(
     rng: RngRegistry,
     *,
     rng_namespace: object = "feedback",
-) -> dict[int, set[int]]:
+) -> dict[int, frozenset[int]]:
     """Execute one communication-feedback invocation.
 
     Parameters
@@ -118,8 +172,9 @@ def run_feedback(
         Flag value per witness node, validated by
         :func:`check_witness_flags`.
     participants:
-        Every node taking part (witnesses and listeners alike).  Witnesses
-        of slots other than the active one listen like everyone else.
+        Every node taking part (witnesses and listeners alike), each once.
+        Witnesses of slots other than the active one listen like everyone
+        else.
     rng:
         Registry supplying each listener's private hop stream (its hop
         table is built on the first invocation and kept by the registry).
@@ -128,7 +183,9 @@ def run_feedback(
 
     Returns
     -------
-    dict mapping every participant to its output set ``D`` (slot indices).
+    dict mapping every participant to its output set ``D`` (slot
+    indices), in participant order; nodes with equal sets share one
+    frozenset.
     """
     channels = assignment.channels
     check_witness_flags(assignment.sets, flags, participants)
@@ -137,27 +194,26 @@ def run_feedback(
         network.n, len(channels), network.t
     )
 
-    outputs: dict[int, set[int]] = {node: set() for node in participants}
     # Listener coins are consumed slot-major, then by repetition (the
     # historical per-round loop's order).
     streams = rng.hops(
         rng_namespace, "listen", nodes=participants, n=len(channels)
     )
+    lane = dict(zip(participants, range(len(participants))))
+    everyone = b"\x01" * len(participants)
 
     loops: list[CompiledRound] = []
+    own: list[tuple[list[int], bytes]] = []  # witness lanes, their flag
     for slot in range(assignment.slots):
         witnesses = assignment.witnesses_of(slot)
-        witness_set = set(witnesses)
         slot_flag = flags[witnesses[0]]
-        if slot_flag:
-            for w in witnesses:
-                outputs[w].add(slot)  # Figure 1 line 14
         frame_of = feedback_true if slot_flag else feedback_false
         template = {
             w: Transmit(channels[rank], frame_of(w, slot))
             for rank, w in enumerate(witnesses)
         }
-        listening = [node not in witness_set for node in participants]
+        lanes = sorted(map(lane.__getitem__, witnesses))
+        listening = widen(everyone[len(lanes) :], lanes, b"\x00")
         loops.append(
             CompiledRound(
                 template,
@@ -168,19 +224,20 @@ def run_feedback(
                 RoundMeta(phase="feedback", extra={"slot": slot}),
             )
         )
+        own.append((lanes, b"\x01" if slot_flag else b"\x00"))
 
     heard = network.execute_schedule(loops)
 
     # Per slot: OR the masks of the listeners each <true, slot> frame
-    # reached, then add the slot to each marked listener once.
+    # reached, and lay them out over the participants, the slot's
+    # witnesses holding their own flag (Figure 1 line 14).
+    masks: dict[int, int] = {}
     for slot, loop in enumerate(loops):
         wanted = ("true", slot)
         hits = 0
         for received, reached in heard.reached(slot):
             if received.kind == FEEDBACK_KIND and received.payload == wanted:
                 hits |= reached
-        if hits:
-            marks = hits.to_bytes(len(loop.listeners), "little")
-            for node in compress(loop.listeners, marks):
-                outputs[node].add(slot)
-    return outputs
+        marks = hits.to_bytes(len(loop.listeners), "little")
+        masks[slot] = int.from_bytes(widen(marks, *own[slot]), "little")
+    return slot_outputs(participants, masks)

@@ -51,11 +51,6 @@ class GameResult:
     edges_granted: int = 0
     history: list[tuple[list[Item], list[Item]]] = field(default_factory=list)
 
-    @property
-    def cover_size(self) -> int:
-        """Size of the exact minimum vertex cover at termination."""
-        return len(self.verified_cover)
-
 
 class StarredEdgeRemovalGame:
     """One playable instance of the (G, t)-starred-edge removal game."""

@@ -135,8 +135,3 @@ class Transmission:
 
     channel: int
     payload: Message | Jam = field(default=JAM)
-
-    @property
-    def is_jam(self) -> bool:
-        """True when the payload is noise rather than a decodable message."""
-        return isinstance(self.payload, Jam)

@@ -34,7 +34,13 @@ def payload_size(payload: Any) -> int:
     if kind in _SCALAR_TYPES:
         return 1
     if kind is tuple or kind is list:
-        return sum(payload_size(part) for part in payload)
+        units = 0
+        for part in payload:
+            if type(part) in _SCALAR_TYPES:
+                units += 1
+            elif part is not None:
+                units += payload_size(part)
+        return units
     wire = getattr(payload, "wire_size", None)
     if callable(wire):
         return wire()

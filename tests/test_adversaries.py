@@ -236,6 +236,43 @@ class TestScheduleAwareJammer:
         txs = adv.act(view(t=2, channels=6, meta=self._meta([0, 1, 2, 3, 4])))
         assert_legal(txs, 2, 6)
 
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("jam_feedback", [True, False])
+    @pytest.mark.parametrize("policy", VICTIM_POLICIES)
+    def test_mixed_meta_plan_equals_acting(self, policy, jam_feedback, t):
+        # Runs of one round and of many over metas the jammer treats
+        # differently, some meta objects coming back after another one.
+        wide = self._meta(
+            [0, 2, 3, 5], {3: {"broadcaster": 1, "listener": 4}}
+        )
+        narrow = self._meta([4])
+        feedback = RoundMeta(phase="feedback", extra={"slot": 0})
+        merge = RoundMeta(phase="feedback-parallel")
+        other = RoundMeta(phase="other")
+        runs = [
+            (wide, 7), (feedback, 1), (merge, 12), (narrow, 1), (other, 3),
+            (feedback, 9), (wide, 1), (merge, 1), (narrow, 5), (feedback, 1),
+        ]
+        metas = [meta for meta, rounds in runs for _ in range(rounds)]
+        planned_rng, acted_rng = random.Random(5), random.Random(5)
+        planner, actor = (
+            ScheduleAwareJammer(
+                rng, policy, victims=(4,), jam_feedback=jam_feedback
+            )
+            for rng in (planned_rng, acted_rng)
+        )
+        planned = planner.plan_schedule(
+            view(t=t, channels=6, meta=metas[0]), metas
+        )
+        acted = [
+            actor.act(view(t=t, channels=6, round_index=k, meta=meta))
+            for k, meta in enumerate(metas)
+        ]
+        assert [tuple(move) for move in planned] == acted
+        assert planned_rng.getstate() == acted_rng.getstate()
+        if jam_feedback:
+            assert any(acted[8:20])  # the merge run jams
+
 
 class TestSimulatingAdversary:
     def test_runs_simulators_and_dedupes_channels(self):

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from itertools import chain
+from itertools import chain, repeat
 
 import pytest
 
@@ -158,6 +158,7 @@ def gossip_checks(channels: int, t: int, hops: list, seed: int) -> dict:
         epoch = run_gossip_epoch(
             network, SENDER, frame, listeners, hops, ROUNDS, meta
         )
+        assert epoch, "a gossip epoch ran no rounds"
         for row, heard in epoch:
             rows.append(row)
             hits += sum(row.count(channel) for channel in heard)
@@ -277,9 +278,14 @@ def hearing_checks(counts: list[int], channels: int, t: int) -> dict:
 
 
 def loop_rounds(loops, heard):
-    """Each round of a schedule's ``loops`` as ``(hop row, channel ->
-    message)``: their rows in order beside the result's per-round maps."""
-    return zip(chain.from_iterable(loop.rows for loop in loops), heard)
+    """Each round of a schedule's ``loops`` as ``(loop, hop row, channel
+    -> message)``: each loop once per row, its rows in order, beside the
+    result's per-round maps."""
+    return zip(
+        chain.from_iterable(repeat(loop, len(loop.rows)) for loop in loops),
+        chain.from_iterable(loop.rows for loop in loops),
+        heard,
+    )
 
 
 def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
@@ -300,7 +306,7 @@ def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
 
     def spy(loops):
         heard = execute(loops)
-        rounds.extend(loop_rounds(loops, heard))
+        rounds.extend((row, got) for _, row, got in loop_rounds(loops, heard))
         return heard
 
     network.execute_schedule = spy
@@ -308,7 +314,9 @@ def feedback_checks(channels: int, t: int, adversary, seed: int) -> dict:
     # on where the previous invocation left it.
     registry = RngRegistry(seed)
     while len(rounds) < FEEDBACK_ROUNDS:
+        kept = len(rounds)
         run_feedback(network, assignment, flags, participants, registry)
+        assert len(rounds) > kept, "a feedback invocation ran no rounds"
     counts = [
         sum(
             row.count(channel)
@@ -358,16 +366,21 @@ def parallel_feedback_checks(t: int, adversary, seed: int) -> dict:
 
     def spy(loops):
         heard = execute(loops)
-        if loops[0].meta.extra["tag"][0] == "final":
-            rounds.extend(loop_rounds(loops, heard))
+        rounds.extend(
+            (row, got)
+            for loop, row, got in loop_rounds(loops, heard)
+            if loop.meta.extra["tag"][0] == "final"
+        )
         return heard
 
     network.execute_schedule = spy
     registry = RngRegistry(seed)
     while len(rounds) < PARALLEL_ROUNDS:
+        kept = len(rounds)
         run_parallel_feedback(
             network, witness_sets, flags, participants, registry
         )
+        assert len(rounds) > kept, "a merge ran no final dissemination"
     counts = [
         sum(
             row.count(channel)

@@ -41,18 +41,10 @@ class TestPrg:
         assert p.block(5) == Prg(b"seed", "x").block(5)
         assert p.block(5) != p.block(6)
 
-    def test_randbits_range(self):
-        p = Prg(b"seed", "x")
-        for k in (1, 7, 16, 63):
-            v = p.randbits(k)
-            assert 0 <= v < 2**k
-
     def test_bad_inputs(self):
         p = Prg(b"seed")
         with pytest.raises(CryptoError):
             p.read(-1)
-        with pytest.raises(CryptoError):
-            p.randbits(0)
         with pytest.raises(CryptoError):
             p.block(-1)
         with pytest.raises(CryptoError):

@@ -5,7 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.fame.config import make_config
-from repro.fame.result import FameResult, PairOutcome, outcomes_from_pairs
+from repro.fame.result import FameResult, PairOutcome
+
+
+def outcomes_from_pairs(pairs, delivered):
+    """An outcome table from a delivered-message map."""
+    out = {}
+    for pair in pairs:
+        if pair in delivered:
+            out[pair] = PairOutcome(
+                pair=pair, success=True, message=delivered[pair]
+            )
+        else:
+            out[pair] = PairOutcome(pair=pair, success=False)
+    return out
 
 
 def result_with(outcomes):
@@ -43,12 +56,6 @@ class TestFameResult:
         assert res.disruptability() == 1
         assert res.is_d_disruptable(1)
         assert not res.is_d_disruptable(0)
-
-    def test_delivered_messages(self):
-        res = result_with(outcomes_from_pairs(
-            [(0, 1), (2, 3)], {(0, 1): "payload"}
-        ))
-        assert res.delivered_messages() == {(0, 1): "payload"}
 
     def test_sender_report_filters_by_source(self):
         res = result_with(outcomes_from_pairs(

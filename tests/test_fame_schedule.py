@@ -31,7 +31,7 @@ class TestBasicScheduling:
         s = build_schedule(cfg, [NodeItem(0), EdgeItem(1, 2), EdgeItem(3, 4)], set(), {})
         a = s.assignments[1]
         assert a.broadcaster == 1 and a.listener == 2
-        assert not a.uses_surrogate
+        assert a.broadcaster == a.source
 
     def test_deterministic(self, cfg):
         proposal = [NodeItem(0), EdgeItem(1, 2), EdgeItem(3, 4)]
@@ -47,7 +47,7 @@ class TestSurrogates:
         s = build_schedule(cfg, proposal, {1}, holders)
         first, second = s.assignments[0], s.assignments[1]
         assert first.broadcaster == 1  # source takes its first edge
-        assert second.uses_surrogate
+        assert second.broadcaster != second.source
         assert second.broadcaster in holders[1]
         assert second.source == 1
 
@@ -58,14 +58,16 @@ class TestSurrogates:
         proposal = [EdgeItem(0, 1), EdgeItem(1, 5), NodeItem(7)]
         s = build_schedule(cfg, proposal, {1}, holders)
         edge_15 = s.assignments[1]
-        assert edge_15.uses_surrogate
+        assert edge_15.broadcaster != edge_15.source
         assert edge_15.broadcaster in holders[1]
 
     def test_surrogates_distinct_across_edges(self, cfg):
         holders = {1: tuple(range(20, 30))}
         proposal = [EdgeItem(0, 1), EdgeItem(1, 5), EdgeItem(1, 6)]
         s = build_schedule(cfg, proposal, {1}, holders)
-        surrogates = [a.broadcaster for a in s.assignments if a.uses_surrogate]
+        surrogates = [
+            a.broadcaster for a in s.assignments if a.broadcaster != a.source
+        ]
         assert len(surrogates) == 2
         assert len(set(surrogates)) == 2
 

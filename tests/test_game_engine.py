@@ -36,7 +36,7 @@ class TestGamePlay:
     def test_generous_referee_finishes_fast(self, t):
         game = StarredEdgeRemovalGame(complete_graph(6), t)
         result = game.play(GenerousReferee())
-        assert result.cover_size <= t
+        assert len(result.verified_cover) <= t
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_adversarial_referee_within_theorem4_bound(self, t):
@@ -44,20 +44,20 @@ class TestGamePlay:
         edges = len(graph.edges)
         game = StarredEdgeRemovalGame(graph, t)
         result = game.play(AdversarialReferee())
-        assert result.cover_size <= t
+        assert len(result.verified_cover) <= t
         # Theorem 4: at most |E| removals + 2|E| stars = 3|E| moves.
         assert result.moves <= 3 * edges
 
     def test_single_grant_referee_slowest_progress(self):
         game = StarredEdgeRemovalGame(complete_graph(5), 1)
         result = game.play(SingleGrantReferee("last"))
-        assert result.cover_size <= 1
+        assert len(result.verified_cover) <= 1
 
     def test_random_referee(self):
         rng = RngRegistry(seed=3).stream("ref")
         game = StarredEdgeRemovalGame(complete_graph(6), 2)
         result = game.play(RandomReferee(rng))
-        assert result.cover_size <= 2
+        assert len(result.verified_cover) <= 2
 
     def test_star_graph_terminates_immediately(self):
         # A star graph already has vertex cover {center} <= t: the greedy
@@ -66,7 +66,7 @@ class TestGamePlay:
         game = StarredEdgeRemovalGame(star_graph(0, 8), 1)
         result = game.play(AdversarialReferee())
         assert result.moves == 0
-        assert result.cover_size <= 1
+        assert len(result.verified_cover) <= 1
         assert result.claimed_cover == frozenset({0})
 
     def test_shared_source_workloads_trigger_starring(self):
@@ -74,7 +74,7 @@ class TestGamePlay:
         # progress requires starring hubs before their edges can be paired.
         game = StarredEdgeRemovalGame(complete_graph(6), 1)
         result = game.play(AdversarialReferee())
-        assert result.cover_size <= 1
+        assert len(result.verified_cover) <= 1
         assert result.stars_granted >= 1
 
     def test_claimed_cover_matches_verified_bound(self):
@@ -137,7 +137,7 @@ class TestGrantValidation:
         game = StarredEdgeRemovalGame(complete_graph(8), 1)
         result = game.play(StallingReferee(), max_moves=10_000)
         # Starring is finite; eventually edges get granted and the game ends.
-        assert result.cover_size <= 1
+        assert len(result.verified_cover) <= 1
 
     def test_negative_t_rejected(self):
         with pytest.raises(GameRuleViolation):

@@ -139,7 +139,7 @@ def play(edges, t, referee):
 
 
 def assert_theorem4_bound(result, t, edges):
-    assert result.cover_size <= t
+    assert len(result.verified_cover) <= t
     assert result.moves <= 3 * len(edges)
 
 
@@ -175,7 +175,7 @@ def test_e1_theorem4_table():
                 rows.append(
                     [f"complete-{n}", t, referee_name, len(edges),
                      result.moves, round(result.moves / len(edges), 3),
-                     result.cover_size]
+                     len(result.verified_cover)]
                 )
                 sizes.append(len(edges))
                 moves.append(result.moves)

@@ -36,11 +36,6 @@ class TestJam:
 
 
 class TestTransmission:
-    def test_is_jam(self):
-        assert Transmission(0).is_jam
-        assert Transmission(0, JAM).is_jam
-        assert not Transmission(0, Message("k")).is_jam
-
     def test_default_payload_is_jam(self):
         assert Transmission(2).payload == JAM
 

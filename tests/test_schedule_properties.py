@@ -99,7 +99,7 @@ def test_greedy_schedules_are_always_valid(edges, star_seed):
     assert not set(broadcasters) & set(listeners)
 
     for a in schedule.assignments:
-        if a.uses_surrogate:
+        if a.broadcaster != a.source:
             assert a.source in graph.starred
             assert a.broadcaster in surrogates[a.source]
         if a.listener is not None:
