@@ -142,11 +142,11 @@ def slot_outputs(
     keys = columns[0] if len(columns) == 1 else list(zip(*columns))
     sets: dict[object, frozenset[int]] = {}
     for key in dict.fromkeys(keys):
-        bytes_of = key if type(key) is tuple else (key,)
+        key_bytes = key if type(key) is tuple else (key,)
         sets[key] = frozenset(
             slot
             for i, slot in enumerate(slots)
-            if bytes_of[i >> 3] >> (i & 7) & 1
+            if key_bytes[i >> 3] >> (i & 7) & 1
         )
     return dict(zip(participants, map(sets.__getitem__, keys)))
 
