@@ -34,7 +34,12 @@ class Adversary(abc.ABC):
 
     Subclasses override :meth:`act`.  Strategies that consult past rounds
     must set :attr:`needs_history` to ``True`` so the network refuses to run
-    them with trace retention disabled.
+    them with trace retention disabled.  A strategy may keep state across
+    rounds and serves one execution; an independent run takes a fresh
+    instance.  The restricted-listening model
+    (:mod:`repro.extensions.restricted_listening`) is one such acting
+    strategy: it redacts the history it is handed before its inner
+    strategy sees it.
     """
 
     #: Whether this strategy reads ``view.history``.
@@ -62,6 +67,3 @@ class Adversary(abc.ABC):
         default keeps acting per round.
         """
         return None
-
-    def reset(self) -> None:
-        """Clear any per-execution state; called between independent runs."""

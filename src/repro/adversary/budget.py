@@ -52,7 +52,3 @@ class BudgetAdversary(Adversary):
         plan = plan[: self.remaining]
         self._spent += len(plan)
         return tuple(plan)
-
-    def reset(self) -> None:
-        self._spent = 0
-        self._inner.reset()

@@ -122,7 +122,7 @@ import socket
 import sys
 import time
 from collections import deque
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import ConfigurationError, DispatchError, SweepInterrupted
 from ..experiments.trial import TrialResult, TrialSpec
@@ -734,7 +734,6 @@ class SocketBackend(DispatchBackend):
         self.keep_alive = keep_alive
         self.accept_timeout = accept_timeout
         self.idle_timeout = idle_timeout
-        self.target_batch_seconds = TARGET_BATCH_SECONDS
         self.spawned: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
         self._server: FrameServer | None = None
@@ -830,7 +829,7 @@ class SocketBackend(DispatchBackend):
             remaining = deadline - time.monotonic()
             if not waiting or remaining <= 0:
                 return
-            self._pump_handshakes(min(remaining, 0.1))
+            self._track(self._server.poll(min(remaining, 0.1)))
 
     def close(self) -> None:
         """Release a warm pool: shutdown frames, reap, close sockets."""
@@ -859,15 +858,15 @@ class SocketBackend(DispatchBackend):
                     f"only {len(self._workers)}/{want} workers completed "
                     f"the handshake while warming up"
                 )
-            self._pump_handshakes(min(remaining, 0.25))
+            self._track(self._server.poll(min(remaining, 0.25)))
         return len(self._workers)
 
-    def _pump_handshakes(self, timeout: float) -> None:
-        """One server pass outside a run: track welcomed and closed
+    def _track(self, events: Iterable[tuple[FramePeer, Any]]) -> None:
+        """Book server events outside a run: track welcomed and closed
         workers.  No run is in progress to claim a greeted worker's
         frame, so it only answers one of that worker's batches and is
         dropped."""
-        for peer, frame in self._server.poll(timeout):
+        for peer, frame in events:
             if frame is WELCOMED:
                 self._welcome(peer)
             elif frame is CLOSED:
@@ -903,7 +902,7 @@ class SocketBackend(DispatchBackend):
         per-worker split of the unreported work — so on a grid that fits
         in the pool's windows the first worker to connect takes only its
         part, as a static split would.  After: enough trials for
-        ~``target_batch_seconds`` of worker compute, capped by a fair
+        ~:data:`TARGET_BATCH_SECONDS` of worker compute, capped by a fair
         share of the remaining work across the pool's window slots, so
         one early-connecting worker can never hoard the whole stream and
         the tail splits evenly.
@@ -914,7 +913,7 @@ class SocketBackend(DispatchBackend):
             return min(self.batch_size, pending_count)
         if self._trial_cost is None:
             return max(0, min(INITIAL_BATCH, share, pending_count))
-        size = int(self.target_batch_seconds / max(self._trial_cost, 1e-9))
+        size = int(TARGET_BATCH_SECONDS / max(self._trial_cost, 1e-9))
         slots = max(live_workers, self.workers, 1) * DEFAULT_WINDOW
         fair = -(-pending_count // slots)  # ceil
         return max(1, min(size, MAX_BATCH, fair, pending_count))
@@ -941,6 +940,7 @@ class SocketBackend(DispatchBackend):
             self._open_pool()
         server = self._server
         started = last_activity = time.monotonic()
+        events: Iterator[tuple[FramePeer, Any]] = iter(())
 
         def drop(peer: FramePeer) -> None:
             """Forget a closed worker; requeue its unapplied specs."""
@@ -1037,7 +1037,8 @@ class SocketBackend(DispatchBackend):
             for worker in list(self._workers.values()):
                 start(worker)
             while not assembler.done:
-                for peer, frame in server.poll(0.25):
+                events = iter(server.poll(0.25))
+                for peer, frame in events:
                     last_activity = time.monotonic()
                     if frame is WELCOMED:
                         start(self._welcome(peer))
@@ -1052,7 +1053,10 @@ class SocketBackend(DispatchBackend):
         except SweepInterrupted:
             # An intentional stop closes as a finished run does: the
             # batches in flight answer, then every worker is told to shut
-            # down and exits 0.
+            # down and exits 0.  The stopping poll's later events are
+            # booked first, or a batch that already answered in it would
+            # be awaited until the close gives up.
+            self._track(events)
             self._close_pool(force=False)
             raise
         except BaseException:

@@ -38,12 +38,12 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
+from ..adversary.base import Adversary
 from ..errors import ConfigurationError, ProtocolViolation
 from ..radio.messages import Message, Transmission, payload_fields
 from ..radio.network import (
     AdversaryView,
     CompiledRound,
-    Heard,
     RadioNetwork,
     RoundMeta,
     run_gossip_epoch,
@@ -62,8 +62,6 @@ class MonitoringAdversary(abc.ABC):
     in the base model).  Both see only the redacted history.
     """
 
-    needs_history: bool = True
-
     @abc.abstractmethod
     def monitor(self, view: AdversaryView) -> Sequence[int]:
         """Channels to observe this round (at most ``t``)."""
@@ -72,43 +70,88 @@ class MonitoringAdversary(abc.ABC):
         """Transmissions for this round (at most ``t``); default silent."""
         return ()
 
-    def reset(self) -> None:
-        """Clear per-execution state."""
 
+class _Redacting(Adversary):
+    """A :class:`MonitoringAdversary` as the network's acting adversary.
 
-class _Committed:
-    """Stands in for the monitoring adversary inside the base resolver,
-    replaying the transmissions it committed before the round (the base
-    validates them against the model like any adversary's)."""
+    Before each move it redacts the completed rounds of the full history
+    it is handed that it has not redacted yet, then asks the strategy to
+    monitor and to act on a view whose history is the redacted trace.  A
+    round's monitored channels are counted when that round is redacted,
+    so a round the network refuses is neither redacted nor counted.
+    """
 
-    needs_history = False
+    needs_history = True
 
-    def __init__(self, transmissions: Sequence[Transmission]) -> None:
-        self._transmissions = transmissions
+    def __init__(self, inner: MonitoringAdversary) -> None:
+        self._inner = inner
+        self.trace = ExecutionTrace()
+        self.observed = 0
+        self._monitored: dict[int, tuple[int, ...]] = {}
 
-    def act(self, _view: AdversaryView) -> Sequence[Transmission]:
-        return self._transmissions
+    def redact(self, history: ExecutionTrace) -> None:
+        """Append a redacted record for each round of ``history`` past
+        the ones already redacted."""
+        for full in history[len(self.trace) :]:
+            monitored = self._monitored.pop(full.index)
+            self.observed += len(monitored)
+            meta = full.round.meta
+            seen = CompiledRound.make(
+                {
+                    node: action
+                    for node, action in full.round.transmits.items()
+                    if action.channel in monitored
+                },
+                {},
+                replace(meta, extra={**meta.extra, "monitored": monitored}),
+            )
+            delivered = {
+                channel: msg
+                for channel, msg in full.delivered.items()
+                if channel in monitored
+            }
+            self.trace.append(
+                RoundRecord(
+                    full.index,
+                    seen,
+                    full.adversary_transmissions,
+                    MappingProxyType(delivered),
+                )
+            )
+
+    def act(self, view: AdversaryView) -> Sequence[Transmission]:
+        self.redact(view.history)
+        view = replace(view, history=self.trace)
+        monitored = tuple(sorted(set(self._inner.monitor(view))))
+        if len(monitored) > view.t:
+            raise ProtocolViolation(
+                f"adversary monitored {len(monitored)} channels; "
+                f"listen budget is {view.t}"
+            )
+        if any(not 0 <= c < view.channels for c in monitored):
+            raise ProtocolViolation("monitored channel out of range")
+        move = self._inner.act(view)
+        self._monitored[view.round_index] = monitored
+        return move
 
 
 class RestrictedListeningNetwork(RadioNetwork):
     """A radio network whose adversary sees only monitored channels.
 
-    The adversary's history is rebuilt per round.  A redacted
-    :class:`RoundRecord` holds a redacted round — the honest transmitters
-    on the channels it monitored, no listeners, and ``monitored`` added to
-    ``meta.extra`` — plus its own transmissions and the deliveries on
-    monitored channels only; every other channel reads as silence.  The
-    Section 3 assumption that "the adversary learns all random choices of
-    completed rounds" is deliberately dropped — that is the whole point of
-    the Q2 model.
+    Rounds resolve as on any :class:`RadioNetwork`; only the adversary's
+    view changes.  The strategy acts every round on a redacted history: a
+    redacted :class:`RoundRecord` holds a redacted round — the honest
+    transmitters on the channels it monitored, no listeners, and
+    ``monitored`` added to ``meta.extra`` — plus its own transmissions and
+    the deliveries on monitored channels only; every other channel reads
+    as silence.  The Section 3 assumption that "the adversary learns all
+    random choices of completed rounds" is deliberately dropped — that is
+    the whole point of the Q2 model.
 
     The adversary may monitor at most ``t`` channels per round, as the Q2
     model states; both gallery eavesdroppers size their monitor set by
-    ``view.t``.  The override sits on
-    :meth:`~repro.radio.network.RadioNetwork.execute_schedule`, the one
-    round resolver, which the share spray's compiled epochs call and the
-    tests' per-node oracle reaches too: monitoring before acting and
-    per-round redaction apply to both.
+    ``view.t``.  It picks them before it acts, and the pick is checked
+    before the round resolves.
     """
 
     def __init__(
@@ -123,84 +166,21 @@ class RestrictedListeningNetwork(RadioNetwork):
             raise ConfigurationError(
                 "RestrictedListeningNetwork needs a MonitoringAdversary"
             )
-        kwargs["keep_trace"] = True  # redaction reads the full last record
-        super().__init__(n, channels, t, adversary=None, **kwargs)
-        self._monitoring_adversary = adversary
-        self.redacted_trace = ExecutionTrace()
-        self.observed_channel_rounds = 0
+        self._eavesdropper = _Redacting(adversary)
+        super().__init__(n, channels, t, adversary=self._eavesdropper, **kwargs)
 
-    # ------------------------------------------------------------------
+    @property
+    def redacted_trace(self) -> ExecutionTrace:
+        """The adversary's record: one redacted record per completed
+        round."""
+        self._eavesdropper.redact(self.trace)
+        return self._eavesdropper.trace
 
-    def _redacted_view(self, meta: RoundMeta) -> AdversaryView:
-        return AdversaryView(
-            n=self.n,
-            channels=self.channels,
-            t=self.t,
-            round_index=self.round_index,
-            history=self.redacted_trace,
-            meta=meta,
-        )
-
-    def execute_schedule(self, loops: Iterable[CompiledRound]) -> Heard:
-        """Resolve each round with monitoring-before-acting semantics.
-
-        Per round (each row of each loop), the adversary picks the
-        channels to monitor and commits its transmissions on the redacted
-        history; one ``super()`` call resolves the round, and its redacted
-        record is appended.
-        """
-        loops = tuple(loops)
-        parts: list[Heard] = []
-        rounds = [loop.repetition(row) for loop in loops for row in loop.rows]
-        for cr in rounds:
-            view = self._redacted_view(cr.meta)
-            monitored = sorted(set(self._monitoring_adversary.monitor(view)))
-            if len(monitored) > self.t:
-                raise ProtocolViolation(
-                    f"adversary monitored {len(monitored)} channels; "
-                    f"listen budget is {self.t}"
-                )
-            if any(not 0 <= c < self.channels for c in monitored):
-                raise ProtocolViolation("monitored channel out of range")
-
-            self.adversary = _Committed(
-                tuple(self._monitoring_adversary.act(view))
-            )
-            try:
-                parts.append(super().execute_schedule((cr,)))
-            finally:
-                self.adversary = None
-
-            # Build the redacted record the adversary will remember.
-            full = self.trace[len(self.trace) - 1]
-            self.observed_channel_rounds += len(monitored)
-            monitored_set = set(monitored)
-            meta = full.round.meta
-            seen = CompiledRound.make(
-                {
-                    node: action
-                    for node, action in full.round.transmits.items()
-                    if action.channel in monitored_set
-                },
-                {},
-                replace(
-                    meta, extra={**meta.extra, "monitored": tuple(monitored)}
-                ),
-            )
-            delivered = {
-                channel: msg
-                for channel, msg in full.delivered.items()
-                if channel in monitored_set
-            }
-            self.redacted_trace.append(
-                RoundRecord(
-                    full.index,
-                    seen,
-                    full.adversary_transmissions,
-                    MappingProxyType(delivered),
-                )
-            )
-        return Heard.joined(loops, parts)
+    @property
+    def observed_channel_rounds(self) -> int:
+        """Channels monitored, summed over the completed rounds."""
+        self._eavesdropper.redact(self.trace)
+        return self._eavesdropper.observed
 
 
 class StickyEavesdropper(MonitoringAdversary):

@@ -180,7 +180,7 @@ def referee_vote(
     improbable; otherwise the caller records it and resynchronises, which
     is what a deployed system would log.
     """
-    counts = Counter(frozenset(d) for d in outputs.values())
+    counts = Counter(map(frozenset, outputs.values()))
     majority, agreeing = counts.most_common(1)[0]
     disagreeing = len(outputs) - agreeing
     if disagreeing and strict:

@@ -7,9 +7,10 @@ metered wire frames.  This package makes those invariants *enforced*
 rather than conventional: a stdlib-``ast`` rule engine
 (:mod:`~repro.lint.rules`, ids ``DET001``–``API002``), per-line pragma
 suppression with mandatory justifications, a central module allowlist,
-and a JSON report with a committed zero-tolerance baseline
-(``lint_baseline.json``).  CI self-hosts it over ``src/``, ``tests/``,
-and ``benchmarks/`` — including this package itself.
+and a JSON report.  It is zero tolerance: any finding fails the run, and
+a justified exception is a pragma with its reason.  CI self-hosts it over
+``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` — including this
+package itself.
 
 Entry points: ``python -m repro lint`` (CLI), :func:`run_lint`
 (programmatic), :func:`lint_source` (single-source, used by the fixture
@@ -18,7 +19,7 @@ tests).  The rule catalog with per-rule rationale lives in
 """
 
 from .engine import FileContext, lint_source, run_lint
-from .report import Finding, LintReport, load_baseline
+from .report import Finding, LintReport
 from .rules import MODULE_ALLOWLIST, RULES
 
 __all__ = [
@@ -28,6 +29,5 @@ __all__ = [
     "MODULE_ALLOWLIST",
     "RULES",
     "lint_source",
-    "load_baseline",
     "run_lint",
 ]

@@ -2,10 +2,9 @@
 
 Exit codes (pinned by ``tests/test_cli.py``):
 
-* ``0`` — clean: no unsuppressed findings, no stale baseline entries;
-* ``1`` — findings (or stale baseline entries) remain;
-* ``2`` — usage error: a lint path does not exist, or ``--baseline`` is
-  missing/malformed.
+* ``0`` — clean: no unsuppressed findings;
+* ``1`` — findings remain;
+* ``2`` — usage error: a lint path does not exist.
 
 ``--json-out`` writes the full report (trailing newline) even when the
 run fails — that file is the CI artifact a red lint job uploads.
@@ -21,7 +20,6 @@ from pathlib import Path
 from ..errors import ConfigurationError
 from . import rules as rules_mod
 from .engine import run_lint
-from .report import load_baseline
 
 #: What a bare ``python -m repro lint`` covers: the self-hosted scope.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -40,11 +38,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "on findings — it is the CI artifact) and keep stdout human",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="JSON baseline of grandfathered findings; the committed "
-        "lint_baseline.json is empty (zero tolerance)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog (id, title, allowlisted modules) "
         "and exit 0",
@@ -61,10 +54,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 print(f"        allowlisted: {module}")
         return 0
     try:
-        baseline = (
-            load_baseline(args.baseline) if args.baseline is not None else []
-        )
-        report = run_lint(args.paths, baseline=baseline)
+        report = run_lint(args.paths)
     except ConfigurationError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

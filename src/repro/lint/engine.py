@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from ..errors import ConfigurationError
 from . import rules as rules_mod
-from .report import Finding, LintReport, apply_baseline
+from .report import Finding, LintReport
 
 #: Meta rule ids (pragma hygiene + parse errors); not suppressible, so a
 #: pragma can never be used to hide pragma abuse.
@@ -409,7 +409,6 @@ def run_lint(
     paths: Sequence[str | Path],
     *,
     root: Path | None = None,
-    baseline: list[tuple[str, str, int]] | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) and aggregate the report."""
     root = (root or Path.cwd()).resolve()
@@ -431,12 +430,9 @@ def run_lint(
         suppressed += result.suppressed
         allowlisted += result.allowlisted
     findings.sort()
-    kept, baselined, stale = apply_baseline(findings, baseline or [])
     return LintReport(
-        findings=tuple(kept),
+        findings=tuple(findings),
         files_scanned=len(files),
         suppressed=suppressed,
         allowlisted=allowlisted,
-        baselined=baselined,
-        stale_baseline=tuple(stale),
     )

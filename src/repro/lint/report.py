@@ -1,4 +1,4 @@
-"""Findings, reports, and baselines for :mod:`repro.lint`.
+"""Findings and reports for :mod:`repro.lint`.
 
 A :class:`Finding` is one rule violation anchored to a file/line/column; a
 :class:`LintReport` is the deterministic aggregate of a run — findings
@@ -6,28 +6,17 @@ sorted by ``(path, line, col, rule)``, plus the counts a CI job wants to
 render.  Everything is JSON-able via :meth:`LintReport.as_dict` so the CI
 lint job can upload the report as an artifact.
 
-Baselines
----------
-A baseline file grandfathers known findings so the analyzer can be adopted
-with a red-free first run.  This repository commits a **zero-tolerance**
-baseline (``lint_baseline.json`` with an empty findings list): every
-violation is either fixed or pragma-justified in place, and the baseline
-exists only as the mechanism that would let an emergency land and be paid
-down.  Stale baseline entries (entries matching nothing) fail the run like
-findings do — a baseline may only ever shrink silently, never rot.
+The lint is zero tolerance: any finding fails the run.  A justified
+exception is suppressed in place, by a ``repro-lint: disable`` pragma with
+its reason or by a rule's module allowlist, and the report counts both.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
-from ..errors import ConfigurationError
-
-REPORT_VERSION = 1
-"""Schema version of the JSON report and baseline formats."""
+REPORT_VERSION = 2
+"""Schema version of the JSON report."""
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +47,6 @@ class Finding:
             "message": self.message,
         }
 
-    def baseline_key(self) -> tuple[str, str, int]:
-        """The identity a baseline entry must match: ``(path, rule, line)``."""
-        return (self.path, self.rule, self.line)
-
 
 @dataclass(frozen=True)
 class LintReport:
@@ -70,30 +55,24 @@ class LintReport:
     Attributes
     ----------
     findings:
-        Unsuppressed, non-baselined findings, sorted.
+        Unsuppressed findings, sorted.
     files_scanned:
         Number of ``*.py`` files analyzed.
     suppressed:
         Findings silenced by a ``repro-lint: disable`` pragma.
     allowlisted:
         Findings silenced by a rule's module allowlist.
-    baselined:
-        Findings matched (and swallowed) by the baseline file.
-    stale_baseline:
-        Baseline entries that matched nothing — failures, like findings.
     """
 
     findings: tuple[Finding, ...]
     files_scanned: int
     suppressed: int
     allowlisted: int
-    baselined: int
-    stale_baseline: tuple[tuple[str, str, int], ...] = ()
 
     @property
     def clean(self) -> bool:
         """True when the run should exit 0."""
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
     def as_dict(self) -> dict:
         """JSON-able report (the ``--json-out`` artifact)."""
@@ -105,91 +84,18 @@ class LintReport:
                 "findings": len(self.findings),
                 "suppressed": self.suppressed,
                 "allowlisted": self.allowlisted,
-                "baselined": self.baselined,
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.as_dict() for f in self.findings],
-            "stale_baseline": [
-                {"path": path, "rule": rule, "line": line}
-                for path, rule, line in self.stale_baseline
-            ],
         }
 
     def render_lines(self) -> list[str]:
         """Human-readable output lines, one per finding plus a summary."""
         lines = [finding.render() for finding in self.findings]
-        for path, rule, line in self.stale_baseline:
-            lines.append(
-                f"{path}:{line}: stale baseline entry for {rule} "
-                "(matches nothing; remove it)"
-            )
         noun = "file" if self.files_scanned == 1 else "files"
         lines.append(
             f"repro lint: {len(self.findings)} finding(s) in "
             f"{self.files_scanned} {noun} "
-            f"({self.suppressed} suppressed, {self.allowlisted} allowlisted, "
-            f"{self.baselined} baselined)"
+            f"({self.suppressed} suppressed, {self.allowlisted} allowlisted)"
         )
         return lines
 
-
-def load_baseline(path: str | Path) -> list[tuple[str, str, int]]:
-    """Load ``--baseline FILE``: a list of ``(path, rule, line)`` keys.
-
-    Raises :class:`ConfigurationError` (CLI exit 2) on a missing file or a
-    malformed document — a lint run must never silently drop its baseline.
-    """
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"baseline {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"baseline {path} is not valid JSON: {exc}"
-        ) from None
-    if (
-        not isinstance(document, dict)
-        or document.get("version") != REPORT_VERSION
-        or not isinstance(document.get("findings"), list)
-    ):
-        raise ConfigurationError(
-            f"baseline {path} must be "
-            f'{{"version": {REPORT_VERSION}, "findings": [...]}}'
-        )
-    entries: list[tuple[str, str, int]] = []
-    for entry in document["findings"]:
-        try:
-            entries.append(
-                (str(entry["path"]), str(entry["rule"]), int(entry["line"]))
-            )
-        except (TypeError, KeyError, ValueError):
-            raise ConfigurationError(
-                f"baseline {path} entry {entry!r} needs path/rule/line"
-            ) from None
-    return entries
-
-
-def apply_baseline(
-    findings: Iterable[Finding], baseline: list[tuple[str, str, int]]
-) -> tuple[list[Finding], int, list[tuple[str, str, int]]]:
-    """Split findings against a baseline.
-
-    Returns ``(kept, baselined_count, stale_entries)``.  Matching is exact
-    on ``(path, rule, line)`` — a zero-tolerance baseline never matches, and
-    a grandfathered entry stops matching (goes stale, fails the run) the
-    moment its finding moves or disappears, forcing the baseline shrink to
-    be committed alongside the fix.
-    """
-    keys = set(baseline)
-    kept: list[Finding] = []
-    matched: set[tuple[str, str, int]] = set()
-    baselined = 0
-    for finding in findings:
-        key = finding.baseline_key()
-        if key in keys:
-            matched.add(key)
-            baselined += 1
-        else:
-            kept.append(finding)
-    return kept, baselined, sorted(keys - matched)

@@ -245,16 +245,6 @@ class CompiledRound:
             return self
         return CompiledRound(self.transmits, self.listeners, (row,), self.meta)
 
-    @property
-    def listens(self) -> dict[int, list[int]]:
-        """Read-only view of a single round: ``channel -> listeners`` in
-        row order (a fresh dict per access; channels without listeners are
-        absent)."""
-        groups: dict[int, list[int]] = {}
-        for node, channel in zip(self.listeners, self.hops):
-            groups.setdefault(channel, []).append(node)
-        return groups
-
     def as_actions(self) -> dict[int, Action]:
         """Expand a single round into the per-node action map of the
         classic interface: transmitters, then listeners in row order, built
@@ -325,14 +315,6 @@ class Heard:
         self._loops = loops
         self._maps = maps
         self._starts: list[int] | None = None
-
-    @classmethod
-    def joined(
-        cls, loops: Sequence[CompiledRound], parts: Iterable["Heard"]
-    ) -> "Heard":
-        """The result of ``loops`` from ``parts``: the results of their
-        rounds, resolved in order by one call or more."""
-        return cls(loops, [m for part in parts for m in part._maps])
 
     def __len__(self) -> int:
         return len(self._maps)

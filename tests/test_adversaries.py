@@ -346,12 +346,6 @@ class TestBudgetAdversary:
         assert third == ()
         assert adv.remaining == 0
 
-    def test_reset_restores_budget(self):
-        adv = BudgetAdversary(SweepJammer(), total_budget=2)
-        adv.act(view(t=2, channels=4))
-        adv.reset()
-        assert adv.remaining == 2
-
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             BudgetAdversary(NullAdversary(), total_budget=-1)

@@ -403,36 +403,6 @@ class TestLintCommand:
         assert main(["lint", str(tmp_path / "missing")]) == 2
         assert "repro lint:" in capsys.readouterr().err
 
-    def test_malformed_baseline_exits_2(self, tmp_path, capsys):
-        self.write(tmp_path, "ok.py", "VALUE = 1\n")
-        baseline = self.write(tmp_path, "base.json", "{\"nope\": true}")
-        assert (
-            main(["lint", str(tmp_path / "ok.py"),
-                  "--baseline", str(baseline)]) == 2
-        )
-        assert "baseline" in capsys.readouterr().err
-
-    def test_baseline_grandfathers_then_goes_stale(self, tmp_path, capsys):
-        bad = self.write(
-            tmp_path, "bad.py", "import random\nx = random.random()\n"
-        )
-        entry = {"path": str(bad), "rule": "DET001", "line": 2}
-        baseline = self.write(
-            tmp_path,
-            "base.json",
-            json.dumps({"version": 1, "findings": [entry]}),
-        )
-        assert (
-            main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-        )
-        capsys.readouterr()
-
-        bad.write_text("VALUE = 1\n", encoding="utf-8")  # violation fixed
-        assert (
-            main(["lint", str(bad), "--baseline", str(baseline)]) == 1
-        )
-        assert "stale baseline" in capsys.readouterr().out
-
     def test_json_out_written_even_on_findings(self, tmp_path):
         bad = self.write(
             tmp_path, "bad.py", "import random\nx = random.random()\n"

@@ -261,6 +261,37 @@ class TestSocketBackendEndToEnd:
         assert not backend.pool_open
         assert exit_codes(backend.spawned) == [0, 0]
 
+    def test_stop_books_the_rest_of_its_poll(self):
+        """A stop raised mid-poll still books that poll's other results
+        frames, so the graceful close does not wait out its whole window
+        for batches that have already answered."""
+        specs = fame_specs(4)
+        backend = SocketBackend(workers=2, batch_size=1, accept_timeout=60.0)
+        assert backend.warm_up(timeout=60.0) == 2
+        server = backend._server
+        poll = server.poll
+
+        def late_first_poll(timeout):
+            # Every worker answers both its one-trial batches before the
+            # coordinator reads any, so one poll returns all four.
+            del server.poll
+            time.sleep(1.0)
+            return poll(timeout)
+
+        server.poll = late_first_poll
+        applied: list[TrialResult] = []
+        began = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            backend.run(
+                specs,
+                on_result=applied.append,
+                should_stop=lambda: len(applied) >= 1,
+            )
+        assert time.monotonic() - began < 5.0
+        assert len(applied) == 1
+        assert not backend.pool_open
+        assert exit_codes(backend.spawned) == [0, 0]
+
     def test_warm_pool_reused_across_runs(self):
         specs_a = fame_specs(4)
         specs_b = fame_specs(4, seed=11)

@@ -587,17 +587,20 @@ def test_share_spray_matches_golden(eavesdropper):
 
 def per_round_expansion(net, loops) -> list[dict]:
     """Resolve a schedule's one-round ``loops`` one ``execute_round`` at a
-    time, reading each channel's result off its first listener (via the
-    derived ``channel -> listeners`` view of the round's hop row): the
-    per-node side of the ``execute_schedule`` oracle tests."""
+    time, reading each channel's result off its first listener in the
+    round's hop row (channels in first-seen order): the per-node side of
+    the ``execute_schedule`` oracle tests."""
     out = []
     for cr in loops:
         results = net.execute_round(cr.as_actions(), cr.meta)
+        first: dict[int, int] = {}
+        for node, channel in zip(cr.listeners, cr.hops):
+            first.setdefault(channel, node)
         out.append(
             {
-                channel: results[group[0]]
-                for channel, group in cr.listens.items()
-                if group and results[group[0]] is not None
+                channel: results[node]
+                for channel, node in first.items()
+                if results[node] is not None
             }
         )
     return out

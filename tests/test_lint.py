@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.lint` — rules, pragmas, baselines, self-run.
+"""Tests for :mod:`repro.lint` — rules, pragmas, reports, self-run.
 
 Every rule gets (a) a positive fixture asserting the exact line the
 finding anchors to, (b) a clean negative, (c) a pragma-suppression
@@ -20,11 +20,10 @@ from repro.lint import (
     MODULE_ALLOWLIST,
     RULES,
     lint_source,
-    load_baseline,
     run_lint,
 )
 from repro.lint.engine import discover_files, module_name_for
-from repro.lint.report import Finding, apply_baseline
+from repro.lint.report import Finding
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -535,7 +534,7 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# Report, baseline, discovery
+# Report, discovery
 # ----------------------------------------------------------------------
 
 
@@ -556,27 +555,6 @@ class TestReportAndBaseline:
         )
         assert finding.render() == "src/x.py:3:4: DET001 boom"
 
-    def test_apply_baseline_swallows_and_reports_stale(self):
-        findings = [
-            Finding(path="a.py", line=1, col=0, rule="DET001", message="m"),
-            Finding(path="b.py", line=9, col=0, rule="WIRE001", message="m"),
-        ]
-        baseline = [("a.py", "DET001", 1), ("gone.py", "DET004", 5)]
-        kept, baselined, stale = apply_baseline(findings, baseline)
-        assert [f.path for f in kept] == ["b.py"]
-        assert baselined == 1
-        assert stale == [("gone.py", "DET004", 5)]
-
-    def test_load_baseline_missing_file_is_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_load_baseline_malformed_is_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_baseline(bad)
-
     def test_run_lint_unknown_path_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_lint([tmp_path / "no_such_dir"], root=tmp_path)
@@ -593,25 +571,11 @@ class TestReportAndBaseline:
         assert report.findings[0].path == "pkg/mod.py"
         assert report.findings[0].line == 2
 
-        grandfathered = run_lint(
-            [tmp_path], root=tmp_path, baseline=[("pkg/mod.py", "DET001", 2)]
-        )
-        assert grandfathered.clean
-        assert grandfathered.baselined == 1
-
-        stale = run_lint(
-            [tmp_path],
-            root=tmp_path,
-            baseline=[("pkg/mod.py", "DET001", 2), ("gone.py", "DET001", 1)],
-        )
-        assert not stale.clean
-        assert stale.stale_baseline == (("gone.py", "DET001", 1),)
-
     def test_report_json_round_trips(self, tmp_path):
         (tmp_path / "m.py").write_text("x = hash('k')\n", encoding="utf-8")
         report = run_lint([tmp_path], root=tmp_path)
         document = json.loads(json.dumps(report.as_dict()))
-        assert document["version"] == 1
+        assert document["version"] == 2
         assert document["clean"] is False
         assert document["counts"]["findings"] == 1
         assert document["findings"][0]["rule"] == "DET004"
@@ -639,17 +603,12 @@ class TestReportAndBaseline:
 
 
 # ----------------------------------------------------------------------
-# Self-hosting: the committed tree and baseline stay clean
+# Self-hosting: the committed tree stays clean
 # ----------------------------------------------------------------------
 
 
 class TestSelfRun:
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(REPO / "lint_baseline.json")
-        assert baseline == []
-
     def test_repo_tree_is_clean(self):
-        baseline = load_baseline(REPO / "lint_baseline.json")
         report = run_lint(
             [
                 REPO / "src",
@@ -658,7 +617,6 @@ class TestSelfRun:
                 REPO / "examples",
             ],
             root=REPO,
-            baseline=baseline,
         )
         assert report.clean, "\n".join(report.render_lines())
 

@@ -367,7 +367,6 @@ class TestHopRows:
         cr = CompiledRound.make({0: Transmit(0, self.MSG)}, groups)
         assert cr.listeners == (5, 1, 3, 4, 6)
         assert cr.hops == bytes([2, 2, 0, 1, 1])
-        assert cr.listens == groups
         assert cr.as_actions() == {
             0: Transmit(0, self.MSG),
             5: Listen(2),

@@ -18,7 +18,7 @@ from repro.extensions.restricted_listening import SHARE_KIND
 from repro.fame.digests import slot_set_digest
 from repro.radio.actions import Listen, Transmit
 from repro.radio.messages import DELTA_KIND, JAM, DeltaFrame, Message, Transmission
-from repro.radio.network import CompiledRound, RoundMeta
+from repro.radio.network import CompiledRound, RadioNetwork, RoundMeta
 from repro.rng import RngRegistry
 
 from test_golden import (
@@ -153,6 +153,7 @@ class TestRedaction:
 
     def test_adversary_sees_only_redacted_history(self):
         seen = []
+        views = []
 
         class Spy(MonitoringAdversary):
             def monitor(self, view):
@@ -160,10 +161,52 @@ class TestRedaction:
                     seen.append(view.history[0].delivered.get(2))
                 return [0]
 
+            def act(self, view):
+                views.append(
+                    (view.round_index, [r.index for r in view.history])
+                )
+                assert view.history is net.redacted_trace
+                return ()
+
         net = RestrictedListeningNetwork(6, 3, 1, Spy())
         net.execute_round({0: Transmit(2, frame("private")), 1: Listen(2)})
         net.execute_round({1: Listen(0)})
         assert seen == [None]  # round-0 channel 2 was not monitored
+        # Within one schedule too, the view of round k holds exactly the
+        # redacted rounds 0 .. k-1.
+        loop = CompiledRound(
+            {0: Transmit(2, frame("private"))}, (1,), (b"\x02",) * 3,
+            RoundMeta(),
+        )
+        net.execute_schedule([loop])
+        assert views == [(k, list(range(k))) for k in range(5)]
+        assert seen == [None] * 4
+        assert all(
+            r.meta["monitored"] == (0,) and not r.delivered
+            for r in net.redacted_trace
+        )
+
+    def test_overreach_at_round_k_keeps_the_rounds_before(self):
+        """Monitoring over budget at round k raises there: rounds before
+        k are resolved, redacted and counted, round k is none of these."""
+        k = 3
+
+        class Overreach(MonitoringAdversary):
+            def monitor(self, view):
+                if view.round_index == k:
+                    return list(range(view.channels))
+                return [1]
+
+        net = RestrictedListeningNetwork(6, 3, 1, Overreach())
+        loop = CompiledRound(
+            {0: Transmit(1, frame())}, (2,), (b"\x01",) * (k + 2), RoundMeta()
+        )
+        with pytest.raises(ProtocolViolation, match="listen budget"):
+            net.execute_schedule([loop])
+        assert net.round_index == net.metrics.rounds == len(net.trace) == k
+        assert [r.index for r in net.redacted_trace] == list(range(k))
+        assert net.observed_channel_rounds == k
+        assert all(r.delivered[1] == frame() for r in net.redacted_trace)
 
 
 class TestEavesdroppers:
@@ -251,6 +294,28 @@ class TestShareSpray:
         assert res.rounds == 4 * 8
         assert res.receiver_shares <= set(range(4))
         assert res.adversary_shares <= set(range(4))
+
+    def test_each_share_is_one_engine_call(self, monkeypatch):
+        """A share's epoch resolves through the ordinary acting path in
+        one :meth:`RadioNetwork.execute_schedule` call, not one per
+        round."""
+        calls = []
+        resolve = RadioNetwork.execute_schedule
+
+        def counted(self, loops):
+            calls.append(self)
+            return resolve(self, loops)
+
+        monkeypatch.setattr(RadioNetwork, "execute_schedule", counted)
+        net = RestrictedListeningNetwork(
+            8, 3, 1, HoppingEavesdropper(random.Random(4))
+        )
+        res = run_share_spray(
+            net, 0, 1, RngRegistry(seed=4), shares=3, repetitions=6
+        )
+        assert len(calls) == 3
+        assert res.rounds == len(net.redacted_trace) == 3 * 6
+        assert net.observed_channel_rounds == 3 * 6
 
     def test_sender_receiver_must_differ(self):
         net = RestrictedListeningNetwork(8, 3, 1, StickyEavesdropper([0]))
