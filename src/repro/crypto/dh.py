@@ -87,22 +87,22 @@ class DhGroup:
         """The subgroup order ``(p - 1) / 2``."""
         return (self.p - 1) // 2
 
-    def validate(self, *, check_primality: bool = True) -> "DhGroup":
-        """Check group structure; returns ``self`` for chaining."""
+    def validate(self) -> "DhGroup":
+        """Check group structure, primality of ``p`` and ``q`` included;
+        returns ``self`` for chaining."""
         if self.p < 23:
             raise CryptoError("modulus too small to be a safe prime group")
         if self.p % 2 == 0:
             raise CryptoError("modulus must be odd")
         if not 2 <= self.g <= self.p - 2:
             raise CryptoError("generator out of range")
-        if check_primality:
-            if not is_probable_prime(self.p):
-                raise CryptoError(f"{self.name or 'group'}: p is not prime")
-            if not is_probable_prime(self.q):
-                raise CryptoError(
-                    f"{self.name or 'group'}: p is not a safe prime "
-                    "((p-1)/2 is composite)"
-                )
+        if not is_probable_prime(self.p):
+            raise CryptoError(f"{self.name or 'group'}: p is not prime")
+        if not is_probable_prime(self.q):
+            raise CryptoError(
+                f"{self.name or 'group'}: p is not a safe prime "
+                "((p-1)/2 is composite)"
+            )
         return self
 
     # ------------------------------------------------------------------

@@ -115,6 +115,7 @@ frames are neither authenticated nor encrypted.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import selectors
@@ -466,8 +467,15 @@ def dial(
     resolver, whose first call costs a freshly forked worker ~6 ms.
     Raises the last ``OSError`` when the server stays unreachable, and
     :class:`~repro.errors.DispatchError` carrying the server's reason
-    when it rejects the ``hello``.
+    when it rejects the ``hello``.  A ``retry_seconds`` that is not a
+    finite number ``>= 0`` (``nan`` or ``inf`` would retry forever) is a
+    :class:`~repro.errors.ConfigurationError` before any socket opens.
     """
+    if not 0 <= retry_seconds < math.inf:
+        raise ConfigurationError(
+            "retry_seconds must be a finite number >= 0, "
+            f"got {retry_seconds!r}"
+        )
     deadline = time.monotonic() + retry_seconds
     while True:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -485,8 +485,9 @@ class SweepRunner:
     resume:
         Replay an existing journal first: completed indices are skipped
         and their recorded results merged into the report, which ends up
-        byte-identical to an uninterrupted run.  (With no existing
-        journal, ``resume`` is a no-op and the run starts fresh.)
+        byte-identical to an uninterrupted run.  (With no journal file
+        yet, ``resume`` is a no-op and the run starts fresh; without a
+        ``journal_path`` it is a :class:`ConfigurationError`.)
     on_point_complete:
         Streaming hook: called with ``(point, point_report_dict)`` the
         moment a grid point's last trial lands — this is what renders
@@ -509,6 +510,8 @@ class SweepRunner:
     ) -> None:
         if stop_after is not None and stop_after < 1:
             raise ConfigurationError("stop_after must be >= 1 when given")
+        if resume and journal_path is None:
+            raise ConfigurationError("resume needs a journal_path to replay")
         self.spec = spec
         self.backend = backend if backend is not None else SerialBackend()
         self.journal_path = journal_path

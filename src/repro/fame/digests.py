@@ -41,7 +41,7 @@ from ..crypto.hashes import h1, h2
 from ..radio.messages import Message, payload_fields
 from ..radio.network import RadioNetwork, RoundMeta, hit_row, run_gossip_epoch
 from ..rng import RngRegistry
-from .config import FameConfig, make_config
+from .config import make_config
 from .protocol import FameProtocol, check_pairs
 from .result import FameResult, PairOutcome
 
@@ -269,27 +269,20 @@ def run_fame_with_digests(
     edges: Sequence[tuple[int, int]],
     messages: Mapping[tuple[int, int], Any] | None = None,
     rng: RngRegistry | None = None,
-    *,
-    config: FameConfig | None = None,
-    hash1: HashFn | None = None,
-    hash2: HashFn | None = None,
-    epoch_rounds: int | None = None,
 ) -> DigestFameResult:
     """The full Section 5.6 pipeline: gossip, reconstruct, sign, extract.
 
     The pairs are checked before the gossip phase, as f-AME checks them.
     """
-    hash1 = hash1 or h1
-    hash2 = hash2 or h2
     rng = rng or RngRegistry(seed=0)
-    config = config or make_config(
+    config = make_config(
         network.n, network.channels, network.t, params=network.params
     )
     edges, messages = check_pairs(network, edges, messages)
 
     # Stage 1: unauthenticated gossip.
     inboxes, gossip_rounds = run_gossip_phase(
-        network, edges, messages, rng, hash1, epoch_rounds=epoch_rounds
+        network, edges, messages, rng, h1
     )
 
     # Stage 2: local reconstruction at every node.
@@ -299,14 +292,12 @@ def run_fame_with_digests(
     for node in range(network.n):
         per_source: dict[int, list[tuple[Any, ...]]] = {}
         for v in sources:
-            per_source[v] = reconstruct_chains(
-                inboxes[node].levels[v], hash1
-            )
+            per_source[v] = reconstruct_chains(inboxes[node].levels[v], h1)
         chains_per_node.append(per_source)
 
     # Stage 3: f-AME carrying constant-size vector signatures.
     signatures = {
-        v: hash2(*(messages[p] for p in sequences[v])) for v in sources
+        v: h2(*(messages[p] for p in sequences[v])) for v in sources
     }
     signature_messages = {(v, w): signatures[v] for (v, w) in edges}
     fame_result = FameProtocol(
@@ -334,7 +325,7 @@ def run_fame_with_digests(
         matching = [
             chain
             for chain in chains_per_node[w][v]
-            if hash2(*chain) == received_signature
+            if h2(*chain) == received_signature
         ]
         if len(matching) != 1:
             # Either the gossip epoch failed for this receiver (w.h.p. not)

@@ -8,8 +8,9 @@ gathers all of them in one dataclass with documented defaults chosen so the
 empirical failure rate in our test suite stays below ``1/n`` (the usual
 "with high probability" target), while keeping simulations fast.
 
-The model-size precondition enforced here comes from Section 5.4: the witness
-assignment needs ``n > 3(t+1)^2 + 2(t+1)``.
+Section 5.4's model-size precondition, ``n > 3(t+1)^2 + 2(t+1)`` for the
+witness assignment, is :func:`min_population`; f-AME's configuration
+enforces it (:meth:`~repro.fame.config.FameConfig.min_nodes_required`).
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class ProtocolParameters:
 DEFAULT_PARAMETERS = ProtocolParameters().validate()
 
 
-def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = False) -> None:
+def validate_model(n: int, channels: int, t: int) -> None:
     """Validate the basic model constraints of Sections 3-4.
 
     Parameters
@@ -149,9 +150,6 @@ def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = F
     channels: number of channels ``C`` (paper: ``C > 1``; the engine holds
         channel ids as bytes, so ``C <= 256``).
     t: adversary strength, channels disrupted per round (paper: ``t < C``).
-    require_witnesses:
-        when ``True`` additionally enforce the f-AME population bound
-        ``n > 3(t+1)^2 + 2(t+1)`` from Section 5.4.
 
     Each size must be exactly an ``int``: ``8.0``, ``"8"`` and ``True``
     are refused, never coerced.
@@ -174,9 +172,4 @@ def validate_model(n: int, channels: int, t: int, *, require_witnesses: bool = F
         raise ConfigurationError(
             f"the model requires t < C (got t={t}, C={channels}); "
             "with t >= C no communication is possible"
-        )
-    if require_witnesses and n < min_population(t):
-        raise ConfigurationError(
-            f"f-AME requires n > 3(t+1)^2 + 2(t+1) = {min_population(t) - 1} "
-            f"(got n={n}, t={t})"
         )

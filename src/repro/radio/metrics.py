@@ -99,10 +99,6 @@ class NetworkMetrics:
     payload_units: int = 0
     rounds_by_phase: dict[str, int] = field(default_factory=dict)
 
-    def note_phase(self, phase: str) -> None:
-        """Attribute the current round to ``phase``."""
-        self.rounds_by_phase[phase] = self.rounds_by_phase.get(phase, 0) + 1
-
     def merge(self, other: "NetworkMetrics") -> "NetworkMetrics":
         """Return a new metrics object summing ``self`` and ``other``.
 

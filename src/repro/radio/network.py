@@ -22,16 +22,18 @@ and folds rows with C-level ``bytes`` operations instead of a visit per
 listener.  Channel ids are therefore bytes, and
 :func:`~repro.params.validate_model` caps ``C`` at 256.
 
-When the adversary has planned its moves, or there is none, a schedule
-resolves in bulk: each distinct template is settled once, each distinct
+A schedule resolves in one pass.  Every honest round is checked first,
+each distinct loop once, so the schedule runs exactly the rounds before
+its first fault.  The adversary then moves in those rounds: a strategy
+that plans is asked once for all of them, and one that acts is asked
+before each round, shown every completed one (the only per-round loop,
+which also builds records when they are kept).  Those rounds are counted
+in bulk: each distinct template is settled once, each distinct
 (template, move) pair is folded once, and the counters of each distinct
-(loop, move) pair are added once, times its number of rounds.  An
-adversary that acts sees every completed round before its move, so its
-schedules resolve round by round through the same settle-and-fold code,
-and so does a schedule that would fault, which raises at the faulting
-round.  Either way the result (:class:`Heard`) builds a round's
-``channel -> message`` map only when it is read, and folds who heard
-what over a whole loop in bulk (:meth:`Heard.reached`).
+(loop, move) pair are added once, times its number of rounds.  Only then
+does the fault, if any, raise.  The result (:class:`Heard`) builds a
+round's ``channel -> message`` map only when it is read, and folds who
+heard what over a whole loop in bulk (:meth:`Heard.reached`).
 
 Every protocol compiles its rounds; :meth:`RadioNetwork.execute_round`,
 which compiles a per-node action map into one round, resolves it there
@@ -63,9 +65,11 @@ schedule depends only on public history).  A strategy whose moves depend on
 nothing but its own coins and those metas may therefore decide a whole
 schedule up front: :meth:`RadioNetwork.execute_schedule` asks its
 :meth:`~repro.adversary.base.Adversary.plan_schedule` once, with the metas
-of the rounds that will run, and the strategy draws its coins in the order
-per-round :meth:`~repro.adversary.base.Adversary.act` calls would, so a
-planned run is byte-identical to one that acts round by round.
+of exactly the rounds that will run (those before the first honest fault),
+and the strategy draws its coins in the order per-round
+:meth:`~repro.adversary.base.Adversary.act` calls would, so a planned run
+is byte-identical to one that acts round by round, final coin state
+included.
 """
 
 from __future__ import annotations
@@ -159,9 +163,10 @@ _Settled = tuple[
 ]
 """A template resolved on its own (:meth:`RadioNetwork._settle_template`)."""
 
-_Folded = tuple[dict[int, "Message | None"], int, int, int]
+_Folded = tuple[dict[int, "Message | None"], int, int, int, int]
 """A settled template with one adversary move folded in
-(:meth:`RadioNetwork._fold_move`)."""
+(:meth:`RadioNetwork._fold_move`): its delivery map and its deliveries,
+collisions, spoofs and payload units per round."""
 
 _LISTEN_ON = tuple(Listen(channel) for channel in range(256))
 """One prebuilt ``Listen`` per byte-sized channel id, which row expansion
@@ -462,13 +467,13 @@ class RadioNetwork:
 
     # ------------------------------------------------------------------
 
-    def _adversary_view(self, meta: RoundMeta) -> AdversaryView:
-        """A fresh frozen view for the round about to resolve."""
+    def _adversary_view(self, meta: RoundMeta, index: int) -> AdversaryView:
+        """A fresh frozen view for round ``index``, about to resolve."""
         return AdversaryView(
             n=self.n,
             channels=self.channels,
             t=self.t,
-            round_index=self._round_index,
+            round_index=index,
             history=self.trace,
             meta=meta,
         )
@@ -577,24 +582,85 @@ class RadioNetwork:
             )
         validated.add((id(transmits), id(listeners)))
 
+    def _check(
+        self,
+        loops: Sequence[CompiledRound],
+        loop_of: Mapping[int, CompiledRound],
+        counts: list[int],
+    ) -> tuple[int, ProtocolViolation | None]:
+        """Check every honest round of ``loops`` (``counts[i]`` rounds
+        each) once: ``(stop, fault)``, the number of rounds before the
+        first fault and that fault, or every round and ``None``.
+
+        A round faults past the round cap, on its loop's shared parts
+        (:meth:`_validate_shared`) or on its hop row, checked in that
+        order.  Each distinct loop (``loop_of``, in the order the rounds
+        meet them) is visited once and its rows are checked in C-level
+        passes; only a loop that fails is scanned row by row for the
+        faulting one.
+        """
+        stop = sum(counts)
+        fault = None
+        cap = self.params.max_rounds
+        if cap is not None and self._round_index + stop > cap:
+            stop = max(cap - self._round_index, 0)
+            fault = ProtocolViolation(
+                f"round cap exceeded ({cap} rounds); "
+                "likely a non-terminating configuration"
+            )
+        validated: set[object] = set()
+        listener_sets: dict[int, set[int]] = {}
+        on_air = bytes(range(self.channels))
+        for cr in loop_of.values():
+            rows = cr.rows
+            if not rows:
+                continue
+            row = 0
+            try:
+                if (id(cr.transmits), id(cr.listeners)) not in validated:
+                    self._validate_shared(cr, validated, listener_sets)
+                width = len(cr.listeners)
+                joined = b"".join(rows)
+                if (
+                    len(joined) == width * len(rows)
+                    and max(map(len, rows)) == width
+                    and not joined.translate(None, on_air)
+                ):
+                    continue
+                for row, hops in enumerate(rows):
+                    if len(hops) != width:
+                        raise ProtocolViolation(
+                            f"hop row holds {len(hops)} hops for "
+                            f"{width} listeners"
+                        )
+                    if hops.translate(None, on_air):
+                        raise ProtocolViolation(
+                            f"listener hops to invalid channel {max(hops)} "
+                            f"(C={self.channels})"
+                        )
+            except ProtocolViolation as exc:
+                # Distinct loops come in order of first use, so the first
+                # to fail holds the earliest faulting round.
+                first = next(i for i, other in enumerate(loops) if other is cr)
+                if sum(counts[:first]) + row < stop:
+                    stop, fault = sum(counts[:first]) + row, exc
+                break
+        return stop, fault
+
     def _plan(
-        self, loops: Sequence[CompiledRound], counts: list[int]
+        self, loops: Sequence[CompiledRound], counts: list[int], stop: int
     ) -> Sequence[Sequence[Transmission]] | None:
-        """The adversary's moves, one per round, for the rounds of
-        ``loops`` (``counts[i]`` rounds each) that run before the round
-        cap, from its ``plan_schedule`` hook (looked up by name, so
-        duck-typed adversaries without one simply act), or ``None`` when
-        it acts round by round."""
+        """The adversary's moves, one per round, for the first ``stop``
+        rounds of ``loops`` (``counts[i]`` rounds each), from its
+        ``plan_schedule`` hook (looked up by name, so duck-typed
+        adversaries without one simply act), or ``None`` when it acts
+        round by round."""
         plan = getattr(self.adversary, "plan_schedule", None)
         if plan is None:
             return None
         metas = _each_round(map(_META, loops), counts)
-        cap = self.params.max_rounds
-        if cap is not None:
-            del metas[max(cap - self._round_index, 0) :]
-        if not metas:
-            return None
-        moves = plan(self._adversary_view(metas[0]), metas)
+        del metas[stop:]
+        moves = plan(self._adversary_view(metas[0], self._round_index), metas)
         if moves is not None and len(moves) != len(metas):
             raise ProtocolViolation(
                 f"adversary planned {len(moves)} moves for {len(metas)} rounds"
@@ -625,19 +691,28 @@ class RadioNetwork:
                     collisions += 1
         return senders, delivered, deliveries, collisions, units
 
-    @staticmethod
     def _fold_move(
-        settled: _Settled, transmissions: Sequence[Transmission]
+        self,
+        settled: dict[int, _Settled],
+        transmits: Mapping[int, Transmit],
+        transmissions: Sequence[Transmission],
     ) -> _Folded:
-        """Fold one adversary move (distinct, validated channels) into a
-        settled template: ``(delivered, deliveries, collisions, spoofs)``.
+        """Fold one adversary move (distinct, validated channels) into the
+        template ``transmits``, settled once per call under its id in
+        ``settled`` (:meth:`_settle_template`): ``(delivered, deliveries,
+        collisions, spoofs, payload_units)``.
 
         Alone on a channel the adversary delivers a spoof or noise; next
         to one honest payload it makes a new collision; on a collided
         channel it changes nothing.  An empty move returns the template's
         own delivery map, which is why a round's map is read-only.
         """
-        senders, delivered, deliveries, collisions, _units = settled
+        resolution = settled.get(id(transmits))
+        if resolution is None:
+            resolution = settled[id(transmits)] = self._settle_template(
+                transmits
+            )
+        senders, delivered, deliveries, collisions, units = resolution
         spoofs = 0
         if transmissions:
             delivered = dict(delivered)
@@ -656,7 +731,7 @@ class RadioNetwork:
                         deliveries -= 1
                         delivered[channel] = None
                     collisions += 1
-        return delivered, deliveries, collisions, spoofs
+        return delivered, deliveries, collisions, spoofs, units
 
     def execute_schedule(self, loops: Iterable[CompiledRound]) -> Heard:
         """Resolve a precompiled schedule: ``loops``, its
@@ -666,235 +741,160 @@ class RadioNetwork:
         This is the one place a round is resolved: the round cap,
         validation, adversary interaction, the single-transmitter rule,
         metrics (payloads included) and trace records all live here;
-        :meth:`execute_round` submits one-round schedules.
+        :meth:`execute_round` submits one-round schedules.  It makes one
+        pass:
 
-        The adversary is asked once per call first: its
-        :meth:`~repro.adversary.base.Adversary.plan_schedule` gets the
-        public metas of the rounds that run before the round cap (never
-        the compiled rounds).  If it returns their moves, or there is no
-        adversary, and no round would fault (:meth:`_resolves_whole`),
-        the schedule resolves in bulk (:meth:`_resolve_planned`): work
-        per loop and per distinct (loop, move) pair, plus C-level passes
-        over the hop rows, and no step per round.  Otherwise it resolves
-        round by round (:meth:`_resolve_each`), the adversary taking its
-        planned moves or acting before each round, shown every completed
-        one; a fault — a round over the cap, a bad shared part, a
-        malformed row, a bad move — then raises at the round that meets
-        it, after every round before it counted.  Both paths validate
-        each distinct template, listener tuple and (template, listeners)
-        pair once per call (:meth:`_validate_shared`), settle each
-        template once (:meth:`_settle_template`) and fold moves with
-        :meth:`_fold_move`.
+        1. every honest round is checked once (:meth:`_check`): the round
+           cap, each distinct loop's shared parts and its hop rows, in
+           C-level passes, so a schedule runs exactly the rounds before
+           its first fault;
+        2. the adversary moves in those rounds: its
+           :meth:`~repro.adversary.base.Adversary.plan_schedule` gets
+           their public metas once (never the compiled rounds), and each
+           distinct planned move is checked once, the first bad one
+           cutting the schedule at its round; an adversary that does not
+           plan acts before each round instead, shown every completed
+           one, each distinct move checked once.  Its coins therefore
+           cover exactly the rounds that run;
+        3. those rounds are counted in bulk, per distinct (loop, move)
+           pair: each template is settled once (:meth:`_settle_template`),
+           each (template, move) pair folded once (:meth:`_fold_move`),
+           and every counter is added once, times the pair's rounds.
+           The count runs even when ``act`` raises, so the rounds before
+           it stay counted;
+        4. then the fault, if any, raises.
 
         Returns a :class:`Heard`: per round, in order, the
         ``channel -> message`` map of the channels that delivered a
         message and had a listener, built when read; and per loop, in
-        bulk, who heard what (:meth:`Heard.reached`).  A retained
-        :class:`RoundRecord`, built only when records are kept, holds the
-        submitted round itself (a repetition of a longer loop gets its own
-        one-row round, :meth:`CompiledRound.repetition`) and a read-only
-        view of the round's touched-channel map.
+        bulk, who heard what (:meth:`Heard.reached`).  Records, when
+        kept, are built round by round alongside any acting: a
+        :class:`RoundRecord` holds the submitted round itself (a
+        repetition of a longer loop gets its own one-row round,
+        :meth:`CompiledRound.repetition`) and a read-only view of the
+        round's touched-channel map.
         """
         loops = tuple(loops)
         counts = list(map(len, map(_ROWS, loops)))
-        moves = None
-        if self.adversary is not None:
-            moves = self._plan(loops, counts)
-            if moves is None:
-                return self._resolve_each(loops)
-        heard = self._resolve_planned(loops, counts, moves)
-        if heard is None:
-            heard = self._resolve_each(loops, moves)
-        return heard
-
-    def _resolve_each(
-        self,
-        loops: Sequence[CompiledRound],
-        moves: Sequence[Sequence[Transmission]] | None = None,
-    ) -> Heard:
-        """Resolve every round of ``loops`` one at a time, the reference
-        resolution.  The adversary's move for each round is its planned
-        one from ``moves`` (each distinct move validated the first time a
-        round uses it), or, without a plan, its ``act`` shown every
-        completed round; with no adversary it is empty.  Each check runs
-        at its round, so a fault raises there, after every earlier round
-        counted.  Rounds with the same template and move share one folded
-        delivery map."""
+        loop_of = dict(zip(map(id, loops), loops))
+        stop, fault = self._check(loops, loop_of, counts)
+        loop_ids = _each_round(map(id, loops), counts)
+        del loop_ids[stop:]
+        keys: list = loop_ids
         adversary = self.adversary
-        validated: set[object] = set()
-        listener_sets: dict[int, set[int]] = {}
-        settled: dict[int, _Settled] = {}
-        checked_moves: set[int] = set()
-        folds: dict[tuple[int, ...], tuple] = {}
+        moves: Any = None
+        move_of: dict[int, Sequence[Transmission]] | None = None
+        acting = False
+        if adversary is not None and stop:
+            moves = self._plan(loops, counts, stop)
+            if moves is None:
+                acting, moves, move_of = True, [], {}
+            else:
+                ids = list(map(id, moves))
+                move_of = dict(zip(ids, moves))
+                for move in move_of.values():
+                    try:
+                        self._validate_adversary(move)
+                    except ProtocolViolation as exc:
+                        stop, fault = ids.index(id(move)), exc
+                        del loop_ids[stop:]
+                        break
+                keys = list(zip(loop_ids, ids))
         keep_records = self._keep_trace or (
             adversary is not None and adversary.needs_history
         )
-        max_rounds = self.params.max_rounds
-        metrics = self.metrics
-        on_air = bytes(range(self.channels))
-        maps: list[Mapping[int, Message | None]] = []
-        for cr in loops:
-            transmits, listeners, meta = cr.transmits, cr.listeners, cr.meta
-            for row in cr.rows:
-                if max_rounds is not None and self._round_index >= max_rounds:
-                    raise ProtocolViolation(
-                        f"round cap exceeded ({max_rounds} rounds); "
-                        "likely a non-terminating configuration"
-                    )
-                if (id(transmits), id(listeners)) not in validated:
-                    self._validate_shared(cr, validated, listener_sets)
-                if len(row) != len(listeners):
-                    raise ProtocolViolation(
-                        f"hop row holds {len(row)} hops for "
-                        f"{len(listeners)} listeners"
-                    )
-                if row.translate(None, on_air):
-                    raise ProtocolViolation(
-                        f"listener hops to invalid channel {max(row)} "
-                        f"(C={self.channels})"
-                    )
-                move: Sequence[Transmission] = ()
-                if moves is not None:
-                    move = moves[len(maps)]
-                    if id(move) not in checked_moves:
-                        self._validate_adversary(move)
-                        checked_moves.add(id(move))
-                elif adversary is not None:
-                    move = tuple(adversary.act(self._adversary_view(meta)))
-                    self._validate_adversary(move)
-                resolution = settled.get(id(transmits))
-                if resolution is None:
-                    resolution = settled[id(transmits)] = (
-                        self._settle_template(transmits)
-                    )
-                # Rounds that repeat a template and a move (the same
-                # transmission objects) share one fold.  Its entry keeps
-                # the move alive, so the ids in its key name the same
-                # objects for the whole call.
-                fold_key = (id(transmits), *map(id, move))
-                entry = folds.get(fold_key)
-                if entry is None:
-                    folded = self._fold_move(resolution, move)
-                    entry = folds[fold_key] = (
-                        folded,
-                        MappingProxyType(folded[0]),
-                        move,
-                    )
-                (delivered, deliveries, collisions, spoofs), view, _ = entry
-                metrics.rounds += 1
-                metrics.honest_transmissions += len(transmits)
-                metrics.listens += len(listeners)
-                metrics.payload_units += resolution[4]
-                metrics.adversary_transmissions += len(move)
-                metrics.deliveries += deliveries
-                metrics.collisions += collisions
-                metrics.spoofs_delivered += spoofs
-                if meta.phase:
-                    metrics.note_phase(meta.phase)
-                if keep_records:
-                    self.trace.append(
-                        RoundRecord(
-                            self._round_index,
-                            cr.repetition(row),
-                            tuple(move),
-                            view,
-                        )
-                    )
-                self._round_index += 1
-                maps.append(delivered)
-        return Heard(loops, maps)
-
-    def _resolves_whole(
-        self,
-        loops: Iterable[CompiledRound],
-        rounds: int,
-        moves: Iterable[Sequence[Transmission]],
-    ) -> bool:
-        """Whether ``rounds`` rounds of the distinct ``loops`` and
-        ``moves`` would resolve without a fault: none crosses the round
-        cap, and each loop (its shared parts, then its rows, in C-level
-        passes) and each move passes its checks."""
-        cap = self.params.max_rounds
-        if cap is not None and self._round_index + rounds > cap:
-            return False
-        validated: set[object] = set()
-        listener_sets: dict[int, set[int]] = {}
-        on_air = bytes(range(self.channels))
-        try:
-            for cr in loops:
-                rows = cr.rows
-                if not rows:
-                    continue
-                if (id(cr.transmits), id(cr.listeners)) not in validated:
-                    self._validate_shared(cr, validated, listener_sets)
-                width = len(cr.listeners)
-                joined = b"".join(rows)
-                if (
-                    len(joined) != width * len(rows)
-                    or max(map(len, rows)) != width
-                    or joined.translate(None, on_air)
-                ):
-                    return False
-            for move in moves:
-                self._validate_adversary(move)
-        except ProtocolViolation:
-            return False
-        return True
-
-    def _resolve_planned(
-        self,
-        loops: Sequence[CompiledRound],
-        counts: list[int],
-        moves: Sequence[Sequence[Transmission]] | None,
-    ) -> Heard | None:
-        """Resolve ``loops`` (``counts[i]`` rounds each) in bulk, the
-        adversary's ``moves`` (one per round) known up front (``None``:
-        no adversary), or return ``None``, having changed nothing, when
-        some round would fault (:meth:`_resolves_whole`).
-
-        Rounds are counted per distinct (loop, move) pair at C level;
-        each pair's template and move are folded once, and every counter
-        is added once, times the pair's rounds (``rounds_by_phase`` in
-        the order of the rounds).  Records are built only when kept.
-        """
-        loop_of = dict(zip(map(id, loops), loops))
-        keys: list = _each_round(map(id, loops), counts)
-        move_of: dict[int, Sequence[Transmission]] = {}
-        if moves is not None:
-            ids = list(map(id, moves))
-            move_of = dict(zip(ids, moves))
-            keys = list(zip(keys, ids))
-        if not self._resolves_whole(
-            loop_of.values(), sum(counts), move_of.values()
-        ):
-            return None
+        # Each template settles once and each (template, move) pair folds
+        # once per call, keyed by ids: the schedule and the moves keep the
+        # objects alive, so the ids name the same objects throughout.
         settled: dict[int, _Settled] = {}
         folds: dict[tuple[int, int], _Folded] = {}
+        try:
+            if acting or keep_records:
+                start = self._round_index
+                rows = chain.from_iterable(map(_ROWS, loops))
+                shared: dict[tuple[int, ...], tuple[Transmission, ...]] = {}
+                views: dict[tuple[int, int], Mapping[int, Message | None]] = {}
+                for offset, (loop_id, row) in enumerate(zip(loop_ids, rows)):
+                    cr = loop_of[loop_id]
+                    if acting:
+                        view = self._adversary_view(cr.meta, start + offset)
+                        move = tuple(adversary.act(view))
+                        # Moves of the same transmission objects share one
+                        # object, so they are checked, folded and counted
+                        # as one.
+                        same = tuple(map(id, move))
+                        if same in shared:
+                            move = shared[same]
+                        else:
+                            self._validate_adversary(move)
+                            shared[same] = move_of[id(move)] = move
+                        moves.append(move)
+                    else:
+                        move = () if moves is None else moves[offset]
+                    if keep_records:
+                        fold_key = (id(cr.transmits), id(move))
+                        delivered = views.get(fold_key)
+                        if delivered is None:
+                            folded = folds.get(fold_key)
+                            if folded is None:
+                                folded = folds[fold_key] = self._fold_move(
+                                    settled, cr.transmits, move
+                                )
+                            delivered = views[fold_key] = MappingProxyType(
+                                folded[0]
+                            )
+                        self.trace.append(
+                            RoundRecord(
+                                start + offset,
+                                cr.repetition(row),
+                                tuple(move),
+                                delivered,
+                            )
+                        )
+        finally:
+            if acting:
+                keys = list(zip(loop_ids, map(id, moves)))
+            outcomes = self._count(keys, loop_of, move_of, settled, folds)
+        if fault is not None:
+            raise fault
+        return Heard(loops, list(map(outcomes.__getitem__, keys)))
+
+    def _count(
+        self,
+        keys: list,
+        loop_of: Mapping[int, CompiledRound],
+        move_of: Mapping[int, Sequence[Transmission]] | None,
+        settled: dict[int, _Settled],
+        folds: dict[tuple[int, int], _Folded],
+    ) -> dict[object, Mapping[int, Message | None]]:
+        """Count the rounds ``keys`` names, one key per round: a loop id
+        (``loop_of``), paired with a move id (``move_of``) when there is
+        an adversary.  Each distinct key folds its template and move once
+        (:meth:`_fold_move`, cached in ``settled`` and ``folds``) and adds
+        every counter once, times its rounds (``rounds_by_phase`` in the
+        order of the rounds); returns each key's delivery map."""
         outcomes: dict[object, Mapping[int, Message | None]] = {}
         phases = self.metrics.rounds_by_phase
         honest = listens = units = jams = 0
         deliveries = collisions = spoofs = 0
         for key, count in Counter(keys).items():
-            if moves is None:
-                cr, move_key, move = loop_of[key], 0, ()
+            if move_of is None:
+                cr, move = loop_of[key], ()
+                move_key = id(move)
             else:
                 cr, move_key = loop_of[key[0]], key[1]
                 move = move_of[move_key]
             transmits = cr.transmits
-            resolution = settled.get(id(transmits))
-            if resolution is None:
-                resolution = settled[id(transmits)] = self._settle_template(
-                    transmits
-                )
-            folded = folds.get((id(transmits), move_key))
+            fold_key = (id(transmits), move_key)
+            folded = folds.get(fold_key)
             if folded is None:
-                folded = folds[id(transmits), move_key] = self._fold_move(
-                    resolution, move
+                folded = folds[fold_key] = self._fold_move(
+                    settled, transmits, move
                 )
             outcomes[key] = folded[0]
             honest += len(transmits) * count
             listens += len(cr.listeners) * count
-            units += resolution[4] * count
+            units += folded[4] * count
             jams += len(move) * count
             deliveries += folded[1] * count
             collisions += folded[2] * count
@@ -910,26 +910,8 @@ class RadioNetwork:
         metrics.deliveries += deliveries
         metrics.collisions += collisions
         metrics.spoofs_delivered += spoofs
-        if self._keep_trace or (
-            self.adversary is not None and self.adversary.needs_history
-        ):
-            views = {key: MappingProxyType(d) for key, d in outcomes.items()}
-            rounds = zip(
-                _each_round(loops, counts),
-                chain.from_iterable(map(_ROWS, loops)),
-                keys,
-            )
-            for offset, (cr, row, key) in enumerate(rounds):
-                self.trace.append(
-                    RoundRecord(
-                        self._round_index + offset,
-                        cr.repetition(row),
-                        () if moves is None else tuple(move_of[key[1]]),
-                        views[key],
-                    )
-                )
         self._round_index += len(keys)
-        return Heard(loops, list(map(outcomes.__getitem__, keys)))
+        return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ nor encrypted — bind to localhost or a private network.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 
@@ -49,7 +50,7 @@ from ..dispatch.socket_pool import (
 # Every response is encoded through this module-level name, which
 # perfbench's serve tracer wraps as the daemon's encode span.
 from ..dispatch.socket_pool import frame_bytes as _frame_bytes
-from ..errors import DispatchError, ServiceError
+from ..errors import ConfigurationError, DispatchError, ServiceError
 from . import protocol as p
 from .host import SessionHost
 
@@ -72,11 +73,14 @@ class ServeDaemon:
         Bind address; ``port=0`` lets the OS pick (read
         :attr:`address` after :meth:`bind`).
     max_sessions:
-        Bound on the host's session table.
+        Bound on the host's session table, at least 1.
     idle_timeout:
-        Seconds without any traffic or live client before the daemon
-        exits on its own (``None`` = serve forever).  A watchdog for CI
-        smoke jobs, not a session property.
+        Seconds (finite, ``> 0``) without any traffic or live client
+        before the daemon exits on its own (``None`` = serve forever).  A
+        watchdog for CI smoke jobs, not a session property.
+
+    Either one out of range is a
+    :class:`~repro.errors.ConfigurationError` before anything binds.
     """
 
     def __init__(
@@ -88,6 +92,15 @@ class ServeDaemon:
         max_sessions: int | None = None,
         idle_timeout: float | None = None,
     ) -> None:
+        if idle_timeout is not None and not 0 < idle_timeout < math.inf:
+            raise ConfigurationError(
+                "idle_timeout must be a finite number > 0 when given, "
+                f"got {idle_timeout!r}"
+            )
+        if max_sessions is not None and max_sessions < 1:
+            raise ConfigurationError(
+                f"max_sessions must be >= 1 when given, got {max_sessions!r}"
+            )
         kwargs = {} if max_sessions is None else {"max_sessions": max_sessions}
         self.host = SessionHost(seed=seed, **kwargs)
         self.bind_host = host

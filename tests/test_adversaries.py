@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -417,14 +418,25 @@ def planning_cases(draw):
     )
     total = sum(rounds for rounds, _ in schedules)
     cap = draw(st.one_of(st.none(), st.integers(1, total)))
+    # An honest fault, maybe: (schedule, round, off-air hop or short row).
+    fault = draw(
+        st.none()
+        | st.tuples(
+            st.integers(0, len(schedules) - 1),
+            st.integers(0, 39),
+            st.booleans(),
+        )
+    )
     seed = draw(st.integers(0, 2**16))
-    return channels, t, kind, option, schedules, cap, seed
+    return channels, t, kind, option, schedules, cap, fault, seed
 
 
-def _build_schedules(channels, schedules, seed):
+def _build_schedules(channels, schedules, seed, fault=None):
     """Seeded rounds: templates and listener tuples shared across rounds
     (one lone sender, a collision, silence), fresh hop rows, and metas
-    drawn from a pool the schedule-aware jammer reacts to."""
+    drawn from a pool the schedule-aware jammer reacts to.  A ``fault``
+    ``(schedule, round, off_air)`` gives that round a malformed row: its
+    last hop on channel ``C`` or dropped."""
     layout = random.Random(seed)
     in_use = tuple(
         layout.sample(range(channels), layout.randint(1, min(channels, 6)))
@@ -467,6 +479,14 @@ def _build_schedules(channels, schedules, seed):
                 for _ in range(rounds)
             ]
         )
+    if fault is not None:
+        schedule, index, off_air = fault
+        rounds = built[schedule]
+        index %= len(rounds)
+        row = rounds[index].hops[:-1]
+        if off_air:
+            row += bytes((channels,))
+        rounds[index] = replace(rounds[index], rows=(row,))
     return built
 
 
@@ -490,8 +510,8 @@ def _drive(channels, t, adversary, schedules, cap):
 @given(case=planning_cases())
 @settings(max_examples=300, deadline=None)
 def test_planning_equals_acting(case):
-    channels, t, kind, option, shapes, cap, seed = case
-    schedules = _build_schedules(channels, shapes, seed)
+    channels, t, kind, option, shapes, cap, fault, seed = case
+    schedules = _build_schedules(channels, shapes, seed, fault)
     planned_rng, acted_rng = random.Random(seed), random.Random(seed)
     planned = _drive(
         channels, t, _strategy(kind, option, planned_rng), schedules, cap

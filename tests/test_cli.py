@@ -325,6 +325,21 @@ class TestSweepCommand:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("repro sweep: journal ") and named in line
 
+    def test_resume_without_journal_exits_2_before_any_trial(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(SerialBackend, "_execute", no_trials)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--nodes", "18", "--trials", "1", "--resume",
+                "--json-out", str(out)]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "repro sweep: resume needs a journal_path to replay"
+        assert not out.exists()
+
     def test_progress_lines_on_stderr(self, capsys, tmp_path):
         assert main(
             ["sweep", "--nodes", "18", "--trials", "2", "--seed", "7",
@@ -354,6 +369,42 @@ class TestWorkerCommand:
     def test_malformed_endpoint_exits_2(self, capsys):
         assert main(["worker", "--connect", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+
+class _NoSockets:
+    """Stands in for the transport's ``socket`` module: a refused flag
+    exits before any socket opens (the parent bound or dialed with these
+    values, and a NaN or infinite one never stopped)."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"socket.{name} reached")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--retry-seconds", "nan"],
+        ["worker", "--retry-seconds", "inf"],
+        ["worker", "--retry-seconds", "-1"],
+        ["serve", "--idle-timeout", "nan"],
+        ["serve", "--idle-timeout", "inf"],
+        ["serve", "--idle-timeout", "0"],
+        ["serve", "--idle-timeout", "-1"],
+        ["serve", "--max-sessions", "0"],
+    ],
+    ids=" ".join,
+)
+def test_flag_that_spins_or_refuses_everything_exits_2(
+    argv, capsys, monkeypatch
+):
+    from repro.dispatch import socket_pool
+
+    monkeypatch.setattr(socket_pool, "socket", _NoSockets())
+    flag = "--connect" if argv[0] == "worker" else "--bind"
+    assert main([*argv, flag, "127.0.0.1:9"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    named = argv[1].lstrip("-").replace("-", "_")
+    assert line.startswith(f"repro {argv[0]}: {named} must be ")
 
 
 @pytest.mark.parametrize("port", ["99999", "-5"])

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fame.config import make_config
 from repro.params import (
     DEFAULT_PARAMETERS,
     ProtocolParameters,
@@ -29,6 +30,14 @@ class TestMinPopulation:
         values = [min_population(t) for t in range(6)]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
+
+    def test_fame_config_enforces_the_bound(self):
+        # The model alone admits n=16 at t=1; f-AME's configuration, which
+        # needs the witness assignment, refuses it and admits n=17.
+        validate_model(min_population(1) - 1, 2, 1)
+        with pytest.raises(ConfigurationError, match="n >= 17"):
+            make_config(min_population(1) - 1, 2, 1)
+        make_config(min_population(1), 2, 1)
 
 
 class TestLog2n:
@@ -131,11 +140,6 @@ class TestModelValidation:
             validate_model(10, 2, 2)
         with pytest.raises(ConfigurationError):
             validate_model(10, 3, 5)
-
-    def test_witness_bound_enforced_when_requested(self):
-        with pytest.raises(ConfigurationError):
-            validate_model(16, 2, 1, require_witnesses=True)
-        validate_model(17, 2, 1, require_witnesses=True)
 
     @pytest.mark.parametrize(
         "n, channels, t, field",

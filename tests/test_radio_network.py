@@ -233,6 +233,36 @@ class TestPlannedMoves:
         with pytest.raises(ProtocolViolation, match="planned 1 moves for 3"):
             net.execute_schedule(listening_rounds(3))
 
+    def test_a_raising_act_keeps_the_rounds_before_it(self):
+        # ``act`` raising at repetition 2 of one loop leaves repetitions
+        # 0 and 1 counted and recorded, as if only they had been
+        # submitted, and repetition 2 not counted at all.
+        class FailsAtTwo(Adversary):
+            def act(self, view):
+                if view.round_index == 2:
+                    raise RuntimeError("act failed at round 2")
+                return (Transmission(1, msg(kind="spoof")),)
+
+        def loop(count):
+            return [
+                CompiledRound(
+                    {0: Transmit(0, msg())}, (1, 2), (b"\0\1",) * count,
+                    RoundMeta(phase="p"),
+                )
+            ]
+
+        net = make_network(n=4, adversary=FailsAtTwo())
+        with pytest.raises(RuntimeError, match="act failed at round 2"):
+            net.execute_schedule(loop(4))
+        ref = make_network(n=4, adversary=FailsAtTwo())
+        ref.execute_schedule(loop(2))
+        assert net.round_index == ref.round_index == 2
+        assert net.metrics == ref.metrics
+        assert net.metrics.spoofs_delivered == 2
+        assert net.metrics.rounds_by_phase == {"p": 2}
+        assert net.trace.canonical_forms() == ref.trace.canonical_forms()
+        assert [record.index for record in net.trace] == [0, 1]
+
     def test_adversary_without_the_hook_acts_each_round(self):
         class DuckTyped:
             needs_history = False

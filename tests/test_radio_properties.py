@@ -13,6 +13,7 @@ the medium must satisfy the Section 3 model invariants on every one:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -177,15 +178,24 @@ def loop_cases(draw):
     )
     total = sum(rows for _, _, rows, _ in shapes)
     cap = draw(st.one_of(st.none(), st.integers(1, total + 1)))
+    # A malformed row, maybe: (loop, row, off-air hop or one byte short).
+    fault = draw(
+        st.none()
+        | st.tuples(
+            st.integers(0, len(shapes) - 1), st.integers(0, 11), st.booleans()
+        )
+    )
     seed = draw(st.integers(0, 2**16))
-    return channels, t, shapes, cap, seed
+    return channels, t, shapes, cap, fault, seed
 
 
-def _build_loops(channels, shapes, seed):
+def _build_loops(channels, shapes, seed, fault=None):
     """Seeded loops: an empty template, a lone sender, a collision beside
     a lone sender, and one template object shared by every loop that
     picks it; listener tuples in shuffled node order and rows on random
-    channels, so some transmitting channels have nobody listening."""
+    channels, so some transmitting channels have nobody listening.  A
+    ``fault`` ``(loop, row, off_air)`` malforms that row of a loop that
+    has rows: its last hop on channel ``C`` or dropped."""
     layout = random.Random(seed)
 
     def frame(sender):
@@ -229,6 +239,12 @@ def _build_loops(channels, shapes, seed):
                 metas[meta],
             )
         )
+    if fault is not None and loops[fault[0]].rows:
+        index, row, off_air = fault
+        rows = list(loops[index].rows)
+        row %= len(rows)
+        rows[row] = rows[row][:-1] + (bytes((channels,)) if off_air else b"")
+        loops[index] = replace(loops[index], rows=tuple(rows))
     return loops
 
 
@@ -264,8 +280,8 @@ def test_a_loop_resolves_as_its_rounds_do(case):
     adversary: per-round maps, metrics (``rounds_by_phase`` order too),
     round index, canonical traces, any raised error; and each loop's bulk
     fold is the OR of its rounds' ``hit_row`` masks."""
-    channels, t, shapes, cap, seed = case
-    loops = _build_loops(channels, shapes, seed)
+    channels, t, shapes, cap, fault, seed = case
+    loops = _build_loops(channels, shapes, seed, fault)
     rounds = [loop.repetition(row) for loop in loops for row in loop.rows]
     for name in [None, *sorted(workloads.ADVERSARY_FACTORIES)]:
         for acting in (False, True):

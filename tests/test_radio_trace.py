@@ -210,11 +210,10 @@ class TestMetricsMerge:
     def test_merge_sums_counters_and_phases(self):
         from repro.radio.metrics import NetworkMetrics
 
-        a = NetworkMetrics(rounds=2, collisions=1)
-        a.note_phase("x")
-        b = NetworkMetrics(rounds=3, deliveries=4)
-        b.note_phase("x")
-        b.note_phase("y")
+        a = NetworkMetrics(rounds=2, collisions=1, rounds_by_phase={"x": 1})
+        b = NetworkMetrics(
+            rounds=3, deliveries=4, rounds_by_phase={"x": 1, "y": 1}
+        )
         merged = a.merge(b)
         assert merged.rounds == 5
         assert merged.collisions == 1
