@@ -4,7 +4,7 @@ Runs the *same* :class:`~repro.dispatch.SweepSpec` in-process and on the
 socket pool and — **before** timing anything — asserts the reports are
 byte-identical (``json.dumps(..., sort_keys=True)``), including a
 fault-injected socket run (one worker killed mid-sweep, the coordinator
-stopped halfway, the journal resumed on a fresh pool): the dispatch
+crashed halfway, the journal resumed on a fresh pool): the dispatch
 layer's whole contract is that it never changes the report, so an
 equivalence regression fails the bench rather than inflating it.  Then
 trials/sec per side.
@@ -47,7 +47,6 @@ import time
 from pathlib import Path
 
 from repro.dispatch import SerialBackend, SocketBackend, SweepRunner, SweepSpec
-from repro.errors import SweepInterrupted
 
 SOCKET_V1_BASELINE = 0.13
 """Recorded speedup-vs-serial of the one-spec-per-frame protocol v1."""
@@ -65,41 +64,46 @@ def run_sweep(spec: SweepSpec, backend) -> tuple[dict, float]:
     return report.as_dict(), spec.total_trials / elapsed
 
 
+class CoordinatorCrash(Exception):
+    """Raised from inside the fault-injected run to end it as a crash
+    would."""
+
+
 def run_kill_and_resume(spec: SweepSpec, workers: int, batch_size) -> dict:
-    """The fault-injected socket run: kill a worker, stop, resume.
+    """The fault-injected socket run: kill a worker, crash, resume.
 
     One worker is killed on the first completed trial (its in-flight
     batches are requeued with applied indices filtered out), the
-    coordinator stops after half the trials (``SweepInterrupted``), and
-    a fresh pool resumes from the journal.  Returns the resumed report.
+    coordinator crashes once half the trials are journalled, and a fresh
+    pool resumes from the journal.  Returns the resumed report.
     """
     with tempfile.TemporaryDirectory() as tmp:
         journal = Path(tmp) / "sweep.jsonl"
         backend = SocketBackend(
             workers=workers, batch_size=batch_size, accept_timeout=60.0
         )
-        runner = SweepRunner(
-            spec,
-            backend=backend,
-            journal_path=str(journal),
-            stop_after=max(1, spec.total_trials // 2),
-        )
-        killed = []
+        runner = SweepRunner(spec, backend=backend, journal_path=str(journal))
+        crash_at = max(1, spec.total_trials // 2)
+        added = 0
         original_add = runner.state.add
 
-        def add_and_kill(result):
-            if not killed and backend.spawned:
+        def add_kill_crash(result):
+            # The runner journals each result before it adds it.
+            nonlocal added
+            if not added:
                 backend.spawned[0].kill()
-                killed.append(True)
+            if added + 1 == crash_at:
+                raise CoordinatorCrash
+            added += 1
             return original_add(result)
 
-        runner.state.add = add_and_kill
+        runner.state.add = add_kill_crash
         try:
             runner.run()
-        except SweepInterrupted:
+        except CoordinatorCrash:
             pass
-        else:  # stop_after < total_trials always interrupts
-            raise AssertionError("fault-injected run was not interrupted")
+        else:  # crash_at <= total_trials always crashes
+            raise AssertionError("fault-injected run did not crash")
         report = SweepRunner(
             spec,
             backend=SocketBackend(

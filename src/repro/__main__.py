@@ -58,7 +58,7 @@ from .dispatch import (
     worker_main,
 )
 from .dispatch.socket_pool import parse_endpoint
-from .errors import ConfigurationError, SweepInterrupted
+from .errors import ConfigurationError
 from .experiments import WORKLOADS, default_pairs
 from .experiments.workloads import (
     ADVERSARY_FACTORIES as ADVERSARIES,
@@ -206,31 +206,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    runner = SweepRunner(
+    report = SweepRunner(
         spec,
         backend=backend,
         journal_path=args.journal,
         resume=args.resume,
         on_point_complete=on_point_complete,
-        stop_after=args.stop_after,
-    )
-    try:
-        report = runner.run()
-    except SweepInterrupted:
-        partial = runner.state.partial_report()
-        done = f"{partial['completed_trials']}/{partial['total_trials']}"
-        if args.journal is not None:
-            hint = "journalled; rerun with --resume to finish"
-        else:
-            hint = (
-                "completed but DISCARDED (no --journal); rerun with "
-                "--journal to make stops resumable"
-            )
-        print(
-            f"repro {args.command}: stopped early with {done} trials {hint}",
-            file=sys.stderr,
-        )
-        return 3
+    ).run()
     _emit_report(report.as_dict(), args.json_out, report.summary_line())
     return 1 if report.whp_failures() else 0
 
@@ -453,12 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
         "point reports Wilson success intervals, its 1/n w.h.p. verdict, "
         "a disruptability histogram, and merged radio metrics; a Monte "
         "Carlo run is a one-point sweep.  With --journal every completed "
-        "trial is durably appended; --resume replays the journal, skips "
-        "completed trials, and produces a report byte-identical to an "
+        "trial is durably appended; after an interruption (Ctrl-C, a "
+        "kill, a crash) --resume replays the journal, skips completed "
+        "trials, and produces a report byte-identical to an "
         "uninterrupted run.  The report never depends on the worker "
         "count, completion order, retries, kills, or resumes.  Exit "
         "codes: 0 done, 1 a checkable w.h.p. claim failed, 2 usage or "
-        "configuration error, 3 stopped early.",
+        "configuration error.",
         epilog="example: python -m repro sweep --nodes 18,24 "
         "--adversaries schedule,random --trials 20 --workers 4 "
         "--journal sweep.jsonl --json-out sweep.json",
@@ -517,11 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket pool: only listen (even at --workers 1); workers "
         "are started elsewhere with `python -m repro worker --connect "
         "HOST:PORT`",
-    )
-    sw.add_argument(
-        "--stop-after", type=int, default=None,
-        help="fault injection: stop (exit 3) after this many newly "
-        "completed trials — the journal keeps them; --resume finishes",
     )
     sw.set_defaults(handler=cmd_sweep)
 

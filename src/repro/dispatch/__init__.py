@@ -8,7 +8,7 @@ differently.  This package makes that literal:
 
 * :mod:`~repro.dispatch.backend` — the :class:`~repro.dispatch.backend.
   DispatchBackend` contract (at-most-once result application keyed by
-  trial index, streaming ``on_result``, interruptible) plus
+  trial index, streaming ``on_result``) plus
   :class:`~repro.dispatch.backend.SerialBackend`;
   :class:`~repro.dispatch.backend.ResultAssembler` is the shared
   order/duplicate-oblivious merge.

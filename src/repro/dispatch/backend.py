@@ -17,11 +17,12 @@ The contract, enforced here by :class:`ResultAssembler`:
   result whose trial was then requeued and re-run) is dropped, so retries
   and completion order never change the merged output;
 * **streaming** — ``on_result`` fires exactly once per distinct trial, as
-  results arrive, which is what lets the sweep journal flush durable
-  records and partial reports render mid-sweep;
-* **interruptible** — ``should_stop`` is polled between applications; a
-  backend answers a ``True`` with :class:`~repro.errors.SweepInterrupted`
-  carrying everything applied so far.
+  results arrive, which is what lets the sweep journal flush a durable
+  record per trial and finished points report mid-sweep.
+
+A run has no stop request: it finishes, or it dies (Ctrl-C, SIGKILL, a
+crash, a :class:`~repro.errors.DispatchError`) and ``--resume`` finishes
+the sweep from its journal.
 
 A backend may also hold *pool state* between :meth:`DispatchBackend.run`
 calls (the socket pool's warm workers): :meth:`DispatchBackend.close`
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from ..errors import ConfigurationError, DispatchError, SweepInterrupted
+from ..errors import ConfigurationError, DispatchError
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import run_trial
 
 OnResult = Callable[[TrialResult], None]
-ShouldStop = Callable[[], bool]
 
 
 class ResultAssembler:
@@ -89,17 +89,12 @@ class ResultAssembler:
         """True once every expected index has been applied."""
         return len(self._results) == len(self._expected)
 
-    @property
-    def applied_count(self) -> int:
-        """Number of distinct indices applied so far."""
-        return len(self._results)
-
     def missing(self) -> list[int]:
         """Expected indices not yet applied, ascending."""
         return sorted(self._expected - self._results.keys())
 
     def ordered(self) -> list[TrialResult]:
-        """Applied results in trial-index order (partial batches allowed)."""
+        """Applied results in trial-index order."""
         return [self._results[i] for i in sorted(self._results)]
 
 
@@ -108,7 +103,7 @@ class DispatchBackend:
 
     Subclasses implement :meth:`_execute`, feeding every produced result
     through the assembler; :meth:`run` owns the shared contract (index
-    ordering, duplicate suppression, completeness check, interruption).
+    ordering, duplicate suppression, completeness check).
     """
 
     name = "abstract"
@@ -118,19 +113,16 @@ class DispatchBackend:
         specs: Sequence[TrialSpec],
         *,
         on_result: OnResult | None = None,
-        should_stop: ShouldStop | None = None,
     ) -> list[TrialResult]:
         """Execute ``specs``; return their results in trial-index order.
 
         ``on_result`` fires once per distinct completed trial as results
-        arrive.  ``should_stop`` is polled after each application; a
-        ``True`` raises :class:`~repro.errors.SweepInterrupted` with the
-        results applied so far.
+        arrive.
         """
         assembler = ResultAssembler(
             (s.index for s in specs), on_result=on_result
         )
-        self._execute(list(specs), assembler, should_stop)
+        self._execute(list(specs), assembler)
         if not assembler.done:
             raise DispatchError(
                 f"{self.name} backend finished with trials missing: "
@@ -139,10 +131,7 @@ class DispatchBackend:
         return assembler.ordered()
 
     def _execute(
-        self,
-        specs: list[TrialSpec],
-        assembler: ResultAssembler,
-        should_stop: ShouldStop | None,
+        self, specs: list[TrialSpec], assembler: ResultAssembler
     ) -> None:
         raise NotImplementedError
 
@@ -155,16 +144,6 @@ class DispatchBackend:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @staticmethod
-    def _check_stop(
-        assembler: ResultAssembler, should_stop: ShouldStop | None
-    ) -> None:
-        if should_stop is not None and should_stop():
-            raise SweepInterrupted(
-                f"stopped after {assembler.applied_count} trials",
-                completed=assembler.ordered(),
-            )
-
 
 class SerialBackend(DispatchBackend):
     """Run every trial in-process, in submission order.
@@ -175,7 +154,6 @@ class SerialBackend(DispatchBackend):
 
     name = "serial"
 
-    def _execute(self, specs, assembler, should_stop):
+    def _execute(self, specs, assembler):
         for spec in specs:
             assembler.apply(run_trial(spec))
-            self._check_stop(assembler, should_stop)

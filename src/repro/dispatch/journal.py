@@ -30,11 +30,13 @@ Replay decodes each record like a worker's result frame (the typed
 decoder, then :func:`~repro.dispatch.wire.check_result` against the
 sweep's spec for its index), so an edited journal can at worst fail
 replay.  A final line that does not read (the crash happened mid-write)
-is skipped; a corrupt *interior* line is an error, since records after
-it prove the file was not merely cut short.  A line that reads but is
-not a trial record of the right shape and bounds is a
-:class:`~repro.errors.JournalRejected` naming its line wherever it
-sits: tampering, unlike truncation, is never forgiven.
+is skipped, and cut before the resumed run's first append; a final
+record that lost only its newline is kept and given one, so a journal
+can be resumed any number of times.  A corrupt *interior* line is an
+error, since records after it prove the file was not merely cut short.
+A line that reads but is not a trial record of the right shape and
+bounds is a :class:`~repro.errors.JournalRejected` naming its line
+wherever it sits: tampering, unlike truncation, is never forgiven.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class SweepJournal:
         versions and a matching ``fingerprint``; its trial records,
         each checked against ``specs`` (the sweep's spec for every
         index), are replayed into ``completed`` (first occurrence of an
-        index wins — the at-most-once rule applied retroactively).
-        Anything else is a :class:`~repro.errors.JournalRejected`.
+        index wins — the at-most-once rule applied retroactively), and
+        its crash tail is mended before anything is appended.  Anything
+        else is a :class:`~repro.errors.JournalRejected`.
         """
         path = Path(path)
         if not path.exists():
@@ -121,17 +124,26 @@ class SweepJournal:
                 f"journal {path} already exists; pass --resume to continue "
                 "it or choose a fresh path"
             )
-        completed = cls._replay(path, fingerprint, specs)
-        return cls(path, path.open("a", encoding="utf-8")), completed
+        data = path.read_bytes()
+        completed, keep = cls._replay(path, data, fingerprint, specs)
+        journal = cls(path, path.open("a", encoding="utf-8"))
+        journal._mend(data, keep)
+        return journal, completed
 
     @staticmethod
     def _replay(
-        path: Path, fingerprint: str, specs: Mapping[int, TrialSpec]
-    ) -> dict[int, TrialResult]:
+        path: Path,
+        data: bytes,
+        fingerprint: str,
+        specs: Mapping[int, TrialSpec],
+    ) -> tuple[dict[int, TrialResult], int]:
+        """The journal's records by index, and how many bytes of ``data``
+        hold its header and every line that reads."""
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            text = data.decode("utf-8")
         except UnicodeDecodeError:
             raise JournalRejected(f"journal {path} is not UTF-8 text") from None
+        lines = text.splitlines()
         if not lines:
             raise JournalRejected(f"journal {path} is empty (no header)")
         try:
@@ -173,8 +185,10 @@ class SweepJournal:
             except FrameRejected:
                 if lineno == len(lines):
                     # Crash mid-append: the cut-short final record is the
-                    # one trial the journal is allowed to lose.
-                    break
+                    # one trial the journal is allowed to lose (``_mend``
+                    # cuts it).
+                    torn = text.splitlines(keepends=True)[-1]
+                    return completed, len(data) - len(torn.encode("utf-8"))
                 raise JournalRejected(
                     f"journal {path} line {lineno} is corrupt but not final"
                 ) from None
@@ -187,7 +201,21 @@ class SweepJournal:
                     f"journal {path} line {lineno} {exc}"
                 ) from None
             completed.setdefault(result.index, result)
-        return completed
+        return completed, len(data)
+
+    def _mend(self, data: bytes, keep: int) -> None:
+        """Cut the journal to ``data[:keep]`` and end it with a newline,
+        durably, so the next record starts a line of its own: appended
+        to, a torn final line would become a corrupt interior one, and a
+        final record without its newline would merge with the next."""
+        ended = data.endswith(b"\n", 0, keep)
+        if keep == len(data) and ended:
+            return
+        self._handle.truncate(keep)
+        if not ended:
+            self._handle.write("\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
 
     # ------------------------------------------------------------------
 

@@ -123,9 +123,9 @@ import socket
 import sys
 import time
 from collections import deque
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
-from ..errors import ConfigurationError, DispatchError, SweepInterrupted
+from ..errors import ConfigurationError, DispatchError
 from ..experiments.trial import TrialResult, TrialSpec
 from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
@@ -171,6 +171,11 @@ or still running a batch."""
 DRAIN_SECONDS = 5.0
 """How long a graceful :meth:`FrameServer.close` lets buffered frames
 (shutdown acknowledgements, goodbyes) leave before it closes."""
+
+IDLE_SECONDS = 300.0
+"""How long a run may go without a pool event (a frame, a welcome, a
+lost connection) before it is declared stuck: the workers are torn down
+and journalled trials survive."""
 
 
 def _no_delay(sock: socket.socket) -> None:
@@ -710,10 +715,6 @@ class SocketBackend(DispatchBackend):
         batch completes.
     accept_timeout:
         Seconds to wait for the first successful handshake.
-    idle_timeout:
-        Seconds without a pool event (a frame, a welcome, a lost
-        connection) before the batch is declared stuck (workers are then
-        torn down; journalled trials survive).
     """
 
     name = "socket"
@@ -728,7 +729,6 @@ class SocketBackend(DispatchBackend):
         batch_size: int | None = None,
         keep_alive: bool = False,
         accept_timeout: float = 30.0,
-        idle_timeout: float = 300.0,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("SocketBackend needs workers >= 1")
@@ -741,7 +741,6 @@ class SocketBackend(DispatchBackend):
         self.batch_size = batch_size
         self.keep_alive = keep_alive
         self.accept_timeout = accept_timeout
-        self.idle_timeout = idle_timeout
         self.spawned: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
         self._server: FrameServer | None = None
@@ -822,10 +821,9 @@ class SocketBackend(DispatchBackend):
 
         A worker forked late — still starting, or inside its connect
         retry loop — would otherwise find the listener closed, retry for
-        its whole window and then be killed; one with a batch queued
-        ahead of its shutdown frame (a stopped run's) would run it and
-        find the coordinator gone.  Waiting lets the shutdown below reach
-        both, so they exit 0.
+        its whole window and then be killed; one still running a batch
+        when the run ends would answer it and find the coordinator gone.
+        Waiting lets the shutdown below reach both, so they exit 0.
         """
         deadline = time.monotonic() + _CONNECT_RETRY_SECONDS
         while True:
@@ -928,7 +926,7 @@ class SocketBackend(DispatchBackend):
 
     # -- the coordinator loop ------------------------------------------
 
-    def _execute(self, specs, assembler, should_stop):
+    def _execute(self, specs, assembler):
         pending: deque[TrialSpec] = deque(specs)
         dispatched = {spec.index: spec for spec in specs}
         # The run's context table: shared spec fields, sent once per
@@ -948,7 +946,6 @@ class SocketBackend(DispatchBackend):
             self._open_pool()
         server = self._server
         started = last_activity = time.monotonic()
-        events: Iterator[tuple[FramePeer, Any]] = iter(())
 
         def drop(peer: FramePeer) -> None:
             """Forget a closed worker; requeue its unapplied specs."""
@@ -1034,7 +1031,6 @@ class SocketBackend(DispatchBackend):
             for result in results:
                 worker.in_flight.pop(result.index, None)
                 assembler.apply(result)  # duplicates dropped by index
-                self._check_stop(assembler, should_stop)
                 if assembler.done:
                     break
             assign(worker)
@@ -1045,8 +1041,7 @@ class SocketBackend(DispatchBackend):
             for worker in list(self._workers.values()):
                 start(worker)
             while not assembler.done:
-                events = iter(server.poll(0.25))
-                for peer, frame in events:
+                for peer, frame in server.poll(0.25):
                     last_activity = time.monotonic()
                     if frame is WELCOMED:
                         start(self._welcome(peer))
@@ -1058,18 +1053,9 @@ class SocketBackend(DispatchBackend):
                     self._check_liveness(
                         assembler, started, last_activity, time.monotonic()
                     )
-        except SweepInterrupted:
-            # An intentional stop closes as a finished run does: the
-            # batches in flight answer, then every worker is told to shut
-            # down and exits 0.  The stopping poll's later events are
-            # booked first, or a batch that already answered in it would
-            # be awaited until the close gives up.
-            self._track(events)
-            self._close_pool(force=False)
-            raise
         except BaseException:
-            # Dispatch errors and signals tear the pool down — journalled
-            # trials survive; a fresh backend resumes them.
+            # Dispatch errors, signals and crashes tear the pool down —
+            # journalled trials survive; a fresh backend resumes them.
             self._close_pool(force=True)
             raise
         if not self.keep_alive:
@@ -1090,8 +1076,8 @@ class SocketBackend(DispatchBackend):
                     f"all {len(self.spawned)} spawned workers exited with "
                     f"trials missing: {assembler.missing()[:10]}"
                 )
-        if now - last_activity > self.idle_timeout:
+        if now - last_activity > IDLE_SECONDS:
             raise DispatchError(
-                f"no worker activity for {self.idle_timeout}s with "
+                f"no worker activity for {IDLE_SECONDS}s with "
                 f"trials missing: {assembler.missing()[:10]}"
             )

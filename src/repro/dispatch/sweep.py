@@ -24,12 +24,13 @@ backend keeps its workers warm across sweep points instead of paying
 startup per point, and per-point aggregation in :class:`SweepState` is
 completion-order-oblivious — a point's report renders the moment its
 last trial lands, whichever points' trials interleaved around it.
-Trials are optionally journalled (:mod:`repro.dispatch.journal`) and
-:meth:`SweepState.partial_report` renders whatever has completed
-mid-sweep.  The final :class:`SweepReport` contains nothing
-backend-dependent, so a socket-pool sweep (killed, resumed, requeued,
-re-batched — whatever happened on the way) serialises byte-identically
-to a serial uninterrupted run of the same spec and seed.
+Trials are optionally journalled (:mod:`repro.dispatch.journal`).  A
+sweep has no stop request: it finishes, or it dies (Ctrl-C, SIGKILL, a
+crash) and a resumed run finishes it from the journal.  The final
+:class:`SweepReport` contains nothing backend-dependent, so a
+socket-pool sweep (killed, resumed, requeued, re-batched — whatever
+happened on the way) serialises byte-identically to a serial
+uninterrupted run of the same spec and seed.
 """
 
 from __future__ import annotations
@@ -296,13 +297,12 @@ def _point_report(
 
 
 class SweepState:
-    """Streaming sweep aggregation: add results, render reports anytime."""
+    """Streaming sweep aggregation: add results, report finished points."""
 
     def __init__(self, spec: SweepSpec) -> None:
         self.spec = spec
-        self._points = spec.points()
         self._by_point: dict[int, dict[int, TrialResult]] = {
-            p.point_index: {} for p in self._points
+            p.point_index: {} for p in spec.points()
         }
 
     def add(self, result: TrialResult) -> bool:
@@ -315,14 +315,6 @@ class SweepState:
         bucket = self._by_point[point_index]
         bucket.setdefault(result.index, result)
         return len(bucket) == self.spec.trials
-
-    @property
-    def completed_trials(self) -> int:
-        return sum(len(b) for b in self._by_point.values())
-
-    @property
-    def complete(self) -> bool:
-        return self.completed_trials == self.spec.total_trials
 
     def ordered(self) -> list[TrialResult]:
         """All recorded results in global-index order."""
@@ -341,35 +333,6 @@ class SweepState:
         return _point_report(
             self.spec, point, self.point_results(point.point_index)
         )
-
-    def partial_report(self) -> dict[str, Any]:
-        """Render whatever has completed so far (mid-sweep snapshot).
-
-        Points with at least one result get a full per-point section
-        (annotated with ``completed_trials``/``expected_trials``); empty
-        points are listed under ``pending_points``.
-        """
-        rendered = []
-        pending = []
-        for point in self._points:
-            done = len(self._by_point[point.point_index])
-            if done == 0:
-                pending.append(
-                    {"point_index": point.point_index, "label": point.label()}
-                )
-                continue
-            section = self.point_report(point)
-            section["completed_trials"] = done
-            section["expected_trials"] = self.spec.trials
-            rendered.append(section)
-        return {
-            "sweep": self.spec.as_dict(),
-            "fingerprint": self.spec.fingerprint(),
-            "completed_trials": self.completed_trials,
-            "total_trials": self.spec.total_trials,
-            "points": rendered,
-            "pending_points": pending,
-        }
 
 
 @dataclass(frozen=True)
@@ -492,10 +455,6 @@ class SweepRunner:
         Streaming hook: called with ``(point, point_report_dict)`` the
         moment a grid point's last trial lands — this is what renders
         partial output mid-sweep.
-    stop_after:
-        Fault-injection/testing knob: stop (``SweepInterrupted``) after
-        this many *newly executed* trials have been applied and
-        journalled; resumed-from-journal results don't count.
     """
 
     def __init__(
@@ -506,10 +465,7 @@ class SweepRunner:
         journal_path: str | None = None,
         resume: bool = False,
         on_point_complete: ProgressCallback | None = None,
-        stop_after: int | None = None,
     ) -> None:
-        if stop_after is not None and stop_after < 1:
-            raise ConfigurationError("stop_after must be >= 1 when given")
         if resume and journal_path is None:
             raise ConfigurationError("resume needs a journal_path to replay")
         self.spec = spec
@@ -517,12 +473,11 @@ class SweepRunner:
         self.journal_path = journal_path
         self.resume = resume
         self.on_point_complete = on_point_complete
-        self.stop_after = stop_after
         self.state = SweepState(spec)
 
     def run(self) -> SweepReport:
-        """Execute (or finish) the sweep; raises ``SweepInterrupted`` on
-        an early stop, with everything so far already journalled."""
+        """Execute (or finish) the sweep.  Whatever ends a run early
+        leaves every applied trial journalled for a resumed run."""
         spec = self.spec
         points = {p.point_index: p for p in spec.points()}
         for point in points.values():
@@ -547,28 +502,17 @@ class SweepRunner:
                     )
         already_done = {r.index for r in self.state.ordered()}
         remaining = [s for s in specs if s.index not in already_done]
-        newly_done = 0
 
         def on_result(result: TrialResult) -> None:
-            nonlocal newly_done
             if journal is not None:
                 journal.append(result)
-            finished_point = self.state.add(result)
-            newly_done += 1
-            if finished_point and self.on_point_complete:
+            if self.state.add(result) and self.on_point_complete:
                 point = points[spec.point_for_index(result.index)]
                 self.on_point_complete(point, self.state.point_report(point))
 
-        def should_stop() -> bool:
-            return (
-                self.stop_after is not None and newly_done >= self.stop_after
-            )
-
         try:
             if remaining:
-                self.backend.run(
-                    remaining, on_result=on_result, should_stop=should_stop
-                )
+                self.backend.run(remaining, on_result=on_result)
         finally:
             if journal is not None:
                 journal.close()

@@ -76,21 +76,6 @@ class JournalRejected(DispatchError, ConfigurationError):
     :class:`ConfigurationError` too, so the CLI exits 2 with one line."""
 
 
-class SweepInterrupted(ReproError):
-    """Raised when a dispatch run is stopped early on purpose.
-
-    Carries ``completed`` (trial results applied before the stop, in index
-    order) so callers can render a partial report.  This is the controlled
-    counterpart of :class:`DispatchError`: the stop predicate handed to
-    ``DispatchBackend.run`` asked to halt (e.g. the CLI's ``--stop-after``
-    fault-injection flag), nothing failed.
-    """
-
-    def __init__(self, message: str, completed: tuple = ()) -> None:
-        super().__init__(message)
-        self.completed = tuple(completed)
-
-
 class ServiceError(ReproError):
     """A typed failure from the key-service layer (:mod:`repro.serve`).
 

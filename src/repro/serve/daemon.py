@@ -97,10 +97,6 @@ class ServeDaemon:
                 "idle_timeout must be a finite number > 0 when given, "
                 f"got {idle_timeout!r}"
             )
-        if max_sessions is not None and max_sessions < 1:
-            raise ConfigurationError(
-                f"max_sessions must be >= 1 when given, got {max_sessions!r}"
-            )
         kwargs = {} if max_sessions is None else {"max_sessions": max_sessions}
         self.host = SessionHost(seed=seed, **kwargs)
         self.bind_host = host

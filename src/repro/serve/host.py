@@ -78,8 +78,12 @@ class SessionHost:
         *,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
     ) -> None:
+        if type(max_sessions) is not int or max_sessions < 1:
+            raise ConfigurationError(
+                f"max_sessions must be an int >= 1, got {max_sessions!r}"
+            )
         self.rng = RngRegistry(seed=seed)
-        self.max_sessions = int(max_sessions)
+        self.max_sessions = max_sessions
         self.sessions: dict[str, HostedSession] = {}
         self.shutting_down = False
 

@@ -256,23 +256,18 @@ class TestSweepCommand:
         # backend-shape-free report
         assert "workers" not in report["points"][0]
 
-    def test_stop_after_then_resume_matches_uninterrupted(
-        self, capsys, tmp_path
+    def test_journal_cut_mid_record_then_resume_matches_uninterrupted(
+        self, tmp_path
     ):
         grid = ["sweep", "--nodes", "18", "--trials", "3", "--seed", "7",
                 "--pairs", "4"]
         ref = tmp_path / "ref.json"
-        assert main(grid + ["--json-out", str(ref)]) == 0
-        capsys.readouterr()
         journal = tmp_path / "sweep.jsonl"
-        stopped = main(
-            grid + ["--journal", str(journal), "--stop-after", "1",
-                    "--json-out", str(tmp_path / "partial.json")]
-        )
-        captured = capsys.readouterr()
-        assert stopped == 3
-        assert "rerun with --resume" in captured.err
-        assert not (tmp_path / "partial.json").exists()
+        assert main(grid + ["--journal", str(journal),
+                            "--json-out", str(ref)]) == 0
+        # What a kill mid-append leaves: a record and part of the next.
+        header, first, second, _ = journal.read_text().splitlines()
+        journal.write_text(f"{header}\n{first}\n{second[:40]}")
         resumed = tmp_path / "resumed.json"
         assert main(
             grid + ["--journal", str(journal), "--resume",
@@ -304,9 +299,9 @@ class TestSweepCommand:
         grid = ["sweep", "--nodes", "18", "--trials", "3", "--seed", "7",
                 "--pairs", "4"]
         journal = tmp_path / "sweep.jsonl"
-        assert main(grid + ["--journal", str(journal), "--stop-after", "2"]) == 3
+        assert main(grid + ["--journal", str(journal)]) == 0
         capsys.readouterr()
-        header, first, second = journal.read_text().splitlines()
+        header, first, second, _ = journal.read_text().splitlines()
         fields = json.loads(header)
         if tamper == "tampered-field":
             record = json.loads(first)

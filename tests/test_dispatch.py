@@ -19,14 +19,9 @@ from repro.dispatch import (
     SweepReport,
     SweepRunner,
     SweepSpec,
-    SweepState,
 )
 from repro.dispatch.journal import decode_record, encode_record
-from repro.errors import (
-    ConfigurationError,
-    DispatchError,
-    SweepInterrupted,
-)
+from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import TrialResult, TrialSpec
 from repro.radio.metrics import NetworkMetrics
 from repro.rng import RANDOMNESS_VERSION, RngRegistry
@@ -86,9 +81,9 @@ class TestBackends:
         dispatched: list[int] = []
 
         class RecordingBackend(SerialBackend):
-            def _execute(self, specs, assembler, should_stop):
+            def _execute(self, specs, assembler):
                 dispatched.extend(s.index for s in specs)
-                super()._execute(specs, assembler, should_stop)
+                super()._execute(specs, assembler)
 
         default = SweepRunner(four_trials)
         assert isinstance(default.backend, SerialBackend)
@@ -102,17 +97,6 @@ class TestBackends:
             four_trials.specs(), on_result=lambda r: seen.append(r.index)
         )
         assert seen == [0, 1, 2, 3]
-
-    def test_should_stop_interrupts_with_completed_results(self):
-        specs = four_trials.specs()
-        seen: list[int] = []
-        with pytest.raises(SweepInterrupted) as excinfo:
-            SerialBackend().run(
-                specs,
-                on_result=lambda r: seen.append(r.index),
-                should_stop=lambda: len(seen) >= 2,
-            )
-        assert [r.index for r in excinfo.value.completed] == [0, 1]
 
 
 class TestJournal:
@@ -283,8 +267,15 @@ class TestSweepSpec:
 class ExplodingBackend(SerialBackend):
     """A backend for runs that must dispatch no trial."""
 
-    def _execute(self, specs, assembler, should_stop):
+    def _execute(self, specs, assembler):
         raise AssertionError("no trials should be dispatched")
+
+
+def cut_journal(path, records: int, tail: str = "") -> None:
+    """Leave a finished run's journal as a crash would: its header, the
+    first ``records`` trial records, then ``tail`` with no newline."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: 1 + records]) + tail)
 
 
 class TestSweepRunnerSerial:
@@ -307,17 +298,34 @@ class TestSweepRunnerSerial:
     def test_journal_stop_resume_identical_to_uninterrupted(self, tmp_path):
         uninterrupted = SweepRunner(small_spec).run().as_dict()
         journal = tmp_path / "sweep.jsonl"
-        with pytest.raises(SweepInterrupted):
-            SweepRunner(
-                small_spec, journal_path=str(journal), stop_after=1
-            ).run()
-        assert journal.exists()
+        SweepRunner(small_spec, journal_path=str(journal)).run()
+        cut_journal(journal, records=1)
         resumed = SweepRunner(
             small_spec, journal_path=str(journal), resume=True
         ).run().as_dict()
         assert json.dumps(resumed, sort_keys=True) == json.dumps(
             uninterrupted, sort_keys=True
         )
+
+    @pytest.mark.parametrize("torn", [True, False])
+    def test_crash_tail_stays_resumable(self, tmp_path, torn):
+        # A crash mid-append leaves 40 bytes of the third record, or the
+        # whole record without its newline.  Both resume, and resume
+        # again, to the uninterrupted report, each index journalled once.
+        journal = tmp_path / "sweep.jsonl"
+        reference = SweepRunner(four_trials, journal_path=str(journal)).run()
+        third = journal.read_text().splitlines()[3]
+        cut_journal(journal, records=2, tail=third[:40] if torn else third)
+        for _ in range(2):
+            resumed = SweepRunner(
+                four_trials, journal_path=str(journal), resume=True
+            ).run()
+            assert resumed.as_dict() == reference.as_dict()
+        indices = [
+            json.loads(line)["index"]
+            for line in journal.read_text().splitlines()[1:]
+        ]
+        assert sorted(indices) == [0, 1, 2, 3]
 
     def test_resume_with_complete_journal_runs_nothing(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
@@ -338,10 +346,8 @@ class TestSweepRunnerSerial:
         # the coins: resuming must fail, naming both versions, before any
         # trial is dispatched.
         journal = tmp_path / "sweep.jsonl"
-        with pytest.raises(SweepInterrupted):
-            SweepRunner(
-                small_spec, journal_path=str(journal), stop_after=1
-            ).run()
+        SweepRunner(small_spec, journal_path=str(journal)).run()
+        cut_journal(journal, records=1)
         header, *records = journal.read_text().splitlines()
         fields = json.loads(header)
         fields.pop("randomness", None)
@@ -373,30 +379,6 @@ class TestSweepRunnerSerial:
             ),
         ).run()
         assert finished == [(0, small_spec.trials)]
-
-    def test_partial_report_renders_mid_sweep(self, tmp_path):
-        spec = SweepSpec(ns=(N,), adversaries=("schedule", "null"),
-                         trials=2, seed=7, pairs=4)
-        runner = SweepRunner(
-            spec, journal_path=str(tmp_path / "j.jsonl"), stop_after=3
-        )
-        with pytest.raises(SweepInterrupted):
-            runner.run()
-        partial = runner.state.partial_report()
-        assert partial["completed_trials"] == 3
-        assert partial["total_trials"] == 4
-        done = {p["point_index"]: p for p in partial["points"]}
-        assert done[0]["completed_trials"] == 2
-        assert done[1]["completed_trials"] == 1
-        assert partial["pending_points"] == []
-        # the half-done point renders with what it has
-        assert done[1]["success_rate"]["trials"] == 1
-
-    def test_partial_report_lists_untouched_points_as_pending(self):
-        state = SweepState(small_spec)
-        partial = state.partial_report()
-        assert partial["points"] == []
-        assert [p["point_index"] for p in partial["pending_points"]] == [0]
 
     def test_report_build_requires_completeness(self):
         with pytest.raises(DispatchError):

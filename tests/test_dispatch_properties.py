@@ -18,9 +18,10 @@ Two families, both load-bearing for the byte-identical-report guarantee:
   duplicated or forged indexes, and records out of bounds for their
   trial: no metrics, no cover over a K20 of failed pairs, a pair outside
   ``[0, n)``, a negative counter, a cover above the pair count, a forged
-  seed), ``--resume`` replay returns the first record of each index,
-  skips only a cut-short final line, or raises ``DispatchError`` /
-  ``ConfigurationError``.
+  seed), with or without a final newline, ``--resume`` replay returns
+  the first record of each index, skips only a cut-short final line, or
+  raises ``DispatchError`` / ``ConfigurationError``; a journal it
+  returns from resumes again after one more record.
 """
 
 from __future__ import annotations
@@ -344,14 +345,19 @@ def _journal_header(draw):
     return json.dumps(header), DispatchError
 
 
-@given(header=_journal_header(), lines=st.lists(_journal_line(), max_size=6))
+@given(
+    header=_journal_header(),
+    lines=st.lists(_journal_line(), max_size=6),
+    ended=st.booleans(),
+)
 @settings(max_examples=200, deadline=None)
 def test_journal_replay_returns_skips_a_cut_tail_or_raises_typed(
-    header, lines
+    header, lines, ended
 ):
     """Whatever the lines, replay returns the first record of each index
     (skipping only a cut-short final line) or raises the typed error the
-    first faulty line calls for — never anything else."""
+    first faulty line calls for — never anything else.  A journal that
+    replays takes one more record and replays again."""
     header_line, header_error = header
     expected: dict[int, TrialResult] | type = {}
     if header_error is not None:
@@ -369,13 +375,19 @@ def test_journal_replay_returns_skips_a_cut_tail_or_raises_typed(
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "j.jsonl"
         text = "\n".join([header_line] + [line for line, _ in lines])
-        path.write_text(text + "\n", encoding="utf-8")
+        path.write_text(text + "\n" * ended, encoding="utf-8")
         if isinstance(expected, dict):
             journal, completed = SweepJournal.attach(
                 path, "fp", resume=True, specs=_SPECS
             )
+            journal.append(_journal_result(0))
             journal.close()
             assert completed == expected
+            journal, completed = SweepJournal.attach(
+                path, "fp", resume=True, specs=_SPECS
+            )
+            journal.close()
+            assert completed == {0: _journal_result(0), **expected}
         else:
             with pytest.raises(expected):
                 SweepJournal.attach(path, "fp", resume=True, specs=_SPECS)

@@ -3,7 +3,7 @@
 These run the real thing: a coordinator in-process and genuine forked
 worker processes over localhost TCP — including the acceptance scenarios
 (``sweep -j 2`` with one worker SIGKILLed mid-sweep still reports what
-serial reports; 2 workers, one killed, coordinator interrupted, resumed
+serial reports; 2 workers, one killed, coordinator crashed, resumed
 from the journal, report byte-identical to an uninterrupted serial run).
 CI runs this module as its sweep smoke job.
 """
@@ -44,7 +44,7 @@ from repro.dispatch.socket_pool import (
     worker_main,
 )
 from repro.dispatch.wire import decode
-from repro.errors import ConfigurationError, DispatchError, SweepInterrupted
+from repro.errors import ConfigurationError, DispatchError
 from repro.experiments import TrialResult, TrialSpec
 from repro.radio.metrics import NetworkMetrics
 
@@ -244,53 +244,6 @@ class TestSocketBackendEndToEnd:
 
         with pytest.raises(DispatchError):
             backend.run(specs, on_result=kill_all)
-
-    def test_stop_after_shuts_workers_down_gracefully(self):
-        """An intentional stop ends as a finished run does: the batches
-        still in flight answer, then every worker reads its shutdown
-        frame and exits 0 instead of being terminated mid-recv."""
-        specs = fame_specs(8)
-        backend = SocketBackend(workers=2, batch_size=1, accept_timeout=60.0)
-        applied: list[TrialResult] = []
-        with pytest.raises(SweepInterrupted):
-            backend.run(
-                specs,
-                on_result=applied.append,
-                should_stop=lambda: len(applied) >= 2,
-            )
-        assert not backend.pool_open
-        assert exit_codes(backend.spawned) == [0, 0]
-
-    def test_stop_books_the_rest_of_its_poll(self):
-        """A stop raised mid-poll still books that poll's other results
-        frames, so the graceful close does not wait out its whole window
-        for batches that have already answered."""
-        specs = fame_specs(4)
-        backend = SocketBackend(workers=2, batch_size=1, accept_timeout=60.0)
-        assert backend.warm_up(timeout=60.0) == 2
-        server = backend._server
-        poll = server.poll
-
-        def late_first_poll(timeout):
-            # Every worker answers both its one-trial batches before the
-            # coordinator reads any, so one poll returns all four.
-            del server.poll
-            time.sleep(1.0)
-            return poll(timeout)
-
-        server.poll = late_first_poll
-        applied: list[TrialResult] = []
-        began = time.monotonic()
-        with pytest.raises(SweepInterrupted):
-            backend.run(
-                specs,
-                on_result=applied.append,
-                should_stop=lambda: len(applied) >= 1,
-            )
-        assert time.monotonic() - began < 5.0
-        assert len(applied) == 1
-        assert not backend.pool_open
-        assert exit_codes(backend.spawned) == [0, 0]
 
     def test_warm_pool_reused_across_runs(self):
         specs_a = fame_specs(4)
@@ -769,6 +722,10 @@ class TestWorkerMain:
             listener.close()
 
 
+class CoordinatorCrash(Exception):
+    """Raised from inside a sweep to end it as a crash would."""
+
+
 class TestKillAndResumeAcceptance:
     """The kill and resume acceptance scenarios, end to end on localhost."""
 
@@ -846,32 +803,25 @@ class TestKillAndResumeAcceptance:
 
         journal = tmp_path / "sweep.jsonl"
         backend = SocketBackend(workers=2, accept_timeout=60.0)
-        killed = []
+        runner = SweepRunner(spec, backend=backend, journal_path=str(journal))
+        # The runner journals each result before it adds it, so wrapping
+        # ``add`` kills a worker on the first journalled result and
+        # crashes the coordinator once four are journalled.
+        original_add = runner.state.add
+        added = []
 
-        def kill_one_worker(point, section) -> None:
-            pass  # progress hook unused; kill below is on_result-driven
-
-        runner = SweepRunner(
-            spec,
-            backend=backend,
-            journal_path=str(journal),
-            stop_after=4,  # the coordinator "crash"
-            on_point_complete=kill_one_worker,
-        )
-        # Arrange the worker kill on the first journalled result by
-        # wrapping the journal append (the earliest durable hook).
-        original_append = runner.state.add
-
-        def add_and_kill(result):
-            if not killed and backend.spawned:
+        def add_kill_crash(result):
+            if not added:
                 backend.spawned[0].kill()  # one worker dies mid-sweep
-                killed.append(True)
-            return original_append(result)
+            if len(added) == 3:
+                raise CoordinatorCrash
+            added.append(result)
+            return original_add(result)
 
-        runner.state.add = add_and_kill
-        with pytest.raises(SweepInterrupted):
+        runner.state.add = add_kill_crash
+        with pytest.raises(CoordinatorCrash):
             runner.run()
-        assert killed, "a worker should have been killed mid-sweep"
+        assert not backend.pool_open
         journalled = [
             json.loads(line)
             for line in journal.read_text().splitlines()[1:]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.dispatch import socket_pool
 from repro.dispatch.socket_pool import frame_bytes, recv_frame, send_frame
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.scenarios.injectors import RekeyEpochTap
 from repro.serve import ServeDaemon, ServiceClient, SessionHost
 from repro.serve import daemon as daemon_module
@@ -186,6 +186,11 @@ class TestSessionHost:
         open_default(host, name="b")
         refused = host.handle(1, p.OpenSession(name="c", n=6))
         assert isinstance(refused, p.Failure) and refused.code == p.BUSY
+
+    @pytest.mark.parametrize("bound", [0, -3, 2.7, True, "2", None])
+    def test_session_table_bound_must_be_an_int_of_at_least_1(self, bound):
+        with pytest.raises(ConfigurationError, match="^max_sessions must be "):
+            SessionHost(seed=1, max_sessions=bound)
 
     def test_duplicate_and_unknown_session(self):
         host = SessionHost(seed=1)
