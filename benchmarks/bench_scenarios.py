@@ -169,9 +169,7 @@ def main(argv: list[str] | None = None) -> int:
 
     throughput = {"gauntlet_serial": time_gauntlet(reps, args.seed)}
     samples: list[tuple[float, float]] = []
-    warm = SocketBackend(
-        workers=args.workers, accept_timeout=60.0, keep_alive=True
-    )
+    warm = SocketBackend(workers=args.workers, accept_timeout=60.0)
     try:
         warm.warm_up(timeout=60.0)
         for k in range(SAMPLES):

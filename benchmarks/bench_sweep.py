@@ -146,11 +146,11 @@ def bench_grid(
         spec, SocketBackend(workers=workers, batch_size=batch_size)
     )
     # Warm socket: pool pre-warmed off the clock, dispatch alone timed.
-    warm = SocketBackend(workers=workers, batch_size=batch_size, keep_alive=True)
+    warm = SocketBackend(workers=workers, batch_size=batch_size)
     try:
         warm.warm_up(timeout=60.0)
         reports["socket"], _ = run_sweep(spec, warm)
-        # Fault injection: kill one worker + stop halfway + journal
+        # Fault injection: kill one worker + crash halfway + journal
         # resume must still reproduce the serial report byte-for-byte.
         reports["socket_kill_resume"] = run_kill_and_resume(
             spec, workers, batch_size

@@ -26,9 +26,12 @@ Commands
                 findings, 2 on usage errors — CI self-hosts it over
                 ``src tests benchmarks examples`` with zero tolerance
 
-Common options: ``--nodes``, ``--channels``, ``--strength`` (t), ``--seed``,
-``--adversary``.  Every run is deterministic given the seed, and a sweep's
-*report* is byte-identical across worker counts, kills, and resumes::
+Demo options: ``--nodes``, ``--channels``, ``--strength`` (t) and
+``--seed`` on every demo, ``--pairs`` on ``fame`` and ``gauntlet``, and
+``--adversary`` on ``fame``, ``groupkey`` and ``service`` (``gauntlet``
+runs every adversary).  Every run is deterministic given the seed, and a
+sweep's *report* is byte-identical across worker counts, kills, and
+resumes::
 
     python -m repro montecarlo --trials 100 --workers 4 --seed 7
 
@@ -393,15 +396,20 @@ def _str_list(text: str) -> list[str]:
     return [part for part in text.split(",") if part != ""]
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
+def _add_demo_options(
+    p: argparse.ArgumentParser, *, pairs: bool, adversary: bool
+) -> None:
+    """A demo's options: only those its command reads."""
     p.add_argument("--nodes", "-n", type=int, default=20)
     p.add_argument("--channels", "-c", type=int, default=2)
     p.add_argument("--strength", "-t", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument(
-        "--adversary", choices=sorted(ADVERSARIES), default="schedule"
-    )
+    if pairs:
+        p.add_argument("--pairs", type=int, default=5)
+    if adversary:
+        p.add_argument(
+            "--adversary", choices=sorted(ADVERSARIES), default="schedule"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,14 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, blurb in (
-        ("fame", cmd_fame, "authenticated message exchange"),
-        ("groupkey", cmd_groupkey, "group-key establishment"),
-        ("service", cmd_service, "long-lived secure communication"),
-        ("gauntlet", cmd_gauntlet, "f-AME vs the adversary gallery"),
+    for name, handler, blurb, pairs, adversary in (
+        ("fame", cmd_fame, "authenticated message exchange", True, True),
+        ("groupkey", cmd_groupkey, "group-key establishment", False, True),
+        ("service", cmd_service, "long-lived secure communication",
+         False, True),
+        ("gauntlet", cmd_gauntlet, "f-AME vs the adversary gallery",
+         True, False),
     ):
         p = sub.add_parser(name, help=blurb)
-        _add_common_options(p)
+        _add_demo_options(p, pairs=pairs, adversary=adversary)
         p.set_defaults(handler=handler)
     sw = sub.add_parser(
         "sweep",

@@ -22,11 +22,11 @@ differently.  This package makes that literal:
   decode closes only its own connection.  The backend is a coordinator
   serving workers it forks locally (``--workers N``) or
   ``python -m repro worker`` processes on other machines, with
-  per-run spec-context tables (shared ``TrialSpec`` fields sent once
-  per worker, not once per trial), batched spec frames sized adaptively
-  from observed per-trial cost (``--batch-size`` pins them), a pipelined
-  in-flight window of batches per worker, optional warm pools reused
-  across runs (``keep_alive=True`` / ``warm_up()`` / ``close()``), and
+  batch frames that carry each ``TrialSpec`` in the same codec as
+  every other frame, sized adaptively from observed per-trial cost
+  (``--batch-size`` pins them), a pipelined in-flight window of batches
+  per worker, warm pools reused across runs (``warm_up()`` opens one,
+  ``close()`` releases it; a run closes only a pool it opened), and
   lost-worker detection that requeues in-flight batches with
   already-applied indices filtered out — a killed worker costs time,
   never the sweep.

@@ -24,11 +24,6 @@ A run has no stop request: it finishes, or it dies (Ctrl-C, SIGKILL, a
 crash, a :class:`~repro.errors.DispatchError`) and ``--resume`` finishes
 the sweep from its journal.
 
-A backend may also hold *pool state* between :meth:`DispatchBackend.run`
-calls (the socket pool's warm workers): :meth:`DispatchBackend.close`
-releases it, backends are context managers, and the base implementations
-are no-ops so stateless backends need not care.
-
 Backends: :class:`SerialBackend` (in-process loop) and
 :class:`~repro.dispatch.socket_pool.SocketBackend` (stdlib socket
 coordinator + workers it forks locally or that connect from other
@@ -134,15 +129,6 @@ class DispatchBackend:
         self, specs: list[TrialSpec], assembler: ResultAssembler
     ) -> None:
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any pool state held between runs (no-op by default)."""
-
-    def __enter__(self) -> "DispatchBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class SerialBackend(DispatchBackend):

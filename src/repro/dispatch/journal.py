@@ -231,9 +231,3 @@ class SweepJournal:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

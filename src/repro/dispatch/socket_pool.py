@@ -31,15 +31,10 @@ The ``hello`` rule: a connection's first frame must be ``{"kind":
 
 Throughput model
 ----------------
-Per-trial costs — a round trip serialised with worker compute, and the
-shared spec fields (workload, n, channels, …) sent again for every trial
-— are paid per *batch* instead, the classic message-complexity move:
+The per-trial round trip — a request serialised with worker compute —
+is paid per *batch* instead, the classic message-complexity move:
 
-* **context table once per run** — the distinct ``(workload, n,
-  channels, t, pairs, adversary)`` combinations are sent to each worker
-  in a single ``contexts`` frame; batches then carry only ``(ctx_id,
-  index, seed)`` triples per trial;
-* **batched assignment** — a ``batch`` frame carries K trials; the
+* **batched assignment** — a ``batch`` frame carries K trial specs; the
   worker runs them all and replies with one merged ``results`` frame.
   K adapts to the observed per-trial cost (workers report their batch
   compute time) targeting :data:`TARGET_BATCH_SECONDS` per batch, capped
@@ -50,13 +45,13 @@ shared spec fields (workload, n, channels, …) sent again for every trial
   latency hides behind worker compute instead of alternating with it;
   both ends set ``TCP_NODELAY``, so a pipelined ``batch`` frame is not
   held back waiting for the busy worker's delayed ACK;
-* **warm pool** — the pool can outlive a single :meth:`SocketBackend.
-  run` call (``keep_alive=True``): workers stay connected and the next
-  batch of specs reuses them, paying fork + handshake once.
-  A whole sweep is already *one* ``run`` call (every point's trials in
-  one interleaved stream); ``keep_alive`` extends that to sequences of
-  sweeps.  :meth:`SocketBackend.warm_up` pre-forks and handshakes the
-  pool so timed runs measure dispatch, not process startup.
+* **warm pool** — :meth:`SocketBackend.warm_up` pre-forks and
+  handshakes the pool, which then stays open across :meth:`SocketBackend.
+  run` calls until :meth:`SocketBackend.close`: the next specs reuse the
+  same workers, paying fork + handshake once, and timed runs measure
+  dispatch, not process startup.  A run that opens the pool itself
+  closes it when it ends.  A whole sweep is already *one* ``run`` call
+  (every point's trials in one interleaved stream).
 
 Wire protocol (version :data:`PROTOCOL_VERSION`)
 ------------------------------------------------
@@ -64,21 +59,19 @@ Every frame is a 4-byte big-endian length prefix followed by one JSON
 object in the :mod:`~repro.dispatch.wire` codec (capped at
 :data:`MAX_FRAME_BYTES` against malformed prefixes):
 
-* worker → ``{"kind": "hello", "protocol": 6, "repro": ..., "pid": ...}``
-* coordinator → ``{"kind": "welcome", "protocol": 6}`` or ``{"kind":
+* worker → ``{"kind": "hello", "protocol": 7, "repro": ..., "pid": ...}``
+* coordinator → ``{"kind": "welcome", "protocol": 7}`` or ``{"kind":
   "reject", "reason": ...}`` (the ``hello`` rule above: a stray worker
   or any other peer is turned away and the sweep continues with the
   rest);
-* coordinator → ``{"kind": "contexts", "contexts": [ctx, ...]}`` — the
-  run's distinct spec contexts, sent once per run per worker (replacing
-  any previous table on a warm pool);
-* coordinator → ``{"kind": "batch", "trials": [[ctx_id, index, seed],
-  ...]}``; worker → ``{"kind": "results", "results": [TrialResult, ...],
-  "elapsed": seconds}`` (one merged frame per batch; ``elapsed`` is the
-  worker-side compute time feeding the adaptive batch size) or
-  ``{"kind": "error", ...}`` if a trial itself raised — deterministic
-  trials fail the same way everywhere, so that aborts the run instead of
-  requeue-looping;
+* coordinator → ``{"kind": "batch", "trials": [TrialSpec, ...]}``, each
+  spec a dict of its fields that the worker rebuilds with
+  :func:`~repro.dispatch.wire.decode`; worker → ``{"kind": "results",
+  "results": [TrialResult, ...], "elapsed": seconds}`` (one merged frame
+  per batch; ``elapsed`` is the worker-side compute time feeding the
+  adaptive batch size) or ``{"kind": "error", ...}`` if a trial itself
+  raised — deterministic trials fail the same way everywhere, so that
+  aborts the run instead of requeue-looping;
 * coordinator → ``{"kind": "shutdown"}`` once the pool is released.
 
 Fault model
@@ -131,16 +124,16 @@ from ..experiments.workloads import run_trial
 from .backend import DispatchBackend, ResultAssembler
 from .wire import FrameRejected, check_result, decode, dumps, loads
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 """Coordinator/worker wire-protocol version, checked in the handshake.
 
 Bumped whenever a frame changes shape or what a trial computes (3: the
 spec context tuple lost its ``options`` field; 4: the honest coins moved
 to :data:`repro.rng.RANDOMNESS_VERSION` 2; 5: JSON, not pickle; 6: a
 group-key reporter counts its own Part 3 report, which changes t = 0
-runs), so a worker of another version is turned away at ``hello``
-instead of failing to unpack a frame or returning results drawn on other
-coins."""
+runs; 7: a batch frame carries its TrialSpecs; no contexts frame), so a
+worker of another version is turned away at ``hello`` instead of failing
+to unpack a frame or returning results drawn on other coins."""
 
 MAX_FRAME_BYTES = 1 << 28
 """Upper bound on a single frame; larger prefixes abort the connection."""
@@ -285,13 +278,16 @@ class FramePeer:
 class FrameServer:
     """The non-blocking frame server under the coordinator and the daemon.
 
-    Binds an AF_INET listener.  Each :meth:`poll` accepts connections
-    (``TCP_NODELAY``), flushes buffered writes, and reads every readable
-    connection through its :class:`FrameDecoder`, applying the ``hello``
-    rule to each connection's first frame.  Any exception raised while
-    decoding a peer's bytes closes that connection alone.  The owner
-    acts on the returned events and answers through :meth:`send`; it
-    never touches a socket.
+    Binds an AF_INET listener; an endpoint it cannot bind (a port in
+    use, a host that does not resolve or is not this machine's) is a
+    :class:`~repro.errors.ConfigurationError` naming it.  Each
+    :meth:`poll` accepts connections (``TCP_NODELAY``), flushes buffered
+    writes, and reads every readable connection through its
+    :class:`FrameDecoder`, applying the ``hello`` rule to each
+    connection's first frame.  Any exception raised while decoding a
+    peer's bytes closes that connection alone.  The owner acts on the
+    returned events and answers through :meth:`send`; it never touches a
+    socket.
     """
 
     def __init__(self, host: str, port: int, protocol: int) -> None:
@@ -300,9 +296,11 @@ class FrameServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((host, port))
             listener.listen()
-        except OSError:
+        except OSError as exc:
             listener.close()
-            raise
+            raise ConfigurationError(
+                f"cannot bind {host}:{port}: {exc.strerror or exc}"
+            ) from None
         listener.setblocking(False)
         self.protocol = protocol
         self.address: tuple[str, int] = listener.getsockname()[:2]
@@ -510,49 +508,6 @@ def dial(
 
 
 # ----------------------------------------------------------------------
-# Spec contexts: the shared fields, sent once per run per worker
-# ----------------------------------------------------------------------
-
-
-SpecContext = tuple[str, int, int, int, int, str]
-"""``(workload, n, channels, t, pairs, adversary)``: a ``contexts`` entry."""
-
-
-def spec_context(spec: TrialSpec) -> SpecContext:
-    """The spec's shared fields — everything but ``(index, seed)``."""
-    return (
-        spec.workload, spec.n, spec.channels, spec.t, spec.pairs,
-        spec.adversary,
-    )
-
-
-def spec_from_context(ctx: SpecContext, index: int, seed: int) -> TrialSpec:
-    """Rebuild the exact :class:`TrialSpec` a batch triple refers to."""
-    workload, n, channels, t, pairs, adversary = ctx
-    return TrialSpec(
-        workload=workload, index=index, seed=seed, n=n, channels=channels,
-        t=t, pairs=pairs, adversary=adversary,
-    )
-
-
-def unapplied_specs(
-    in_flight: Mapping[int, TrialSpec], missing: Iterable[int]
-) -> list[TrialSpec]:
-    """A dead worker's requeue set: in-flight specs still unapplied.
-
-    Redelivery at batch granularity is safe because the assembler drops
-    duplicates by index — this filter merely avoids re-running trials
-    whose results already arrived (e.g. the worker died *after* its
-    results frame was processed, or a prior requeue completed elsewhere).
-    """
-    missing_set = set(missing)
-    return [
-        spec for index, spec in sorted(in_flight.items())
-        if index in missing_set
-    ]
-
-
-# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
@@ -583,13 +538,15 @@ def worker_main(
     """The ``python -m repro worker`` loop; returns a process exit code.
 
     Dials the coordinator (:func:`dial`, retrying up to
-    ``retry_seconds`` so workers may be started before it binds), stores
-    each ``contexts`` table as it arrives, then runs ``batch`` frames —
-    every trial of a batch back to back, one merged ``results`` frame
-    (with the batch's compute time) back — until the coordinator sends
-    ``shutdown`` (exit 0).  A rejected handshake exits 2; an unreachable
-    coordinator, one that vanishes mid-run, or a malformed frame exits 1
-    with one line on stderr.
+    ``retry_seconds`` so workers may be started before it binds), then
+    runs ``batch`` frames — each batch's specs rebuilt by
+    :func:`~repro.dispatch.wire.decode` and run back to back, one merged
+    ``results`` frame (with the batch's compute time) back — until the
+    coordinator sends ``shutdown`` (exit 0).  The socket is its only
+    connection state.  A rejected handshake exits 2; an unreachable
+    coordinator, one that vanishes mid-run, or a malformed frame (any
+    other kind, or a batch whose ``trials`` are not specs) exits 1 with
+    one line on stderr.
     """
     from .. import __version__
 
@@ -608,28 +565,17 @@ def worker_main(
         print(f"repro worker: cannot reach {host}:{port}: {exc}",
               file=sys.stderr)
         return 1
-    contexts: tuple[SpecContext, ...] | None = None
     try:
         while True:
             frame = recv_frame(sock)
             kind = frame.get("kind") if isinstance(frame, dict) else None
             if kind == "shutdown":
                 return 0
-            if kind == "contexts":
-                contexts = decode(
-                    tuple[SpecContext, ...], frame.get("contexts"), "contexts"
-                )
-                continue
             if kind != "batch":
                 raise FrameRejected(f"unexpected frame kind {kind!r:.40}")
-            if contexts is None:
-                raise FrameRejected("batch before contexts")
-            trials = decode(
-                tuple[tuple[int, int, int], ...], frame.get("trials"), "trials"
+            specs = decode(
+                tuple[TrialSpec, ...], frame.get("trials"), "trials"
             )
-            if any(not 0 <= ctx_id < len(contexts) for ctx_id, _, _ in trials):
-                raise FrameRejected("a row names no context", "trials")
-            specs = [spec_from_context(contexts[c], i, s) for c, i, s in trials]
             results = []
             failed = False
             start = time.perf_counter()
@@ -672,6 +618,23 @@ def worker_main(
 # ----------------------------------------------------------------------
 
 
+def unapplied_specs(
+    in_flight: Mapping[int, TrialSpec], missing: Iterable[int]
+) -> list[TrialSpec]:
+    """A dead worker's requeue set: in-flight specs still unapplied.
+
+    Redelivery at batch granularity is safe because the assembler drops
+    duplicates by index — this filter merely avoids re-running trials
+    whose results already arrived (e.g. the worker died *after* its
+    results frame was processed, or a prior requeue completed elsewhere).
+    """
+    missing_set = set(missing)
+    return [
+        spec for index, spec in sorted(in_flight.items())
+        if index in missing_set
+    ]
+
+
 class _Worker:
     """Coordinator-side state for one welcomed worker connection."""
 
@@ -707,12 +670,6 @@ class SocketBackend(DispatchBackend):
         :data:`INITIAL_BATCH`, then target :data:`TARGET_BATCH_SECONDS`
         of worker compute per batch from the observed per-trial cost,
         always capped by a fair share of the remaining work.
-    keep_alive:
-        Keep the pool connected after :meth:`run` completes so the next
-        ``run`` reuses the same warm workers; call :meth:`close` (or use
-        the backend as a context manager) to release them.  ``False``
-        restores the one-shot behaviour: the pool is torn down when the
-        batch completes.
     accept_timeout:
         Seconds to wait for the first successful handshake.
     """
@@ -727,7 +684,6 @@ class SocketBackend(DispatchBackend):
         port: int = 0,
         spawn_workers: bool = True,
         batch_size: int | None = None,
-        keep_alive: bool = False,
         accept_timeout: float = 30.0,
     ) -> None:
         if workers < 1:
@@ -739,7 +695,6 @@ class SocketBackend(DispatchBackend):
         self.port = port
         self.spawn_workers = spawn_workers
         self.batch_size = batch_size
-        self.keep_alive = keep_alive
         self.accept_timeout = accept_timeout
         self.spawned: list[multiprocessing.Process] = []
         self.address: tuple[str, int] | None = None
@@ -848,8 +803,8 @@ class SocketBackend(DispatchBackend):
         it waits for at least one remote worker.  Fork + handshake are
         one-time pool costs; warming separates them from dispatch
         throughput (and is what a long-lived cluster pool looks like in
-        steady state).  The pool stays open afterwards regardless of
-        ``keep_alive`` — pair with :meth:`close`.
+        steady state).  A pool this opens stays open across :meth:`run`
+        calls until :meth:`close`.
         """
         if not self.pool_open:
             self._open_pool()
@@ -929,20 +884,9 @@ class SocketBackend(DispatchBackend):
     def _execute(self, specs, assembler):
         pending: deque[TrialSpec] = deque(specs)
         dispatched = {spec.index: spec for spec in specs}
-        # The run's context table: shared spec fields, sent once per
-        # run instead of once per trial.
-        contexts: list[SpecContext] = []
-        ctx_ids: dict[SpecContext, int] = {}
-        for spec in specs:
-            ctx = spec_context(spec)
-            if ctx not in ctx_ids:
-                ctx_ids[ctx] = len(contexts)
-                contexts.append(ctx)
-        contexts_frame = frame_bytes(
-            {"kind": "contexts", "contexts": contexts}
-        )
-
-        if not self.pool_open:
+        # A run closes only a pool it opened: a warm pool outlives it.
+        opened = not self.pool_open
+        if opened:
             self._open_pool()
         server = self._server
         started = last_activity = time.monotonic()
@@ -975,10 +919,6 @@ class SocketBackend(DispatchBackend):
                 if not size:
                     return
                 batch = [pending.popleft() for _ in range(size)]
-                trials = [
-                    (ctx_ids[spec_context(s)], s.index, s.seed)
-                    for s in batch
-                ]
                 # In flight before sent: a failed send closes the
                 # connection, and its CLOSED event requeues from here.
                 for s in batch:
@@ -986,19 +926,15 @@ class SocketBackend(DispatchBackend):
                 worker.outstanding += 1
                 server.send(
                     worker.peer,
-                    frame_bytes({"kind": "batch", "trials": trials}),
+                    frame_bytes({"kind": "batch", "trials": batch}),
                 )
 
         def assign_idle() -> None:
-            """Hand requeued work to ready workers with window room."""
+            """Hand pending work to ready workers with window room."""
             for worker in list(self._workers.values()):
                 if not pending:
                     return
                 assign(worker)
-
-        def start(worker: _Worker) -> None:
-            server.send(worker.peer, contexts_frame)
-            assign(worker)
 
         def handle(frame: Any, worker: _Worker) -> None:
             kind = frame.get("kind") if isinstance(frame, dict) else None
@@ -1036,15 +972,14 @@ class SocketBackend(DispatchBackend):
             assign(worker)
 
         try:
-            # A warm pool's workers are mid-recv: ship the new run's
-            # context table and start filling their windows immediately.
-            for worker in list(self._workers.values()):
-                start(worker)
+            # A warm pool's workers are mid-recv: start filling their
+            # windows immediately.
+            assign_idle()
             while not assembler.done:
                 for peer, frame in server.poll(0.25):
                     last_activity = time.monotonic()
                     if frame is WELCOMED:
-                        start(self._welcome(peer))
+                        assign(self._welcome(peer))
                     elif frame is CLOSED:
                         drop(peer)
                     elif not assembler.done and peer in server.peers:
@@ -1058,7 +993,7 @@ class SocketBackend(DispatchBackend):
             # journalled trials survive; a fresh backend resumes them.
             self._close_pool(force=True)
             raise
-        if not self.keep_alive:
+        if opened:
             self._close_pool(force=False)
 
     def _check_liveness(self, assembler, started, last_activity, now) -> None:

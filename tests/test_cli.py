@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -23,6 +24,25 @@ class TestParser:
     def test_unknown_adversary_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fame", "--adversary", "nope"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauntlet", "--adversary", "random"],
+            ["groupkey", "--pairs", "2"],
+            ["service", "--pairs", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_flag_the_demo_would_ignore_exits_2(self, argv, capsys):
+        # gauntlet runs every adversary; groupkey and service run no
+        # pair exchange: neither flag would change a byte of output.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:
@@ -350,8 +370,6 @@ class TestWorkerCommand:
             build_parser().parse_args(["worker"])
 
     def test_unreachable_coordinator_exits_1(self):
-        import socket
-
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -420,6 +438,60 @@ def test_out_of_range_port_exits_2(argv, port, capsys):
         f"repro {argv[0]}: endpoint '127.0.0.1:{port}' has a port "
         "outside 0-65535\n"
     )
+
+
+@pytest.fixture
+def busy_listener():
+    """A listening socket: its port is in use until it closes."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        yield listener
+
+
+def _no_forks(*_args):
+    raise AssertionError("a worker forked before the bind was checked")
+
+
+@pytest.mark.parametrize("host", ["busy", "unresolvable"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--workers", "2", "--bind"], ["serve", "--bind"]],
+    ids=lambda argv: argv[0],
+)
+def test_unbindable_endpoint_exits_2(
+    argv, host, busy_listener, capsys, monkeypatch
+):
+    monkeypatch.setattr(SocketBackend, "_spawn", _no_forks)
+    port = busy_listener.getsockname()[1]
+    endpoint = f"127.0.0.1:{port}" if host == "busy" else "256.1.1.1:0"
+    assert main([*argv, endpoint]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"repro {argv[0]}: cannot bind {endpoint}: ")
+
+
+def test_unbindable_sweep_resumes_from_its_journal(
+    busy_listener, tmp_path, capsys
+):
+    """The journal header is written before the bind fails, so the same
+    command with ``--resume`` runs once the port is free."""
+    port = busy_listener.getsockname()[1]
+    argv = [
+        "sweep", "--nodes", "18", "--trials", "2", "--seed", "7",
+        "--pairs", "4", "--workers", "2", "--bind", f"127.0.0.1:{port}",
+        "--journal", str(tmp_path / "sweep.jsonl"),
+        "--json-out", str(tmp_path / "socket.json"),
+    ]
+    assert main(argv) == 2
+    busy_listener.close()
+    assert main([*argv, "--resume"]) == 0
+    assert main(
+        ["sweep", "--nodes", "18", "--trials", "2", "--seed", "7",
+         "--pairs", "4", "--json-out", str(tmp_path / "serial.json")]
+    ) == 0
+    assert (tmp_path / "socket.json").read_bytes() == (
+        tmp_path / "serial.json"
+    ).read_bytes()
 
 
 class TestLintCommand:

@@ -38,8 +38,6 @@ from repro.dispatch.socket_pool import (
     parse_endpoint,
     recv_frame,
     send_frame,
-    spec_context,
-    spec_from_context,
     unapplied_specs,
     worker_main,
 )
@@ -106,12 +104,7 @@ class TestFraming:
 
 
 class TestBatching:
-    """Unit coverage for the v2 batching machinery (no sockets)."""
-
-    def test_spec_context_round_trip(self):
-        for spec in fame_specs(3, channels=(3,), ts=(2,)):
-            ctx = spec_context(spec)
-            assert spec_from_context(ctx, spec.index, spec.seed) == spec
+    """Unit coverage for the batching machinery (no sockets)."""
 
     def test_unapplied_specs_filters_applied_indices(self):
         specs = fame_specs(6)
@@ -250,14 +243,12 @@ class TestSocketBackendEndToEnd:
         specs_b = fame_specs(4, seed=11)
         serial_a = SerialBackend().run(specs_a)
         serial_b = SerialBackend().run(specs_b)
-        backend = SocketBackend(
-            workers=2, accept_timeout=60.0, keep_alive=True
-        )
+        backend = SocketBackend(workers=2, accept_timeout=60.0)
         try:
             assert backend.warm_up(timeout=60.0) == 2
             spawned = list(backend.spawned)
             assert backend.run(specs_a) == serial_a
-            # keep_alive: the pool survives the run ...
+            # A pool warm_up opened survives the run ...
             assert backend.pool_open
             assert backend.run(specs_b) == serial_b
             # ... and the second run reused the same worker processes.
@@ -271,9 +262,7 @@ class TestSocketBackendEndToEnd:
         """Forked workers drop their inherited copy of the listener, so
         the port stops accepting when the coordinator stops listening —
         even while the workers live on."""
-        backend = SocketBackend(
-            workers=2, accept_timeout=60.0, keep_alive=True
-        )
+        backend = SocketBackend(workers=2, accept_timeout=60.0)
         try:
             assert backend.warm_up(timeout=60.0) == 2
             address = backend.address
@@ -320,7 +309,8 @@ class TestSocketBackendEndToEnd:
 
 
 class _FakeWorker(threading.Thread):
-    """A hand-rolled worker speaking protocol v2 from this thread."""
+    """A hand-rolled worker in this thread: it says hello with
+    ``protocol`` and answers each batch of specs with their results."""
 
     def __init__(self, port: int, *, protocol=PROTOCOL_VERSION,
                  duplicate_results=False):
@@ -342,22 +332,15 @@ class _FakeWorker(threading.Thread):
             self.greeting = recv_frame(sock)
             if self.greeting.get("kind") != "welcome":
                 return
-            contexts = None
             while True:
                 frame = recv_frame(sock)
                 if frame["kind"] == "shutdown":
                     return
-                if frame["kind"] == "contexts":
-                    contexts = frame["contexts"]
-                    continue
-                trials = frame["trials"]
-                self.batch_sizes.append(len(trials))
+                specs = decode(tuple[TrialSpec, ...], frame["trials"])
+                self.batch_sizes.append(len(specs))
                 reply = {
                     "kind": "results",
-                    "results": [
-                        run_trial(spec_from_context(contexts[c], i, s))
-                        for c, i, s in trials
-                    ],
+                    "results": [run_trial(spec) for spec in specs],
                     "elapsed": 0.01,
                 }
                 send_frame(sock, reply)
@@ -432,6 +415,11 @@ class TestHandshake:
         # not be this coordinator's, so the hello turns them away.
         self._stray_is_refused_and_the_sweep_continues(3)
 
+    def test_a_context_table_worker_is_refused(self):
+        # Protocol 6 workers wait for a table of shared spec fields and
+        # read batch rows against it: no batch of specs would decode.
+        self._stray_is_refused_and_the_sweep_continues(6)
+
     def test_duplicate_results_from_worker_are_dropped(self):
         specs = fame_specs(3)
         serial = SerialBackend().run(specs)
@@ -468,7 +456,7 @@ class _Intruder(threading.Thread):
             self.greeting = recv_frame(sock)
             sock.sendall(self.bad)
             try:
-                while sock.recv(1 << 16):  # contexts and batch frames
+                while sock.recv(1 << 16):  # batch frames
                     pass
             except ConnectionResetError:
                 pass
@@ -625,17 +613,7 @@ class TestWorkerMain:
             conn, _ = listener.accept()
             got["hello"] = recv_frame(conn)
             send_frame(conn, {"kind": "welcome"})
-            send_frame(
-                conn,
-                {"kind": "contexts", "contexts": [spec_context(specs[0])]},
-            )
-            send_frame(
-                conn,
-                {
-                    "kind": "batch",
-                    "trials": [(0, s.index, s.seed) for s in specs],
-                },
-            )
+            send_frame(conn, {"kind": "batch", "trials": specs})
             got["results"] = recv_frame(conn)
             send_frame(conn, {"kind": "shutdown"})
             conn.close()
@@ -657,14 +635,14 @@ class TestWorkerMain:
     @pytest.mark.parametrize(
         "frames",
         [
-            [{"kind": "contexts"}],
-            [
-                {"kind": "contexts", "contexts": []},
-                {"kind": "batch", "trials": [(0, 0, 1)]},
-            ],
+            [{"kind": "batch"}],
+            # A protocol 6 coordinator's (context, index, seed) row.
+            [{"kind": "batch", "trials": [(0, 0, 1)]}],
+            # Its spec-context table, now a kind no coordinator sends.
+            [{"kind": "contexts", "contexts": []}],
             [["not", "a", "dict"]],
         ],
-        ids=["contexts-missing", "unknown-context", "not-a-dict"],
+        ids=["trials-missing", "context-row", "unexpected-kind", "not-a-dict"],
     )
     def test_malformed_coordinator_frame_exits_1_with_one_line(
         self, frames, capsys
@@ -695,31 +673,6 @@ class TestWorkerMain:
         assert not thread.is_alive()
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("repro worker: malformed coordinator frame: ")
-
-    def test_worker_batch_before_contexts_exits_1(self):
-        spec = fame_specs(1)[0]
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        port = listener.getsockname()[1]
-
-        def coordinator() -> None:
-            conn, _ = listener.accept()
-            recv_frame(conn)
-            send_frame(conn, {"kind": "welcome"})
-            send_frame(
-                conn,
-                {"kind": "batch", "trials": [(0, spec.index, spec.seed)]},
-            )
-            conn.close()
-
-        thread = threading.Thread(target=coordinator, daemon=True)
-        thread.start()
-        try:
-            assert worker_main("127.0.0.1", port, retry_seconds=5.0) == 1
-        finally:
-            thread.join(timeout=30)
-            listener.close()
 
 
 class CoordinatorCrash(Exception):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dispatch.journal import SweepJournal, encode_record
-from repro.dispatch.socket_pool import FrameDecoder, SpecContext, frame_bytes
+from repro.dispatch.socket_pool import FrameDecoder, frame_bytes
 from repro.dispatch.wire import (
     FrameRejected,
     as_dict,
@@ -310,17 +310,12 @@ def strategy(tp) -> st.SearchStrategy:
 _WIRE_TYPES = [
     TrialResult,
     TrialSpec,
-    SpecContext,
     *p.REQUEST_TYPES.values(),
     *p.RESPONSE_TYPES.values(),
 ]
 
 
-@pytest.mark.parametrize(
-    "tp",
-    _WIRE_TYPES,
-    ids=lambda tp: tp.__name__ if dataclasses.is_dataclass(tp) else "SpecContext",
-)
+@pytest.mark.parametrize("tp", _WIRE_TYPES, ids=lambda tp: tp.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_wire_type_round_trips(tp, data):
